@@ -1,6 +1,7 @@
 #include "bce.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 #include "lut/lut_image.hh"
@@ -306,7 +307,7 @@ Bce::matmulDotSpan(const std::int8_t *a, const std::int8_t *b,
                    std::size_t len, unsigned bits)
 {
     if (_mode != BceMode::Matmul)
-        bfree_panic("broadcastMac requires matmul mode");
+        bfree_panic("matmulDotSpan requires matmul mode");
 
     std::int32_t acc = 0;
     if (_tier == ExecTier::Tiered && lut::DatapathTable::coversBits(bits)) {
@@ -340,10 +341,83 @@ Bce::matmulDotSpan(const std::int8_t *a, const std::int8_t *b,
 }
 
 void
+Bce::runTile(const lut::DatapathTable &t, const std::int8_t *a,
+             const std::int8_t *b, std::int32_t *out, std::size_t m,
+             std::size_t k, std::size_t n, unsigned bits,
+             const std::uint32_t *bFeatures, std::uint32_t *scratch)
+{
+    std::vector<std::uint32_t> ownX, ownB;
+    if (scratch == nullptr) {
+        ownX.resize(tileScratchWords(k));
+        scratch = ownX.data();
+    }
+    if (bFeatures == nullptr) {
+        ownB.resize(tileScratchWords(k));
+        simd::class_feature_sums(b, n, k, ownB.data());
+        bFeatures = ownB.data();
+    }
+    simd::class_feature_sums(a, m, k, scratch);
+    simd::gemm_i8(a, b, out, m, k, n);
+
+    // sum_{spans} sum_k f(x)f(w) = sum_k F_x(k) F_w(k): the tile's
+    // micro-op tallies are exactly the m*n per-span tallies summed.
+    const simd::SpanSums s =
+        simd::fold_tile_features(scratch, bFeatures, k, t.cyclesFactor());
+    const std::uint64_t spans = std::uint64_t{m} * n;
+    stats_.counts.shifts += s.shifts;
+    if (_mode == BceMode::Conv) {
+        stats_.counts.lutLookups += s.lookups;
+        // len - 1 accumulator adds per span.
+        stats_.counts.adds += s.adds + (k > 0 ? spans * (k - 1) : 0);
+        noteConvLutReads(s.lookups);
+    } else {
+        stats_.counts.romLookups += s.lookups;
+        stats_.counts.adds += s.adds + spans * k; // one lane add each
+        stats_.counts.cycles += s.cycles;
+    }
+    chargeCycles(spans * k * (bits / 4));
+    stats_.macs += spans * k;
+}
+
+void
+Bce::convTile(const std::int8_t *a, const std::int8_t *w,
+              std::int32_t *out, std::size_t m, std::size_t k,
+              std::size_t n, unsigned bits,
+              const std::uint32_t *wFeatures, std::uint32_t *scratch)
+{
+    if (_mode != BceMode::Conv)
+        bfree_panic("convTile requires conv mode");
+
+    if (_tier == ExecTier::Tiered && bits == 8 && m > 0 && n > 0) {
+        const lut::DatapathTable &t = convTable(bits);
+        if (simd::histogram_eligible(t)) {
+            std::fill(out, out + m * n, 0);
+            runTile(t, a, w, out, m, k, n, bits, wFeatures, scratch);
+            return;
+        }
+    }
+    for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            out[i * n + j] =
+                dotProductSpan(w + j * k, a + i * k, k, bits);
+}
+
+void
 Bce::matmulTile(const std::int8_t *a, const std::int8_t *bt,
                 std::int32_t *out, std::size_t m, std::size_t k,
-                std::size_t n, unsigned bits)
+                std::size_t n, unsigned bits,
+                const std::uint32_t *btFeatures, std::uint32_t *scratch)
 {
+    if (_mode != BceMode::Matmul)
+        bfree_panic("matmulTile requires matmul mode");
+
+    if (_tier == ExecTier::Tiered && bits == 8 && m > 0 && n > 0) {
+        const lut::DatapathTable &t = romTable(bits);
+        if (simd::histogram_eligible(t)) {
+            runTile(t, a, bt, out, m, k, n, bits, btFeatures, scratch);
+            return;
+        }
+    }
     for (std::size_t i = 0; i < m; ++i)
         for (std::size_t j = 0; j < n; ++j)
             out[i * n + j] += matmulDotSpan(a + i * k, bt + j * k, k, bits);
@@ -393,6 +467,101 @@ Bce::maxReduce(const std::int32_t *values, std::size_t n)
     }
     chargeCycles(n > 1 ? n - 1 : 1);
     return best;
+}
+
+namespace {
+
+/**
+ * static_cast<int32_t>(std::lround(x * 256)), the Q8 value of an
+ * activation, without the libm call on the common path. Inside
+ * (-2^31, 2^31) truncation is exact and so is the fractional part
+ * (float(t) is exact: |t| < 2^24, or x * 256 is already integral), so
+ * stepping away from zero on |frac| >= 0.5 is lround's
+ * round-half-away. Everything else (huge, infinite, NaN) takes lround
+ * itself, wrap-around included.
+ */
+inline std::int32_t
+q8(float x)
+{
+    const float f = x * 256.0f;
+    if (f > -2147483648.0f && f < 2147483648.0f) {
+        const auto t = static_cast<std::int32_t>(f);
+        const float frac = f - static_cast<float>(t);
+        return t + (frac >= 0.5f) - (frac <= -0.5f);
+    }
+    return static_cast<std::int32_t>(std::lround(f));
+}
+
+} // namespace
+
+void
+Bce::reluQ8(const float *in, float *out, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::int32_t q = q8(in[i]);
+        out[i] = static_cast<float>(q > 0 ? q : 0) / 256.0f;
+    }
+    // maxReduce({0, q}, 2) per element: one comparator add, one cycle.
+    stats_.counts.adds += n;
+    chargeCycles(n);
+}
+
+void
+Bce::poolQ8(const PoolShape &g, bool average, const lut::DivisionLut &div,
+            const float *in, float *out)
+{
+    std::uint64_t adds = 0, cycles = 0;
+    for (std::size_t c = 0; c < g.channels; ++c) {
+        const float *plane = in + c * g.inH * g.inW;
+        for (std::size_t oh = 0; oh < g.outH; ++oh) {
+            // The window clipped to the plane, as maxReduce/avgPool
+            // callers gather it: in-bounds taps only.
+            const long h0 = static_cast<long>(oh * g.strideH)
+                            - static_cast<long>(g.padH);
+            const std::size_t r0 = static_cast<std::size_t>(
+                std::max(h0, 0L));
+            const std::size_t r1 = static_cast<std::size_t>(std::clamp(
+                h0 + static_cast<long>(g.kernelH), 0L,
+                static_cast<long>(g.inH)));
+            for (std::size_t ow = 0; ow < g.outW; ++ow) {
+                const long w0 = static_cast<long>(ow * g.strideW)
+                                - static_cast<long>(g.padW);
+                const std::size_t s0 = static_cast<std::size_t>(
+                    std::max(w0, 0L));
+                const std::size_t s1 = static_cast<std::size_t>(
+                    std::clamp(w0 + static_cast<long>(g.kernelW), 0L,
+                               static_cast<long>(g.inW)));
+                std::size_t wn = 0;
+                std::int32_t best = 0;
+                std::int64_t sum = 0;
+                for (std::size_t r = r0; r < r1; ++r) {
+                    for (std::size_t s = s0; s < s1; ++s) {
+                        const std::int32_t v = q8(plane[r * g.inW + s]);
+                        if (wn == 0 || v > best)
+                            best = v;
+                        sum += v;
+                        ++wn;
+                    }
+                }
+                if (wn == 0)
+                    bfree_panic(average ? "avgPool over an empty window"
+                                        : "maxReduce over an empty window");
+                adds += wn - 1;
+                cycles += wn > 1 ? wn - 1 : 1;
+                float &slot = out[(c * g.outH + oh) * g.outW + ow];
+                if (average) {
+                    const double q =
+                        divide(static_cast<double>(std::llabs(sum)),
+                               static_cast<double>(wn), div);
+                    slot = static_cast<float>(sum < 0 ? -q : q) / 256.0f;
+                } else {
+                    slot = static_cast<float>(best) / 256.0f;
+                }
+            }
+        }
+    }
+    stats_.counts.adds += adds;
+    chargeCycles(cycles);
 }
 
 double

@@ -55,6 +55,7 @@
 #include "mem/energy_account.hh"
 #include "mem/micro_op_energy.hh"
 #include "mem/subarray.hh"
+#include "simd_kernels.hh"
 
 namespace bfree::bce {
 
@@ -68,6 +69,17 @@ enum class BceMode
 
 /** Width of the input/output register files (Fig. 7: 8 operands). */
 constexpr unsigned bce_vector_width = 8;
+
+/** Geometry of one pooling layer (Bce::poolQ8). */
+struct PoolShape
+{
+    std::size_t channels = 0;
+    std::size_t inH = 0, inW = 0;
+    std::size_t outH = 0, outW = 0;
+    unsigned kernelH = 0, kernelW = 0;
+    unsigned strideH = 1, strideW = 1;
+    unsigned padH = 0, padW = 0;
+};
 
 /** Aggregate BCE statistics. All integers: the authoritative record the
  *  bulk energy conversion is derived from. */
@@ -205,16 +217,52 @@ class Bce
                                const std::int8_t *b, std::size_t len,
                                unsigned bits);
 
+    // ------------------------------------------------------------------
+    // M x N tiles (conv and matmul mode)
+    // ------------------------------------------------------------------
+    //
+    // A tile is m activation rows (a, m x k row-major) against n weight
+    // rows (n x k row-major, so both operands stream contiguously). Its
+    // outputs, statistics and energy are exactly those of m*n single-
+    // span calls; the bookkeeping happens once per tile. On the Tiered
+    // tier with an 8-bit table that passes simd::histogram_eligible,
+    // products come from the register-blocked simd::gemm_i8 and the
+    // micro-op tallies from the rank-1 class-feature identity
+    // (simd::fold_tile_features). Everything else runs the per-span
+    // loop.
+    //
+    // wFeatures, when not null, holds simd::class_feature_sums of the
+    // weight rows (frozen at plan compile); scratch, when not null,
+    // holds tileScratchWords(k) words for the activation side. Either
+    // one left null is computed or allocated per call.
+
+    /** Scratch words one tile call needs for its activation side. */
+    static std::size_t
+    tileScratchWords(std::size_t k)
+    {
+        return simd::feature_count * k;
+    }
+
     /**
-     * Blocked matmul tile: A is m x k row-major, BT is the transposed
-     * B tile (n x k row-major, so both operands stream contiguously),
-     * and out (m x n row-major) is accumulated in place:
-     * out[i][j] += dot(A[i], BT[j]). Equivalent to m*n matmulDotSpan()
-     * calls.
+     * Conv-mode tile: out[i * n + j] = dot(a[i], w[j]), the value m*n
+     * dotProductSpan(w[j], a[i], k, bits) calls return.
+     */
+    void convTile(const std::int8_t *a, const std::int8_t *w,
+                  std::int32_t *out, std::size_t m, std::size_t k,
+                  std::size_t n, unsigned bits,
+                  const std::uint32_t *wFeatures = nullptr,
+                  std::uint32_t *scratch = nullptr);
+
+    /**
+     * Matmul-mode tile: BT is the transposed B tile and out (m x n
+     * row-major) is accumulated in place, out[i][j] += dot(A[i],
+     * BT[j]). Equivalent to m*n matmulDotSpan() calls.
      */
     void matmulTile(const std::int8_t *a, const std::int8_t *bt,
                     std::int32_t *out, std::size_t m, std::size_t k,
-                    std::size_t n, unsigned bits);
+                    std::size_t n, unsigned bits,
+                    const std::uint32_t *btFeatures = nullptr,
+                    std::uint32_t *scratch = nullptr);
 
     /** Accumulate a partial sum arriving from the systolic neighbour. */
     std::int32_t accumulateIncoming(std::int32_t local,
@@ -231,6 +279,24 @@ class Bce
 
     /** Max reduction over @p n values (ReLU / max pooling). */
     std::int32_t maxReduce(const std::int32_t *values, std::size_t n);
+
+    /**
+     * ReLU over @p n activations in the datapath's Q8 fixed point:
+     * out[i] = max(0, lround(in[i] * 256)) / 256. Identical arithmetic
+     * and accounting to n maxReduce({0, q}, 2) calls: one comparator
+     * add and one cycle per element, charged to the current mode.
+     */
+    void reluQ8(const float *in, float *out, std::size_t n);
+
+    /**
+     * Max or average pooling over a whole channels x inH x inW plane in
+     * Q8 fixed point. Each window's result, adds and cycles are those
+     * of one maxReduce() (or avgPool()) call over the window's
+     * in-bounds Q8 values; the bookkeeping is booked once per call.
+     */
+    void poolQ8(const PoolShape &shape, bool average,
+                const lut::DivisionLut &div, const float *in,
+                float *out);
 
     /** Average pooling: accumulate then LUT-divide. */
     double avgPool(const std::int32_t *values, std::size_t n,
@@ -297,6 +363,18 @@ class Bce
 
     /** Memoized matmul-mode (hardwired ROM) table for @p bits. */
     const lut::DatapathTable &romTable(unsigned bits);
+
+    /**
+     * The GEMM-and-feature-fold body of both tile entry points, for a
+     * table that passed simd::histogram_eligible: out accumulates the
+     * products, and the tile's lookups, shifts, adds, cycles and MACs
+     * are booked once, as m*n spans of the current mode would have
+     * booked them.
+     */
+    void runTile(const lut::DatapathTable &t, const std::int8_t *a,
+                 const std::int8_t *b, std::int32_t *out, std::size_t m,
+                 std::size_t k, std::size_t n, unsigned bits,
+                 const std::uint32_t *bFeatures, std::uint32_t *scratch);
 
     mem::Subarray *sa;
     tech::TechParams tech;

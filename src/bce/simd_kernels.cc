@@ -121,6 +121,94 @@ span_scalar(const lut::DatapathTable &t, const std::int8_t *a,
     return s;
 }
 
+/**
+ * The feature dot products of one span, the factored histogram fold:
+ * P = sum p(a)p(b), O = sum o(a)o(b), L = sum l(a)l(b),
+ * Z = sum z(a)z(b). The caller turns them into micro-op tallies with
+ * the verified bilinear formulas (see DatapathTable).
+ */
+struct FeatureSums
+{
+    std::uint64_t p = 0, o = 0, l = 0, z = 0;
+};
+
+/** Fold the feature dot products into SpanSums micro-op tallies. */
+void
+fold_features(const FeatureSums &f, std::uint32_t cyclesFactor,
+              SpanSums &s)
+{
+    s.lookups += f.l;
+    s.shifts += f.p - f.o;
+    s.adds += f.p - f.z;
+    s.cycles += cyclesFactor * f.p;
+}
+
+void
+feature_sums_scalar(const std::int8_t *tile, std::size_t rows,
+                    std::size_t k, std::uint32_t *sums)
+{
+    using T = lut::DatapathTable;
+    std::fill(sums, sums + feature_count * k, 0u);
+    for (std::size_t r = 0; r < rows; ++r) {
+        const std::int8_t *row = tile + r * k;
+        for (std::size_t c = 0; c < k; ++c) {
+            const int v = row[c];
+            const std::uint8_t cls =
+                T::operand_class(static_cast<std::uint8_t>(v < 0 ? -v : v));
+            sums[c] += T::class_feature_p[cls];
+            sums[k + c] += T::class_feature_o[cls];
+            sums[2 * k + c] += T::class_feature_l[cls];
+            sums[3 * k + c] += T::class_feature_z[cls];
+        }
+    }
+}
+
+void
+gemm_scalar(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
+            std::size_t m, std::size_t k, std::size_t n)
+{
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            const std::int8_t *ar = a + i * k;
+            const std::int8_t *br = b + j * k;
+            std::uint32_t acc = static_cast<std::uint32_t>(out[i * n + j]);
+            for (std::size_t p = 0; p < k; ++p)
+                acc += static_cast<std::uint32_t>(std::int32_t{ar[p]}
+                                                  * br[p]);
+            out[i * n + j] = static_cast<std::int32_t>(acc);
+        }
+    }
+}
+
+/**
+ * Walk an m x n output in MR x NR register blocks; the ragged right
+ * and bottom edges take 1 x NR, MR x 1 and 1 x 1 blocks. Columns are
+ * the outer loop so a block's weight rows stay in L1 while the
+ * activation rows stream from L2. Block<mr, nr>::run(a, b, k, out,
+ * ldo) accumulates one block.
+ */
+template <template <int, int> class Block, int MR, int NR>
+void
+gemm_blocked(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
+             std::size_t m, std::size_t k, std::size_t n)
+{
+    std::size_t j = 0;
+    for (; j + NR <= n; j += NR) {
+        std::size_t i = 0;
+        for (; i + MR <= m; i += MR)
+            Block<MR, NR>::run(a + i * k, b + j * k, k, out + i * n + j, n);
+        for (; i < m; ++i)
+            Block<1, NR>::run(a + i * k, b + j * k, k, out + i * n + j, n);
+    }
+    for (; j < n; ++j) {
+        std::size_t i = 0;
+        for (; i + MR <= m; i += MR)
+            Block<MR, 1>::run(a + i * k, b + j * k, k, out + i * n + j, n);
+        for (; i < m; ++i)
+            Block<1, 1>::run(a + i * k, b + j * k, k, out + i * n + j, n);
+    }
+}
+
 #ifdef BFREE_X86_KERNELS
 
 // The pair_type_class compression split into two 16-lane pshufb
@@ -260,6 +348,41 @@ constexpr std::array<std::uint8_t, 16> id25_hi = id25_hi_table();
         (cls) = _mm512_mask_blend_epi8(m_, rlo_, rhi_);                  \
     } while (0)
 
+/** One 16-entry per-class feature table as a pshufb source: a shuffle
+ *  of a class vector against it yields the feature per byte. */
+inline __m128i
+feature_table(const std::array<std::uint8_t, 16> &table)
+{
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(table.data()));
+}
+
+/** The four feature tables (p, o, l, z) broadcast to a vector width. */
+#define BFREE_FEATURE_CONSTS_128                                         \
+    const __m128i kFP = feature_table(lut::DatapathTable::class_feature_p); \
+    const __m128i kFO = feature_table(lut::DatapathTable::class_feature_o); \
+    const __m128i kFL = feature_table(lut::DatapathTable::class_feature_l); \
+    const __m128i kFZ = feature_table(lut::DatapathTable::class_feature_z)
+
+#define BFREE_FEATURE_CONSTS_256                                         \
+    const __m256i kFP = _mm256_broadcastsi128_si256(                     \
+        feature_table(lut::DatapathTable::class_feature_p));             \
+    const __m256i kFO = _mm256_broadcastsi128_si256(                     \
+        feature_table(lut::DatapathTable::class_feature_o));             \
+    const __m256i kFL = _mm256_broadcastsi128_si256(                     \
+        feature_table(lut::DatapathTable::class_feature_l));             \
+    const __m256i kFZ = _mm256_broadcastsi128_si256(                     \
+        feature_table(lut::DatapathTable::class_feature_z))
+
+#define BFREE_FEATURE_CONSTS_512                                         \
+    const __m512i kFP = _mm512_broadcast_i32x4(                          \
+        feature_table(lut::DatapathTable::class_feature_p));             \
+    const __m512i kFO = _mm512_broadcast_i32x4(                          \
+        feature_table(lut::DatapathTable::class_feature_o));             \
+    const __m512i kFL = _mm512_broadcast_i32x4(                          \
+        feature_table(lut::DatapathTable::class_feature_l));             \
+    const __m512i kFZ = _mm512_broadcast_i32x4(                          \
+        feature_table(lut::DatapathTable::class_feature_z))
+
 /** Sum of eight u32 lanes, widened (store-and-add; spill path only). */
 __attribute__((target("avx2"))) std::uint64_t
 hsum_u32x8(__m256i v)
@@ -299,28 +422,6 @@ wsum_u32x8(__m256i v)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #pragma GCC diagnostic ignored "-Wuninitialized"
-
-/**
- * The feature dot products of one span, the factored histogram fold:
- * P = sum p(a)p(b), O = sum o(a)o(b), L = sum l(a)l(b),
- * Z = sum z(a)z(b). The caller turns them into micro-op tallies with
- * the verified bilinear formulas (see DatapathTable).
- */
-struct FeatureSums
-{
-    std::uint64_t p = 0, o = 0, l = 0, z = 0;
-};
-
-/** Fold the feature dot products into SpanSums micro-op tallies. */
-void
-fold_features(const FeatureSums &f, std::uint32_t cyclesFactor,
-              SpanSums &s)
-{
-    s.lookups += f.l;
-    s.shifts += f.p - f.o;
-    s.adds += f.p - f.z;
-    s.cycles += cyclesFactor * f.p;
-}
 
 // Per-iteration ceiling on a 16-bit feature accumulator lane: each
 // maddubs adds two products of <=2*2, so <=8 per lane per step; spill
@@ -381,18 +482,7 @@ span_avx2_hist(const lut::DatapathTable &t, const std::int8_t *a,
 {
     SpanSums s;
     BFREE_CLASSIFY_CONSTS_256;
-    const __m256i kFP = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(
-            lut::DatapathTable::class_feature_p.data())));
-    const __m256i kFO = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(
-            lut::DatapathTable::class_feature_o.data())));
-    const __m256i kFL = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(
-            lut::DatapathTable::class_feature_l.data())));
-    const __m256i kFZ = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(
-            lut::DatapathTable::class_feature_z.data())));
+    BFREE_FEATURE_CONSTS_256;
     const __m256i kOne16 = _mm256_set1_epi16(1);
 
     __m256i accP = _mm256_setzero_si256();
@@ -472,18 +562,7 @@ span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
 {
     SpanSums s;
     BFREE_CLASSIFY_CONSTS_512;
-    const __m512i kFP = _mm512_broadcast_i32x4(_mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(
-            lut::DatapathTable::class_feature_p.data())));
-    const __m512i kFO = _mm512_broadcast_i32x4(_mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(
-            lut::DatapathTable::class_feature_o.data())));
-    const __m512i kFL = _mm512_broadcast_i32x4(_mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(
-            lut::DatapathTable::class_feature_l.data())));
-    const __m512i kFZ = _mm512_broadcast_i32x4(_mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(
-            lut::DatapathTable::class_feature_z.data())));
+    BFREE_FEATURE_CONSTS_512;
     const __m512i kOne16 = _mm512_set1_epi16(1);
 
     __m512i accP = _mm512_setzero_si512();
@@ -576,14 +655,7 @@ span_sse42_hist(const lut::DatapathTable &t, const std::int8_t *a,
 {
     SpanSums s;
     BFREE_CLASSIFY_CONSTS_128;
-    const __m128i kFP = _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-        lut::DatapathTable::class_feature_p.data()));
-    const __m128i kFO = _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-        lut::DatapathTable::class_feature_o.data()));
-    const __m128i kFL = _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-        lut::DatapathTable::class_feature_l.data()));
-    const __m128i kFZ = _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-        lut::DatapathTable::class_feature_z.data()));
+    BFREE_FEATURE_CONSTS_128;
     const __m128i kOne16 = _mm_set1_epi16(1);
 
     __m128i accP = _mm_setzero_si128();
@@ -815,6 +887,429 @@ span_sse42(const lut::DatapathTable &t, const std::int8_t *a,
     return s;
 }
 
+// ---------------------------------------------------------------------
+// Tile kernels: class-feature column sums and the int8 GEMM blocks
+// ---------------------------------------------------------------------
+
+/**
+ * Rows per u8 feature-accumulator block in the vector feature-sum
+ * kernels: a feature is at most 2, so 127 rows keep every byte lane
+ * <= 254 before it is spilled into the u32 column sums.
+ */
+constexpr std::size_t feature_spill_rows = 127;
+
+/** Add @p width u8 partial column sums per feature (lane-major rows of
+ *  a 64-byte block buffer) into the u32 column sums at column c0. */
+void
+spill_feature_bytes(const std::uint8_t (*buf)[64], std::size_t width,
+                    std::size_t k, std::size_t c0, std::uint32_t *sums)
+{
+    for (std::size_t f = 0; f < feature_count; ++f)
+        for (std::size_t lane = 0; lane < width; ++lane)
+            sums[f * k + c0 + lane] += buf[f][lane];
+}
+
+/**
+ * Tail-lane masks for the overlapping-load GEMM tails: the 16 (8)
+ * bytes at tail_mask_bytes + rem (+ 8 + rem) zero the leading lanes
+ * and keep the last rem lanes.
+ */
+alignas(32) constexpr std::int8_t tail_mask_bytes[32] = {
+    0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,
+    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1};
+
+/**
+ * Class-feature column sums, 32 columns per block: the rows of a block
+ * run through BFREE_CLASSIFY_256 into four u8 feature accumulators,
+ * spilled every feature_spill_rows rows. A ragged last block loads
+ * each row through a zero-filled copy; zero bytes are class 0, whose
+ * features are all 0.
+ */
+__attribute__((target("avx2"))) void
+feature_sums_avx2(const std::int8_t *tile, std::size_t rows,
+                  std::size_t k, std::uint32_t *sums)
+{
+    std::fill(sums, sums + feature_count * k, 0u);
+    BFREE_CLASSIFY_CONSTS_256;
+    BFREE_FEATURE_CONSTS_256;
+    alignas(32) std::uint8_t buf[feature_count][64];
+    for (std::size_t c0 = 0; c0 < k; c0 += 32) {
+        const std::size_t width = std::min<std::size_t>(32, k - c0);
+        // Only the ragged last block copies through it; its bytes past
+        // width stay zero for every row.
+        alignas(32) std::int8_t tail[32] = {};
+        for (std::size_t r0 = 0; r0 < rows; r0 += feature_spill_rows) {
+            const std::size_t r1 = std::min(rows, r0 + feature_spill_rows);
+            __m256i fp = _mm256_setzero_si256();
+            __m256i fo = fp, fl = fp, fz = fp;
+            for (std::size_t r = r0; r < r1; ++r) {
+                const std::int8_t *src = tile + r * k + c0;
+                if (width < 32) {
+                    std::memcpy(tail, src, width);
+                    src = tail;
+                }
+                const __m256i v = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(src));
+                __m256i cls;
+                BFREE_CLASSIFY_256(v, cls);
+                fp = _mm256_add_epi8(fp, _mm256_shuffle_epi8(kFP, cls));
+                fo = _mm256_add_epi8(fo, _mm256_shuffle_epi8(kFO, cls));
+                fl = _mm256_add_epi8(fl, _mm256_shuffle_epi8(kFL, cls));
+                fz = _mm256_add_epi8(fz, _mm256_shuffle_epi8(kFZ, cls));
+            }
+            _mm256_store_si256(reinterpret_cast<__m256i *>(buf[0]), fp);
+            _mm256_store_si256(reinterpret_cast<__m256i *>(buf[1]), fo);
+            _mm256_store_si256(reinterpret_cast<__m256i *>(buf[2]), fl);
+            _mm256_store_si256(reinterpret_cast<__m256i *>(buf[3]), fz);
+            spill_feature_bytes(buf, width, k, c0, sums);
+        }
+    }
+}
+
+/** The 16-column SSE4.2 form of feature_sums_avx2. */
+__attribute__((target("sse4.2"))) void
+feature_sums_sse42(const std::int8_t *tile, std::size_t rows,
+                   std::size_t k, std::uint32_t *sums)
+{
+    std::fill(sums, sums + feature_count * k, 0u);
+    BFREE_CLASSIFY_CONSTS_128;
+    BFREE_FEATURE_CONSTS_128;
+    alignas(16) std::uint8_t buf[feature_count][64];
+    for (std::size_t c0 = 0; c0 < k; c0 += 16) {
+        const std::size_t width = std::min<std::size_t>(16, k - c0);
+        // Only the ragged last block copies through it; its bytes past
+        // width stay zero for every row.
+        alignas(16) std::int8_t tail[16] = {};
+        for (std::size_t r0 = 0; r0 < rows; r0 += feature_spill_rows) {
+            const std::size_t r1 = std::min(rows, r0 + feature_spill_rows);
+            __m128i fp = _mm_setzero_si128();
+            __m128i fo = fp, fl = fp, fz = fp;
+            for (std::size_t r = r0; r < r1; ++r) {
+                const std::int8_t *src = tile + r * k + c0;
+                if (width < 16) {
+                    std::memcpy(tail, src, width);
+                    src = tail;
+                }
+                const __m128i v = _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(src));
+                __m128i cls;
+                BFREE_CLASSIFY_128(v, cls);
+                fp = _mm_add_epi8(fp, _mm_shuffle_epi8(kFP, cls));
+                fo = _mm_add_epi8(fo, _mm_shuffle_epi8(kFO, cls));
+                fl = _mm_add_epi8(fl, _mm_shuffle_epi8(kFL, cls));
+                fz = _mm_add_epi8(fz, _mm_shuffle_epi8(kFZ, cls));
+            }
+            _mm_store_si128(reinterpret_cast<__m128i *>(buf[0]), fp);
+            _mm_store_si128(reinterpret_cast<__m128i *>(buf[1]), fo);
+            _mm_store_si128(reinterpret_cast<__m128i *>(buf[2]), fl);
+            _mm_store_si128(reinterpret_cast<__m128i *>(buf[3]), fz);
+            spill_feature_bytes(buf, width, k, c0, sums);
+        }
+    }
+}
+
+/**
+ * Tail loads of the 256-bit and 128-bit GEMM blocks. With k >= W the
+ * last W bytes of a row are loaded (overlapping the previous step) and
+ * the activation side zeroes the lanes already counted, so the
+ * products of those lanes vanish whatever the weight side holds.
+ * Shorter rows go through a zero-filled copy.
+ */
+__attribute__((target("avx2"), always_inline)) inline __m256i
+gemm_tail_avx2(const std::int8_t *row, std::size_t k, std::size_t rem,
+               bool maskLeading)
+{
+    if (k < 16) {
+        alignas(16) std::int8_t buf[16] = {};
+        std::memcpy(buf, row, k);
+        return _mm256_cvtepi8_epi16(
+            _mm_load_si128(reinterpret_cast<const __m128i *>(buf)));
+    }
+    __m128i v =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(row + k - 16));
+    if (maskLeading)
+        v = _mm_and_si128(v, _mm_loadu_si128(reinterpret_cast<const __m128i *>(
+                                 tail_mask_bytes + rem)));
+    return _mm256_cvtepi8_epi16(v);
+}
+
+/** AVX2 GEMM block: 16 k per step, int8 -> int16 widen, madd. */
+template <int MR, int NR>
+struct GemmAvx2
+{
+    __attribute__((target("avx2"))) static void
+    run(const std::int8_t *a, const std::int8_t *b, std::size_t k,
+        std::int32_t *out, std::size_t ldo)
+    {
+        __m256i acc[MR][NR];
+        #pragma GCC unroll 4
+        for (int i = 0; i < MR; ++i)
+            #pragma GCC unroll 4
+            for (int j = 0; j < NR; ++j)
+                acc[i][j] = _mm256_setzero_si256();
+        std::size_t p = 0;
+        for (; p + 16 <= k; p += 16) {
+            __m256i va[MR];
+            #pragma GCC unroll 4
+            for (int i = 0; i < MR; ++i)
+                va[i] = _mm256_cvtepi8_epi16(_mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(a + i * k + p)));
+            #pragma GCC unroll 4
+            for (int j = 0; j < NR; ++j) {
+                const __m256i vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(b + j * k + p)));
+                #pragma GCC unroll 4
+                for (int i = 0; i < MR; ++i)
+                    acc[i][j] = _mm256_add_epi32(
+                        acc[i][j], _mm256_madd_epi16(va[i], vb));
+            }
+        }
+        if (p < k) {
+            const std::size_t rem = k - p;
+            __m256i va[MR];
+            #pragma GCC unroll 4
+            for (int i = 0; i < MR; ++i)
+                va[i] = gemm_tail_avx2(a + i * k, k, rem, true);
+            #pragma GCC unroll 4
+            for (int j = 0; j < NR; ++j) {
+                const __m256i vb = gemm_tail_avx2(b + j * k, k, rem, false);
+                #pragma GCC unroll 4
+                for (int i = 0; i < MR; ++i)
+                    acc[i][j] = _mm256_add_epi32(
+                        acc[i][j], _mm256_madd_epi16(va[i], vb));
+            }
+        }
+        #pragma GCC unroll 4
+        for (int i = 0; i < MR; ++i) {
+            std::int32_t *o = out + i * ldo;
+            if constexpr (NR == 4) {
+                const __m256i h = _mm256_hadd_epi32(
+                    _mm256_hadd_epi32(acc[i][0], acc[i][1]),
+                    _mm256_hadd_epi32(acc[i][2], acc[i][3]));
+                const __m128i r =
+                    _mm_add_epi32(_mm256_castsi256_si128(h),
+                                  _mm256_extracti128_si256(h, 1));
+                _mm_storeu_si128(
+                    reinterpret_cast<__m128i *>(o),
+                    _mm_add_epi32(_mm_loadu_si128(
+                                      reinterpret_cast<const __m128i *>(o)),
+                                  r));
+            } else {
+                #pragma GCC unroll 4
+                for (int j = 0; j < NR; ++j)
+                    o[j] = static_cast<std::int32_t>(
+                        static_cast<std::uint32_t>(o[j])
+                        + wsum_u32x8(acc[i][j]));
+            }
+        }
+    }
+};
+
+/** The 8-byte-step SSE4.2 tail load (see gemm_tail_avx2). */
+__attribute__((target("sse4.2"), always_inline)) inline __m128i
+gemm_tail_sse42(const std::int8_t *row, std::size_t k, std::size_t rem,
+                bool maskLeading)
+{
+    if (k < 8) {
+        alignas(16) std::int8_t buf[16] = {};
+        std::memcpy(buf, row, k);
+        return _mm_cvtepi8_epi16(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(buf)));
+    }
+    __m128i v =
+        _mm_loadl_epi64(reinterpret_cast<const __m128i *>(row + k - 8));
+    if (maskLeading)
+        v = _mm_and_si128(v, _mm_loadl_epi64(reinterpret_cast<const __m128i *>(
+                                 tail_mask_bytes + 8 + rem)));
+    return _mm_cvtepi8_epi16(v);
+}
+
+/** SSE4.2 GEMM block: 8 k per step. */
+template <int MR, int NR>
+struct GemmSse42
+{
+    __attribute__((target("sse4.2"))) static void
+    run(const std::int8_t *a, const std::int8_t *b, std::size_t k,
+        std::int32_t *out, std::size_t ldo)
+    {
+        __m128i acc[MR][NR];
+        #pragma GCC unroll 4
+        for (int i = 0; i < MR; ++i)
+            #pragma GCC unroll 4
+            for (int j = 0; j < NR; ++j)
+                acc[i][j] = _mm_setzero_si128();
+        std::size_t p = 0;
+        for (; p + 8 <= k; p += 8) {
+            __m128i va[MR];
+            #pragma GCC unroll 4
+            for (int i = 0; i < MR; ++i)
+                va[i] = _mm_cvtepi8_epi16(_mm_loadl_epi64(
+                    reinterpret_cast<const __m128i *>(a + i * k + p)));
+            #pragma GCC unroll 4
+            for (int j = 0; j < NR; ++j) {
+                const __m128i vb = _mm_cvtepi8_epi16(_mm_loadl_epi64(
+                    reinterpret_cast<const __m128i *>(b + j * k + p)));
+                #pragma GCC unroll 4
+                for (int i = 0; i < MR; ++i)
+                    acc[i][j] = _mm_add_epi32(acc[i][j],
+                                              _mm_madd_epi16(va[i], vb));
+            }
+        }
+        if (p < k) {
+            const std::size_t rem = k - p;
+            __m128i va[MR];
+            #pragma GCC unroll 4
+            for (int i = 0; i < MR; ++i)
+                va[i] = gemm_tail_sse42(a + i * k, k, rem, true);
+            #pragma GCC unroll 4
+            for (int j = 0; j < NR; ++j) {
+                const __m128i vb = gemm_tail_sse42(b + j * k, k, rem, false);
+                #pragma GCC unroll 4
+                for (int i = 0; i < MR; ++i)
+                    acc[i][j] = _mm_add_epi32(acc[i][j],
+                                              _mm_madd_epi16(va[i], vb));
+            }
+        }
+        #pragma GCC unroll 4
+        for (int i = 0; i < MR; ++i) {
+            std::int32_t *o = out + i * ldo;
+            if constexpr (NR == 4) {
+                const __m128i r =
+                    _mm_hadd_epi32(_mm_hadd_epi32(acc[i][0], acc[i][1]),
+                                   _mm_hadd_epi32(acc[i][2], acc[i][3]));
+                _mm_storeu_si128(
+                    reinterpret_cast<__m128i *>(o),
+                    _mm_add_epi32(_mm_loadu_si128(
+                                      reinterpret_cast<const __m128i *>(o)),
+                                  r));
+            } else {
+                #pragma GCC unroll 4
+                for (int j = 0; j < NR; ++j) {
+                    const __m128i h = _mm_hadd_epi32(acc[i][j], acc[i][j]);
+                    o[j] = static_cast<std::int32_t>(
+                        static_cast<std::uint32_t>(o[j])
+                        + static_cast<std::uint32_t>(_mm_cvtsi128_si32(
+                            _mm_hadd_epi32(h, h))));
+                }
+            }
+        }
+    }
+};
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+
+/** The 64-column AVX-512 form of feature_sums_avx2: the ragged last
+ *  block uses zero-masked loads instead of a copy. */
+__attribute__((target("avx512f,avx512bw,avx512vl"))) void
+feature_sums_avx512(const std::int8_t *tile, std::size_t rows,
+                    std::size_t k, std::uint32_t *sums)
+{
+    std::fill(sums, sums + feature_count * k, 0u);
+    BFREE_CLASSIFY_CONSTS_512;
+    BFREE_FEATURE_CONSTS_512;
+    alignas(64) std::uint8_t buf[feature_count][64];
+    for (std::size_t c0 = 0; c0 < k; c0 += 64) {
+        const std::size_t width = std::min<std::size_t>(64, k - c0);
+        const __mmask64 mask = width == 64
+                                   ? ~__mmask64{0}
+                                   : (__mmask64{1} << width) - 1;
+        for (std::size_t r0 = 0; r0 < rows; r0 += feature_spill_rows) {
+            const std::size_t r1 = std::min(rows, r0 + feature_spill_rows);
+            __m512i fp = _mm512_setzero_si512();
+            __m512i fo = fp, fl = fp, fz = fp;
+            for (std::size_t r = r0; r < r1; ++r) {
+                const __m512i v =
+                    _mm512_maskz_loadu_epi8(mask, tile + r * k + c0);
+                __m512i cls;
+                BFREE_CLASSIFY_512(v, cls);
+                fp = _mm512_add_epi8(fp, _mm512_shuffle_epi8(kFP, cls));
+                fo = _mm512_add_epi8(fo, _mm512_shuffle_epi8(kFO, cls));
+                fl = _mm512_add_epi8(fl, _mm512_shuffle_epi8(kFL, cls));
+                fz = _mm512_add_epi8(fz, _mm512_shuffle_epi8(kFZ, cls));
+            }
+            _mm512_store_si512(buf[0], fp);
+            _mm512_store_si512(buf[1], fo);
+            _mm512_store_si512(buf[2], fl);
+            _mm512_store_si512(buf[3], fz);
+            spill_feature_bytes(buf, width, k, c0, sums);
+        }
+    }
+}
+
+/**
+ * AVX-512 GEMM block: 32 k per step, each 256-bit int8 load widened to
+ * 32 int16 lanes; the ragged tail uses zero-masked loads on both
+ * operands, so nothing past a row is read.
+ */
+template <int MR, int NR>
+struct GemmAvx512
+{
+    __attribute__((target("avx512f,avx512bw,avx512vl"))) static void
+    run(const std::int8_t *a, const std::int8_t *b, std::size_t k,
+        std::int32_t *out, std::size_t ldo)
+    {
+        __m512i acc[MR][NR];
+        #pragma GCC unroll 4
+        for (int i = 0; i < MR; ++i)
+            #pragma GCC unroll 4
+            for (int j = 0; j < NR; ++j)
+                acc[i][j] = _mm512_setzero_si512();
+        for (std::size_t p = 0; p < k; p += 32) {
+            const __mmask32 mask =
+                k - p >= 32 ? ~__mmask32{0}
+                            : (__mmask32{1} << (k - p)) - 1;
+            __m512i va[MR];
+            #pragma GCC unroll 4
+            for (int i = 0; i < MR; ++i)
+                va[i] = _mm512_cvtepi8_epi16(
+                    _mm256_maskz_loadu_epi8(mask, a + i * k + p));
+            #pragma GCC unroll 4
+            for (int j = 0; j < NR; ++j) {
+                const __m512i vb = _mm512_cvtepi8_epi16(
+                    _mm256_maskz_loadu_epi8(mask, b + j * k + p));
+                #pragma GCC unroll 4
+                for (int i = 0; i < MR; ++i)
+                    acc[i][j] = _mm512_add_epi32(
+                        acc[i][j], _mm512_madd_epi16(va[i], vb));
+            }
+        }
+        #pragma GCC unroll 4
+        for (int i = 0; i < MR; ++i) {
+            std::int32_t *o = out + i * ldo;
+            if constexpr (NR == 4) {
+                __m256i y[4];
+                #pragma GCC unroll 4
+                for (int j = 0; j < 4; ++j)
+                    y[j] = _mm256_add_epi32(
+                        _mm512_castsi512_si256(acc[i][j]),
+                        _mm512_extracti64x4_epi64(acc[i][j], 1));
+                const __m256i h =
+                    _mm256_hadd_epi32(_mm256_hadd_epi32(y[0], y[1]),
+                                      _mm256_hadd_epi32(y[2], y[3]));
+                const __m128i r =
+                    _mm_add_epi32(_mm256_castsi256_si128(h),
+                                  _mm256_extracti128_si256(h, 1));
+                _mm_storeu_si128(
+                    reinterpret_cast<__m128i *>(o),
+                    _mm_add_epi32(_mm_loadu_si128(
+                                      reinterpret_cast<const __m128i *>(o)),
+                                  r));
+            } else {
+                #pragma GCC unroll 4
+                for (int j = 0; j < NR; ++j)
+                    o[j] = static_cast<std::int32_t>(
+                        static_cast<std::uint32_t>(o[j])
+                        + static_cast<std::uint32_t>(
+                            _mm512_reduce_add_epi32(acc[i][j])));
+            }
+        }
+    }
+};
+
+#pragma GCC diagnostic pop
+
 #endif // BFREE_X86_KERNELS
 
 #ifdef __ARM_NEON
@@ -903,6 +1398,19 @@ reset_tally_mode()
     resolvedTally = resolve_tally_from_environment();
 }
 
+bool
+histogram_eligible(const lut::DatapathTable &table)
+{
+    // The gather-free tally requires the pristine steady state: every
+    // product exact (widening multiply legal) and the whole delta
+    // plane verified against the class collapse. 8-bit operands are
+    // always in-domain, so no clamp/strict handling is needed there
+    // by construction. Everything else gathers.
+    return active_tally_mode() == TallyMode::Histogram
+           && table.bits() == 8 && table.productsExact()
+           && table.histogramExact();
+}
+
 SpanSums
 run_span(const lut::DatapathTable &table, const std::int8_t *a,
          const std::int8_t *b, std::size_t len, SpanSemantics semantics)
@@ -915,15 +1423,8 @@ run_span(const lut::DatapathTable &table, const std::int8_t *a,
     const bool strict =
         semantics == SpanSemantics::MatmulStrict && table.bits() == 4;
 
-    // The gather-free tally requires the pristine steady state: every
-    // product exact (widening multiply legal) and the whole delta
-    // plane verified against the class collapse. 8-bit operands are
-    // always in-domain, so no clamp/strict handling is needed there
-    // by construction. Everything else gathers.
     [[maybe_unused]] const bool histogramEligible =
-        active_tally_mode() == TallyMode::Histogram
-        && table.bits() == 8 && table.productsExact()
-        && table.histogramExact();
+        histogram_eligible(table);
 
     switch (sim::active_simd_level()) {
 #ifdef BFREE_X86_KERNELS
@@ -948,6 +1449,58 @@ run_span(const lut::DatapathTable &table, const std::int8_t *a,
 #endif
       default:
         return span_scalar(table, a, b, len, clamp, strict);
+    }
+}
+
+void
+class_feature_sums(const std::int8_t *tile, std::size_t rows,
+                   std::size_t k, std::uint32_t *sums)
+{
+    switch (sim::active_simd_level()) {
+#ifdef BFREE_X86_KERNELS
+      case sim::SimdLevel::Avx512:
+        return feature_sums_avx512(tile, rows, k, sums);
+      case sim::SimdLevel::Avx2:
+        return feature_sums_avx2(tile, rows, k, sums);
+      case sim::SimdLevel::Sse42:
+        return feature_sums_sse42(tile, rows, k, sums);
+#endif
+      default:
+        return feature_sums_scalar(tile, rows, k, sums);
+    }
+}
+
+SpanSums
+fold_tile_features(const std::uint32_t *fx, const std::uint32_t *fw,
+                   std::size_t k, std::uint32_t cyclesFactor)
+{
+    FeatureSums f;
+    for (std::size_t c = 0; c < k; ++c) {
+        f.p += std::uint64_t{fx[c]} * fw[c];
+        f.o += std::uint64_t{fx[k + c]} * fw[k + c];
+        f.l += std::uint64_t{fx[2 * k + c]} * fw[2 * k + c];
+        f.z += std::uint64_t{fx[3 * k + c]} * fw[3 * k + c];
+    }
+    SpanSums s;
+    fold_features(f, cyclesFactor, s);
+    return s;
+}
+
+void
+gemm_i8(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
+        std::size_t m, std::size_t k, std::size_t n)
+{
+    switch (sim::active_simd_level()) {
+#ifdef BFREE_X86_KERNELS
+      case sim::SimdLevel::Avx512:
+        return gemm_blocked<GemmAvx512, 4, 4>(a, b, out, m, k, n);
+      case sim::SimdLevel::Avx2:
+        return gemm_blocked<GemmAvx2, 2, 4>(a, b, out, m, k, n);
+      case sim::SimdLevel::Sse42:
+        return gemm_blocked<GemmSse42, 2, 4>(a, b, out, m, k, n);
+#endif
+      default:
+        return gemm_scalar(a, b, out, m, k, n);
     }
 }
 

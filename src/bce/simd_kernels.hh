@@ -111,6 +111,65 @@ SpanSums run_span(const lut::DatapathTable &table, const std::int8_t *a,
                   SpanSemantics semantics);
 
 /**
+ * The gate of the gather-free tally: Histogram tally mode, an 8-bit
+ * table, productsExact() and histogramExact(). run_span takes its
+ * histogram kernels and the Bce tile entry points take the GEMM tile
+ * exactly when this holds; everything else runs the per-span path.
+ */
+bool histogram_eligible(const lut::DatapathTable &table);
+
+// ---------------------------------------------------------------------
+// M x N tile kernels (the Bce conv/matmul tile entry points)
+// ---------------------------------------------------------------------
+//
+// A tile is M activation rows against N weight rows, all of length K
+// and K-contiguous. Its micro-op tallies come from a rank-1 identity:
+// each tally is bilinear in four per-operand class features f in
+// {p, o, l, z} (see DatapathTable), so
+//
+//   sum_{m,n} sum_k f(x_mk) * f(w_nk) = sum_k F_x(k) * F_w(k)
+//
+// with F_x(k) = sum_m f(x_mk) and F_w(k) = sum_n f(w_nk). F_w of frozen
+// weights is computed once at plan compile; F_x once per tile.
+
+/** Class features per operand (p, o, l, z): the stride of the
+ *  feature-sum arrays is feature_count * k words. */
+constexpr std::size_t feature_count = 4;
+
+/**
+ * Column sums of the class features of a rows x k row-major int8 tile:
+ * sums[f * k + c] = sum over rows r of feature f of tile[r][c], for
+ * f = p, o, l, z in that order (feature_count * k words, overwritten).
+ * Dispatched on the active SIMD level through the in-register
+ * classifier the histogram span kernels use.
+ */
+void class_feature_sums(const std::int8_t *tile, std::size_t rows,
+                        std::size_t k, std::uint32_t *sums);
+
+/**
+ * The micro-op tallies of a whole tile from its two feature-sum
+ * arrays: lookups = L, shifts = P - O, adds = P - Z (intra-multiply
+ * adds only) and cycles = cyclesFactor * P, where P, O, L, Z are the
+ * feature dot products sum_k F_x(k) * F_w(k). acc stays 0.
+ */
+SpanSums fold_tile_features(const std::uint32_t *fx,
+                            const std::uint32_t *fw, std::size_t k,
+                            std::uint32_t cyclesFactor);
+
+/**
+ * Register-blocked int8 GEMM over K-contiguous operands:
+ * out[i * n + j] += sum_p a[i * k + p] * b[j * k + p], wrapped mod 2^32
+ * exactly like the span kernels' accumulators. Operands are widened to
+ * int16 in registers and summed with madd; ragged K is handled with
+ * masked or zero-filled tails, never by reading past a row. One
+ * variant per x86 level (AVX-512 4x4, AVX2 and SSE4.2 2x4 blocks) plus
+ * a scalar loop that NEON shares.
+ */
+void gemm_i8(const std::int8_t *a, const std::int8_t *b,
+             std::int32_t *out, std::size_t m, std::size_t k,
+             std::size_t n);
+
+/**
  * A strided view of an int8 operand span: the logical span is nRuns
  * runs of runLen bytes each, run i starting at base + offsets[i] (or
  * base + i * stride when offsets is null). This is how the elided

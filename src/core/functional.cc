@@ -51,10 +51,11 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
     const std::size_t outHW = std::size_t(o.h) * o.w;
 
     if (bits <= 8) {
-        // All three front ends feed the identical per-(position,
-        // filter) dotProductSpan call sequence with identical patch
-        // bytes, so outputs AND statistics are byte-identical across
-        // modes — only the work done to produce each patch differs.
+        // All three front ends feed identical patch bytes to
+        // Bce::convTile, whose outputs and statistics equal the
+        // per-(position, filter) dotProductSpan sequence, so they are
+        // byte-identical across modes — only the work done to produce
+        // each patch differs.
         // The mode was chosen at plan compile (pl.frontend) and the
         // arena was sized for exactly the allocations made here.
         std::int8_t *patch = nullptr;
@@ -111,6 +112,28 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
             break;
         }
 
+        // One Bce::convTile per output row (elided: the row's o.w
+        // patches against every filter) or per position (legacy,
+        // fused), with the plan's frozen filter-side feature sums.
+        const std::size_t tileRows =
+            pl.frontend == dnn::FrontendMode::Elided ? o.w : 1;
+        std::int32_t *accs = arena_.alloc<std::int32_t>(tileRows * o.c);
+        std::uint32_t *tileScratch = arena_.alloc<std::uint32_t>(
+            bce::Bce::tileScratchWords(patch_len));
+        // Dequantize the tile (row i is output column ow0 + i) into
+        // the filter planes, one contiguous run per filter.
+        auto store = [&](unsigned oh, unsigned ow0) {
+            for (unsigned k = 0; k < o.c; ++k) {
+                float *dst = out + std::size_t(k) * outHW
+                             + std::size_t(oh) * o.w + ow0;
+                for (std::size_t i = 0; i < tileRows; ++i)
+                    dst[i] = static_cast<float>(accs[i * o.c + k]
+                                                * fw.scale.scale
+                                                * qi.scale)
+                             + pl.bias[k];
+            }
+        };
+
         for (unsigned oh = 0; oh < o.h; ++oh) {
             if (pl.frontend == dnn::FrontendMode::Elided) {
                 // One call compacts the whole output row of patches.
@@ -120,31 +143,20 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
                 bce::simd::materialize_span_block(view, o.w,
                                                   layer.strideW, patch,
                                                   patch_len);
+                bce.convTile(patch, fw.q8.data(), accs, o.w, patch_len,
+                             o.c, bits, fw.featureSums(), tileScratch);
+                store(oh, 0);
+                continue;
             }
             for (unsigned ow = 0; ow < o.w; ++ow) {
-                const std::int8_t *cur = patch;
-                switch (pl.frontend) {
-                  case dnn::FrontendMode::Fused:
+                if (pl.frontend == dnn::FrontendMode::Fused)
                     dnn::im2col_quantize_patch(layer, qi, in, oh, ow,
                                                patch);
-                    break;
-                  case dnn::FrontendMode::Elided:
-                    cur = patch + std::size_t(ow) * patch_len;
-                    break;
-                  case dnn::FrontendMode::Legacy:
+                else
                     dnn::im2col_patch_i8(layer, qin, oh, ow, patch);
-                    break;
-                }
-                for (unsigned k = 0; k < o.c; ++k) {
-                    const std::int32_t acc = bce.dotProductSpan(
-                        fw.q8.data() + std::size_t(k) * patch_len, cur,
-                        patch_len, bits);
-                    out[std::size_t(k) * outHW + std::size_t(oh) * o.w
-                        + ow] =
-                        static_cast<float>(acc * fw.scale.scale
-                                           * qi.scale)
-                        + pl.bias[k];
-                }
+                bce.convTile(patch, fw.q8.data(), accs, 1, patch_len,
+                             o.c, bits, fw.featureSums(), tileScratch);
+                store(oh, ow);
             }
         }
         return;
@@ -217,8 +229,11 @@ FunctionalExecutor::runFcInto(const PlannedLayer &pl, unsigned bits,
         const std::size_t k = layer.inFeatures;
         const std::size_t n = layer.outFeatures;
         std::int32_t *accs = arena_.alloc<std::int32_t>(n);
+        std::uint32_t *tileScratch =
+            arena_.alloc<std::uint32_t>(bce::Bce::tileScratchWords(k));
         std::fill(accs, accs + n, 0);
-        bce.matmulTile(qin, fw.q8.data(), accs, 1, k, n, bits);
+        bce.matmulTile(qin, fw.q8.data(), accs, 1, k, n, bits,
+                       fw.featureSums(), tileScratch);
         for (unsigned o = 0; o < layer.outFeatures; ++o)
             out[o] = static_cast<float>(accs[o] * fw.scale.scale
                                         * qi.scale)
@@ -254,16 +269,13 @@ void
 FunctionalExecutor::runActivationInto(const PlannedLayer &pl,
                                       const float *in, float *out)
 {
+    if (pl.layer.kind == dnn::LayerKind::Relu) {
+        bce.reluQ8(in, out, pl.inElems);
+        return;
+    }
     for (std::size_t i = 0; i < pl.inElems; ++i) {
         const float x = in[i];
         switch (pl.layer.kind) {
-          case dnn::LayerKind::Relu: {
-            const std::int32_t vals[2] = {
-                0, static_cast<std::int32_t>(std::lround(x * 256.0f))};
-            out[i] =
-                static_cast<float>(bce.maxReduce(vals, 2)) / 256.0f;
-            break;
-          }
           case dnn::LayerKind::Sigmoid:
             out[i] =
                 static_cast<float>(bce.evaluatePwl(sigmoidTable, x));
@@ -283,46 +295,13 @@ FunctionalExecutor::runPoolInto(const PlannedLayer &pl, const float *in,
 {
     const dnn::Layer &layer = pl.layer;
     const dnn::FeatureShape o = layer.outputShape();
-    const std::size_t inW = layer.input.w;
-    const std::size_t inHW = std::size_t(layer.input.h) * inW;
-    const std::size_t outHW = std::size_t(o.h) * o.w;
-    std::int32_t *window = arena_.alloc<std::int32_t>(
-        std::size_t(layer.kernelH) * layer.kernelW);
-    for (unsigned c = 0; c < o.c; ++c) {
-        for (unsigned oh = 0; oh < o.h; ++oh) {
-            for (unsigned ow = 0; ow < o.w; ++ow) {
-                std::size_t wn = 0;
-                for (unsigned r = 0; r < layer.kernelH; ++r) {
-                    for (unsigned s = 0; s < layer.kernelW; ++s) {
-                        const int ih =
-                            static_cast<int>(oh * layer.strideH + r)
-                            - static_cast<int>(layer.padH);
-                        const int iw =
-                            static_cast<int>(ow * layer.strideW + s)
-                            - static_cast<int>(layer.padW);
-                        if (ih < 0 || iw < 0
-                            || ih >= static_cast<int>(layer.input.h)
-                            || iw >= static_cast<int>(layer.input.w))
-                            continue;
-                        window[wn++] = static_cast<std::int32_t>(
-                            std::lround(in[c * inHW + ih * inW + iw]
-                                        * 256.0f));
-                    }
-                }
-                float &slot = out[std::size_t(c) * outHW
-                                  + std::size_t(oh) * o.w + ow];
-                if (layer.kind == dnn::LayerKind::MaxPool) {
-                    slot = static_cast<float>(bce.maxReduce(window, wn))
-                           / 256.0f;
-                } else {
-                    // Average pooling: accumulate + LUT division.
-                    slot = static_cast<float>(
-                               bce.avgPool(window, wn, divisionLut))
-                           / 256.0f;
-                }
-            }
-        }
-    }
+    const bce::PoolShape shape{
+        .channels = o.c, .inH = layer.input.h, .inW = layer.input.w,
+        .outH = o.h, .outW = o.w, .kernelH = layer.kernelH,
+        .kernelW = layer.kernelW, .strideH = layer.strideH,
+        .strideW = layer.strideW, .padH = layer.padH, .padW = layer.padW};
+    bce.poolQ8(shape, layer.kind == dnn::LayerKind::AvgPool, divisionLut,
+               in, out);
 }
 
 void
@@ -441,7 +420,7 @@ FunctionalExecutor::qMatmulFrozen(const dnn::FloatTensor &a,
 
         std::vector<std::int32_t> accs(m * n, 0);
         bce.matmulTile(qrows.data(), wt.q8.data(), accs.data(), m, k, n,
-                       bits);
+                       bits, wt.featureSums());
         for (std::size_t i = 0; i < m; ++i)
             for (std::size_t j = 0; j < n; ++j)
                 out.at(i, j) =

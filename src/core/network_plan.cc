@@ -4,6 +4,7 @@
 #include <sstream>
 #include <string>
 
+#include "bce/bce.hh"
 #include "bce/simd_kernels.hh"
 #include "sim/logging.hh"
 #include "verify/plan_verifier.hh"
@@ -55,6 +56,21 @@ random_weights(const dnn::Network &net, sim::Rng &rng, double scale)
 namespace {
 
 using dnn::TensorArena;
+
+/**
+ * Freeze the weight side of the tile tally: the class-feature column
+ * sums of the rows x k frozen tile @p qw. Only 8-bit weights take the
+ * tile path, so other precisions keep no sums.
+ */
+void
+freeze_features(dnn::QuantizedWeights &qw, std::size_t rows, std::size_t k)
+{
+    if (qw.bits != 8)
+        return;
+    qw.features.resize(bce::Bce::tileScratchWords(k));
+    bce::simd::class_feature_sums(qw.q8.data(), rows, k,
+                                  qw.features.data());
+}
 
 /** Report a planning failure: fatal by default, or recorded in @p err
  *  (returning false) when the caller asked for a non-fatal probe. */
@@ -129,6 +145,15 @@ plan_shapes(const dnn::Network &net, unsigned bits,
                     layer.input.elements());
             const std::size_t patchBytes =
                 TensorArena::paddedBytes<std::int8_t>(patch_len);
+            // Every front end feeds Bce::convTile: its int32 outputs
+            // (one output row of positions for elided, one position
+            // otherwise) and the activation-side feature sums.
+            const std::size_t tileRows =
+                pl.frontend == dnn::FrontendMode::Elided ? o.w : 1;
+            const std::size_t tileBytes =
+                TensorArena::paddedBytes<std::int32_t>(tileRows * o.c)
+                + TensorArena::paddedBytes<std::uint32_t>(
+                    bce::Bce::tileScratchWords(patch_len));
             switch (pl.frontend) {
               case dnn::FrontendMode::Fused:
                 // Quantize straight into the patch: the quantized
@@ -167,6 +192,7 @@ plan_shapes(const dnn::Network &net, unsigned bits,
                 ps.legacyFrontLayers += 1;
                 break;
             }
+            pl.scratchBytes += tileBytes;
             shape = {o.c, o.h, o.w};
             elems = o.elements();
             break;
@@ -181,7 +207,9 @@ plan_shapes(const dnn::Network &net, unsigned bits,
             if (bits <= 8)
                 pl.scratchBytes +=
                     TensorArena::paddedBytes<std::int32_t>(
-                        layer.outFeatures);
+                        layer.outFeatures)
+                    + TensorArena::paddedBytes<std::uint32_t>(
+                        bce::Bce::tileScratchWords(layer.inFeatures));
             shape = {layer.outFeatures, std::size_t(1), std::size_t(1)};
             elems = layer.outFeatures;
             break;
@@ -197,9 +225,8 @@ plan_shapes(const dnn::Network &net, unsigned bits,
                 return plan_fail(err, "plan: pool '", layer.name,
                                  "' expects ", layer.input.elements(),
                                  " input elements, got ", elems);
+            // Bce::poolQ8 walks the windows in place: no scratch.
             const dnn::FeatureShape o = layer.outputShape();
-            pl.scratchBytes = TensorArena::paddedBytes<std::int32_t>(
-                std::size_t(layer.kernelH) * layer.kernelW);
             shape = {o.c, o.h, o.w};
             elems = o.elements();
             break;
@@ -299,6 +326,8 @@ NetworkPlan::compile(const dnn::Network &net,
             // im2col patch walk — freeze in place.
             pl.frozen.push_back(
                 dnn::freeze_weights(w.weights.data(), count, bits));
+            freeze_features(pl.frozen.back(), layer.outChannels,
+                            patch_len);
             break;
           }
           case dnn::LayerKind::Fc: {
@@ -314,6 +343,8 @@ NetworkPlan::compile(const dnn::Network &net,
             // GEMM tile — freeze in place.
             pl.frozen.push_back(
                 dnn::freeze_weights(w.weights.data(), count, bits));
+            freeze_features(pl.frozen.back(), layer.outFeatures,
+                            layer.inFeatures);
             break;
           }
           case dnn::LayerKind::LstmCell: {
@@ -332,6 +363,8 @@ NetworkPlan::compile(const dnn::Network &net,
             // back. Freeze in place, no transpose.
             pl.frozen.push_back(
                 dnn::freeze_weights(w.weights.data(), count, bits));
+            freeze_features(pl.frozen.back(),
+                            std::size_t(4) * layer.lstmHidden, cols);
             break;
           }
           case dnn::LayerKind::Attention: {
@@ -343,10 +376,13 @@ NetworkPlan::compile(const dnn::Network &net,
             // Four independent d x d projections, each with its own
             // scale (matching the legacy per-projection qMatmul), each
             // frozen into the transposed tile.
-            for (unsigned b = 0; b < 4; ++b)
+            for (unsigned b = 0; b < 4; ++b) {
                 pl.frozen.push_back(dnn::freeze_weights_transposed(
                     w.weights.data() + b * dd, layer.dModel,
                     layer.dModel, bits));
+                freeze_features(pl.frozen.back(), layer.dModel,
+                                layer.dModel);
+            }
             break;
           }
           default:

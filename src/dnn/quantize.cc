@@ -232,9 +232,9 @@ freeze_weights(const float *w, std::size_t n, unsigned bits)
     out.scale = choose_sym(w, n, bits);
     out.bits = bits;
     if (bits <= 8) {
+        // The vectorized span form of SymQuant::q, byte-identical.
         out.q8.resize(n);
-        for (std::size_t i = 0; i < n; ++i)
-            out.q8[i] = static_cast<std::int8_t>(out.scale.q(w[i]));
+        quantize_span(out.scale, w, n, out.q8.data());
     } else {
         out.q32.resize(n);
         for (std::size_t i = 0; i < n; ++i)

@@ -91,6 +91,20 @@ struct QuantizedWeights
     unsigned bits = 8;
     std::vector<std::int8_t> q8;    ///< bits <= 8 (int8 span kernels).
     std::vector<std::int32_t> q32;  ///< bits > 8 (scalar datapath).
+    /**
+     * Class-feature column sums of q8 viewed as the rows x k tile the
+     * kernels consume (bce::simd::class_feature_sums): the frozen
+     * weight side of the tile tally. Filled at plan compile for 8-bit
+     * weights; empty otherwise, and then a tile computes it per call.
+     */
+    std::vector<std::uint32_t> features;
+
+    /** The frozen feature sums, or null when none were frozen. */
+    const std::uint32_t *
+    featureSums() const
+    {
+        return features.empty() ? nullptr : features.data();
+    }
 
     bool narrow() const { return bits <= 8; }
     std::size_t count() const { return narrow() ? q8.size() : q32.size(); }

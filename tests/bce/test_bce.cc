@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "bce/bce.hh"
@@ -167,6 +170,126 @@ TEST(BceSpecial, MaxReduceAndAvgPool)
     EXPECT_NEAR(f.bce.avgPool(window, 4, div), 25.0, 25.0 * 0.02);
 }
 
+namespace {
+
+void
+expect_same_special_stats(const BceStats &a, const BceStats &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.cyclesByMode, b.cyclesByMode);
+    EXPECT_EQ(a.counts.adds, b.counts.adds);
+    EXPECT_EQ(a.counts.shifts, b.counts.shifts);
+    EXPECT_EQ(a.counts.lutLookups, b.counts.lutLookups);
+    EXPECT_EQ(a.counts.romLookups, b.counts.romLookups);
+    EXPECT_EQ(a.counts.cycles, b.counts.cycles);
+    EXPECT_EQ(a.specialLutEvents, b.specialLutEvents);
+}
+
+/** Bit-exact float comparison (NaN-safe, -0 distinct from +0). */
+void
+expect_same_bits(const std::vector<float> &a, const std::vector<float> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        std::uint32_t x, y;
+        std::memcpy(&x, &a[i], 4);
+        std::memcpy(&y, &b[i], 4);
+        EXPECT_EQ(x, y) << "element " << i << ": " << a[i] << " vs "
+                        << b[i];
+    }
+}
+
+} // namespace
+
+TEST(BceSpecial, ReluSpanEqualsPerElementMaxReduce)
+{
+    // Rounding ties, both signs, the int32 wrap of huge values and the
+    // non-finite inputs lround handles specially.
+    std::vector<float> in = {0.0f, -0.0f, 1.0f / 512, -1.0f / 512,
+                             3.0f / 512, 1.0f / 256, 0.49f / 256,
+                             -2.5f, 2.5f, 1e-30f, 7.99609375f,
+                             8388607.0f, 8388608.5f, 1e7f, -1e7f, 1e30f,
+                             -1e30f, std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity(),
+                             std::numeric_limits<float>::quiet_NaN()};
+    bfree::sim::Rng rng(7);
+    for (int i = 0; i < 1000; ++i)
+        in.push_back(static_cast<float>(rng.uniformReal(-4.0, 4.0)));
+
+    Fixture span, ref;
+    span.bce.setMode(BceMode::Matmul);
+    ref.bce.setMode(BceMode::Matmul);
+    std::vector<float> got(in.size()), want(in.size());
+    span.bce.reluQ8(in.data(), got.data(), in.size());
+    for (std::size_t i = 0; i < in.size(); ++i) {
+        const std::int32_t vals[2] = {
+            0, static_cast<std::int32_t>(std::lround(in[i] * 256.0f))};
+        want[i] = static_cast<float>(ref.bce.maxReduce(vals, 2)) / 256.0f;
+    }
+    expect_same_bits(want, got);
+    expect_same_special_stats(ref.bce.stats(), span.bce.stats());
+}
+
+TEST(BceSpecial, PoolSpanEqualsPerWindowReductions)
+{
+    // A padded, overlapping 3x3/stride-2 window walk over a ragged
+    // 2 x 7 x 6 plane: edge windows clip to 4 or 6 taps.
+    PoolShape g;
+    g.channels = 2;
+    g.inH = 7;
+    g.inW = 6;
+    g.kernelH = g.kernelW = 3;
+    g.strideH = g.strideW = 2;
+    g.padH = g.padW = 1;
+    g.outH = (g.inH + 2 * g.padH - g.kernelH) / g.strideH + 1;
+    g.outW = (g.inW + 2 * g.padW - g.kernelW) / g.strideW + 1;
+
+    bfree::sim::Rng rng(11);
+    std::vector<float> in(g.channels * g.inH * g.inW);
+    for (float &v : in)
+        v = static_cast<float>(rng.uniformReal(-3.0, 3.0));
+    const bfree::lut::DivisionLut div(4);
+
+    for (const bool average : {false, true}) {
+        Fixture span, ref;
+        std::vector<float> got(g.channels * g.outH * g.outW);
+        std::vector<float> want(got.size());
+        span.bce.poolQ8(g, average, div, in.data(), got.data());
+        for (std::size_t c = 0; c < g.channels; ++c) {
+            for (std::size_t oh = 0; oh < g.outH; ++oh) {
+                for (std::size_t ow = 0; ow < g.outW; ++ow) {
+                    std::vector<std::int32_t> window;
+                    for (unsigned r = 0; r < g.kernelH; ++r) {
+                        for (unsigned s = 0; s < g.kernelW; ++s) {
+                            const long ih = long(oh * g.strideH + r)
+                                            - long(g.padH);
+                            const long iw = long(ow * g.strideW + s)
+                                            - long(g.padW);
+                            if (ih < 0 || iw < 0 || ih >= long(g.inH)
+                                || iw >= long(g.inW))
+                                continue;
+                            window.push_back(
+                                static_cast<std::int32_t>(std::lround(
+                                    in[(c * g.inH + ih) * g.inW + iw]
+                                    * 256.0f)));
+                        }
+                    }
+                    want[(c * g.outH + oh) * g.outW + ow] =
+                        average
+                            ? static_cast<float>(ref.bce.avgPool(
+                                  window.data(), window.size(), div))
+                                  / 256.0f
+                            : static_cast<float>(ref.bce.maxReduce(
+                                  window.data(), window.size()))
+                                  / 256.0f;
+                }
+            }
+        }
+        expect_same_bits(want, got);
+        expect_same_special_stats(ref.bce.stats(), span.bce.stats());
+    }
+}
+
 TEST(BceSpecial, PwlEvaluationViaLutRows)
 {
     Fixture f;
@@ -235,8 +358,18 @@ TEST(BceDeath, WrongModePanics)
     EXPECT_DEATH((void)f.bce.dotProduct(0, inputs, 4, 8),
                  "requires conv mode");
 
+    EXPECT_DEATH((void)f.bce.dotProductSpan(inputs, inputs, 4, 8),
+                 "dotProduct requires conv mode");
+    std::int32_t out[1] = {};
+    EXPECT_DEATH(f.bce.convTile(inputs, inputs, out, 1, 4, 1, 8),
+                 "convTile requires conv mode");
+
     f.bce.setMode(BceMode::Conv);
     std::int32_t acc[4] = {};
     EXPECT_DEATH(f.bce.broadcastMac(1, inputs, 4, acc, 8),
-                 "requires matmul mode");
+                 "broadcastMac requires matmul mode");
+    EXPECT_DEATH((void)f.bce.matmulDotSpan(inputs, inputs, 4, 8),
+                 "matmulDotSpan requires matmul mode");
+    EXPECT_DEATH(f.bce.matmulTile(inputs, inputs, out, 1, 4, 1, 8),
+                 "matmulTile requires matmul mode");
 }

@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bce/bce.hh"
@@ -217,7 +219,7 @@ TEST(SimdKernels, RaggedTailLengthsExactAtEveryLevel)
         const std::string ctx = sim::simd_level_name(level);
         Engine legacy(ExecTier::Legacy);
         Engine simd(ExecTier::Tiered);
-        for (std::size_t len = 0; len <= 40; ++len) {
+        for (std::size_t len = 0; len <= 80; ++len) {
             const std::vector<std::int8_t> a =
                 pattern(len, static_cast<int>(len) + 1, 127);
             const std::vector<std::int8_t> b =
@@ -252,6 +254,212 @@ TEST(SimdKernels, LongSpanBlockedTallyExactAtEveryLevel)
             simd.bce.matmulDotSpan(a.data(), b.data(), a.size(), 8))
             << ctx;
         expect_engines_identical(legacy, simd, ctx);
+    });
+}
+
+// ---------------------------------------------------------------------
+// M x N tiles: one tile call against m*n single-span calls
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Deterministic int8 operands over the whole [-128, 127] range. */
+std::vector<std::int8_t>
+full_range(std::size_t n, int seed)
+{
+    std::vector<std::int8_t> v(n);
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = static_cast<std::int8_t>(
+            static_cast<int>((i * 37 + static_cast<std::size_t>(seed) * 101)
+                             % 256)
+            - 128);
+    return v;
+}
+
+/**
+ * Run one m x n x k tile on @p tile and the same work as m*n single
+ * spans on @p spans (both in @p mode), and require identical outputs.
+ * With @p frozen the weight-side feature sums and the activation
+ * scratch are passed in, as the plan executor does; without, the tile
+ * computes both per call.
+ */
+void
+expect_tile_matches_spans(Engine &tile, Engine &spans, BceMode mode,
+                          const std::vector<std::int8_t> &a,
+                          const std::vector<std::int8_t> &w, std::size_t m,
+                          std::size_t k, std::size_t n, unsigned bits,
+                          bool frozen, const std::string &ctx)
+{
+    tile.bce.setMode(mode);
+    spans.bce.setMode(mode);
+    std::vector<std::uint32_t> wFeatures, scratch;
+    if (frozen) {
+        wFeatures.resize(bce::Bce::tileScratchWords(k));
+        bce::simd::class_feature_sums(w.data(), n, k, wFeatures.data());
+        scratch.resize(bce::Bce::tileScratchWords(k));
+    }
+    // Matmul tiles accumulate: start from a non-zero output.
+    std::vector<std::int32_t> got(m * n, 5), want(m * n, 5);
+    if (mode == BceMode::Conv) {
+        tile.bce.convTile(a.data(), w.data(), got.data(), m, k, n, bits,
+                          frozen ? wFeatures.data() : nullptr,
+                          frozen ? scratch.data() : nullptr);
+        for (std::size_t i = 0; i < m; ++i)
+            for (std::size_t j = 0; j < n; ++j)
+                want[i * n + j] = spans.bce.dotProductSpan(
+                    w.data() + j * k, a.data() + i * k, k, bits);
+    } else {
+        tile.bce.matmulTile(a.data(), w.data(), got.data(), m, k, n, bits,
+                            frozen ? wFeatures.data() : nullptr,
+                            frozen ? scratch.data() : nullptr);
+        for (std::size_t i = 0; i < m; ++i)
+            for (std::size_t j = 0; j < n; ++j)
+                want[i * n + j] += spans.bce.matmulDotSpan(
+                    a.data() + i * k, w.data() + j * k, k, bits);
+    }
+    ASSERT_EQ(want, got) << ctx << " m " << m << " k " << k << " n "
+                         << n;
+}
+
+const std::size_t tile_dims[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 14, 64};
+
+} // namespace
+
+TEST(SimdKernels, TileMatchesSingleSpansAtEveryLevel)
+{
+    // Every ragged K up to 80 against every M x N block edge, in both
+    // modes; under the gather tally pin the tile must take (and match)
+    // its per-span fallback.
+    for_each_runnable_level([](sim::SimdLevel level) {
+        for (const BceMode mode : {BceMode::Conv, BceMode::Matmul}) {
+            const std::string ctx =
+                std::string(sim::simd_level_name(level)) + " "
+                + bce::simd::tally_mode_name(
+                    bce::simd::active_tally_mode())
+                + (mode == BceMode::Conv ? " conv" : " matmul");
+            Engine tile(ExecTier::Tiered);
+            Engine spans(ExecTier::Tiered);
+            for (std::size_t k = 1; k <= 80; ++k) {
+                for (const std::size_t m : tile_dims) {
+                    for (const std::size_t n : tile_dims) {
+                        const auto a = full_range(m * k, int(k + m));
+                        const auto w = full_range(n * k, int(k + 7 * n));
+                        expect_tile_matches_spans(
+                            tile, spans, mode, a, w, m, k, n, 8,
+                            (k + m + n) % 2 == 0, ctx);
+                    }
+                }
+            }
+            expect_engines_identical(spans, tile, ctx);
+        }
+    });
+}
+
+TEST(SimdKernels, LongTilesMatchSingleSpansAtEveryLevel)
+{
+    // The VGG-16 conv4/conv5 (4608) and fc6 (25088) reduction lengths,
+    // with operands pinned at both int8 extremes in some rows.
+    for_each_runnable_level([](sim::SimdLevel level) {
+        for (const BceMode mode : {BceMode::Conv, BceMode::Matmul}) {
+            const std::string ctx =
+                std::string(sim::simd_level_name(level))
+                + (mode == BceMode::Conv ? " conv" : " matmul");
+            Engine tile(ExecTier::Tiered);
+            Engine spans(ExecTier::Tiered);
+            for (const std::size_t k : {std::size_t{4608},
+                                        std::size_t{25088}}) {
+                for (const auto &[m, n] :
+                     {std::pair<std::size_t, std::size_t>{1, 64},
+                      {9, 14}, {14, 9}, {64, 1}}) {
+                    auto a = full_range(m * k, int(k + m));
+                    auto w = full_range(n * k, int(k + n));
+                    std::fill(a.begin(), a.begin() + k, std::int8_t{-128});
+                    std::fill(w.begin(), w.begin() + k, std::int8_t{-128});
+                    std::fill(w.end() - k, w.end(), std::int8_t{127});
+                    expect_tile_matches_spans(tile, spans, mode, a, w,
+                                              m, k, n, 8, m > 1, ctx);
+                }
+            }
+            expect_engines_identical(spans, tile, ctx);
+        }
+    });
+}
+
+TEST(SimdKernels, TileFallbacksMatchSingleSpansAtEveryLevel)
+{
+    // Shapes that must leave the GEMM tile for the per-span loop:
+    // 4-bit operands, the Legacy tier, a poisoned LUT row, and a LUT
+    // rewrite between two tiles (the reseeded table must be served).
+    for_each_runnable_level([](sim::SimdLevel level) {
+        const std::string ctx = sim::simd_level_name(level);
+        const std::size_t m = 5, k = 37, n = 6;
+        const auto a8 = full_range(m * k, 3);
+        const auto w8 = full_range(n * k, 4);
+        const auto a4 = pattern(m * k, 5, 7);
+        const auto w4 = pattern(n * k, 6, 7);
+        {
+            Engine tile(ExecTier::Tiered), spans(ExecTier::Tiered);
+            expect_tile_matches_spans(tile, spans, BceMode::Conv, a8, w8, m,
+                                      k, n, 4, true, ctx + " conv 4-bit");
+            expect_tile_matches_spans(tile, spans, BceMode::Matmul, a4, w4,
+                                      m, k, n, 4, false,
+                                      ctx + " matmul 4-bit");
+            expect_engines_identical(spans, tile, ctx + " 4-bit");
+        }
+        {
+            Engine tile(ExecTier::Legacy), spans(ExecTier::Legacy);
+            expect_tile_matches_spans(tile, spans, BceMode::Conv, a8, w8, m,
+                                      k, n, 8, true, ctx + " legacy conv");
+            expect_tile_matches_spans(tile, spans, BceMode::Matmul, a8, w8,
+                                      m, k, n, 8, true,
+                                      ctx + " legacy matmul");
+            expect_engines_identical(spans, tile, ctx + " legacy");
+        }
+        {
+            Engine tile(ExecTier::Tiered), spans(ExecTier::Tiered);
+            tile.subarray.scratchWrite(0, 42);
+            spans.subarray.scratchWrite(0, 42);
+            expect_tile_matches_spans(tile, spans, BceMode::Conv, a8, w8, m,
+                                      k, n, 8, true, ctx + " poisoned");
+            expect_engines_identical(spans, tile, ctx + " poisoned");
+        }
+        {
+            Engine tile(ExecTier::Tiered), spans(ExecTier::Tiered);
+            const std::uint8_t pristine = tile.subarray.lutPeek(0);
+            expect_tile_matches_spans(tile, spans, BceMode::Conv, a8, w8, m,
+                                      k, n, 8, true, ctx + " pre-reseed");
+            tile.subarray.scratchWrite(0, 42);
+            spans.subarray.scratchWrite(0, 42);
+            expect_tile_matches_spans(tile, spans, BceMode::Conv, a8, w8, m,
+                                      k, n, 8, true, ctx + " reseeded");
+            EXPECT_EQ(2u, tile.bce.convTableSeeds()) << ctx;
+            // Restoring the pristine byte reseeds once more and puts
+            // the tile back on the GEMM path.
+            tile.subarray.scratchWrite(0, pristine);
+            spans.subarray.scratchWrite(0, pristine);
+            expect_tile_matches_spans(tile, spans, BceMode::Conv, a8, w8, m,
+                                      k, n, 8, false, ctx + " restored");
+            EXPECT_EQ(3u, tile.bce.convTableSeeds()) << ctx;
+            expect_engines_identical(spans, tile, ctx + " reseed");
+        }
+    });
+}
+
+TEST(SimdKernels, EmptyTileIsANoOp)
+{
+    for_each_runnable_level([](sim::SimdLevel level) {
+        Engine tile(ExecTier::Tiered), spans(ExecTier::Tiered);
+        const auto a = full_range(40, 1);
+        const auto w = full_range(40, 2);
+        for (const BceMode mode : {BceMode::Conv, BceMode::Matmul}) {
+            expect_tile_matches_spans(tile, spans, mode, a, w, 0, 8, 5, 8,
+                                      false, "m 0");
+            expect_tile_matches_spans(tile, spans, mode, a, w, 5, 8, 0, 8,
+                                      false, "n 0");
+            expect_tile_matches_spans(tile, spans, mode, a, w, 4, 0, 5, 8,
+                                      false, "k 0");
+        }
+        expect_engines_identical(spans, tile, sim::simd_level_name(level));
     });
 }
 
