@@ -16,8 +16,10 @@
  * more than 5x below the committed baseline (non-gating CI perf-smoke).
  *
  * With --dump-stats the bench instead prints the deterministic batch
- * statistics block (no wall-clock anywhere in the output) — the CI
- * determinism job byte-compares this at --threads 1 vs 8.
+ * statistics blocks of the MLP and a small CNN at 8 and then 4 bits
+ * (no wall-clock anywhere in the output) — the CI determinism jobs
+ * byte-compare this across thread counts, ISAs, tally modes and conv
+ * front ends.
  */
 
 #include <array>
@@ -130,34 +132,10 @@ main(int argc, char **argv)
     if (dump_stats) {
         // Deterministic block only: batch statistics and the output
         // checksums are bit-identical for any --threads, so this
-        // output byte-compares across thread counts.
+        // output byte-compares across thread counts. Both tile
+        // precisions: 8-bit first, then the same nets at 4-bit.
         core::BatchOptions opts;
         opts.threads = threads;
-        const core::BatchResult r =
-            core::run_functional_batch(plan, inputs, opts);
-        std::uint64_t osum = 0;
-        for (const dnn::FloatTensor &t : r.outputs)
-            osum = osum * 31 + checksum(t);
-        std::printf("micro_plan batch stats: net=%s inputs=%zu bits=8\n",
-                    net.name().c_str(), inputs.size());
-        std::printf("cycles %llu\n",
-                    static_cast<unsigned long long>(r.stats.cycles));
-        std::printf("macs %llu\n",
-                    static_cast<unsigned long long>(r.stats.macs));
-        std::printf("rom_lookups %llu\n",
-                    static_cast<unsigned long long>(
-                        r.stats.counts.romLookups));
-        std::printf("lut_lookups %llu\n",
-                    static_cast<unsigned long long>(
-                        r.stats.counts.lutLookups));
-        std::printf("adds %llu\n",
-                    static_cast<unsigned long long>(r.stats.counts.adds));
-        std::printf("special_lut_events %llu\n",
-                    static_cast<unsigned long long>(
-                        r.stats.specialLutEvents));
-        std::printf("energy_total %.17g\n", r.energy.total());
-        std::printf("output_checksum %016llx\n",
-                    static_cast<unsigned long long>(osum));
 
         // Conv block: all three front ends must produce these exact
         // bytes (the patch fed to the datapath is identical either
@@ -173,27 +151,60 @@ main(int argc, char **argv)
             in.fillUniform(crng, -1.0, 1.0);
             cinputs.push_back(std::move(in));
         }
-        const core::NetworkPlan cplan =
-            core::NetworkPlan::compile(cnn, cweights, 8);
-        const core::BatchResult cr =
-            core::run_functional_batch(cplan, cinputs, opts);
-        std::uint64_t csum = 0;
-        for (const dnn::FloatTensor &t : cr.outputs)
-            csum = csum * 31 + checksum(t);
-        std::printf("micro_plan conv stats: net=%s inputs=%zu bits=8\n",
-                    cnn.name().c_str(), cinputs.size());
-        std::printf("cycles %llu\n",
-                    static_cast<unsigned long long>(cr.stats.cycles));
-        std::printf("macs %llu\n",
-                    static_cast<unsigned long long>(cr.stats.macs));
-        std::printf("lut_lookups %llu\n",
-                    static_cast<unsigned long long>(
-                        cr.stats.counts.lutLookups));
-        std::printf("adds %llu\n",
-                    static_cast<unsigned long long>(cr.stats.counts.adds));
-        std::printf("energy_total %.17g\n", cr.energy.total());
-        std::printf("output_checksum %016llx\n",
-                    static_cast<unsigned long long>(csum));
+
+        for (const unsigned bits : {8u, 4u}) {
+            const core::NetworkPlan bplan =
+                core::NetworkPlan::compile(net, weights, bits);
+            const core::BatchResult r =
+                core::run_functional_batch(bplan, inputs, opts);
+            std::uint64_t osum = 0;
+            for (const dnn::FloatTensor &t : r.outputs)
+                osum = osum * 31 + checksum(t);
+            std::printf("micro_plan batch stats: net=%s inputs=%zu "
+                        "bits=%u\n",
+                        net.name().c_str(), inputs.size(), bits);
+            std::printf("cycles %llu\n",
+                        static_cast<unsigned long long>(r.stats.cycles));
+            std::printf("macs %llu\n",
+                        static_cast<unsigned long long>(r.stats.macs));
+            std::printf("rom_lookups %llu\n",
+                        static_cast<unsigned long long>(
+                            r.stats.counts.romLookups));
+            std::printf("lut_lookups %llu\n",
+                        static_cast<unsigned long long>(
+                            r.stats.counts.lutLookups));
+            std::printf("adds %llu\n", static_cast<unsigned long long>(
+                                           r.stats.counts.adds));
+            std::printf("special_lut_events %llu\n",
+                        static_cast<unsigned long long>(
+                            r.stats.specialLutEvents));
+            std::printf("energy_total %.17g\n", r.energy.total());
+            std::printf("output_checksum %016llx\n",
+                        static_cast<unsigned long long>(osum));
+
+            const core::NetworkPlan cplan =
+                core::NetworkPlan::compile(cnn, cweights, bits);
+            const core::BatchResult cr =
+                core::run_functional_batch(cplan, cinputs, opts);
+            std::uint64_t csum = 0;
+            for (const dnn::FloatTensor &t : cr.outputs)
+                csum = csum * 31 + checksum(t);
+            std::printf("micro_plan conv stats: net=%s inputs=%zu "
+                        "bits=%u\n",
+                        cnn.name().c_str(), cinputs.size(), bits);
+            std::printf("cycles %llu\n",
+                        static_cast<unsigned long long>(cr.stats.cycles));
+            std::printf("macs %llu\n",
+                        static_cast<unsigned long long>(cr.stats.macs));
+            std::printf("lut_lookups %llu\n",
+                        static_cast<unsigned long long>(
+                            cr.stats.counts.lutLookups));
+            std::printf("adds %llu\n", static_cast<unsigned long long>(
+                                           cr.stats.counts.adds));
+            std::printf("energy_total %.17g\n", cr.energy.total());
+            std::printf("output_checksum %016llx\n",
+                        static_cast<unsigned long long>(csum));
+        }
         return 0;
     }
 

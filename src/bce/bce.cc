@@ -340,7 +340,7 @@ Bce::matmulDotSpan(const std::int8_t *a, const std::int8_t *b,
     return acc;
 }
 
-void
+bool
 Bce::runTile(const lut::DatapathTable &t, const std::int8_t *a,
              const std::int8_t *b, std::int32_t *out, std::size_t m,
              std::size_t k, std::size_t n, unsigned bits,
@@ -357,6 +357,20 @@ Bce::runTile(const lut::DatapathTable &t, const std::int8_t *a,
         bFeatures = ownB.data();
     }
     simd::class_feature_sums(a, m, k, scratch);
+
+    // The GEMM is only the per-span path when no operand needs that
+    // path's domain handling: conv spans clamp to [-half, half - 1],
+    // matmul spans refuse anything outside [-half, half]. int8 always
+    // fits the 8-bit domain; 4-bit tiles check both measured ranges.
+    const std::int32_t lo = -t.half();
+    const std::int32_t hi = _mode == BceMode::Conv ? t.half() - 1
+                                                    : t.half();
+    if (!simd::features_in_domain(scratch, k, lo, hi)
+        || !simd::features_in_domain(bFeatures, k, lo, hi))
+        return false;
+
+    if (_mode == BceMode::Conv)
+        std::fill(out, out + m * n, 0);
     simd::gemm_i8(a, b, out, m, k, n);
 
     // sum_{spans} sum_k f(x)f(w) = sum_k F_x(k) F_w(k): the tile's
@@ -377,6 +391,7 @@ Bce::runTile(const lut::DatapathTable &t, const std::int8_t *a,
     }
     chargeCycles(spans * k * (bits / 4));
     stats_.macs += spans * k;
+    return true;
 }
 
 void
@@ -388,13 +403,12 @@ Bce::convTile(const std::int8_t *a, const std::int8_t *w,
     if (_mode != BceMode::Conv)
         bfree_panic("convTile requires conv mode");
 
-    if (_tier == ExecTier::Tiered && bits == 8 && m > 0 && n > 0) {
+    if (_tier == ExecTier::Tiered && lut::DatapathTable::coversBits(bits)
+        && m > 0 && n > 0) {
         const lut::DatapathTable &t = convTable(bits);
-        if (simd::histogram_eligible(t)) {
-            std::fill(out, out + m * n, 0);
-            runTile(t, a, w, out, m, k, n, bits, wFeatures, scratch);
+        if (simd::histogram_eligible(t)
+            && runTile(t, a, w, out, m, k, n, bits, wFeatures, scratch))
             return;
-        }
     }
     for (std::size_t i = 0; i < m; ++i)
         for (std::size_t j = 0; j < n; ++j)
@@ -411,12 +425,12 @@ Bce::matmulTile(const std::int8_t *a, const std::int8_t *bt,
     if (_mode != BceMode::Matmul)
         bfree_panic("matmulTile requires matmul mode");
 
-    if (_tier == ExecTier::Tiered && bits == 8 && m > 0 && n > 0) {
+    if (_tier == ExecTier::Tiered && lut::DatapathTable::coversBits(bits)
+        && m > 0 && n > 0) {
         const lut::DatapathTable &t = romTable(bits);
-        if (simd::histogram_eligible(t)) {
-            runTile(t, a, bt, out, m, k, n, bits, btFeatures, scratch);
+        if (simd::histogram_eligible(t)
+            && runTile(t, a, bt, out, m, k, n, bits, btFeatures, scratch))
             return;
-        }
     }
     for (std::size_t i = 0; i < m; ++i)
         for (std::size_t j = 0; j < n; ++j)

@@ -225,22 +225,27 @@ class Bce
     // rows (n x k row-major, so both operands stream contiguously). Its
     // outputs, statistics and energy are exactly those of m*n single-
     // span calls; the bookkeeping happens once per tile. On the Tiered
-    // tier with an 8-bit table that passes simd::histogram_eligible,
-    // products come from the register-blocked simd::gemm_i8 and the
-    // micro-op tallies from the rank-1 class-feature identity
-    // (simd::fold_tile_features). Everything else runs the per-span
-    // loop.
+    // tier with a 4- or 8-bit table that passes
+    // simd::histogram_eligible, and with every operand inside the
+    // span domain (4-bit conv [-8, 7], 4-bit matmul [-8, 8]; int8 is
+    // always inside the 8-bit one), products come from the
+    // register-blocked simd::gemm_i8 and the micro-op tallies from the
+    // rank-1 class-feature identity (simd::fold_tile_features).
+    // Everything else runs the per-span loop, which clamps or raises
+    // the analyzer's range panic as before.
     //
     // wFeatures, when not null, holds simd::class_feature_sums of the
-    // weight rows (frozen at plan compile); scratch, when not null,
-    // holds tileScratchWords(k) words for the activation side. Either
-    // one left null is computed or allocated per call.
+    // weight rows (frozen at plan compile, range word included);
+    // scratch, when not null, holds tileScratchWords(k) words for the
+    // activation side. Either one left null is computed or allocated
+    // per call.
 
-    /** Scratch words one tile call needs for its activation side. */
+    /** Scratch words one tile call needs for its activation side (and
+     *  a frozen weight side holds): feature sums plus the range word. */
     static std::size_t
     tileScratchWords(std::size_t k)
     {
-        return simd::feature_count * k;
+        return simd::feature_count * k + 1;
     }
 
     /**
@@ -366,12 +371,15 @@ class Bce
 
     /**
      * The GEMM-and-feature-fold body of both tile entry points, for a
-     * table that passed simd::histogram_eligible: out accumulates the
-     * products, and the tile's lookups, shifts, adds, cycles and MACs
-     * are booked once, as m*n spans of the current mode would have
-     * booked them.
+     * table that passed simd::histogram_eligible. Returns false, with
+     * out and the statistics untouched, when an operand lies outside
+     * the current mode's span domain for the table's precision.
+     * Otherwise out takes the products (conv mode overwrites, matmul
+     * mode accumulates), and the tile's lookups, shifts, adds, cycles
+     * and MACs are booked once, as m*n spans of the current mode would
+     * have booked them.
      */
-    void runTile(const lut::DatapathTable &t, const std::int8_t *a,
+    bool runTile(const lut::DatapathTable &t, const std::int8_t *a,
                  const std::int8_t *b, std::int32_t *out, std::size_t m,
                  std::size_t k, std::size_t n, unsigned bits,
                  const std::uint32_t *bFeatures, std::uint32_t *scratch);

@@ -143,16 +143,33 @@ fold_features(const FeatureSums &f, std::uint32_t cyclesFactor,
     s.cycles += cyclesFactor * f.p;
 }
 
+/**
+ * The trailing range word of a feature-sum array: the smallest of the
+ * @p n lane minima @p lo and the largest of the lane maxima @p hi,
+ * packed as two bytes (min in bits 0-7, max in bits 8-15).
+ */
+std::uint32_t
+pack_range(const std::int8_t *lo, const std::int8_t *hi, std::size_t n)
+{
+    const std::int8_t mn = *std::min_element(lo, lo + n);
+    const std::int8_t mx = *std::max_element(hi, hi + n);
+    return std::uint32_t{static_cast<std::uint8_t>(mn)}
+           | std::uint32_t{static_cast<std::uint8_t>(mx)} << 8;
+}
+
 void
 feature_sums_scalar(const std::int8_t *tile, std::size_t rows,
                     std::size_t k, std::uint32_t *sums)
 {
     using T = lut::DatapathTable;
     std::fill(sums, sums + feature_count * k, 0u);
+    std::int8_t lo = 0, hi = 0;
     for (std::size_t r = 0; r < rows; ++r) {
         const std::int8_t *row = tile + r * k;
         for (std::size_t c = 0; c < k; ++c) {
             const int v = row[c];
+            lo = std::min(lo, row[c]);
+            hi = std::max(hi, row[c]);
             const std::uint8_t cls =
                 T::operand_class(static_cast<std::uint8_t>(v < 0 ? -v : v));
             sums[c] += T::class_feature_p[cls];
@@ -161,6 +178,7 @@ feature_sums_scalar(const std::int8_t *tile, std::size_t rows,
             sums[3 * k + c] += T::class_feature_z[cls];
         }
     }
+    sums[feature_count * k] = pack_range(&lo, &hi, 1);
 }
 
 void
@@ -473,8 +491,11 @@ reduce_features_u32x4(__m128i p, __m128i o, __m128i l, __m128i z,
  * 2^14 fits int16 pairs, and wrapped mod-2^32 sums match the scalar
  * u32 accumulation); micro-op tallies via the factored class-feature
  * fold against the build-verified pairDeltas collapse. Only
- * dispatched for 8-bit productsExact+histogramExact tables, so no
- * clamp/strict handling exists here by construction.
+ * dispatched for 8-bit productsExact+histogramExact tables, whose
+ * int8 operands are always in domain, so no clamp/strict handling
+ * exists here by construction. A ragged tail is one more step over a
+ * zero-filled copy: a zero operand has product 0 and class 0, every
+ * feature of which is 0.
  */
 __attribute__((target("avx2"))) SpanSums
 span_avx2_hist(const lut::DatapathTable &t, const std::int8_t *a,
@@ -488,8 +509,8 @@ span_avx2_hist(const lut::DatapathTable &t, const std::int8_t *a,
     __m256i accP = _mm256_setzero_si256();
     __m256i sP = accP, sO = accP, sL = accP, sZ = accP;
     FeatureSums f;
-    std::uint32_t acc = 0;
     std::size_t sinceSpill = 0;
+    alignas(32) std::int8_t tailA[32] = {}, tailB[32] = {};
 
 #define BFREE_SEP_SPILL_256()                                            \
     do {                                                                 \
@@ -501,12 +522,18 @@ span_avx2_hist(const lut::DatapathTable &t, const std::int8_t *a,
         sinceSpill = 0;                                                  \
     } while (0)
 
-    std::size_t i = 0;
-    for (; i + 32 <= len; i += 32) {
-        const __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + i));
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + i));
+    for (std::size_t i = 0; i < len; i += 32) {
+        const std::int8_t *pa = a + i, *pb = b + i;
+        if (len - i < 32) {
+            std::memcpy(tailA, pa, len - i);
+            std::memcpy(tailB, pb, len - i);
+            pa = tailA;
+            pb = tailB;
+        }
+        const __m256i va =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(pa));
+        const __m256i vb =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(pb));
 
         const __m256i a0 =
             _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
@@ -540,21 +567,15 @@ span_avx2_hist(const lut::DatapathTable &t, const std::int8_t *a,
     BFREE_SEP_SPILL_256();
 #undef BFREE_SEP_SPILL_256
     fold_features(f, t.cyclesFactor(), s);
-    acc += wsum_u32x8(accP);
-
-    // The guard is not cosmetic: the inlined scalar loop's setup costs
-    // hundreds of cycles even over an empty range, which dominated
-    // short spans.
-    if (i < len)
-        scalar_range(t, a, b, i, len, false, false, acc, s);
-    s.acc = static_cast<std::int32_t>(acc);
+    s.acc = static_cast<std::int32_t>(wsum_u32x8(accP));
     return s;
 }
 
 /**
  * AVX-512 histogram-tally kernel: 64 pairs per step, same factored
  * fold as the AVX2 variant in 512-bit lanes (BW byte shuffles,
- * mask-blended class compression).
+ * mask-blended class compression). The ragged tail is one more step
+ * through zero-masked loads.
  */
 __attribute__((target("avx512f,avx512bw,avx512vl"))) SpanSums
 span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
@@ -568,7 +589,6 @@ span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
     __m512i accP = _mm512_setzero_si512();
     __m512i sP = accP, sO = accP, sL = accP, sZ = accP;
     FeatureSums f;
-    std::uint32_t acc = 0;
     std::size_t sinceSpill = 0;
 
 // Fold one madd-widened 512-bit sum onto its 256-bit halves.
@@ -586,10 +606,12 @@ span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
         sinceSpill = 0;                                                  \
     } while (0)
 
-    std::size_t i = 0;
-    for (; i + 64 <= len; i += 64) {
-        const __m512i va = _mm512_loadu_si512(a + i);
-        const __m512i vb = _mm512_loadu_si512(b + i);
+    for (std::size_t i = 0; i < len; i += 64) {
+        const __mmask64 mask = len - i >= 64
+                                   ? ~__mmask64{0}
+                                   : (__mmask64{1} << (len - i)) - 1;
+        const __m512i va = _mm512_maskz_loadu_epi8(mask, a + i);
+        const __m512i vb = _mm512_maskz_loadu_epi8(mask, b + i);
 
         const __m512i a0 =
             _mm512_cvtepi8_epi16(_mm512_castsi512_si256(va));
@@ -624,22 +646,9 @@ span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
 #undef BFREE_SEP_SPILL_512
 #undef BFREE_FOLD_512
     fold_features(f, t.cyclesFactor(), s);
-    acc += wsum_u32x8(
+    s.acc = static_cast<std::int32_t>(wsum_u32x8(
         _mm256_add_epi32(_mm512_castsi512_si256(accP),
-                         _mm512_extracti64x4_epi64(accP, 1)));
-
-    // Up to 63 elements remain; the 256-bit kernel chews them 32 at a
-    // time (plus its own scalar tail), which beats walking them all
-    // through the table-indexed scalar loop.
-    if (i < len) {
-        const SpanSums tail = span_avx2_hist(t, a + i, b + i, len - i);
-        acc += static_cast<std::uint32_t>(tail.acc);
-        s.lookups += tail.lookups;
-        s.shifts += tail.shifts;
-        s.adds += tail.adds;
-        s.cycles += tail.cycles;
-    }
-    s.acc = static_cast<std::int32_t>(acc);
+                         _mm512_extracti64x4_epi64(accP, 1))));
     return s;
 }
 
@@ -647,7 +656,8 @@ span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
 
 /**
  * SSE4.2 histogram-tally kernel: 16 pairs per step (pshufb/maddubs
- * are SSSE3, the widening converts SSE4.1).
+ * are SSSE3, the widening converts SSE4.1), with the AVX2 variant's
+ * zero-filled tail step.
  */
 __attribute__((target("sse4.2"))) SpanSums
 span_sse42_hist(const lut::DatapathTable &t, const std::int8_t *a,
@@ -661,8 +671,8 @@ span_sse42_hist(const lut::DatapathTable &t, const std::int8_t *a,
     __m128i accP = _mm_setzero_si128();
     __m128i sP = accP, sO = accP, sL = accP, sZ = accP;
     FeatureSums f;
-    std::uint32_t acc = 0;
     std::size_t sinceSpill = 0;
+    alignas(16) std::int8_t tailA[16] = {}, tailB[16] = {};
 
 #define BFREE_SEP_SPILL_128()                                            \
     do {                                                                 \
@@ -674,12 +684,18 @@ span_sse42_hist(const lut::DatapathTable &t, const std::int8_t *a,
         sinceSpill = 0;                                                  \
     } while (0)
 
-    std::size_t i = 0;
-    for (; i + 16 <= len; i += 16) {
+    for (std::size_t i = 0; i < len; i += 16) {
+        const std::int8_t *pa = a + i, *pb = b + i;
+        if (len - i < 16) {
+            std::memcpy(tailA, pa, len - i);
+            std::memcpy(tailB, pb, len - i);
+            pa = tailA;
+            pb = tailB;
+        }
         const __m128i va =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(a + i));
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(pa));
         const __m128i vb =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(b + i));
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(pb));
 
         const __m128i a0 = _mm_cvtepi8_epi16(va);
         const __m128i a1 = _mm_cvtepi8_epi16(_mm_srli_si128(va, 8));
@@ -709,11 +725,8 @@ span_sse42_hist(const lut::DatapathTable &t, const std::int8_t *a,
     BFREE_SEP_SPILL_128();
 #undef BFREE_SEP_SPILL_128
     fold_features(f, t.cyclesFactor(), s);
-    acc += static_cast<std::uint32_t>(hsum_u32x4(accP));
-
-    if (i < len)
-        scalar_range(t, a, b, i, len, false, false, acc, s);
-    s.acc = static_cast<std::int32_t>(acc);
+    s.acc = static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(hsum_u32x4(accP)));
     return s;
 }
 
@@ -898,6 +911,14 @@ span_sse42(const lut::DatapathTable &t, const std::int8_t *a,
  */
 constexpr std::size_t feature_spill_rows = 127;
 
+/**
+ * Prefetch distance of the feature-sum kernels along each row. A row
+ * block reads feature_spill_rows rows side by side, too many streams
+ * for the hardware prefetcher; fetching each row a few vectors ahead
+ * halves the frozen fc6 feature freeze (4096 x 25088, AVX-512).
+ */
+constexpr std::size_t feature_prefetch = 256;
+
 /** Add @p width u8 partial column sums per feature (lane-major rows of
  *  a 64-byte block buffer) into the u32 column sums at column c0. */
 void
@@ -921,9 +942,10 @@ alignas(32) constexpr std::int8_t tail_mask_bytes[32] = {
 /**
  * Class-feature column sums, 32 columns per block: the rows of a block
  * run through BFREE_CLASSIFY_256 into four u8 feature accumulators,
- * spilled every feature_spill_rows rows. A ragged last block loads
- * each row through a zero-filled copy; zero bytes are class 0, whose
- * features are all 0.
+ * spilled every feature_spill_rows rows, and into a running per-lane
+ * min and max for the range word. A ragged last block loads each row
+ * through a zero-filled copy; zero bytes are class 0, whose features
+ * are all 0, and the range includes 0 anyway.
  */
 __attribute__((target("avx2"))) void
 feature_sums_avx2(const std::int8_t *tile, std::size_t rows,
@@ -933,23 +955,32 @@ feature_sums_avx2(const std::int8_t *tile, std::size_t rows,
     BFREE_CLASSIFY_CONSTS_256;
     BFREE_FEATURE_CONSTS_256;
     alignas(32) std::uint8_t buf[feature_count][64];
-    for (std::size_t c0 = 0; c0 < k; c0 += 32) {
-        const std::size_t width = std::min<std::size_t>(32, k - c0);
-        // Only the ragged last block copies through it; its bytes past
-        // width stay zero for every row.
-        alignas(32) std::int8_t tail[32] = {};
-        for (std::size_t r0 = 0; r0 < rows; r0 += feature_spill_rows) {
-            const std::size_t r1 = std::min(rows, r0 + feature_spill_rows);
+    __m256i vlo = _mm256_setzero_si256(), vhi = vlo;
+    // Only the ragged last column block copies through it; its bytes
+    // past width stay zero for every row.
+    alignas(32) std::int8_t tail[32] = {};
+    // Row blocks outermost: one block's rows stay TLB- and
+    // cache-resident across its column blocks, which a tall frozen
+    // weight tile (fc6: 4096 rows 25 KB apart) needs.
+    for (std::size_t r0 = 0; r0 < rows; r0 += feature_spill_rows) {
+        const std::size_t r1 = std::min(rows, r0 + feature_spill_rows);
+        for (std::size_t c0 = 0; c0 < k; c0 += 32) {
+            const std::size_t width = std::min<std::size_t>(32, k - c0);
             __m256i fp = _mm256_setzero_si256();
             __m256i fo = fp, fl = fp, fz = fp;
             for (std::size_t r = r0; r < r1; ++r) {
                 const std::int8_t *src = tile + r * k + c0;
+                _mm_prefetch(reinterpret_cast<const char *>(
+                                 src + feature_prefetch),
+                             _MM_HINT_T0);
                 if (width < 32) {
                     std::memcpy(tail, src, width);
                     src = tail;
                 }
                 const __m256i v = _mm256_loadu_si256(
                     reinterpret_cast<const __m256i *>(src));
+                vlo = _mm256_min_epi8(vlo, v);
+                vhi = _mm256_max_epi8(vhi, v);
                 __m256i cls;
                 BFREE_CLASSIFY_256(v, cls);
                 fp = _mm256_add_epi8(fp, _mm256_shuffle_epi8(kFP, cls));
@@ -964,6 +995,10 @@ feature_sums_avx2(const std::int8_t *tile, std::size_t rows,
             spill_feature_bytes(buf, width, k, c0, sums);
         }
     }
+    alignas(32) std::int8_t lo[32], hi[32];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(lo), vlo);
+    _mm256_store_si256(reinterpret_cast<__m256i *>(hi), vhi);
+    sums[feature_count * k] = pack_range(lo, hi, 32);
 }
 
 /** The 16-column SSE4.2 form of feature_sums_avx2. */
@@ -975,23 +1010,32 @@ feature_sums_sse42(const std::int8_t *tile, std::size_t rows,
     BFREE_CLASSIFY_CONSTS_128;
     BFREE_FEATURE_CONSTS_128;
     alignas(16) std::uint8_t buf[feature_count][64];
-    for (std::size_t c0 = 0; c0 < k; c0 += 16) {
-        const std::size_t width = std::min<std::size_t>(16, k - c0);
-        // Only the ragged last block copies through it; its bytes past
-        // width stay zero for every row.
-        alignas(16) std::int8_t tail[16] = {};
-        for (std::size_t r0 = 0; r0 < rows; r0 += feature_spill_rows) {
-            const std::size_t r1 = std::min(rows, r0 + feature_spill_rows);
+    __m128i vlo = _mm_setzero_si128(), vhi = vlo;
+    // Only the ragged last column block copies through it; its bytes
+    // past width stay zero for every row.
+    alignas(16) std::int8_t tail[16] = {};
+    // Row blocks outermost: one block's rows stay TLB- and
+    // cache-resident across its column blocks, which a tall frozen
+    // weight tile (fc6: 4096 rows 25 KB apart) needs.
+    for (std::size_t r0 = 0; r0 < rows; r0 += feature_spill_rows) {
+        const std::size_t r1 = std::min(rows, r0 + feature_spill_rows);
+        for (std::size_t c0 = 0; c0 < k; c0 += 16) {
+            const std::size_t width = std::min<std::size_t>(16, k - c0);
             __m128i fp = _mm_setzero_si128();
             __m128i fo = fp, fl = fp, fz = fp;
             for (std::size_t r = r0; r < r1; ++r) {
                 const std::int8_t *src = tile + r * k + c0;
+                _mm_prefetch(reinterpret_cast<const char *>(
+                                 src + feature_prefetch),
+                             _MM_HINT_T0);
                 if (width < 16) {
                     std::memcpy(tail, src, width);
                     src = tail;
                 }
                 const __m128i v = _mm_loadu_si128(
                     reinterpret_cast<const __m128i *>(src));
+                vlo = _mm_min_epi8(vlo, v);
+                vhi = _mm_max_epi8(vhi, v);
                 __m128i cls;
                 BFREE_CLASSIFY_128(v, cls);
                 fp = _mm_add_epi8(fp, _mm_shuffle_epi8(kFP, cls));
@@ -1006,6 +1050,10 @@ feature_sums_sse42(const std::int8_t *tile, std::size_t rows,
             spill_feature_bytes(buf, width, k, c0, sums);
         }
     }
+    alignas(16) std::int8_t lo[16], hi[16];
+    _mm_store_si128(reinterpret_cast<__m128i *>(lo), vlo);
+    _mm_store_si128(reinterpret_cast<__m128i *>(hi), vhi);
+    sums[feature_count * k] = pack_range(lo, hi, 16);
 }
 
 /**
@@ -1210,18 +1258,27 @@ feature_sums_avx512(const std::int8_t *tile, std::size_t rows,
     BFREE_CLASSIFY_CONSTS_512;
     BFREE_FEATURE_CONSTS_512;
     alignas(64) std::uint8_t buf[feature_count][64];
-    for (std::size_t c0 = 0; c0 < k; c0 += 64) {
-        const std::size_t width = std::min<std::size_t>(64, k - c0);
-        const __mmask64 mask = width == 64
-                                   ? ~__mmask64{0}
-                                   : (__mmask64{1} << width) - 1;
-        for (std::size_t r0 = 0; r0 < rows; r0 += feature_spill_rows) {
-            const std::size_t r1 = std::min(rows, r0 + feature_spill_rows);
+    __m512i vlo = _mm512_setzero_si512(), vhi = vlo;
+    // Row blocks outermost: one block's rows stay TLB- and
+    // cache-resident across its column blocks, which a tall frozen
+    // weight tile (fc6: 4096 rows 25 KB apart) needs.
+    for (std::size_t r0 = 0; r0 < rows; r0 += feature_spill_rows) {
+        const std::size_t r1 = std::min(rows, r0 + feature_spill_rows);
+        for (std::size_t c0 = 0; c0 < k; c0 += 64) {
+            const std::size_t width = std::min<std::size_t>(64, k - c0);
+            const __mmask64 mask = width == 64
+                                       ? ~__mmask64{0}
+                                       : (__mmask64{1} << width) - 1;
             __m512i fp = _mm512_setzero_si512();
             __m512i fo = fp, fl = fp, fz = fp;
             for (std::size_t r = r0; r < r1; ++r) {
+                _mm_prefetch(reinterpret_cast<const char *>(
+                                 tile + r * k + c0 + feature_prefetch),
+                             _MM_HINT_T0);
                 const __m512i v =
                     _mm512_maskz_loadu_epi8(mask, tile + r * k + c0);
+                vlo = _mm512_min_epi8(vlo, v);
+                vhi = _mm512_max_epi8(vhi, v);
                 __m512i cls;
                 BFREE_CLASSIFY_512(v, cls);
                 fp = _mm512_add_epi8(fp, _mm512_shuffle_epi8(kFP, cls));
@@ -1236,6 +1293,10 @@ feature_sums_avx512(const std::int8_t *tile, std::size_t rows,
             spill_feature_bytes(buf, width, k, c0, sums);
         }
     }
+    alignas(64) std::int8_t lo[64], hi[64];
+    _mm512_store_si512(lo, vlo);
+    _mm512_store_si512(hi, vhi);
+    sums[feature_count * k] = pack_range(lo, hi, 64);
 }
 
 /**
@@ -1403,12 +1464,10 @@ histogram_eligible(const lut::DatapathTable &table)
 {
     // The gather-free tally requires the pristine steady state: every
     // product exact (widening multiply legal) and the whole delta
-    // plane verified against the class collapse. 8-bit operands are
-    // always in-domain, so no clamp/strict handling is needed there
-    // by construction. Everything else gathers.
+    // plane verified against the class collapse. The operand domain
+    // is the caller's obligation. Everything else gathers.
     return active_tally_mode() == TallyMode::Histogram
-           && table.bits() == 8 && table.productsExact()
-           && table.histogramExact();
+           && table.productsExact() && table.histogramExact();
 }
 
 SpanSums
@@ -1423,8 +1482,11 @@ run_span(const lut::DatapathTable &table, const std::int8_t *a,
     const bool strict =
         semantics == SpanSemantics::MatmulStrict && table.bits() == 4;
 
+    // The histogram span kernels have no clamp or strict check, so
+    // only 8-bit tables, whose int8 operands are always in domain,
+    // take them.
     [[maybe_unused]] const bool histogramEligible =
-        histogram_eligible(table);
+        table.bits() == 8 && histogram_eligible(table);
 
     switch (sim::active_simd_level()) {
 #ifdef BFREE_X86_KERNELS
@@ -1468,6 +1530,16 @@ class_feature_sums(const std::int8_t *tile, std::size_t rows,
       default:
         return feature_sums_scalar(tile, rows, k, sums);
     }
+}
+
+bool
+features_in_domain(const std::uint32_t *sums, std::size_t k,
+                   std::int32_t lo, std::int32_t hi)
+{
+    const std::uint32_t range = sums[feature_count * k];
+    const auto mn = static_cast<std::int8_t>(range & 0xFF);
+    const auto mx = static_cast<std::int8_t>((range >> 8) & 0xFF);
+    return mn >= lo && mx <= hi;
 }
 
 SpanSums

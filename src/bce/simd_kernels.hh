@@ -24,8 +24,9 @@
  *    suffers on skewed class distributions. Eligible only when the
  *    table reports productsExact() AND histogramExact(); anything
  *    else — a poisoned LUT row, a reference whose counts defeat the
- *    class collapse, 4-bit clamp/strict spans — takes the gather
- *    path.
+ *    class collapse — takes the gather path. 4-bit spans gather too:
+ *    the span kernels have no clamp or strict domain check (4-bit
+ *    tiles take the GEMM only when their operands are in domain).
  *
  *  - GATHER (the fallback, also forceable for differential testing):
  *    the per-element delta-plane gather of the original SoA engine,
@@ -111,10 +112,13 @@ SpanSums run_span(const lut::DatapathTable &table, const std::int8_t *a,
                   SpanSemantics semantics);
 
 /**
- * The gate of the gather-free tally: Histogram tally mode, an 8-bit
- * table, productsExact() and histogramExact(). run_span takes its
- * histogram kernels and the Bce tile entry points take the GEMM tile
- * exactly when this holds; everything else runs the per-span path.
+ * The gate of the gather-free tally, shared by span and tile dispatch:
+ * Histogram tally mode, productsExact() and histogramExact(). The Bce
+ * tile entry points take the GEMM tile when this holds and both
+ * operand sides lie in the table's domain (features_in_domain);
+ * run_span takes its histogram kernels when this holds on an 8-bit
+ * table, whose int8 operands are always in domain. Everything else
+ * runs the per-span (gather or scalar) path.
  */
 bool histogram_eligible(const lut::DatapathTable &table);
 
@@ -131,6 +135,13 @@ bool histogram_eligible(const lut::DatapathTable &table);
 //
 // with F_x(k) = sum_m f(x_mk) and F_w(k) = sum_n f(w_nk). F_w of frozen
 // weights is computed once at plan compile; F_x once per tile.
+//
+// The identity holds for any table whose deltas the class collapse
+// verifies (histogramExact), but the GEMM only reproduces the per-span
+// path when no operand needs the span's domain handling: 4-bit conv
+// spans clamp to [-8, 7] and 4-bit matmul spans refuse anything
+// outside [-8, 8]. The same pass that sums the features therefore also
+// records the operand range, in one trailing word per array.
 
 /** Class features per operand (p, o, l, z): the stride of the
  *  feature-sum arrays is feature_count * k words. */
@@ -139,12 +150,21 @@ constexpr std::size_t feature_count = 4;
 /**
  * Column sums of the class features of a rows x k row-major int8 tile:
  * sums[f * k + c] = sum over rows r of feature f of tile[r][c], for
- * f = p, o, l, z in that order (feature_count * k words, overwritten).
- * Dispatched on the active SIMD level through the in-register
- * classifier the histogram span kernels use.
+ * f = p, o, l, z in that order, then the operand range in
+ * sums[feature_count * k] (feature_count * k + 1 words, overwritten).
+ * The range is measured in-register in the same pass and always
+ * includes 0. Dispatched on the active SIMD level through the
+ * in-register classifier the histogram span kernels use.
  */
 void class_feature_sums(const std::int8_t *tile, std::size_t rows,
                         std::size_t k, std::uint32_t *sums);
+
+/**
+ * True when every operand the class_feature_sums array @p sums (of a
+ * k-column tile) was computed over lies in [lo, hi].
+ */
+bool features_in_domain(const std::uint32_t *sums, std::size_t k,
+                        std::int32_t lo, std::int32_t hi);
 
 /**
  * The micro-op tallies of a whole tile from its two feature-sum

@@ -59,13 +59,14 @@ using dnn::TensorArena;
 
 /**
  * Freeze the weight side of the tile tally: the class-feature column
- * sums of the rows x k frozen tile @p qw. Only 8-bit weights take the
- * tile path, so other precisions keep no sums.
+ * sums of the rows x k frozen tile @p qw, with the range word the
+ * tile's 4-bit domain check reads. Only int8-stored (4- and 8-bit)
+ * weights take the tile path, so wider precisions keep no sums.
  */
 void
 freeze_features(dnn::QuantizedWeights &qw, std::size_t rows, std::size_t k)
 {
-    if (qw.bits != 8)
+    if (!qw.narrow())
         return;
     qw.features.resize(bce::Bce::tileScratchWords(k));
     bce::simd::class_feature_sums(qw.q8.data(), rows, k,

@@ -93,8 +93,9 @@ struct QuantizedWeights
     std::vector<std::int32_t> q32;  ///< bits > 8 (scalar datapath).
     /**
      * Class-feature column sums of q8 viewed as the rows x k tile the
-     * kernels consume (bce::simd::class_feature_sums): the frozen
-     * weight side of the tile tally. Filled at plan compile for 8-bit
+     * kernels consume (bce::simd::class_feature_sums, trailing operand
+     * range word included): the frozen weight side of the tile tally
+     * and its domain check. Filled at plan compile for 4- and 8-bit
      * weights; empty otherwise, and then a tile computes it per call.
      */
     std::vector<std::uint32_t> features;

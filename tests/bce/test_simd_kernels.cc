@@ -385,11 +385,132 @@ TEST(SimdKernels, LongTilesMatchSingleSpansAtEveryLevel)
     });
 }
 
+namespace {
+
+/**
+ * In-domain 4-bit operands for one tile mode: every value in
+ * [-8, 7] (conv) or [-8, 8] (matmul), endpoints included.
+ */
+std::vector<std::int8_t>
+domain4(std::size_t n, int seed, BceMode mode)
+{
+    const int hi = mode == BceMode::Conv ? 7 : 8;
+    const int span = hi + 9;
+    std::vector<std::int8_t> v(n);
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = static_cast<std::int8_t>(
+            static_cast<int>((i * 37 + static_cast<std::size_t>(seed) * 101)
+                             % static_cast<std::size_t>(span))
+            - 8);
+    return v;
+}
+
+} // namespace
+
+TEST(SimdKernels, Tile4BitMatchesSingleSpansAtEveryLevel)
+{
+    // In-domain 4-bit operands take the GEMM tile. One activation byte
+    // or one weight byte just outside the conv domain (8, which conv
+    // spans clamp to 7) must send the tile back to the per-span loop;
+    // an out-of-domain matmul operand panics (the death test below).
+    for_each_runnable_level([](sim::SimdLevel level) {
+        for (const BceMode mode : {BceMode::Conv, BceMode::Matmul}) {
+            const std::string ctx =
+                std::string(sim::simd_level_name(level)) + " "
+                + bce::simd::tally_mode_name(
+                    bce::simd::active_tally_mode())
+                + (mode == BceMode::Conv ? " conv" : " matmul");
+            Engine tile(ExecTier::Tiered);
+            Engine spans(ExecTier::Tiered);
+            for (std::size_t k = 1; k <= 80; ++k) {
+                for (const std::size_t m : tile_dims) {
+                    for (const std::size_t n : tile_dims) {
+                        auto a = domain4(m * k, int(k + m), mode);
+                        auto w = domain4(n * k, int(k + 7 * n), mode);
+                        // Both endpoints appear in every tile.
+                        a[0] = -8;
+                        w[w.size() - 1] = mode == BceMode::Conv ? 7 : 8;
+                        const bool frozen = (k + m + n) % 2 == 0;
+                        expect_tile_matches_spans(tile, spans, mode, a, w,
+                                                  m, k, n, 4, frozen, ctx);
+                        // The fallback reference is m*n spans; the
+                        // block edges (m, n <= 9) cover its shapes.
+                        if (mode == BceMode::Matmul || m > 9 || n > 9)
+                            continue;
+                        auto aOut = a;
+                        aOut[(m * k) / 2] = 8;
+                        expect_tile_matches_spans(
+                            tile, spans, mode, aOut, w, m, k, n, 4, frozen,
+                            ctx + " activation out of domain");
+                        auto wOut = w;
+                        wOut[(n * k) / 3] = 8;
+                        expect_tile_matches_spans(
+                            tile, spans, mode, a, wOut, m, k, n, 4, !frozen,
+                            ctx + " weight out of domain");
+                    }
+                }
+            }
+            expect_engines_identical(spans, tile, ctx);
+        }
+    });
+}
+
+TEST(SimdKernels, ClassFeatureSumsRecordTheOperandRange)
+{
+    // The range word: exact at every ISA, over every ragged width the
+    // vector kernels block by, with the extremes anywhere in the tile.
+    for (const sim::SimdLevel level :
+         {sim::SimdLevel::Scalar, sim::SimdLevel::Sse42,
+          sim::SimdLevel::Neon, sim::SimdLevel::Avx2,
+          sim::SimdLevel::Avx512}) {
+        if (!sim::simd_level_compiled(level)
+            || !sim::simd_level_supported(level))
+            continue;
+        sim::force_simd_level(level);
+        const std::string ctx = sim::simd_level_name(level);
+        for (std::size_t k = 1; k <= 80; ++k) {
+            const std::size_t rows = 3;
+            std::vector<std::int8_t> t(rows * k, 3);
+            std::vector<std::uint32_t> sums(bce::Bce::tileScratchWords(k));
+            bce::simd::class_feature_sums(t.data(), rows, k, sums.data());
+            // The range always includes 0.
+            EXPECT_TRUE(bce::simd::features_in_domain(sums.data(), k, 0, 3))
+                << ctx << " k " << k;
+            EXPECT_FALSE(bce::simd::features_in_domain(sums.data(), k, 0, 2))
+                << ctx << " k " << k;
+            t[(k * 7) % t.size()] = -9;
+            t[t.size() - 1] = 8;
+            bce::simd::class_feature_sums(t.data(), rows, k, sums.data());
+            EXPECT_TRUE(
+                bce::simd::features_in_domain(sums.data(), k, -9, 8))
+                << ctx << " k " << k;
+            EXPECT_FALSE(
+                bce::simd::features_in_domain(sums.data(), k, -8, 8))
+                << ctx << " k " << k;
+            EXPECT_FALSE(
+                bce::simd::features_in_domain(sums.data(), k, -9, 7))
+                << ctx << " k " << k;
+            t[0] = -128;
+            t[1 % t.size()] = 127;
+            bce::simd::class_feature_sums(t.data(), rows, k, sums.data());
+            EXPECT_TRUE(
+                bce::simd::features_in_domain(sums.data(), k, -128, 127))
+                << ctx << " k " << k;
+            EXPECT_FALSE(
+                bce::simd::features_in_domain(sums.data(), k, -127, 127))
+                << ctx << " k " << k;
+        }
+    }
+    sim::reset_simd_level();
+}
+
 TEST(SimdKernels, TileFallbacksMatchSingleSpansAtEveryLevel)
 {
     // Shapes that must leave the GEMM tile for the per-span loop:
-    // 4-bit operands, the Legacy tier, a poisoned LUT row, and a LUT
-    // rewrite between two tiles (the reseeded table must be served).
+    // full-range 4-bit conv operands (frozen features present, but the
+    // range is out of domain), the Legacy tier, a poisoned LUT row,
+    // and a LUT rewrite between two tiles (the reseeded table must be
+    // served). In-domain 4-bit matmul operands ride along on the GEMM.
     for_each_runnable_level([](sim::SimdLevel level) {
         const std::string ctx = sim::simd_level_name(level);
         const std::size_t m = 5, k = 37, n = 6;
@@ -469,19 +590,38 @@ TEST(SimdKernels, EmptyTileIsANoOp)
 
 namespace {
 
+/** How an out-of-domain 4-bit matmul reaches the datapath. */
+enum class MatmulEntry
+{
+    Span,         ///< matmulDotSpan
+    Tile,         ///< matmulTile, features computed per call
+    FrozenTile,   ///< matmulTile with frozen weight features
+};
+
 /** Mid-span out-of-domain 4-bit matmul at a pinned level: must die. */
 void
-run_out_of_range_matmul(sim::SimdLevel level)
+run_out_of_range_matmul(sim::SimdLevel level, MatmulEntry entry)
 {
     sim::force_simd_level(level);
     Engine e(ExecTier::Tiered);
     e.bce.setMode(BceMode::Matmul);
     // 9 overflows the 4-bit magnitude limit; it sits mid-span so the
     // kernel must detect it before any table gather could read out of
-    // bounds.
+    // bounds. As a 1 x 12 activation row against two in-domain weight
+    // rows it must also keep the tile off its GEMM path.
     const std::int8_t a[12] = {1, 2, 3, 4, 5, 6, 9, 1, 2, 3, 4, 5};
-    const std::int8_t b[12] = {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1};
-    (void)e.bce.matmulDotSpan(a, b, 12, 4);
+    const std::int8_t b[24] = {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+                               2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2};
+    if (entry == MatmulEntry::Span) {
+        (void)e.bce.matmulDotSpan(a, b, 12, 4);
+        return;
+    }
+    std::vector<std::uint32_t> features(bce::Bce::tileScratchWords(12));
+    bce::simd::class_feature_sums(b, 2, 12, features.data());
+    std::int32_t out[2] = {0, 0};
+    e.bce.matmulTile(a, b, out, 1, 12, 2, 4,
+                     entry == MatmulEntry::FrozenTile ? features.data()
+                                                      : nullptr);
 }
 
 } // namespace
@@ -495,8 +635,11 @@ TEST(SimdKernelsDeath, Matmul4BitOutOfRangePanicsAtEveryLevel)
         if (!sim::simd_level_compiled(level)
             || !sim::simd_level_supported(level))
             continue;
-        EXPECT_DEATH(run_out_of_range_matmul(level),
-                     "exceeds 4-bit range: 9");
+        for (const MatmulEntry entry :
+             {MatmulEntry::Span, MatmulEntry::Tile,
+              MatmulEntry::FrozenTile})
+            EXPECT_DEATH(run_out_of_range_matmul(level, entry),
+                         "exceeds 4-bit range: 9");
     }
     sim::reset_simd_level();
 }

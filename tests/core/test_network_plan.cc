@@ -207,7 +207,7 @@ TEST(NetworkPlan, QMatmulFrozenMatchesPerCallFreeze)
     for (float &v : w)
         v = static_cast<float>(rng.uniformReal(-1.0, 1.0));
 
-    for (unsigned bits : {8u, 16u}) {
+    for (unsigned bits : {4u, 8u, 16u}) {
         const QuantizedWeights frozen =
             freeze_weights_transposed(w.data(), 7, 3, bits);
         FunctionalExecutor e1;
@@ -268,36 +268,48 @@ TEST(NetworkPlanBatch, BitIdenticalToSequentialAtAnyThreadCount)
 
 TEST(NetworkPlan, SteadyStateMakesZeroHeapAllocations)
 {
-    const Network net = make_tiny_cnn();
-    bfree::sim::Rng rng(55);
-    const NetworkWeights weights = random_weights(net, rng);
-    const NetworkPlan plan = NetworkPlan::compile(net, weights, 8);
+    // At both tile precisions: a 4-bit plan without frozen weight
+    // features (range word included) would heap-allocate them per
+    // tile call.
+    for (const unsigned bits : {4u, 8u}) {
+        const Network net = make_tiny_cnn();
+        bfree::sim::Rng rng(55);
+        const NetworkWeights weights = random_weights(net, rng);
+        const NetworkPlan plan = NetworkPlan::compile(net, weights, bits);
+        for (const PlannedLayer &pl : plan.layers())
+            for (const QuantizedWeights &qw : pl.frozen)
+                EXPECT_NE(qw.featureSums(), nullptr)
+                    << pl.layer.name << " at " << bits << " bits";
 
-    FloatTensor input({1, 8, 8});
-    input.fillUniform(rng, 0.0, 1.0);
-    std::vector<float> output(plan.outputElems());
+        FloatTensor input({1, 8, 8});
+        input.fillUniform(rng, 0.0, 1.0);
+        std::vector<float> output(plan.outputElems());
 
-    FunctionalExecutor exec;
-    // First run sizes the arena and seeds the memoized datapath tables.
-    exec.runInto(plan, input.data(), plan.inputElems(), output.data(),
-                 output.size());
+        FunctionalExecutor exec;
+        // First run sizes the arena and seeds the memoized datapath
+        // tables.
+        exec.runInto(plan, input.data(), plan.inputElems(), output.data(),
+                     output.size());
 
-    const std::uint64_t before =
-        g_heap_allocs.load(std::memory_order_relaxed);
-    const std::uint64_t arena_before = exec.arena().allocCount();
-    exec.runInto(plan, input.data(), plan.inputElems(), output.data(),
-                 output.size());
-    const std::uint64_t after =
-        g_heap_allocs.load(std::memory_order_relaxed);
+        const std::uint64_t before =
+            g_heap_allocs.load(std::memory_order_relaxed);
+        const std::uint64_t arena_before = exec.arena().allocCount();
+        exec.runInto(plan, input.data(), plan.inputElems(), output.data(),
+                     output.size());
+        const std::uint64_t after =
+            g_heap_allocs.load(std::memory_order_relaxed);
 
-    EXPECT_EQ(after - before, 0u)
-        << "steady-state runInto must not touch the heap";
-    // The scratch really is served by the arena, not skipped.
-    EXPECT_GT(exec.arena().allocCount(), arena_before);
-    // And the planning pass sized it exactly: the run fills the arena
-    // to the byte, never beyond.
-    EXPECT_EQ(exec.arena().capacity(), plan.stats().arenaBytes);
-    EXPECT_EQ(exec.arena().highWater(), plan.stats().arenaBytes);
+        EXPECT_EQ(after - before, 0u)
+            << "steady-state runInto must not touch the heap at " << bits
+            << " bits";
+        // The scratch really is served by the arena, not skipped.
+        EXPECT_GT(exec.arena().allocCount(), arena_before) << bits;
+        // And the planning pass sized it exactly: the run fills the
+        // arena to the byte, never beyond.
+        EXPECT_EQ(exec.arena().capacity(), plan.stats().arenaBytes) << bits;
+        EXPECT_EQ(exec.arena().highWater(), plan.stats().arenaBytes)
+            << bits;
+    }
 }
 
 TEST(NetworkPlan, FrontendSelectionFollowsGeometryPolicy)
