@@ -344,7 +344,8 @@ bool
 Bce::runTile(const lut::DatapathTable &t, const std::int8_t *a,
              const std::int8_t *b, std::int32_t *out, std::size_t m,
              std::size_t k, std::size_t n, unsigned bits,
-             const std::uint32_t *bFeatures, std::uint32_t *scratch)
+             const std::uint32_t *bFeatures, const std::int32_t *bRowSums,
+             std::uint32_t *scratch)
 {
     std::vector<std::uint32_t> ownX, ownB;
     if (scratch == nullptr) {
@@ -371,7 +372,7 @@ Bce::runTile(const lut::DatapathTable &t, const std::int8_t *a,
 
     if (_mode == BceMode::Conv)
         std::fill(out, out + m * n, 0);
-    simd::gemm_i8(a, b, out, m, k, n);
+    simd::gemm_i8(a, b, out, m, k, n, bRowSums);
 
     // sum_{spans} sum_k f(x)f(w) = sum_k F_x(k) F_w(k): the tile's
     // micro-op tallies are exactly the m*n per-span tallies summed.
@@ -398,7 +399,8 @@ void
 Bce::convTile(const std::int8_t *a, const std::int8_t *w,
               std::int32_t *out, std::size_t m, std::size_t k,
               std::size_t n, unsigned bits,
-              const std::uint32_t *wFeatures, std::uint32_t *scratch)
+              const std::uint32_t *wFeatures, const std::int32_t *wRowSums,
+              std::uint32_t *scratch)
 {
     if (_mode != BceMode::Conv)
         bfree_panic("convTile requires conv mode");
@@ -407,7 +409,8 @@ Bce::convTile(const std::int8_t *a, const std::int8_t *w,
         && m > 0 && n > 0) {
         const lut::DatapathTable &t = convTable(bits);
         if (simd::histogram_eligible(t)
-            && runTile(t, a, w, out, m, k, n, bits, wFeatures, scratch))
+            && runTile(t, a, w, out, m, k, n, bits, wFeatures, wRowSums,
+                       scratch))
             return;
     }
     for (std::size_t i = 0; i < m; ++i)
@@ -420,7 +423,8 @@ void
 Bce::matmulTile(const std::int8_t *a, const std::int8_t *bt,
                 std::int32_t *out, std::size_t m, std::size_t k,
                 std::size_t n, unsigned bits,
-                const std::uint32_t *btFeatures, std::uint32_t *scratch)
+                const std::uint32_t *btFeatures,
+                const std::int32_t *btRowSums, std::uint32_t *scratch)
 {
     if (_mode != BceMode::Matmul)
         bfree_panic("matmulTile requires matmul mode");
@@ -429,7 +433,8 @@ Bce::matmulTile(const std::int8_t *a, const std::int8_t *bt,
         && m > 0 && n > 0) {
         const lut::DatapathTable &t = romTable(bits);
         if (simd::histogram_eligible(t)
-            && runTile(t, a, bt, out, m, k, n, bits, btFeatures, scratch))
+            && runTile(t, a, bt, out, m, k, n, bits, btFeatures,
+                       btRowSums, scratch))
             return;
     }
     for (std::size_t i = 0; i < m; ++i)

@@ -144,7 +144,8 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
                                                   layer.strideW, patch,
                                                   patch_len);
                 bce.convTile(patch, fw.q8.data(), accs, o.w, patch_len,
-                             o.c, bits, fw.featureSums(), tileScratch);
+                             o.c, bits, fw.featureSums(), fw.rowSumData(),
+                             tileScratch);
                 store(oh, 0);
                 continue;
             }
@@ -155,7 +156,8 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
                 else
                     dnn::im2col_patch_i8(layer, qin, oh, ow, patch);
                 bce.convTile(patch, fw.q8.data(), accs, 1, patch_len,
-                             o.c, bits, fw.featureSums(), tileScratch);
+                             o.c, bits, fw.featureSums(), fw.rowSumData(),
+                             tileScratch);
                 store(oh, ow);
             }
         }
@@ -233,7 +235,7 @@ FunctionalExecutor::runFcInto(const PlannedLayer &pl, unsigned bits,
             arena_.alloc<std::uint32_t>(bce::Bce::tileScratchWords(k));
         std::fill(accs, accs + n, 0);
         bce.matmulTile(qin, fw.q8.data(), accs, 1, k, n, bits,
-                       fw.featureSums(), tileScratch);
+                       fw.featureSums(), fw.rowSumData(), tileScratch);
         for (unsigned o = 0; o < layer.outFeatures; ++o)
             out[o] = static_cast<float>(accs[o] * fw.scale.scale
                                         * qi.scale)
@@ -420,7 +422,7 @@ FunctionalExecutor::qMatmulFrozen(const dnn::FloatTensor &a,
 
         std::vector<std::int32_t> accs(m * n, 0);
         bce.matmulTile(qrows.data(), wt.q8.data(), accs.data(), m, k, n,
-                       bits, wt.featureSums());
+                       bits, wt.featureSums(), wt.rowSumData());
         for (std::size_t i = 0; i < m; ++i)
             for (std::size_t j = 0; j < n; ++j)
                 out.at(i, j) =

@@ -58,9 +58,10 @@ namespace {
 using dnn::TensorArena;
 
 /**
- * Freeze the weight side of the tile tally: the class-feature column
- * sums of the rows x k frozen tile @p qw, with the range word the
- * tile's 4-bit domain check reads. Only int8-stored (4- and 8-bit)
+ * Freeze the weight side of the tile: the class-feature column sums of
+ * the rows x k frozen tile @p qw, with the range word the tile's 4-bit
+ * domain check reads, and the per-row sums the VNNI GEMM core
+ * subtracts its activation bias with. Only int8-stored (4- and 8-bit)
  * weights take the tile path, so wider precisions keep no sums.
  */
 void
@@ -71,6 +72,8 @@ freeze_features(dnn::QuantizedWeights &qw, std::size_t rows, std::size_t k)
     qw.features.resize(bce::Bce::tileScratchWords(k));
     bce::simd::class_feature_sums(qw.q8.data(), rows, k,
                                   qw.features.data());
+    qw.rowSums.resize(rows);
+    bce::simd::weight_row_sums(qw.q8.data(), rows, k, qw.rowSums.data());
 }
 
 /** Report a planning failure: fatal by default, or recorded in @p err

@@ -192,6 +192,7 @@ quantize_span_fn()
     switch (sim::active_simd_level()) {
 #ifdef BFREE_X86_QUANTIZE
       case sim::SimdLevel::Avx512:
+      case sim::SimdLevel::Avx512Vnni:
         return &quantize_span_avx512;
       case sim::SimdLevel::Avx2:
         return &quantize_span_avx2;

@@ -99,6 +99,12 @@ struct QuantizedWeights
      * weights; empty otherwise, and then a tile computes it per call.
      */
     std::vector<std::uint32_t> features;
+    /**
+     * Per-row sums of the same tile (bce::simd::weight_row_sums), one
+     * word per weight row: the bias correction of the VNNI GEMM core.
+     * Frozen, and left empty, together with features.
+     */
+    std::vector<std::int32_t> rowSums;
 
     /** The frozen feature sums, or null when none were frozen. */
     const std::uint32_t *
@@ -107,11 +113,22 @@ struct QuantizedWeights
         return features.empty() ? nullptr : features.data();
     }
 
+    /** The frozen row sums, or null when none were frozen. */
+    const std::int32_t *
+    rowSumData() const
+    {
+        return rowSums.empty() ? nullptr : rowSums.data();
+    }
+
     bool narrow() const { return bits <= 8; }
     std::size_t count() const { return narrow() ? q8.size() : q32.size(); }
+    /** Everything frozen for this tensor: the quantized values plus
+     *  the feature and row sums frozen beside them. */
     std::size_t frozenBytes() const
     {
-        return narrow() ? q8.size() : q32.size() * sizeof(std::int32_t);
+        return (narrow() ? q8.size() : q32.size() * sizeof(std::int32_t))
+               + features.size() * sizeof(std::uint32_t)
+               + rowSums.size() * sizeof(std::int32_t);
     }
 };
 

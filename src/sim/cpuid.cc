@@ -17,8 +17,8 @@ SimdLevel
 widest_available()
 {
     for (const SimdLevel level :
-         {SimdLevel::Avx512, SimdLevel::Avx2, SimdLevel::Neon,
-          SimdLevel::Sse42}) {
+         {SimdLevel::Avx512Vnni, SimdLevel::Avx512, SimdLevel::Avx2,
+          SimdLevel::Neon, SimdLevel::Sse42}) {
         if (simd_level_compiled(level) && simd_level_supported(level))
             return level;
     }
@@ -31,12 +31,13 @@ parse_level(const char *name)
 {
     for (const SimdLevel level :
          {SimdLevel::Scalar, SimdLevel::Sse42, SimdLevel::Neon,
-          SimdLevel::Avx2, SimdLevel::Avx512}) {
+          SimdLevel::Avx2, SimdLevel::Avx512, SimdLevel::Avx512Vnni}) {
         if (!std::strcmp(name, simd_level_name(level)))
             return level;
     }
     bfree_fatal("BFREE_FORCE_ISA=", name, " is not a known ISA "
-                "(expected scalar, sse42, neon, avx2 or avx512)");
+                "(expected scalar, sse42, neon, avx2, avx512 or "
+                "avx512vnni)");
 }
 
 /** Validate a requested level against the binary and the CPU. */
@@ -85,6 +86,8 @@ simd_level_name(SimdLevel level)
         return "avx2";
       case SimdLevel::Avx512:
         return "avx512";
+      case SimdLevel::Avx512Vnni:
+        return "avx512vnni";
     }
     return "unknown";
 }
@@ -98,6 +101,7 @@ simd_level_compiled(SimdLevel level)
       case SimdLevel::Sse42:
       case SimdLevel::Avx2:
       case SimdLevel::Avx512:
+      case SimdLevel::Avx512Vnni:
 #if defined(__x86_64__) || defined(__i386__)
         return true;
 #else
@@ -140,6 +144,13 @@ simd_level_supported(SimdLevel level)
         return __builtin_cpu_supports("avx512f") != 0
                && __builtin_cpu_supports("avx512bw") != 0
                && __builtin_cpu_supports("avx512vl") != 0;
+#else
+        return false;
+#endif
+      case SimdLevel::Avx512Vnni:
+#if defined(__x86_64__) || defined(__i386__)
+        return simd_level_supported(SimdLevel::Avx512)
+               && __builtin_cpu_supports("avx512vnni") != 0;
 #else
         return false;
 #endif

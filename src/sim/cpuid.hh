@@ -3,7 +3,8 @@
  * Runtime CPU-feature detection and SIMD dispatch policy.
  *
  * The tiered datapath's span kernels exist in several ISA variants
- * (scalar, SSE4.2, AVX2, AVX-512, NEON), all compiled into one binary
+ * (scalar, SSE4.2, AVX2, AVX-512, AVX512-VNNI, NEON), all compiled into
+ * one binary
  * via function-level target attributes. This module decides, once per
  * process, which variant the dispatchers hand out:
  *
@@ -12,8 +13,11 @@
  *  - `BFREE_FORCE_SCALAR=1` in the environment forces the scalar
  *    fallback (CI uses this to differentially verify every SIMD
  *    variant against the scalar tier on one host);
- *  - `BFREE_FORCE_ISA=scalar|sse42|avx2|avx512|neon` pins one specific
- *    level.
+ *  - `BFREE_FORCE_ISA=scalar|sse42|avx2|avx512|avx512vnni|neon` pins
+ *    one specific level. `avx512` and `avx512vnni` run the same span,
+ *    feature-sum and quantize kernels and differ only in the int8
+ *    GEMM core (widening `madd` versus `vpdpbusd`), so forcing
+ *    `avx512` on a VNNI host keeps the `madd` core covered.
  *    Requesting a level the binary lacks or the CPU cannot execute is
  *    a fatal configuration error — it fails loudly instead of silently
  *    degrading, so a CI matrix knows it exercised what it asked for.
@@ -36,9 +40,12 @@ enum class SimdLevel
     Neon = 2,   ///< 128-bit AArch64 Advanced SIMD.
     Avx2 = 3,   ///< 256-bit x86 with hardware gather.
     Avx512 = 4, ///< 512-bit x86 (requires the F+BW+VL feature trio).
+    /** Avx512 plus VNNI: the int8 GEMM runs on vpdpbusd. */
+    Avx512Vnni = 5,
 };
 
-/** Human-readable name ("scalar", "sse42", "neon", "avx2", "avx512"). */
+/** Human-readable name ("scalar", "sse42", "neon", "avx2", "avx512",
+ *  "avx512vnni"). */
 const char *simd_level_name(SimdLevel level);
 
 /** True when this binary carries kernels for @p level (compile-time). */

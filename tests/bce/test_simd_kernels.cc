@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -102,7 +103,7 @@ for_each_runnable_level(Body &&body)
     for (const sim::SimdLevel level :
          {sim::SimdLevel::Scalar, sim::SimdLevel::Sse42,
           sim::SimdLevel::Neon, sim::SimdLevel::Avx2,
-          sim::SimdLevel::Avx512}) {
+          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni}) {
         if (!sim::simd_level_compiled(level)
             || !sim::simd_level_supported(level))
             continue;
@@ -293,9 +294,12 @@ expect_tile_matches_spans(Engine &tile, Engine &spans, BceMode mode,
     tile.bce.setMode(mode);
     spans.bce.setMode(mode);
     std::vector<std::uint32_t> wFeatures, scratch;
+    std::vector<std::int32_t> wRowSums;
     if (frozen) {
         wFeatures.resize(bce::Bce::tileScratchWords(k));
         bce::simd::class_feature_sums(w.data(), n, k, wFeatures.data());
+        wRowSums.resize(n);
+        bce::simd::weight_row_sums(w.data(), n, k, wRowSums.data());
         scratch.resize(bce::Bce::tileScratchWords(k));
     }
     // Matmul tiles accumulate: start from a non-zero output.
@@ -303,6 +307,7 @@ expect_tile_matches_spans(Engine &tile, Engine &spans, BceMode mode,
     if (mode == BceMode::Conv) {
         tile.bce.convTile(a.data(), w.data(), got.data(), m, k, n, bits,
                           frozen ? wFeatures.data() : nullptr,
+                          frozen ? wRowSums.data() : nullptr,
                           frozen ? scratch.data() : nullptr);
         for (std::size_t i = 0; i < m; ++i)
             for (std::size_t j = 0; j < n; ++j)
@@ -311,6 +316,7 @@ expect_tile_matches_spans(Engine &tile, Engine &spans, BceMode mode,
     } else {
         tile.bce.matmulTile(a.data(), w.data(), got.data(), m, k, n, bits,
                             frozen ? wFeatures.data() : nullptr,
+                            frozen ? wRowSums.data() : nullptr,
                             frozen ? scratch.data() : nullptr);
         for (std::size_t i = 0; i < m; ++i)
             for (std::size_t j = 0; j < n; ++j)
@@ -462,7 +468,7 @@ TEST(SimdKernels, ClassFeatureSumsRecordTheOperandRange)
     for (const sim::SimdLevel level :
          {sim::SimdLevel::Scalar, sim::SimdLevel::Sse42,
           sim::SimdLevel::Neon, sim::SimdLevel::Avx2,
-          sim::SimdLevel::Avx512}) {
+          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni}) {
         if (!sim::simd_level_compiled(level)
             || !sim::simd_level_supported(level))
             continue;
@@ -502,6 +508,147 @@ TEST(SimdKernels, ClassFeatureSumsRecordTheOperandRange)
         }
     }
     sim::reset_simd_level();
+}
+
+// ---------------------------------------------------------------------
+// gemm_i8 itself, against a scalar reference
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Every runnable SIMD level; restores the resolved level. The GEMM
+ *  does not read the tally mode, so no tally sweep. */
+template <typename Body>
+void
+for_each_gemm_level(Body &&body)
+{
+    for (const sim::SimdLevel level :
+         {sim::SimdLevel::Scalar, sim::SimdLevel::Sse42,
+          sim::SimdLevel::Neon, sim::SimdLevel::Avx2,
+          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni}) {
+        if (!sim::simd_level_compiled(level)
+            || !sim::simd_level_supported(level))
+            continue;
+        sim::force_simd_level(level);
+        body(level);
+    }
+    sim::reset_simd_level();
+}
+
+/** out[i * n + j] += dot(a[i], b[j]), wrapped mod 2^32 element by
+ *  element. */
+void
+gemm_reference(const std::vector<std::int8_t> &a,
+               const std::vector<std::int8_t> &b, std::vector<std::int32_t> &out,
+               std::size_t m, std::size_t k, std::size_t n)
+{
+    for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+            auto acc = static_cast<std::uint32_t>(out[i * n + j]);
+            for (std::size_t p = 0; p < k; ++p)
+                acc += static_cast<std::uint32_t>(
+                    std::int32_t{a[i * k + p]} * b[j * k + p]);
+            out[i * n + j] = static_cast<std::int32_t>(acc);
+        }
+}
+
+/** Run the dispatched GEMM on a copy of @p out, with the weight row
+ *  sums frozen (passed in) or left to the core, against the reference. */
+void
+expect_gemm_matches_reference(const std::vector<std::int8_t> &a,
+                              const std::vector<std::int8_t> &b,
+                              const std::vector<std::int32_t> &out,
+                              std::size_t m, std::size_t k, std::size_t n,
+                              bool frozenSums, const std::string &ctx)
+{
+    std::vector<std::int32_t> rowSums;
+    if (frozenSums) {
+        rowSums.resize(n);
+        bce::simd::weight_row_sums(b.data(), n, k, rowSums.data());
+    }
+    std::vector<std::int32_t> want = out, got = out;
+    gemm_reference(a, b, want, m, k, n);
+    bce::simd::gemm_i8(a.data(), b.data(), got.data(), m, k, n,
+                       frozenSums ? rowSums.data() : nullptr);
+    ASSERT_EQ(want, got) << ctx << " m " << m << " k " << k << " n " << n
+                         << (frozenSums ? " frozen" : " per-call")
+                         << " row sums";
+}
+
+} // namespace
+
+TEST(SimdKernels, GemmMatchesScalarReferenceAtEveryLevel)
+{
+    // Every block edge (1 x NR, MR x 1, 1 x 1) against every K up to
+    // 130: two whole 64-byte VNNI steps plus every mask width, and
+    // every 32-, 16- and 8-byte madd step and tail. The incoming out
+    // is non-zero (matmul accumulates into it).
+    for_each_gemm_level([](sim::SimdLevel level) {
+        const std::string ctx = sim::simd_level_name(level);
+        for (std::size_t k = 1; k <= 130; ++k) {
+            for (const std::size_t m : tile_dims) {
+                for (const std::size_t n : tile_dims) {
+                    const auto a = full_range(m * k, int(k + 3 * m));
+                    const auto b = full_range(n * k, int(k + 5 * n));
+                    std::vector<std::int32_t> out(m * n);
+                    for (std::size_t i = 0; i < out.size(); ++i)
+                        out[i] = static_cast<std::int32_t>(i * 7919) - 1000;
+                    expect_gemm_matches_reference(a, b, out, m, k, n,
+                                                  (k + m + n) % 2 == 0, ctx);
+                }
+            }
+        }
+    });
+}
+
+TEST(SimdKernels, GemmExtremeSumsExactAtEveryLevel)
+{
+    // The largest sums the VNNI bias trick sees: fc6's K = 25088 with
+    // all -128 activations against all -128 and all +127 weight rows
+    // (its biased lanes read 0, the row sums are at their extremes),
+    // accumulated onto outputs at both ends of int32 so the sums wrap.
+    const std::size_t k = 25088;
+    for_each_gemm_level([k](sim::SimdLevel level) {
+        const std::string ctx = sim::simd_level_name(level);
+        for (const auto &[m, n] :
+             {std::pair<std::size_t, std::size_t>{1, 1}, {5, 6}, {4, 8}}) {
+            const std::vector<std::int8_t> a(m * k, std::int8_t{-128});
+            std::vector<std::int8_t> b(n * k, std::int8_t{-128});
+            for (std::size_t j = 1; j < n; j += 2)
+                std::fill(b.begin() + j * k, b.begin() + (j + 1) * k,
+                          std::int8_t{127});
+            std::vector<std::int32_t> out(m * n);
+            for (std::size_t i = 0; i < out.size(); ++i)
+                out[i] = i % 2 == 0 ? std::numeric_limits<std::int32_t>::max()
+                                    : std::numeric_limits<std::int32_t>::min();
+            for (const bool frozen : {false, true})
+                expect_gemm_matches_reference(a, b, out, m, k, n, frozen,
+                                              ctx);
+        }
+    });
+}
+
+TEST(SimdKernels, WeightRowSumsMatchScalarAtEveryLevel)
+{
+    for_each_gemm_level([](sim::SimdLevel level) {
+        const std::string ctx = sim::simd_level_name(level);
+        for (const std::size_t k :
+             {std::size_t{1}, std::size_t{27}, std::size_t{63},
+              std::size_t{64}, std::size_t{65}, std::size_t{130},
+              std::size_t{25088}}) {
+            const std::size_t rows = 3;
+            auto t = full_range(rows * k, int(k));
+            std::fill(t.begin(), t.begin() + k, std::int8_t{-128});
+            std::vector<std::int32_t> got(rows);
+            bce::simd::weight_row_sums(t.data(), rows, k, got.data());
+            for (std::size_t r = 0; r < rows; ++r) {
+                std::int32_t want = 0;
+                for (std::size_t p = 0; p < k; ++p)
+                    want += t[r * k + p];
+                EXPECT_EQ(want, got[r]) << ctx << " k " << k << " row " << r;
+            }
+        }
+    });
 }
 
 TEST(SimdKernels, TileFallbacksMatchSingleSpansAtEveryLevel)
@@ -631,7 +778,7 @@ TEST(SimdKernelsDeath, Matmul4BitOutOfRangePanicsAtEveryLevel)
     for (const sim::SimdLevel level :
          {sim::SimdLevel::Scalar, sim::SimdLevel::Sse42,
           sim::SimdLevel::Neon, sim::SimdLevel::Avx2,
-          sim::SimdLevel::Avx512}) {
+          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni}) {
         if (!sim::simd_level_compiled(level)
             || !sim::simd_level_supported(level))
             continue;
@@ -794,7 +941,7 @@ TEST(SimdKernels, HistogramAndGatherEnginesByteIdentical)
     // fed the same spans. Sums, stats and energy must be identical.
     for (const sim::SimdLevel level :
          {sim::SimdLevel::Sse42, sim::SimdLevel::Avx2,
-          sim::SimdLevel::Avx512}) {
+          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni}) {
         if (!sim::simd_level_compiled(level)
             || !sim::simd_level_supported(level))
             continue;

@@ -118,6 +118,34 @@ TEST(NetworkPlan, EstimateMatchesCompileSizing)
     }
 }
 
+TEST(NetworkPlan, FrozenBytesCountFeatureAndRowSums)
+{
+    // The frozen footprint is everything compile froze: the quantized
+    // values plus, for tile precisions, one feature array per weight
+    // tensor and one row sum per weight row.
+    const Network net = make_tiny_cnn();
+    bfree::sim::Rng rng(13);
+    const NetworkWeights weights = random_weights(net, rng);
+    for (unsigned bits : {4u, 8u, 16u}) {
+        const NetworkPlan plan = NetworkPlan::compile(net, weights, bits);
+        std::size_t total = 0;
+        for (const PlannedLayer &pl : plan.layers()) {
+            for (const QuantizedWeights &qw : pl.frozen) {
+                const std::size_t values =
+                    qw.narrow() ? qw.q8.size()
+                                : qw.q32.size() * sizeof(std::int32_t);
+                EXPECT_EQ(qw.narrow(), !qw.rowSums.empty()) << bits;
+                EXPECT_EQ(qw.frozenBytes(),
+                          values + qw.features.size() * sizeof(std::uint32_t)
+                              + qw.rowSums.size() * sizeof(std::int32_t))
+                    << pl.layer.name << " at " << bits << " bits";
+                total += qw.frozenBytes();
+            }
+        }
+        EXPECT_EQ(plan.stats().frozenWeightBytes, total) << bits;
+    }
+}
+
 TEST(NetworkPlan, TinyCnnPlanMatchesLegacyBitwise)
 {
     const Network net = make_tiny_cnn();
@@ -268,9 +296,9 @@ TEST(NetworkPlanBatch, BitIdenticalToSequentialAtAnyThreadCount)
 
 TEST(NetworkPlan, SteadyStateMakesZeroHeapAllocations)
 {
-    // At both tile precisions: a 4-bit plan without frozen weight
-    // features (range word included) would heap-allocate them per
-    // tile call.
+    // At both tile precisions: a plan without frozen weight features
+    // (range word included) or row sums (read by the VNNI GEMM core)
+    // would heap-allocate them per tile call.
     for (const unsigned bits : {4u, 8u}) {
         const Network net = make_tiny_cnn();
         bfree::sim::Rng rng(55);
@@ -278,7 +306,8 @@ TEST(NetworkPlan, SteadyStateMakesZeroHeapAllocations)
         const NetworkPlan plan = NetworkPlan::compile(net, weights, bits);
         for (const PlannedLayer &pl : plan.layers())
             for (const QuantizedWeights &qw : pl.frozen)
-                EXPECT_NE(qw.featureSums(), nullptr)
+                EXPECT_TRUE(qw.featureSums() != nullptr
+                            && qw.rowSumData() != nullptr)
                     << pl.layer.name << " at " << bits << " bits";
 
         FloatTensor input({1, 8, 8});

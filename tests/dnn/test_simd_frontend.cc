@@ -37,7 +37,7 @@ for_each_runnable_level(Body &&body)
     for (const sim::SimdLevel level :
          {sim::SimdLevel::Scalar, sim::SimdLevel::Sse42,
           sim::SimdLevel::Neon, sim::SimdLevel::Avx2,
-          sim::SimdLevel::Avx512}) {
+          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni}) {
         if (!sim::simd_level_compiled(level)
             || !sim::simd_level_supported(level))
             continue;

@@ -22,6 +22,8 @@ TEST(Cpuid, LevelNamesAreStable)
     EXPECT_STREQ("avx2", sim::simd_level_name(sim::SimdLevel::Avx2));
     EXPECT_STREQ("avx512",
                  sim::simd_level_name(sim::SimdLevel::Avx512));
+    EXPECT_STREQ("avx512vnni",
+                 sim::simd_level_name(sim::SimdLevel::Avx512Vnni));
 }
 
 TEST(Cpuid, ScalarIsAlwaysCompiledAndSupported)
@@ -56,7 +58,7 @@ TEST(Cpuid, EveryCompiledAndSupportedLevelCanBeForced)
     for (const sim::SimdLevel level :
          {sim::SimdLevel::Scalar, sim::SimdLevel::Sse42,
           sim::SimdLevel::Neon, sim::SimdLevel::Avx2,
-          sim::SimdLevel::Avx512}) {
+          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni}) {
         if (!sim::simd_level_compiled(level)
             || !sim::simd_level_supported(level))
             continue;
@@ -136,6 +138,50 @@ TEST(CpuidDeath, ForceIsaAvx512ResolvesOrDies)
     sim::reset_simd_level();
 }
 
+TEST(Cpuid, WidestPickIsAvx512VnniOnAVnniCpu)
+{
+    // With no override, a CPU with VNNI dispatches the vpdpbusd GEMM
+    // core; one without it never reports the level as supported.
+    ASSERT_EQ(0, unsetenv("BFREE_FORCE_SCALAR"));
+    ASSERT_EQ(0, unsetenv("BFREE_FORCE_ISA"));
+    sim::reset_simd_level();
+    const bool vnni =
+        sim::simd_level_compiled(sim::SimdLevel::Avx512Vnni)
+        && sim::simd_level_supported(sim::SimdLevel::Avx512Vnni);
+    if (vnni) {
+        EXPECT_EQ(sim::SimdLevel::Avx512Vnni, sim::active_simd_level());
+        // VNNI implies the AVX-512 trio its kernels also use.
+        EXPECT_TRUE(sim::simd_level_supported(sim::SimdLevel::Avx512));
+    } else {
+        EXPECT_NE(sim::SimdLevel::Avx512Vnni, sim::active_simd_level());
+    }
+}
+
+TEST(CpuidDeath, ForcingAvx512VnniWithoutVnniIsFatal)
+{
+    // Programmatic and BFREE_FORCE_ISA forcing agree: the level runs
+    // where the CPU has VNNI and dies loudly everywhere else.
+    ASSERT_EQ(0, setenv("BFREE_FORCE_ISA", "avx512vnni", 1));
+    if (sim::simd_level_compiled(sim::SimdLevel::Avx512Vnni)
+        && sim::simd_level_supported(sim::SimdLevel::Avx512Vnni)) {
+        sim::force_simd_level(sim::SimdLevel::Avx512Vnni);
+        EXPECT_EQ(sim::SimdLevel::Avx512Vnni, sim::active_simd_level());
+        sim::reset_simd_level();
+        EXPECT_EQ(sim::SimdLevel::Avx512Vnni, sim::active_simd_level());
+    } else {
+        EXPECT_DEATH(sim::force_simd_level(sim::SimdLevel::Avx512Vnni),
+                     "not built with kernels|does not support");
+        EXPECT_DEATH(
+            {
+                sim::reset_simd_level();
+                (void)sim::active_simd_level();
+            },
+            "not built with kernels|does not support");
+    }
+    ASSERT_EQ(0, unsetenv("BFREE_FORCE_ISA"));
+    sim::reset_simd_level();
+}
+
 TEST(Cpuid, ForceIsaEnvironmentSelectsThatLevel)
 {
     ASSERT_EQ(0, setenv("BFREE_FORCE_ISA", "scalar", 1));
@@ -153,7 +199,7 @@ TEST(CpuidDeath, UnknownForceIsaNameIsFatal)
             sim::reset_simd_level();
             (void)sim::active_simd_level();
         },
-        "not a known ISA");
+        "not a known ISA.*avx512vnni");
     ASSERT_EQ(0, unsetenv("BFREE_FORCE_ISA"));
     sim::reset_simd_level();
 }

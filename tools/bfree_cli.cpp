@@ -25,6 +25,7 @@
 #include "dnn/quantize.hh"
 #include "serve/server.hh"
 #include "serve/trace.hh"
+#include "sim/cpuid.hh"
 #include "sim/parallel.hh"
 #include "verify/plan_verifier.hh"
 
@@ -56,7 +57,8 @@ usage(std::ostream &os)
           "  --plan-stats      compile a functional execution plan and\n"
           "                    print its footprint (arena bytes,\n"
           "                    per-layer scratch, frozen weights,\n"
-          "                    amortization counts), then exit\n"
+          "                    dispatched kernel level, amortization\n"
+          "                    counts), then exit\n"
           "  --serve-stats     replay a fixed-seed arrival trace\n"
           "                    through the serving front-end (request\n"
           "                    queue + continuous batcher) and dump the\n"
@@ -307,9 +309,11 @@ main(int argc, char **argv)
                     ps.arenaBytes, ps.activationBytes / 2,
                     ps.peakScratchBytes, ps.maxActivationElems);
         std::printf("frozen weights: %zu B (%llu values quantized once "
-                    "at compile)\n",
+                    "at compile, with their tile feature and row sums)\n",
                     ps.frozenWeightBytes,
                     static_cast<unsigned long long>(ps.frozenValues));
+        std::printf("kernels: %s\n",
+                    sim::simd_level_name(sim::active_simd_level()));
         if (ps.legacyFrontLayers + ps.fusedFrontLayers
                 + ps.elidedFrontLayers
             > 0) {
