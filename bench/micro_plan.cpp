@@ -69,17 +69,25 @@ ms_between(Clock::time_point a, Clock::time_point b)
 /**
  * Small CNN covering both conv front-end shapes: the 3x3 stride-1 and
  * 1x1 layers resolve to the elided front end, the 2x2 stride-2 layer
- * (disjoint windows) to the fused one. The --dump-stats block runs it
- * so the CI BFREE_FORCE_FRONTEND sweep byte-compares conv statistics
- * across legacy/fused/elided, not just the FC-only MLP.
+ * (disjoint windows) to the fused one. The two ReLUs fold into their
+ * convs' stores and the 2x2 / stride-2 max pool takes the vector pool
+ * path. The --dump-stats block runs it so the CI BFREE_FORCE_FRONTEND,
+ * ISA and thread sweeps byte-compare conv, ReLU and pool statistics,
+ * not just the FC-only MLP.
  */
 dnn::Network
 make_cnn()
 {
     dnn::Network net("cnn-frontend", {3, 8, 8});
     net.add(dnn::make_conv("c3x3", {3, 8, 8}, 8, 3, 1, 1));
+    net.add(dnn::make_activation("r3x3", dnn::LayerKind::Relu,
+                                 {8, 8, 8}));
     net.add(dnn::make_conv("c2x2s2", {8, 8, 8}, 8, 2, 2, 0));
     net.add(dnn::make_conv("c1x1", {8, 4, 4}, 4, 1, 1, 0));
+    net.add(dnn::make_activation("r1x1", dnn::LayerKind::Relu,
+                                 {4, 4, 4}));
+    net.add(dnn::make_pool("pool", dnn::LayerKind::MaxPool, {4, 4, 4}, 2,
+                           2, 0));
     return net;
 }
 

@@ -488,38 +488,16 @@ Bce::maxReduce(const std::int32_t *values, std::size_t n)
     return best;
 }
 
-namespace {
-
-/**
- * static_cast<int32_t>(std::lround(x * 256)), the Q8 value of an
- * activation, without the libm call on the common path. Inside
- * (-2^31, 2^31) truncation is exact and so is the fractional part
- * (float(t) is exact: |t| < 2^24, or x * 256 is already integral), so
- * stepping away from zero on |frac| >= 0.5 is lround's
- * round-half-away. Everything else (huge, infinite, NaN) takes lround
- * itself, wrap-around included.
- */
-inline std::int32_t
-q8(float x)
-{
-    const float f = x * 256.0f;
-    if (f > -2147483648.0f && f < 2147483648.0f) {
-        const auto t = static_cast<std::int32_t>(f);
-        const float frac = f - static_cast<float>(t);
-        return t + (frac >= 0.5f) - (frac <= -0.5f);
-    }
-    return static_cast<std::int32_t>(std::lround(f));
-}
-
-} // namespace
-
 void
 Bce::reluQ8(const float *in, float *out, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::int32_t q = q8(in[i]);
-        out[i] = static_cast<float>(q > 0 ? q : 0) / 256.0f;
-    }
+    simd::relu_q8_span(in, out, n);
+    bookRelu(n);
+}
+
+void
+Bce::bookRelu(std::size_t n)
+{
     // maxReduce({0, q}, 2) per element: one comparator add, one cycle.
     stats_.counts.adds += n;
     chargeCycles(n);
@@ -529,6 +507,17 @@ void
 Bce::poolQ8(const PoolShape &g, bool average, const lut::DivisionLut &div,
             const float *in, float *out)
 {
+    // Unpadded 2x2 / stride-2 max pooling (VGG's only pool) has a
+    // vector form: four taps, so 3 adds and 3 cycles per window.
+    if (!average && g.kernelH == 2 && g.kernelW == 2 && g.strideH == 2
+        && g.strideW == 2 && g.padH == 0 && g.padW == 0
+        && g.outH == g.inH / 2 && g.outW == g.inW / 2
+        && simd::max_pool_2x2_q8(in, g.channels, g.inH, g.inW, out)) {
+        const std::uint64_t windows = g.channels * g.outH * g.outW;
+        stats_.counts.adds += 3 * windows;
+        chargeCycles(3 * windows);
+        return;
+    }
     std::uint64_t adds = 0, cycles = 0;
     for (std::size_t c = 0; c < g.channels; ++c) {
         const float *plane = in + c * g.inH * g.inW;
@@ -555,7 +544,8 @@ Bce::poolQ8(const PoolShape &g, bool average, const lut::DivisionLut &div,
                 std::int64_t sum = 0;
                 for (std::size_t r = r0; r < r1; ++r) {
                     for (std::size_t s = s0; s < s1; ++s) {
-                        const std::int32_t v = q8(plane[r * g.inW + s]);
+                        const std::int32_t v =
+                            simd::q8(plane[r * g.inW + s]);
                         if (wn == 0 || v > best)
                             best = v;
                         sum += v;

@@ -297,10 +297,19 @@ class Bce
     void reluQ8(const float *in, float *out, std::size_t n);
 
     /**
+     * Book what reluQ8 over @p n elements books (n adds, n cycles in
+     * the current mode) without computing it: the ReLU was folded
+     * into its producer's dequantize store (simd::dequantize_store).
+     */
+    void bookRelu(std::size_t n);
+
+    /**
      * Max or average pooling over a whole channels x inH x inW plane in
      * Q8 fixed point. Each window's result, adds and cycles are those
      * of one maxReduce() (or avgPool()) call over the window's
      * in-bounds Q8 values; the bookkeeping is booked once per call.
+     * Unpadded 2x2 / stride-2 max pooling runs simd::max_pool_2x2_q8
+     * where the active level has it.
      */
     void poolQ8(const PoolShape &shape, bool average,
                 const lut::DivisionLut &div, const float *in,

@@ -1878,4 +1878,265 @@ materialize_span_block(const SpanView &view, std::size_t nPatches,
     }
 }
 
+// ---------------------------------------------------------------------
+// Q8 epilogue kernels
+// ---------------------------------------------------------------------
+
+namespace {
+
+void
+relu_q8_scalar(const float *in, float *out, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = relu_q8(in[i]);
+}
+
+void
+dequantize_store_scalar(const std::int32_t *acc, std::size_t accStride,
+                        std::size_t n, double wScale, double xScale,
+                        const float *bias, std::size_t biasStride,
+                        bool relu, float *out)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const float y =
+            static_cast<float>(acc[i * accStride] * wScale * xScale)
+            + bias[i * biasStride];
+        out[i] = relu ? relu_q8(y) : y;
+    }
+}
+
+/** One 2x2 window of the rows @p r0 / @p r1 at column 2 * ow, tap by
+ *  tap: the generic pool loop's result for that window. */
+inline float
+max_window_2x2_scalar(const float *r0, const float *r1, std::size_t ow)
+{
+    const std::size_t s = 2 * ow;
+    const std::int32_t best = std::max(std::max(q8(r0[s]), q8(r0[s + 1])),
+                                       std::max(q8(r1[s]), q8(r1[s + 1])));
+    return static_cast<float>(best) / 256.0f;
+}
+
+#ifdef BFREE_X86_KERNELS
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+
+/** The first @p rem (<= 16) lanes. */
+inline __mmask16
+lanes16(std::size_t rem)
+{
+    return rem >= 16 ? __mmask16(0xFFFF)
+                     : static_cast<__mmask16>((1u << rem) - 1);
+}
+
+/**
+ * q8 of 16 lanes in registers, the scalar q8's in-range branch: scale,
+ * truncate, take the exact fraction and step away from zero where
+ * |frac| >= 0.5. @p ok receives the lanes inside (-2^31, 2^31); the
+ * others (huge, infinite, NaN) hold garbage and need the scalar q8.
+ */
+__attribute__((target("avx512f,avx512bw,avx512vl"))) inline __m512i
+q8_512(__m512 x, __mmask16 &ok)
+{
+    const __m512 f = _mm512_mul_ps(x, _mm512_set1_ps(256.0f));
+    ok = _mm512_cmp_ps_mask(_mm512_abs_ps(f),
+                            _mm512_set1_ps(2147483648.0f), _CMP_LT_OQ);
+    const __m512i t = _mm512_cvttps_epi32(f);
+    const __m512 frac = _mm512_sub_ps(f, _mm512_cvtepi32_ps(t));
+    const __m512i one = _mm512_set1_epi32(1);
+    const __m512i up = _mm512_mask_add_epi32(
+        t, _mm512_cmp_ps_mask(frac, _mm512_set1_ps(0.5f), _CMP_GE_OQ), t,
+        one);
+    return _mm512_mask_sub_epi32(
+        up, _mm512_cmp_ps_mask(frac, _mm512_set1_ps(-0.5f), _CMP_LE_OQ),
+        up, one);
+}
+
+/** Q8 integers back to activations: float(q) / 256 (exact scaling). */
+__attribute__((target("avx512f,avx512bw,avx512vl"))) inline __m512
+from_q8_512(__m512i q)
+{
+    return _mm512_mul_ps(_mm512_cvtepi32_ps(q),
+                         _mm512_set1_ps(1.0f / 256.0f));
+}
+
+/** out[l] = relu_q8(x[l]) for the lanes of @p m. */
+__attribute__((target("avx512f,avx512bw,avx512vl"))) inline void
+relu_store_512(__m512 x, __mmask16 m, float *out)
+{
+    __mmask16 ok;
+    const __m512i q =
+        _mm512_max_epi32(q8_512(x, ok), _mm512_setzero_si512());
+    _mm512_mask_storeu_ps(out, m, from_q8_512(q));
+    const unsigned slow = m & ~ok;
+    if (slow == 0)
+        return;
+    alignas(64) float xs[16];
+    _mm512_store_ps(xs, x);
+    for (unsigned l = 0; l < 16; ++l)
+        if ((slow >> l) & 1)
+            out[l] = relu_q8(xs[l]);
+}
+
+__attribute__((target("avx512f,avx512bw,avx512vl"))) void
+relu_q8_avx512(const float *in, float *out, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; i += 16) {
+        const __mmask16 m = lanes16(n - i);
+        relu_store_512(_mm512_maskz_loadu_ps(m, in + i), m, out + i);
+    }
+}
+
+__attribute__((target("avx512f,avx512bw,avx512vl"))) void
+dequantize_store_avx512(const std::int32_t *acc, std::size_t accStride,
+                        std::size_t n, double wScale, double xScale,
+                        const float *bias, std::size_t biasStride,
+                        bool relu, float *out)
+{
+    const __m512d ws = _mm512_set1_pd(wScale);
+    const __m512d xs = _mm512_set1_pd(xScale);
+    const __m512i idx = _mm512_mullo_epi32(
+        _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2,
+                         1, 0),
+        _mm512_set1_epi32(static_cast<int>(accStride)));
+    for (std::size_t i = 0; i < n; i += 16) {
+        const __mmask16 m = lanes16(n - i);
+        const std::int32_t *a = acc + i * accStride;
+        const __m512i v =
+            accStride == 1
+                ? _mm512_maskz_loadu_epi32(m, a)
+                : _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), m,
+                                              idx, a, 4);
+        const __m512d lo = _mm512_mul_pd(
+            _mm512_mul_pd(_mm512_cvtepi32_pd(_mm512_castsi512_si256(v)),
+                          ws),
+            xs);
+        const __m512d hi = _mm512_mul_pd(
+            _mm512_mul_pd(
+                _mm512_cvtepi32_pd(_mm512_extracti64x4_epi64(v, 1)), ws),
+            xs);
+        const __m512 scaled = _mm512_castsi512_ps(_mm512_inserti64x4(
+            _mm512_castsi256_si512(
+                _mm256_castps_si256(_mm512_cvtpd_ps(lo))),
+            _mm256_castps_si256(_mm512_cvtpd_ps(hi)), 1));
+        const __m512 b = biasStride == 0
+                             ? _mm512_set1_ps(*bias)
+                             : _mm512_maskz_loadu_ps(m, bias + i);
+        const __m512 y = _mm512_add_ps(scaled, b);
+        if (relu)
+            relu_store_512(y, m, out + i);
+        else
+            _mm512_mask_storeu_ps(out + i, m, y);
+    }
+}
+
+/** Lanes with |v| < limit (NaN lanes fail). */
+__attribute__((target("avx512f,avx512bw,avx512vl"))) inline __mmask16
+below_512(__m512 v, __m512 limit)
+{
+    return _mm512_cmp_ps_mask(_mm512_abs_ps(v), limit, _CMP_LT_OQ);
+}
+
+__attribute__((target("avx512f,avx512bw,avx512vl"))) void
+max_pool_2x2_avx512(const float *in, std::size_t channels,
+                    std::size_t inH, std::size_t inW, float *out)
+{
+    const std::size_t outH = inH / 2;
+    const std::size_t outW = inW / 2;
+    const __m512i evens = _mm512_set_epi32(30, 28, 26, 24, 22, 20, 18, 16,
+                                           14, 12, 10, 8, 6, 4, 2, 0);
+    const __m512i odds = _mm512_add_epi32(evens, _mm512_set1_epi32(1));
+    // |x| < 2^23 is |x * 256| < 2^31: q8's in-register range.
+    const __m512 limit = _mm512_set1_ps(8388608.0f);
+    for (std::size_t c = 0; c < channels; ++c) {
+        for (std::size_t oh = 0; oh < outH; ++oh) {
+            const float *r0 = in + (c * inH + 2 * oh) * inW;
+            const float *r1 = r0 + inW;
+            float *dst = out + (c * outH + oh) * outW;
+            // 16 windows per step: 32 columns of both rows.
+            for (std::size_t ow = 0; ow < outW; ow += 16) {
+                const std::size_t rem = std::min<std::size_t>(16, outW - ow);
+                const __mmask16 mlo = lanes16(2 * rem);
+                const __mmask16 mhi = lanes16(rem > 8 ? 2 * (rem - 8) : 0);
+                const __m512 a0 = _mm512_maskz_loadu_ps(mlo, r0 + 2 * ow);
+                const __m512 a1 =
+                    _mm512_maskz_loadu_ps(mhi, r0 + 2 * ow + 16);
+                const __m512 b0 = _mm512_maskz_loadu_ps(mlo, r1 + 2 * ow);
+                const __m512 b1 =
+                    _mm512_maskz_loadu_ps(mhi, r1 + 2 * ow + 16);
+                if ((below_512(a0, limit) & below_512(a1, limit)
+                     & below_512(b0, limit) & below_512(b1, limit))
+                    != 0xFFFF) {
+                    for (std::size_t w = ow; w < ow + rem; ++w)
+                        dst[w] = max_window_2x2_scalar(r0, r1, w);
+                    continue;
+                }
+                const __m512 lo = _mm512_max_ps(a0, b0);
+                const __m512 hi = _mm512_max_ps(a1, b1);
+                const __m512 best =
+                    _mm512_max_ps(_mm512_permutex2var_ps(lo, evens, hi),
+                                  _mm512_permutex2var_ps(lo, odds, hi));
+                __mmask16 ok;
+                _mm512_mask_storeu_ps(dst + ow, lanes16(rem),
+                                      from_q8_512(q8_512(best, ok)));
+            }
+        }
+    }
+}
+
+#pragma GCC diagnostic pop
+
+/** True when the AVX-512 epilogue kernels serve the active level. */
+bool
+epilogue_avx512()
+{
+    const sim::SimdLevel level = sim::active_simd_level();
+    return level == sim::SimdLevel::Avx512
+           || level == sim::SimdLevel::Avx512Vnni;
+}
+
+#endif // BFREE_X86_KERNELS
+
+} // namespace
+
+void
+relu_q8_span(const float *in, float *out, std::size_t n)
+{
+#ifdef BFREE_X86_KERNELS
+    if (epilogue_avx512())
+        return relu_q8_avx512(in, out, n);
+#endif
+    relu_q8_scalar(in, out, n);
+}
+
+void
+dequantize_store(const std::int32_t *acc, std::size_t accStride,
+                 std::size_t n, double wScale, double xScale,
+                 const float *bias, std::size_t biasStride, bool relu,
+                 float *out)
+{
+#ifdef BFREE_X86_KERNELS
+    // The gather's lane offsets (15 * accStride) must fit int32.
+    if (epilogue_avx512() && accStride <= 0x7FFFFFF)
+        return dequantize_store_avx512(acc, accStride, n, wScale, xScale,
+                                       bias, biasStride, relu, out);
+#endif
+    dequantize_store_scalar(acc, accStride, n, wScale, xScale, bias,
+                            biasStride, relu, out);
+}
+
+bool
+max_pool_2x2_q8(const float *in, std::size_t channels, std::size_t inH,
+                std::size_t inW, float *out)
+{
+#ifdef BFREE_X86_KERNELS
+    if (epilogue_avx512()) {
+        max_pool_2x2_avx512(in, channels, inH, inW, out);
+        return true;
+    }
+#endif
+    return false;
+}
+
 } // namespace bfree::bce::simd

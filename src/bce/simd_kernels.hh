@@ -41,6 +41,7 @@
 #ifndef BFREE_BCE_SIMD_KERNELS_HH
 #define BFREE_BCE_SIMD_KERNELS_HH
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -268,6 +269,77 @@ void materialize_span_view(const SpanView &view, std::int8_t *dst);
 void materialize_span_block(const SpanView &view, std::size_t nPatches,
                             std::size_t srcStep, std::int8_t *dst,
                             std::size_t dstStep);
+
+// ---------------------------------------------------------------------
+// Q8 epilogue kernels: ReLU, the conv/FC dequantize store, 2x2 max pool
+// ---------------------------------------------------------------------
+//
+// The special-mode datapath works on activations in Q8 fixed point.
+// The scalar forms below are the specification; the dispatched span
+// kernels have an AVX-512 variant (both AVX-512 levels) and fall back
+// to these loops everywhere else. Lanes the vector q8 cannot round in
+// registers (|x * 256| >= 2^31, or NaN) take the scalar q8 per lane.
+
+/**
+ * static_cast<int32_t>(std::lround(x * 256)), the Q8 value of an
+ * activation, without the libm call on the common path. Inside
+ * (-2^31, 2^31) truncation is exact and so is the fractional part
+ * (float(t) is exact: |t| < 2^24, or x * 256 is already integral), so
+ * stepping away from zero on |frac| >= 0.5 is lround's
+ * round-half-away. Everything else (huge, infinite, NaN) takes lround
+ * itself, wrap-around included.
+ */
+inline std::int32_t
+q8(float x)
+{
+    const float f = x * 256.0f;
+    if (f > -2147483648.0f && f < 2147483648.0f) {
+        const auto t = static_cast<std::int32_t>(f);
+        const float frac = f - static_cast<float>(t);
+        return t + (frac >= 0.5f) - (frac <= -0.5f);
+    }
+    return static_cast<std::int32_t>(std::lround(f));
+}
+
+/** ReLU in Q8: max(0, q8(x)) / 256. */
+inline float
+relu_q8(float x)
+{
+    const std::int32_t q = q8(x);
+    return static_cast<float>(q > 0 ? q : 0) / 256.0f;
+}
+
+/** out[i] = relu_q8(in[i]) for i in [0, n); in == out is allowed. */
+void relu_q8_span(const float *in, float *out, std::size_t n);
+
+/**
+ * The dequantize store of a conv or FC tile: for i in [0, n),
+ *
+ *   y = float((double(acc[i * accStride]) * wScale) * xScale)
+ *       + bias[i * biasStride]
+ *
+ * in exactly that order (folding wScale * xScale first changes low
+ * bits), and out[i] = y, or relu_q8(y) when @p relu (a ReLU folded
+ * into the producer at plan compile). @p biasStride is 0 (one bias
+ * for the run, a conv filter's) or 1 (one per element, FC).
+ */
+void dequantize_store(const std::int32_t *acc, std::size_t accStride,
+                      std::size_t n, double wScale, double xScale,
+                      const float *bias, std::size_t biasStride,
+                      bool relu, float *out);
+
+/**
+ * Unpadded 2x2 / stride-2 max pooling in Q8 over @p channels planes
+ * of inH x inW: out[(c * outH + oh) * outW + ow] = q8(max of the
+ * window) / 256 with outH = inH / 2, outW = inW / 2 (an odd last row
+ * or column is dropped). Equal to the max of the four q8 values
+ * because q8 is monotone non-decreasing inside (-2^31, 2^31); a block
+ * holding NaN or a value outside that range takes the per-tap scalar
+ * walk. Returns false, writing nothing, when the active level has no
+ * vector form: the caller runs its generic window loop.
+ */
+bool max_pool_2x2_q8(const float *in, std::size_t channels,
+                     std::size_t inH, std::size_t inW, float *out);
 
 } // namespace bfree::bce::simd
 

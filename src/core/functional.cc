@@ -121,17 +121,15 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
         std::uint32_t *tileScratch = arena_.alloc<std::uint32_t>(
             bce::Bce::tileScratchWords(patch_len));
         // Dequantize the tile (row i is output column ow0 + i) into
-        // the filter planes, one contiguous run per filter.
+        // the filter planes, one contiguous run per filter, with a
+        // folded ReLU applied in the same pass.
         auto store = [&](unsigned oh, unsigned ow0) {
-            for (unsigned k = 0; k < o.c; ++k) {
-                float *dst = out + std::size_t(k) * outHW
-                             + std::size_t(oh) * o.w + ow0;
-                for (std::size_t i = 0; i < tileRows; ++i)
-                    dst[i] = static_cast<float>(accs[i * o.c + k]
-                                                * fw.scale.scale
-                                                * qi.scale)
-                             + pl.bias[k];
-            }
+            for (unsigned k = 0; k < o.c; ++k)
+                bce::simd::dequantize_store(
+                    accs + k, o.c, tileRows, fw.scale.scale, qi.scale,
+                    &pl.bias[k], 0, pl.foldedRelu,
+                    out + std::size_t(k) * outHW + std::size_t(oh) * o.w
+                        + ow0);
         };
 
         for (unsigned oh = 0; oh < o.h; ++oh) {
@@ -195,9 +193,11 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
                 for (std::size_t q = 0; q < patch_len; ++q)
                     acc += bce.multiply(fw.q32[base + q], patch[q],
                                         bits);
-                out[std::size_t(k) * outHW + std::size_t(oh) * o.w + ow] =
+                const float y =
                     static_cast<float>(acc * fw.scale.scale * qi.scale)
                     + pl.bias[k];
+                out[std::size_t(k) * outHW + std::size_t(oh) * o.w + ow] =
+                    pl.foldedRelu ? bce::simd::relu_q8(y) : y;
             }
         }
     }
@@ -236,10 +236,9 @@ FunctionalExecutor::runFcInto(const PlannedLayer &pl, unsigned bits,
         std::fill(accs, accs + n, 0);
         bce.matmulTile(qin, fw.q8.data(), accs, 1, k, n, bits,
                        fw.featureSums(), fw.rowSumData(), tileScratch);
-        for (unsigned o = 0; o < layer.outFeatures; ++o)
-            out[o] = static_cast<float>(accs[o] * fw.scale.scale
-                                        * qi.scale)
-                     + pl.bias[o];
+        bce::simd::dequantize_store(accs, 1, n, fw.scale.scale,
+                                    qi.scale, pl.bias.data(), 1,
+                                    pl.foldedRelu, out);
         return;
     }
 
@@ -262,8 +261,10 @@ FunctionalExecutor::runFcInto(const PlannedLayer &pl, unsigned bits,
             for (std::size_t j = 0; j < n; ++j)
                 acc += lanes[j];
         }
-        out[o] = static_cast<float>(acc * fw.scale.scale * qi.scale)
-                 + pl.bias[o];
+        const float y =
+            static_cast<float>(acc * fw.scale.scale * qi.scale)
+            + pl.bias[o];
+        out[o] = pl.foldedRelu ? bce::simd::relu_q8(y) : y;
     }
 }
 
@@ -337,16 +338,23 @@ FunctionalExecutor::runInto(const NetworkPlan &plan, const float *input,
     arena_.reserve(ps.arenaBytes);
     arena_.reset();
     // Restart the high-water mark so highWater() reports the peak of
-    // the plan actually run — a re-plan that sheds scratch (e.g. a
-    // fused front end eliding its quantized plane) must show the
-    // shrink instead of the old plan's ghost.
+    // the plan actually run: a smaller plan run after a larger one
+    // must show its own peak, not the earlier plan's.
     arena_.resetHighWater();
     float *cur = arena_.alloc<float>(ps.maxActivationElems);
     float *next = arena_.alloc<float>(ps.maxActivationElems);
     std::copy(input, input + inElems, cur);
 
     const unsigned bits = plan.bits();
-    for (const PlannedLayer &pl : plan.layers()) {
+    const std::vector<PlannedLayer> &layers = plan.layers();
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+        const PlannedLayer &pl = layers[i];
+        if (i > 0 && layers[i - 1].foldedRelu) {
+            // The producer's store already applied this ReLU: book its
+            // statistics, and leave the activations where they are.
+            bce.bookRelu(pl.inElems);
+            continue;
+        }
         const dnn::TensorArena::Marker marker = arena_.mark();
         switch (pl.layer.kind) {
           case dnn::LayerKind::Conv:

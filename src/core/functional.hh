@@ -77,7 +77,9 @@ class FunctionalExecutor
      * The allocation-free core of run(): executes @p plan reading
      * @p inElems floats from @p input and writing @p outElems floats
      * to @p output (both caller-owned). All intermediate activations
-     * ping-pong between two arena buffers.
+     * ping-pong between two arena buffers. A Relu folded into its Conv
+     * or FC producer (PlannedLayer::foldedRelu) only books its
+     * statistics: the producer's store wrote the rectified values.
      */
     void runInto(const NetworkPlan &plan, const float *input,
                  std::size_t inElems, float *output,

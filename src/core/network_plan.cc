@@ -219,6 +219,15 @@ plan_shapes(const dnn::Network &net, unsigned bits,
             break;
           }
           case dnn::LayerKind::Relu:
+            // A Relu right after a Conv or FC runs in that layer's
+            // dequantize store, at every precision.
+            if (!out.empty()
+                && (out.back().layer.kind == dnn::LayerKind::Conv
+                    || out.back().layer.kind == dnn::LayerKind::Fc)) {
+                out.back().foldedRelu = true;
+                ps.foldedRelus += 1;
+            }
+            break;
           case dnn::LayerKind::Sigmoid:
           case dnn::LayerKind::Tanh:
             // Element-wise: no scratch, shape preserved.

@@ -89,6 +89,15 @@ struct PlannedLayer
      * the override changes afterwards.
      */
     dnn::FrontendMode frontend = dnn::FrontendMode::Legacy;
+
+    /**
+     * Conv / FC only: the Relu layer right after this one is folded
+     * into this layer's dequantize store (the fused epilogue). The
+     * Relu keeps its own PlannedLayer, which books the ReLU's
+     * statistics and passes the activations through untouched. Set at
+     * plan compile for every Relu that directly follows a Conv or FC.
+     */
+    bool foldedRelu = false;
 };
 
 /** Compile-time accounting of a plan (also the --plan-stats payload). */
@@ -118,6 +127,9 @@ struct PlanStats
      * when the fused layer was the scratch peak).
      */
     std::size_t savedPlaneBytes = 0;
+
+    /** Relu layers folded into their producer's store (foldedRelu). */
+    std::size_t foldedRelus = 0;
 };
 
 /**

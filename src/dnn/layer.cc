@@ -209,6 +209,10 @@ make_conv2(std::string name, FeatureShape input, unsigned out_c,
            unsigned kernel_h, unsigned kernel_w, unsigned stride,
            unsigned pad_h, unsigned pad_w)
 {
+    if (kernel_h == 0 || kernel_w == 0 || stride == 0)
+        bfree_fatal("conv '", name, "': kernel ", kernel_h, "x",
+                    kernel_w, " and stride ", stride,
+                    " must all be non-zero");
     Layer l;
     l.kind = LayerKind::Conv;
     l.name = std::move(name);
@@ -241,6 +245,14 @@ make_pool(std::string name, LayerKind kind, FeatureShape input,
 {
     if (kind != LayerKind::MaxPool && kind != LayerKind::AvgPool)
         bfree_fatal("make_pool requires a pooling kind");
+    if (kernel == 0 || stride == 0)
+        bfree_fatal("pool '", name, "': kernel ", kernel, " and stride ",
+                    stride, " must both be non-zero");
+    // A pad of a whole kernel makes an edge window all padding, with
+    // no input element to reduce.
+    if (pad >= kernel)
+        bfree_fatal("pool '", name, "': pad ", pad,
+                    " must be smaller than the kernel ", kernel);
     Layer l;
     l.kind = kind;
     l.name = std::move(name);

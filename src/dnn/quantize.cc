@@ -180,9 +180,63 @@ quantize_span_avx512(const SymQuant &sq, const float *src, std::size_t n,
     quantize_span_scalar(sq, src + i, n - i, dst + i);
 }
 
+/**
+ * The max-abs scan of choose_sym, four accumulators wide. max_ps
+ * returns its second operand when either is NaN, so with the running
+ * peak second a NaN lane is skipped exactly as std::max(peak, |x|)
+ * skips it; the zero-masked tail lanes never beat a positive peak.
+ */
+__attribute__((target("avx512f,avx512bw,avx512vl"))) float
+peak_abs_avx512(const float *data, std::size_t n, float peak)
+{
+    __m512 acc[4];
+    for (__m512 &a : acc)
+        a = _mm512_set1_ps(peak);
+    std::size_t i = 0;
+    for (; i + 64 <= n; i += 64)
+        for (int j = 0; j < 4; ++j)
+            acc[j] = _mm512_max_ps(
+                _mm512_abs_ps(_mm512_loadu_ps(data + i + 16 * j)),
+                acc[j]);
+    for (; i < n; i += 16) {
+        const std::size_t rem = std::min<std::size_t>(16, n - i);
+        const __mmask16 m = rem == 16
+                                ? __mmask16(0xFFFF)
+                                : static_cast<__mmask16>((1u << rem) - 1);
+        acc[0] = _mm512_max_ps(
+            _mm512_abs_ps(_mm512_maskz_loadu_ps(m, data + i)), acc[0]);
+    }
+    return _mm512_reduce_max_ps(_mm512_max_ps(
+        _mm512_max_ps(acc[0], acc[1]), _mm512_max_ps(acc[2], acc[3])));
+}
+
 #pragma GCC diagnostic pop
 
 #endif // BFREE_X86_QUANTIZE
+
+float
+peak_abs_scalar(const float *data, std::size_t n, float peak)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        peak = std::max(peak, std::abs(data[i]));
+    return peak;
+}
+
+/** max(peak, |data[i]|) over the non-NaN elements, dispatched beside
+ *  quantize_span; bit-identical at every level. */
+float
+peak_abs(const float *data, std::size_t n, float peak)
+{
+    switch (sim::active_simd_level()) {
+#ifdef BFREE_X86_QUANTIZE
+      case sim::SimdLevel::Avx512:
+      case sim::SimdLevel::Avx512Vnni:
+        return peak_abs_avx512(data, n, peak);
+#endif
+      default:
+        return peak_abs_scalar(data, n, peak);
+    }
+}
 
 } // namespace
 
@@ -217,9 +271,7 @@ quantize_span(const SymQuant &sq, const float *src, std::size_t n,
 SymQuant
 choose_sym(const float *data, std::size_t n, unsigned bits)
 {
-    float peak = 1e-9f;
-    for (std::size_t i = 0; i < n; ++i)
-        peak = std::max(peak, std::abs(data[i]));
+    const float peak = peak_abs(data, n, 1e-9f);
     SymQuant s;
     s.limit = (1 << (bits - 1)) - 1;
     s.scale = peak / s.limit;

@@ -92,6 +92,8 @@ rule_name(RuleId rule)
         return "capacity-arena";
       case RuleId::PlanFrontend:
         return "plan-frontend";
+      case RuleId::PlanEpilogue:
+        return "plan-epilogue";
       case RuleId::ServeQueue:
         return "serve-queue";
       case RuleId::ServeBatch:

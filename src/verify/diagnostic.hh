@@ -121,6 +121,9 @@ enum class RuleId
                     ///< front-end mode (fused/elided/legacy) is
                     ///< invalid for its kind or precision, or
                     ///< disagrees with the geometry policy.
+    PlanEpilogue,   ///< plan-epilogue: a folded ReLU whose producer is
+                    ///< not a Conv/FC directly followed by that Relu,
+                    ///< or whose element counts disagree.
 
     // Serving-config rules.
     ServeQueue,   ///< serve-queue: zero-capacity request queue.

@@ -478,6 +478,7 @@ PlanVerifier::verify(const core::NetworkPlan &plan,
         checkArena(plan.stats(), plan.layers(), report);
     if (opts.checkFrontend)
         checkFrontend(plan.layers(), plan.bits(), report);
+    checkEpilogue(plan.layers(), report);
     return report;
 }
 
@@ -957,6 +958,44 @@ PlanVerifier::checkFrontend(const std::vector<core::PlannedLayer> &layers,
                        os.str(),
                        "recompile, or clear BFREE_FORCE_FRONTEND");
         }
+    }
+}
+
+void
+PlanVerifier::checkEpilogue(const std::vector<core::PlannedLayer> &layers,
+                            VerifyReport &report,
+                            const std::string &location) const
+{
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+        const core::PlannedLayer &pl = layers[i];
+        if (!pl.foldedRelu)
+            continue;
+        const std::string tag =
+            location + ": layer '" + pl.layer.name + "'";
+        std::ostringstream os;
+        if (pl.layer.kind != dnn::LayerKind::Conv
+            && pl.layer.kind != dnn::LayerKind::Fc) {
+            os << "a ReLU is folded into a "
+               << dnn::layer_kind_name(pl.layer.kind)
+               << " layer: only a Conv or FC store applies one";
+        } else if (i + 1 == layers.size()
+                   || layers[i + 1].layer.kind != dnn::LayerKind::Relu) {
+            os << "folded ReLU but the next layer is "
+               << (i + 1 == layers.size()
+                       ? std::string("the plan output")
+                       : std::string("a ") + dnn::layer_kind_name(
+                             layers[i + 1].layer.kind));
+        } else if (layers[i + 1].inElems != pl.outElems
+                   || layers[i + 1].outElems != pl.outElems) {
+            os << "folded ReLU '" << layers[i + 1].layer.name << "' maps "
+               << layers[i + 1].inElems << " -> "
+               << layers[i + 1].outElems << " elements, its producer "
+               << "stores " << pl.outElems;
+        } else {
+            continue;
+        }
+        report.add(RuleId::PlanEpilogue, Severity::Error, tag, os.str(),
+                   "recompile the plan");
     }
 }
 

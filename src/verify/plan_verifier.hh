@@ -299,6 +299,17 @@ class PlanVerifier
                        unsigned plan_bits, VerifyReport &report,
                        const std::string &location = "frontend") const;
 
+    /**
+     * Fused-epilogue audit (rule plan-epilogue): a layer marked
+     * foldedRelu must be a Conv or FC, the layer right after it a
+     * Relu, and the Relu's input and output element counts must equal
+     * the producer's output. Anything else would skip a ReLU that was
+     * never applied, or apply one to the wrong tensor.
+     */
+    void checkEpilogue(const std::vector<core::PlannedLayer> &layers,
+                       VerifyReport &report,
+                       const std::string &location = "epilogue") const;
+
     const tech::CacheGeometry &geometry() const { return geom; }
     const PlanVerifierOptions &options() const { return opts; }
 

@@ -8,11 +8,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <vector>
 
 #include "bce/bce.hh"
 #include "sim/random.hh"
+#include "simd_levels.hh"
 
 using namespace bfree::bce;
 using bfree::mem::EnergyAccount;
@@ -20,6 +22,7 @@ using bfree::mem::EnergyCategory;
 using bfree::mem::Subarray;
 using bfree::tech::CacheGeometry;
 using bfree::tech::TechParams;
+using bfree::test::for_each_runnable_level;
 
 namespace {
 
@@ -216,77 +219,155 @@ TEST(BceSpecial, ReluSpanEqualsPerElementMaxReduce)
     for (int i = 0; i < 1000; ++i)
         in.push_back(static_cast<float>(rng.uniformReal(-4.0, 4.0)));
 
-    Fixture span, ref;
-    span.bce.setMode(BceMode::Matmul);
-    ref.bce.setMode(BceMode::Matmul);
-    std::vector<float> got(in.size()), want(in.size());
-    span.bce.reluQ8(in.data(), got.data(), in.size());
-    for (std::size_t i = 0; i < in.size(); ++i) {
-        const std::int32_t vals[2] = {
-            0, static_cast<std::int32_t>(std::lround(in[i] * 256.0f))};
-        want[i] = static_cast<float>(ref.bce.maxReduce(vals, 2)) / 256.0f;
-    }
-    expect_same_bits(want, got);
-    expect_same_special_stats(ref.bce.stats(), span.bce.stats());
+    // The vector q8's range edge: |x * 256| = 2^31 and its neighbours.
+    for (const float edge : {8388608.0f, -8388608.0f, 8388607.5f,
+                             -8388607.5f, 8388608.5f, -8388609.0f})
+        in.push_back(edge);
+
+    for_each_runnable_level([&](bfree::sim::SimdLevel) {
+        // Every length up to a few vector widths, so each ragged tail
+        // and each lane position of the slow lanes is covered.
+        for (std::size_t n : {std::size_t(0), std::size_t(1),
+                              std::size_t(15), std::size_t(17),
+                              std::size_t(33), in.size()}) {
+            Fixture span, ref;
+            span.bce.setMode(BceMode::Matmul);
+            ref.bce.setMode(BceMode::Matmul);
+            std::vector<float> got(n), want(n);
+            span.bce.reluQ8(in.data(), got.data(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+                const std::int32_t vals[2] = {
+                    0,
+                    static_cast<std::int32_t>(std::lround(in[i] * 256.0f))};
+                want[i] =
+                    static_cast<float>(ref.bce.maxReduce(vals, 2)) / 256.0f;
+            }
+            expect_same_bits(want, got);
+            expect_same_special_stats(ref.bce.stats(), span.bce.stats());
+            // In place (the standalone layer's ping-pong never aliases,
+            // but the kernel allows it).
+            std::vector<float> inplace(in.begin(), in.begin() + n);
+            span.bce.reluQ8(inplace.data(), inplace.data(), n);
+            expect_same_bits(want, inplace);
+        }
+    });
 }
+
+namespace {
+
+/** poolQ8 against one maxReduce / avgPool call per clipped window, in
+ *  outputs and statistics, at every runnable SIMD level. */
+void
+expect_pool_matches_reductions(const PoolShape &g, bool average,
+                               const std::vector<float> &in)
+{
+    const bfree::lut::DivisionLut div(4);
+    Fixture ref;
+    std::vector<float> want(g.channels * g.outH * g.outW);
+    for (std::size_t c = 0; c < g.channels; ++c) {
+        for (std::size_t oh = 0; oh < g.outH; ++oh) {
+            for (std::size_t ow = 0; ow < g.outW; ++ow) {
+                std::vector<std::int32_t> window;
+                for (unsigned r = 0; r < g.kernelH; ++r) {
+                    for (unsigned s = 0; s < g.kernelW; ++s) {
+                        const long ih =
+                            long(oh * g.strideH + r) - long(g.padH);
+                        const long iw =
+                            long(ow * g.strideW + s) - long(g.padW);
+                        if (ih < 0 || iw < 0 || ih >= long(g.inH)
+                            || iw >= long(g.inW))
+                            continue;
+                        window.push_back(
+                            static_cast<std::int32_t>(std::lround(
+                                in[(c * g.inH + ih) * g.inW + iw]
+                                * 256.0f)));
+                    }
+                }
+                want[(c * g.outH + oh) * g.outW + ow] =
+                    average
+                        ? static_cast<float>(ref.bce.avgPool(
+                              window.data(), window.size(), div))
+                              / 256.0f
+                        : static_cast<float>(ref.bce.maxReduce(
+                              window.data(), window.size()))
+                              / 256.0f;
+            }
+        }
+    }
+    for_each_runnable_level([&](bfree::sim::SimdLevel) {
+        Fixture span;
+        std::vector<float> got(want.size());
+        span.bce.poolQ8(g, average, div, in.data(), got.data());
+        expect_same_bits(want, got);
+        expect_same_special_stats(ref.bce.stats(), span.bce.stats());
+    });
+}
+
+PoolShape
+pool_shape(std::size_t channels, std::size_t inH, std::size_t inW,
+           unsigned kernel, unsigned stride, unsigned pad)
+{
+    PoolShape g;
+    g.channels = channels;
+    g.inH = inH;
+    g.inW = inW;
+    g.kernelH = g.kernelW = kernel;
+    g.strideH = g.strideW = stride;
+    g.padH = g.padW = pad;
+    g.outH = (g.inH + 2 * g.padH - g.kernelH) / g.strideH + 1;
+    g.outW = (g.inW + 2 * g.padW - g.kernelW) / g.strideW + 1;
+    return g;
+}
+
+} // namespace
 
 TEST(BceSpecial, PoolSpanEqualsPerWindowReductions)
 {
     // A padded, overlapping 3x3/stride-2 window walk over a ragged
     // 2 x 7 x 6 plane: edge windows clip to 4 or 6 taps.
-    PoolShape g;
-    g.channels = 2;
-    g.inH = 7;
-    g.inW = 6;
-    g.kernelH = g.kernelW = 3;
-    g.strideH = g.strideW = 2;
-    g.padH = g.padW = 1;
-    g.outH = (g.inH + 2 * g.padH - g.kernelH) / g.strideH + 1;
-    g.outW = (g.inW + 2 * g.padW - g.kernelW) / g.strideW + 1;
-
+    const PoolShape g = pool_shape(2, 7, 6, 3, 2, 1);
     bfree::sim::Rng rng(11);
     std::vector<float> in(g.channels * g.inH * g.inW);
     for (float &v : in)
         v = static_cast<float>(rng.uniformReal(-3.0, 3.0));
-    const bfree::lut::DivisionLut div(4);
+    for (const bool average : {false, true})
+        expect_pool_matches_reductions(g, average, in);
+}
 
-    for (const bool average : {false, true}) {
-        Fixture span, ref;
-        std::vector<float> got(g.channels * g.outH * g.outW);
-        std::vector<float> want(got.size());
-        span.bce.poolQ8(g, average, div, in.data(), got.data());
-        for (std::size_t c = 0; c < g.channels; ++c) {
-            for (std::size_t oh = 0; oh < g.outH; ++oh) {
-                for (std::size_t ow = 0; ow < g.outW; ++ow) {
-                    std::vector<std::int32_t> window;
-                    for (unsigned r = 0; r < g.kernelH; ++r) {
-                        for (unsigned s = 0; s < g.kernelW; ++s) {
-                            const long ih = long(oh * g.strideH + r)
-                                            - long(g.padH);
-                            const long iw = long(ow * g.strideW + s)
-                                            - long(g.padW);
-                            if (ih < 0 || iw < 0 || ih >= long(g.inH)
-                                || iw >= long(g.inW))
-                                continue;
-                            window.push_back(
-                                static_cast<std::int32_t>(std::lround(
-                                    in[(c * g.inH + ih) * g.inW + iw]
-                                    * 256.0f)));
-                        }
-                    }
-                    want[(c * g.outH + oh) * g.outW + ow] =
-                        average
-                            ? static_cast<float>(ref.bce.avgPool(
-                                  window.data(), window.size(), div))
-                                  / 256.0f
-                            : static_cast<float>(ref.bce.maxReduce(
-                                  window.data(), window.size()))
-                                  / 256.0f;
-                }
-            }
+TEST(BceSpecial, MaxPool2x2EdgesEqualPerWindowReductions)
+{
+    // The unpadded 2x2/stride-2 max pool has its own vector path: 16
+    // windows per step with masked tails, and any block holding a NaN
+    // or a value outside q8's register range on the per-tap walk.
+    constexpr float inf = std::numeric_limits<float>::infinity();
+    const float specials[] = {0.5f / 256,   -0.5f / 256,  1.5f / 256,
+                              -1.5f / 256,  8388608.0f,   -8388608.0f,
+                              8388607.5f,   -8388607.5f,  inf,
+                              -inf,         std::numeric_limits<float>::quiet_NaN(),
+                              -0.0f,        1e-40f};
+    bfree::sim::Rng rng(29);
+    for (const std::size_t outW : {1, 7, 15, 16, 17, 112}) {
+        // An odd inH and, for odd outW, an odd inW: the last row and
+        // column are dropped.
+        const std::size_t inW = 2 * outW + (outW % 2);
+        const PoolShape g = pool_shape(3, 5, inW, 2, 2, 0);
+        std::vector<float> in(g.channels * g.inH * g.inW);
+        for (float &v : in)
+            v = static_cast<float>(rng.uniformReal(-2.0, 2.0));
+        // Exact ties (multiples of 1/512) on the whole of channel 0.
+        for (std::size_t i = 0; i < g.inH * g.inW; ++i)
+            in[i] = static_cast<float>(rng.uniformInt(-2048, 2048)) / 512;
+        expect_pool_matches_reductions(g, false, in);
+
+        // Channel 2 salted with the special values, one per block of
+        // windows at a varying lane.
+        for (std::size_t k = 0; k < std::size(specials); ++k) {
+            std::vector<float> salted = in;
+            const std::size_t at = (2 * g.inH * g.inW)
+                                   + (k * 37) % (g.inH * g.inW);
+            salted[at] = specials[k];
+            expect_pool_matches_reductions(g, false, salted);
         }
-        expect_same_bits(want, got);
-        expect_same_special_stats(ref.bce.stats(), span.bce.stats());
     }
 }
 

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -967,6 +968,91 @@ TEST(SimdKernels, HistogramAndGatherEnginesByteIdentical)
     }
     bce::simd::reset_tally_mode();
     sim::reset_simd_level();
+}
+
+TEST(SimdKernels, DequantizeStoreMatchesScalarEpilogueAtEveryLevel)
+{
+    // The conv/FC store against its scalar specification: strided and
+    // contiguous accumulators, one bias per run or per element, ragged
+    // lengths, with and without the folded ReLU. Biases and scales
+    // reach the ReLU's slow lanes: y * 256 at and past 2^31, NaN from
+    // an infinite scale, ties at +-0.5 / 256.
+    constexpr float inf = std::numeric_limits<float>::infinity();
+    const float biases[] = {0.0f,     0.25f,       -3.5f, 0.5f / 256,
+                            8388608.0f, -8388608.0f, 3e9f, inf};
+    const double xScales[] = {1.0 / 256, 0.01, 1e-7,
+                              std::numeric_limits<double>::infinity()};
+    // Each triple rounds to different floats as (acc * w) * x and as
+    // acc * (w * x): the store must keep the first order.
+    const struct
+    {
+        std::int32_t acc;
+        double w, x;
+    } orderSensitive[] = {
+        {375289, 0.00089424090432440597, 0.011672061791079389},
+        {-223848, 0.0013508448506791436, 0.0072258197580590136},
+        {-677923, 0.00076108949780707719, 0.0082924567512626373}};
+    std::vector<std::int32_t> acc(64 * 5);
+    for (std::size_t i = 0; i < acc.size(); ++i)
+        acc[i] = static_cast<std::int32_t>((i * 2654435761u) % 200001)
+                 - 100000;
+    acc[0] = 0;
+    acc[3] = std::numeric_limits<std::int32_t>::min();
+    acc[5] = std::numeric_limits<std::int32_t>::max();
+    for_each_runnable_level([&](sim::SimdLevel level) {
+        for (const auto &t : orderSensitive) {
+            const std::vector<std::int32_t> same(21, t.acc);
+            const float zero = 0.0f;
+            std::vector<float> got(same.size());
+            bce::simd::dequantize_store(same.data(), 1, same.size(), t.w,
+                                        t.x, &zero, 0, false, got.data());
+            for (const float v : got)
+                ASSERT_EQ(v, static_cast<float>(t.acc * t.w * t.x))
+                    << sim::simd_level_name(level) << " acc " << t.acc;
+        }
+        for (const std::size_t stride : {std::size_t(1), std::size_t(5)}) {
+            for (const std::size_t n : {std::size_t(0), std::size_t(1),
+                                        std::size_t(16), std::size_t(23),
+                                        std::size_t(64)}) {
+                for (const float bias : biases) {
+                    std::vector<float> perElem(n, bias);
+                    for (std::size_t i = 0; i < n; i += 3)
+                        perElem[i] = -bias + float(i) / 512;
+                    for (const double xs : xScales) {
+                        for (const bool relu : {false, true}) {
+                            for (const std::size_t bstride :
+                                 {std::size_t(0), std::size_t(1)}) {
+                                const float *b =
+                                    bstride ? perElem.data() : &bias;
+                                std::vector<float> got(n + 1, 7.0f);
+                                bce::simd::dequantize_store(
+                                    acc.data(), stride, n, 0.5, xs, b,
+                                    bstride, relu, got.data());
+                                for (std::size_t i = 0; i < n; ++i) {
+                                    const float y =
+                                        static_cast<float>(
+                                            acc[i * stride] * 0.5 * xs)
+                                        + b[i * bstride];
+                                    const float want =
+                                        relu ? bce::simd::relu_q8(y) : y;
+                                    std::uint32_t x, w;
+                                    std::memcpy(&x, &got[i], 4);
+                                    std::memcpy(&w, &want, 4);
+                                    ASSERT_EQ(x, w)
+                                        << sim::simd_level_name(level)
+                                        << " stride " << stride << " n "
+                                        << n << " i " << i << " bias "
+                                        << bias << " xs " << xs
+                                        << " relu " << relu;
+                                }
+                                ASSERT_EQ(got[n], 7.0f) << "overrun";
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    });
 }
 
 TEST(SimdKernels, TallyEnvironmentKnobResolves)

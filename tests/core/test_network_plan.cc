@@ -13,11 +13,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <vector>
 
 #include "core/functional.hh"
 #include "dnn/model_zoo.hh"
+#include "simd_levels.hh"
 
 // ---------------------------------------------------------------------
 // Global allocation counter: every operator new in this binary bumps
@@ -475,6 +477,131 @@ TEST(NetworkPlan, ForcedFrontendsAreBitwiseIdentical)
     expect_stats_eq(er.stats, lr.stats);
     EXPECT_EQ(fe.energy().total(), le.energy().total());
     EXPECT_EQ(ee.energy().total(), le.energy().total());
+}
+
+namespace {
+
+/** conv -> relu -> conv -> relu -> 2x2 maxpool -> fc -> relu -> fc, on
+ *  an odd-sized input so the pool drops a row. */
+Network
+make_vgg_block()
+{
+    Network net("vgg-block", {3, 9, 10});
+    net.add(make_conv("c1", {3, 9, 10}, 8, 3, 1, 1));
+    net.add(make_activation("r1", LayerKind::Relu, {8, 9, 10}));
+    net.add(make_conv("c2", {8, 9, 10}, 8, 3, 1, 1));
+    net.add(make_activation("r2", LayerKind::Relu, {8, 9, 10}));
+    net.add(make_pool("p", LayerKind::MaxPool, {8, 9, 10}, 2, 2, 0));
+    net.add(make_fc("f1", 8 * 4 * 5, 24));
+    net.add(make_activation("r3", LayerKind::Relu, {24, 1, 1}));
+    net.add(make_fc("f2", 24, 5));
+    return net;
+}
+
+/**
+ * @p net run whole, its Relus folded into their producers, against
+ * the same layers run as a chain of one-layer plans, which never
+ * fold, each on its own executor: outputs, BceStats and energy must be
+ * bit-identical.
+ */
+void
+expect_folding_invisible(const Network &net, const NetworkWeights &weights,
+                         const FloatTensor &input, unsigned bits)
+{
+    const NetworkPlan whole = NetworkPlan::compile(net, weights, bits);
+    EXPECT_GT(whole.stats().foldedRelus, 0u);
+    FunctionalExecutor we;
+    const FunctionalResult wr = we.run(whole, input);
+
+    FunctionalExecutor ce;
+    std::vector<float> act(input.data(), input.data() + input.size());
+    for (std::size_t i = 0; i < net.layers().size(); ++i) {
+        const Layer &l = net.layers()[i];
+        Network one(net.name() + "/" + l.name, l.input);
+        one.add(l);
+        const NetworkPlan p =
+            NetworkPlan::compile(one, NetworkWeights{weights[i]}, bits);
+        ASSERT_EQ(p.stats().foldedRelus, 0u);
+        std::vector<float> next(p.outputElems());
+        ce.runInto(p, act.data(), act.size(), next.data(), next.size());
+        act = std::move(next);
+    }
+
+    ASSERT_EQ(act.size(), wr.output.size());
+    EXPECT_EQ(0, std::memcmp(act.data(), wr.output.data(),
+                             act.size() * sizeof(float)))
+        << net.name() << " at " << bits << " bits";
+    expect_stats_eq(wr.stats, ce.stats());
+    EXPECT_EQ(we.energy().total(), ce.energy().total());
+}
+
+} // namespace
+
+TEST(NetworkPlan, FoldedReluMatchesUnfoldedChain)
+{
+    const Network vgg = make_vgg_block();
+    const Network tiny = make_tiny_cnn();
+    bfree::sim::Rng rng(41);
+    const NetworkWeights vw = random_weights(vgg, rng);
+    const NetworkWeights tw = random_weights(tiny, rng);
+    FloatTensor vin({3, 9, 10});
+    vin.fillUniform(rng, -1.0, 1.0);
+    FloatTensor tin({1, 8, 8});
+    tin.fillUniform(rng, 0.0, 1.0);
+
+    // Biases past 2^31 / 256 in both directions: the store's ReLU
+    // sends those lanes down lround's wrapping path.
+    NetworkWeights huge = vw;
+    huge[0].bias[1] = 1e7f;
+    huge[0].bias[2] = -1e7f;
+    huge[2].bias[5] = 3e9f;
+    huge[5].bias[0] = 8388608.0f;
+
+    // Non-finite activations: an infinite input makes the first scale
+    // infinite and its store NaN; a NaN input is skipped by the scale
+    // scan and quantized like any other value.
+    FloatTensor infIn = vin;
+    infIn[7] = std::numeric_limits<float>::infinity();
+    FloatTensor nanIn = vin;
+    nanIn[11] = std::numeric_limits<float>::quiet_NaN();
+
+    bfree::test::for_each_runnable_level([&](bfree::sim::SimdLevel) {
+        for (unsigned bits : {4u, 8u, 16u}) {
+            SCOPED_TRACE(bits);
+            expect_folding_invisible(vgg, vw, vin, bits);
+            expect_folding_invisible(tiny, tw, tin, bits);
+            expect_folding_invisible(vgg, huge, vin, bits);
+            expect_folding_invisible(vgg, vw, infIn, bits);
+            expect_folding_invisible(vgg, vw, nanIn, bits);
+        }
+    });
+}
+
+TEST(NetworkPlan, FoldMarksEveryReluAfterConvOrFc)
+{
+    // One flag per producer, one PlannedLayer per network layer, and
+    // folding leaves the arena sizing alone.
+    const Network net = make_vgg_block();
+    for (unsigned bits : {4u, 8u, 16u}) {
+        const PlanStats est = NetworkPlan::estimate(net, bits);
+        EXPECT_EQ(est.foldedRelus, 3u);
+        bfree::sim::Rng rng(3);
+        const NetworkPlan plan =
+            NetworkPlan::compile(net, random_weights(net, rng), bits);
+        ASSERT_EQ(plan.layers().size(), net.layers().size());
+        std::vector<bool> folded;
+        for (const PlannedLayer &pl : plan.layers())
+            folded.push_back(pl.foldedRelu);
+        EXPECT_EQ(folded, (std::vector<bool>{true, false, true, false,
+                                             false, true, false, false}));
+        EXPECT_EQ(plan.stats().arenaBytes, est.arenaBytes);
+    }
+    // A Relu with no Conv/FC right before it stays a standalone layer.
+    Network pooled("pool-relu", {2, 4, 4});
+    pooled.add(make_activation("r0", LayerKind::Relu, {2, 4, 4}));
+    pooled.add(make_pool("p", LayerKind::MaxPool, {2, 4, 4}, 2, 2, 0));
+    pooled.add(make_activation("r1", LayerKind::Relu, {2, 2, 2}));
+    EXPECT_EQ(NetworkPlan::estimate(pooled, 8).foldedRelus, 0u);
 }
 
 TEST(NetworkPlanDeath, CompileRejectsWeightCountMismatch)

@@ -126,3 +126,42 @@ TEST(LayerDeath, KernelLargerThanInputIsFatal)
     const Layer l = make_conv("bad", {3, 2, 2}, 8, 5, 1, 0);
     EXPECT_DEATH((void)l.outputShape(), "larger than");
 }
+
+TEST(LayerDeath, ZeroStrideIsFatalAtConstruction)
+{
+    // A zero stride used to reach conv_out_dim's division (SIGFPE).
+    EXPECT_DEATH((void)make_pool("p", LayerKind::MaxPool, {1, 4, 4}, 2, 0,
+                                 0),
+                 "stride 0");
+    EXPECT_DEATH((void)make_conv("c", {1, 4, 4}, 2, 3, 0, 1), "stride 0");
+    EXPECT_DEATH((void)make_conv2("c", {1, 4, 4}, 2, 3, 3, 0, 1, 1),
+                 "stride 0");
+}
+
+TEST(LayerDeath, ZeroKernelIsFatalAtConstruction)
+{
+    EXPECT_DEATH((void)make_pool("p", LayerKind::AvgPool, {1, 4, 4}, 0, 1,
+                                 0),
+                 "kernel 0");
+    EXPECT_DEATH((void)make_conv2("c", {1, 4, 4}, 2, 0, 3, 1, 0, 0),
+                 "kernel 0x3");
+    EXPECT_DEATH((void)make_conv2("c", {1, 4, 4}, 2, 3, 0, 1, 0, 0),
+                 "kernel 3x0");
+}
+
+TEST(LayerDeath, PoolPadOfAWholeKernelIsFatal)
+{
+    // pad >= kernel builds an all-padding edge window, which used to
+    // abort mid-run in the max/avg reduction.
+    EXPECT_DEATH((void)make_pool("p", LayerKind::MaxPool, {1, 4, 4}, 2, 2,
+                                 2),
+                 "pad 2 must be smaller than the kernel 2");
+    EXPECT_DEATH((void)make_pool("p", LayerKind::AvgPool, {1, 4, 4}, 3, 1,
+                                 5),
+                 "pad 5");
+    // One short of the kernel still leaves an input tap per window.
+    EXPECT_EQ(make_pool("p", LayerKind::MaxPool, {1, 4, 4}, 3, 1, 2)
+                  .outputShape()
+                  .h,
+              6u);
+}

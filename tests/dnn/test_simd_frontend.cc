@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -23,29 +25,13 @@
 #include "dnn/tensor.hh"
 #include "sim/cpuid.hh"
 #include "sim/random.hh"
+#include "simd_levels.hh"
 
 using namespace bfree;
 using namespace bfree::dnn;
+using bfree::test::for_each_runnable_level;
 
 namespace {
-
-/** Run @p body per runnable SIMD level; restores the resolved level. */
-template <typename Body>
-void
-for_each_runnable_level(Body &&body)
-{
-    for (const sim::SimdLevel level :
-         {sim::SimdLevel::Scalar, sim::SimdLevel::Sse42,
-          sim::SimdLevel::Neon, sim::SimdLevel::Avx2,
-          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni}) {
-        if (!sim::simd_level_compiled(level)
-            || !sim::simd_level_supported(level))
-            continue;
-        sim::force_simd_level(level);
-        body(level);
-    }
-    sim::reset_simd_level();
-}
 
 /** Element-by-element scalar reference of quantize_span. */
 std::vector<std::int8_t>
@@ -156,6 +142,66 @@ TEST(QuantizeSpan, MisalignedBuffersExactAtEveryLevel)
             quantize_span(sq, src, n, dst);
             ASSERT_EQ(0, std::memcmp(want.data(), dst, n))
                 << ctx << " offset " << off;
+        }
+    });
+}
+
+TEST(ChooseSym, MaxAbsScanExactAtEveryLevel)
+{
+    // The vector max-abs scan must pick the scale the scalar
+    // std::max(peak, |x|) loop picks: NaN skipped, -0.0 and denormals
+    // below the 1e-9 floor, inf winning, in every lane and ragged tail
+    // (lengths 0-40), and in the four-accumulator loop (64 and up).
+    const auto scalar_peak = [](const std::vector<float> &v) {
+        float peak = 1e-9f;
+        for (const float x : v)
+            peak = std::max(peak, std::abs(x));
+        return peak;
+    };
+    const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                              -std::numeric_limits<float>::quiet_NaN(),
+                              -0.0f,
+                              std::numeric_limits<float>::denorm_min(),
+                              -1e-39f,
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity()};
+    sim::Rng rng(31);
+    for_each_runnable_level([&](sim::SimdLevel level) {
+        std::vector<std::size_t> lengths;
+        for (std::size_t n = 0; n <= 40; ++n)
+            lengths.push_back(n);
+        for (const std::size_t n : {63, 64, 65, 130, 200})
+            lengths.push_back(n);
+        for (const std::size_t n : lengths) {
+            std::vector<float> v(n);
+            for (float &x : v)
+                x = static_cast<float>(rng.uniformReal(-1.0, 1.0));
+            // Every special at every position, one at a time, then
+            // a vector of nothing but the non-infinite ones.
+            for (std::size_t k = 0; k <= std::size(specials); ++k) {
+                for (std::size_t at = 0; at < std::max<std::size_t>(n, 1);
+                     ++at) {
+                    std::vector<float> w = v;
+                    if (k < std::size(specials) && n > 0)
+                        w[at] = specials[k];
+                    else if (k == std::size(specials))
+                        for (std::size_t i = 0; i < n; ++i)
+                            w[i] = specials[i % 5];
+                    for (const unsigned bits : {4u, 8u, 16u}) {
+                        const SymQuant got =
+                            choose_sym(w.data(), w.size(), bits);
+                        const std::int32_t limit = (1 << (bits - 1)) - 1;
+                        const double want = scalar_peak(w) / limit;
+                        ASSERT_EQ(got.limit, limit);
+                        std::uint64_t x, y;
+                        std::memcpy(&x, &got.scale, 8);
+                        std::memcpy(&y, &want, 8);
+                        ASSERT_EQ(x, y)
+                            << sim::simd_level_name(level) << " n=" << n
+                            << " special " << k << " at " << at;
+                    }
+                }
+            }
         }
     });
 }

@@ -409,6 +409,51 @@ TEST(PlanVerifierBroken, FrontendDisagreesWithPolicyWarns)
     EXPECT_TRUE(report.ok()) << report.toString();
 }
 
+TEST(PlanVerifierGolden, CompiledPlanEpiloguesAuditClean)
+{
+    // Every Relu after a Conv or FC folds at compile, at every
+    // precision, and the folds it records pass the plan-epilogue rule.
+    const dnn::Network net = dnn::make_tiny_cnn();
+    sim::Rng rng(23);
+    const core::NetworkWeights weights = core::random_weights(net, rng);
+    for (unsigned bits : {4u, 8u, 16u}) {
+        const core::NetworkPlan plan =
+            core::NetworkPlan::compile(net, weights, bits);
+        EXPECT_EQ(plan.stats().foldedRelus, 2u) << bits;
+        VerifyReport report;
+        makeVerifier().checkEpilogue(plan.layers(), report);
+        EXPECT_TRUE(report.diagnostics().empty())
+            << bits << ":\n" << report.toString();
+    }
+}
+
+TEST(PlanVerifierBroken, EpilogueWithoutItsRelu)
+{
+    // A fold on a layer that is not a Conv/FC, a fold whose next layer
+    // is not a Relu, and a Relu whose element count disagrees with
+    // its producer's store are all errors.
+    std::vector<core::PlannedLayer> layers(4);
+    layers[0].layer = dnn::make_conv("c", {1, 4, 4}, 2, 3, 1, 1);
+    layers[0].outElems = 32;
+    layers[0].foldedRelu = true;
+    layers[1].layer = dnn::make_pool("p", dnn::LayerKind::MaxPool,
+                                     {2, 4, 4}, 2, 2, 0);
+    layers[1].inElems = 32;
+    layers[1].outElems = 8;
+    layers[1].foldedRelu = true;
+    layers[2].layer = dnn::make_fc("fc", 8, 4);
+    layers[2].outElems = 4;
+    layers[2].foldedRelu = true;
+    layers[3].layer =
+        dnn::make_activation("r", dnn::LayerKind::Relu, {8, 1, 1});
+    layers[3].inElems = layers[3].outElems = 8;
+    VerifyReport report;
+    makeVerifier().checkEpilogue(layers, report);
+    EXPECT_EQ(report.errorCount(), 3u) << report.toString();
+    EXPECT_TRUE(report.has(RuleId::PlanEpilogue));
+    EXPECT_FALSE(report.ok());
+}
+
 TEST(PlanVerifierBroken, ServeQueueZero)
 {
     ServeAuditConfig cfg = goodServeConfig();

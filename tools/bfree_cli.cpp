@@ -314,6 +314,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(ps.frozenValues));
         std::printf("kernels: %s\n",
                     sim::simd_level_name(sim::active_simd_level()));
+        std::printf("epilogues: %zu relu folded\n", ps.foldedRelus);
         if (ps.legacyFrontLayers + ps.fusedFrontLayers
                 + ps.elidedFrontLayers
             > 0) {
