@@ -18,8 +18,7 @@
  * With --dump-stats the bench instead prints the deterministic batch
  * statistics blocks of the MLP and a small CNN at 8 and then 4 bits
  * (no wall-clock anywhere in the output) — the CI determinism jobs
- * byte-compare this across thread counts, ISAs, tally modes and conv
- * front ends.
+ * byte-compare this across thread counts and ISAs.
  */
 
 #include <array>
@@ -67,13 +66,12 @@ ms_between(Clock::time_point a, Clock::time_point b)
 }
 
 /**
- * Small CNN covering both conv front-end shapes: the 3x3 stride-1 and
- * 1x1 layers resolve to the elided front end, the 2x2 stride-2 layer
- * (disjoint windows) to the fused one. The two ReLUs fold into their
- * convs' stores and the 2x2 / stride-2 max pool takes the vector pool
- * path. The --dump-stats block runs it so the CI BFREE_FORCE_FRONTEND,
- * ISA and thread sweeps byte-compare conv, ReLU and pool statistics,
- * not just the FC-only MLP.
+ * Small CNN covering overlapping (3x3 stride-1), 1x1 and disjoint
+ * (2x2 stride-2) conv windows, all through the elided front end. The
+ * two ReLUs fold into their convs' stores and the 2x2 / stride-2 max
+ * pool takes the vector pool path. The --dump-stats block runs it so
+ * the CI ISA and thread sweeps byte-compare conv, ReLU and pool
+ * statistics, not just the FC-only MLP.
  */
 dnn::Network
 make_cnn()
@@ -145,10 +143,8 @@ main(int argc, char **argv)
         core::BatchOptions opts;
         opts.threads = threads;
 
-        // Conv block: all three front ends must produce these exact
-        // bytes (the patch fed to the datapath is identical either
-        // way), so this section byte-compares across the CI
-        // BFREE_FORCE_FRONTEND sweep as well as across thread counts.
+        // Conv block: these exact bytes at every ISA and thread count,
+        // the disjoint-window c2x2s2 layer included.
         const dnn::Network cnn = make_cnn();
         sim::Rng crng(10);
         const core::NetworkWeights cweights =

@@ -14,25 +14,16 @@
  *  - kernel_<isa>: steady-state conv/matmul MAC/s of the tiered span
  *    kernels with the dispatcher pinned to each ISA variant this
  *    binary carries AND this CPU supports (scalar always; sse42/avx2/
- *    avx512 on x86, neon on ARM). The headline conv number runs the
- *    gather-free histogram tally (the production default); a second
- *    conv point pins the delta-plane gather so the ablation
- *    hist_over_gather quantifies exactly what the factored fold buys.
- *    speedup_vs_scalar compares the headline against the scalar
- *    tiered loop.
+ *    avx512 on x86, neon on ARM). speedup_vs_scalar compares the conv
+ *    point against the scalar tiered loop.
  *
- *  - stages / stages_<mode>: whole-image wall time of one conv layer
- *    split into marshal (everything that produces int8 patches:
- *    quantize, im2col, staging, span materialization) vs the tiered
- *    span kernels, measured once per conv front-end mode (legacy,
- *    fused, elided) at the resolved ISA. Each mode section also
- *    carries its modeled marshal traffic in bytes and the bandwidth
+ *  - stages: whole-image wall time of one conv layer through the
+ *    elided front end at the resolved ISA, split into marshal
+ *    (everything that produces int8 patches: quantize, staging, span
+ *    materialization) vs the tiered span kernels. The section also
+ *    carries the modeled marshal traffic in bytes and the bandwidth
  *    that implies, so marshal cost can be cross-checked against the
- *    triad roof. The "stages" summary keeps the legacy per-stage keys
- *    for continuity and adds the auto-resolved mode's
- *    front_half_fraction and the e2e images/s uplift of auto over
- *    forced-legacy. The three modes must produce identical kernel
- *    checksums (byte-identical patches) or the run exits 2.
+ *    triad roof. images_per_s_auto is the gated whole-image rate.
  *
  *  - roofline: the tiered MAC streams two int8 operands per multiply
  *    (the tables and tallies stay cache-resident), so the bandwidth
@@ -139,7 +130,7 @@ measure_membw_bytes_per_s()
     return best;
 }
 
-/** Steady-state MAC/s of one span kernel on the active ISA and tally. */
+/** Steady-state MAC/s of one span kernel on the active ISA. */
 double
 measure_kernel_macs_per_s(bce::BceMode mode, unsigned bits,
                           std::size_t reps, std::int64_t &checksum)
@@ -165,10 +156,10 @@ measure_kernel_macs_per_s(bce::BceMode mode, unsigned bits,
     return secs > 0.0 ? macs / secs : 0.0;
 }
 
-/** Per-image marshal cost of one conv front-end mode. */
+/** Per-image marshal cost of the conv front end. */
 struct MarshalResult
 {
-    double quantize = 0.0; ///< Plane quantize share (zero for fused).
+    double quantize = 0.0; ///< Plane quantize share.
     double marshal = 0.0;  ///< Everything producing patches, quantize
                            ///< included.
 
@@ -176,25 +167,17 @@ struct MarshalResult
      *  padded taps counted as writes only on the read side — an upper
      *  bound within a few percent for padded layers). */
     double marshalBytes = 0.0;
-
-    /** FNV-1a over the marshalled patch bytes: the byte-identity
-     *  witness compared across modes. */
-    std::uint64_t patchFnv = 0;
 };
 
 /**
  * The stage-study rig: one conv layer (3x3 stride-1 pad-1, 32x16x16
  * -> 32 channels) with the production front half of core/functional.cc
- * replicated per mode, marshalling every output position's int8 patch
- * into one buffer — plane quantize + row-run im2col for legacy, the
- * fused quantize-into-patch kernel for fused, plane quantize + row
- * staging + slack8 span materialization for elided.
+ * replicated — plane quantize + once-per-image staging + slack8 span
+ * materialization — marshalling every output position's int8 patch
+ * into one buffer.
  *
  * Marshal and kernel are timed SEPARATELY: the kernel loop reads only
- * the marshalled patch buffer, and the modes produce byte-identical
- * patches (witnessed by patchFnv), so one shared kernel measurement
- * serves every mode and the cross-mode comparison is free of kernel
- * timing noise.
+ * the marshalled patch buffer.
  */
 struct StageRig
 {
@@ -236,103 +219,54 @@ struct StageRig
         view.slack8 = true;
     }
 
-    /** One whole-image marshal pass in @p mode; returns the quantize
-     *  share of the pass's wall time. */
+    /** One whole-image marshal pass; returns the quantize share of
+     *  the pass's wall time. */
     double
-    marshal_once(dnn::FrontendMode mode)
+    marshal_once()
     {
-        double quantize = 0.0;
         const auto t0 = std::chrono::steady_clock::now();
-        switch (mode) {
-          case dnn::FrontendMode::Legacy:
-            dnn::quantize_span(sq, in.data(), in_elems, qin.data());
-            quantize = seconds_since(t0);
-            for (unsigned oh = 0; oh < out.h; ++oh)
-                for (unsigned ow = 0; ow < out.w; ++ow)
-                    dnn::im2col_patch_i8(
-                        l, qin.data(), oh, ow,
-                        patches.data()
-                            + (std::size_t(oh) * out.w + ow)
-                                  * patch_len);
-            break;
-          case dnn::FrontendMode::Fused:
-            for (unsigned oh = 0; oh < out.h; ++oh)
-                for (unsigned ow = 0; ow < out.w; ++ow)
-                    dnn::im2col_quantize_patch(
-                        l, sq, in.data(), oh, ow,
-                        patches.data()
-                            + (std::size_t(oh) * out.w + ow)
-                                  * patch_len);
-            break;
-          case dnn::FrontendMode::Elided: {
-            dnn::quantize_span(sq, in.data(), in_elems, qin.data());
-            quantize = seconds_since(t0);
-            const std::int8_t *plane = qin.data();
-            if (el.staged) {
-                dnn::stage_plane_i8(l, qin.data(), staging.data());
-                plane = staging.data();
-            }
-            for (unsigned oh = 0; oh < out.h; ++oh) {
-                view.base = plane
-                            + std::size_t(oh) * l.strideH * el.rowBytes;
-                bce::simd::materialize_span_block(
-                    view, out.w, l.strideW,
-                    patches.data()
-                        + std::size_t(oh) * out.w * patch_len,
-                    patch_len);
-            }
-            break;
-          }
+        dnn::quantize_span(sq, in.data(), in_elems, qin.data());
+        const double quantize = seconds_since(t0);
+        const std::int8_t *plane = qin.data();
+        if (el.staged) {
+            dnn::stage_plane_i8(l, qin.data(), staging.data());
+            plane = staging.data();
+        }
+        for (unsigned oh = 0; oh < out.h; ++oh) {
+            view.base = plane + std::size_t(oh) * l.strideH * el.rowBytes;
+            bce::simd::materialize_span_block(
+                view, out.w, l.strideW,
+                patches.data() + std::size_t(oh) * out.w * patch_len,
+                patch_len);
         }
         return quantize;
     }
 
-    /** Per-mode marshal timing: @p reps whole-image passes. */
+    /** Marshal timing: @p reps whole-image passes. */
     MarshalResult
-    measure_marshal(dnn::FrontendMode mode, std::size_t reps)
+    measure_marshal(std::size_t reps)
     {
         MarshalResult r;
-        marshal_once(mode); // warm-up untimed
+        marshal_once(); // warm-up untimed
         const auto t0 = std::chrono::steady_clock::now();
         for (std::size_t i = 0; i < reps; ++i)
-            r.quantize += marshal_once(mode);
+            r.quantize += marshal_once();
         r.marshal = seconds_since(t0);
         const double per = 1.0 / static_cast<double>(reps);
         r.quantize *= per;
         r.marshal *= per;
 
-        std::uint64_t h = 1469598103934665603ull; // FNV offset basis
-        for (std::size_t i = 0; i < positions * patch_len; ++i) {
-            h ^= static_cast<std::uint8_t>(patches[i]);
-            h *= 1099511628211ull;
-        }
-        r.patchFnv = h;
-
         // Modeled marshal traffic per image, all counted as touched
-        // bytes (4 B read + 1 B written per quantized tap; 1 B each
-        // way per copied patch byte; staging writes its zero-padded
-        // strip and reads the in-bounds plane rows).
+        // bytes: 4 B read + 1 B written per quantized tap, one
+        // whole-plane staging pass (write the padded plane, read the
+        // quantized one) and 1 B each way per copied patch byte.
         const double patch_bytes = static_cast<double>(positions)
                                    * static_cast<double>(patch_len);
-        switch (mode) {
-          case dnn::FrontendMode::Legacy:
-            r.marshalBytes = 5.0 * static_cast<double>(in_elems)
-                             + 2.0 * patch_bytes;
-            break;
-          case dnn::FrontendMode::Fused:
-            r.marshalBytes = 5.0 * patch_bytes;
-            break;
-          case dnn::FrontendMode::Elided:
-            // Quantize + one whole-plane staging pass (write the
-            // padded plane, read the quantized one) + the patch copy.
-            r.marshalBytes =
-                5.0 * static_cast<double>(in_elems) + 2.0 * patch_bytes
-                + (el.staged
-                       ? static_cast<double>(el.stagingBytes)
-                             + static_cast<double>(in_elems)
-                       : 0.0);
-            break;
-        }
+        r.marshalBytes =
+            5.0 * static_cast<double>(in_elems) + 2.0 * patch_bytes
+            + (el.staged ? static_cast<double>(el.stagingBytes)
+                               + static_cast<double>(in_elems)
+                         : 0.0);
         return r;
     }
 
@@ -443,18 +377,10 @@ main(int argc, char **argv)
         sim::force_simd_level(level);
         std::int64_t checksum = 0;
 
-        // Headline: the gather-free histogram tally (the default).
-        bce::simd::force_tally_mode(bce::simd::TallyMode::Histogram);
         const double conv = measure_kernel_macs_per_s(
             bce::BceMode::Conv, 8, reps, checksum);
         const double mm = measure_kernel_macs_per_s(
             bce::BceMode::Matmul, 8, reps, checksum);
-
-        // Ablation: same span, delta-plane gather pinned.
-        bce::simd::force_tally_mode(bce::simd::TallyMode::Gather);
-        const double conv_gather = measure_kernel_macs_per_s(
-            bce::BceMode::Conv, 8, reps, checksum);
-        bce::simd::reset_tally_mode();
 
         if (level == sim::SimdLevel::Scalar) {
             scalar_conv = conv;
@@ -467,126 +393,53 @@ main(int argc, char **argv)
         const std::string sec = kernel_section(level);
         json.set(sec, "conv_8bit_macs_per_s", conv);
         json.set(sec, "matmul_8bit_macs_per_s", mm);
-        json.set(sec, "conv_8bit_gather_macs_per_s", conv_gather);
-        json.set(sec, "hist_over_gather",
-                 conv_gather > 0.0 ? conv / conv_gather : 0.0);
         json.set(sec, "speedup_vs_scalar",
                  scalar_conv > 0.0 ? conv / scalar_conv : 0.0);
         best_conv = std::max(best_conv, conv);
         char line[200];
         std::snprintf(line, sizeof(line),
                       "%-14s conv %10.2f MMAC/s  matmul %10.2f MMAC/s  "
-                      "gather %10.2f MMAC/s  vs scalar %5.2fx\n",
+                      "vs scalar %5.2fx\n",
                       sec.c_str(), conv / 1e6, mm / 1e6,
-                      conv_gather / 1e6,
                       scalar_conv > 0.0 ? conv / scalar_conv : 0.0);
         std::cout << line;
     }
     sim::reset_simd_level();
 
-    // ---- Per-mode front-half breakdown at the resolved ISA ----------
+    // ---- Front-half breakdown at the resolved ISA -------------------
     {
         const std::size_t marshal_reps = 400;
         const std::size_t kernel_reps = 40;
-        constexpr dnn::FrontendMode modes[] = {
-            dnn::FrontendMode::Legacy, dnn::FrontendMode::Fused,
-            dnn::FrontendMode::Elided};
 
         StageRig rig;
-        const dnn::FrontendMode auto_mode =
-            dnn::resolve_frontend(rig.l, 8);
-
-        MarshalResult by_mode[3];
-        for (const dnn::FrontendMode mode : modes) {
-            const std::size_t m = static_cast<std::size_t>(mode);
-            by_mode[m] = rig.measure_marshal(mode, marshal_reps);
-            // Byte-identity gate: every mode must marshal the same
-            // patch bytes.
-            if (by_mode[m].patchFnv != by_mode[0].patchFnv) {
-                std::cerr << "stages_"
-                          << dnn::frontend_mode_name(mode)
-                          << ": patch bytes diverged from legacy "
-                             "(front-end modes are not byte-identical)"
-                             "\n";
-                return 2;
-            }
-        }
-        // One shared kernel timing: the kernel reads identical patch
-        // bytes whichever mode marshalled them, so measuring it once
-        // keeps kernel noise out of the cross-mode comparison.
+        const MarshalResult s = rig.measure_marshal(marshal_reps);
         std::int64_t stage_checksum = 0;
         const double kernel =
             rig.measure_kernel(kernel_reps, stage_checksum);
+        const double total = s.marshal + kernel;
+        const double marshal_bw =
+            s.marshal > 0.0 ? s.marshalBytes / s.marshal : 0.0;
 
-        for (const dnn::FrontendMode mode : modes) {
-            const MarshalResult &s =
-                by_mode[static_cast<std::size_t>(mode)];
-            const double total = s.marshal + kernel;
-            const std::string sec =
-                std::string("stages_") + dnn::frontend_mode_name(mode);
-            json.set(sec, "frontend_mode",
-                     static_cast<double>(
-                         static_cast<std::size_t>(mode)));
-            json.set(sec, "quantize_ms_per_image", 1e3 * s.quantize);
-            json.set(sec, "marshal_ms_per_image", 1e3 * s.marshal);
-            json.set(sec, "kernel_ms_per_image", 1e3 * kernel);
-            json.set(sec, "total_ms_per_image", 1e3 * total);
-            json.set(sec, "images_per_s",
-                     total > 0.0 ? 1.0 / total : 0.0);
-            json.set(sec, "front_half_fraction",
-                     total > 0.0 ? s.marshal / total : 0.0);
-            json.set(sec, "marshal_bytes_per_image", s.marshalBytes);
-            const double marshal_bw =
-                s.marshal > 0.0 ? s.marshalBytes / s.marshal : 0.0;
-            json.set(sec, "marshal_bytes_per_s", marshal_bw);
-            json.set(sec, "marshal_bw_fraction_of_triad",
-                     membw > 0.0 ? marshal_bw / membw : 0.0);
-            char line[220];
-            std::snprintf(
-                line, sizeof(line),
-                "stages[%-6s]%s marshal %.4f ms  kernel %.3f ms  "
-                "front-half %4.1f%%  %6.1f im/s  marshal bw %5.2f "
-                "GB/s\n",
-                dnn::frontend_mode_name(mode),
-                mode == auto_mode ? "*" : " ", 1e3 * s.marshal,
-                1e3 * kernel,
-                total > 0.0 ? 100.0 * s.marshal / total : 0.0,
-                total > 0.0 ? 1.0 / total : 0.0, marshal_bw / 1e9);
-            std::cout << line;
-        }
-
-        // Summary: legacy per-stage keys for continuity with PR 9, the
-        // auto-resolved mode's figures (what production runs), and the
-        // e2e uplift of auto over forced-legacy.
-        const MarshalResult &lg = by_mode[0];
-        const MarshalResult &au =
-            by_mode[static_cast<std::size_t>(auto_mode)];
-        const double legacy_total = lg.marshal + kernel;
-        const double auto_total = au.marshal + kernel;
-        json.set("stages", "quantize_ms_per_image", 1e3 * lg.quantize);
+        json.set("stages", "quantize_ms_per_image", 1e3 * s.quantize);
         json.set("stages", "im2col_ms_per_image",
-                 1e3 * (lg.marshal - lg.quantize));
+                 1e3 * (s.marshal - s.quantize));
         json.set("stages", "kernel_ms_per_image", 1e3 * kernel);
-        json.set("stages", "auto_frontend_mode",
-                 static_cast<double>(auto_mode));
         json.set("stages", "front_half_fraction",
-                 auto_total > 0.0 ? au.marshal / auto_total : 0.0);
-        json.set("stages", "images_per_s_legacy",
-                 legacy_total > 0.0 ? 1.0 / legacy_total : 0.0);
+                 total > 0.0 ? s.marshal / total : 0.0);
         json.set("stages", "images_per_s_auto",
-                 auto_total > 0.0 ? 1.0 / auto_total : 0.0);
-        json.set("stages", "auto_over_legacy_images_per_s",
-                 auto_total > 0.0 ? legacy_total / auto_total : 0.0);
-        char line[200];
+                 total > 0.0 ? 1.0 / total : 0.0);
+        json.set("stages", "marshal_bytes_per_image", s.marshalBytes);
+        json.set("stages", "marshal_bytes_per_s", marshal_bw);
+        json.set("stages", "marshal_bw_fraction_of_triad",
+                 membw > 0.0 ? marshal_bw / membw : 0.0);
+        char line[220];
         std::snprintf(line, sizeof(line),
-                      "stages: auto=%s  front-half %4.2f%%  e2e uplift "
-                      "%.3fx over legacy\n",
-                      dnn::frontend_mode_name(auto_mode),
-                      auto_total > 0.0
-                          ? 100.0 * au.marshal / auto_total
-                          : 0.0,
-                      auto_total > 0.0 ? legacy_total / auto_total
-                                       : 0.0);
+                      "stages: marshal %.4f ms  kernel %.3f ms  "
+                      "front-half %4.1f%%  %6.1f im/s  marshal bw %5.2f "
+                      "GB/s\n",
+                      1e3 * s.marshal, 1e3 * kernel,
+                      total > 0.0 ? 100.0 * s.marshal / total : 0.0,
+                      total > 0.0 ? 1.0 / total : 0.0, marshal_bw / 1e9);
         std::cout << line;
     }
 
@@ -675,8 +528,7 @@ main(int argc, char **argv)
         }
         {
             // The front half must not regress: a >5x collapse of the
-            // production (auto) whole-image rate fails like a kernel
-            // collapse would.
+            // whole-image rate fails like a kernel collapse would.
             const double now =
                 json.get("stages", "images_per_s_auto", 0.0);
             const double ref =

@@ -1,9 +1,7 @@
 #include "simd_kernels.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <vector>
 
 #include "sim/cpuid.hh"
@@ -19,23 +17,6 @@
 namespace bfree::bce::simd {
 
 namespace {
-
-/** The one resolved tally mode; std::nullopt until first use. */
-std::optional<TallyMode> resolvedTally;
-
-TallyMode
-resolve_tally_from_environment()
-{
-    const char *mode = std::getenv("BFREE_TIERED_TALLY");
-    if (mode == nullptr || mode[0] == '\0')
-        return TallyMode::Histogram;
-    if (!std::strcmp(mode, "histogram"))
-        return TallyMode::Histogram;
-    if (!std::strcmp(mode, "gather"))
-        return TallyMode::Gather;
-    bfree_fatal("BFREE_TIERED_TALLY=", mode, " is not a known tally "
-                "mode (expected histogram or gather)");
-}
 
 /**
  * Blocked scalar tally over packed micro-op deltas. Two u64
@@ -422,18 +403,6 @@ feature_table(const std::array<std::uint8_t, 16> &table)
     const __m512i kFZ = _mm512_broadcast_i32x4(                          \
         feature_table(lut::DatapathTable::class_feature_z))
 
-/** Sum of eight u32 lanes, widened (store-and-add; spill path only). */
-__attribute__((target("avx2"))) std::uint64_t
-hsum_u32x8(__m256i v)
-{
-    alignas(32) std::uint32_t lane[8];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lane), v);
-    std::uint64_t sum = 0;
-    for (const std::uint32_t l : lane)
-        sum += l;
-    return sum;
-}
-
 /** Sum of four u32 lanes (SSE spill path). */
 __attribute__((target("sse4.2"))) std::uint64_t
 hsum_u32x4(__m128i v)
@@ -507,17 +476,48 @@ reduce_features_u32x4(__m128i p, __m128i o, __m128i l, __m128i z,
 }
 
 /**
+ * What a histogram span kernel does with operands outside its table's
+ * domain. int8 operands always fit an 8-bit table; a 4-bit table's
+ * spans clamp (conv) or refuse (matmul) out-of-domain bytes, in
+ * registers, before the classify step.
+ */
+enum class Domain
+{
+    Full,   ///< Every operand is in domain (8-bit tables).
+    Clamp,  ///< Clamp both operands to [-half, half - 1] (4-bit conv).
+    /** Any operand outside [-half, half] hands the rest of the span,
+     *  from the offending block on, to scalar_range, which reports the
+     *  first offender (4-bit matmul). */
+    Strict,
+};
+
+/** The lower and upper operand bound of @p D on @p t as bytes, read
+ *  only under Clamp and Strict, whose tables are 4-bit (half = 8). */
+char
+domain_lo(const lut::DatapathTable &t)
+{
+    return static_cast<char>(-t.half());
+}
+
+template <Domain D>
+char
+domain_hi(const lut::DatapathTable &t)
+{
+    return static_cast<char>(D == Domain::Clamp ? t.half() - 1 : t.half());
+}
+
+/**
  * AVX2 histogram-tally kernel: 32 operand pairs per step, no table
  * access in the loop. Products via widening madd (exact: |a*b| <=
  * 2^14 fits int16 pairs, and wrapped mod-2^32 sums match the scalar
  * u32 accumulation); micro-op tallies via the factored class-feature
- * fold against the build-verified pairDeltas collapse. Only
- * dispatched for 8-bit productsExact+histogramExact tables, whose
- * int8 operands are always in domain, so no clamp/strict handling
- * exists here by construction. A ragged tail is one more step over a
- * zero-filled copy: a zero operand has product 0 and class 0, every
- * feature of which is 0.
+ * fold against the build-verified pairDeltas collapse. A ragged tail
+ * is one more step over a zero-filled copy: a zero operand has
+ * product 0 and class 0, every feature of which is 0, and it stays
+ * in domain. Exact for 4-bit tables by the rank-1 identity the tile
+ * uses (a span is a 1 x 1 tile) once both operands are in domain.
  */
+template <Domain D>
 __attribute__((target("avx2"))) SpanSums
 span_avx2_hist(const lut::DatapathTable &t, const std::int8_t *a,
                const std::int8_t *b, std::size_t len)
@@ -526,6 +526,8 @@ span_avx2_hist(const lut::DatapathTable &t, const std::int8_t *a,
     BFREE_CLASSIFY_CONSTS_256;
     BFREE_FEATURE_CONSTS_256;
     const __m256i kOne16 = _mm256_set1_epi16(1);
+    const __m256i kLo = _mm256_set1_epi8(domain_lo(t));
+    const __m256i kHi = _mm256_set1_epi8(domain_hi<D>(t));
 
     __m256i accP = _mm256_setzero_si256();
     __m256i sP = accP, sO = accP, sL = accP, sZ = accP;
@@ -543,7 +545,8 @@ span_avx2_hist(const lut::DatapathTable &t, const std::int8_t *a,
         sinceSpill = 0;                                                  \
     } while (0)
 
-    for (std::size_t i = 0; i < len; i += 32) {
+    std::size_t i = 0;
+    for (; i < len; i += 32) {
         const std::int8_t *pa = a + i, *pb = b + i;
         if (len - i < 32) {
             std::memcpy(tailA, pa, len - i);
@@ -551,10 +554,22 @@ span_avx2_hist(const lut::DatapathTable &t, const std::int8_t *a,
             pa = tailA;
             pb = tailB;
         }
-        const __m256i va =
+        __m256i va =
             _mm256_loadu_si256(reinterpret_cast<const __m256i *>(pa));
-        const __m256i vb =
+        __m256i vb =
             _mm256_loadu_si256(reinterpret_cast<const __m256i *>(pb));
+        if constexpr (D == Domain::Clamp) {
+            va = _mm256_min_epi8(_mm256_max_epi8(va, kLo), kHi);
+            vb = _mm256_min_epi8(_mm256_max_epi8(vb, kLo), kHi);
+        } else if constexpr (D == Domain::Strict) {
+            const __m256i bad = _mm256_or_si256(
+                _mm256_or_si256(_mm256_cmpgt_epi8(kLo, va),
+                                _mm256_cmpgt_epi8(va, kHi)),
+                _mm256_or_si256(_mm256_cmpgt_epi8(kLo, vb),
+                                _mm256_cmpgt_epi8(vb, kHi)));
+            if (!_mm256_testz_si256(bad, bad))
+                break;
+        }
 
         const __m256i a0 =
             _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
@@ -588,16 +603,20 @@ span_avx2_hist(const lut::DatapathTable &t, const std::int8_t *a,
     BFREE_SEP_SPILL_256();
 #undef BFREE_SEP_SPILL_256
     fold_features(f, t.cyclesFactor(), s);
-    s.acc = static_cast<std::int32_t>(wsum_u32x8(accP));
+    std::uint32_t acc = wsum_u32x8(accP);
+    if (i < len) // a Strict block held an out-of-domain operand
+        scalar_range(t, a, b, i, len, false, true, acc, s);
+    s.acc = static_cast<std::int32_t>(acc);
     return s;
 }
 
 /**
  * AVX-512 histogram-tally kernel: 64 pairs per step, same factored
- * fold as the AVX2 variant in 512-bit lanes (BW byte shuffles,
- * mask-blended class compression). The ragged tail is one more step
- * through zero-masked loads.
+ * fold and domain handling as the AVX2 variant in 512-bit lanes (BW
+ * byte shuffles, mask-blended class compression). The ragged tail is
+ * one more step through zero-masked loads.
  */
+template <Domain D>
 __attribute__((target("avx512f,avx512bw,avx512vl"))) SpanSums
 span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
                  const std::int8_t *b, std::size_t len)
@@ -606,6 +625,8 @@ span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
     BFREE_CLASSIFY_CONSTS_512;
     BFREE_FEATURE_CONSTS_512;
     const __m512i kOne16 = _mm512_set1_epi16(1);
+    const __m512i kLo = _mm512_set1_epi8(domain_lo(t));
+    const __m512i kHi = _mm512_set1_epi8(domain_hi<D>(t));
 
     __m512i accP = _mm512_setzero_si512();
     __m512i sP = accP, sO = accP, sL = accP, sZ = accP;
@@ -627,12 +648,23 @@ span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
         sinceSpill = 0;                                                  \
     } while (0)
 
-    for (std::size_t i = 0; i < len; i += 64) {
+    std::size_t i = 0;
+    for (; i < len; i += 64) {
         const __mmask64 mask = len - i >= 64
                                    ? ~__mmask64{0}
                                    : (__mmask64{1} << (len - i)) - 1;
-        const __m512i va = _mm512_maskz_loadu_epi8(mask, a + i);
-        const __m512i vb = _mm512_maskz_loadu_epi8(mask, b + i);
+        __m512i va = _mm512_maskz_loadu_epi8(mask, a + i);
+        __m512i vb = _mm512_maskz_loadu_epi8(mask, b + i);
+        if constexpr (D == Domain::Clamp) {
+            va = _mm512_min_epi8(_mm512_max_epi8(va, kLo), kHi);
+            vb = _mm512_min_epi8(_mm512_max_epi8(vb, kLo), kHi);
+        } else if constexpr (D == Domain::Strict) {
+            if (_mm512_cmplt_epi8_mask(va, kLo)
+                | _mm512_cmpgt_epi8_mask(va, kHi)
+                | _mm512_cmplt_epi8_mask(vb, kLo)
+                | _mm512_cmpgt_epi8_mask(vb, kHi))
+                break;
+        }
 
         const __m512i a0 =
             _mm512_cvtepi8_epi16(_mm512_castsi512_si256(va));
@@ -667,9 +699,12 @@ span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
 #undef BFREE_SEP_SPILL_512
 #undef BFREE_FOLD_512
     fold_features(f, t.cyclesFactor(), s);
-    s.acc = static_cast<std::int32_t>(wsum_u32x8(
+    std::uint32_t acc = wsum_u32x8(
         _mm256_add_epi32(_mm512_castsi512_si256(accP),
-                         _mm512_extracti64x4_epi64(accP, 1))));
+                         _mm512_extracti64x4_epi64(accP, 1)));
+    if (i < len) // a Strict block held an out-of-domain operand
+        scalar_range(t, a, b, i, len, false, true, acc, s);
+    s.acc = static_cast<std::int32_t>(acc);
     return s;
 }
 
@@ -677,9 +712,10 @@ span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
 
 /**
  * SSE4.2 histogram-tally kernel: 16 pairs per step (pshufb/maddubs
- * are SSSE3, the widening converts SSE4.1), with the AVX2 variant's
- * zero-filled tail step.
+ * are SSSE3, the widening converts and byte min/max SSE4.1), with the
+ * AVX2 variant's zero-filled tail step and domain handling.
  */
+template <Domain D>
 __attribute__((target("sse4.2"))) SpanSums
 span_sse42_hist(const lut::DatapathTable &t, const std::int8_t *a,
                 const std::int8_t *b, std::size_t len)
@@ -688,6 +724,8 @@ span_sse42_hist(const lut::DatapathTable &t, const std::int8_t *a,
     BFREE_CLASSIFY_CONSTS_128;
     BFREE_FEATURE_CONSTS_128;
     const __m128i kOne16 = _mm_set1_epi16(1);
+    const __m128i kLo = _mm_set1_epi8(domain_lo(t));
+    const __m128i kHi = _mm_set1_epi8(domain_hi<D>(t));
 
     __m128i accP = _mm_setzero_si128();
     __m128i sP = accP, sO = accP, sL = accP, sZ = accP;
@@ -705,7 +743,8 @@ span_sse42_hist(const lut::DatapathTable &t, const std::int8_t *a,
         sinceSpill = 0;                                                  \
     } while (0)
 
-    for (std::size_t i = 0; i < len; i += 16) {
+    std::size_t i = 0;
+    for (; i < len; i += 16) {
         const std::int8_t *pa = a + i, *pb = b + i;
         if (len - i < 16) {
             std::memcpy(tailA, pa, len - i);
@@ -713,10 +752,20 @@ span_sse42_hist(const lut::DatapathTable &t, const std::int8_t *a,
             pa = tailA;
             pb = tailB;
         }
-        const __m128i va =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(pa));
-        const __m128i vb =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(pb));
+        __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i *>(pa));
+        __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i *>(pb));
+        if constexpr (D == Domain::Clamp) {
+            va = _mm_min_epi8(_mm_max_epi8(va, kLo), kHi);
+            vb = _mm_min_epi8(_mm_max_epi8(vb, kLo), kHi);
+        } else if constexpr (D == Domain::Strict) {
+            const __m128i bad = _mm_or_si128(
+                _mm_or_si128(_mm_cmplt_epi8(va, kLo),
+                             _mm_cmpgt_epi8(va, kHi)),
+                _mm_or_si128(_mm_cmplt_epi8(vb, kLo),
+                             _mm_cmpgt_epi8(vb, kHi)));
+            if (!_mm_testz_si128(bad, bad))
+                break;
+        }
 
         const __m128i a0 = _mm_cvtepi8_epi16(va);
         const __m128i a1 = _mm_cvtepi8_epi16(_mm_srli_si128(va, 8));
@@ -746,179 +795,28 @@ span_sse42_hist(const lut::DatapathTable &t, const std::int8_t *a,
     BFREE_SEP_SPILL_128();
 #undef BFREE_SEP_SPILL_128
     fold_features(f, t.cyclesFactor(), s);
-    s.acc = static_cast<std::int32_t>(
-        static_cast<std::uint32_t>(hsum_u32x4(accP)));
-    return s;
-}
-
-/**
- * AVX2 gather variant: 8 operand pairs per step. Widening byte->dword
- * converts feed a mullo for the products (or a product-plane gather
- * when the table is poisoned), one dword gather fetches the packed
- * deltas, and four masked lane accumulators implement the blocked
- * tally (spilled well before any u32 lane can saturate). The operand
- * streams are software-prefetched a few cache lines ahead; per-lane
- * prefetch of the gather targets was measured counterproductive (the
- * delta plane is cache-resident, so the extract/prefetch overhead
- * outweighs any latency it hides).
- */
-__attribute__((target("avx2"))) SpanSums
-span_avx2(const lut::DatapathTable &t, const std::int8_t *a,
-          const std::int8_t *b, std::size_t len, bool clamp, bool strict)
-{
-    SpanSums s;
-    const std::int32_t half = t.half();
-    const std::int32_t *prod = t.products();
-    const auto *delta = reinterpret_cast<const int *>(t.deltas());
-    const bool exact = t.productsExact();
-
-    const __m256i vhalf = _mm256_set1_epi32(half);
-    const __m256i vspan = _mm256_set1_epi32(static_cast<int>(t.span()));
-    const __m256i vmin = _mm256_set1_epi32(-half);
-    const __m256i vmax = _mm256_set1_epi32(half - 1);
-    const __m256i byteMask = _mm256_set1_epi32(0xFF);
-
-    __m256i accP = _mm256_setzero_si256();
-    __m256i f0 = accP, f1 = accP, f2 = accP, f3 = accP;
-    std::uint32_t acc = 0;
-
-    // Each u32 lane absorbs a <=255 field per step: spill long before
-    // 2^32 / 255 steps so the lanes can never saturate.
-    constexpr std::size_t spill_block = std::size_t{1} << 22;
-    std::size_t sinceSpill = 0;
-
-    std::size_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-        _mm_prefetch(reinterpret_cast<const char *>(a + i + 256),
-                     _MM_HINT_T0);
-        _mm_prefetch(reinterpret_cast<const char *>(b + i + 256),
-                     _MM_HINT_T0);
-        __m256i vw = _mm256_cvtepi8_epi32(_mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(a + i)));
-        __m256i vx = _mm256_cvtepi8_epi32(_mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(b + i)));
-        if (clamp) {
-            vw = _mm256_min_epi32(_mm256_max_epi32(vw, vmin), vmax);
-            vx = _mm256_min_epi32(_mm256_max_epi32(vx, vmin), vmax);
-        } else if (strict) {
-            // Out-of-domain lanes would index outside the planes; let
-            // the scalar tail walk this block and pinpoint the first
-            // offender in element order.
-            const __m256i bad = _mm256_or_si256(
-                _mm256_or_si256(_mm256_cmpgt_epi32(vmin, vw),
-                                _mm256_cmpgt_epi32(vw, vhalf)),
-                _mm256_or_si256(_mm256_cmpgt_epi32(vmin, vx),
-                                _mm256_cmpgt_epi32(vx, vhalf)));
-            if (_mm256_movemask_epi8(bad) != 0)
-                break;
-        }
-        const __m256i idx = _mm256_add_epi32(
-            _mm256_mullo_epi32(_mm256_add_epi32(vw, vhalf), vspan),
-            _mm256_add_epi32(vx, vhalf));
-        const __m256i d = _mm256_i32gather_epi32(delta, idx, 4);
-        const __m256i p = exact
-                              ? _mm256_mullo_epi32(vw, vx)
-                              : _mm256_i32gather_epi32(prod, idx, 4);
-        accP = _mm256_add_epi32(accP, p);
-        f0 = _mm256_add_epi32(f0, _mm256_and_si256(d, byteMask));
-        f1 = _mm256_add_epi32(
-            f1, _mm256_and_si256(_mm256_srli_epi32(d, 8), byteMask));
-        f2 = _mm256_add_epi32(
-            f2, _mm256_and_si256(_mm256_srli_epi32(d, 16), byteMask));
-        f3 = _mm256_add_epi32(f3, _mm256_srli_epi32(d, 24));
-        if (++sinceSpill == spill_block) {
-            s.lookups += hsum_u32x8(f0);
-            s.shifts += hsum_u32x8(f1);
-            s.adds += hsum_u32x8(f2);
-            s.cycles += hsum_u32x8(f3);
-            f0 = f1 = f2 = f3 = _mm256_setzero_si256();
-            sinceSpill = 0;
-        }
-    }
-    s.lookups += hsum_u32x8(f0);
-    s.shifts += hsum_u32x8(f1);
-    s.adds += hsum_u32x8(f2);
-    s.cycles += hsum_u32x8(f3);
-    acc += static_cast<std::uint32_t>(hsum_u32x8(accP));
-
-    if (i < len)
-        scalar_range(t, a, b, i, len, clamp, strict, acc, s);
+    std::uint32_t acc = static_cast<std::uint32_t>(hsum_u32x4(accP));
+    if (i < len) // a Strict block held an out-of-domain operand
+        scalar_range(t, a, b, i, len, false, true, acc, s);
     s.acc = static_cast<std::int32_t>(acc);
     return s;
 }
 
-/**
- * SSE4.2 gather variant: 4 pairs per step. Widening converts plus
- * pmulld cover the product side; without a hardware gather, the
- * packed deltas are fetched with scalar loads into the blocked tally.
- */
-__attribute__((target("sse4.2"))) SpanSums
-span_sse42(const lut::DatapathTable &t, const std::int8_t *a,
-           const std::int8_t *b, std::size_t len, bool clamp,
-           bool strict)
+/** The histogram span kernel of the x86 @p level, for domain @p D. */
+template <Domain D>
+SpanSums
+span_hist(sim::SimdLevel level, const lut::DatapathTable &t,
+          const std::int8_t *a, const std::int8_t *b, std::size_t len)
 {
-    SpanSums s;
-    const std::int32_t half = t.half();
-    const std::uint32_t span = t.span();
-    const std::int32_t *prod = t.products();
-    const std::uint32_t *delta = t.deltas();
-    const bool exact = t.productsExact();
-
-    const __m128i vhalf = _mm_set1_epi32(half);
-    const __m128i vspan = _mm_set1_epi32(static_cast<int>(span));
-    const __m128i vmin = _mm_set1_epi32(-half);
-    const __m128i vmax = _mm_set1_epi32(half - 1);
-
-    __m128i accP = _mm_setzero_si128();
-    std::uint32_t acc = 0;
-    TallyBlock tb;
-
-    std::size_t i = 0;
-    for (; i + 4 <= len; i += 4) {
-        std::int32_t wword, xword;
-        __builtin_memcpy(&wword, a + i, 4);
-        __builtin_memcpy(&xword, b + i, 4);
-        __m128i vw = _mm_cvtepi8_epi32(_mm_cvtsi32_si128(wword));
-        __m128i vx = _mm_cvtepi8_epi32(_mm_cvtsi32_si128(xword));
-        if (clamp) {
-            vw = _mm_min_epi32(_mm_max_epi32(vw, vmin), vmax);
-            vx = _mm_min_epi32(_mm_max_epi32(vx, vmin), vmax);
-        } else if (strict) {
-            const __m128i bad = _mm_or_si128(
-                _mm_or_si128(_mm_cmpgt_epi32(vmin, vw),
-                             _mm_cmpgt_epi32(vw, vhalf)),
-                _mm_or_si128(_mm_cmpgt_epi32(vmin, vx),
-                             _mm_cmpgt_epi32(vx, vhalf)));
-            if (_mm_movemask_epi8(bad) != 0)
-                break; // scalar tail pinpoints the offender
-        }
-        const __m128i idx = _mm_add_epi32(
-            _mm_mullo_epi32(_mm_add_epi32(vw, vhalf), vspan),
-            _mm_add_epi32(vx, vhalf));
-        alignas(16) std::int32_t lane[4];
-        _mm_store_si128(reinterpret_cast<__m128i *>(lane), idx);
-        tb.add(delta[lane[0]], s);
-        tb.add(delta[lane[1]], s);
-        tb.add(delta[lane[2]], s);
-        tb.add(delta[lane[3]], s);
-        if (exact) {
-            accP = _mm_add_epi32(accP, _mm_mullo_epi32(vw, vx));
-        } else {
-            acc += static_cast<std::uint32_t>(prod[lane[0]]);
-            acc += static_cast<std::uint32_t>(prod[lane[1]]);
-            acc += static_cast<std::uint32_t>(prod[lane[2]]);
-            acc += static_cast<std::uint32_t>(prod[lane[3]]);
-        }
+    switch (level) {
+      case sim::SimdLevel::Avx512:
+      case sim::SimdLevel::Avx512Vnni:
+        return span_avx512_hist<D>(t, a, b, len);
+      case sim::SimdLevel::Avx2:
+        return span_avx2_hist<D>(t, a, b, len);
+      default:
+        return span_sse42_hist<D>(t, a, b, len);
     }
-    tb.spill(s);
-    alignas(16) std::uint32_t plane[4];
-    _mm_store_si128(reinterpret_cast<__m128i *>(plane), accP);
-    acc += plane[0] + plane[1] + plane[2] + plane[3];
-
-    if (i < len)
-        scalar_range(t, a, b, i, len, clamp, strict, acc, s);
-    s.acc = static_cast<std::int32_t>(acc);
-    return s;
 }
 
 // ---------------------------------------------------------------------
@@ -1561,47 +1459,14 @@ span_neon(const lut::DatapathTable &t, const std::int8_t *a,
 
 } // namespace
 
-const char *
-tally_mode_name(TallyMode mode)
-{
-    switch (mode) {
-      case TallyMode::Histogram:
-        return "histogram";
-      case TallyMode::Gather:
-        return "gather";
-    }
-    return "unknown";
-}
-
-TallyMode
-active_tally_mode()
-{
-    if (!resolvedTally)
-        resolvedTally = resolve_tally_from_environment();
-    return *resolvedTally;
-}
-
-void
-force_tally_mode(TallyMode mode)
-{
-    resolvedTally = mode;
-}
-
-void
-reset_tally_mode()
-{
-    resolvedTally = resolve_tally_from_environment();
-}
-
 bool
 histogram_eligible(const lut::DatapathTable &table)
 {
     // The gather-free tally requires the pristine steady state: every
     // product exact (widening multiply legal) and the whole delta
     // plane verified against the class collapse. The operand domain
-    // is the caller's obligation. Everything else gathers.
-    return active_tally_mode() == TallyMode::Histogram
-           && table.productsExact() && table.histogramExact();
+    // is the caller's obligation.
+    return table.productsExact() && table.histogramExact();
 }
 
 SpanSums
@@ -1615,38 +1480,24 @@ run_span(const lut::DatapathTable &table, const std::int8_t *a,
         semantics == SpanSemantics::ConvClamp && table.bits() == 4;
     const bool strict =
         semantics == SpanSemantics::MatmulStrict && table.bits() == 4;
+    [[maybe_unused]] const sim::SimdLevel level = sim::active_simd_level();
 
-    // The histogram span kernels have no clamp or strict check, so
-    // only 8-bit tables, whose int8 operands are always in domain,
-    // take them.
-    [[maybe_unused]] const bool histogramEligible =
-        table.bits() == 8 && histogram_eligible(table);
-
-    switch (sim::active_simd_level()) {
 #ifdef BFREE_X86_KERNELS
-      case sim::SimdLevel::Avx512:
-      case sim::SimdLevel::Avx512Vnni:
-        if (histogramEligible)
-            return span_avx512_hist(table, a, b, len);
-        // Gather fallback reuses the AVX2 kernel: AVX-512 adds
-        // nothing to a latency-bound gather loop.
-        return span_avx2(table, a, b, len, clamp, strict);
-      case sim::SimdLevel::Avx2:
-        if (histogramEligible)
-            return span_avx2_hist(table, a, b, len);
-        return span_avx2(table, a, b, len, clamp, strict);
-      case sim::SimdLevel::Sse42:
-        if (histogramEligible)
-            return span_sse42_hist(table, a, b, len);
-        return span_sse42(table, a, b, len, clamp, strict);
+    // Tables the class collapse does not cover (a poisoned LUT row,
+    // the reseed window after a rewrite) run the scalar loop.
+    if (level != sim::SimdLevel::Scalar && histogram_eligible(table)) {
+        if (clamp)
+            return span_hist<Domain::Clamp>(level, table, a, b, len);
+        if (strict)
+            return span_hist<Domain::Strict>(level, table, a, b, len);
+        return span_hist<Domain::Full>(level, table, a, b, len);
+    }
 #endif
 #ifdef __ARM_NEON
-      case sim::SimdLevel::Neon:
+    if (level == sim::SimdLevel::Neon)
         return span_neon(table, a, b, len, clamp, strict);
 #endif
-      default:
-        return span_scalar(table, a, b, len, clamp, strict);
-    }
+    return span_scalar(table, a, b, len, clamp, strict);
 }
 
 void

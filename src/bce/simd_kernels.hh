@@ -10,32 +10,25 @@
  * books identical statistics (and therefore identical energy) no
  * matter which ISA variant ran.
  *
- * Two tally strategies exist, selectable with BFREE_TIERED_TALLY and
- * verified byte-identical against each other and the scalar loop:
- *
- *  - HISTOGRAM (default, the gather-free steady state): products come
- *    from a SIMD widening multiply and the micro-op tallies from the
- *    table's verified 256-bin class-pair collapse
- *    (DatapathTable::pairDeltas). The fold is computed in factored
- *    form — four per-class feature dot products accumulated with byte
- *    shuffles and maddubs, mathematically identical to materializing
- *    the 256-bin histogram and folding it against pairDeltas(), but
- *    without the store-forwarding stalls a binned counter array
- *    suffers on skewed class distributions. Eligible only when the
- *    table reports productsExact() AND histogramExact(); anything
- *    else — a poisoned LUT row, a reference whose counts defeat the
- *    class collapse — takes the gather path. 4-bit spans gather too:
- *    the span kernels have no clamp or strict domain check (4-bit
- *    tiles take the GEMM only when their operands are in domain).
- *
- *  - GATHER (the fallback, also forceable for differential testing):
- *    the per-element delta-plane gather of the original SoA engine,
- *    with software prefetch on the operand streams.
+ * One tally strategy serves every x86 level: products come from a
+ * SIMD widening multiply and the micro-op tallies from the table's
+ * verified 256-bin class-pair collapse (DatapathTable::pairDeltas).
+ * The fold is computed in factored form — four per-class feature dot
+ * products accumulated with byte shuffles and maddubs, mathematically
+ * identical to materializing the 256-bin histogram and folding it
+ * against pairDeltas(), but without the store-forwarding stalls a
+ * binned counter array suffers on skewed class distributions. It
+ * serves any table that reports productsExact() AND histogramExact(),
+ * at 8 and 4 bits: 4-bit spans clamp (conv) or range-check (matmul)
+ * their operands in registers first. Anything else — a poisoned LUT
+ * row, a reference whose counts defeat the class collapse — runs the
+ * scalar loop over the delta and product planes, which is also the
+ * test oracle. NEON keeps its own widening-multiply kernel.
  *
  * Variant selection is runtime CPU dispatch (sim/cpuid): one binary
  * carries scalar, SSE4.2, AVX2, AVX-512, AVX512-VNNI and NEON paths,
- * and CI pins each via BFREE_FORCE_SCALAR / BFREE_FORCE_ISA /
- * BFREE_TIERED_TALLY to differentially verify them all on one host.
+ * and CI pins each via BFREE_FORCE_SCALAR / BFREE_FORCE_ISA to
+ * differentially verify them all on one host.
  */
 
 #ifndef BFREE_BCE_SIMD_KERNELS_HH
@@ -76,33 +69,6 @@ enum class SpanSemantics
     MatmulStrict,
 };
 
-/** Micro-op tally strategy for the dispatched span kernels. */
-enum class TallyMode
-{
-    /** Gather-free class tally from pairDeltas() where the table
-     *  qualifies; the default. */
-    Histogram = 0,
-    /** Per-element delta-plane gather everywhere (the fallback path,
-     *  pinnable for differential testing and ablation). */
-    Gather = 1,
-};
-
-/** Human-readable name ("histogram", "gather"). */
-const char *tally_mode_name(TallyMode mode);
-
-/**
- * The tally strategy the dispatcher uses: Histogram unless the
- * BFREE_TIERED_TALLY environment override says otherwise. Resolved
- * once and cached; an unknown value is fatal at first use.
- */
-TallyMode active_tally_mode();
-
-/** Pin the tally mode programmatically (tests/benchmarks). */
-void force_tally_mode(TallyMode mode);
-
-/** Drop a force_tally_mode pin and re-resolve from the environment. */
-void reset_tally_mode();
-
 /**
  * Run the dispatched span kernel: sum of products and micro-op
  * tallies for a[i] * b[i], i in [0, len), served from @p table.
@@ -114,12 +80,11 @@ SpanSums run_span(const lut::DatapathTable &table, const std::int8_t *a,
 
 /**
  * The gate of the gather-free tally, shared by span and tile dispatch:
- * Histogram tally mode, productsExact() and histogramExact(). The Bce
- * tile entry points take the GEMM tile when this holds and both
- * operand sides lie in the table's domain (features_in_domain);
- * run_span takes its histogram kernels when this holds on an 8-bit
- * table, whose int8 operands are always in domain. Everything else
- * runs the per-span (gather or scalar) path.
+ * productsExact() and histogramExact(). The Bce tile entry points take
+ * the GEMM tile when this holds and both operand sides lie in the
+ * table's domain (features_in_domain); run_span takes its histogram
+ * kernels when this holds, handling the 4-bit domain itself.
+ * Everything else runs the scalar (or NEON) span loop.
  */
 bool histogram_eligible(const lut::DatapathTable &table);
 

@@ -51,113 +51,59 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
     const std::size_t outHW = std::size_t(o.h) * o.w;
 
     if (bits <= 8) {
-        // All three front ends feed identical patch bytes to
-        // Bce::convTile, whose outputs and statistics equal the
-        // per-(position, filter) dotProductSpan sequence, so they are
-        // byte-identical across modes — only the work done to produce
-        // each patch differs.
-        // The mode was chosen at plan compile (pl.frontend) and the
-        // arena was sized for exactly the allocations made here.
-        std::int8_t *patch = nullptr;
-        std::int8_t *qin = nullptr;
-        bce::simd::SpanView view;
-        const std::int8_t *viewPlane = nullptr;
-        std::int8_t *staging = nullptr;
-        std::int32_t *offsets = nullptr;
-        dnn::ElisionLayout el;
-
-        switch (pl.frontend) {
-          case dnn::FrontendMode::Fused:
-            // Quantize straight into the patch: no quantized plane.
-            patch = arena_.alloc<std::int8_t>(patch_len);
-            break;
-          case dnn::FrontendMode::Elided: {
-            // Quantize the plane once; padded layers stage the whole
-            // zero-padded plane once more. After that the front half
-            // is pure addressing: a per-layer run-offset table plus a
-            // uniform base shift per output position, compacted one
-            // output ROW of patches at a time. Every buffer the view
-            // touches carries slackBytes so the compactor can use
-            // whole-word copies (slack8).
-            constexpr std::size_t slack =
-                bce::simd::SpanView::slackBytes;
-            el = dnn::elision_layout(layer);
-            qin = arena_.alloc<std::int8_t>(pl.inElems
-                                            + (el.staged ? 0 : slack));
-            dnn::quantize_span(qi, in, pl.inElems, qin);
-            patch = arena_.alloc<std::int8_t>(
-                std::size_t(o.w) * patch_len + slack);
-            offsets = arena_.alloc<std::int32_t>(el.nRuns);
-            dnn::elided_offsets(layer, offsets);
-            view.offsets = offsets;
-            view.nRuns = el.nRuns;
-            view.runLen = el.runLen;
-            view.slack8 = true;
-            if (el.staged) {
-                staging =
-                    arena_.alloc<std::int8_t>(el.stagingBytes + slack);
-                dnn::stage_plane_i8(layer, qin, staging);
-                viewPlane = staging;
-            } else {
-                viewPlane = qin;
-            }
-            break;
-          }
-          case dnn::FrontendMode::Legacy:
-            // Quantize the whole input plane once, then each (oh, ow)
-            // patch is row-run span copies out of the quantized map.
-            qin = arena_.alloc<std::int8_t>(pl.inElems);
-            dnn::quantize_span(qi, in, pl.inElems, qin);
-            patch = arena_.alloc<std::int8_t>(patch_len);
-            break;
+        // The elided front end, sized at plan compile through the same
+        // expressions: quantize the plane once; padded layers stage
+        // the whole zero-padded plane once more. After that the front
+        // half is pure addressing: a per-layer run-offset table plus a
+        // uniform base shift per output position, compacted one output
+        // ROW of patches at a time. Every buffer the view touches
+        // carries slackBytes so the compactor can use whole-word
+        // copies (slack8).
+        constexpr std::size_t slack = bce::simd::SpanView::slackBytes;
+        const dnn::ElisionLayout el = dnn::elision_layout(layer);
+        std::int8_t *qin =
+            arena_.alloc<std::int8_t>(pl.inElems + (el.staged ? 0 : slack));
+        dnn::quantize_span(qi, in, pl.inElems, qin);
+        std::int8_t *patch =
+            arena_.alloc<std::int8_t>(std::size_t(o.w) * patch_len + slack);
+        std::int32_t *offsets = arena_.alloc<std::int32_t>(el.nRuns);
+        dnn::elided_offsets(layer, offsets);
+        const std::int8_t *viewPlane = qin;
+        if (el.staged) {
+            std::int8_t *staging =
+                arena_.alloc<std::int8_t>(el.stagingBytes + slack);
+            dnn::stage_plane_i8(layer, qin, staging);
+            viewPlane = staging;
         }
+        bce::simd::SpanView view;
+        view.offsets = offsets;
+        view.nRuns = el.nRuns;
+        view.runLen = el.runLen;
+        view.slack8 = true;
 
-        // One Bce::convTile per output row (elided: the row's o.w
-        // patches against every filter) or per position (legacy,
-        // fused), with the plan's frozen filter-side feature sums.
-        const std::size_t tileRows =
-            pl.frontend == dnn::FrontendMode::Elided ? o.w : 1;
-        std::int32_t *accs = arena_.alloc<std::int32_t>(tileRows * o.c);
+        // One Bce::convTile per output row: the row's o.w patches
+        // against every filter, with the plan's frozen filter-side
+        // feature sums.
+        std::int32_t *accs =
+            arena_.alloc<std::int32_t>(std::size_t(o.w) * o.c);
         std::uint32_t *tileScratch = arena_.alloc<std::uint32_t>(
             bce::Bce::tileScratchWords(patch_len));
-        // Dequantize the tile (row i is output column ow0 + i) into
-        // the filter planes, one contiguous run per filter, with a
-        // folded ReLU applied in the same pass.
-        auto store = [&](unsigned oh, unsigned ow0) {
+        for (unsigned oh = 0; oh < o.h; ++oh) {
+            view.base =
+                viewPlane + std::size_t(oh) * layer.strideH * el.rowBytes;
+            bce::simd::materialize_span_block(view, o.w, layer.strideW,
+                                              patch, patch_len);
+            bce.convTile(patch, fw.q8.data(), accs, o.w, patch_len, o.c,
+                         bits, fw.featureSums(), fw.rowSumData(),
+                         tileScratch);
+            // Dequantize the tile (row i is output column i) into the
+            // filter planes, one contiguous run per filter, with a
+            // folded ReLU applied in the same pass.
             for (unsigned k = 0; k < o.c; ++k)
                 bce::simd::dequantize_store(
-                    accs + k, o.c, tileRows, fw.scale.scale, qi.scale,
+                    accs + k, o.c, o.w, fw.scale.scale, qi.scale,
                     &pl.bias[k], 0, pl.foldedRelu,
-                    out + std::size_t(k) * outHW + std::size_t(oh) * o.w
-                        + ow0);
-        };
-
-        for (unsigned oh = 0; oh < o.h; ++oh) {
-            if (pl.frontend == dnn::FrontendMode::Elided) {
-                // One call compacts the whole output row of patches.
-                view.base = viewPlane
-                            + std::size_t(oh) * layer.strideH
-                                  * el.rowBytes;
-                bce::simd::materialize_span_block(view, o.w,
-                                                  layer.strideW, patch,
-                                                  patch_len);
-                bce.convTile(patch, fw.q8.data(), accs, o.w, patch_len,
-                             o.c, bits, fw.featureSums(), fw.rowSumData(),
-                             tileScratch);
-                store(oh, 0);
-                continue;
-            }
-            for (unsigned ow = 0; ow < o.w; ++ow) {
-                if (pl.frontend == dnn::FrontendMode::Fused)
-                    dnn::im2col_quantize_patch(layer, qi, in, oh, ow,
-                                               patch);
-                else
-                    dnn::im2col_patch_i8(layer, qin, oh, ow, patch);
-                bce.convTile(patch, fw.q8.data(), accs, 1, patch_len,
-                             o.c, bits, fw.featureSums(), fw.rowSumData(),
-                             tileScratch);
-                store(oh, ow);
-            }
+                    out + std::size_t(k) * outHW + std::size_t(oh) * o.w);
         }
         return;
     }

@@ -6,6 +6,7 @@
 
 #include "bce/bce.hh"
 #include "bce/simd_kernels.hh"
+#include "dnn/im2col.hh"
 #include "sim/logging.hh"
 #include "verify/plan_verifier.hh"
 
@@ -133,70 +134,35 @@ plan_shapes(const dnn::Network &net, unsigned bits,
                                           * layer.kernelH * layer.kernelW;
             if (bits > 8) {
                 // Wide precision: scalar multiplies over an int32
-                // patch; no int8 front end exists to fuse or elide.
+                // patch; no int8 front end exists to elide.
                 pl.scratchBytes =
                     TensorArena::paddedBytes<std::int32_t>(patch_len);
                 shape = {o.c, o.h, o.w};
                 elems = o.elements();
                 break;
             }
-            // The 8-bit front end is chosen here, at plan time, and
-            // its exact arena demand recorded through the same
-            // paddedBytes the runtime allocates with.
-            pl.frontend = dnn::resolve_frontend(layer, bits);
-            const std::size_t planeBytes =
+            // The elided front end: the quantized plane, a whole output
+            // ROW of patches, the per-layer run-offset table and, for
+            // padded layers, the staged zero-padded plane. Buffers the
+            // view compactor touches carry its whole-word copy slack.
+            // Then Bce::convTile's int32 outputs for the row and the
+            // activation-side feature sums. Every size goes through the
+            // exact paddedBytes expressions runConvInto allocates with.
+            constexpr std::size_t slack = bce::simd::SpanView::slackBytes;
+            const dnn::ElisionLayout el = dnn::elision_layout(layer);
+            pl.scratchBytes =
                 TensorArena::paddedBytes<std::int8_t>(
-                    layer.input.elements());
-            const std::size_t patchBytes =
-                TensorArena::paddedBytes<std::int8_t>(patch_len);
-            // Every front end feeds Bce::convTile: its int32 outputs
-            // (one output row of positions for elided, one position
-            // otherwise) and the activation-side feature sums.
-            const std::size_t tileRows =
-                pl.frontend == dnn::FrontendMode::Elided ? o.w : 1;
-            const std::size_t tileBytes =
-                TensorArena::paddedBytes<std::int32_t>(tileRows * o.c)
+                    layer.input.elements() + (el.staged ? 0 : slack))
+                + TensorArena::paddedBytes<std::int8_t>(
+                    std::size_t(o.w) * patch_len + slack)
+                + TensorArena::paddedBytes<std::int32_t>(el.nRuns)
+                + (el.staged ? TensorArena::paddedBytes<std::int8_t>(
+                                   el.stagingBytes + slack)
+                             : 0)
+                + TensorArena::paddedBytes<std::int32_t>(
+                    std::size_t(o.w) * o.c)
                 + TensorArena::paddedBytes<std::uint32_t>(
                     bce::Bce::tileScratchWords(patch_len));
-            switch (pl.frontend) {
-              case dnn::FrontendMode::Fused:
-                // Quantize straight into the patch: the quantized
-                // plane allocation disappears.
-                pl.scratchBytes = patchBytes;
-                ps.fusedFrontLayers += 1;
-                ps.savedPlaneBytes += planeBytes;
-                break;
-              case dnn::FrontendMode::Elided: {
-                // Plane + a whole output ROW of patches, plus the
-                // addressing state: the per-layer run-offset table and,
-                // for padded layers, the staged zero-padded plane.
-                // Buffers the view compactor touches carry its
-                // whole-word copy slack, through the exact expressions
-                // runConvInto allocates with.
-                constexpr std::size_t slack =
-                    bce::simd::SpanView::slackBytes;
-                const dnn::ElisionLayout el =
-                    dnn::elision_layout(layer);
-                pl.scratchBytes =
-                    TensorArena::paddedBytes<std::int8_t>(
-                        layer.input.elements()
-                        + (el.staged ? 0 : slack))
-                    + TensorArena::paddedBytes<std::int8_t>(
-                          std::size_t(o.w) * patch_len + slack)
-                    + TensorArena::paddedBytes<std::int32_t>(el.nRuns)
-                    + (el.staged
-                           ? TensorArena::paddedBytes<std::int8_t>(
-                                 el.stagingBytes + slack)
-                           : 0);
-                ps.elidedFrontLayers += 1;
-                break;
-              }
-              case dnn::FrontendMode::Legacy:
-                pl.scratchBytes = planeBytes + patchBytes;
-                ps.legacyFrontLayers += 1;
-                break;
-            }
-            pl.scratchBytes += tileBytes;
             shape = {o.c, o.h, o.w};
             elems = o.elements();
             break;

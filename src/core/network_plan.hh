@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "dnn/im2col.hh"
 #include "dnn/network.hh"
 #include "dnn/quantize.hh"
 #include "dnn/tensor_arena.hh"
@@ -81,16 +80,6 @@ struct PlannedLayer
     std::size_t scratchBytes = 0;
 
     /**
-     * How the layer's int8 patches are produced (conv at <= 8 bits
-     * only; everything else is Legacy). Chosen at compile time by
-     * dnn::resolve_frontend — geometry policy plus the
-     * BFREE_FORCE_FRONTEND override — and baked into the plan, so a
-     * compiled plan keeps running the mode it was sized for even if
-     * the override changes afterwards.
-     */
-    dnn::FrontendMode frontend = dnn::FrontendMode::Legacy;
-
-    /**
      * Conv / FC only: the Relu layer right after this one is folded
      * into this layer's dequantize store (the fused epilogue). The
      * Relu keeps its own PlannedLayer, which books the ReLU's
@@ -115,18 +104,6 @@ struct PlanStats
     std::size_t frozenWeightBytes = 0;
     /** Weight values pushed through SymQuant::q at compile time. */
     std::uint64_t frozenValues = 0;
-
-    // Front-end mode accounting (conv layers at <= 8 bits).
-    std::size_t legacyFrontLayers = 0; ///< Conv layers on the legacy path.
-    std::size_t fusedFrontLayers = 0;  ///< Conv layers quantize-fused.
-    std::size_t elidedFrontLayers = 0; ///< Conv layers with im2col elided.
-    /**
-     * Arena bytes of quantized input planes that fused layers no
-     * longer allocate (the sum of each fused layer's plane padding —
-     * the high-water mark shrinks by up to the largest single saving
-     * when the fused layer was the scratch peak).
-     */
-    std::size_t savedPlaneBytes = 0;
 
     /** Relu layers folded into their producer's store (foldedRelu). */
     std::size_t foldedRelus = 0;

@@ -1,9 +1,7 @@
 #include "im2col.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <optional>
 
 #include "sim/logging.hh"
 
@@ -115,135 +113,6 @@ im2col_patch_i8(const Layer &layer, const std::int8_t *qin, unsigned oh,
                             plane + std::size_t(ih) * inW + rr.iw0
                                 + rr.s0,
                             rr.s1 - rr.s0);
-            if (static_cast<int>(kW) > rr.s1)
-                std::memset(patch + rr.s1, 0, kW - rr.s1);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Front-end mode selection
-// ---------------------------------------------------------------------
-
-namespace {
-
-/** The one resolved override; std::nullopt until first use, a held
- *  std::nullopt value meaning "no override, use the policy". */
-std::optional<std::optional<FrontendMode>> resolvedFrontend;
-
-std::optional<FrontendMode>
-resolve_frontend_from_environment()
-{
-    const char *mode = std::getenv("BFREE_FORCE_FRONTEND");
-    if (mode == nullptr || mode[0] == '\0')
-        return std::nullopt;
-    if (!std::strcmp(mode, "legacy"))
-        return FrontendMode::Legacy;
-    if (!std::strcmp(mode, "fused"))
-        return FrontendMode::Fused;
-    if (!std::strcmp(mode, "elided"))
-        return FrontendMode::Elided;
-    bfree_fatal("BFREE_FORCE_FRONTEND=", mode, " is not a known "
-                "front-end mode (expected legacy, fused or elided)");
-}
-
-} // namespace
-
-const char *
-frontend_mode_name(FrontendMode mode)
-{
-    switch (mode) {
-      case FrontendMode::Legacy:
-        return "legacy";
-      case FrontendMode::Fused:
-        return "fused";
-      case FrontendMode::Elided:
-        return "elided";
-    }
-    return "unknown";
-}
-
-FrontendMode
-choose_frontend(const Layer &layer, unsigned bits)
-{
-    if (layer.kind != LayerKind::Conv || bits > 8)
-        return FrontendMode::Legacy;
-    // 1x1 convolutions are pure implicit GEMM: the patch is one byte
-    // per channel, gathered from the plane with a strided view. The
-    // plane quantization runs vectorized once; fusing would quantize
-    // taps one at a time through the scalar core.
-    if (layer.kernelW == 1 && layer.kernelH == 1)
-        return FrontendMode::Elided;
-    // Disjoint receptive fields (stride >= kernel in both axes): each
-    // tap lands in exactly one patch, so quantizing straight into the
-    // patch does the plane's work with no duplication — and the plane
-    // allocation disappears.
-    if (layer.strideW >= layer.kernelW && layer.strideH >= layer.kernelH)
-        return FrontendMode::Fused;
-    // Overlapping windows: the plane quantization is amortized across
-    // windows; kill the per-run memcpy overhead with the strided view.
-    return FrontendMode::Elided;
-}
-
-FrontendMode
-resolve_frontend(const Layer &layer, unsigned bits)
-{
-    // Non-conv and wide-precision layers have no int8 patch pipeline
-    // to reroute: the override does not apply there.
-    if (layer.kind != LayerKind::Conv || bits > 8)
-        return FrontendMode::Legacy;
-    if (!resolvedFrontend)
-        resolvedFrontend = resolve_frontend_from_environment();
-    if (*resolvedFrontend)
-        return **resolvedFrontend;
-    return choose_frontend(layer, bits);
-}
-
-void
-force_frontend(FrontendMode mode)
-{
-    resolvedFrontend = std::optional<FrontendMode>(mode);
-}
-
-void
-reset_frontend()
-{
-    resolvedFrontend = resolve_frontend_from_environment();
-}
-
-void
-im2col_quantize_patch(const Layer &layer, const SymQuant &sq,
-                      const float *in, unsigned oh, unsigned ow,
-                      std::int8_t *patch)
-{
-    if (sq.limit > 127)
-        bfree_panic("im2col_quantize_patch: limit ", sq.limit,
-                    " exceeds the int8 domain");
-    const QuantizeSpanFn quantize = quantize_span_fn();
-    const std::size_t inW = layer.input.w;
-    const std::size_t inHW = std::size_t(layer.input.h) * inW;
-    const std::size_t kW = layer.kernelW;
-    const RowRun rr = row_run(layer, ow);
-
-    // The row-run structure of im2col_patch_i8, with the source runs
-    // read from the fp32 plane and pushed through the per-ISA
-    // quantize core on the way into the patch. Padding still fills
-    // literal zeros: a padded tap quantizes to 0 for every scale.
-    for (unsigned c = 0; c < layer.input.c; ++c) {
-        const float *plane = in + c * inHW;
-        for (unsigned r = 0; r < layer.kernelH; ++r, patch += kW) {
-            const int ih = static_cast<int>(oh * layer.strideH + r)
-                           - static_cast<int>(layer.padH);
-            if (ih < 0 || ih >= static_cast<int>(layer.input.h)) {
-                std::memset(patch, 0, kW);
-                continue;
-            }
-            if (rr.s0 > 0)
-                std::memset(patch, 0, rr.s0);
-            if (rr.s1 > rr.s0)
-                quantize(sq,
-                         plane + std::size_t(ih) * inW + rr.iw0 + rr.s0,
-                         rr.s1 - rr.s0, patch + rr.s0);
             if (static_cast<int>(kW) > rr.s1)
                 std::memset(patch + rr.s1, 0, kW - rr.s1);
         }

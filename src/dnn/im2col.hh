@@ -8,6 +8,13 @@
  * proportional to kernel area / stride^2. The mapping layer uses
  * storage_expansion() for the mode decision; the functional transform
  * backs the conv == matmul equivalence tests.
+ *
+ * The int8 conv front end has one form, im2col elision: the executor
+ * quantizes the input plane once per image and addresses every patch
+ * in place through a strided bce::simd::SpanView (elision_layout,
+ * stage_plane_i8, elided_offsets), compacting one output row of
+ * patches per Bce::convTile. im2col_patch_i8, the row-run patch copy,
+ * is the byte oracle the elided addressing is tested against.
  */
 
 #ifndef BFREE_DNN_IM2COL_HH
@@ -17,7 +24,6 @@
 #include <vector>
 
 #include "layer.hh"
-#include "quantize.hh"
 #include "tensor.hh"
 
 namespace bfree::dnn {
@@ -37,80 +43,12 @@ FloatTensor im2col(const Layer &layer, const FloatTensor &input);
  * receptive field hangs over the padding — so the extraction is
  * memory-bandwidth work instead of a per-element index walk. Combined
  * with quantize_span over the whole input once, this is byte-identical
- * to the legacy per-element quantize-in-the-loop patch fill (the
- * quantizer is a pure function, and a padded tap quantizes to 0).
+ * to the per-element quantize-in-the-loop patch fill (the quantizer is
+ * a pure function, and a padded tap quantizes to 0). The test oracle
+ * of the elided front end.
  */
 void im2col_patch_i8(const Layer &layer, const std::int8_t *qin,
                      unsigned oh, unsigned ow, std::int8_t *patch);
-
-// ---------------------------------------------------------------------
-// Front-end mode: how a conv layer's int8 patches are produced
-// ---------------------------------------------------------------------
-
-/**
- * The three ways the 8-bit conv front half can feed the span kernels.
- * All three produce byte-identical patches (and therefore identical
- * outputs and BCE statistics) for any conv layer at <= 8 bits — only
- * the work done per image differs — so any mode may be forced anywhere
- * for differential testing.
- */
-enum class FrontendMode
-{
-    /** Quantize the whole input plane, then row-run patch copies
-     *  (im2col_patch_i8). The pre-PR-10 pipeline; also the only mode
-     *  for > 8-bit layers and non-conv layers. */
-    Legacy = 0,
-    /** Quantize straight into the patch (im2col_quantize_patch); the
-     *  intermediate quantized plane and its arena allocation
-     *  disappear. Chosen when receptive fields do not overlap (stride
-     *  >= kernel), where every tap is quantized exactly once. */
-    Fused = 1,
-    /** Quantize the plane once, then address patches through a strided
-     *  SpanView (bce::simd::materialize_span_view) instead of per-run
-     *  memcpy calls. Chosen for overlapping windows (stride < kernel,
-     *  including 1x1 at stride 1 on multi-tap channels), where the
-     *  plane quantization is amortized across windows and the copy
-     *  loop is the cost to kill. */
-    Elided = 2,
-};
-
-/** Human-readable name ("legacy", "fused", "elided"). */
-const char *frontend_mode_name(FrontendMode mode);
-
-/**
- * The geometry policy: which front end fits @p layer at @p bits.
- * Non-conv layers and > 8-bit precisions are always Legacy; disjoint
- * receptive fields choose Fused; overlapping ones choose Elided.
- */
-FrontendMode choose_frontend(const Layer &layer, unsigned bits);
-
-/**
- * The mode the plan compiler records: choose_frontend unless the
- * BFREE_FORCE_FRONTEND environment override (legacy|fused|elided) or a
- * force_frontend() pin says otherwise. Overrides only apply where a
- * non-legacy mode is valid (conv at <= 8 bits); an unknown value is
- * fatal at first use, mirroring BFREE_FORCE_ISA.
- */
-FrontendMode resolve_frontend(const Layer &layer, unsigned bits);
-
-/** Pin the front-end mode programmatically (tests/benchmarks). */
-void force_frontend(FrontendMode mode);
-
-/** Drop a force_frontend pin and re-resolve from the environment. */
-void reset_frontend();
-
-/**
- * The fused front half: fill one int8 patch for output position
- * (@p oh, @p ow) directly from the fp32 feature map @p in, quantizing
- * each contiguous (channel, kernel-row) run through the per-ISA
- * quantize-span core (quantize_span_fn) on the way — one pass, no
- * intermediate quantized plane. Byte-identical to quantize_span +
- * im2col_patch_i8 because SymQuant::q is pure and a padded tap
- * quantizes to 0. Requires @p sq.limit <= 127 (checked).
- */
-void im2col_quantize_patch(const Layer &layer, const SymQuant &sq,
-                           const float *in, unsigned oh, unsigned ow,
-                           std::int8_t *patch);
 
 // ---------------------------------------------------------------------
 // Im2col elision: strided patch addressing over the quantized plane

@@ -17,7 +17,7 @@ namespace bfree::dnn {
 namespace {
 
 void
-quantize_span_scalar(const SymQuant &sq, const float *src, std::size_t n,
+quantize_core_scalar(const SymQuant &sq, const float *src, std::size_t n,
                      std::int8_t *dst)
 {
     for (std::size_t i = 0; i < n; ++i)
@@ -39,7 +39,7 @@ quantize_span_scalar(const SymQuant &sq, const float *src, std::size_t n,
  */
 
 __attribute__((target("sse4.2"))) void
-quantize_span_sse42(const SymQuant &sq, const float *src, std::size_t n,
+quantize_core_sse42(const SymQuant &sq, const float *src, std::size_t n,
                     std::int8_t *dst)
 {
     const __m128d vscale = _mm_set1_pd(sq.scale);
@@ -78,11 +78,11 @@ quantize_span_sse42(const SymQuant &sq, const float *src, std::size_t n,
         std::memcpy(dst + i, &word, 4);
     }
 #undef BFREE_QROUND_PD_128
-    quantize_span_scalar(sq, src + i, n - i, dst + i);
+    quantize_core_scalar(sq, src + i, n - i, dst + i);
 }
 
 __attribute__((target("avx2"))) void
-quantize_span_avx2(const SymQuant &sq, const float *src, std::size_t n,
+quantize_core_avx2(const SymQuant &sq, const float *src, std::size_t n,
                    std::int8_t *dst)
 {
     const __m256d vscale = _mm256_set1_pd(sq.scale);
@@ -120,7 +120,7 @@ quantize_span_avx2(const SymQuant &sq, const float *src, std::size_t n,
         _mm_storel_epi64(reinterpret_cast<__m128i *>(dst + i), r8);
     }
 #undef BFREE_QROUND_PD_256
-    quantize_span_scalar(sq, src + i, n - i, dst + i);
+    quantize_core_scalar(sq, src + i, n - i, dst + i);
 }
 
 // GCC 12 false positive through the _mm*_undefined_*() masked-fallback
@@ -130,7 +130,7 @@ quantize_span_avx2(const SymQuant &sq, const float *src, std::size_t n,
 #pragma GCC diagnostic ignored "-Wuninitialized"
 
 __attribute__((target("avx512f,avx512bw,avx512vl"))) void
-quantize_span_avx512(const SymQuant &sq, const float *src, std::size_t n,
+quantize_core_avx512(const SymQuant &sq, const float *src, std::size_t n,
                      std::int8_t *dst)
 {
     const __m512d vscale = _mm512_set1_pd(sq.scale);
@@ -177,7 +177,7 @@ quantize_span_avx512(const SymQuant &sq, const float *src, std::size_t n,
                          _mm512_cvtsepi32_epi8(r32));
     }
 #undef BFREE_QROUND_PD_512
-    quantize_span_scalar(sq, src + i, n - i, dst + i);
+    quantize_core_scalar(sq, src + i, n - i, dst + i);
 }
 
 /**
@@ -238,8 +238,11 @@ peak_abs(const float *data, std::size_t n, float peak)
     }
 }
 
-} // namespace
+/** The signature every per-ISA quantize-span core shares. */
+using QuantizeSpanFn = void (*)(const SymQuant &sq, const float *src,
+                                std::size_t n, std::int8_t *dst);
 
+/** The quantize-span core the active SIMD level resolves to. */
 QuantizeSpanFn
 quantize_span_fn()
 {
@@ -247,16 +250,18 @@ quantize_span_fn()
 #ifdef BFREE_X86_QUANTIZE
       case sim::SimdLevel::Avx512:
       case sim::SimdLevel::Avx512Vnni:
-        return &quantize_span_avx512;
+        return &quantize_core_avx512;
       case sim::SimdLevel::Avx2:
-        return &quantize_span_avx2;
+        return &quantize_core_avx2;
       case sim::SimdLevel::Sse42:
-        return &quantize_span_sse42;
+        return &quantize_core_sse42;
 #endif
       default:
-        return &quantize_span_scalar;
+        return &quantize_core_scalar;
     }
 }
+
+} // namespace
 
 void
 quantize_span(const SymQuant &sq, const float *src, std::size_t n,

@@ -63,19 +63,6 @@ SymQuant choose_sym(const float *data, std::size_t n, unsigned bits);
 void quantize_span(const SymQuant &sq, const float *src, std::size_t n,
                    std::int8_t *dst);
 
-/** The signature every per-ISA quantize-span core shares. */
-using QuantizeSpanFn = void (*)(const SymQuant &sq, const float *src,
-                                std::size_t n, std::int8_t *dst);
-
-/**
- * The quantize-span core the active SIMD level resolves to — the same
- * function quantize_span would call, without the per-call dispatch
- * switch or the limit check. Fused kernels that quantize many short
- * runs per patch (im2col_quantize_patch) resolve this once per layer
- * and call the core per run; the caller owns the limit <= 127 check.
- */
-QuantizeSpanFn quantize_span_fn();
-
 /**
  * A weight tensor frozen at compile time: the chosen symmetric scale
  * plus every element pushed through SymQuant::q once, up front. q() is

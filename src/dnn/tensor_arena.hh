@@ -88,9 +88,9 @@ class TensorArena
     /**
      * Restart the high-water mark at the current bump offset, so the
      * next highWater() reading reflects only allocations made after
-     * this call. Lets a re-planned network (e.g. a front-end mode
-     * change that elides the quantized plane) measure its own peak
-     * instead of inheriting the old plan's.
+     * this call. Lets an executor that runs a smaller plan after a
+     * larger one measure that plan's own peak instead of inheriting
+     * the old plan's.
      */
     void resetHighWater() { high = off; }
 

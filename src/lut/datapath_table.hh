@@ -21,9 +21,9 @@
  *    backing LUT rows hold the pristine multiply image — the table
  *    additionally reports productsExact(), and the kernels skip the
  *    plane entirely in favour of a SIMD widening-multiply. A rewritten
- *    (poisoned) LUT row clears the flag and the kernels gather from
- *    the plane instead, preserving bit-exactness against the legacy
- *    scalar walk in both regimes.
+ *    (poisoned) LUT row clears the flag and spans read the plane
+ *    instead (the scalar loop), preserving bit-exactness against the
+ *    legacy scalar walk in both regimes.
  *
  *  - a packed uint32 MICRO-OP-DELTA PLANE (deltas()): per pair, the
  *    four micro-op tallies of the scalar decomposition packed one per
@@ -48,7 +48,7 @@
  *    checks every memoized pair against its class key and reports
  *    histogramExact() only when the whole plane agrees, so a
  *    reference with value-dependent counts simply falls back to the
- *    delta-plane gather.
+ *    scalar loop over the delta plane.
  *
  * The planes are SEEDED BY the legacy scalar path (the caller passes a
  * reference functor that runs the real decomposition), so the scalar
@@ -295,7 +295,7 @@ class DatapathTable
     /**
      * True when every product equals a*b (the pristine-LUT steady
      * state), letting kernels compute products with a widening
-     * multiply instead of a gather. Verified exhaustively at build.
+     * multiply instead of a plane read. Verified exhaustively at build.
      */
     bool productsExact() const { return productsExact_; }
 
@@ -305,7 +305,8 @@ class DatapathTable
      * histogram tally. Verified exhaustively at build against every
      * memoized pair; a reference whose counts are not a pure function
      * of the operand classes (or a doctored test table) simply clears
-     * the flag and the kernels gather from the delta plane instead.
+     * the flag and spans read the delta plane (the scalar loop)
+     * instead.
      */
     bool histogramExact() const { return histogramExact_; }
 

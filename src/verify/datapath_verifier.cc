@@ -131,8 +131,8 @@ check_exactness(const DatapathPlaneView &v, VerifyReport &report,
                << v.products[first] << ")";
             report.add(RuleId::LutPlaneExact, Severity::Error, location,
                        os.str(),
-                       "clear productsExact so kernels gather from the "
-                       "product plane");
+                       "clear productsExact so spans read the product "
+                       "plane");
         }
     }
 
@@ -145,7 +145,7 @@ check_exactness(const DatapathPlaneView &v, VerifyReport &report,
            << " outside {0, 1}";
         report.add(RuleId::LutPlaneExact, Severity::Error, location,
                    os.str(),
-                   "clear histogramExact so kernels gather deltas");
+                   "clear histogramExact so spans read the delta plane");
         return;
     }
     if (!v.deltas || !v.pairDeltas)
@@ -172,7 +172,7 @@ check_exactness(const DatapathPlaneView &v, VerifyReport &report,
            << operand_at(v, first % v.span) << "))";
         report.add(RuleId::LutPlaneExact, Severity::Error, location,
                    os.str(),
-                   "clear histogramExact so kernels gather deltas");
+                   "clear histogramExact so spans read the delta plane");
         return;
     }
 
@@ -197,7 +197,7 @@ check_exactness(const DatapathPlaneView &v, VerifyReport &report,
                << expect << std::dec;
             report.add(RuleId::LutPlaneExact, Severity::Error, location,
                        os.str(),
-                       "clear histogramExact so kernels gather deltas");
+                       "clear histogramExact so spans read the delta plane");
             return;
         }
     }

@@ -90,8 +90,6 @@ rule_name(RuleId rule)
         return "capacity-fabric";
       case RuleId::CapacityArena:
         return "capacity-arena";
-      case RuleId::PlanFrontend:
-        return "plan-frontend";
       case RuleId::PlanEpilogue:
         return "plan-epilogue";
       case RuleId::ServeQueue:

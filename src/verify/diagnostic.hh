@@ -117,10 +117,6 @@ enum class RuleId
                     ///< the fabric's usable capacity.
     CapacityArena,  ///< capacity-arena: the TensorArena ledger is
                     ///< inconsistent or over budget.
-    PlanFrontend,   ///< plan-frontend: a layer's recorded conv
-                    ///< front-end mode (fused/elided/legacy) is
-                    ///< invalid for its kind or precision, or
-                    ///< disagrees with the geometry policy.
     PlanEpilogue,   ///< plan-epilogue: a folded ReLU whose producer is
                     ///< not a Conv/FC directly followed by that Relu,
                     ///< or whose element counts disagree.

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "datapath_verifier.hh"
-#include "dnn/im2col.hh"
 #include "lut/datapath_table.hh"
 #include "lut/mult_lut.hh"
 #include "map/mapping.hh"
@@ -476,8 +475,6 @@ PlanVerifier::verify(const core::NetworkPlan &plan,
         checkDataflow(dataflow_from_plan(plan), report, "plan dataflow");
     if (opts.checkCapacity)
         checkArena(plan.stats(), plan.layers(), report);
-    if (opts.checkFrontend)
-        checkFrontend(plan.layers(), plan.bits(), report);
     checkEpilogue(plan.layers(), report);
     return report;
 }
@@ -916,48 +913,6 @@ PlanVerifier::checkArena(const core::PlanStats &stats,
            << " bytes exceeds the budget of " << arena_budget_bytes;
         report.add(RuleId::CapacityArena, Severity::Error, location,
                    os.str(), "raise the budget or shrink activations");
-    }
-}
-
-void
-PlanVerifier::checkFrontend(const std::vector<core::PlannedLayer> &layers,
-                            unsigned plan_bits, VerifyReport &report,
-                            const std::string &location) const
-{
-    for (const core::PlannedLayer &pl : layers) {
-        const std::string tag =
-            location + ": layer '" + pl.layer.name + "'";
-        const bool conv = pl.layer.kind == dnn::LayerKind::Conv;
-        if (pl.frontend != dnn::FrontendMode::Legacy
-            && (!conv || plan_bits > 8)) {
-            std::ostringstream os;
-            os << "front-end mode '"
-               << dnn::frontend_mode_name(pl.frontend) << "' on a "
-               << (conv ? "wide-precision conv"
-                        : dnn::layer_kind_name(pl.layer.kind))
-               << " layer: only int8 convolutions have a fused or "
-                  "elided front end";
-            report.add(RuleId::PlanFrontend, Severity::Error, tag,
-                       os.str(), "recompile the plan");
-            continue;
-        }
-        if (!conv || plan_bits > 8)
-            continue;
-        // Every mode is byte-exact on an int8 conv; disagreeing with
-        // the live policy (geometry + any BFREE_FORCE_FRONTEND
-        // override) only costs performance, so it warns.
-        const dnn::FrontendMode want =
-            dnn::resolve_frontend(pl.layer, plan_bits);
-        if (pl.frontend != want) {
-            std::ostringstream os;
-            os << "front-end mode '"
-               << dnn::frontend_mode_name(pl.frontend)
-               << "' but the layer's geometry resolves to '"
-               << dnn::frontend_mode_name(want) << "'";
-            report.add(RuleId::PlanFrontend, Severity::Warning, tag,
-                       os.str(),
-                       "recompile, or clear BFREE_FORCE_FRONTEND");
-        }
     }
 }
 

@@ -218,10 +218,6 @@ struct PlanVerifierOptions
     /** Re-prove the split-plane datapath-table invariants for every
      *  memoizable precision the plan uses (rules lut-plane-*). */
     bool checkDatapath = true;
-
-    /** Audit each layer's recorded conv front-end mode against its
-     *  kind, precision and geometry (rule plan-frontend). */
-    bool checkFrontend = true;
 };
 
 /**
@@ -285,19 +281,6 @@ class PlanVerifier
                     VerifyReport &report,
                     const std::string &location = "arena",
                     std::size_t arena_budget_bytes = 0) const;
-
-    /**
-     * Front-end-mode audit (rule plan-frontend): a fused or elided
-     * mode on a non-conv layer or a > 8-bit conv is an error (no int8
-     * patch pipeline exists there); a conv mode that disagrees with
-     * what dnn::resolve_frontend would choose right now — geometry
-     * policy plus any live BFREE_FORCE_FRONTEND override — is a
-     * warning (every mode is still byte-exact, the plan just is not
-     * running the front end its geometry prefers).
-     */
-    void checkFrontend(const std::vector<core::PlannedLayer> &layers,
-                       unsigned plan_bits, VerifyReport &report,
-                       const std::string &location = "frontend") const;
 
     /**
      * Fused-epilogue audit (rule plan-epilogue): a layer marked

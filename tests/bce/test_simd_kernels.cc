@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -24,10 +25,12 @@
 #include "bce/simd_kernels.hh"
 #include "lut/mult_lut.hh"
 #include "sim/cpuid.hh"
+#include "simd_levels.hh"
 
 using namespace bfree;
 using bce::BceMode;
 using bce::ExecTier;
+using bfree::test::for_each_runnable_level;
 
 namespace {
 
@@ -89,35 +92,35 @@ pattern(std::size_t n, int seed, int limit = 127)
     return v;
 }
 
-/**
- * Run @p body once per (SIMD level, tally strategy) pair this binary
- * carries and this CPU can execute, with both dispatchers pinned;
- * always restores the environment-resolved choices afterwards. The
- * tally sweep is what proves the gather-free histogram kernels and
- * the gather fallback byte-identical on every ISA — eligibility is a
- * per-table decision, so both strategies must hold on the same data.
- */
-template <typename Body>
-void
-for_each_runnable_level(Body &&body)
+/** Out-of-domain bytes for a 4-bit table: just past either end of
+ *  the domain, near the int8 extremes, and the extreme itself. */
+constexpr std::int8_t out_of_domain4[] = {9, -9, 127, -127, -128};
+
+/** Ragged span lengths: every length up to 80 (each vector width's
+ *  remainders), both sides of 128, and one past the point where every
+ *  histogram kernel has spilled its 16-bit feature lanes at least once
+ *  (4000 steps of up to 64 bytes). */
+std::vector<std::size_t>
+ragged_lengths()
 {
-    for (const sim::SimdLevel level :
-         {sim::SimdLevel::Scalar, sim::SimdLevel::Sse42,
-          sim::SimdLevel::Neon, sim::SimdLevel::Avx2,
-          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni}) {
-        if (!sim::simd_level_compiled(level)
-            || !sim::simd_level_supported(level))
-            continue;
-        sim::force_simd_level(level);
-        for (const bce::simd::TallyMode tally :
-             {bce::simd::TallyMode::Histogram,
-              bce::simd::TallyMode::Gather}) {
-            bce::simd::force_tally_mode(tally);
-            body(level);
-        }
-    }
-    bce::simd::reset_tally_mode();
-    sim::reset_simd_level();
+    std::vector<std::size_t> lens;
+    for (std::size_t len = 1; len <= 80; ++len)
+        lens.push_back(len);
+    for (const std::size_t len : {127, 128, 129, 4000 * 64 + 3})
+        lens.push_back(len);
+    return lens;
+}
+
+/** Where an out-of-domain byte goes in a span of @p len: first,
+ *  middle, last, and the first byte of the ragged remainder past the
+ *  last whole 16-byte step (when there is one). */
+std::vector<std::size_t>
+offender_positions(std::size_t len)
+{
+    std::vector<std::size_t> pos{0, len / 2, len - 1};
+    if (len % 16 != 0)
+        pos.push_back(len / 16 * 16);
+    return pos;
 }
 
 } // namespace
@@ -179,8 +182,10 @@ TEST(SimdKernels, Matmul8BitFullOperandSpaceExactAtEveryLevel)
 
 TEST(SimdKernels, Conv4BitClampsOutOfRangeExactlyAtEveryLevel)
 {
-    // 4-bit conv spans clamp to [-8, 7]; feed well-out-of-range int8
-    // values so every lane exercises the clamp.
+    // 4-bit conv spans clamp to [-8, 7] in registers before the
+    // histogram fold; feed well-out-of-range int8 values so every lane
+    // exercises the clamp, then single out-of-domain bytes at the
+    // first, middle, last and ragged-tail positions of in-domain spans.
     for_each_runnable_level([](sim::SimdLevel level) {
         const std::string ctx = sim::simd_level_name(level);
         Engine legacy(ExecTier::Legacy);
@@ -191,6 +196,32 @@ TEST(SimdKernels, Conv4BitClampsOutOfRangeExactlyAtEveryLevel)
             legacy.bce.dotProductSpan(a.data(), b.data(), a.size(), 4),
             simd.bce.dotProductSpan(a.data(), b.data(), a.size(), 4))
             << ctx;
+        for (const std::size_t len : ragged_lengths()) {
+            const std::vector<std::size_t> positions =
+                offender_positions(len);
+            for (std::size_t p = 0; p < positions.size(); ++p) {
+                const std::size_t pos = positions[p];
+                // Every byte at every position, except on the long span,
+                // where one byte per position keeps the Legacy engine's
+                // per-element walk short.
+                for (std::size_t vi = 0; vi < std::size(out_of_domain4);
+                     ++vi) {
+                    if (len > 129 && vi != p)
+                        continue;
+                    const std::int8_t v = out_of_domain4[vi];
+                    std::vector<std::int8_t> w = pattern(len, 35, 7);
+                    std::vector<std::int8_t> x = pattern(len, 36, 7);
+                    w[pos] = v;
+                    x[len - 1 - pos] = v;
+                    ASSERT_EQ(legacy.bce.dotProductSpan(w.data(), x.data(),
+                                                        len, 4),
+                              simd.bce.dotProductSpan(w.data(), x.data(),
+                                                      len, 4))
+                        << ctx << " len " << len << " pos " << pos
+                        << " byte " << int(v);
+                }
+            }
+        }
         expect_engines_identical(legacy, simd, ctx);
     });
 }
@@ -216,20 +247,41 @@ TEST(SimdKernels, Matmul4BitInDomainExactAtEveryLevel)
 TEST(SimdKernels, RaggedTailLengthsExactAtEveryLevel)
 {
     // Span lengths straddling every vector width and remainder shape,
-    // so partial-vector tails can't hide a divergence.
+    // so partial-vector tails can't hide a divergence: 8-bit conv and
+    // matmul over the full int8 range, 4-bit conv over it too (every
+    // lane clamps), and 4-bit matmul over its whole [-8, 8] domain.
     for_each_runnable_level([](sim::SimdLevel level) {
         const std::string ctx = sim::simd_level_name(level);
         Engine legacy(ExecTier::Legacy);
         Engine simd(ExecTier::Tiered);
-        for (std::size_t len = 0; len <= 80; ++len) {
-            const std::vector<std::int8_t> a =
-                pattern(len, static_cast<int>(len) + 1, 127);
-            const std::vector<std::int8_t> b =
-                pattern(len, static_cast<int>(len) + 50, 127);
-            ASSERT_EQ(
-                legacy.bce.dotProductSpan(a.data(), b.data(), len, 8),
-                simd.bce.dotProductSpan(a.data(), b.data(), len, 8))
-                << ctx << " len " << len;
+        for (const std::size_t len : ragged_lengths()) {
+            const int seed = static_cast<int>(len % 997);
+            const std::vector<std::int8_t> a = pattern(len, seed + 1, 127);
+            const std::vector<std::int8_t> b = pattern(len, seed + 50, 127);
+            std::vector<std::int8_t> a4 = pattern(len, seed + 2, 8);
+            std::vector<std::int8_t> b4 = pattern(len, seed + 51, 8);
+            a4[len - 1] = -8;
+            b4[0] = 8;
+            for (const BceMode mode : {BceMode::Conv, BceMode::Matmul}) {
+                legacy.bce.setMode(mode);
+                simd.bce.setMode(mode);
+                const bool conv = mode == BceMode::Conv;
+                const std::string at = ctx + (conv ? " conv" : " matmul")
+                                       + " len " + std::to_string(len);
+                auto run = [&](Engine &e, const std::vector<std::int8_t> &x,
+                               const std::vector<std::int8_t> &y,
+                               unsigned bits) {
+                    return conv ? e.bce.dotProductSpan(x.data(), y.data(),
+                                                       len, bits)
+                                : e.bce.matmulDotSpan(x.data(), y.data(),
+                                                      len, bits);
+                };
+                ASSERT_EQ(run(legacy, a, b, 8), run(simd, a, b, 8)) << at;
+                const std::vector<std::int8_t> &x4 = conv ? a : a4;
+                const std::vector<std::int8_t> &y4 = conv ? b : b4;
+                ASSERT_EQ(run(legacy, x4, y4, 4), run(simd, x4, y4, 4))
+                    << at << " 4-bit";
+            }
         }
         expect_engines_identical(legacy, simd, ctx);
     });
@@ -335,14 +387,11 @@ const std::size_t tile_dims[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 14, 64};
 TEST(SimdKernels, TileMatchesSingleSpansAtEveryLevel)
 {
     // Every ragged K up to 80 against every M x N block edge, in both
-    // modes; under the gather tally pin the tile must take (and match)
-    // its per-span fallback.
+    // modes.
     for_each_runnable_level([](sim::SimdLevel level) {
         for (const BceMode mode : {BceMode::Conv, BceMode::Matmul}) {
             const std::string ctx =
-                std::string(sim::simd_level_name(level)) + " "
-                + bce::simd::tally_mode_name(
-                    bce::simd::active_tally_mode())
+                std::string(sim::simd_level_name(level))
                 + (mode == BceMode::Conv ? " conv" : " matmul");
             Engine tile(ExecTier::Tiered);
             Engine spans(ExecTier::Tiered);
@@ -423,9 +472,7 @@ TEST(SimdKernels, Tile4BitMatchesSingleSpansAtEveryLevel)
     for_each_runnable_level([](sim::SimdLevel level) {
         for (const BceMode mode : {BceMode::Conv, BceMode::Matmul}) {
             const std::string ctx =
-                std::string(sim::simd_level_name(level)) + " "
-                + bce::simd::tally_mode_name(
-                    bce::simd::active_tally_mode())
+                std::string(sim::simd_level_name(level))
                 + (mode == BceMode::Conv ? " conv" : " matmul");
             Engine tile(ExecTier::Tiered);
             Engine spans(ExecTier::Tiered);
@@ -517,25 +564,6 @@ TEST(SimdKernels, ClassFeatureSumsRecordTheOperandRange)
 
 namespace {
 
-/** Every runnable SIMD level; restores the resolved level. The GEMM
- *  does not read the tally mode, so no tally sweep. */
-template <typename Body>
-void
-for_each_gemm_level(Body &&body)
-{
-    for (const sim::SimdLevel level :
-         {sim::SimdLevel::Scalar, sim::SimdLevel::Sse42,
-          sim::SimdLevel::Neon, sim::SimdLevel::Avx2,
-          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni}) {
-        if (!sim::simd_level_compiled(level)
-            || !sim::simd_level_supported(level))
-            continue;
-        sim::force_simd_level(level);
-        body(level);
-    }
-    sim::reset_simd_level();
-}
-
 /** out[i * n + j] += dot(a[i], b[j]), wrapped mod 2^32 element by
  *  element. */
 void
@@ -584,7 +612,7 @@ TEST(SimdKernels, GemmMatchesScalarReferenceAtEveryLevel)
     // 130: two whole 64-byte VNNI steps plus every mask width, and
     // every 32-, 16- and 8-byte madd step and tail. The incoming out
     // is non-zero (matmul accumulates into it).
-    for_each_gemm_level([](sim::SimdLevel level) {
+    for_each_runnable_level([](sim::SimdLevel level) {
         const std::string ctx = sim::simd_level_name(level);
         for (std::size_t k = 1; k <= 130; ++k) {
             for (const std::size_t m : tile_dims) {
@@ -609,7 +637,7 @@ TEST(SimdKernels, GemmExtremeSumsExactAtEveryLevel)
     // (its biased lanes read 0, the row sums are at their extremes),
     // accumulated onto outputs at both ends of int32 so the sums wrap.
     const std::size_t k = 25088;
-    for_each_gemm_level([k](sim::SimdLevel level) {
+    for_each_runnable_level([k](sim::SimdLevel level) {
         const std::string ctx = sim::simd_level_name(level);
         for (const auto &[m, n] :
              {std::pair<std::size_t, std::size_t>{1, 1}, {5, 6}, {4, 8}}) {
@@ -631,7 +659,7 @@ TEST(SimdKernels, GemmExtremeSumsExactAtEveryLevel)
 
 TEST(SimdKernels, WeightRowSumsMatchScalarAtEveryLevel)
 {
-    for_each_gemm_level([](sim::SimdLevel level) {
+    for_each_runnable_level([](sim::SimdLevel level) {
         const std::string ctx = sim::simd_level_name(level);
         for (const std::size_t k :
              {std::size_t{1}, std::size_t{27}, std::size_t{63},
@@ -746,28 +774,44 @@ enum class MatmulEntry
     FrozenTile,   ///< matmulTile with frozen weight features
 };
 
-/** Mid-span out-of-domain 4-bit matmul at a pinned level: must die. */
+/** Span length of the out-of-domain matmul rows. */
+constexpr std::size_t oob_len = 40;
+
+/** In-domain weight row @p j of the out-of-domain matmul. */
+std::vector<std::int8_t>
+oob_weights(std::size_t j)
+{
+    return pattern(oob_len, 80 + static_cast<int>(j), 7);
+}
+
+/**
+ * An out-of-domain 4-bit matmul at a pinned level, byte @p v at
+ * position @p pos of the activation row: must die. The kernel must
+ * detect it before any table read could go out of bounds, and as a
+ * 1 x oob_len activation row against two in-domain weight rows it
+ * must also keep the tile off its GEMM path.
+ */
 void
-run_out_of_range_matmul(sim::SimdLevel level, MatmulEntry entry)
+run_out_of_range_matmul(sim::SimdLevel level, MatmulEntry entry,
+                        std::size_t pos, std::int8_t v)
 {
     sim::force_simd_level(level);
     Engine e(ExecTier::Tiered);
     e.bce.setMode(BceMode::Matmul);
-    // 9 overflows the 4-bit magnitude limit; it sits mid-span so the
-    // kernel must detect it before any table gather could read out of
-    // bounds. As a 1 x 12 activation row against two in-domain weight
-    // rows it must also keep the tile off its GEMM path.
-    const std::int8_t a[12] = {1, 2, 3, 4, 5, 6, 9, 1, 2, 3, 4, 5};
-    const std::int8_t b[24] = {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-                               2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2};
+    std::vector<std::int8_t> a = pattern(oob_len, 79, 7);
+    a[pos] = v;
+    std::vector<std::int8_t> b = oob_weights(0);
+    const std::vector<std::int8_t> b1 = oob_weights(1);
+    b.insert(b.end(), b1.begin(), b1.end());
     if (entry == MatmulEntry::Span) {
-        (void)e.bce.matmulDotSpan(a, b, 12, 4);
+        (void)e.bce.matmulDotSpan(a.data(), b.data(), oob_len, 4);
         return;
     }
-    std::vector<std::uint32_t> features(bce::Bce::tileScratchWords(12));
-    bce::simd::class_feature_sums(b, 2, 12, features.data());
+    std::vector<std::uint32_t> features(
+        bce::Bce::tileScratchWords(oob_len));
+    bce::simd::class_feature_sums(b.data(), 2, oob_len, features.data());
     std::int32_t out[2] = {0, 0};
-    e.bce.matmulTile(a, b, out, 1, 12, 2, 4,
+    e.bce.matmulTile(a.data(), b.data(), out, 1, oob_len, 2, 4,
                      entry == MatmulEntry::FrozenTile ? features.data()
                                                       : nullptr);
 }
@@ -776,6 +820,10 @@ run_out_of_range_matmul(sim::SimdLevel level, MatmulEntry entry)
 
 TEST(SimdKernelsDeath, Matmul4BitOutOfRangePanicsAtEveryLevel)
 {
+    // The panic names the offender and its partner, which pins the
+    // reported index to the offender's position.
+    const std::vector<std::int8_t> w = oob_weights(0);
+    const std::vector<std::size_t> positions = offender_positions(oob_len);
     for (const sim::SimdLevel level :
          {sim::SimdLevel::Scalar, sim::SimdLevel::Sse42,
           sim::SimdLevel::Neon, sim::SimdLevel::Avx2,
@@ -783,11 +831,20 @@ TEST(SimdKernelsDeath, Matmul4BitOutOfRangePanicsAtEveryLevel)
         if (!sim::simd_level_compiled(level)
             || !sim::simd_level_supported(level))
             continue;
-        for (const MatmulEntry entry :
-             {MatmulEntry::Span, MatmulEntry::Tile,
-              MatmulEntry::FrozenTile})
-            EXPECT_DEATH(run_out_of_range_matmul(level, entry),
-                         "exceeds 4-bit range: 9");
+        for (std::size_t p = 0; p < positions.size(); ++p) {
+            const std::size_t pos = positions[p];
+            const std::int8_t v = out_of_domain4[p];
+            const std::string want = "exceeds 4-bit range: "
+                                     + std::to_string(v) + " x "
+                                     + std::to_string(w[pos])
+                                     + "([^0-9]|$)";
+            for (const MatmulEntry entry :
+                 {MatmulEntry::Span, MatmulEntry::Tile,
+                  MatmulEntry::FrozenTile})
+                EXPECT_DEATH(run_out_of_range_matmul(level, entry, pos, v),
+                             want)
+                    << sim::simd_level_name(level) << " pos " << pos;
+        }
     }
     sim::reset_simd_level();
 }
@@ -800,7 +857,8 @@ TEST(SimdKernels, PoisonedLutExactAtEveryLevel)
 {
     // scratchWrite rewrites a LUT row byte, so the reseeded table's
     // product plane no longer equals a*b (productsExact drops) and the
-    // kernels must gather poisoned products instead of multiplying.
+    // span must read poisoned products from the planes (the scalar
+    // loop) instead of taking the widening-multiply histogram kernel.
     for_each_runnable_level([](sim::SimdLevel level) {
         const std::string ctx = sim::simd_level_name(level);
         Engine legacy(ExecTier::Legacy);
@@ -898,25 +956,42 @@ TEST(SimdKernels, StaleGenerationIsNeverServed)
 
 TEST(SimdKernels, RunSpanReportsFirstOutOfRangeIndex)
 {
-    Engine e(ExecTier::Tiered);
-    e.bce.setMode(BceMode::Matmul);
-    // Build the 4-bit ROM table through a benign span first.
-    const std::int8_t ok[4] = {1, 2, 3, 4};
-    (void)e.bce.matmulDotSpan(ok, ok, 4, 4);
-
+    // Every out-of-domain byte at every offender position of every
+    // ragged length, with a second offender after it: the strict span
+    // reports the first one. Spans without an offender stay in range
+    // and sum exactly.
     const lut::DatapathTable t = lut::build_rom_datapath_table(
         4, lut::MultLut{});
-    const std::int8_t a[6] = {1, 2, 3, 9, 10, 1};
-    const std::int8_t b[6] = {1, 1, 1, 1, 1, 1};
-    const bce::simd::SpanSums s = bce::simd::run_span(
-        t, a, b, 6, bce::simd::SpanSemantics::MatmulStrict);
-    EXPECT_FALSE(s.inRange);
-    EXPECT_EQ(3u, s.firstOutOfRange);
-
-    const bce::simd::SpanSums in = bce::simd::run_span(
-        t, a, b, 3, bce::simd::SpanSemantics::MatmulStrict);
-    EXPECT_TRUE(in.inRange);
-    EXPECT_EQ(6, in.acc); // 1 + 2 + 3
+    ASSERT_TRUE(bce::simd::histogram_eligible(t));
+    for_each_runnable_level([&](sim::SimdLevel level) {
+        const std::string ctx = sim::simd_level_name(level);
+        for (const std::size_t len : ragged_lengths()) {
+            std::vector<std::int8_t> a = pattern(len, 91, 8);
+            const std::vector<std::int8_t> b = pattern(len, 92, 8);
+            const bce::simd::SpanSums in = bce::simd::run_span(
+                t, a.data(), b.data(), len,
+                bce::simd::SpanSemantics::MatmulStrict);
+            std::int64_t want = 0;
+            for (std::size_t i = 0; i < len; ++i)
+                want += a[i] * b[i];
+            ASSERT_TRUE(in.inRange) << ctx << " len " << len;
+            ASSERT_EQ(want, in.acc) << ctx << " len " << len;
+            for (const std::size_t pos : offender_positions(len)) {
+                for (const std::int8_t v : out_of_domain4) {
+                    std::vector<std::int8_t> x = a;
+                    x[pos] = v;
+                    if (pos + 1 < len)
+                        x[len - 1] = 9;
+                    const bce::simd::SpanSums s = bce::simd::run_span(
+                        t, x.data(), b.data(), len,
+                        bce::simd::SpanSemantics::MatmulStrict);
+                    ASSERT_FALSE(s.inRange) << ctx << " len " << len;
+                    ASSERT_EQ(pos, s.firstOutOfRange)
+                        << ctx << " len " << len << " byte " << int(v);
+                }
+            }
+        }
+    });
 }
 
 TEST(SimdKernels, ZeroLengthSpanIsANoOp)
@@ -929,45 +1004,6 @@ TEST(SimdKernels, ZeroLengthSpanIsANoOp)
         expect_engines_identical(legacy, simd,
                                  sim::simd_level_name(level));
     });
-}
-
-// ---------------------------------------------------------------------
-// Tally-strategy knob
-// ---------------------------------------------------------------------
-
-TEST(SimdKernels, HistogramAndGatherEnginesByteIdentical)
-{
-    // Head-to-head rather than each-vs-legacy: two tiered engines, one
-    // pinned to the histogram fold and one to the delta-plane gather,
-    // fed the same spans. Sums, stats and energy must be identical.
-    for (const sim::SimdLevel level :
-         {sim::SimdLevel::Sse42, sim::SimdLevel::Avx2,
-          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni}) {
-        if (!sim::simd_level_compiled(level)
-            || !sim::simd_level_supported(level))
-            continue;
-        sim::force_simd_level(level);
-        const std::string ctx = sim::simd_level_name(level);
-        Engine hist(ExecTier::Tiered);
-        Engine gather(ExecTier::Tiered);
-        for (std::size_t len : {std::size_t{7}, std::size_t{256},
-                                std::size_t{9001}}) {
-            const std::vector<std::int8_t> a =
-                pattern(len, static_cast<int>(len), 127);
-            const std::vector<std::int8_t> b =
-                pattern(len, static_cast<int>(len) + 9, 127);
-            bce::simd::force_tally_mode(bce::simd::TallyMode::Histogram);
-            const std::int32_t rh =
-                hist.bce.dotProductSpan(a.data(), b.data(), len, 8);
-            bce::simd::force_tally_mode(bce::simd::TallyMode::Gather);
-            const std::int32_t rg =
-                gather.bce.dotProductSpan(a.data(), b.data(), len, 8);
-            ASSERT_EQ(rh, rg) << ctx << " len " << len;
-        }
-        expect_engines_identical(hist, gather, ctx);
-    }
-    bce::simd::reset_tally_mode();
-    sim::reset_simd_level();
 }
 
 TEST(SimdKernels, DequantizeStoreMatchesScalarEpilogueAtEveryLevel)
@@ -1053,41 +1089,4 @@ TEST(SimdKernels, DequantizeStoreMatchesScalarEpilogueAtEveryLevel)
             }
         }
     });
-}
-
-TEST(SimdKernels, TallyEnvironmentKnobResolves)
-{
-    ASSERT_EQ(0, setenv("BFREE_TIERED_TALLY", "gather", 1));
-    bce::simd::reset_tally_mode();
-    EXPECT_EQ(bce::simd::TallyMode::Gather,
-              bce::simd::active_tally_mode());
-
-    ASSERT_EQ(0, setenv("BFREE_TIERED_TALLY", "histogram", 1));
-    bce::simd::reset_tally_mode();
-    EXPECT_EQ(bce::simd::TallyMode::Histogram,
-              bce::simd::active_tally_mode());
-
-    // Unset means the gather-free default.
-    ASSERT_EQ(0, unsetenv("BFREE_TIERED_TALLY"));
-    bce::simd::reset_tally_mode();
-    EXPECT_EQ(bce::simd::TallyMode::Histogram,
-              bce::simd::active_tally_mode());
-
-    EXPECT_STREQ("histogram", bce::simd::tally_mode_name(
-                                  bce::simd::TallyMode::Histogram));
-    EXPECT_STREQ("gather", bce::simd::tally_mode_name(
-                               bce::simd::TallyMode::Gather));
-}
-
-TEST(SimdKernelsDeath, UnknownTallyKnobIsFatal)
-{
-    ASSERT_EQ(0, setenv("BFREE_TIERED_TALLY", "turbo", 1));
-    EXPECT_DEATH(
-        {
-            bce::simd::reset_tally_mode();
-            (void)bce::simd::active_tally_mode();
-        },
-        "not a known tally");
-    ASSERT_EQ(0, unsetenv("BFREE_TIERED_TALLY"));
-    bce::simd::reset_tally_mode();
 }

@@ -157,47 +157,6 @@ TEST(Functional, ConvOnlyNetworkExact)
         EXPECT_NEAR(got.output[i], expected[i], 0.05) << i;
 }
 
-TEST(Functional, ForcedFrontendsMatchBitwiseOnPerCallPath)
-{
-    // The per-call entry resolves the conv front end per run (no
-    // compiled plan), and every forced mode must be byte-identical in
-    // outputs and datapath statistics: all three feed the exact same
-    // patch bytes to the same dotProductSpan call sequence.
-    const Network net = make_tiny_cnn();
-    bfree::sim::Rng rng(23);
-    const NetworkWeights weights = random_weights(net, rng);
-    FloatTensor input({1, 8, 8});
-    input.fillUniform(rng, 0.0, 1.0);
-
-    force_frontend(FrontendMode::Legacy);
-    FunctionalExecutor le;
-    const FunctionalResult lr = le.run(net, input, weights, 8);
-    force_frontend(FrontendMode::Fused);
-    FunctionalExecutor fe;
-    const FunctionalResult fr = fe.run(net, input, weights, 8);
-    force_frontend(FrontendMode::Elided);
-    FunctionalExecutor ee;
-    const FunctionalResult er = ee.run(net, input, weights, 8);
-    reset_frontend();
-
-    ASSERT_EQ(lr.output.size(), fr.output.size());
-    ASSERT_EQ(lr.output.size(), er.output.size());
-    for (std::size_t i = 0; i < lr.output.size(); ++i) {
-        EXPECT_EQ(lr.output[i], fr.output[i]) << "fused " << i;
-        EXPECT_EQ(lr.output[i], er.output[i]) << "elided " << i;
-    }
-    EXPECT_EQ(lr.stats.macs, fr.stats.macs);
-    EXPECT_EQ(lr.stats.macs, er.stats.macs);
-    EXPECT_EQ(lr.stats.cycles, fr.stats.cycles);
-    EXPECT_EQ(lr.stats.cycles, er.stats.cycles);
-    EXPECT_EQ(lr.stats.counts.lutLookups, fr.stats.counts.lutLookups);
-    EXPECT_EQ(lr.stats.counts.lutLookups, er.stats.counts.lutLookups);
-    EXPECT_EQ(lr.stats.counts.adds, fr.stats.counts.adds);
-    EXPECT_EQ(lr.stats.counts.adds, er.stats.counts.adds);
-    EXPECT_EQ(le.energy().total(), fe.energy().total());
-    EXPECT_EQ(le.energy().total(), ee.energy().total());
-}
-
 TEST(Functional, SixteenBitTracksReferenceTightly)
 {
     // Higher precision, tighter agreement: the 16-bit quantizer should

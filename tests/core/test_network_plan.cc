@@ -17,7 +17,9 @@
 #include <new>
 #include <vector>
 
+#include "bce/simd_kernels.hh"
 #include "core/functional.hh"
+#include "dnn/im2col.hh"
 #include "dnn/model_zoo.hh"
 #include "simd_levels.hh"
 
@@ -343,74 +345,6 @@ TEST(NetworkPlan, SteadyStateMakesZeroHeapAllocations)
     }
 }
 
-TEST(NetworkPlan, FrontendSelectionFollowsGeometryPolicy)
-{
-    // Disjoint windows (stride >= kernel) fuse quantization into the
-    // patch; overlapping windows (3x3 s1, 1x1) elide the im2col copy;
-    // wide precisions and non-conv layers stay legacy.
-    Network net("front-mix", {3, 8, 8});
-    net.add(make_conv("overlap", {3, 8, 8}, 4, 3, 1, 1));
-    net.add(make_conv("disjoint", {4, 8, 8}, 4, 2, 2, 0));
-    net.add(make_conv("pointwise", {4, 4, 4}, 2, 1, 1, 0));
-    bfree::sim::Rng rng(7);
-    const NetworkWeights weights = random_weights(net, rng);
-
-    const NetworkPlan plan = NetworkPlan::compile(net, weights, 8);
-    ASSERT_EQ(plan.layers().size(), 3u);
-    EXPECT_EQ(plan.layers()[0].frontend, FrontendMode::Elided);
-    EXPECT_EQ(plan.layers()[1].frontend, FrontendMode::Fused);
-    EXPECT_EQ(plan.layers()[2].frontend, FrontendMode::Elided);
-    EXPECT_EQ(plan.stats().legacyFrontLayers, 0u);
-    EXPECT_EQ(plan.stats().fusedFrontLayers, 1u);
-    EXPECT_EQ(plan.stats().elidedFrontLayers, 2u);
-
-    // > 8-bit plans have no vectorized int8 front end at all: every
-    // layer is Legacy and none is counted in the <= 8-bit front-end
-    // ledger.
-    const NetworkPlan wide = NetworkPlan::compile(net, weights, 16);
-    for (const PlannedLayer &pl : wide.layers())
-        EXPECT_EQ(pl.frontend, FrontendMode::Legacy) << pl.layer.name;
-    EXPECT_EQ(wide.stats().legacyFrontLayers, 0u);
-    EXPECT_EQ(wide.stats().fusedFrontLayers, 0u);
-    EXPECT_EQ(wide.stats().elidedFrontLayers, 0u);
-    EXPECT_EQ(wide.stats().savedPlaneBytes, 0u);
-}
-
-TEST(NetworkPlan, FusedFrontendShrinksArenaByThePlaneBytes)
-{
-    // Fusing quantization into the patch deletes the quantized-plane
-    // scratch allocation: the compiled arena must shrink by exactly
-    // the bytes the plan reports as saved, and a forced-legacy plan
-    // must restore them.
-    Network net("disjoint-only", {4, 8, 8});
-    net.add(make_conv("d", {4, 8, 8}, 4, 2, 2, 0));
-    bfree::sim::Rng rng(9);
-    const NetworkWeights weights = random_weights(net, rng);
-
-    const NetworkPlan fused = NetworkPlan::compile(net, weights, 8);
-    ASSERT_EQ(fused.layers()[0].frontend, FrontendMode::Fused);
-    EXPECT_GT(fused.stats().savedPlaneBytes, 0u);
-
-    force_frontend(FrontendMode::Legacy);
-    const NetworkPlan legacy = NetworkPlan::compile(net, weights, 8);
-    reset_frontend();
-    ASSERT_EQ(legacy.layers()[0].frontend, FrontendMode::Legacy);
-    EXPECT_EQ(legacy.stats().savedPlaneBytes, 0u);
-    EXPECT_EQ(legacy.stats().arenaBytes,
-              fused.stats().arenaBytes + fused.stats().savedPlaneBytes);
-
-    // The shrunken plan still sizes its arena exactly: running the
-    // fused plan fills it to the byte (the high-water assertion in the
-    // steady-state test, repeated here for the elided accounting).
-    FloatTensor input({4, 8, 8});
-    input.fillUniform(rng, -1.0, 1.0);
-    std::vector<float> out(fused.outputElems());
-    FunctionalExecutor exec;
-    exec.runInto(fused, input.data(), fused.inputElems(), out.data(),
-                 out.size());
-    EXPECT_EQ(exec.arena().highWater(), fused.stats().arenaBytes);
-}
-
 TEST(NetworkPlan, HighWaterTracksThePlanActuallyRun)
 {
     // Re-running a smaller plan through the same executor must report
@@ -444,39 +378,106 @@ TEST(NetworkPlan, HighWaterTracksThePlanActuallyRun)
         << "high-water must shrink to the smaller plan's own peak";
 }
 
-TEST(NetworkPlan, ForcedFrontendsAreBitwiseIdentical)
+namespace {
+
+/**
+ * The conv-and-folded-ReLU chain of @p plan (every Relu folded into
+ * the conv before it) recomputed from its frozen weights through
+ * im2col_patch_i8 and plain integer dot products, dequantized by the
+ * store's specified formula: the oracle for the elided front end's
+ * addressing.
+ */
+std::vector<float>
+patch_oracle(const NetworkPlan &plan, unsigned bits, const float *input)
 {
-    // Outputs AND datapath statistics must be byte-identical across
-    // the three forced front ends: every mode feeds the same patch
-    // bytes to the same dotProductSpan call sequence.
-    const Network net = make_tiny_cnn();
+    std::vector<float> act(input, input + plan.inputElems());
+    for (const PlannedLayer &pl : plan.layers()) {
+        if (pl.layer.kind != LayerKind::Conv)
+            continue; // a folded Relu passes its input through
+        const Layer &l = pl.layer;
+        const FeatureShape o = l.outputShape();
+        const QuantizedWeights &fw = pl.frozen[0];
+        const SymQuant qi = choose_sym(act.data(), act.size(), bits);
+        std::vector<std::int8_t> qin(act.size());
+        quantize_span(qi, act.data(), act.size(), qin.data());
+        const std::size_t k =
+            std::size_t(l.input.c) * l.kernelH * l.kernelW;
+        std::vector<std::int8_t> patch(k);
+        std::vector<float> next(o.elements());
+        for (unsigned oh = 0; oh < o.h; ++oh) {
+            for (unsigned ow = 0; ow < o.w; ++ow) {
+                im2col_patch_i8(l, qin.data(), oh, ow, patch.data());
+                for (unsigned f = 0; f < o.c; ++f) {
+                    std::int32_t acc = 0;
+                    for (std::size_t p = 0; p < k; ++p)
+                        acc += fw.q8[f * k + p] * patch[p];
+                    const float y =
+                        static_cast<float>(acc * fw.scale.scale * qi.scale)
+                        + pl.bias[f];
+                    next[(std::size_t(f) * o.h + oh) * o.w + ow] =
+                        pl.foldedRelu ? bfree::bce::simd::relu_q8(y) : y;
+                }
+            }
+        }
+        act = std::move(next);
+    }
+    return act;
+}
+
+} // namespace
+
+TEST(NetworkPlan, TieredPlanMatchesLegacyTierAtEveryLevel)
+{
+    // The exactness contract through a compiled plan: the tiered
+    // datapath (elided front end, GEMM tile, histogram tallies) must
+    // reproduce the full scalar Legacy tier in outputs, BceStats and
+    // energy, bit for bit, on every conv window shape — disjoint
+    // (stride >= kernel on one or both axes), 1x1 and padded
+    // overlapping — each with a ReLU folded into its store. Both tiers
+    // share the front end, so the outputs are also held to the
+    // row-run patch oracle.
+    const FeatureShape in{3, 18, 36};
+    Layer strided = make_conv2("c1x3w3", in, 4, 1, 3, 1, 0, 0);
+    strided.strideW = 3;
+    const std::vector<Layer> convs = [&] {
+        std::vector<Layer> ls{strided};
+        ls.push_back(make_conv("c2x2s2", ls.back().outputShape(), 6, 2, 2, 0));
+        ls.push_back(make_conv("c3x3s3", ls.back().outputShape(), 5, 3, 3, 0));
+        ls.push_back(make_conv("c1x1", ls.back().outputShape(), 7, 1, 1, 0));
+        ls.push_back(make_conv("c3x3p1", ls.back().outputShape(), 3, 3, 1, 1));
+        return ls;
+    }();
+    Network net("windows", in);
+    for (const Layer &c : convs) {
+        net.add(c);
+        net.add(make_activation(c.name + "/relu", LayerKind::Relu,
+                                c.outputShape()));
+    }
     bfree::sim::Rng rng(17);
     const NetworkWeights weights = random_weights(net, rng);
-    FloatTensor input({1, 8, 8});
-    input.fillUniform(rng, 0.0, 1.0);
+    FloatTensor input({in.c, in.h, in.w});
+    input.fillUniform(rng, -1.0, 1.0);
 
-    force_frontend(FrontendMode::Legacy);
-    const NetworkPlan lp = NetworkPlan::compile(net, weights, 8);
-    FunctionalExecutor le;
-    const FunctionalResult lr = le.run(lp, input);
-
-    force_frontend(FrontendMode::Fused);
-    const NetworkPlan fp = NetworkPlan::compile(net, weights, 8);
-    FunctionalExecutor fe;
-    const FunctionalResult fr = fe.run(fp, input);
-
-    force_frontend(FrontendMode::Elided);
-    const NetworkPlan ep = NetworkPlan::compile(net, weights, 8);
-    FunctionalExecutor ee;
-    const FunctionalResult er = ee.run(ep, input);
-    reset_frontend();
-
-    expect_bitwise_eq(fr.output, lr.output);
-    expect_bitwise_eq(er.output, lr.output);
-    expect_stats_eq(fr.stats, lr.stats);
-    expect_stats_eq(er.stats, lr.stats);
-    EXPECT_EQ(fe.energy().total(), le.energy().total());
-    EXPECT_EQ(ee.energy().total(), le.energy().total());
+    bfree::test::for_each_runnable_level([&](bfree::sim::SimdLevel) {
+        for (unsigned bits : {4u, 8u}) {
+            SCOPED_TRACE(bits);
+            const NetworkPlan plan =
+                NetworkPlan::compile(net, weights, bits);
+            EXPECT_EQ(plan.stats().foldedRelus, 5u);
+            FunctionalExecutor te({}, {}, bfree::bce::ExecTier::Tiered);
+            FunctionalExecutor le({}, {}, bfree::bce::ExecTier::Legacy);
+            const FunctionalResult tr = te.run(plan, input);
+            const FunctionalResult lr = le.run(plan, input);
+            expect_bitwise_eq(tr.output, lr.output);
+            expect_stats_eq(tr.stats, lr.stats);
+            EXPECT_EQ(te.energy().total(), le.energy().total());
+            const std::vector<float> want =
+                patch_oracle(plan, bits, input.data());
+            ASSERT_EQ(want.size(), tr.output.size());
+            EXPECT_EQ(0, std::memcmp(want.data(), tr.output.data(),
+                                     want.size() * sizeof(float)));
+        }
+    });
 }
 
 namespace {

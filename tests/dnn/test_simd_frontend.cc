@@ -369,15 +369,15 @@ TEST(Im2ColFloat, RowRunMatchesElementwiseReferenceExactly)
 }
 
 // ---------------------------------------------------------------------
-// Fused quantize-into-im2col
+// Elided addressing: SpanView materialization over the staged plane
 // ---------------------------------------------------------------------
 
 namespace {
 
-/** The conv shapes every front end must agree on: stride > 1, stride >
- *  kernel (the fused policy shape), asymmetric kernels AND paddings,
- *  kernels larger than the input, 1x1, and lane-straddling channel
- *  counts. */
+/** The conv shapes the elided addressing must reproduce: stride > 1,
+ *  stride > kernel (disjoint windows), asymmetric kernels AND
+ *  paddings, kernels larger than the input, 1x1, and lane-straddling
+ *  channel counts. */
 std::vector<Layer>
 frontend_cases()
 {
@@ -394,65 +394,6 @@ frontend_cases()
         make_conv2("asym-pad", {2, 6, 6}, 2, 3, 3, 2, 2, 0),
     };
 }
-
-} // namespace
-
-TEST(Im2ColQuantizePatch, FusedMatchesLegacyBytesAtEveryLevel)
-{
-    // The fused front end must produce the exact bytes of the legacy
-    // quantize-plane-then-copy pipeline AND the per-element reference,
-    // at every SIMD level, for every edge shape — this byte identity
-    // is what makes forcing any front-end mode safe anywhere.
-    for_each_runnable_level([](sim::SimdLevel level) {
-        const std::string ctx = sim::simd_level_name(level);
-        for (const Layer &l : frontend_cases()) {
-            sim::Rng rng(96);
-            const std::size_t in_elems = l.input.elements();
-            std::vector<float> in(in_elems);
-            for (float &v : in)
-                v = static_cast<float>(rng.uniformReal(-2.0, 2.0));
-
-            SymQuant sq;
-            sq.scale = 0.02;
-            std::vector<std::int8_t> qin(in_elems);
-            quantize_span(sq, in.data(), in_elems, qin.data());
-
-            const std::size_t patch_len =
-                std::size_t(l.input.c) * l.kernelH * l.kernelW;
-            std::vector<std::int8_t> fused(patch_len + 1, 127);
-            std::vector<std::int8_t> legacy(patch_len);
-            std::vector<std::int8_t> ref(patch_len);
-            const FeatureShape out = l.outputShape();
-            for (unsigned oh = 0; oh < out.h; ++oh) {
-                for (unsigned ow = 0; ow < out.w; ++ow) {
-                    im2col_quantize_patch(l, sq, in.data(), oh, ow,
-                                          fused.data());
-                    im2col_patch_i8(l, qin.data(), oh, ow,
-                                    legacy.data());
-                    reference_patch(l, sq, in.data(), oh, ow,
-                                    ref.data());
-                    ASSERT_EQ(0, std::memcmp(legacy.data(),
-                                             fused.data(), patch_len))
-                        << ctx << " " << l.name << " fused!=legacy ("
-                        << oh << "," << ow << ")";
-                    ASSERT_EQ(0, std::memcmp(ref.data(), fused.data(),
-                                             patch_len))
-                        << ctx << " " << l.name << " fused!=ref ("
-                        << oh << "," << ow << ")";
-                    ASSERT_EQ(127, fused[patch_len])
-                        << ctx << " " << l.name
-                        << " wrote past the patch";
-                }
-            }
-        }
-    });
-}
-
-// ---------------------------------------------------------------------
-// Elided addressing: SpanView materialization over the staged plane
-// ---------------------------------------------------------------------
-
-namespace {
 
 using bce::simd::SpanView;
 

@@ -198,7 +198,7 @@ TEST(DatapathSoa, ValueDependentCountsClearHistogramExact)
 {
     // adds = |a| differs between magnitudes 2 and 4 — one structural
     // class — so the class collapse cannot hold. The table must clear
-    // the flag (forcing the kernels onto the delta-plane gather) and
+    // the flag (sending spans to the scalar loop over the delta plane) and
     // still serve the arbitrary counts faithfully.
     const lut::DatapathTable t = lut::DatapathTable::build(
         4, [](std::int32_t a, std::int32_t b) {

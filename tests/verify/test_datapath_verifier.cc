@@ -163,7 +163,7 @@ TEST(DatapathVerifier, LyingProductsExactFires)
 TEST(DatapathVerifier, HonestInexactProductsPassClean)
 {
     // The same poisoned product with the flag honestly cleared is
-    // exactly the gather fallback — not a finding.
+    // exactly the scalar-loop fallback — not a finding.
     PlaneFixture f{romTable(4)};
     f.products[f.products.size() / 2] += 1;
     f.view.productsExact = false;

@@ -350,65 +350,6 @@ TEST(PlanVerifierBroken, CapacityArenaBudget)
     EXPECT_TRUE(report.has(RuleId::CapacityArena));
 }
 
-TEST(PlanVerifierGolden, CompiledConvPlanFrontendAuditsClean)
-{
-    // A freshly compiled conv plan records the modes resolve_frontend
-    // picked, so the plan-frontend rule must stay silent — at both
-    // supported conv precisions and for an all-modes mix.
-    dnn::Network net("front-mix", dnn::FeatureShape{3, 8, 8});
-    net.add(dnn::make_conv("overlap", {3, 8, 8}, 4, 3, 1, 1));
-    net.add(dnn::make_conv("disjoint", {4, 8, 8}, 4, 2, 2, 0));
-    sim::Rng rng(19);
-    const core::NetworkWeights weights = core::random_weights(net, rng);
-    for (unsigned bits : {4u, 8u, 16u}) {
-        const core::NetworkPlan plan =
-            core::NetworkPlan::compile(net, weights, bits);
-        VerifyReport report;
-        makeVerifier().checkFrontend(plan.layers(), bits, report);
-        EXPECT_TRUE(report.ok()) << bits << ":\n" << report.toString();
-        EXPECT_TRUE(report.diagnostics().empty()) << bits;
-    }
-}
-
-TEST(PlanVerifierBroken, FrontendOnNonConvLayer)
-{
-    // A fused mode on an FC layer is an error: there is no int8 patch
-    // pipeline to reroute there.
-    std::vector<core::PlannedLayer> layers(1);
-    layers[0].layer = dnn::make_fc("fc", 16, 16);
-    layers[0].frontend = dnn::FrontendMode::Fused;
-    VerifyReport report;
-    makeVerifier().checkFrontend(layers, 8, report);
-    EXPECT_TRUE(report.has(RuleId::PlanFrontend));
-    EXPECT_FALSE(report.ok());
-}
-
-TEST(PlanVerifierBroken, FrontendOnWidePrecisionConv)
-{
-    // An elided mode on a 16-bit conv is an error: the elided front
-    // end only exists for int8 patches.
-    std::vector<core::PlannedLayer> layers(1);
-    layers[0].layer = dnn::make_conv("c", {1, 4, 4}, 2, 3, 1, 1);
-    layers[0].frontend = dnn::FrontendMode::Elided;
-    VerifyReport report;
-    makeVerifier().checkFrontend(layers, 16, report);
-    EXPECT_TRUE(report.has(RuleId::PlanFrontend));
-    EXPECT_FALSE(report.ok());
-}
-
-TEST(PlanVerifierBroken, FrontendDisagreesWithPolicyWarns)
-{
-    // Legacy on an overlapping conv is byte-exact but not what the
-    // geometry policy picks: a warning, not an error.
-    std::vector<core::PlannedLayer> layers(1);
-    layers[0].layer = dnn::make_conv("c", {1, 4, 4}, 2, 3, 1, 1);
-    layers[0].frontend = dnn::FrontendMode::Legacy;
-    VerifyReport report;
-    makeVerifier().checkFrontend(layers, 8, report);
-    EXPECT_TRUE(report.has(RuleId::PlanFrontend));
-    EXPECT_TRUE(report.ok()) << report.toString();
-}
-
 TEST(PlanVerifierGolden, CompiledPlanEpiloguesAuditClean)
 {
     // Every Relu after a Conv or FC folds at compile, at every

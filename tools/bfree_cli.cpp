@@ -20,7 +20,6 @@
 #include "core/network_plan.hh"
 #include "core/report.hh"
 #include "core/stats_export.hh"
-#include "dnn/im2col.hh"
 #include "dnn/layer.hh"
 #include "dnn/quantize.hh"
 #include "serve/server.hh"
@@ -268,25 +267,19 @@ main(int argc, char **argv)
 
         std::printf("execution plan: %s @ int%u\n", net.name().c_str(),
                     bits);
-        std::printf("%-22s %-9s %10s %10s %10s %9s %8s\n", "layer",
-                    "kind", "in", "out", "frozen", "scratchB", "front");
+        std::printf("%-22s %-9s %10s %10s %10s %9s\n", "layer", "kind",
+                    "in", "out", "frozen", "scratchB");
         bool executable = true;
         for (const core::PlannedLayer &pl : plan.layers()) {
             std::uint64_t frozen = 0;
             for (const dnn::QuantizedWeights &f : pl.frozen)
                 frozen += f.count();
-            // Non-conv layers have no conv front end; print "-" instead
-            // of the (meaningless) Legacy default.
-            const char *front =
-                pl.layer.kind == dnn::LayerKind::Conv && bits <= 8
-                    ? dnn::frontend_mode_name(pl.frontend)
-                    : "-";
-            std::printf("%-22s %-9s %10zu %10zu %10llu %9zu %8s\n",
+            std::printf("%-22s %-9s %10zu %10zu %10llu %9zu\n",
                         pl.layer.name.c_str(),
                         dnn::layer_kind_name(pl.layer.kind), pl.inElems,
                         pl.outElems,
                         static_cast<unsigned long long>(frozen),
-                        pl.scratchBytes, front);
+                        pl.scratchBytes);
             switch (pl.layer.kind) {
               case dnn::LayerKind::Conv:
               case dnn::LayerKind::Fc:
@@ -315,15 +308,6 @@ main(int argc, char **argv)
         std::printf("kernels: %s\n",
                     sim::simd_level_name(sim::active_simd_level()));
         std::printf("epilogues: %zu relu folded\n", ps.foldedRelus);
-        if (ps.legacyFrontLayers + ps.fusedFrontLayers
-                + ps.elidedFrontLayers
-            > 0) {
-            std::printf("conv front end: %zu legacy, %zu fused, %zu "
-                        "elided; %zu B of quantized planes elided by "
-                        "fusion\n",
-                        ps.legacyFrontLayers, ps.fusedFrontLayers,
-                        ps.elidedFrontLayers, ps.savedPlaneBytes);
-        }
 
         // Amortization demo: run a batch through the plan so the reuse
         // counter is visible. Skipped when a layer only runs standalone

@@ -7,27 +7,57 @@
  *   bfree_trace matmul 10,-3 8
  */
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "bce/bce.hh"
 #include "bce/pipeline_trace.hh"
 #include "verify/kernel_verifier.hh"
 
 namespace {
 
+/**
+ * Parse one decimal integer token strictly: the whole token, non-empty,
+ * inside int's range. A malformed token is fatal with a message naming
+ * it (exit 2), never an uncaught exception.
+ */
+int
+parse_int(const std::string &token, const char *what)
+{
+    errno = 0;
+    char *end = nullptr;
+    const long v = std::strtol(token.c_str(), &end, 10);
+    if (token.empty() || end != token.c_str() + token.size()
+        || std::isspace(static_cast<unsigned char>(token[0]))
+        || errno == ERANGE || v < std::numeric_limits<int>::min()
+        || v > std::numeric_limits<int>::max()) {
+        std::cerr << "bfree_trace: bad " << what << " '" << token
+                  << "': expected a decimal integer in int range\n";
+        std::exit(2);
+    }
+    return static_cast<int>(v);
+}
+
+/** Split @p text on commas (empty fields included) and parse each. */
 std::vector<int>
 parse_list(const std::string &text)
 {
     std::vector<int> out;
-    std::istringstream in(text);
-    std::string token;
-    while (std::getline(in, token, ','))
-        out.push_back(std::stoi(token));
-    return out;
+    std::size_t start = 0;
+    for (;;) {
+        const std::size_t comma = text.find(',', start);
+        out.push_back(parse_int(text.substr(start, comma - start),
+                                "operand"));
+        if (comma == std::string::npos)
+            return out;
+        start = comma + 1;
+    }
 }
 
 /**
@@ -55,7 +85,7 @@ usage()
                  "      conv-mode dot product of 4-bit operand lists\n"
                  "  bfree_trace matmul A1,A2,... WIDTH\n"
                  "      matmul-mode broadcast of 8-bit A operands\n"
-                 "      against WIDTH-wide rows of ones\n";
+                 "      against WIDTH-wide rows of ones (WIDTH <= 8)\n";
     std::exit(2);
 }
 
@@ -94,11 +124,12 @@ main(int argc, char **argv)
         if (argc != 4)
             usage();
         const std::vector<int> a = parse_list(argv[2]);
-        const int width = std::stoi(argv[3]);
+        const int width = parse_int(argv[3], "WIDTH");
         if (!operands_ok(a, 8, /*is_signed=*/true, "a-operands"))
             return 1;
-        if (width <= 0) {
-            std::cerr << "WIDTH must be positive\n";
+        if (width <= 0 || unsigned(width) > bce_vector_width) {
+            std::cerr << "WIDTH must be in [1, " << bce_vector_width
+                      << "], the register-file width\n";
             return 2;
         }
         std::vector<std::int32_t> a_ops(a.begin(), a.end());
