@@ -16,9 +16,9 @@
  * more than 5x below the committed baseline (non-gating CI perf-smoke).
  *
  * With --dump-stats the bench instead prints the deterministic batch
- * statistics blocks of the MLP and a small CNN at 8 and then 4 bits
- * (no wall-clock anywhere in the output) — the CI determinism jobs
- * byte-compare this across thread counts and ISAs.
+ * statistics blocks of the MLP and a small CNN at 8, 4 and then 16
+ * bits (no wall-clock anywhere in the output) — the CI determinism
+ * jobs byte-compare this across thread counts and ISAs.
  */
 
 #include <array>
@@ -139,7 +139,8 @@ main(int argc, char **argv)
         // Deterministic block only: batch statistics and the output
         // checksums are bit-identical for any --threads, so this
         // output byte-compares across thread counts. Both tile
-        // precisions: 8-bit first, then the same nets at 4-bit.
+        // precisions, 8-bit first, then the same nets at 4-bit, then
+        // at 16-bit through the wide spans.
         core::BatchOptions opts;
         opts.threads = threads;
 
@@ -156,7 +157,7 @@ main(int argc, char **argv)
             cinputs.push_back(std::move(in));
         }
 
-        for (const unsigned bits : {8u, 4u}) {
+        for (const unsigned bits : {8u, 4u, 16u}) {
             const core::NetworkPlan bplan =
                 core::NetworkPlan::compile(net, weights, bits);
             const core::BatchResult r =
@@ -243,11 +244,15 @@ main(int argc, char **argv)
         core::FunctionalExecutor legacy_exec;
         core::FunctionalExecutor warm_exec;
 
-        core::FunctionalResult legacy_res =
-            legacy_exec.run(net, inputs[0], weights, bits); // warm-up
+        // The per-call path compiles a throwaway plan on every run.
+        const auto per_call = [&] {
+            return legacy_exec.run(
+                core::NetworkPlan::compile(net, weights, bits), inputs[0]);
+        };
+        core::FunctionalResult legacy_res = per_call(); // warm-up
         const auto l0 = Clock::now();
         for (int r = 0; r < reps; ++r)
-            legacy_res = legacy_exec.run(net, inputs[0], weights, bits);
+            legacy_res = per_call();
         const auto l1 = Clock::now();
 
         core::FunctionalResult warm_res = warm_exec.run(p, inputs[0]);

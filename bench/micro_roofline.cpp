@@ -172,7 +172,7 @@ struct MarshalResult
 /**
  * The stage-study rig: one conv layer (3x3 stride-1 pad-1, 32x16x16
  * -> 32 channels) with the production front half of core/functional.cc
- * replicated — plane quantize + once-per-image staging + slack8 span
+ * replicated — plane quantize + once-per-image staging + slack span
  * materialization — marshalling every output position's int8 patch
  * into one buffer.
  *
@@ -216,7 +216,6 @@ struct StageRig
         view.offsets = offsets.data();
         view.nRuns = el.nRuns;
         view.runLen = el.runLen;
-        view.slack8 = true;
     }
 
     /** One whole-image marshal pass; returns the quantize share of

@@ -51,12 +51,13 @@ main()
     // datapath (gate matvecs on the matmul-mode BCE, PWL activations).
     const dnn::LstmState exact =
         dnn::reference_lstm_step(cell, x, state, weights, bias);
+    dnn::Network net("demo", cell.input);
+    net.add(cell);
+    const core::NetworkPlan plan =
+        core::NetworkPlan::compile(net, {{weights, bias}});
     core::FunctionalExecutor executor;
-    core::LayerWeights packed;
-    packed.weights = weights;
-    packed.bias = bias;
     const dnn::LstmState lut_state =
-        executor.runLstmStep(cell, x, state, packed);
+        executor.runLstmStep(plan, 0, x, state);
 
     std::cout << "== one functional LSTM step ==\n";
     std::cout << "h[0..3] exact:    ";

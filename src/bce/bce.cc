@@ -204,6 +204,43 @@ Bce::multiply(std::int32_t a, std::int32_t b, unsigned bits)
     return product;
 }
 
+void
+Bce::chargeMacs(std::uint64_t macs, unsigned bits)
+{
+    chargeCycles(macs * (bits / 4));
+    stats_.macs += macs;
+}
+
+template <typename T>
+std::int64_t
+Bce::scalarSpan(const T *a, const T *b, std::size_t len, unsigned bits)
+{
+    std::int64_t acc = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+        std::int32_t x = a[i], y = b[i];
+        if (_mode == BceMode::Matmul) {
+            const lut::MultResult r = lut::multiply_signed(
+                x, y, bits, rom, lut::LookupSource::BceRom);
+            stats_.counts += r.counts;
+            acc += r.product;
+            ++stats_.counts.adds; // one lane add per element
+            continue;
+        }
+        if (bits == 4) {
+            x = std::clamp(x, -8, 7);
+            y = std::clamp(y, -8, 7);
+        }
+        lut::MicroOpCounts c;
+        acc += multiplyViaSubarrayLut(x, y, bits, c);
+        stats_.counts += c;
+        noteConvLutReads(c.lutLookups);
+        if (i > 0)
+            ++stats_.counts.adds;
+    }
+    chargeMacs(len, bits);
+    return acc;
+}
+
 std::int32_t
 Bce::dotProduct(std::size_t weight_offset, const std::int8_t *inputs,
                 std::size_t len, unsigned bits)
@@ -220,22 +257,13 @@ Bce::dotProduct(std::size_t weight_offset, const std::int8_t *inputs,
             reinterpret_cast<const std::int8_t *>(weights.data()), inputs,
             len, bits);
 
-    std::int64_t acc = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-        const auto w = static_cast<std::int32_t>(static_cast<std::int16_t>(
-            weights[2 * i] | (weights[2 * i + 1] << 8)));
-        lut::MicroOpCounts c;
-        acc += multiplyViaSubarrayLut(w, inputs[i], bits, c);
-        stats_.counts += c;
-        noteConvLutReads(c.lutLookups);
-        if (i > 0)
-            ++stats_.counts.adds;
-    }
-
-    // Conv-mode rate: bits/4 cycles per MAC (0.5 MAC/cycle at 8-bit).
-    chargeCycles(len * (bits / 4));
-    stats_.macs += len;
-    return static_cast<std::int32_t>(acc);
+    std::vector<std::int32_t> w(len);
+    for (std::size_t i = 0; i < len; ++i)
+        w[i] = static_cast<std::int16_t>(weights[2 * i]
+                                         | (weights[2 * i + 1] << 8));
+    const std::vector<std::int32_t> x(inputs, inputs + len);
+    return static_cast<std::int32_t>(scalarSpan(w.data(), x.data(), len,
+                                                bits));
 }
 
 std::int32_t
@@ -244,39 +272,30 @@ Bce::dotProductSpan(const std::int8_t *weights, const std::int8_t *inputs,
 {
     if (_mode != BceMode::Conv)
         bfree_panic("dotProduct requires conv mode");
+    if (_tier != ExecTier::Tiered || !lut::DatapathTable::coversBits(bits))
+        return static_cast<std::int32_t>(
+            scalarSpan(weights, inputs, len, bits));
 
-    std::int64_t acc = 0;
-    if (_tier == ExecTier::Tiered && lut::DatapathTable::coversBits(bits)) {
-        // The dispatched SIMD kernel returns exactly the sums the
-        // scalar loop would have accumulated element by element.
-        const lut::DatapathTable &t = convTable(bits);
-        const simd::SpanSums s = simd::run_span(
-            t, weights, inputs, len, simd::SpanSemantics::ConvClamp);
-        acc = s.acc;
-        stats_.counts.lutLookups += s.lookups;
-        stats_.counts.shifts += s.shifts;
-        stats_.counts.adds += s.adds + (len > 0 ? len - 1 : 0);
-        noteConvLutReads(s.lookups);
-    } else {
-        for (std::size_t i = 0; i < len; ++i) {
-            std::int32_t w = weights[i];
-            std::int32_t in = inputs[i];
-            if (bits == 4) {
-                w = std::clamp(w, -8, 7);
-                in = std::clamp(in, -8, 7);
-            }
-            lut::MicroOpCounts c;
-            acc += multiplyViaSubarrayLut(w, in, bits, c);
-            stats_.counts += c;
-            noteConvLutReads(c.lutLookups);
-            if (i > 0)
-                ++stats_.counts.adds;
-        }
-    }
+    // The dispatched SIMD kernel returns exactly the sums the scalar
+    // loop would have accumulated element by element.
+    const simd::SpanSums s = simd::run_span(
+        convTable(bits), weights, inputs, len,
+        simd::SpanSemantics::ConvClamp);
+    stats_.counts.lutLookups += s.lookups;
+    stats_.counts.shifts += s.shifts;
+    stats_.counts.adds += s.adds + (len > 0 ? len - 1 : 0);
+    noteConvLutReads(s.lookups);
+    chargeMacs(len, bits);
+    return s.acc;
+}
 
-    chargeCycles(len * (bits / 4));
-    stats_.macs += len;
-    return static_cast<std::int32_t>(acc);
+std::int64_t
+Bce::dotSpanWide(const std::int32_t *a, const std::int32_t *b,
+                 std::size_t len, unsigned bits)
+{
+    if (_mode == BceMode::Special)
+        bfree_panic("dotSpanWide requires conv or matmul mode");
+    return scalarSpan(a, b, len, bits);
 }
 
 void
@@ -308,45 +327,36 @@ Bce::matmulDotSpan(const std::int8_t *a, const std::int8_t *b,
 {
     if (_mode != BceMode::Matmul)
         bfree_panic("matmulDotSpan requires matmul mode");
+    if (_tier != ExecTier::Tiered || !lut::DatapathTable::coversBits(bits))
+        return static_cast<std::int32_t>(scalarSpan(a, b, len, bits));
 
-    std::int32_t acc = 0;
-    if (_tier == ExecTier::Tiered && lut::DatapathTable::coversBits(bits)) {
-        const lut::DatapathTable &t = romTable(bits);
-        const simd::SpanSums s = simd::run_span(
-            t, a, b, len, simd::SpanSemantics::MatmulStrict);
-        if (!s.inRange) {
-            // Out of range: the analyzer raises the legacy panic.
-            lut::multiply_signed(a[s.firstOutOfRange],
-                                 b[s.firstOutOfRange], bits, rom,
-                                 lut::LookupSource::BceRom);
-        }
-        acc = s.acc;
-        stats_.counts.romLookups += s.lookups;
-        stats_.counts.shifts += s.shifts;
-        stats_.counts.adds += s.adds + len; // one lane add per element
-        stats_.counts.cycles += s.cycles;
-    } else {
-        for (std::size_t i = 0; i < len; ++i) {
-            lut::MultResult r = lut::multiply_signed(
-                a[i], b[i], bits, rom, lut::LookupSource::BceRom);
-            stats_.counts += r.counts;
-            acc += static_cast<std::int32_t>(r.product);
-            ++stats_.counts.adds;
-        }
-    }
-
-    chargeCycles(len * (bits / 4));
-    stats_.macs += len;
-    return acc;
+    const simd::SpanSums s = simd::run_span(
+        romTable(bits), a, b, len, simd::SpanSemantics::MatmulStrict);
+    if (!s.inRange) // the analyzer raises the legacy range panic
+        lut::multiply_signed(a[s.firstOutOfRange], b[s.firstOutOfRange],
+                             bits, rom, lut::LookupSource::BceRom);
+    stats_.counts.romLookups += s.lookups;
+    stats_.counts.shifts += s.shifts;
+    stats_.counts.adds += s.adds + len; // one lane add per element
+    stats_.counts.cycles += s.cycles;
+    chargeMacs(len, bits);
+    return s.acc;
 }
 
 bool
-Bce::runTile(const lut::DatapathTable &t, const std::int8_t *a,
-             const std::int8_t *b, std::int32_t *out, std::size_t m,
-             std::size_t k, std::size_t n, unsigned bits,
+Bce::runTile(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
+             std::size_t m, std::size_t k, std::size_t n, unsigned bits,
              const std::uint32_t *bFeatures, const std::int32_t *bRowSums,
              std::uint32_t *scratch)
 {
+    if (_tier != ExecTier::Tiered || !lut::DatapathTable::coversBits(bits)
+        || m == 0 || n == 0)
+        return false;
+    const lut::DatapathTable &t =
+        _mode == BceMode::Conv ? convTable(bits) : romTable(bits);
+    if (!simd::histogram_eligible(t))
+        return false;
+
     std::vector<std::uint32_t> ownX, ownB;
     if (scratch == nullptr) {
         ownX.resize(tileScratchWords(k));
@@ -390,8 +400,7 @@ Bce::runTile(const lut::DatapathTable &t, const std::int8_t *a,
         stats_.counts.adds += s.adds + spans * k; // one lane add each
         stats_.counts.cycles += s.cycles;
     }
-    chargeCycles(spans * k * (bits / 4));
-    stats_.macs += spans * k;
+    chargeMacs(spans * k, bits);
     return true;
 }
 
@@ -405,14 +414,8 @@ Bce::convTile(const std::int8_t *a, const std::int8_t *w,
     if (_mode != BceMode::Conv)
         bfree_panic("convTile requires conv mode");
 
-    if (_tier == ExecTier::Tiered && lut::DatapathTable::coversBits(bits)
-        && m > 0 && n > 0) {
-        const lut::DatapathTable &t = convTable(bits);
-        if (simd::histogram_eligible(t)
-            && runTile(t, a, w, out, m, k, n, bits, wFeatures, wRowSums,
-                       scratch))
-            return;
-    }
+    if (runTile(a, w, out, m, k, n, bits, wFeatures, wRowSums, scratch))
+        return;
     for (std::size_t i = 0; i < m; ++i)
         for (std::size_t j = 0; j < n; ++j)
             out[i * n + j] =
@@ -429,14 +432,9 @@ Bce::matmulTile(const std::int8_t *a, const std::int8_t *bt,
     if (_mode != BceMode::Matmul)
         bfree_panic("matmulTile requires matmul mode");
 
-    if (_tier == ExecTier::Tiered && lut::DatapathTable::coversBits(bits)
-        && m > 0 && n > 0) {
-        const lut::DatapathTable &t = romTable(bits);
-        if (simd::histogram_eligible(t)
-            && runTile(t, a, bt, out, m, k, n, bits, btFeatures,
-                       btRowSums, scratch))
-            return;
-    }
+    if (runTile(a, bt, out, m, k, n, bits, btFeatures, btRowSums,
+                scratch))
+        return;
     for (std::size_t i = 0; i < m; ++i)
         for (std::size_t j = 0; j < n; ++j)
             out[i * n + j] += matmulDotSpan(a + i * k, bt + j * k, k, bits);

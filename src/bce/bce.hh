@@ -170,52 +170,44 @@ class Bce
     // ------------------------------------------------------------------
     // Arithmetic (functional + timed)
     // ------------------------------------------------------------------
-    /**
-     * Multiply two signed operands of @p bits precision through the
-     * LUT path of the current mode: matmul mode fetches partial
-     * products from the hardwired ROM; conv/special mode reads the
-     * sub-array LUT rows.
-     */
+    /** Multiply two signed @p bits operands through the current mode's
+     *  LUT path: the hardwired ROM in matmul mode, the sub-array LUT
+     *  rows otherwise. */
     std::int64_t multiply(std::int32_t a, std::int32_t b, unsigned bits);
 
-    /**
-     * Conv-mode dot product: weights are read from the sub-array at
-     * @p weight_offset, inputs arrive from the stream register.
-     * Returns the exact int32 dot product.
-     */
+    /** Conv-mode dot product against weights read from the sub-array
+     *  at @p weight_offset; returns the exact int32 sum. */
     std::int32_t dotProduct(std::size_t weight_offset,
                             const std::int8_t *inputs, std::size_t len,
                             unsigned bits);
 
-    /**
-     * Conv-mode dot product over two host-resident operand spans (an
-     * im2col patch against a filter row). Identical arithmetic and
-     * accounting to dotProduct() minus the sub-array weight fetch:
-     * per-element multiply micro-ops, len-1 accumulator adds,
-     * len * bits/4 cycles, len MACs. The Tiered engine serves each
-     * element from the memoized conv table.
-     */
+    // Spans. Every span books len * bits/4 cycles and len MACs. Per
+    // element, conv mode books the LUT-row multiply (operands clamped
+    // to [-8, 7] at 4 bits) and its reads plus len - 1 accumulator
+    // adds; matmul mode books the ROM multiply plus one lane add. The
+    // Tiered engine serves int8 spans of 4 and 8 bits from the
+    // memoized tables; everything else runs one scalar loop.
+
+    /** Conv-mode dot product over two host-resident spans (a filter
+     *  row against an im2col patch): dotProduct() minus the fetch. */
     std::int32_t dotProductSpan(const std::int8_t *weights,
                                 const std::int8_t *inputs,
                                 std::size_t len, unsigned bits);
 
-    /**
-     * Matmul-mode broadcast step: one A operand against @p n <= 8
-     * B operands, accumulating into @p acc (Fig. 7). Consumes
-     * bits/4 cycles regardless of n.
-     */
-    void broadcastMac(std::int32_t a, const std::int8_t *b, std::size_t n,
-                      std::int32_t *acc, unsigned bits);
-
-    /**
-     * Matmul-mode dot product over two spans: exactly equivalent to
-     * len single-lane broadcastMac() steps (per element: ROM micro-ops,
-     * one lane add, bits/4 cycles, one MAC). Returns the int32
-     * accumulator.
-     */
+    /** Matmul-mode dot product: len single-lane broadcastMac() steps. */
     std::int32_t matmulDotSpan(const std::int8_t *a,
                                const std::int8_t *b, std::size_t len,
                                unsigned bits);
+
+    /** The span of the current mode (conv: @p a the weights) over int32
+     *  operands, for 16-bit values; returns the int64 sum. */
+    std::int64_t dotSpanWide(const std::int32_t *a, const std::int32_t *b,
+                             std::size_t len, unsigned bits);
+
+    /** Matmul-mode broadcast step (Fig. 7): one A operand against
+     *  @p n <= 8 B operands into @p acc, bits/4 cycles for any n. */
+    void broadcastMac(std::int32_t a, const std::int8_t *b, std::size_t n,
+                      std::int32_t *acc, unsigned bits);
 
     // ------------------------------------------------------------------
     // M x N tiles (conv and matmul mode)
@@ -359,6 +351,14 @@ class Bce
     /** Tally @p n datapath cycles against the current mode. */
     void chargeCycles(std::uint64_t n);
 
+    /** Book @p macs MACs at bits/4 cycles each. */
+    void chargeMacs(std::uint64_t macs, unsigned bits);
+
+    /** The one scalar span loop (int8_t or int32_t operands). */
+    template <typename T>
+    std::int64_t scalarSpan(const T *a, const T *b, std::size_t len,
+                            unsigned bits);
+
     /** Record conv-path LUT-row reads (mode-dependent cost category). */
     void noteConvLutReads(std::uint64_t n);
 
@@ -382,18 +382,17 @@ class Bce
     const lut::DatapathTable &romTable(unsigned bits);
 
     /**
-     * The GEMM-and-feature-fold body of both tile entry points, for a
-     * table that passed simd::histogram_eligible. Returns false, with
-     * out and the statistics untouched, when an operand lies outside
-     * the current mode's span domain for the table's precision.
-     * Otherwise out takes the products (conv mode overwrites, matmul
-     * mode accumulates), and the tile's lookups, shifts, adds, cycles
-     * and MACs are booked once, as m*n spans of the current mode would
-     * have booked them.
+     * The GEMM-and-feature-fold body of both tile entry points. Returns
+     * false, with out and the statistics untouched, unless the Tiered
+     * engine's table passes simd::histogram_eligible and every operand
+     * lies inside the current mode's span domain. Otherwise out takes
+     * the products (conv mode overwrites, matmul mode accumulates), and
+     * the tile's lookups, shifts, adds, cycles and MACs are booked
+     * once, as m*n spans of the current mode would have booked them.
      */
-    bool runTile(const lut::DatapathTable &t, const std::int8_t *a,
-                 const std::int8_t *b, std::int32_t *out, std::size_t m,
-                 std::size_t k, std::size_t n, unsigned bits,
+    bool runTile(const std::int8_t *a, const std::int8_t *b,
+                 std::int32_t *out, std::size_t m, std::size_t k,
+                 std::size_t n, unsigned bits,
                  const std::uint32_t *bFeatures,
                  const std::int32_t *bRowSums, std::uint32_t *scratch);
 

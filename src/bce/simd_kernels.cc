@@ -1593,29 +1593,14 @@ gemm_i8(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
 
 namespace {
 
-/** Start of run @p i of @p v (offset table or uniform stride). */
-inline const std::int8_t *
-view_run(const SpanView &v, std::size_t i)
-{
-    return v.base
-           + (v.offsets ? static_cast<std::size_t>(v.offsets[i])
-                        : i * v.stride);
-}
-
-/** Copy exactly @p len in [5, 8] bytes with two overlapping u32s. */
+/** Copy exactly @p len in [1, 8) bytes, branch per width class. */
 inline void
-copy_le8(std::int8_t *dst, const std::int8_t *src, std::size_t len)
-{
-    std::memcpy(dst, src, 4);
-    std::memcpy(dst + len - 4, src + len - 4, 4);
-}
-
-/** Copy exactly @p len in [1, 8] bytes, branch per width class. */
-inline void
-copy_exact_le8(std::int8_t *dst, const std::int8_t *src, std::size_t len)
+copy_exact_lt8(std::int8_t *dst, const std::int8_t *src, std::size_t len)
 {
     if (len >= 4) {
-        copy_le8(dst, src, len);
+        // Two overlapping u32s cover 5..7 bytes (and 4 exactly).
+        std::memcpy(dst, src, 4);
+        std::memcpy(dst + len - 4, src + len - 4, 4);
     } else if (len == 3) {
         std::memcpy(dst, src, 2);
         dst[2] = src[2];
@@ -1629,103 +1614,45 @@ copy_exact_le8(std::int8_t *dst, const std::int8_t *src, std::size_t len)
 } // namespace
 
 void
-materialize_span_view(const SpanView &view, std::int8_t *dst)
-{
-    const std::size_t n = view.nRuns;
-    // With 8 bytes of slack guaranteed on both sides, every short run
-    // is one 8-byte load/store: runs are packed contiguously in dst,
-    // so run i's overshoot is overwritten when run i+1 lands, and the
-    // last run's overshoot falls into the caller's slack.
-    if (view.slack8 && view.runLen < 8) {
-        for (std::size_t i = 0; i < n; ++i)
-            std::memcpy(dst + view.runLen * i, view_run(view, i), 8);
-        return;
-    }
-    // Specialize the hot run widths so every copy is a fixed-size
-    // load/store pair the compiler lowers to plain movs — the point
-    // is killing per-run call and branch overhead, and every write is
-    // exact-width (no trailing clobber for the last run to worry
-    // about).
-    switch (view.runLen) {
-      case 1:
-        for (std::size_t i = 0; i < n; ++i)
-            dst[i] = *view_run(view, i);
-        return;
-      case 2:
-        for (std::size_t i = 0; i < n; ++i)
-            std::memcpy(dst + 2 * i, view_run(view, i), 2);
-        return;
-      case 3:
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::int8_t *src = view_run(view, i);
-            std::memcpy(dst + 3 * i, src, 2);
-            dst[3 * i + 2] = src[2];
-        }
-        return;
-      case 4:
-        for (std::size_t i = 0; i < n; ++i)
-            std::memcpy(dst + 4 * i, view_run(view, i), 4);
-        return;
-      case 5:
-      case 6:
-      case 7:
-        for (std::size_t i = 0; i < n; ++i)
-            copy_le8(dst + view.runLen * i, view_run(view, i),
-                     view.runLen);
-        return;
-      case 8:
-        for (std::size_t i = 0; i < n; ++i)
-            std::memcpy(dst + 8 * i, view_run(view, i), 8);
-        return;
-      default:
-        for (std::size_t i = 0; i < n; ++i)
-            std::memcpy(dst + view.runLen * i, view_run(view, i),
-                        view.runLen);
-        return;
-    }
-}
-
-void
 materialize_span_block(const SpanView &view, std::size_t nPatches,
                        std::size_t srcStep, std::int8_t *dst,
                        std::size_t dstStep)
 {
-    if (view.slack8 && view.runLen < 8 && view.nRuns > 0) {
-        // Transposed: the outer loop resolves each run's base once,
-        // the inner loop walks the patches — for a stride-1 conv row
-        // the sources are consecutive bytes, all in one or two cache
-        // lines. Unlike the per-patch order, a run's overshoot is only
-        // rewritten by a later run of the SAME patch if it stays
-        // inside that patch's dstStep slot: any spill past the slot
-        // lands in patch j+1's first runs, which run 0 already wrote.
-        // So the 8-byte copy is used for the prefix of runs whose
-        // spill stays in-slot and the tail copies exact-width.
-        const std::size_t fast =
-            dstStep >= SpanView::slackBytes
-                ? std::min(view.nRuns,
-                           (dstStep - SpanView::slackBytes) / view.runLen
-                               + 1)
-                : 0;
-        for (std::size_t i = 0; i < fast; ++i) {
-            const std::int8_t *src = view_run(view, i);
-            std::int8_t *d = dst + view.runLen * i;
-            for (std::size_t j = 0; j < nPatches; ++j)
-                std::memcpy(d + j * dstStep, src + j * srcStep, 8);
-        }
-        for (std::size_t i = fast; i < view.nRuns; ++i) {
-            const std::int8_t *src = view_run(view, i);
-            std::int8_t *d = dst + view.runLen * i;
-            for (std::size_t j = 0; j < nPatches; ++j)
-                copy_exact_le8(d + j * dstStep, src + j * srcStep,
-                               view.runLen);
-        }
+    if (view.len() == 0)
+        return;
+    if (view.runLen >= 8) {
+        for (std::size_t j = 0; j < nPatches; ++j)
+            for (std::size_t i = 0; i < view.nRuns; ++i)
+                std::memcpy(dst + j * dstStep + view.runLen * i,
+                            view.base + j * srcStep + view.offsets[i],
+                            view.runLen);
         return;
     }
-    // Exact-width fallback: per-patch materialization.
-    SpanView shifted = view;
-    for (std::size_t j = 0; j < nPatches; ++j) {
-        shifted.base = view.base + j * srcStep;
-        materialize_span_view(shifted, dst + j * dstStep);
+    // Transposed: the outer loop resolves each run's base once, the
+    // inner loop walks the patches — for a stride-1 conv row the
+    // sources are consecutive bytes, all in one or two cache lines. A
+    // run's 8-byte overshoot is only rewritten by a later run of the
+    // SAME patch if it stays inside that patch's dstStep slot: any
+    // spill past the slot lands in patch j+1's first runs, which run 0
+    // already wrote. So the 8-byte copy is used for the prefix of runs
+    // whose spill stays in-slot and the tail copies exact-width.
+    const std::size_t fast =
+        dstStep >= SpanView::slackBytes
+            ? std::min(view.nRuns,
+                       (dstStep - SpanView::slackBytes) / view.runLen + 1)
+            : 0;
+    for (std::size_t i = 0; i < fast; ++i) {
+        const std::int8_t *src = view.base + view.offsets[i];
+        std::int8_t *d = dst + view.runLen * i;
+        for (std::size_t j = 0; j < nPatches; ++j)
+            std::memcpy(d + j * dstStep, src + j * srcStep, 8);
+    }
+    for (std::size_t i = fast; i < view.nRuns; ++i) {
+        const std::int8_t *src = view.base + view.offsets[i];
+        std::int8_t *d = dst + view.runLen * i;
+        for (std::size_t j = 0; j < nPatches; ++j)
+            copy_exact_lt8(d + j * dstStep, src + j * srcStep,
+                           view.runLen);
     }
 }
 

@@ -172,64 +172,41 @@ void gemm_i8(const std::int8_t *a, const std::int8_t *b,
 
 /**
  * A strided view of an int8 operand span: the logical span is nRuns
- * runs of runLen bytes each, run i starting at base + offsets[i] (or
- * base + i * stride when offsets is null). This is how the elided
- * conv front end addresses im2col patches in place over the quantized
- * input plane — base advances by strideW per output position, the
- * offsets/stride describe the (channel, kernel-row) runs — without
- * materializing a patch per (position, filter) pair.
+ * runs of runLen bytes each, run i starting at base + offsets[i]. This
+ * is how the elided conv front end addresses im2col patches in place
+ * over the quantized input plane — base advances by strideW per output
+ * position, the offsets describe the (channel, kernel-row) runs —
+ * without materializing a patch per (position, filter) pair.
  */
 struct SpanView
 {
     const std::int8_t *base = nullptr;
-    /** Per-run byte offsets from base; null selects the uniform
-     *  stride addressing below. */
-    const std::int32_t *offsets = nullptr;
-    /** Run-to-run byte stride when offsets is null. */
-    std::size_t stride = 0;
+    const std::int32_t *offsets = nullptr; ///< Per-run byte offsets.
     std::size_t nRuns = 0;
     std::size_t runLen = 0;
 
-    /** Slack bytes slack8 callers reserve past source and dest. */
-    static constexpr std::size_t slackBytes = 8;
-
     /**
-     * The caller guarantees slackBytes readable bytes from every run's
-     * start in the source AND slackBytes writable bytes from every
-     * run's start in the destination (i.e. both buffers carry >= 8
-     * bytes of slack past the last touched byte). Lets short runs copy
-     * a full 8-byte word each — earlier runs' overshoot is overwritten
-     * by later runs, the last run's lands in the slack — roughly
-     * halving the cost of the 3-byte runs a 3x3 conv produces. With
-     * slack8 false every write is exact-width.
+     * Slack bytes the caller reserves past the source and past every
+     * destination patch: both buffers carry >= 8 readable/writable
+     * bytes from every run's start. Lets runs shorter than 8 bytes
+     * copy a full 8-byte word each, roughly halving the cost of the
+     * 3-byte runs a 3x3 conv produces.
      */
-    bool slack8 = false;
+    static constexpr std::size_t slackBytes = 8;
 
     std::size_t len() const { return nRuns * runLen; }
 };
 
 /**
- * Compact @p view into the contiguous @p dst span (len() bytes) that
- * run_span consumes. Exactly the bytes im2col_patch_i8 would have
- * copied, but with the per-run layer-geometry branching hoisted out:
- * the inner loop is fixed-width loads/stores specialized per run
- * length, roughly an order of magnitude cheaper than the per-run
- * clip-and-memcpy walk for the 3-byte runs a 3x3 conv produces.
- * Without view.slack8 it writes exactly len() bytes — no padding, no
- * overshoot; with it, up to 8 - runLen bytes past len() are clobbered
- * (the slack the caller reserved).
- */
-void materialize_span_view(const SpanView &view, std::int8_t *dst);
-
-/**
- * Materialize @p nPatches consecutive patches in one call: patch j
- * reads its runs at view.base + j * srcStep and writes to
- * dst + j * dstStep. For the stride-1 conv row this transposes the
- * loop — each run's sources across the row are consecutive bytes, so
- * the run offset is loaded once per row instead of once per patch —
- * which is worth ~2x over nPatches separate materialize_span_view
- * calls. Slack requirements (view.slack8) are per patch, i.e. 8 bytes
- * past every run start of every patch on both sides.
+ * Materialize @p nPatches consecutive patches of @p view, the bytes
+ * im2col_patch_i8 would have copied: patch j reads its runs at
+ * view.base + j * srcStep and writes them contiguously (len() bytes)
+ * to dst + j * dstStep. Runs shorter than 8 bytes take the transposed
+ * 8-byte-word loop — each run's sources across a stride-1 conv row are
+ * consecutive bytes, so the run offset is loaded once per row, not
+ * once per patch — and may clobber up to 8 - runLen bytes past a
+ * patch's last run (the slack, SpanView::slackBytes); longer runs
+ * copy exact-width.
  */
 void materialize_span_block(const SpanView &view, std::size_t nPatches,
                             std::size_t srcStep, std::int8_t *dst,

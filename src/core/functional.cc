@@ -58,7 +58,7 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
         // uniform base shift per output position, compacted one output
         // ROW of patches at a time. Every buffer the view touches
         // carries slackBytes so the compactor can use whole-word
-        // copies (slack8).
+        // copies.
         constexpr std::size_t slack = bce::simd::SpanView::slackBytes;
         const dnn::ElisionLayout el = dnn::elision_layout(layer);
         std::int8_t *qin =
@@ -79,7 +79,6 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
         view.offsets = offsets;
         view.nRuns = el.nRuns;
         view.runLen = el.runLen;
-        view.slack8 = true;
 
         // One Bce::convTile per output row: the row's o.w patches
         // against every filter, with the plan's frozen filter-side
@@ -108,8 +107,8 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
         return;
     }
 
-    // 16-bit operands exceed the int8 patch element; run scalar
-    // multiplies over an int32 patch with the same reuse structure.
+    // 16-bit operands exceed the int8 patch element: walk an int32
+    // patch per output position and run each filter as one wide span.
     std::int32_t *patch = arena_.alloc<std::int32_t>(patch_len);
     for (unsigned oh = 0; oh < o.h; ++oh) {
         for (unsigned ow = 0; ow < o.w; ++ow) {
@@ -134,11 +133,9 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
                 }
             }
             for (unsigned k = 0; k < o.c; ++k) {
-                std::int64_t acc = 0;
-                const std::size_t base = std::size_t(k) * patch_len;
-                for (std::size_t q = 0; q < patch_len; ++q)
-                    acc += bce.multiply(fw.q32[base + q], patch[q],
-                                        bits);
+                const std::int64_t acc = bce.dotSpanWide(
+                    fw.q32.data() + std::size_t(k) * patch_len, patch,
+                    patch_len, bits);
                 const float y =
                     static_cast<float>(acc * fw.scale.scale * qi.scale)
                     + pl.bias[k];
@@ -150,67 +147,54 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
 }
 
 void
-FunctionalExecutor::runFcInto(const PlannedLayer &pl, unsigned bits,
-                              const float *in, float *out)
+FunctionalExecutor::matmulInto(const float *a, std::size_t m,
+                               std::size_t k, std::size_t n,
+                               const dnn::QuantizedWeights &wt,
+                               bool weightScaleFirst, const float *bias,
+                               bool relu, float *out)
 {
-    const dnn::Layer &layer = pl.layer;
-    const dnn::QuantizedWeights &fw = pl.frozen[0];
-    const SymQuant qi = choose_sym(in, pl.inElems, bits);
+    const unsigned bits = wt.bits;
+    const SymQuant qa = choose_sym(a, m * k, bits);
+    // The two scales multiply in the caller's order: it changes low
+    // bits. A missing bias adds -0.0f, which leaves every float as is.
+    const double s0 = weightScaleFirst ? wt.scale.scale : qa.scale;
+    const double s1 = weightScaleFirst ? qa.scale : wt.scale.scale;
+    static constexpr float noBias = -0.0f;
+    const std::size_t biasStride = bias != nullptr ? 1 : 0;
+    if (bias == nullptr)
+        bias = &noBias;
 
-    // FC layers run on the matmul-mode broadcast datapath.
     bce.setMode(bce::BceMode::Matmul);
-    std::int8_t *qin = arena_.alloc<std::int8_t>(layer.inFeatures);
     if (bits <= 8) {
-        dnn::quantize_span(qi, in, layer.inFeatures, qin);
-    } else {
-        // 16-bit values historically truncate into the int8 scratch
-        // (the broadcast path consumes them lane-wise); keep that
-        // byte-exact rather than routing through the int8 span.
-        for (unsigned i = 0; i < layer.inFeatures; ++i)
-            qin[i] = static_cast<std::int8_t>(qi.q(in[i]));
-    }
-
-    if (bits <= 8) {
-        // The frozen [outFeatures][inFeatures] matrix already is the
-        // transposed-B tile matmulTile wants, so the whole layer is
-        // one blocked GEMM over the LUT datapath.
-        const std::size_t k = layer.inFeatures;
-        const std::size_t n = layer.outFeatures;
-        std::int32_t *accs = arena_.alloc<std::int32_t>(n);
-        std::uint32_t *tileScratch =
-            arena_.alloc<std::uint32_t>(bce::Bce::tileScratchWords(k));
-        std::fill(accs, accs + n, 0);
-        bce.matmulTile(qin, fw.q8.data(), accs, 1, k, n, bits,
-                       fw.featureSums(), fw.rowSumData(), tileScratch);
-        bce::simd::dequantize_store(accs, 1, n, fw.scale.scale,
-                                    qi.scale, pl.bias.data(), 1,
-                                    pl.foldedRelu, out);
+        // One blocked GEMM tile over the LUT datapath against the
+        // frozen B^T tile, its feature and row sums.
+        std::int8_t *qa8 = arena_.alloc<std::int8_t>(m * k);
+        dnn::quantize_span(qa, a, m * k, qa8);
+        std::int32_t *accs = arena_.alloc<std::int32_t>(m * n);
+        std::fill(accs, accs + m * n, 0);
+        bce.matmulTile(qa8, wt.q8.data(), accs, m, k, n, bits,
+                       wt.featureSums(), wt.rowSumData(),
+                       arena_.alloc<std::uint32_t>(
+                           bce::Bce::tileScratchWords(k)));
+        for (std::size_t i = 0; i < m; ++i)
+            bce::simd::dequantize_store(accs + i * n, 1, n, s0, s1, bias,
+                                        biasStride, relu, out + i * n);
         return;
     }
 
-    // 16-bit weights exceed the int8 span; broadcast them one at a
-    // time as before.
-    for (unsigned o = 0; o < layer.outFeatures; ++o) {
-        std::int64_t acc = 0;
-        const std::size_t row = std::size_t(o) * layer.inFeatures;
-        for (unsigned i = 0; i < layer.inFeatures; i += 8) {
-            const std::size_t n =
-                std::min<std::size_t>(8, layer.inFeatures - i);
-            std::int32_t lanes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-            // Broadcast each weight against up to 8 input lanes.
-            for (std::size_t j = 0; j < n; ++j) {
-                const std::int32_t wq = fw.q32[row + i + j];
-                std::int32_t lane = 0;
-                bce.broadcastMac(wq, &qin[i + j], 1, &lane, bits);
-                lanes[j] = lane;
-            }
-            for (std::size_t j = 0; j < n; ++j)
-                acc += lanes[j];
+    // 16-bit operands exceed the int8 tile element: one wide span per
+    // output.
+    std::int32_t *qa32 = arena_.alloc<std::int32_t>(m * k);
+    for (std::size_t p = 0; p < m * k; ++p)
+        qa32[p] = qa.q(a[p]);
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            const std::int64_t acc = bce.dotSpanWide(
+                qa32 + i * k, wt.q32.data() + j * k, k, bits);
+            const float y = static_cast<float>(acc * s0 * s1)
+                            + bias[j * biasStride];
+            out[i * n + j] = relu ? bce::simd::relu_q8(y) : y;
         }
-        const float y =
-            static_cast<float>(acc * fw.scale.scale * qi.scale)
-            + pl.bias[o];
-        out[o] = pl.foldedRelu ? bce::simd::relu_q8(y) : y;
     }
 }
 
@@ -307,7 +291,11 @@ FunctionalExecutor::runInto(const NetworkPlan &plan, const float *input,
             runConvInto(pl, bits, cur, next);
             break;
           case dnn::LayerKind::Fc:
-            runFcInto(pl, bits, cur, next);
+            // The frozen [outFeatures][inFeatures] matrix already is
+            // the transposed-B tile: the layer is one matmul product.
+            matmulInto(cur, 1, pl.layer.inFeatures, pl.layer.outFeatures,
+                       pl.frozen[0], true, pl.bias.data(), pl.foldedRelu,
+                       next);
             break;
           case dnn::LayerKind::Relu:
           case dnn::LayerKind::Sigmoid:
@@ -342,85 +330,42 @@ FunctionalExecutor::run(const NetworkPlan &plan,
     return FunctionalResult{std::move(out), bce.stats()};
 }
 
-FunctionalResult
-FunctionalExecutor::run(const dnn::Network &net,
-                        const dnn::FloatTensor &input,
-                        const NetworkWeights &weights, unsigned bits)
-{
-    return run(NetworkPlan::compile(net, weights, bits), input);
-}
-
 dnn::FloatTensor
 FunctionalExecutor::qMatmulFrozen(const dnn::FloatTensor &a,
                                   const dnn::QuantizedWeights &wt,
                                   std::size_t k, std::size_t n)
 {
     if (a.rank() != 2 || a.dim(1) != k)
-        bfree_panic("qMatmul: a must be [m][k]");
+        bfree_panic("qMatmulFrozen: a must be [m][k]");
     if (wt.count() != k * n)
         bfree_panic("qMatmulFrozen: expected an n x k tile of ", k * n,
                     " values, got ", wt.count());
-    const unsigned bits = wt.bits;
     const std::size_t m = a.dim(0);
-
-    const SymQuant qa = choose_sym(a.data(), a.size(), bits);
-
-    bce.setMode(bce::BceMode::Matmul);
     dnn::FloatTensor out({m, n});
-
-    if (bits <= 8) {
-        // Quantize A row-major (per call — it is the activation side);
-        // the B^T tile is already frozen. One blocked GEMM tile.
-        std::vector<std::int8_t> qrows(m * k);
-        dnn::quantize_span(qa, a.data(), m * k, qrows.data());
-
-        std::vector<std::int32_t> accs(m * n, 0);
-        bce.matmulTile(qrows.data(), wt.q8.data(), accs.data(), m, k, n,
-                       bits, wt.featureSums(), wt.rowSumData());
-        for (std::size_t i = 0; i < m; ++i)
-            for (std::size_t j = 0; j < n; ++j)
-                out.at(i, j) =
-                    static_cast<float>(accs[i * n + j] * qa.scale
-                                       * wt.scale.scale);
-        return out;
-    }
-
-    std::vector<std::int8_t> qrow(k);
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t p = 0; p < k; ++p)
-            qrow[p] = static_cast<std::int8_t>(qa.q(a.at(i, p)));
-        for (std::size_t j = 0; j < n; ++j) {
-            std::int64_t acc = 0;
-            for (std::size_t p = 0; p < k; ++p) {
-                const std::int32_t wq = wt.q32[j * k + p];
-                std::int32_t lane = 0;
-                bce.broadcastMac(wq, &qrow[p], 1, &lane, bits);
-                acc += lane;
-            }
-            out.at(i, j) = static_cast<float>(acc * qa.scale
-                                              * wt.scale.scale);
-        }
-    }
+    // No plan run holds the arena here: size it for this product.
+    arena_.reset();
+    arena_.reserve(matmul_scratch_bytes(m, k, n, wt.bits));
+    matmulInto(a.data(), m, k, n, wt, false, nullptr, false, out.data());
     return out;
 }
 
-dnn::FloatTensor
-FunctionalExecutor::qMatmul(const dnn::FloatTensor &a, const float *w,
-                            std::size_t k, std::size_t n, unsigned bits)
-{
-    return qMatmulFrozen(a, dnn::freeze_weights_transposed(w, k, n, bits),
-                         k, n);
-}
-
 dnn::LstmState
-FunctionalExecutor::lstmStepImpl(const dnn::Layer &layer,
-                                 const std::vector<float> &x,
-                                 const dnn::LstmState &prev,
-                                 const dnn::QuantizedWeights &gatesW,
-                                 const std::vector<float> &bias)
+FunctionalExecutor::runLstmStep(const NetworkPlan &plan,
+                                std::size_t layerIndex,
+                                const std::vector<float> &x,
+                                const dnn::LstmState &prev)
 {
-    const unsigned in = layer.lstmInput;
-    const unsigned hid = layer.lstmHidden;
+    if (layerIndex >= plan.layers().size())
+        bfree_fatal("runLstmStep: layer index ", layerIndex,
+                    " out of range");
+    const PlannedLayer &pl = plan.layers()[layerIndex];
+    if (pl.layer.kind != dnn::LayerKind::LstmCell)
+        bfree_fatal("runLstmStep: layer '", pl.layer.name,
+                    "' is not an LSTM cell");
+    plan.noteRun();
+
+    const unsigned in = pl.layer.lstmInput;
+    const unsigned hid = pl.layer.lstmHidden;
     const unsigned cols = in + hid;
     if (x.size() != in || prev.h.size() != hid)
         bfree_fatal("runLstmStep: state size mismatch");
@@ -430,14 +375,12 @@ FunctionalExecutor::lstmStepImpl(const dnn::Layer &layer,
     // frozen row-major [4*hid][cols] gate matrix is exactly the
     // transposed tile that product wants.
     dnn::FloatTensor xh({std::size_t(1), cols});
-    for (unsigned i = 0; i < in; ++i)
-        xh.at(0, i) = x[i];
-    for (unsigned i = 0; i < hid; ++i)
-        xh.at(0, in + i) = prev.h[i];
-
+    std::copy(x.begin(), x.end(), xh.data());
+    std::copy(prev.h.begin(), prev.h.end(), xh.data() + in);
     const dnn::FloatTensor gates =
-        qMatmulFrozen(xh, gatesW, cols, std::size_t(4) * hid);
+        qMatmulFrozen(xh, pl.frozen[0], cols, std::size_t(4) * hid);
 
+    const std::vector<float> &bias = pl.bias;
     dnn::LstmState next;
     next.h.resize(hid);
     next.c.resize(hid);
@@ -458,49 +401,26 @@ FunctionalExecutor::lstmStepImpl(const dnn::Layer &layer,
     return next;
 }
 
-dnn::LstmState
-FunctionalExecutor::runLstmStep(const NetworkPlan &plan,
-                                std::size_t layerIndex,
-                                const std::vector<float> &x,
-                                const dnn::LstmState &prev)
+dnn::FloatTensor
+FunctionalExecutor::runAttention(const NetworkPlan &plan,
+                                 std::size_t layerIndex,
+                                 const dnn::FloatTensor &input)
 {
     if (layerIndex >= plan.layers().size())
-        bfree_fatal("runLstmStep: layer index ", layerIndex,
+        bfree_fatal("runAttention: layer index ", layerIndex,
                     " out of range");
     const PlannedLayer &pl = plan.layers()[layerIndex];
-    if (pl.layer.kind != dnn::LayerKind::LstmCell)
-        bfree_fatal("runLstmStep: layer '", pl.layer.name,
-                    "' is not an LSTM cell");
+    if (pl.layer.kind != dnn::LayerKind::Attention)
+        bfree_fatal("runAttention: layer '", pl.layer.name,
+                    "' is not an attention block");
     plan.noteRun();
-    return lstmStepImpl(pl.layer, x, prev, pl.frozen[0], pl.bias);
-}
 
-dnn::LstmState
-FunctionalExecutor::runLstmStep(const dnn::Layer &layer,
-                                const std::vector<float> &x,
-                                const dnn::LstmState &prev,
-                                const LayerWeights &w, unsigned bits)
-{
-    const unsigned cols = layer.lstmInput + layer.lstmHidden;
-    if (w.weights.size() != std::size_t(4) * layer.lstmHidden * cols
-        || w.bias.size() != std::size_t(4) * layer.lstmHidden)
-        bfree_fatal("runLstmStep: weight size mismatch");
-    return lstmStepImpl(layer, x, prev,
-                        dnn::freeze_weights(w.weights.data(),
-                                            w.weights.size(), bits),
-                        w.bias);
-}
-
-dnn::FloatTensor
-FunctionalExecutor::attentionImpl(const dnn::Layer &layer,
-                                  const dnn::FloatTensor &input,
-                                  const dnn::QuantizedWeights *proj)
-{
-    const unsigned s = layer.seqLen;
-    const unsigned d = layer.dModel;
+    const unsigned s = pl.layer.seqLen;
+    const unsigned d = pl.layer.dModel;
     if (input.rank() != 2 || input.dim(0) != s || input.dim(1) != d)
         bfree_fatal("runAttention: input must be [seq][d]");
 
+    const std::vector<dnn::QuantizedWeights> &proj = pl.frozen;
     const dnn::FloatTensor q = qMatmulFrozen(input, proj[0], d, d);
     const dnn::FloatTensor k = qMatmulFrozen(input, proj[1], d, d);
     const dnn::FloatTensor v = qMatmulFrozen(input, proj[2], d, d);
@@ -510,7 +430,6 @@ FunctionalExecutor::attentionImpl(const dnn::Layer &layer,
     dnn::FloatTensor context({s, d});
     std::vector<double> row(s);
     for (unsigned i = 0; i < s; ++i) {
-        // K^T as a [d][s] weight block for the broadcast datapath.
         for (unsigned j = 0; j < s; ++j) {
             float acc = 0.0f;
             for (unsigned p = 0; p < d; ++p)
@@ -528,37 +447,6 @@ FunctionalExecutor::attentionImpl(const dnn::Layer &layer,
         }
     }
     return qMatmulFrozen(context, proj[3], d, d);
-}
-
-dnn::FloatTensor
-FunctionalExecutor::runAttention(const NetworkPlan &plan,
-                                 std::size_t layerIndex,
-                                 const dnn::FloatTensor &input)
-{
-    if (layerIndex >= plan.layers().size())
-        bfree_fatal("runAttention: layer index ", layerIndex,
-                    " out of range");
-    const PlannedLayer &pl = plan.layers()[layerIndex];
-    if (pl.layer.kind != dnn::LayerKind::Attention)
-        bfree_fatal("runAttention: layer '", pl.layer.name,
-                    "' is not an attention block");
-    plan.noteRun();
-    return attentionImpl(pl.layer, input, pl.frozen.data());
-}
-
-dnn::FloatTensor
-FunctionalExecutor::runAttention(const dnn::Layer &layer,
-                                 const dnn::FloatTensor &input,
-                                 const LayerWeights &w, unsigned bits)
-{
-    const std::size_t dd = std::size_t(layer.dModel) * layer.dModel;
-    if (w.weights.size() != 4 * dd)
-        bfree_fatal("runAttention: weights must pack wq|wk|wv|wo");
-    dnn::QuantizedWeights proj[4];
-    for (unsigned b = 0; b < 4; ++b)
-        proj[b] = dnn::freeze_weights_transposed(
-            w.weights.data() + b * dd, layer.dModel, layer.dModel, bits);
-    return attentionImpl(layer, input, proj);
 }
 
 BatchResult
@@ -623,7 +511,7 @@ run_functional_batch(const NetworkPlan &plan,
             break;
         tasks.push_back([&plan, &inputs, &result, &perInput, &opts,
                          begin, end] {
-            FunctionalExecutor exec(opts.geom, opts.tech, opts.tier);
+            FunctionalExecutor exec(opts.geom, opts.tech);
             for (std::size_t i = begin; i < end; ++i) {
                 const bce::BceStats before = exec.stats();
                 exec.runInto(plan, inputs[i]->data(), inputs[i]->size(),

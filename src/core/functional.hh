@@ -12,12 +12,11 @@
  *
  * Execution is plan-driven (core::NetworkPlan): weights are quantized
  * once at plan compile and the steady-state path serves all scratch
- * from one pre-sized TensorArena with zero heap allocations. The
- * legacy one-shot entry points remain and simply compile a throwaway
- * plan, so they are bit-identical to the plan path by construction.
- * run_functional_batch() amortizes one plan across many inputs on the
- * work-stealing pool with outputs, statistics and energy bit-identical
- * to the sequential loop at any thread count.
+ * from one pre-sized TensorArena with zero heap allocations; every
+ * entry point runs a compiled plan. run_functional_batch() amortizes
+ * one plan across many inputs on the work-stealing pool with outputs,
+ * statistics and energy bit-identical to the sequential loop at any
+ * thread count.
  */
 
 #ifndef BFREE_CORE_FUNCTIONAL_HH
@@ -86,20 +85,11 @@ class FunctionalExecutor
                  std::size_t outElems);
 
     /**
-     * One-shot convenience: compile a throwaway plan for @p net and run
-     * it. Bit-identical to the plan path (it IS the plan path); prefer
-     * compiling once when running more than one input.
-     */
-    FunctionalResult run(const dnn::Network &net,
-                         const dnn::FloatTensor &input,
-                         const NetworkWeights &weights,
-                         unsigned bits = 8);
-
-    /**
      * One LSTM timestep from a compiled plan: gate matvecs on the
      * matmul-mode BCE against the frozen gate tile, sigmoid/tanh
      * through the PWL tables. @p layerIndex selects the LstmCell layer
-     * inside the plan.
+     * inside the plan; its weights pack [i, f, g, o] x [input + hidden]
+     * as in dnn::reference_lstm_step.
      */
     dnn::LstmState runLstmStep(const NetworkPlan &plan,
                                std::size_t layerIndex,
@@ -107,46 +97,20 @@ class FunctionalExecutor
                                const dnn::LstmState &prev);
 
     /**
-     * One-shot LSTM timestep; freezes the gate weights and delegates.
-     * Weights are packed [i, f, g, o] x [input + hidden] as in
-     * dnn::reference_lstm_step.
-     */
-    dnn::LstmState runLstmStep(const dnn::Layer &layer,
-                               const std::vector<float> &x,
-                               const dnn::LstmState &prev,
-                               const LayerWeights &w, unsigned bits = 8);
-
-    /**
      * Single-head self-attention from a compiled plan: Q/K/V/O
      * projections against the frozen tiles, the row softmax through
-     * the exp table + LUT division.
+     * the exp table + LUT division. The weights pack
+     * [wq | wk | wv | wo], each d x d.
      */
     dnn::FloatTensor runAttention(const NetworkPlan &plan,
                                   std::size_t layerIndex,
                                   const dnn::FloatTensor &input);
 
     /**
-     * One-shot self-attention; freezes the four projections and
-     * delegates. Weights are packed [wq | wk | wv | wo], each d x d.
-     */
-    dnn::FloatTensor runAttention(const dnn::Layer &layer,
-                                  const dnn::FloatTensor &input,
-                                  const LayerWeights &w,
-                                  unsigned bits = 8);
-
-    /**
-     * Quantized matrix product through the broadcast datapath:
-     * out[m][n] = a[m][k] * w[k][n], with w supplied row-major.
-     * Freezes w transposed and delegates to qMatmulFrozen.
-     */
-    dnn::FloatTensor qMatmul(const dnn::FloatTensor &a, const float *w,
-                             std::size_t k, std::size_t n,
-                             unsigned bits);
-
-    /**
-     * The same product against an already-frozen transposed tile
-     * @p wt (n x k, as produced by dnn::freeze_weights_transposed —
-     * or any row-major [n][k] matrix frozen in place). Only the
+     * Quantized matrix product through the broadcast datapath,
+     * out[m][n] = a[m][k] * w[k][n], against the frozen transposed
+     * tile @p wt (n x k, as produced by dnn::freeze_weights_transposed
+     * — or any row-major [n][k] matrix frozen in place). Only the
      * activation side is quantized per call.
      */
     dnn::FloatTensor qMatmulFrozen(const dnn::FloatTensor &a,
@@ -187,9 +151,6 @@ class FunctionalExecutor
     void runConvInto(const PlannedLayer &pl, unsigned bits,
                      const float *in, float *out);
 
-    void runFcInto(const PlannedLayer &pl, unsigned bits,
-                   const float *in, float *out);
-
     void runActivationInto(const PlannedLayer &pl, const float *in,
                            float *out);
 
@@ -199,17 +160,19 @@ class FunctionalExecutor
     void runSoftmaxInto(const PlannedLayer &pl, const float *in,
                         float *out);
 
-    /** Shared LSTM step against a frozen gate tile. */
-    dnn::LstmState lstmStepImpl(const dnn::Layer &layer,
-                                const std::vector<float> &x,
-                                const dnn::LstmState &prev,
-                                const dnn::QuantizedWeights &gates,
-                                const std::vector<float> &bias);
-
-    /** Shared attention block against four frozen projections. */
-    dnn::FloatTensor attentionImpl(const dnn::Layer &layer,
-                                   const dnn::FloatTensor &input,
-                                   const dnn::QuantizedWeights *proj);
+    /**
+     * The FC layer and qMatmulFrozen body: quantize the m x k block
+     * @p a, multiply it against the n x k tile @p wt on the matmul-mode
+     * datapath and store out[i][j] = float(acc * s0 * s1) + bias[j],
+     * rectified when @p relu, with (s0, s1) the weight and activation
+     * scales in that order when @p weightScaleFirst, else reversed. A
+     * null @p bias adds nothing. Scratch comes from the arena
+     * (matmul_scratch_bytes).
+     */
+    void matmulInto(const float *a, std::size_t m, std::size_t k,
+                    std::size_t n, const dnn::QuantizedWeights &wt,
+                    bool weightScaleFirst, const float *bias, bool relu,
+                    float *out);
 
     tech::CacheGeometry geom;
     tech::TechParams tech;
@@ -230,7 +193,6 @@ struct BatchOptions
     unsigned threads = 0;
     tech::CacheGeometry geom{};
     tech::TechParams tech{};
-    bce::ExecTier tier = bce::ExecTier::Tiered;
 };
 
 /** Result of a batched plan run. */

@@ -54,6 +54,19 @@ random_weights(const dnn::Network &net, sim::Rng &rng, double scale)
     return all;
 }
 
+std::size_t
+matmul_scratch_bytes(std::size_t m, std::size_t k, std::size_t n,
+                     unsigned bits)
+{
+    using dnn::TensorArena;
+    if (bits > 8)
+        return TensorArena::paddedBytes<std::int32_t>(m * k);
+    return TensorArena::paddedBytes<std::int8_t>(m * k)
+           + TensorArena::paddedBytes<std::int32_t>(m * n)
+           + TensorArena::paddedBytes<std::uint32_t>(
+               bce::Bce::tileScratchWords(k));
+}
+
 namespace {
 
 using dnn::TensorArena;
@@ -133,8 +146,8 @@ plan_shapes(const dnn::Network &net, unsigned bits,
             const std::size_t patch_len = std::size_t(layer.input.c)
                                           * layer.kernelH * layer.kernelW;
             if (bits > 8) {
-                // Wide precision: scalar multiplies over an int32
-                // patch; no int8 front end exists to elide.
+                // Wide precision: one wide span per filter over an
+                // int32 patch; no int8 front end exists to elide.
                 pl.scratchBytes =
                     TensorArena::paddedBytes<std::int32_t>(patch_len);
                 shape = {o.c, o.h, o.w};
@@ -172,14 +185,8 @@ plan_shapes(const dnn::Network &net, unsigned bits,
                 return plan_fail(err, "plan: fc '", layer.name,
                                  "': flattened input of ", elems,
                                  " != ", layer.inFeatures);
-            pl.scratchBytes = TensorArena::paddedBytes<std::int8_t>(
-                layer.inFeatures);
-            if (bits <= 8)
-                pl.scratchBytes +=
-                    TensorArena::paddedBytes<std::int32_t>(
-                        layer.outFeatures)
-                    + TensorArena::paddedBytes<std::uint32_t>(
-                        bce::Bce::tileScratchWords(layer.inFeatures));
+            pl.scratchBytes = matmul_scratch_bytes(
+                1, layer.inFeatures, layer.outFeatures, bits);
             shape = {layer.outFeatures, std::size_t(1), std::size_t(1)};
             elems = layer.outFeatures;
             break;
@@ -271,8 +278,7 @@ NetworkPlan::tryEstimate(const dnn::Network &net, unsigned bits,
 
 NetworkPlan
 NetworkPlan::compile(const dnn::Network &net,
-                     const NetworkWeights &weights, unsigned bits,
-                     bool verify)
+                     const NetworkWeights &weights, unsigned bits)
 {
     if (weights.size() != net.layers().size())
         bfree_fatal("plan compile: expected ", net.layers().size(),
@@ -381,10 +387,8 @@ NetworkPlan::compile(const dnn::Network &net,
     // Verify-on-compile, mirroring KernelCompiler: the whole-plan
     // auditor records its findings instead of aborting; serving
     // rejects a plan whose report is not ok().
-    if (verify) {
-        const verify::PlanVerifier verifier{tech::CacheGeometry{}};
-        plan.diagnostics_ = verifier.verify(plan);
-    }
+    plan.diagnostics_ =
+        verify::PlanVerifier{tech::CacheGeometry{}}.verify(plan);
     return plan;
 }
 

@@ -54,6 +54,15 @@ using NetworkWeights = std::vector<LayerWeights>;
 NetworkWeights random_weights(const dnn::Network &net, sim::Rng &rng,
                               double scale = 0.5);
 
+/**
+ * Arena bytes the executor's matmul body (FC layers, qMatmulFrozen)
+ * takes for an m x k activation block against n frozen weight rows:
+ * the quantized block, plus at <= 8 bits the int32 tile and the
+ * activation-side feature sums.
+ */
+std::size_t matmul_scratch_bytes(std::size_t m, std::size_t k,
+                                 std::size_t n, unsigned bits);
+
 /** One layer frozen into a plan. */
 struct PlannedLayer
 {
@@ -138,14 +147,14 @@ class NetworkPlan
     /**
      * Compile @p net with @p weights at @p bits precision. Weight
      * layouts and sizes are validated here (fatal on mismatch), so the
-     * steady-state path can run unchecked. With @p verify the whole
-     * plan is additionally audited by verify::PlanVerifier and the
-     * findings recorded in diagnostics() — a plan with
-     * !diagnostics().ok() must not be served.
+     * steady-state path can run unchecked. The whole plan is then
+     * audited by verify::PlanVerifier and the findings recorded in
+     * diagnostics() — a plan with !diagnostics().ok() must not be
+     * served.
      */
     static NetworkPlan compile(const dnn::Network &net,
                                const NetworkWeights &weights,
-                               unsigned bits = 8, bool verify = true);
+                               unsigned bits = 8);
 
     /**
      * The dry planning pass alone: shapes, per-layer scratch and the
@@ -167,8 +176,7 @@ class NetworkPlan
     const dnn::Network &network() const { return net_; }
     unsigned bits() const { return bits_; }
 
-    /** Findings of the verify-on-compile audit (empty when compiled
-     *  with verify = false). */
+    /** Findings of the verify-on-compile audit. */
     const verify::VerifyReport &diagnostics() const
     {
         return diagnostics_;

@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "bce/isa.hh"
 #include "dnn/network.hh"
 #include "mapping.hh"
 #include "mem/energy_account.hh"
@@ -103,14 +102,6 @@ struct ExecConfig
     /** Systolic input/compute overlap (ablation knob; the paper's
      *  design always overlaps). */
     bool systolicOverlap = true;
-
-    /**
-     * Execution tier of the LUT datapath (bce::ExecTier). Both tiers
-     * are bit- and stat-exact, so the analytic closed forms and the
-     * verification pass are tier-independent; functional execution
-     * surfaces honour the knob when they instantiate a BCE.
-     */
-    bce::ExecTier tier = bce::ExecTier::Tiered;
 
     MapperOptions mapper;
 };

@@ -49,7 +49,6 @@ ServeEngine::replay(const ArrivalTrace &trace)
     batchOpts.threads = cfg.threads;
     batchOpts.geom = cfg.geom;
     batchOpts.tech = cfg.tech;
-    batchOpts.tier = cfg.tier;
 
     // The in-flight batch: requests dispatched but not yet complete at
     // virtual time. Their outputs are computed at dispatch (host time)

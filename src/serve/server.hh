@@ -84,7 +84,6 @@ struct ServeConfig
     /** Datapath construction knobs (forwarded to the batch runner). */
     tech::CacheGeometry geom{};
     tech::TechParams tech{};
-    bce::ExecTier tier = bce::ExecTier::Tiered;
 };
 
 /** Everything one replay produced. */

@@ -135,6 +135,58 @@ TEST(BceDotProduct, CyclesMatchConvRate)
     EXPECT_EQ(f.bce.macs(), 32u);
 }
 
+TEST(BceDotProduct, WideSpanBooksWhatTheNarrowPathsBook)
+{
+    // 16-bit operands: conv mode against dotProduct's sub-array fetch,
+    // matmul mode against single-lane broadcastMac steps. Same sum,
+    // same statistics.
+    bfree::sim::Rng rng(12);
+    const std::size_t len = 40;
+    std::vector<std::int32_t> w(len), x(len);
+    std::vector<std::int8_t> x8(len);
+    std::vector<std::uint8_t> bytes(2 * len);
+    std::int64_t expected = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+        w[i] = static_cast<std::int32_t>(rng.uniformInt(-32767, 32767));
+        x8[i] = static_cast<std::int8_t>(rng.uniformInt(-128, 127));
+        x[i] = x8[i];
+        bytes[2 * i] = static_cast<std::uint8_t>(w[i] & 0xFF);
+        bytes[2 * i + 1] = static_cast<std::uint8_t>((w[i] >> 8) & 0xFF);
+        expected += std::int64_t{w[i]} * x[i];
+    }
+
+    Fixture narrow, wide;
+    for (Fixture *f : {&narrow, &wide})
+        f->bce.loadMultLutImage();
+    narrow.sa.write(0, bytes.data(), bytes.size());
+    EXPECT_EQ(narrow.bce.dotProduct(0, x8.data(), len, 16), expected);
+    EXPECT_EQ(wide.bce.dotSpanWide(w.data(), x.data(), len, 16), expected);
+
+    for (Fixture *f : {&narrow, &wide})
+        f->bce.setMode(BceMode::Matmul);
+    std::int64_t lanes = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+        std::int32_t lane = 0;
+        narrow.bce.broadcastMac(w[i], &x8[i], 1, &lane, 16);
+        lanes += lane;
+    }
+    EXPECT_EQ(lanes, expected);
+    EXPECT_EQ(wide.bce.dotSpanWide(w.data(), x.data(), len, 16), expected);
+
+    const BceStats &a = narrow.bce.stats();
+    const BceStats &b = wide.bce.stats();
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.cyclesByMode, b.cyclesByMode);
+    EXPECT_EQ(a.macs, b.macs);
+    EXPECT_EQ(a.counts.lutLookups, b.counts.lutLookups);
+    EXPECT_EQ(a.counts.romLookups, b.counts.romLookups);
+    EXPECT_EQ(a.counts.shifts, b.counts.shifts);
+    EXPECT_EQ(a.counts.adds, b.counts.adds);
+    EXPECT_EQ(a.counts.cycles, b.counts.cycles);
+    EXPECT_EQ(a.lutReadsPim, b.lutReadsPim);
+    EXPECT_EQ(a.lutReadsCache, b.lutReadsCache);
+}
+
 TEST(BceBroadcastMac, EightLanesInTwoCycles)
 {
     Fixture f;
@@ -453,4 +505,9 @@ TEST(BceDeath, WrongModePanics)
                  "matmulDotSpan requires matmul mode");
     EXPECT_DEATH(f.bce.matmulTile(inputs, inputs, out, 1, 4, 1, 8),
                  "matmulTile requires matmul mode");
+
+    f.bce.setMode(BceMode::Special);
+    const std::int32_t wide[4] = {1, 2, 3, 4};
+    EXPECT_DEATH((void)f.bce.dotSpanWide(wide, wide, 4, 16),
+                 "dotSpanWide requires conv or matmul mode");
 }

@@ -5,8 +5,8 @@
  * datapath: identical products over the full operand space, identical
  * MicroOpCounts/cycles, and — because joules are derived from the
  * integer tallies in one closed form — identical energy, for every
- * PIM opcode, both BCE modes, and whole networks through
- * FunctionalExecutor::run.
+ * PIM opcode, both BCE modes, and whole compiled plans at 4, 8 and
+ * 16 bits.
  */
 
 #include <gtest/gtest.h>
@@ -407,7 +407,7 @@ TEST(TieredDatapathDeath, ConvSpanBeforeLutLoadPanicsOnBothTiers)
 }
 
 // ---------------------------------------------------------------------
-// Whole networks through FunctionalExecutor::run
+// Whole compiled plans through FunctionalExecutor
 // ---------------------------------------------------------------------
 
 namespace {
@@ -421,11 +421,13 @@ expect_network_equivalence(unsigned bits)
     dnn::FloatTensor input({1, 8, 8});
     input.fillUniform(rng, 0.0, 1.0);
 
+    const core::NetworkPlan plan =
+        core::NetworkPlan::compile(net, weights, bits);
     core::FunctionalExecutor legacy({}, {}, ExecTier::Legacy);
     core::FunctionalExecutor tiered({}, {}, ExecTier::Tiered);
 
-    const core::FunctionalResult rl = legacy.run(net, input, weights, bits);
-    const core::FunctionalResult rt = tiered.run(net, input, weights, bits);
+    const core::FunctionalResult rl = legacy.run(plan, input);
+    const core::FunctionalResult rt = tiered.run(plan, input);
 
     ASSERT_EQ(rl.output.size(), rt.output.size());
     for (std::size_t i = 0; i < rl.output.size(); ++i)
@@ -450,75 +452,58 @@ TEST(TieredNetwork, TinyCnn4BitBitExact)
     expect_network_equivalence(4);
 }
 
-TEST(TieredNetwork, Conv16BitBitExact)
+TEST(TieredNetwork, TinyCnn16BitBitExact)
 {
-    dnn::Network net("conv16", {1, 6, 6});
-    net.add(dnn::make_conv("c", {1, 6, 6}, 3, 3, 1, 1));
-    sim::Rng rng(314);
-    const core::NetworkWeights weights = core::random_weights(net, rng);
-    dnn::FloatTensor input({1, 6, 6});
-    input.fillUniform(rng, -1.0, 1.0);
-
-    core::FunctionalExecutor legacy({}, {}, ExecTier::Legacy);
-    core::FunctionalExecutor tiered({}, {}, ExecTier::Tiered);
-    const core::FunctionalResult rl = legacy.run(net, input, weights, 16);
-    const core::FunctionalResult rt = tiered.run(net, input, weights, 16);
-    for (std::size_t i = 0; i < rl.output.size(); ++i)
-        EXPECT_EQ(rl.output[i], rt.output[i]) << i;
-    expect_stats_equal(rl.stats, rt.stats);
+    expect_network_equivalence(16);
 }
 
 TEST(TieredNetwork, LstmStepBitExact)
 {
-    const dnn::Layer cell = dnn::make_lstm_cell("cell", 6, 12);
+    const dnn::Network net = dnn::make_lstm(6, 12, 3);
     sim::Rng rng(31);
-    core::LayerWeights w;
-    w.weights.resize(std::size_t(4) * 12 * (6 + 12));
-    w.bias.resize(std::size_t(4) * 12);
-    for (float &v : w.weights)
-        v = static_cast<float>(rng.uniformReal(-0.4, 0.4));
-    for (float &v : w.bias)
-        v = static_cast<float>(rng.uniformReal(-0.1, 0.1));
-
-    core::FunctionalExecutor legacy({}, {}, ExecTier::Legacy);
-    core::FunctionalExecutor tiered({}, {}, ExecTier::Tiered);
-    dnn::LstmState sl, st;
-    sl.h.assign(12, 0.0f);
-    sl.c.assign(12, 0.0f);
-    st = sl;
-
+    const core::NetworkWeights weights = core::random_weights(net, rng);
     const std::vector<float> xin = {0.5f, -0.25f, 0.1f,
                                     -0.7f, 0.3f, 0.9f};
-    for (int t = 0; t < 3; ++t) {
-        sl = legacy.runLstmStep(cell, xin, sl, w);
-        st = tiered.runLstmStep(cell, xin, st, w);
-        for (unsigned j = 0; j < 12; ++j) {
-            EXPECT_EQ(sl.h[j], st.h[j]) << "t=" << t << " j=" << j;
-            EXPECT_EQ(sl.c[j], st.c[j]) << "t=" << t << " j=" << j;
+    for (const unsigned bits : {8u, 16u}) {
+        const core::NetworkPlan plan =
+            core::NetworkPlan::compile(net, weights, bits);
+        core::FunctionalExecutor legacy({}, {}, ExecTier::Legacy);
+        core::FunctionalExecutor tiered({}, {}, ExecTier::Tiered);
+        dnn::LstmState sl, st;
+        sl.h.assign(12, 0.0f);
+        sl.c.assign(12, 0.0f);
+        st = sl;
+        for (int t = 0; t < 3; ++t) {
+            sl = legacy.runLstmStep(plan, 0, xin, sl);
+            st = tiered.runLstmStep(plan, 0, xin, st);
+            EXPECT_EQ(sl.h, st.h) << bits << " bits t=" << t;
+            EXPECT_EQ(sl.c, st.c) << bits << " bits t=" << t;
         }
+        expect_stats_equal(legacy.stats(), tiered.stats());
     }
-    expect_stats_equal(legacy.stats(), tiered.stats());
 }
 
 TEST(TieredNetwork, AttentionBitExact)
 {
-    const dnn::Layer attn = dnn::make_attention("attn", 6, 8, 1);
+    dnn::Network net("attn-net", {1, 6, 8});
+    net.add(dnn::make_attention("attn", 6, 8, 1));
     sim::Rng rng(41);
+    const core::NetworkWeights weights = core::random_weights(net, rng);
     dnn::FloatTensor input({6, 8});
     input.fillUniform(rng, -1.0, 1.0);
-    core::LayerWeights w;
-    w.weights.resize(4 * 64);
-    for (float &v : w.weights)
-        v = static_cast<float>(rng.uniformReal(-0.35, 0.35));
 
-    core::FunctionalExecutor legacy({}, {}, ExecTier::Legacy);
-    core::FunctionalExecutor tiered({}, {}, ExecTier::Tiered);
-    const dnn::FloatTensor ol = legacy.runAttention(attn, input, w);
-    const dnn::FloatTensor ot = tiered.runAttention(attn, input, w);
-    ASSERT_EQ(ol.size(), ot.size());
-    for (std::size_t i = 0; i < ol.size(); ++i)
-        EXPECT_EQ(ol[i], ot[i]) << i;
-    expect_stats_equal(legacy.stats(), tiered.stats());
+    for (const unsigned bits : {8u, 16u}) {
+        const core::NetworkPlan plan =
+            core::NetworkPlan::compile(net, weights, bits);
+        core::FunctionalExecutor legacy({}, {}, ExecTier::Legacy);
+        core::FunctionalExecutor tiered({}, {}, ExecTier::Tiered);
+        const dnn::FloatTensor ol = legacy.runAttention(plan, 0, input);
+        const dnn::FloatTensor ot = tiered.runAttention(plan, 0, input);
+        ASSERT_EQ(ol.size(), ot.size());
+        for (std::size_t i = 0; i < ol.size(); ++i)
+            EXPECT_EQ(ol[i], ot[i]) << bits << " bits " << i;
+        expect_stats_equal(legacy.stats(), tiered.stats());
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -544,8 +529,8 @@ sweep_output(unsigned threads)
                 input.fillUniform(rng, 0.0, 1.0);
 
                 core::FunctionalExecutor exec({}, {}, ExecTier::Tiered);
-                const core::FunctionalResult r =
-                    exec.run(net, input, weights, 8);
+                const core::FunctionalResult r = exec.run(
+                    core::NetworkPlan::compile(net, weights, 8), input);
                 ctx.out << std::hexfloat;
                 for (std::size_t i = 0; i < r.output.size(); ++i)
                     ctx.out << r.output[i] << "\n";

@@ -80,7 +80,8 @@ TEST(Functional, TinyCnnMatchesReferenceAt8Bit)
     input.fillUniform(rng, 0.0, 1.0);
 
     FunctionalExecutor exec;
-    const FunctionalResult got = exec.run(net, input, weights, 8);
+    const FunctionalResult got =
+        exec.run(NetworkPlan::compile(net, weights, 8), input);
     const FloatTensor expected = reference_run(net, input, weights);
 
     ASSERT_EQ(got.output.size(), expected.size());
@@ -99,7 +100,8 @@ TEST(Functional, DatapathActuallyUsedLutsAndRom)
     input.fillUniform(rng, 0.0, 1.0);
 
     FunctionalExecutor exec;
-    const FunctionalResult r = exec.run(net, input, weights, 8);
+    const FunctionalResult r =
+        exec.run(NetworkPlan::compile(net, weights, 8), input);
     EXPECT_GT(r.stats.macs, 0u);
     EXPECT_GT(r.stats.cycles, 0u);
     // Conv layers hit the sub-array LUT; the FC hit the ROM.
@@ -119,7 +121,8 @@ TEST(Functional, FourBitDegradesGracefully)
     FunctionalExecutor exec8;
     FunctionalExecutor exec4;
     const FloatTensor expected = reference_run(net, input, weights);
-    const FunctionalResult got4 = exec4.run(net, input, weights, 4);
+    const FunctionalResult got4 =
+        exec4.run(NetworkPlan::compile(net, weights, 4), input);
 
     // 4-bit is coarser but must stay a valid distribution.
     float sum = 0.0f;
@@ -150,7 +153,8 @@ TEST(Functional, ConvOnlyNetworkExact)
     input.fillUniform(rng, -1.0, 1.0);
 
     FunctionalExecutor exec;
-    const FunctionalResult got = exec.run(net, input, weights, 8);
+    const FunctionalResult got =
+        exec.run(NetworkPlan::compile(net, weights, 8), input);
     const FloatTensor expected =
         reference_run(net, input, weights);
     for (std::size_t i = 0; i < expected.size(); ++i)
@@ -160,31 +164,77 @@ TEST(Functional, ConvOnlyNetworkExact)
 TEST(Functional, SixteenBitTracksReferenceTightly)
 {
     // Higher precision, tighter agreement: the 16-bit quantizer should
-    // land much closer to the float reference than the 8-bit one.
-    Network net("conv16", {1, 6, 6});
-    net.add(make_conv("c", {1, 6, 6}, 3, 3, 1, 1));
+    // land much closer to the float reference than the 8-bit one, on
+    // the conv's patch spans and the FC's matmul spans alike.
+    Network conv("conv16", {1, 6, 6});
+    conv.add(make_conv("c", {1, 6, 6}, 3, 3, 1, 1));
+    Network fc("fc16", {32, 1, 1});
+    fc.add(make_fc("f", 32, 8));
 
-    bfree::sim::Rng rng(314);
-    const NetworkWeights weights = random_weights(net, rng);
-    FloatTensor input({1, 6, 6});
-    input.fillUniform(rng, -1.0, 1.0);
+    for (const Network &net : {conv, fc}) {
+        bfree::sim::Rng rng(314);
+        const NetworkWeights weights = random_weights(net, rng);
+        FloatTensor input(
+            {net.input().c, net.input().h, net.input().w});
+        input.fillUniform(rng, -1.0, 1.0);
 
-    FunctionalExecutor exec8;
-    FunctionalExecutor exec16;
-    const FloatTensor expected = reference_run(net, input, weights);
-    const FunctionalResult got8 = exec8.run(net, input, weights, 8);
-    const FunctionalResult got16 = exec16.run(net, input, weights, 16);
+        FunctionalExecutor exec8;
+        FunctionalExecutor exec16;
+        const FloatTensor expected = reference_run(net, input, weights);
+        const FunctionalResult got8 =
+            exec8.run(NetworkPlan::compile(net, weights, 8), input);
+        const FunctionalResult got16 =
+            exec16.run(NetworkPlan::compile(net, weights, 16), input);
 
-    float worst8 = 0.0f;
-    float worst16 = 0.0f;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        worst8 = std::max(worst8,
-                          std::abs(got8.output[i] - expected[i]));
-        worst16 = std::max(worst16,
-                           std::abs(got16.output[i] - expected[i]));
+        float worst8 = 0.0f;
+        float worst16 = 0.0f;
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            worst8 = std::max(worst8,
+                              std::abs(got8.output[i] - expected[i]));
+            worst16 = std::max(worst16,
+                               std::abs(got16.output[i] - expected[i]));
+        }
+        EXPECT_LT(worst16, worst8 + 1e-6f) << net.name();
+        EXPECT_LT(worst16, 1e-3f) << net.name();
     }
-    EXPECT_LT(worst16, worst8 + 1e-6f);
-    EXPECT_LT(worst16, 1e-3f);
+}
+
+TEST(Functional, SixteenBitConvBooksEveryMac)
+{
+    // The 16-bit conv books what Bce::dotProduct books per filter
+    // span: one MAC and bits/4 = 4 conv cycles per element, each
+    // multiply's micro-ops, and len - 1 accumulator adds.
+    Network net("conv16", {1, 5, 5});
+    net.add(make_conv("c", {1, 5, 5}, 2, 3, 1, 0));
+    bfree::sim::Rng rng(17);
+    const NetworkWeights weights = random_weights(net, rng);
+    FloatTensor input({1, 5, 5});
+    input.fillUniform(rng, -1.0, 1.0);
+    const NetworkPlan plan = NetworkPlan::compile(net, weights, 16);
+    FunctionalExecutor exec;
+    const FunctionalResult r = exec.run(plan, input);
+
+    EXPECT_EQ(r.stats.macs, net.layers()[0].macs());
+    EXPECT_EQ(r.stats.cycles, 4 * r.stats.macs);
+
+    bfree::tech::CacheGeometry geom;
+    bfree::tech::TechParams tech;
+    bfree::mem::EnergyAccount account;
+    bfree::mem::Subarray subarray(geom, tech, account);
+    bfree::bce::Bce ref(subarray, tech, account);
+    ref.loadMultLutImage();
+    const SymQuant qi = choose_sym(input.data(), input.size(), 16);
+    const QuantizedWeights &fw = plan.layers()[0].frozen[0];
+    std::uint64_t spans = 0;
+    for (unsigned f = 0; f < 2; ++f, spans += 9)
+        for (unsigned oh = 0; oh < 3; ++oh)
+            for (unsigned ow = 0; ow < 3; ++ow)
+                for (unsigned k = 0; k < 9; ++k)
+                    (void)ref.multiply(
+                        fw.q32[f * 9 + k],
+                        qi.q(input[(oh + k / 3) * 5 + ow + k % 3]), 16);
+    EXPECT_EQ(r.stats.counts.adds, ref.stats().counts.adds + spans * 8);
+    EXPECT_EQ(r.stats.counts.lutLookups, ref.stats().counts.lutLookups);
 }
 
 TEST(Functional, RandomWeightsAreReproducible)
@@ -204,6 +254,7 @@ TEST(FunctionalDeath, WeightCountMismatch)
     const Network net = make_tiny_cnn();
     FunctionalExecutor exec;
     FloatTensor input({1, 8, 8});
-    EXPECT_DEATH((void)exec.run(net, input, NetworkWeights{}, 8),
+    EXPECT_DEATH((void)exec.run(
+                     NetworkPlan::compile(net, NetworkWeights{}, 8), input),
                  "weight entries");
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Execution-plan parity and steady-state guarantees: a compiled
- * NetworkPlan (weights frozen once) must match the legacy per-call
- * quantization path float-for-float, the batch runner must be
+ * NetworkPlan (weights frozen once) must match a freshly compiled one
+ * float-for-float on every reuse, the batch runner must be
  * bit-identical to a sequential loop for any thread count, and the
  * steady-state path must make zero heap allocations.
  */
@@ -150,7 +150,7 @@ TEST(NetworkPlan, FrozenBytesCountFeatureAndRowSums)
     }
 }
 
-TEST(NetworkPlan, TinyCnnPlanMatchesLegacyBitwise)
+TEST(NetworkPlan, TinyCnnPlanReuseMatchesFreshCompile)
 {
     const Network net = make_tiny_cnn();
     bfree::sim::Rng rng(2024);
@@ -163,91 +163,18 @@ TEST(NetworkPlan, TinyCnnPlanMatchesLegacyBitwise)
             input.fillUniform(rng, 0.0, 1.0);
 
             // The plan (weights frozen once, reused across trials)
-            // against the legacy entry (fresh quantization per call).
+            // against a plan compiled afresh for this one input.
             FunctionalExecutor planned;
-            FunctionalExecutor legacy;
+            FunctionalExecutor fresh;
             const FunctionalResult a = planned.run(plan, input);
             const FunctionalResult b =
-                legacy.run(net, input, weights, bits);
+                fresh.run(NetworkPlan::compile(net, weights, bits), input);
 
             expect_bitwise_eq(a.output, b.output);
             expect_stats_eq(a.stats, b.stats);
-            EXPECT_EQ(planned.energy().total(), legacy.energy().total());
+            EXPECT_EQ(planned.energy().total(), fresh.energy().total());
         }
         EXPECT_EQ(plan.runsServed(), 3u);
-    }
-}
-
-TEST(NetworkPlan, LstmStepPlanMatchesLegacyBitwise)
-{
-    const Network net = make_lstm(6, 12, 4);
-    ASSERT_EQ(net.layers().size(), 1u);
-    const Layer &cell = net.layers()[0];
-
-    bfree::sim::Rng rng(31);
-    const NetworkWeights weights = random_weights(net, rng);
-    const NetworkPlan plan = NetworkPlan::compile(net, weights, 8);
-
-    LstmState planned_state;
-    planned_state.h.assign(12, 0.0f);
-    planned_state.c.assign(12, 0.0f);
-    LstmState legacy_state = planned_state;
-
-    FunctionalExecutor planned;
-    FunctionalExecutor legacy;
-    for (int t = 0; t < 4; ++t) {
-        std::vector<float> x(6);
-        for (float &v : x)
-            v = static_cast<float>(rng.uniformReal(-1.0, 1.0));
-        planned_state = planned.runLstmStep(plan, 0, x, planned_state);
-        legacy_state =
-            legacy.runLstmStep(cell, x, legacy_state, weights[0], 8);
-        EXPECT_EQ(planned_state.h, legacy_state.h) << "t=" << t;
-        EXPECT_EQ(planned_state.c, legacy_state.c) << "t=" << t;
-    }
-    expect_stats_eq(planned.stats(), legacy.stats());
-}
-
-TEST(NetworkPlan, AttentionPlanMatchesLegacyBitwise)
-{
-    Network net("attn-net", {1, 6, 8});
-    net.add(make_attention("attn", 6, 8, 1));
-
-    bfree::sim::Rng rng(41);
-    const NetworkWeights weights = random_weights(net, rng);
-    const NetworkPlan plan = NetworkPlan::compile(net, weights, 8);
-
-    FloatTensor input({6, 8});
-    input.fillUniform(rng, -1.0, 1.0);
-
-    FunctionalExecutor planned;
-    FunctionalExecutor legacy;
-    const FloatTensor a = planned.runAttention(plan, 0, input);
-    const FloatTensor b =
-        legacy.runAttention(net.layers()[0], input, weights[0], 8);
-
-    expect_bitwise_eq(a, b);
-    expect_stats_eq(planned.stats(), legacy.stats());
-}
-
-TEST(NetworkPlan, QMatmulFrozenMatchesPerCallFreeze)
-{
-    bfree::sim::Rng rng(43);
-    FloatTensor a({5, 7});
-    a.fillUniform(rng, -1.0, 1.0);
-    std::vector<float> w(7 * 3);
-    for (float &v : w)
-        v = static_cast<float>(rng.uniformReal(-1.0, 1.0));
-
-    for (unsigned bits : {4u, 8u, 16u}) {
-        const QuantizedWeights frozen =
-            freeze_weights_transposed(w.data(), 7, 3, bits);
-        FunctionalExecutor e1;
-        FunctionalExecutor e2;
-        const FloatTensor got1 = e1.qMatmulFrozen(a, frozen, 7, 3);
-        const FloatTensor got2 = e2.qMatmul(a, w.data(), 7, 3, bits);
-        expect_bitwise_eq(got1, got2);
-        expect_stats_eq(e1.stats(), e2.stats());
     }
 }
 

@@ -397,12 +397,10 @@ frontend_cases()
 
 using bce::simd::SpanView;
 
-/** Run the whole elided pipeline for @p l and compare every patch,
- *  both through per-patch materialize_span_view and the row-block
- *  materialize_span_block, against im2col_patch_i8. */
+/** Run the whole elided pipeline for @p l and compare every patch of
+ *  the row-block materialize_span_block against im2col_patch_i8. */
 void
-expect_elision_matches(const Layer &l, bool slack8,
-                       const std::string &ctx)
+expect_elision_matches(const Layer &l, const std::string &ctx)
 {
     constexpr std::size_t slack = SpanView::slackBytes;
     sim::Rng rng(97);
@@ -431,14 +429,12 @@ expect_elision_matches(const Layer &l, bool slack8,
     view.offsets = offsets.data();
     view.nRuns = el.nRuns;
     view.runLen = el.runLen;
-    view.slack8 = slack8;
 
     const std::size_t patch_len =
         std::size_t(l.input.c) * l.kernelH * l.kernelW;
     ASSERT_EQ(patch_len, view.len()) << ctx;
     const FeatureShape out = l.outputShape();
     std::vector<std::int8_t> want(patch_len);
-    std::vector<std::int8_t> one(patch_len + slack);
     std::vector<std::int8_t> row(std::size_t(out.w) * patch_len
                                  + slack);
     for (unsigned oh = 0; oh < out.h; ++oh) {
@@ -448,13 +444,6 @@ expect_elision_matches(const Layer &l, bool slack8,
                                           row.data(), patch_len);
         for (unsigned ow = 0; ow < out.w; ++ow) {
             im2col_patch_i8(l, qin.data(), oh, ow, want.data());
-            SpanView pv = view;
-            pv.base = view.base + std::size_t(ow) * l.strideW;
-            bce::simd::materialize_span_view(pv, one.data());
-            ASSERT_EQ(0, std::memcmp(want.data(), one.data(),
-                                     patch_len))
-                << ctx << " " << l.name << " view (" << oh << ","
-                << ow << ")";
             ASSERT_EQ(0,
                       std::memcmp(want.data(),
                                   row.data()
@@ -470,85 +459,49 @@ expect_elision_matches(const Layer &l, bool slack8,
 
 TEST(SpanViewElision, ReproducesPatchBytesAtEveryLevel)
 {
-    // Staged (padded) and in-place layouts, slack8 fast path and
-    // exact-width path, against the row-run patch copies the span
-    // kernels otherwise consume.
+    // Staged (padded) and in-place layouts, against the row-run patch
+    // copies the span kernels otherwise consume.
     for_each_runnable_level([](sim::SimdLevel level) {
         const std::string ctx = sim::simd_level_name(level);
         for (const Layer &l : frontend_cases())
-            for (const bool slack8 : {false, true})
-                expect_elision_matches(
-                    l, slack8,
-                    ctx + (slack8 ? " slack8" : " exact"));
+            expect_elision_matches(l, ctx);
     });
 }
 
 TEST(SpanViewBlock, SpillStaysInsidePatchSlots)
 {
     // The transposed block loop's regression shape: 3-byte runs in a
-    // 9-byte patch slot, where an 8-byte copy from run 1 on would
-    // cross into the NEXT patch's already-written bytes. Every byte of
-    // every slot must match the per-patch exact materialization.
+    // 9-byte patch slot (one input channel, 3x3, stride 2), where an
+    // 8-byte copy from run 1 on would cross into the NEXT patch's
+    // already-written bytes. Every byte of every slot must match
+    // im2col_patch_i8.
+    const Layer l = make_conv("spill", {1, 11, 11}, 1, 3, 2, 0);
     constexpr std::size_t slack = SpanView::slackBytes;
-    const std::size_t nRuns = 3, runLen = 3, nPatches = 5;
-    const std::size_t patchLen = nRuns * runLen;
-    std::vector<std::int8_t> plane(64 + slack);
+    const ElisionLayout el = elision_layout(l);
+    ASSERT_FALSE(el.staged);
+    ASSERT_EQ(el.runLen, 3u);
+    std::vector<std::int8_t> plane(l.input.elements() + slack);
     for (std::size_t i = 0; i < plane.size(); ++i)
         plane[i] = static_cast<std::int8_t>(i * 7 + 3);
-    const std::int32_t offsets[3] = {0, 17, 40};
+    std::vector<std::int32_t> offsets(el.nRuns);
+    elided_offsets(l, offsets.data());
 
     SpanView view;
     view.base = plane.data();
-    view.offsets = offsets;
-    view.nRuns = nRuns;
-    view.runLen = runLen;
+    view.offsets = offsets.data();
+    view.nRuns = el.nRuns;
+    view.runLen = el.runLen;
 
-    std::vector<std::int8_t> want(nPatches * patchLen + slack, 0);
+    const std::size_t patchLen = view.len();
+    const std::size_t nPatches = l.outputShape().w;
     std::vector<std::int8_t> got(nPatches * patchLen + slack, 0);
-    view.slack8 = false;
-    bce::simd::materialize_span_block(view, nPatches, 2, want.data(),
-                                      patchLen);
-    view.slack8 = true;
-    bce::simd::materialize_span_block(view, nPatches, 2, got.data(),
-                                      patchLen);
-    ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
-                             nPatches * patchLen));
-}
-
-TEST(SpanViewStride, UniformStrideAddressingMatchesOffsets)
-{
-    // offsets == null selects base + i * stride addressing; both forms
-    // must materialize the same bytes.
-    constexpr std::size_t slack = SpanView::slackBytes;
-    const std::size_t nRuns = 6, runLen = 5, stride = 11;
-    std::vector<std::int8_t> plane(stride * nRuns + slack);
-    for (std::size_t i = 0; i < plane.size(); ++i)
-        plane[i] = static_cast<std::int8_t>(i * 13 + 1);
-    std::vector<std::int32_t> offsets(nRuns);
-    for (std::size_t i = 0; i < nRuns; ++i)
-        offsets[i] = static_cast<std::int32_t>(i * stride);
-
-    SpanView byStride;
-    byStride.base = plane.data();
-    byStride.stride = stride;
-    byStride.nRuns = nRuns;
-    byStride.runLen = runLen;
-
-    SpanView byOffsets = byStride;
-    byOffsets.stride = 0;
-    byOffsets.offsets = offsets.data();
-
-    for (const bool slack8 : {false, true}) {
-        std::vector<std::int8_t> a(nRuns * runLen + slack, 9);
-        std::vector<std::int8_t> b(nRuns * runLen + slack, 9);
-        SpanView va = byStride;
-        SpanView vb = byOffsets;
-        va.slack8 = slack8;
-        vb.slack8 = slack8;
-        bce::simd::materialize_span_view(va, a.data());
-        bce::simd::materialize_span_view(vb, b.data());
-        ASSERT_EQ(0,
-                  std::memcmp(a.data(), b.data(), nRuns * runLen))
-            << (slack8 ? "slack8" : "exact");
+    bce::simd::materialize_span_block(view, nPatches, l.strideW,
+                                      got.data(), patchLen);
+    std::vector<std::int8_t> want(patchLen);
+    for (std::size_t ow = 0; ow < nPatches; ++ow) {
+        im2col_patch_i8(l, plane.data(), 0, ow, want.data());
+        ASSERT_EQ(0, std::memcmp(want.data(), &got[ow * patchLen],
+                                 patchLen))
+            << "patch " << ow;
     }
 }

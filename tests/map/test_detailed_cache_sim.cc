@@ -279,7 +279,8 @@ TEST(DetailedCacheSim, ConvMatchesFunctionalExecutorBitwise)
     input.fillUniform(rng, -1.0, 1.0);
 
     core::FunctionalExecutor exec;
-    const auto functional = exec.run(net, input, weights, 8);
+    const auto functional =
+        exec.run(core::NetworkPlan::compile(net, weights, 8), input);
 
     tech::CacheGeometry geom;
     tech::TechParams tp;
@@ -309,7 +310,8 @@ TEST(DetailedCacheSim, FcMatchesFunctionalExecutorBitwise)
     input.fillUniform(rng, -1.0, 1.0);
 
     core::FunctionalExecutor exec;
-    const auto functional = exec.run(net, input, weights, 8);
+    const auto functional =
+        exec.run(core::NetworkPlan::compile(net, weights, 8), input);
 
     tech::CacheGeometry geom;
     tech::TechParams tp;

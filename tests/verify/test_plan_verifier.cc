@@ -136,17 +136,10 @@ TEST(PlanVerifierGolden, CompiledPlanCarriesCleanDiagnostics)
     const core::NetworkPlan plan =
         core::NetworkPlan::compile(net, weights, 8);
     EXPECT_TRUE(plan.diagnostics().ok()) << plan.diagnostics().toString();
-    EXPECT_TRUE(makeVerifier().verify(plan).ok());
-}
-
-TEST(PlanVerifierGolden, CompileWithoutVerifyLeavesNoDiagnostics)
-{
-    const dnn::Network net = dnn::make_tiny_cnn();
-    sim::Rng rng(7);
-    const core::NetworkWeights weights = core::random_weights(net, rng);
-    const core::NetworkPlan plan =
-        core::NetworkPlan::compile(net, weights, 8, false);
-    EXPECT_TRUE(plan.diagnostics().diagnostics().empty());
+    // Compile records exactly what a standalone verifier run reports.
+    const VerifyReport standalone = makeVerifier().verify(plan);
+    EXPECT_TRUE(standalone.ok());
+    EXPECT_EQ(plan.diagnostics().toString(), standalone.toString());
 }
 
 TEST(PlanVerifierGolden, PackedTwoPlanResidencyIsClean)

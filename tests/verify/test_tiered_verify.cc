@@ -1,9 +1,9 @@
 /**
  * @file
- * The static verifier is tier-independent: the tiered execution engine
- * must reject exactly the kernels the legacy engine rejects, with the
- * same diagnostics, and the batched-kernel compile path (blocked
- * GEMM-over-LUT layers) must verify clean under both tiers.
+ * The static verifier at the accelerator surface: lint reports an
+ * unsupported precision without running anything, and the layers the
+ * tiered engine runs as blocked GEMM-over-LUT compile to kernels the
+ * verifier accepts.
  */
 
 #include <gtest/gtest.h>
@@ -16,80 +16,16 @@
 using namespace bfree;
 using namespace bfree::verify;
 
-namespace {
-
-map::ExecConfig
-tiered_config(bce::ExecTier tier)
-{
-    map::ExecConfig config;
-    config.tier = tier;
-    return config;
-}
-
-dnn::Network
-bad_network()
+TEST(TieredVerify, LintReportsUnsupportedPrecision)
 {
     dnn::Network bad("bad", {64, 1, 1});
     dnn::Layer layer = dnn::make_fc("fc", 64, 64);
     layer.precisionBits = 3; // not expressible by nibble decomposition
     bad.add(layer);
-    return bad;
-}
 
-} // namespace
-
-TEST(TieredVerify, RejectionIsIdenticalAcrossTiers)
-{
-    const core::BFreeAccelerator acc;
-    const dnn::Network bad = bad_network();
-
-    const map::RunResult legacy =
-        acc.run(bad, tiered_config(bce::ExecTier::Legacy));
-    const map::RunResult tiered =
-        acc.run(bad, tiered_config(bce::ExecTier::Tiered));
-
-    EXPECT_TRUE(legacy.rejected);
-    EXPECT_TRUE(tiered.rejected);
-    EXPECT_EQ(legacy.diagnostics.errorCount(),
-              tiered.diagnostics.errorCount());
-    EXPECT_EQ(legacy.diagnostics.toString(),
-              tiered.diagnostics.toString());
-    EXPECT_EQ(legacy.secondsPerInference(), 0.0);
-    EXPECT_EQ(tiered.secondsPerInference(), 0.0);
-}
-
-TEST(TieredVerify, LintFindingsAreIdenticalAcrossTiers)
-{
-    const core::BFreeAccelerator acc;
-    const dnn::Network bad = bad_network();
-
-    const VerifyReport legacy =
-        acc.lint(bad, tiered_config(bce::ExecTier::Legacy));
-    const VerifyReport tiered =
-        acc.lint(bad, tiered_config(bce::ExecTier::Tiered));
-
-    EXPECT_FALSE(legacy.ok());
-    EXPECT_FALSE(tiered.ok());
-    EXPECT_TRUE(legacy.has(RuleId::OpPrecision)) << legacy.toString();
-    EXPECT_EQ(legacy.toString(), tiered.toString());
-}
-
-TEST(TieredVerify, ValidNetworksRunUnderBothTiers)
-{
-    const core::BFreeAccelerator acc;
-    const dnn::Network net = dnn::make_tiny_cnn();
-
-    const map::RunResult legacy =
-        acc.run(net, tiered_config(bce::ExecTier::Legacy));
-    const map::RunResult tiered =
-        acc.run(net, tiered_config(bce::ExecTier::Tiered));
-
-    EXPECT_FALSE(legacy.rejected);
-    EXPECT_FALSE(tiered.rejected);
-    // The analytic closed forms are tier-independent by construction.
-    EXPECT_EQ(legacy.secondsPerInference(),
-              tiered.secondsPerInference());
-    EXPECT_EQ(legacy.joulesPerInference(), tiered.joulesPerInference());
+    const VerifyReport report = core::BFreeAccelerator().lint(bad);
+    EXPECT_FALSE(report.ok());
+    EXPECT_TRUE(report.has(RuleId::OpPrecision)) << report.toString();
 }
 
 TEST(TieredVerify, BatchedKernelCompilePathVerifiesClean)
