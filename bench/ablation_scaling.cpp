@@ -10,7 +10,7 @@
  * Fig. 13/14.
  *
  * All sweep points run on the parallel sweep engine (--threads N,
- * default: hardware concurrency); results are joined in job order, so
+ * default: the CPUs it may use); results are joined in job order, so
  * the output is bit-identical for any thread count. Each slice-count
  * point is additionally cross-validated through the event-driven
  * detailed sub-bank model, which gives the sweep real per-job work and
@@ -87,7 +87,7 @@ main(int argc, char **argv)
     const std::vector<unsigned> batch_points = {1u, 2u, 4u, 8u, 16u, 32u};
 
     // One job list covers both sweeps; runMany shards it across the
-    // work-stealing pool and returns results in job order.
+    // thread pool and returns results in job order.
     std::vector<map::ExecJob> jobs;
     for (unsigned slices : slice_points) {
         map::ExecConfig cfg;

@@ -2,7 +2,7 @@
  * @file
  * Execution-plan amortization: cold plan compile vs per-call
  * quantization vs warm plan runs, plus batched multi-input throughput
- * on the work-stealing pool.
+ * on the thread pool.
  *
  * The workload is a weight-heavy MLP (1024-2048-2048-10, ~6.3M
  * parameters), where the legacy path's per-call weight freeze is real

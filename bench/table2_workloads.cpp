@@ -8,7 +8,7 @@
  * branched Inception or the BERT residual/LayerNorm blocks).
  *
  * Each network is rebuilt and characterized in its own sweep job
- * (--threads N, default: hardware concurrency); rows are joined in
+ * (--threads N, default: the CPUs it may use); rows are joined in
  * job-index order, so the table is bit-identical for any thread count.
  */
 

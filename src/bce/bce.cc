@@ -343,64 +343,104 @@ Bce::matmulDotSpan(const std::int8_t *a, const std::int8_t *b,
     return s.acc;
 }
 
+const lut::DatapathTable *
+Bce::tileTable(unsigned bits, std::size_t k, const std::uint32_t *bFeatures,
+               std::int32_t aLimit)
+{
+    if (_tier != ExecTier::Tiered || !lut::DatapathTable::coversBits(bits))
+        return nullptr;
+    const lut::DatapathTable &t =
+        _mode == BceMode::Conv ? convTable(bits) : romTable(bits);
+    if (!simd::histogram_eligible(t))
+        return nullptr;
+    // The GEMM is only the per-span path when no operand needs that
+    // path's domain handling. int8 always fits the 8-bit domain; 4-bit
+    // tiles check both ranges.
+    const auto [lo, hi] = tileDomain(t);
+    if (-aLimit < lo || aLimit > hi
+        || !simd::features_in_domain(bFeatures, k, lo, hi))
+        return nullptr;
+    return &t;
+}
+
+std::pair<std::int32_t, std::int32_t>
+Bce::tileDomain(const lut::DatapathTable &t) const
+{
+    return {-t.half(), _mode == BceMode::Conv ? t.half() - 1 : t.half()};
+}
+
+Bce::TileTally
+Bce::foldTile(const lut::DatapathTable &t, std::size_t m, std::size_t k,
+              std::size_t n, const std::uint32_t *aFeatures,
+              const std::uint32_t *bFeatures)
+{
+    // sum_{spans} sum_k f(x)f(w) = sum_k F_x(k) F_w(k): the tile's
+    // micro-op tallies are exactly the m*n per-span tallies summed.
+    return {simd::fold_tile_features(aFeatures, bFeatures, k,
+                                     t.cyclesFactor()),
+            std::uint64_t{m} * n};
+}
+
+Bce::TileTally
+Bce::computeTile(const lut::DatapathTable &t, BceMode mode,
+                 const std::int8_t *a, const std::int8_t *b,
+                 std::int32_t *out, std::size_t m, std::size_t k,
+                 std::size_t n, const std::uint32_t *aFeatures,
+                 const std::uint32_t *bFeatures,
+                 const std::int32_t *bRowSums)
+{
+    if (mode == BceMode::Conv)
+        std::fill(out, out + m * n, 0);
+    simd::gemm_i8(a, b, out, m, k, n, bRowSums);
+    return foldTile(t, m, k, n, aFeatures, bFeatures);
+}
+
+void
+Bce::bookTile(const TileTally &tally, std::size_t k, unsigned bits)
+{
+    const simd::SpanSums &s = tally.sums;
+    stats_.counts.shifts += s.shifts;
+    if (_mode == BceMode::Conv) {
+        stats_.counts.lutLookups += s.lookups;
+        // len - 1 accumulator adds per span.
+        stats_.counts.adds += s.adds + (k > 0 ? tally.spans * (k - 1) : 0);
+        noteConvLutReads(s.lookups);
+    } else {
+        stats_.counts.romLookups += s.lookups;
+        stats_.counts.adds += s.adds + tally.spans * k; // one lane add each
+        stats_.counts.cycles += s.cycles;
+    }
+    chargeMacs(tally.spans * k, bits);
+}
+
 bool
 Bce::runTile(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
              std::size_t m, std::size_t k, std::size_t n, unsigned bits,
              const std::uint32_t *bFeatures, const std::int32_t *bRowSums,
              std::uint32_t *scratch)
 {
-    if (_tier != ExecTier::Tiered || !lut::DatapathTable::coversBits(bits)
-        || m == 0 || n == 0)
+    if (m == 0 || n == 0)
         return false;
-    const lut::DatapathTable &t =
-        _mode == BceMode::Conv ? convTable(bits) : romTable(bits);
-    if (!simd::histogram_eligible(t))
-        return false;
-
     std::vector<std::uint32_t> ownX, ownB;
-    if (scratch == nullptr) {
-        ownX.resize(tileScratchWords(k));
-        scratch = ownX.data();
-    }
     if (bFeatures == nullptr) {
         ownB.resize(tileScratchWords(k));
         simd::class_feature_sums(b, n, k, ownB.data());
         bFeatures = ownB.data();
     }
-    simd::class_feature_sums(a, m, k, scratch);
-
-    // The GEMM is only the per-span path when no operand needs that
-    // path's domain handling: conv spans clamp to [-half, half - 1],
-    // matmul spans refuse anything outside [-half, half]. int8 always
-    // fits the 8-bit domain; 4-bit tiles check both measured ranges.
-    const std::int32_t lo = -t.half();
-    const std::int32_t hi = _mode == BceMode::Conv ? t.half() - 1
-                                                    : t.half();
-    if (!simd::features_in_domain(scratch, k, lo, hi)
-        || !simd::features_in_domain(bFeatures, k, lo, hi))
+    const lut::DatapathTable *t = tileTable(bits, k, bFeatures, 0);
+    if (t == nullptr)
         return false;
-
-    if (_mode == BceMode::Conv)
-        std::fill(out, out + m * n, 0);
-    simd::gemm_i8(a, b, out, m, k, n, bRowSums);
-
-    // sum_{spans} sum_k f(x)f(w) = sum_k F_x(k) F_w(k): the tile's
-    // micro-op tallies are exactly the m*n per-span tallies summed.
-    const simd::SpanSums s =
-        simd::fold_tile_features(scratch, bFeatures, k, t.cyclesFactor());
-    const std::uint64_t spans = std::uint64_t{m} * n;
-    stats_.counts.shifts += s.shifts;
-    if (_mode == BceMode::Conv) {
-        stats_.counts.lutLookups += s.lookups;
-        // len - 1 accumulator adds per span.
-        stats_.counts.adds += s.adds + (k > 0 ? spans * (k - 1) : 0);
-        noteConvLutReads(s.lookups);
-    } else {
-        stats_.counts.romLookups += s.lookups;
-        stats_.counts.adds += s.adds + spans * k; // one lane add each
-        stats_.counts.cycles += s.cycles;
+    if (scratch == nullptr) {
+        ownX.resize(tileScratchWords(k));
+        scratch = ownX.data();
     }
-    chargeMacs(spans * k, bits);
+    simd::class_feature_sums(a, m, k, scratch);
+    const auto [lo, hi] = tileDomain(*t);
+    if (!simd::features_in_domain(scratch, k, lo, hi))
+        return false;
+    bookTile(computeTile(*t, _mode, a, b, out, m, k, n, scratch, bFeatures,
+                         bRowSums),
+             k, bits);
     return true;
 }
 

@@ -42,6 +42,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "config_block.hh"
@@ -241,6 +242,74 @@ class Bce
         return simd::feature_count * k + 1;
     }
 
+    // A tile on the GEMM path is two steps. The compute step
+    // (computeTile, foldTile) runs the GEMM and folds the micro-op
+    // tallies of the tile's spans into a TileTally; it touches no Bce
+    // state, so disjoint tiles may compute on different threads against
+    // the table tileTable() returned. The booking step (bookTile) books
+    // a tally into the statistics once, on the Bce's own thread. Tally
+    // sums are integer and order-free, so splitting a tile any way and
+    // booking the summed tally books exactly what the whole tile books.
+
+    /** The integer tally of a tile's compute step. */
+    struct TileTally
+    {
+        simd::SpanSums sums; ///< Micro-op tallies (acc unused).
+        std::uint64_t spans = 0; ///< Activation rows x weight rows.
+
+        TileTally &
+        operator+=(const TileTally &o)
+        {
+            sums.lookups += o.sums.lookups;
+            sums.shifts += o.sums.shifts;
+            sums.adds += o.sums.adds;
+            sums.cycles += o.sums.cycles;
+            spans += o.spans;
+            return *this;
+        }
+    };
+
+    /**
+     * The gate of the GEMM path, checked once before a tile or a
+     * fan-out of tiles: the table the current mode's tiles compute
+     * against at @p bits (seeded here on first use), or null when they
+     * must run the per-span loop. That is the Legacy tier, a precision
+     * without a table, a table that fails simd::histogram_eligible, or
+     * an operand outside the mode's span domain: the weights by the
+     * range word of their feature sums @p bFeatures (k columns), the
+     * activations by a bound |a| <= @p aLimit known before they are
+     * (a quantizer's limit; 0 when the caller checks measured features
+     * itself).
+     */
+    const lut::DatapathTable *tileTable(unsigned bits, std::size_t k,
+                                        const std::uint32_t *bFeatures,
+                                        std::int32_t aLimit);
+
+    /**
+     * Compute step of one m x n tile against @p t in @p mode: the
+     * products from simd::gemm_i8 into @p out (conv mode overwrites,
+     * matmul mode accumulates) and the tally folded from the
+     * activation and weight feature sums.
+     */
+    static TileTally computeTile(const lut::DatapathTable &t, BceMode mode,
+                                 const std::int8_t *a, const std::int8_t *b,
+                                 std::int32_t *out, std::size_t m,
+                                 std::size_t k, std::size_t n,
+                                 const std::uint32_t *aFeatures,
+                                 const std::uint32_t *bFeatures,
+                                 const std::int32_t *bRowSums);
+
+    /** The tally half of computeTile: m*n spans of length k, from the
+     *  rank-1 class-feature identity (simd::fold_tile_features). */
+    static TileTally foldTile(const lut::DatapathTable &t, std::size_t m,
+                              std::size_t k, std::size_t n,
+                              const std::uint32_t *aFeatures,
+                              const std::uint32_t *bFeatures);
+
+    /** Booking step: book @p tally, of spans of length @p k, as that
+     *  many spans of the current mode would have booked it. */
+    void bookTile(const TileTally &tally, std::size_t k, unsigned bits);
+
     /**
      * Conv-mode tile: out[i * n + j] = dot(a[i], w[j]), the value m*n
      * dotProductSpan(w[j], a[i], k, bits) calls return.
@@ -381,14 +450,16 @@ class Bce
     /** Memoized matmul-mode (hardwired ROM) table for @p bits. */
     const lut::DatapathTable &romTable(unsigned bits);
 
+    /** [lo, hi] operands of the current mode's spans take unchanged
+     *  from @p t: conv spans clamp, matmul spans refuse the rest. */
+    std::pair<std::int32_t, std::int32_t>
+    tileDomain(const lut::DatapathTable &t) const;
+
     /**
-     * The GEMM-and-feature-fold body of both tile entry points. Returns
-     * false, with out and the statistics untouched, unless the Tiered
-     * engine's table passes simd::histogram_eligible and every operand
-     * lies inside the current mode's span domain. Otherwise out takes
-     * the products (conv mode overwrites, matmul mode accumulates), and
-     * the tile's lookups, shifts, adds, cycles and MACs are booked
-     * once, as m*n spans of the current mode would have booked them.
+     * The GEMM body of both tile entry points: tileTable(), the
+     * measured activation domain, then computeTile and bookTile.
+     * Returns false, with out and the statistics untouched, when the
+     * tile must run the per-span loop.
      */
     bool runTile(const std::int8_t *a, const std::int8_t *b,
                  std::int32_t *out, std::size_t m, std::size_t k,

@@ -165,17 +165,17 @@ feature_sums_scalar(const std::int8_t *tile, std::size_t rows,
 
 void
 gemm_scalar(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
-            std::size_t m, std::size_t k, std::size_t n)
+            std::size_t m, std::size_t k, std::size_t n, std::size_t ldo)
 {
     for (std::size_t i = 0; i < m; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
             const std::int8_t *ar = a + i * k;
             const std::int8_t *br = b + j * k;
-            std::uint32_t acc = static_cast<std::uint32_t>(out[i * n + j]);
+            std::uint32_t acc = static_cast<std::uint32_t>(out[i * ldo + j]);
             for (std::size_t p = 0; p < k; ++p)
                 acc += static_cast<std::uint32_t>(std::int32_t{ar[p]}
                                                   * br[p]);
-            out[i * n + j] = static_cast<std::int32_t>(acc);
+            out[i * ldo + j] = static_cast<std::int32_t>(acc);
         }
     }
 }
@@ -203,7 +203,7 @@ row_sums_scalar(const std::int8_t *tile, std::size_t rows, std::size_t k,
 template <template <int, int> class Block, int MR, int NR>
 void
 gemm_blocked(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
-             std::size_t m, std::size_t k, std::size_t n,
+             std::size_t m, std::size_t k, std::size_t n, std::size_t ldo,
              const std::int32_t *bSums = nullptr)
 {
     std::size_t j = 0;
@@ -211,20 +211,20 @@ gemm_blocked(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
         const std::int32_t *sj = bSums != nullptr ? bSums + j : nullptr;
         std::size_t i = 0;
         for (; i + MR <= m; i += MR)
-            Block<MR, NR>::run(a + i * k, b + j * k, k, out + i * n + j, n,
+            Block<MR, NR>::run(a + i * k, b + j * k, k, out + i * ldo + j, ldo,
                                sj);
         for (; i < m; ++i)
-            Block<1, NR>::run(a + i * k, b + j * k, k, out + i * n + j, n,
+            Block<1, NR>::run(a + i * k, b + j * k, k, out + i * ldo + j, ldo,
                               sj);
     }
     for (; j < n; ++j) {
         const std::int32_t *sj = bSums != nullptr ? bSums + j : nullptr;
         std::size_t i = 0;
         for (; i + MR <= m; i += MR)
-            Block<MR, 1>::run(a + i * k, b + j * k, k, out + i * n + j, n,
+            Block<MR, 1>::run(a + i * k, b + j * k, k, out + i * ldo + j, ldo,
                               sj);
         for (; i < m; ++i)
-            Block<1, 1>::run(a + i * k, b + j * k, k, out + i * n + j, n,
+            Block<1, 1>::run(a + i * k, b + j * k, k, out + i * ldo + j, ldo,
                              sj);
     }
 }
@@ -1563,8 +1563,10 @@ weight_row_sums(const std::int8_t *tile, std::size_t rows, std::size_t k,
 void
 gemm_i8(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
         std::size_t m, std::size_t k, std::size_t n,
-        const std::int32_t *bRowSums)
+        const std::int32_t *bRowSums, std::size_t ldo)
 {
+    if (ldo == 0)
+        ldo = n;
     switch (sim::active_simd_level()) {
 #ifdef BFREE_X86_KERNELS
       case sim::SimdLevel::Avx512Vnni: {
@@ -1577,17 +1579,18 @@ gemm_i8(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
             weight_row_sums(b, n, k, ownSums.data());
             bRowSums = ownSums.data();
         }
-        return gemm_blocked<GemmVnni, 4, 4>(a, b, out, m, k, n, bRowSums);
+        return gemm_blocked<GemmVnni, 4, 4>(a, b, out, m, k, n, ldo,
+                                            bRowSums);
       }
       case sim::SimdLevel::Avx512:
-        return gemm_blocked<GemmAvx512, 4, 4>(a, b, out, m, k, n);
+        return gemm_blocked<GemmAvx512, 4, 4>(a, b, out, m, k, n, ldo);
       case sim::SimdLevel::Avx2:
-        return gemm_blocked<GemmAvx2, 2, 4>(a, b, out, m, k, n);
+        return gemm_blocked<GemmAvx2, 2, 4>(a, b, out, m, k, n, ldo);
       case sim::SimdLevel::Sse42:
-        return gemm_blocked<GemmSse42, 2, 4>(a, b, out, m, k, n);
+        return gemm_blocked<GemmSse42, 2, 4>(a, b, out, m, k, n, ldo);
 #endif
       default:
-        return gemm_scalar(a, b, out, m, k, n);
+        return gemm_scalar(a, b, out, m, k, n, ldo);
     }
 }
 

@@ -164,11 +164,14 @@ void weight_row_sums(const std::int8_t *tile, std::size_t rows,
  *
  * @p bRowSums, when not null, holds weight_row_sums of the n rows of
  * b (frozen at plan compile); null makes the VNNI core compute them
- * per call. The other cores ignore it.
+ * per call. The other cores ignore it. @p ldo is the row stride of
+ * out, 0 meaning n: a block of columns [j0, j0 + n) of a wider output
+ * is gemm_i8(a, b + j0 * k, out + j0, m, k, n, sums + j0, width).
  */
 void gemm_i8(const std::int8_t *a, const std::int8_t *b,
              std::int32_t *out, std::size_t m, std::size_t k,
-             std::size_t n, const std::int32_t *bRowSums = nullptr);
+             std::size_t n, const std::int32_t *bRowSums = nullptr,
+             std::size_t ldo = 0);
 
 /**
  * A strided view of an int8 operand span: the logical span is nRuns

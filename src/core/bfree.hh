@@ -76,8 +76,9 @@ class BFreeAccelerator
 
     /**
      * Run many (network, config) sweep points in parallel on the
-     * work-stealing pool. Results are in job order and bit-identical
-     * for any thread count; @p threads = 0 uses hardware concurrency.
+     * thread pool. Results are in job order and bit-identical
+     * for any thread count; @p threads = 0 uses the CPUs the process may
+     * run on.
      */
     std::vector<map::RunResult>
     runMany(const std::vector<map::ExecJob> &jobs,
@@ -113,9 +114,10 @@ class BFreeAccelerator
                                    const dnn::FloatTensor &input) const;
 
     /**
-     * Run a compiled plan over many inputs on the work-stealing pool;
+     * Run a compiled plan over many inputs on the thread pool;
      * outputs, statistics and energy are bit-identical to a sequential
-     * loop for any @p threads (0 = hardware concurrency).
+     * loop for any @p threads (0 = the CPUs the process may run on),
+     * shared out over the batch's executors.
      */
     BatchResult
     runFunctionalBatch(const NetworkPlan &plan,

@@ -14,12 +14,13 @@ namespace bfree::core {
 
 FunctionalExecutor::FunctionalExecutor(const tech::CacheGeometry &geom,
                                        const tech::TechParams &tech,
-                                       bce::ExecTier tier)
+                                       bce::ExecTier tier, unsigned threads)
     : geom(geom), tech(tech), subarray(geom, tech, account),
       bce(subarray, tech, account), divisionLut(4),
       sigmoidTable(lut::make_sigmoid_table()),
       tanhTable(lut::make_tanh_table()),
-      expTable(lut::make_exp_table())
+      expTable(lut::make_exp_table()), pool_(threads),
+      slots_(pool_.threads())
 {
     bce.setTier(tier);
     bce.loadMultLutImage();
@@ -64,8 +65,6 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
         std::int8_t *qin =
             arena_.alloc<std::int8_t>(pl.inElems + (el.staged ? 0 : slack));
         dnn::quantize_span(qi, in, pl.inElems, qin);
-        std::int8_t *patch =
-            arena_.alloc<std::int8_t>(std::size_t(o.w) * patch_len + slack);
         std::int32_t *offsets = arena_.alloc<std::int32_t>(el.nRuns);
         dnn::elided_offsets(layer, offsets);
         const std::int8_t *viewPlane = qin;
@@ -80,30 +79,78 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
         view.nRuns = el.nRuns;
         view.runLen = el.runLen;
 
-        // One Bce::convTile per output row: the row's o.w patches
-        // against every filter, with the plan's frozen filter-side
-        // feature sums.
-        std::int32_t *accs =
-            arena_.alloc<std::int32_t>(std::size_t(o.w) * o.c);
-        std::uint32_t *tileScratch = arena_.alloc<std::uint32_t>(
-            bce::Bce::tileScratchWords(patch_len));
-        for (unsigned oh = 0; oh < o.h; ++oh) {
-            view.base =
+        // The row's o.w patches against every filter: out (row i is
+        // output column i) is dequantized into the filter planes, one
+        // contiguous run per filter, with a folded ReLU applied in the
+        // same pass.
+        const auto patchRow = [&](unsigned oh, std::int8_t *patch) {
+            bce::simd::SpanView v = view;
+            v.base =
                 viewPlane + std::size_t(oh) * layer.strideH * el.rowBytes;
-            bce::simd::materialize_span_block(view, o.w, layer.strideW,
-                                              patch, patch_len);
-            bce.convTile(patch, fw.q8.data(), accs, o.w, patch_len, o.c,
-                         bits, fw.featureSums(), fw.rowSumData(),
-                         tileScratch);
-            // Dequantize the tile (row i is output column i) into the
-            // filter planes, one contiguous run per filter, with a
-            // folded ReLU applied in the same pass.
+            bce::simd::materialize_span_block(v, o.w, layer.strideW, patch,
+                                              patch_len);
+        };
+        const auto storeRow = [&](unsigned oh, const std::int32_t *accs) {
             for (unsigned k = 0; k < o.c; ++k)
                 bce::simd::dequantize_store(
                     accs + k, o.c, o.w, fw.scale.scale, qi.scale,
                     &pl.bias[k], 0, pl.foldedRelu,
                     out + std::size_t(k) * outHW + std::size_t(oh) * o.w);
+        };
+
+        // Row scratch from the executor's row arena: one slot per pool
+        // thread, or only the caller's when the per-span loop runs.
+        const lut::DatapathTable *table =
+            bce.tileTable(bits, patch_len, fw.featureSums(), qi.limit);
+        const std::size_t nSlots = table != nullptr ? slots_.size() : 1;
+        rowArena_.reset();
+        for (std::size_t s = 0; s < nSlots; ++s) {
+            slots_[s].patch = rowArena_.alloc<std::int8_t>(
+                std::size_t(o.w) * patch_len + slack);
+            slots_[s].accs =
+                rowArena_.alloc<std::int32_t>(std::size_t(o.w) * o.c);
+            slots_[s].features = rowArena_.alloc<std::uint32_t>(
+                bce::Bce::tileScratchWords(patch_len));
+            slots_[s].tally = {};
         }
+        if (table == nullptr) {
+            // The per-span loop books as it goes: one row at a time on
+            // the calling thread.
+            RowSlot &rs = slots_[0];
+            for (unsigned oh = 0; oh < o.h; ++oh) {
+                patchRow(oh, rs.patch);
+                bce.convTile(rs.patch, fw.q8.data(), rs.accs, o.w,
+                             patch_len, o.c, bits, fw.featureSums(),
+                             fw.rowSumData(), rs.features);
+                storeRow(oh, rs.accs);
+            }
+            return;
+        }
+
+        // Contiguous row chunks, one per pool thread at most. Each
+        // thread runs the compute step of its rows' tiles on its own
+        // slot; the summed tally is booked once, here.
+        const std::size_t chunks =
+            std::min<std::size_t>(slots_.size(), o.h);
+        pool_.parallelFor(chunks, [&](std::size_t c, unsigned slot) {
+            RowSlot &rs = slots_[slot];
+            const auto begin = static_cast<unsigned>(c * o.h / chunks);
+            const auto end = static_cast<unsigned>((c + 1) * o.h / chunks);
+            for (unsigned oh = begin; oh < end; ++oh) {
+                patchRow(oh, rs.patch);
+                bce::simd::class_feature_sums(rs.patch, o.w, patch_len,
+                                              rs.features);
+                rs.tally += bce::Bce::computeTile(
+                    *table, bce::BceMode::Conv, rs.patch, fw.q8.data(),
+                    rs.accs, o.w, patch_len, o.c, rs.features,
+                    fw.featureSums(), fw.rowSumData());
+                storeRow(oh, rs.accs);
+            }
+        });
+        bce::Bce::TileTally tally;
+        for (const RowSlot &rs : slots_)
+            tally += rs.tally;
+        bce.bookTile(tally, patch_len, bits);
         return;
     }
 
@@ -172,10 +219,43 @@ FunctionalExecutor::matmulInto(const float *a, std::size_t m,
         dnn::quantize_span(qa, a, m * k, qa8);
         std::int32_t *accs = arena_.alloc<std::int32_t>(m * n);
         std::fill(accs, accs + m * n, 0);
-        bce.matmulTile(qa8, wt.q8.data(), accs, m, k, n, bits,
-                       wt.featureSums(), wt.rowSumData(),
-                       arena_.alloc<std::uint32_t>(
-                           bce::Bce::tileScratchWords(k)));
+        std::uint32_t *aFeatures =
+            arena_.alloc<std::uint32_t>(bce::Bce::tileScratchWords(k));
+        const std::int8_t *w = wt.q8.data();
+        const std::int32_t *rowSums = wt.rowSumData();
+        const std::uint32_t *wFeatures = wt.featureSums();
+        // Weights frozen outside a plan, without feature sums, run the
+        // whole tile on the calling thread.
+        const lut::DatapathTable *table =
+            wFeatures != nullptr ? bce.tileTable(bits, k, wFeatures, qa.limit)
+                                 : nullptr;
+        if (table == nullptr) {
+            bce.matmulTile(qa8, w, accs, m, k, n, bits, wFeatures, rowSums,
+                           aFeatures);
+        } else {
+            // The activation features and the tally fold are computed
+            // once; the GEMM splits over contiguous blocks of weight
+            // rows, four-column aligned (the GEMM cores' register
+            // block), each worth minMatmulMacsPerBlock MACs or more.
+            bce::simd::class_feature_sums(qa8, m, k, aFeatures);
+            const bce::Bce::TileTally tally =
+                bce::Bce::foldTile(*table, m, k, n, aFeatures, wFeatures);
+            const std::size_t quads = (n + 3) / 4;
+            const std::size_t blocks = std::max<std::size_t>(
+                1, std::min({m * k * n / minMatmulMacsPerBlock,
+                             std::size_t{pool_.threads()}, quads}));
+            pool_.parallelFor(blocks, [&](std::size_t b, unsigned) {
+                const std::size_t j0 = b * quads / blocks * 4;
+                const std::size_t j1 =
+                    std::min(n, (b + 1) * quads / blocks * 4);
+                bce::simd::gemm_i8(qa8, w + j0 * k, accs + j0, m, k,
+                                   j1 - j0,
+                                   rowSums != nullptr ? rowSums + j0
+                                                      : nullptr,
+                                   n);
+            });
+            bce.bookTile(tally, k, bits);
+        }
         for (std::size_t i = 0; i < m; ++i)
             bce::simd::dequantize_store(accs + i * n, 1, n, s0, s1, bias,
                                         biasStride, relu, out + i * n);
@@ -266,6 +346,7 @@ FunctionalExecutor::runInto(const NetworkPlan &plan, const float *input,
 
     const PlanStats &ps = plan.stats();
     arena_.reserve(ps.arenaBytes);
+    rowArena_.reserve(slots_.size() * ps.rowScratchBytes);
     arena_.reset();
     // Restart the high-water mark so highWater() reports the peak of
     // the plan actually run: a smaller plan run after a larger one
@@ -495,6 +576,10 @@ run_functional_batch(const NetworkPlan &plan,
     const unsigned threads = sim::resolve_threads(opts.threads);
     const std::size_t chunks = std::min<std::size_t>(threads, n);
     const std::size_t per = (n + chunks - 1) / chunks;
+    // The batch's threads are shared out: each chunk's executor splits
+    // its layers over its share, so the total stays at threads.
+    const auto execThreads =
+        static_cast<unsigned>(std::max<std::size_t>(1, threads / chunks));
 
     // Contiguous chunks, one long-lived executor each: the memoized
     // datapath tables and the arena are paid once per worker. Each
@@ -510,8 +595,11 @@ run_functional_batch(const NetworkPlan &plan,
         if (begin >= end)
             break;
         tasks.push_back([&plan, &inputs, &result, &perInput, &opts,
-                         begin, end] {
-            FunctionalExecutor exec(opts.geom, opts.tech);
+                         execThreads, begin, end] {
+            FunctionalExecutor exec(opts.geom, opts.tech,
+                                    bce::ExecTier::Tiered, execThreads);
+            if (begin == 0)
+                result.executorThreads = exec.threads();
             for (std::size_t i = begin; i < end; ++i) {
                 const bce::BceStats before = exec.stats();
                 exec.runInto(plan, inputs[i]->data(), inputs[i]->size(),

@@ -12,11 +12,22 @@
  *
  * Execution is plan-driven (core::NetworkPlan): weights are quantized
  * once at plan compile and the steady-state path serves all scratch
- * from one pre-sized TensorArena with zero heap allocations; every
- * entry point runs a compiled plan. run_functional_batch() amortizes
- * one plan across many inputs on the work-stealing pool with outputs,
+ * from pre-sized TensorArenas with zero heap allocations; every entry
+ * point runs a compiled plan. run_functional_batch() amortizes one
+ * plan across many inputs on the thread pool with outputs,
  * statistics and energy bit-identical to the sequential loop at any
  * thread count.
+ *
+ * Within one inference the executor splits the loops that hold the
+ * MACs over its own worker pool, the way BFree's sub-arrays share a
+ * layer: a <= 8-bit conv's output rows in contiguous chunks, and a
+ * matmul's weight rows (N) in contiguous blocks. The workers only run
+ * the compute step of the tile (Bce::computeTile); the statistics are
+ * booked once on the calling thread from the summed integer tally, so
+ * outputs, statistics and energy are byte-identical at every executor
+ * thread count. Everything else (quantize and stage, pooling, the PWL
+ * and softmax, the per-span fallback, the Legacy tier and 16-bit
+ * layers) runs on the calling thread.
  */
 
 #ifndef BFREE_CORE_FUNCTIONAL_HH
@@ -34,6 +45,7 @@
 #include "lut/division.hh"
 #include "lut/pwl.hh"
 #include "mem/subarray.hh"
+#include "sim/parallel.hh"
 #include "sim/random.hh"
 #include "tech/geometry.hh"
 #include "tech/tech_params.hh"
@@ -48,21 +60,37 @@ struct FunctionalResult
 };
 
 /**
- * Executes a network functionally on one Bce + Subarray pair.
+ * Executes a network functionally on one Bce + Subarray pair, with a
+ * worker pool for the conv rows and matmul columns of each layer.
  */
 class FunctionalExecutor
 {
   public:
     /**
-     * @param tier Execution tier of the underlying BCE. Tiered (the
-     *             default) serves steady-state MACs from memoized
-     *             datapath tables; Legacy runs the full scalar
-     *             decomposition. Both produce bit-identical outputs,
-     *             statistics and energy.
+     * A matmul splits its weight rows over the pool only when every
+     * block gets at least this many MACs: below it the fork/join costs
+     * more than the block saves. Measured on a 4-vCPU AVX512-VNNI host
+     * with one FC layer forced to split at every size (DESIGN.md
+     * section 17, "Intra-image parallelism").
+     */
+    static constexpr std::size_t minMatmulMacsPerBlock = 1u << 18;
+
+    /**
+     * @param tier    Execution tier of the underlying BCE. Tiered (the
+     *                default) serves steady-state MACs from memoized
+     *                datapath tables; Legacy runs the full scalar
+     *                decomposition. Both produce bit-identical outputs,
+     *                statistics and energy.
+     * @param threads Threads one inference may use, the caller
+     *                included; 0 means sim::resolve_threads(0), the CPUs
+     *                this thread may run on. 1 runs inline and starts no
+     *                workers. Outputs, statistics and energy do not
+     *                depend on it.
      */
     FunctionalExecutor(const tech::CacheGeometry &geom = {},
                        const tech::TechParams &tech = {},
-                       bce::ExecTier tier = bce::ExecTier::Tiered);
+                       bce::ExecTier tier = bce::ExecTier::Tiered,
+                       unsigned threads = 0);
 
     /**
      * Run a compiled plan on @p input. The steady-state entry point:
@@ -128,6 +156,9 @@ class FunctionalExecutor
     /** The scratch arena (sizing/zero-allocation introspection). */
     const dnn::TensorArena &arena() const { return arena_; }
 
+    /** The conv row scratch arena, one slot per thread (same use). */
+    const dnn::TensorArena &rowArena() const { return rowArena_; }
+
     /** BCE statistics accumulated so far. */
     const bce::BceStats &stats() const { return bce.stats(); }
 
@@ -146,7 +177,19 @@ class FunctionalExecutor
     /** Execution tier of the underlying BCE. */
     bce::ExecTier tier() const { return bce.tier(); }
 
+    /** Threads one inference uses, the caller included. */
+    unsigned threads() const { return pool_.threads(); }
+
   private:
+    /** One pool thread's conv row scratch and its tally. */
+    struct RowSlot
+    {
+        std::int8_t *patch = nullptr;
+        std::int32_t *accs = nullptr;
+        std::uint32_t *features = nullptr;
+        bce::Bce::TileTally tally;
+    };
+
     /** Conv over im2col patches, frozen filter bank, arena scratch. */
     void runConvInto(const PlannedLayer &pl, unsigned bits,
                      const float *in, float *out);
@@ -184,12 +227,17 @@ class FunctionalExecutor
     lut::PwlTable tanhTable;
     lut::PwlTable expTable;
     dnn::TensorArena arena_;
+    /** Conv row scratch, one RowSlot's worth per pool thread. */
+    dnn::TensorArena rowArena_;
+    sim::ThreadPool pool_;
+    std::vector<RowSlot> slots_; ///< One per pool thread.
 };
 
 /** Knobs for a batched plan run. */
 struct BatchOptions
 {
-    /** Worker threads; 0 means hardware concurrency. */
+    /** Threads for the whole batch; 0 means sim::resolve_threads(0).
+     *  Each chunk's executor gets max(1, threads / chunks) of them. */
     unsigned threads = 0;
     tech::CacheGeometry geom{};
     tech::TechParams tech{};
@@ -207,6 +255,8 @@ struct BatchResult
      *  tallies in one bulk deposit. Excludes the per-worker LUT-image
      *  load (a fixed per-executor setup cost, not batch work). */
     mem::EnergyAccount energy;
+    /** FunctionalExecutor::threads() of each chunk's executor. */
+    unsigned executorThreads = 0;
 };
 
 /**

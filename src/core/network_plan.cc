@@ -67,6 +67,21 @@ matmul_scratch_bytes(std::size_t m, std::size_t k, std::size_t n,
                bce::Bce::tileScratchWords(k));
 }
 
+std::size_t
+conv_row_scratch_bytes(const dnn::Layer &layer)
+{
+    using dnn::TensorArena;
+    const dnn::FeatureShape o = layer.outputShape();
+    const std::size_t patch_len =
+        std::size_t(layer.input.c) * layer.kernelH * layer.kernelW;
+    return TensorArena::paddedBytes<std::int8_t>(
+               std::size_t(o.w) * patch_len
+               + bce::simd::SpanView::slackBytes)
+           + TensorArena::paddedBytes<std::int32_t>(std::size_t(o.w) * o.c)
+           + TensorArena::paddedBytes<std::uint32_t>(
+               bce::Bce::tileScratchWords(patch_len));
+}
+
 namespace {
 
 using dnn::TensorArena;
@@ -154,28 +169,24 @@ plan_shapes(const dnn::Network &net, unsigned bits,
                 elems = o.elements();
                 break;
             }
-            // The elided front end: the quantized plane, a whole output
-            // ROW of patches, the per-layer run-offset table and, for
-            // padded layers, the staged zero-padded plane. Buffers the
-            // view compactor touches carry its whole-word copy slack.
-            // Then Bce::convTile's int32 outputs for the row and the
-            // activation-side feature sums. Every size goes through the
-            // exact paddedBytes expressions runConvInto allocates with.
+            // The elided front end: the quantized plane, the per-layer
+            // run-offset table and, for padded layers, the staged
+            // zero-padded plane. Buffers the view compactor touches
+            // carry its whole-word copy slack. Every size goes through
+            // the exact paddedBytes expressions runConvInto allocates
+            // with. The per-thread row scratch lives in the executor's
+            // row arena (conv_row_scratch_bytes, rowScratchBytes).
             constexpr std::size_t slack = bce::simd::SpanView::slackBytes;
             const dnn::ElisionLayout el = dnn::elision_layout(layer);
             pl.scratchBytes =
                 TensorArena::paddedBytes<std::int8_t>(
                     layer.input.elements() + (el.staged ? 0 : slack))
-                + TensorArena::paddedBytes<std::int8_t>(
-                    std::size_t(o.w) * patch_len + slack)
                 + TensorArena::paddedBytes<std::int32_t>(el.nRuns)
                 + (el.staged ? TensorArena::paddedBytes<std::int8_t>(
                                    el.stagingBytes + slack)
-                             : 0)
-                + TensorArena::paddedBytes<std::int32_t>(
-                    std::size_t(o.w) * o.c)
-                + TensorArena::paddedBytes<std::uint32_t>(
-                    bce::Bce::tileScratchWords(patch_len));
+                             : 0);
+            ps.rowScratchBytes =
+                std::max(ps.rowScratchBytes, conv_row_scratch_bytes(layer));
             shape = {o.c, o.h, o.w};
             elems = o.elements();
             break;

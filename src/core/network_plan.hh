@@ -63,6 +63,15 @@ NetworkWeights random_weights(const dnn::Network &net, sim::Rng &rng,
 std::size_t matmul_scratch_bytes(std::size_t m, std::size_t k,
                                  std::size_t n, unsigned bits);
 
+/**
+ * Arena bytes one thread of the <= 8-bit conv front end takes per
+ * output row of @p layer: the row of o.w patches (with the view
+ * compactor's slack), Bce::convTile's int32 outputs for the row and
+ * the activation-side feature sums. Every executor thread that takes
+ * rows holds one such set.
+ */
+std::size_t conv_row_scratch_bytes(const dnn::Layer &layer);
+
 /** One layer frozen into a plan. */
 struct PlannedLayer
 {
@@ -107,6 +116,10 @@ struct PlanStats
     std::size_t activationBytes = 0;
     /** Worst single layer's scratch (the rest of the arena). */
     std::size_t peakScratchBytes = 0;
+    /** Worst conv_row_scratch_bytes over the plan's <= 8-bit convs:
+     *  what each executor thread holds in the executor's row arena
+     *  (not part of arenaBytes). */
+    std::size_t rowScratchBytes = 0;
     /** Elements of the largest activation crossing a layer boundary. */
     std::size_t maxActivationElems = 0;
     /** Bytes of frozen quantized weights held by the plan. */

@@ -115,9 +115,10 @@ struct DetailedJob
 
 /**
  * Run each job through a private DetailedSubBankSim (its own event
- * queue, clock and energy account), sharded across a work-stealing
+ * queue, clock and energy account), sharded across the fork/join
  * thread pool. Results come back in job order and are bit-identical
- * for any thread count; @p threads = 0 uses hardware concurrency.
+ * for any thread count; @p threads = 0 uses the CPUs the process
+ * may run on.
  */
 std::vector<DetailedRunResult>
 run_detailed_batch(const tech::CacheGeometry &geom,

@@ -156,9 +156,9 @@ struct ExecJob
 
 /**
  * Run every sweep point through its own ExecutionModel, sharded across
- * a work-stealing thread pool (sim/parallel.hh). Results come back in
+ * a fork/join thread pool (sim/parallel.hh). Results come back in
  * job order and are bit-identical for any thread count; @p threads = 0
- * uses hardware concurrency.
+ * uses the CPUs the process may run on.
  */
 std::vector<RunResult> run_sweep(const tech::CacheGeometry &geom,
                                  const tech::TechParams &tech,

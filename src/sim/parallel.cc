@@ -1,5 +1,7 @@
 #include "parallel.hh"
 
+#include <sched.h>
+
 #include <chrono>
 #include <cstdlib>
 #include <sstream>
@@ -14,6 +16,25 @@ namespace {
 /** Sanity cap on the CLI flag; far above any real machine. */
 constexpr unsigned long maxThreads = 4096;
 
+/**
+ * How long an idle worker polls for the next batch, and the caller for
+ * the join, before blocking. The executor forks once per layer or LSTM
+ * gate matvec, so batches come back to back; blocking at once there
+ * cost 2-6% of vgg16-8b and lstm-8b throughput (DESIGN.md section 17,
+ * "Polling before blocking"). A worker idle for longer sleeps.
+ */
+constexpr std::chrono::microseconds spinWindow{100};
+
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#else
+    std::this_thread::yield();
+#endif
+}
+
 } // namespace
 
 unsigned
@@ -21,6 +42,12 @@ resolve_threads(unsigned requested)
 {
     if (requested != 0)
         return requested;
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof set, &set) == 0) {
+        const int n = CPU_COUNT(&set);
+        if (n > 0)
+            return static_cast<unsigned>(n);
+    }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw != 0 ? hw : 1;
 }
@@ -50,13 +77,9 @@ threads_from_args(int argc, char **argv, unsigned fallback)
 ThreadPool::ThreadPool(unsigned threads)
     : numThreads(resolve_threads(threads))
 {
-    if (numThreads < 2)
-        return; // inline mode: no queues, no workers
-    queues.reserve(numThreads);
-    for (unsigned i = 0; i < numThreads; ++i)
-        queues.push_back(std::make_unique<WorkerQueue>());
-    workers.reserve(numThreads);
-    for (unsigned i = 0; i < numThreads; ++i)
+    // The caller is one of the threads: numThreads - 1 workers.
+    workers.reserve(numThreads - 1);
+    for (unsigned i = 0; i + 1 < numThreads; ++i)
         workers.emplace_back([this, i] { workerLoop(i); });
 }
 
@@ -72,25 +95,20 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::execute(std::function<void()> &task)
+ThreadPool::run(std::vector<std::function<void()>> tasks)
 {
-    try {
-        task();
-    } catch (...) {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!firstError)
-            firstError = std::current_exception();
-    }
+    parallelFor(tasks.size(),
+                [&tasks](std::size_t i, unsigned) { tasks[i](); });
 }
 
 void
-ThreadPool::run(std::vector<std::function<void()>> tasks)
+ThreadPool::runFor(std::size_t count, ForFn fn, const void *ctx)
 {
-    if (numThreads < 2) {
+    if (workers.empty() || count < 2) {
         std::exception_ptr error;
-        for (auto &task : tasks) {
+        for (std::size_t i = 0; i < count; ++i) {
             try {
-                task();
+                fn(ctx, i, 0);
             } catch (...) {
                 if (!error)
                     error = std::current_exception();
@@ -100,23 +118,31 @@ ThreadPool::run(std::vector<std::function<void()>> tasks)
             std::rethrow_exception(error);
         return;
     }
-
-    // Deal the batch round-robin across the worker deques.
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        WorkerQueue &q = *queues[i % numThreads];
-        std::lock_guard<std::mutex> lock(q.mutex);
-        q.tasks.push_back(std::move(tasks[i]));
-    }
+    const ForJob batch{fn, ctx, count};
     {
-        std::lock_guard<std::mutex> lock(mutex);
-        pending += tasks.size();
+        std::unique_lock<std::mutex> lock(mutex);
+        // A worker that woke after the previous batch joined may still
+        // be inside its (empty) drain: let it leave before the index
+        // counter restarts.
+        done.wait(lock, [this] { return running.load() == 0; });
+        job = batch;
+        next.store(0, std::memory_order_relaxed);
+        ++generation;
     }
     wake.notify_all();
+    drain(batch, 0);
 
+    // Every index is claimed; wait for the workers still running
+    // theirs (a worker counts itself in before it claims). Their
+    // indices end about when the caller's do, so poll first.
+    const auto joinSince = std::chrono::steady_clock::now();
+    while (running.load(std::memory_order_acquire) != 0
+           && std::chrono::steady_clock::now() - joinSince < spinWindow)
+        cpuRelax();
     std::exception_ptr error;
     {
         std::unique_lock<std::mutex> lock(mutex);
-        done.wait(lock, [this] { return pending == 0; });
+        done.wait(lock, [this] { return running.load() == 0; });
         error = firstError;
         firstError = nullptr;
     }
@@ -124,52 +150,52 @@ ThreadPool::run(std::vector<std::function<void()>> tasks)
         std::rethrow_exception(error);
 }
 
-bool
-ThreadPool::popLocal(unsigned self, std::function<void()> &task)
+void
+ThreadPool::drain(const ForJob &batch, unsigned slot)
 {
-    WorkerQueue &q = *queues[self];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    if (q.tasks.empty())
-        return false;
-    task = std::move(q.tasks.back()); // LIFO: newest, still-warm work
-    q.tasks.pop_back();
-    return true;
-}
-
-bool
-ThreadPool::steal(unsigned self, std::function<void()> &task)
-{
-    for (unsigned k = 1; k < numThreads; ++k) {
-        WorkerQueue &q = *queues[(self + k) % numThreads];
-        std::lock_guard<std::mutex> lock(q.mutex);
-        if (q.tasks.empty())
-            continue;
-        task = std::move(q.tasks.front()); // FIFO: the victim's oldest
-        q.tasks.pop_front();
-        return true;
+    for (;;) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= batch.count)
+            return;
+        try {
+            batch.fn(batch.ctx, i, slot);
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(mutex);
+            if (!firstError)
+                firstError = std::current_exception();
+        }
     }
-    return false;
 }
 
 void
 ThreadPool::workerLoop(unsigned self)
 {
+    std::uint64_t seen = 0;
     for (;;) {
-        std::function<void()> task;
-        if (popLocal(self, task) || steal(self, task)) {
-            execute(task);
-            std::lock_guard<std::mutex> lock(mutex);
-            if (--pending == 0)
-                done.notify_all();
-            continue;
-        }
+        const auto idleSince = std::chrono::steady_clock::now();
+        while (generation.load(std::memory_order_acquire) == seen
+               && !stopping.load(std::memory_order_relaxed)
+               && std::chrono::steady_clock::now() - idleSince
+                      < spinWindow)
+            cpuRelax();
+
         std::unique_lock<std::mutex> lock(mutex);
-        if (stopping)
+        wake.wait(lock, [this, seen] {
+            return stopping.load() || generation.load() != seen;
+        });
+        if (stopping.load())
             return;
-        // Timed wait instead of a predicate: queues are guarded by
-        // their own mutexes, so a notify can race our empty-handed
-        // scan. The timeout bounds that window without hot-spinning.
-        wake.wait_for(lock, std::chrono::milliseconds(1));
+        seen = generation.load();
+        const ForJob batch = job;
+        ++running;
+        lock.unlock();
+        drain(batch, self + 1);
+        // The caller polls running, or sleeps on done after reading it
+        // under the mutex: notify under the mutex.
+        if (running.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            lock.lock();
+            done.notify_all();
+        }
     }
 }
 

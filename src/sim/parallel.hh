@@ -1,6 +1,6 @@
 /**
  * @file
- * The parallel sweep engine: a work-stealing thread pool and a
+ * The parallel sweep engine: a fork/join thread pool and a
  * deterministic SweepRunner.
  *
  * Design-space sweeps and full-network evaluations are embarrassingly
@@ -8,10 +8,11 @@
  * a naive fork/join makes the output depend on completion order. The
  * engine here separates the two concerns:
  *
- *  - ThreadPool schedules tasks onto worker threads with per-worker
- *    deques and work stealing (owners pop LIFO from their own deque,
- *    idle workers steal FIFO from a victim), so unbalanced job costs
- *    still fill every core;
+ *  - ThreadPool is a fork/join over an index range: the caller and
+ *    the workers claim the next index from one shared counter, so a
+ *    thread that is free takes the next piece of work and unbalanced
+ *    job costs still fill every core. Its parallelFor allocates
+ *    nothing, so the functional executor splits each layer with it;
  *
  *  - SweepRunner gives every job a private output stream and a private
  *    StatGroup, then merges both at join in STABLE JOB-INDEX ORDER.
@@ -27,9 +28,10 @@
 #ifndef BFREE_SIM_PARALLEL_HH
 #define BFREE_SIM_PARALLEL_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -43,7 +45,12 @@
 
 namespace bfree::sim {
 
-/** Resolve a thread-count request: 0 means hardware concurrency. */
+/**
+ * Resolve a thread-count request: 0 means the CPUs this thread may run
+ * on (its sched_getaffinity mask, so a taskset- or cpuset-limited
+ * process does not oversubscribe), or hardware concurrency where that
+ * mask cannot be read.
+ */
 unsigned resolve_threads(unsigned requested);
 
 /**
@@ -54,58 +61,89 @@ unsigned resolve_threads(unsigned requested);
 unsigned threads_from_args(int argc, char **argv, unsigned fallback = 0);
 
 /**
- * A work-stealing thread pool.
+ * A fork/join thread pool.
  *
- * Workers own one deque each. Submitted batches are dealt round-robin
- * across the deques; an owner pops newest-first (LIFO, cache-friendly)
- * while an idle worker steals oldest-first (FIFO) from the first
- * non-empty victim. A pool of one thread runs tasks inline on the
- * calling thread in submission order, with no worker threads at all —
- * the degenerate case costs nothing and simplifies debugging.
+ * A pool of N threads is the calling thread plus N - 1 workers. Every
+ * batch is an index range: the caller and the workers claim indices
+ * from one shared counter until none are left, so whichever thread is
+ * free takes the next index. A pool of one thread runs everything
+ * inline on the calling thread in index order, with no worker threads
+ * at all. Idle workers poll for the next batch for a short window
+ * (batches often come back to back, one per layer), then block on a
+ * condition variable. One thread submits at a time.
  */
 class ThreadPool
 {
   public:
-    /** @param threads Worker count; 0 means hardware concurrency. */
+    /** @param threads Threads, the caller included; 0 means
+     *                 resolve_threads(0). */
     explicit ThreadPool(unsigned threads = 0);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Number of workers (1 means inline execution). */
+    /** Number of threads, the caller included (1 means inline). */
     unsigned threads() const { return numThreads; }
 
     /**
      * Execute every task to completion; blocks the caller. Tasks may
-     * run in any order and on any worker. If a task throws, the batch
-     * still drains and the first exception is rethrown here.
+     * run in any order and on any thread, the caller included. If a
+     * task throws, the batch still drains and the first exception is
+     * rethrown here.
      */
     void run(std::vector<std::function<void()>> tasks);
 
-  private:
-    /** One worker's deque; its mutex only guards this deque. */
-    struct WorkerQueue
+    /**
+     * Call body(i, slot) for every i in [0, count) and return once all
+     * calls have. The caller claims indices too; workers join as they
+     * wake, so a late worker only loses its share. @p slot in
+     * [0, threads()) names the thread making the call (0 is the
+     * caller): calls that run at the same time never share a slot, so
+     * per-slot scratch needs no lock. Allocates nothing. If a call
+     * throws, the rest still run and the first exception is rethrown.
+     */
+    template <typename Body>
+    void
+    parallelFor(std::size_t count, const Body &body)
     {
-        std::mutex mutex;
-        std::deque<std::function<void()>> tasks;
+        runFor(count,
+               [](const void *ctx, std::size_t i, unsigned slot) {
+                   (*static_cast<const Body *>(ctx))(i, slot);
+               },
+               &body);
+    }
+
+  private:
+    /** The type-erased body of one parallelFor. */
+    using ForFn = void (*)(const void *, std::size_t, unsigned);
+    struct ForJob
+    {
+        ForFn fn = nullptr;
+        const void *ctx = nullptr;
+        std::size_t count = 0;
     };
 
+    void runFor(std::size_t count, ForFn fn, const void *ctx);
+    /** Claim and run indices of @p batch until none are left. */
+    void drain(const ForJob &batch, unsigned slot);
     void workerLoop(unsigned self);
-    bool popLocal(unsigned self, std::function<void()> &task);
-    bool steal(unsigned self, std::function<void()> &task);
-    void execute(std::function<void()> &task);
 
     unsigned numThreads;
-    std::vector<std::unique_ptr<WorkerQueue>> queues;
     std::vector<std::thread> workers;
 
-    std::mutex mutex;            ///< Guards the fields below.
+    std::mutex mutex;             ///< Guards the fields below.
     std::condition_variable wake; ///< Workers sleep here when idle.
-    std::condition_variable done; ///< run() sleeps here until drained.
-    std::size_t pending = 0;      ///< Submitted but not yet finished.
-    bool stopping = false;
+    std::condition_variable done; ///< The caller sleeps here at join.
     std::exception_ptr firstError;
+    ForJob job;
+    /** Written under the mutex; idle workers and the join also poll
+     *  these three without it. */
+    std::atomic<bool> stopping{false};
+    std::atomic<std::uint64_t> generation{0}; ///< Bumped per batch.
+    std::atomic<unsigned> running{0};         ///< Workers in a drain.
+    /** Next unclaimed index; claimed without the mutex. */
+    std::atomic<std::size_t> next{0};
 };
 
 /** What one sweep job sees while it runs. */
@@ -211,7 +249,7 @@ class SweepReport
 class SweepRunner
 {
   public:
-    /** @param threads Worker count; 0 means hardware concurrency. */
+    /** @param threads Thread count; 0 means resolve_threads(0). */
     explicit SweepRunner(unsigned threads = 0) : pool(threads) {}
 
     unsigned threads() const { return pool.threads(); }

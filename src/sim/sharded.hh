@@ -58,7 +58,7 @@ class ShardedEngine
      *                  must be positive (a zero lookahead admits no
      *                  parallel window).
      * @param threads   Worker count for the epoch pool; 0 means
-     *                  hardware concurrency.
+     *                  the CPUs the process may run on.
      */
     ShardedEngine(std::vector<EventQueue *> queues, Tick lookahead,
                   unsigned threads = 0);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -193,34 +194,51 @@ TEST(NetworkPlanBatch, BitIdenticalToSequentialAtAnyThreadCount)
     }
 
     // Sequential reference: one long-lived executor, parked after every
-    // input exactly like the batch runner, summing per-input deltas.
+    // input exactly like the batch runner, keeping per-input deltas.
     std::vector<FloatTensor> seq_outputs;
-    bfree::bce::BceStats seq_stats;
+    std::vector<bfree::bce::BceStats> seq_deltas;
     {
         FunctionalExecutor exec;
         for (const FloatTensor &in : inputs) {
             const bfree::bce::BceStats before = exec.stats();
             seq_outputs.push_back(exec.run(plan, in).output);
             exec.parkDatapath();
-            seq_stats += exec.stats() - before;
+            seq_deltas.push_back(exec.stats() - before);
         }
     }
 
-    double energy_at_one = -1.0;
-    for (unsigned threads : {1u, 2u, 8u}) {
-        BatchOptions opts;
-        opts.threads = threads;
-        const BatchResult got = run_functional_batch(plan, inputs, opts);
+    // The whole batch, and a prefix shorter than the largest thread
+    // count: there each chunk's executor gets more than one thread, so
+    // executor-level threads are under test as well.
+    for (const std::size_t n : {inputs.size(), std::size_t{3}}) {
+        const std::vector<FloatTensor> batch(inputs.begin(),
+                                             inputs.begin() + n);
+        bfree::bce::BceStats seq_stats;
+        for (std::size_t i = 0; i < n; ++i)
+            seq_stats += seq_deltas[i];
 
-        ASSERT_EQ(got.outputs.size(), inputs.size()) << threads;
-        for (std::size_t i = 0; i < inputs.size(); ++i)
-            expect_bitwise_eq(got.outputs[i], seq_outputs[i]);
-        expect_stats_eq(got.stats, seq_stats);
+        double energy_at_one = -1.0;
+        for (unsigned threads : {1u, 2u, 8u}) {
+            BatchOptions opts;
+            opts.threads = threads;
+            const BatchResult got = run_functional_batch(plan, batch, opts);
 
-        if (energy_at_one < 0.0)
-            energy_at_one = got.energy.total();
-        else
-            EXPECT_EQ(got.energy.total(), energy_at_one) << threads;
+            // The batch's threads are shared out over its chunks.
+            const std::size_t chunks = std::min<std::size_t>(threads, n);
+            EXPECT_EQ(got.executorThreads,
+                      std::max<std::size_t>(1, threads / chunks))
+                << n << " inputs, " << threads << " threads";
+
+            ASSERT_EQ(got.outputs.size(), n) << threads;
+            for (std::size_t i = 0; i < n; ++i)
+                expect_bitwise_eq(got.outputs[i], seq_outputs[i]);
+            expect_stats_eq(got.stats, seq_stats);
+
+            if (energy_at_one < 0.0)
+                energy_at_one = got.energy.total();
+            else
+                EXPECT_EQ(got.energy.total(), energy_at_one) << threads;
+        }
     }
     EXPECT_GE(plan.runsServed(), inputs.size());
 }
@@ -229,7 +247,10 @@ TEST(NetworkPlan, SteadyStateMakesZeroHeapAllocations)
 {
     // At both tile precisions: a plan without frozen weight features
     // (range word included) or row sums (read by the VNNI GEMM core)
-    // would heap-allocate them per tile call.
+    // would heap-allocate them per tile call. At one and four executor
+    // threads: the fork/join and the workers' row scratch must not
+    // allocate either.
+    for (const unsigned threads : {1u, 4u})
     for (const unsigned bits : {4u, 8u}) {
         const Network net = make_tiny_cnn();
         bfree::sim::Rng rng(55);
@@ -245,8 +266,10 @@ TEST(NetworkPlan, SteadyStateMakesZeroHeapAllocations)
         input.fillUniform(rng, 0.0, 1.0);
         std::vector<float> output(plan.outputElems());
 
-        FunctionalExecutor exec;
-        // First run sizes the arena and seeds the memoized datapath
+        FunctionalExecutor exec({}, {}, bfree::bce::ExecTier::Tiered,
+                                threads);
+        ASSERT_EQ(exec.threads(), threads);
+        // First run sizes the arenas and seeds the memoized datapath
         // tables.
         exec.runInto(plan, input.data(), plan.inputElems(), output.data(),
                      output.size());
@@ -261,7 +284,7 @@ TEST(NetworkPlan, SteadyStateMakesZeroHeapAllocations)
 
         EXPECT_EQ(after - before, 0u)
             << "steady-state runInto must not touch the heap at " << bits
-            << " bits";
+            << " bits, " << threads << " threads";
         // The scratch really is served by the arena, not skipped.
         EXPECT_GT(exec.arena().allocCount(), arena_before) << bits;
         // And the planning pass sized it exactly: the run fills the
@@ -269,6 +292,11 @@ TEST(NetworkPlan, SteadyStateMakesZeroHeapAllocations)
         EXPECT_EQ(exec.arena().capacity(), plan.stats().arenaBytes) << bits;
         EXPECT_EQ(exec.arena().highWater(), plan.stats().arenaBytes)
             << bits;
+        // The conv row scratch is one exact slot per thread.
+        const std::size_t rows = threads * plan.stats().rowScratchBytes;
+        EXPECT_GT(rows, 0u);
+        EXPECT_EQ(exec.rowArena().capacity(), rows) << bits;
+        EXPECT_EQ(exec.rowArena().highWater(), rows) << bits;
     }
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * The parallel sweep engine: work-stealing pool, deterministic stats
+ * The parallel sweep engine: fork/join pool, deterministic stats
  * merge, and cross-thread-count reproducibility.
  *
  * The determinism contract under test: a SweepRunner joins job output
@@ -10,7 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -70,8 +75,8 @@ TEST(ThreadPool, SingleThreadRunsInlineInOrder)
 
 TEST(ThreadPool, UnbalancedTasksAllComplete)
 {
-    // One task is 1000x heavier than the rest; stealing must keep the
-    // batch from serializing behind the deque it landed in.
+    // One task is 1000x heavier than the rest; the other threads must
+    // keep claiming the light ones while it runs.
     ThreadPool pool(4);
     std::atomic<long> sum{0};
     std::vector<std::function<void()>> tasks;
@@ -109,10 +114,137 @@ TEST(ThreadPool, PropagatesFirstException)
     EXPECT_EQ(count.load(), 20);
 }
 
+TEST(ThreadPool, EveryWorkerSurvivesManySmallBatches)
+{
+    // Batches smaller than the pool leave some workers with nothing to
+    // claim; none of them may quit. After many such batches, a batch of
+    // four tasks that each wait for all four to have started completes
+    // only if the caller and all three workers still take work.
+    ThreadPool pool(4);
+    std::atomic<int> count{0};
+    for (int batch = 0; batch < 3000; ++batch) {
+        std::vector<std::function<void()>> tasks(
+            1 + batch % 3, [&count] { ++count; });
+        pool.run(std::move(tasks));
+    }
+    EXPECT_EQ(count.load(), 1000 * (1 + 2 + 3));
+
+    for (int round = 0; round < 3; ++round) {
+        std::mutex m;
+        std::condition_variable allIn;
+        int arrived = 0;
+        std::atomic<int> timedOut{0};
+        std::vector<std::function<void()>> tasks(4, [&] {
+            std::unique_lock<std::mutex> lock(m);
+            if (++arrived == 4)
+                allIn.notify_all();
+            if (!allIn.wait_for(lock, std::chrono::seconds(20),
+                                [&] { return arrived == 4; }))
+                ++timedOut;
+        });
+        pool.run(std::move(tasks));
+        EXPECT_EQ(timedOut.load(), 0) << "round " << round;
+    }
+}
+
 TEST(ThreadPool, ZeroResolvesToHardwareConcurrency)
 {
     EXPECT_GE(resolve_threads(0), 1u);
     EXPECT_EQ(resolve_threads(5), 5u);
+}
+
+TEST(ThreadPool, ZeroResolvesToTheAffinityMask)
+{
+    // Narrow this thread to one CPU of its own mask: 0 must then mean
+    // one thread, not the whole machine.
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+    int first = 0;
+    while (!CPU_ISSET(first, &saved))
+        ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+    const unsigned narrowed = resolve_threads(0);
+    ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+    EXPECT_EQ(narrowed, 1u);
+    EXPECT_EQ(resolve_threads(0),
+              static_cast<unsigned>(CPU_COUNT(&saved)));
+}
+
+TEST(ThreadPool, ParallelForRunsEveryIndexOnce)
+{
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        ThreadPool pool(threads);
+        for (const std::size_t count : {0u, 1u, 3u, 1000u}) {
+            std::vector<std::atomic<int>> hits(count);
+            std::atomic<bool> slotInRange{true};
+            pool.parallelFor(count, [&](std::size_t i, unsigned slot) {
+                ++hits[i];
+                if (slot >= threads)
+                    slotInRange = false;
+            });
+            for (std::size_t i = 0; i < count; ++i)
+                EXPECT_EQ(hits[i].load(), 1) << i << " of " << count;
+            EXPECT_TRUE(slotInRange.load()) << threads;
+        }
+    }
+}
+
+TEST(ThreadPool, ParallelForSlotsAreNeverShared)
+{
+    // Per-slot scratch needs no lock: no two calls that overlap in time
+    // may carry the same slot.
+    ThreadPool pool(4);
+    std::vector<std::atomic<int>> busy(pool.threads());
+    std::atomic<bool> shared{false};
+    for (int round = 0; round < 50; ++round) {
+        pool.parallelFor(64, [&](std::size_t, unsigned slot) {
+            if (busy[slot].fetch_add(1) != 0)
+                shared = true;
+            long s = 0;
+            for (int i = 0; i < 2000; ++i)
+                s += i % 3;
+            EXPECT_GT(s, 0);
+            busy[slot].fetch_sub(1);
+        });
+    }
+    EXPECT_FALSE(shared.load());
+}
+
+TEST(ThreadPool, SingleThreadParallelForRunsInlineInOrder)
+{
+    ThreadPool pool(1);
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    pool.parallelFor(6, [&](std::size_t i, unsigned slot) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_EQ(slot, 0u);
+        order.push_back(i);
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(ThreadPool, ParallelForPropagatesFirstException)
+{
+    ThreadPool pool(3);
+    std::atomic<int> count{0};
+    EXPECT_THROW(pool.parallelFor(40,
+                                  [&](std::size_t i, unsigned) {
+                                      if (i == 11)
+                                          throw std::runtime_error("boom");
+                                      ++count;
+                                  }),
+                 std::runtime_error);
+    EXPECT_EQ(count.load(), 39); // every other index still ran
+
+    // The pool stays usable, for both kinds of batch.
+    pool.parallelFor(5, [&](std::size_t, unsigned) { ++count; });
+    std::vector<std::function<void()>> more;
+    more.push_back([&count] { ++count; });
+    pool.run(std::move(more));
+    EXPECT_EQ(count.load(), 45);
 }
 
 namespace {

@@ -46,7 +46,7 @@ usage(std::ostream &os)
           "  --baseline B      none | neural-cache | eyeriss | cpu |\n"
           "                    gpu | all            (default none)\n"
           "  --threads N       worker threads for the run + baseline\n"
-          "                    sweep (default: hardware concurrency)\n"
+          "                    sweep (default: the CPUs it may use)\n"
           "  --lint            statically verify the compiled kernels\n"
           "                    and exit (non-zero on errors)\n"
           "  --audit           whole-plan static analysis (regions,\n"
@@ -100,7 +100,7 @@ main(int argc, char **argv)
     std::string baseline = "none";
     unsigned batch = 1;
     unsigned slices = 14;
-    unsigned threads = 0; // 0: hardware concurrency
+    unsigned threads = 0; // 0: the CPUs the process may run on
     bool layers = false;
     bool describe = false;
     bool csv = false;
@@ -307,6 +307,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(ps.frozenValues));
         std::printf("kernels: %s\n",
                     sim::simd_level_name(sim::active_simd_level()));
+        std::printf("workers: %u\n", sim::resolve_threads(0));
         std::printf("epilogues: %zu relu folded\n", ps.foldedRelus);
 
         // Amortization demo: run a batch through the plan so the reuse
