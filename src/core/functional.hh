@@ -260,22 +260,22 @@ struct BatchResult
 };
 
 /**
- * Run @p plan over every input, fanning out across the work-stealing
- * pool in contiguous chunks (one long-lived executor per chunk, so the
+ * Run @p plan over every input, fanning out across a sim::ThreadPool
+ * in contiguous chunks (one long-lived executor per chunk, so the
  * memoized datapath tables are seeded once per worker, not per input).
  * Outputs, statistics and energy are bit-identical to a sequential
- * loop for any thread count.
+ * loop for any thread count. An input of the wrong size or a
+ * misaligned buffer is fatal.
  */
 BatchResult run_functional_batch(const NetworkPlan &plan,
                                  const std::vector<dnn::FloatTensor> &inputs,
                                  const BatchOptions &opts = {});
 
 /**
- * The dispatch hook the serving layer uses: the same batched run over
- * borrowed inputs (no copies — the caller keeps ownership, e.g. of
- * tensors still held by queued requests). Null pointers are fatal.
- * Identical determinism guarantee to the owning overload, which
- * delegates here.
+ * The same batched run over borrowed inputs (no copies; the caller
+ * keeps ownership, and may pass one tensor several times). Null
+ * pointers are fatal. Identical determinism guarantee to the owning
+ * overload, which delegates here.
  */
 BatchResult
 run_functional_batch(const NetworkPlan &plan,

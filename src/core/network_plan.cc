@@ -396,8 +396,8 @@ NetworkPlan::compile(const dnn::Network &net,
     }
 
     // Verify-on-compile, mirroring KernelCompiler: the whole-plan
-    // auditor records its findings instead of aborting; serving
-    // rejects a plan whose report is not ok().
+    // auditor records its findings instead of aborting; callers read
+    // them from diagnostics().
     plan.diagnostics_ =
         verify::PlanVerifier{tech::CacheGeometry{}}.verify(plan);
     return plan;

@@ -163,7 +163,7 @@ class NetworkPlan
      * steady-state path can run unchecked. The whole plan is then
      * audited by verify::PlanVerifier and the findings recorded in
      * diagnostics() — a plan with !diagnostics().ok() must not be
-     * served.
+     * run.
      */
     static NetworkPlan compile(const dnn::Network &net,
                                const NetworkWeights &weights,

@@ -173,7 +173,10 @@ DetailedCacheSim::runGemm(
     // slice s-1's (the inter-slice input stream). SingleQueue schedules
     // every slice's injection at its absolute offset up front; Sharded
     // chains them through cross-shard messages at exactly the lookahead
-    // (so the hand-off crosses at an epoch barrier).
+    // (so the hand-off crosses at an epoch barrier). The sharded chains
+    // call themselves through these, which outlive the run below.
+    std::function<void(unsigned)> injectSlice;
+    std::function<void(unsigned, unsigned)> injectWave;
     if (waves > 0 && opts.grid == GridEngine::Burst) {
         if (!sharded) {
             for (unsigned s = 0; s < active; ++s) {
@@ -183,22 +186,18 @@ DetailedCacheSim::runGemm(
                     [g] { g->injectAllWavesNow(); });
             }
         } else {
-            auto inject = std::make_shared<std::function<void(unsigned)>>();
-            *inject = [&, inject](unsigned s) {
+            injectSlice = [&](unsigned s) {
                 if (s + 1 < active) {
                     const sim::Tick when =
                         qptr[s]->now() + slice_hop_ticks;
-                    engine->post(s, s + 1, when,
-                                 [&, inject, s, when] {
-                                     qptr[s + 1]->scheduleCallback(
-                                         when,
-                                         [inject, s] { (*inject)(s + 1); });
-                                 });
+                    engine->post(s, s + 1, when, [&, s, when] {
+                        qptr[s + 1]->scheduleCallback(
+                            when, [&, s] { injectSlice(s + 1); });
+                    });
                 }
                 grids[s]->injectAllWavesNow();
             };
-            qptr[0]->scheduleCallback(cps_ticks,
-                                      [inject] { (*inject)(0); });
+            qptr[0]->scheduleCallback(cps_ticks, [&] { injectSlice(0); });
         }
     } else if (waves > 0) { // GridEngine::PerFlit
         if (!sharded) {
@@ -214,26 +213,21 @@ DetailedCacheSim::runGemm(
         } else {
             // One cross-shard message per wave per slice boundary —
             // the stress case for the epoch-barrier engine.
-            auto inject = std::make_shared<
-                std::function<void(unsigned, unsigned)>>();
-            *inject = [&, inject](unsigned s, unsigned w) {
+            injectWave = [&](unsigned s, unsigned w) {
                 if (s + 1 < active) {
                     const sim::Tick when =
                         qptr[s]->now() + slice_hop_ticks;
-                    engine->post(s, s + 1, when,
-                                 [&, inject, s, w, when] {
-                                     qptr[s + 1]->scheduleCallback(
-                                         when, [inject, s, w] {
-                                             (*inject)(s + 1, w);
-                                         });
-                                 });
+                    engine->post(s, s + 1, when, [&, s, w, when] {
+                        qptr[s + 1]->scheduleCallback(
+                            when, [&, s, w] { injectWave(s + 1, w); });
+                    });
                 }
                 grids[s]->injectWaveNow(w);
             };
             for (unsigned w = 0; w < waves; ++w) {
                 qptr[0]->scheduleCallback(
                     std::uint64_t(w + 1) * cps_ticks,
-                    [inject, w] { (*inject)(0, w); });
+                    [&, w] { injectWave(0, w); });
             }
         }
     }

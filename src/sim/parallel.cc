@@ -220,17 +220,6 @@ SweepContext::vector(std::string name, std::string description,
     return ref;
 }
 
-Histogram &
-SweepContext::histogram(std::string name, std::string description,
-                        double lo, double hi, std::size_t bins)
-{
-    auto stat = std::make_unique<Histogram>(
-        stats, std::move(name), std::move(description), lo, hi, bins);
-    Histogram &ref = *stat;
-    owned.push_back(std::move(stat));
-    return ref;
-}
-
 SweepReport::SweepReport() : root(std::make_unique<StatGroup>("sweep")) {}
 
 std::string

@@ -173,8 +173,6 @@ class SweepContext
     Scalar &scalar(std::string name, std::string description = "");
     Vector &vector(std::string name, std::string description,
                    std::size_t size);
-    Histogram &histogram(std::string name, std::string description,
-                         double lo, double hi, std::size_t bins);
 
   private:
     friend class SweepRunner;

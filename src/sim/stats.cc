@@ -106,93 +106,6 @@ Vector::mergeFrom(const StatBase &other)
     return true;
 }
 
-Histogram::Histogram(StatGroup &parent, std::string name,
-                     std::string description, double lo, double hi,
-                     std::size_t bins)
-    : StatBase(parent, std::move(name), std::move(description)), lo(lo),
-      hi(hi), counts(bins, 0.0)
-{
-    if (bins == 0 || hi <= lo)
-        bfree_fatal("histogram '", fullName(), "' needs bins > 0, hi > lo");
-}
-
-void
-Histogram::sample(double v, double weight)
-{
-    const double width = (hi - lo) / static_cast<double>(counts.size());
-    auto index = static_cast<std::int64_t>((v - lo) / width);
-    index = std::clamp<std::int64_t>(
-        index, 0, static_cast<std::int64_t>(counts.size()) - 1);
-    counts[static_cast<std::size_t>(index)] += weight;
-    numSamples += weight;
-    sum += v * weight;
-}
-
-double
-Histogram::mean() const
-{
-    return numSamples > 0.0 ? sum / numSamples : 0.0;
-}
-
-double
-Histogram::percentile(double p) const
-{
-    if (numSamples <= 0.0)
-        return lo;
-    p = std::clamp(p, 0.0, 1.0);
-    const double target = p * numSamples;
-    const double width = (hi - lo) / static_cast<double>(counts.size());
-    double cumulative = 0.0;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        if (cumulative + counts[i] >= target && counts[i] > 0.0) {
-            const double frac = (target - cumulative) / counts[i];
-            return lo + width * (static_cast<double>(i) + frac);
-        }
-        cumulative += counts[i];
-    }
-    return hi;
-}
-
-void
-Histogram::dump(std::ostream &os) const
-{
-    emit_line(os, fullName() + ".samples", numSamples, description());
-    emit_line(os, fullName() + ".mean", mean(), description());
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        emit_line(os, fullName() + ".bin" + std::to_string(i), counts[i],
-                  description());
-    }
-}
-
-void
-Histogram::reset()
-{
-    counts.assign(counts.size(), 0.0);
-    numSamples = 0.0;
-    sum = 0.0;
-}
-
-bool
-Histogram::mergeFrom(const StatBase &other)
-{
-    const auto *o = dynamic_cast<const Histogram *>(&other);
-    if (o == nullptr || o->counts.size() != counts.size() || o->lo != lo
-        || o->hi != hi) {
-        return false;
-    }
-    for (std::size_t i = 0; i < counts.size(); ++i)
-        counts[i] += o->counts[i];
-    numSamples += o->numSamples;
-    sum += o->sum;
-    return true;
-}
-
-void
-Formula::dump(std::ostream &os) const
-{
-    emit_line(os, fullName(), fn ? fn() : 0.0, description());
-}
-
 StatGroup::StatGroup(std::string name) : _name(std::move(name)) {}
 
 StatGroup::StatGroup(StatGroup &parent, std::string name)

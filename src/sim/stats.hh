@@ -4,16 +4,14 @@
  *
  * Statistics live in StatGroups (which can nest) and are dumped as a flat
  * "name value # description" listing, mirroring gem5's stats.txt format.
- * Supported kinds: Scalar (counter/accumulator), Vector (indexed
- * counters), Histogram (fixed-width bins) and Formula (a deferred
- * computation over other stats, evaluated at dump time).
+ * Supported kinds: Scalar (counter/accumulator) and Vector (indexed
+ * counters).
  */
 
 #ifndef BFREE_SIM_STATS_HH
 #define BFREE_SIM_STATS_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
@@ -50,11 +48,11 @@ class StatBase
 
     /**
      * Accumulate another stat's values into this one. The two stats
-     * must be of the same kind and shape (same vector length, same
-     * histogram binning); returns false otherwise, leaving this stat
-     * untouched. Merging is associative, so folding a set of congruent
-     * stats in a fixed order yields a bit-identical result no matter
-     * which threads produced them.
+     * must be of the same kind and shape (same vector length); returns
+     * false otherwise, leaving this stat untouched. Merging is
+     * associative, so folding a set of congruent stats in a fixed order
+     * yields a bit-identical result no matter which threads produced
+     * them.
      */
     virtual bool mergeFrom(const StatBase &other) = 0;
 
@@ -119,74 +117,6 @@ class Vector : public StatBase
 
   private:
     std::vector<double> values;
-};
-
-/** A histogram with uniform bins over [lo, hi); out-of-range samples clamp. */
-class Histogram : public StatBase
-{
-  public:
-    Histogram(StatGroup &parent, std::string name, std::string description,
-              double lo, double hi, std::size_t bins);
-
-    void sample(double v, double weight = 1.0);
-
-    std::size_t bins() const { return counts.size(); }
-    double binCount(std::size_t index) const { return counts.at(index); }
-    double samples() const { return numSamples; }
-    double mean() const;
-
-    /** Lower edge of the sampling range. */
-    double rangeLo() const { return lo; }
-
-    /** Upper edge of the sampling range. */
-    double rangeHi() const { return hi; }
-
-    /**
-     * The value below which a fraction @p p (in [0, 1]) of the sampled
-     * weight falls, linearly interpolated inside the crossing bin (the
-     * bin's weight is treated as uniformly spread over its width).
-     * Returns rangeLo() for an empty histogram. Out-of-range samples
-     * were clamped into the edge bins, so percentiles never leave
-     * [rangeLo(), rangeHi()].
-     */
-    double percentile(double p) const;
-
-    void dump(std::ostream &os) const override;
-    void reset() override;
-    bool mergeFrom(const StatBase &other) override;
-
-  private:
-    double lo;
-    double hi;
-    std::vector<double> counts;
-    double numSamples = 0.0;
-    double sum = 0.0;
-};
-
-/** A value computed at dump time from other statistics. */
-class Formula : public StatBase
-{
-  public:
-    Formula(StatGroup &parent, std::string name, std::string description,
-            std::function<double()> fn)
-        : StatBase(parent, std::move(name), std::move(description)),
-          fn(std::move(fn))
-    {}
-
-    double value() const { return fn(); }
-
-    void dump(std::ostream &os) const override;
-    void reset() override {}
-
-    /** Formulas hold no state; merging succeeds as a no-op. */
-    bool
-    mergeFrom(const StatBase &other) override
-    {
-        return dynamic_cast<const Formula *>(&other) != nullptr;
-    }
-
-  private:
-    std::function<double()> fn;
 };
 
 /**

@@ -92,14 +92,6 @@ rule_name(RuleId rule)
         return "capacity-arena";
       case RuleId::PlanEpilogue:
         return "plan-epilogue";
-      case RuleId::ServeQueue:
-        return "serve-queue";
-      case RuleId::ServeBatch:
-        return "serve-batch";
-      case RuleId::ServeWindow:
-        return "serve-window";
-      case RuleId::ServeService:
-        return "serve-service";
     }
     return "?";
 }

@@ -120,15 +120,6 @@ enum class RuleId
     PlanEpilogue,   ///< plan-epilogue: a folded ReLU whose producer is
                     ///< not a Conv/FC directly followed by that Relu,
                     ///< or whose element counts disagree.
-
-    // Serving-config rules.
-    ServeQueue,   ///< serve-queue: zero-capacity request queue.
-    ServeBatch,   ///< serve-batch: batch bound zero or beyond what the
-                  ///< queue can ever supply.
-    ServeWindow,  ///< serve-window: batching window not inside the SLO
-                  ///< deadline.
-    ServeService, ///< serve-service: service-time model degenerate or
-                  ///< its floor alone misses the SLO.
 };
 
 /** Stable kebab-case rule name (e.g. "cb-opcode-byte"). */

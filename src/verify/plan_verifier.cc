@@ -286,82 +286,6 @@ dataflow_from_plan(const core::NetworkPlan &plan)
 }
 
 // ----------------------------------------------------------------------
-// Serving-config audit
-// ----------------------------------------------------------------------
-
-VerifyReport
-audit_serve_config(const ServeAuditConfig &cfg,
-                   const std::string &location)
-{
-    VerifyReport report;
-
-    if (cfg.queueDepth == 0) {
-        report.add(RuleId::ServeQueue, Severity::Error, location,
-                   "request queue has zero capacity; every admission "
-                   "would be rejected",
-                   "set queueDepth >= 1");
-    }
-
-    if (cfg.maxBatch == 0) {
-        report.add(RuleId::ServeBatch, Severity::Error, location,
-                   "batch bound is zero; no batch could ever close",
-                   "set maxBatch >= 1");
-    } else if (cfg.queueDepth > 0 && cfg.maxBatch > cfg.queueDepth) {
-        std::ostringstream os;
-        os << "maxBatch " << cfg.maxBatch << " exceeds queueDepth "
-           << cfg.queueDepth
-           << "; the queue can never supply a full batch";
-        report.add(RuleId::ServeBatch, Severity::Error, location,
-                   os.str(), "lower maxBatch or deepen the queue");
-    }
-
-    if (cfg.cyclesPerTick == 0) {
-        report.add(RuleId::ServeService, Severity::Error, location,
-                   "cyclesPerTick is zero; service times would collapse "
-                   "to the floor regardless of work",
-                   "set cyclesPerTick >= 1");
-    }
-    if (cfg.minServiceTicks == 0) {
-        report.add(RuleId::ServeService, Severity::Error, location,
-                   "minServiceTicks is zero; zero-length service would "
-                   "break the event ordering",
-                   "set minServiceTicks >= 1");
-    }
-
-    if (cfg.sloDeadlineTicks != sim::max_tick) {
-        if (cfg.windowTicks >= cfg.sloDeadlineTicks) {
-            std::ostringstream os;
-            os << "batching window of " << cfg.windowTicks
-               << " ticks spends the whole SLO deadline of "
-               << cfg.sloDeadlineTicks << " ticks before any compute";
-            report.add(RuleId::ServeWindow, Severity::Error, location,
-                       os.str(),
-                       "shrink windowTicks below the deadline");
-        }
-        if (cfg.minServiceTicks > cfg.sloDeadlineTicks) {
-            std::ostringstream os;
-            os << "service-time floor of " << cfg.minServiceTicks
-               << " ticks alone misses the SLO deadline of "
-               << cfg.sloDeadlineTicks << " ticks";
-            report.add(RuleId::ServeService, Severity::Error, location,
-                       os.str(), "raise the deadline or lower the floor");
-        } else if (cfg.windowTicks < cfg.sloDeadlineTicks
-                   && cfg.windowTicks + cfg.minServiceTicks
-                          > cfg.sloDeadlineTicks) {
-            std::ostringstream os;
-            os << "window (" << cfg.windowTicks << ") plus service floor ("
-               << cfg.minServiceTicks << ") exceeds the SLO deadline of "
-               << cfg.sloDeadlineTicks
-               << " ticks; only immediately-full batches can meet it";
-            report.add(RuleId::ServeWindow, Severity::Warning, location,
-                       os.str(), "shrink the window or relax the SLO");
-        }
-    }
-
-    return report;
-}
-
-// ----------------------------------------------------------------------
 // The pass
 // ----------------------------------------------------------------------
 

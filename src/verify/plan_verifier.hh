@@ -1,7 +1,7 @@
 /**
  * @file
- * Whole-plan static analysis: cross-kernel placement, dataflow,
- * capacity and serving-config verification.
+ * Whole-plan static analysis: cross-kernel placement, dataflow and
+ * capacity verification.
  *
  * PR 2's KernelVerifier proves one CompiledKernel at a time; this pass
  * reasons about a whole compiled network — and about several networks
@@ -27,12 +27,6 @@
  *     TensorArena budget — surfacing the first layer that overflows
  *     (rules capacity-*).
  *
- *  4. **Serving-config audit.** A serve setup is rejected statically
- *     when its queue, batch bound, batching window or service-time
- *     model cannot possibly behave (rules serve-*). The config mirror
- *     lives here, not in src/serve, so the dependency keeps pointing
- *     serve -> verify.
- *
  * All analyses are pure: they allocate nothing on the fabric and never
  * touch weight values, so auditing VGG-16 costs what compiling its
  * kernels costs. Violations become Diagnostics, never aborts.
@@ -51,7 +45,6 @@
 #include "dnn/network.hh"
 #include "map/kernel_compiler.hh"
 #include "map/placement.hh"
-#include "sim/types.hh"
 #include "tech/geometry.hh"
 
 namespace bfree::verify {
@@ -162,38 +155,6 @@ DataflowGraph dataflow_from_layers(const std::vector<dnn::Layer> &layers,
 
 /** The chain graph of a compiled plan's frozen layers. */
 DataflowGraph dataflow_from_plan(const core::NetworkPlan &plan);
-
-// ----------------------------------------------------------------------
-// Serving-config audit
-// ----------------------------------------------------------------------
-
-/**
- * Static mirror of serve::ServeConfig, kept free of src/serve types.
- * ServeEngine fills one from its config at construction and rejects
- * on errors; tests and tools can audit hypothetical configs directly.
- */
-struct ServeAuditConfig
-{
-    std::size_t queueDepth = 0;   ///< Admission bound of the queue.
-    std::size_t maxBatch = 0;     ///< Batch occupancy cap.
-    sim::Tick windowTicks = 0;    ///< Partial-batch release window.
-    std::uint64_t cyclesPerTick = 0; ///< Service-time scale.
-    sim::Tick minServiceTicks = 0;   ///< Service-time floor.
-
-    /** Advertised SLO deadline; max_tick means none. */
-    sim::Tick sloDeadlineTicks = sim::max_tick;
-};
-
-/**
- * Statically audit @p cfg (rules serve-*): a zero-capacity queue, a
- * batch bound of zero or beyond the queue's depth (the merge bound
- * could never be reached), a batching window that already spends the
- * whole SLO deadline, and a degenerate service-time model are all
- * rejected before a single request is admitted.
- */
-VerifyReport audit_serve_config(const ServeAuditConfig &cfg,
-                                const std::string &location =
-                                    "serve config");
 
 // ----------------------------------------------------------------------
 // The pass

@@ -243,6 +243,26 @@ TEST(NetworkPlanBatch, BitIdenticalToSequentialAtAnyThreadCount)
     EXPECT_GE(plan.runsServed(), inputs.size());
 }
 
+TEST(NetworkPlanBatchDeath, RejectsWrongSizeAndNullInputs)
+{
+    const Network net = make_tiny_cnn();
+    bfree::sim::Rng rng(77);
+    const NetworkWeights weights = random_weights(net, rng);
+    const NetworkPlan plan = NetworkPlan::compile(net, weights, 8);
+
+    // One well-formed input ahead of the bad one: every input is checked
+    // before any runs.
+    const std::vector<FloatTensor> inputs{FloatTensor({1, 8, 8}),
+                                          FloatTensor({1, 8, 7})};
+    ASSERT_EQ(inputs[0].size(), plan.inputElems());
+    EXPECT_DEATH((void)run_functional_batch(plan, inputs),
+                 "batch input of 56 elements, plan expects 64");
+
+    const std::vector<const FloatTensor *> borrowed{&inputs[0], nullptr};
+    EXPECT_DEATH((void)run_functional_batch(plan, borrowed),
+                 "null input tensor");
+}
+
 TEST(NetworkPlan, SteadyStateMakesZeroHeapAllocations)
 {
     // At both tile precisions: a plan without frozen weight features

@@ -249,7 +249,7 @@ TEST(ThreadPool, ParallelForPropagatesFirstException)
 
 namespace {
 
-/** A job mix with data-dependent cost, text output and all stat kinds. */
+/** A job mix with data-dependent cost, text output and both stat kinds. */
 std::vector<SweepJob>
 make_mixed_jobs(unsigned count)
 {
@@ -264,14 +264,11 @@ make_mixed_jobs(unsigned count)
             double acc = 0.0;
             Scalar &draws = ctx.scalar("draws", "rng draws");
             Vector &mod = ctx.vector("mod", "draw mod 4", 4);
-            Histogram &hist =
-                ctx.histogram("gauss", "gaussian draws", -4.0, 4.0, 8);
             for (int i = 0; i < iters; ++i) {
                 const double g = rng.gaussian(0.0, 1.0);
                 acc += g;
                 ++draws;
                 mod.add(static_cast<std::size_t>(i % 4), 1.0);
-                hist.sample(g);
             }
             ctx.out << "job " << ctx.jobIndex << " iters " << iters
                     << " acc " << acc << "\n";

@@ -56,46 +56,6 @@ TEST(StatsDeath, VectorOutOfRangePanics)
     EXPECT_DEATH(v.add(2, 1.0), "out of range");
 }
 
-TEST(Stats, HistogramBinsAndMean)
-{
-    StatGroup root("sim");
-    Histogram h(root, "lat", "", 0.0, 10.0, 5);
-    h.sample(1.0);
-    h.sample(3.0);
-    h.sample(9.0);
-    h.sample(100.0); // clamps into the last bin
-    EXPECT_DOUBLE_EQ(h.samples(), 4.0);
-    EXPECT_DOUBLE_EQ(h.binCount(0), 1.0);
-    EXPECT_DOUBLE_EQ(h.binCount(1), 1.0);
-    EXPECT_DOUBLE_EQ(h.binCount(4), 2.0);
-    EXPECT_DOUBLE_EQ(h.mean(), (1.0 + 3.0 + 9.0 + 100.0) / 4.0);
-    h.reset();
-    EXPECT_DOUBLE_EQ(h.samples(), 0.0);
-}
-
-TEST(Stats, HistogramWeightedSamples)
-{
-    StatGroup root("sim");
-    Histogram h(root, "w", "", 0.0, 4.0, 2);
-    h.sample(1.0, 3.0);
-    EXPECT_DOUBLE_EQ(h.binCount(0), 3.0);
-    EXPECT_DOUBLE_EQ(h.samples(), 3.0);
-}
-
-TEST(Stats, FormulaEvaluatesAtDumpTime)
-{
-    StatGroup root("sim");
-    Scalar hits(root, "hits", "");
-    Scalar misses(root, "misses", "");
-    Formula rate(root, "hitRate", "", [&] {
-        const double total = hits.value() + misses.value();
-        return total > 0.0 ? hits.value() / total : 0.0;
-    });
-    hits += 3.0;
-    misses += 1.0;
-    EXPECT_DOUBLE_EQ(rate.value(), 0.75);
-}
-
 TEST(Stats, DumpContainsNamesValuesDescriptions)
 {
     StatGroup root("sim");
@@ -193,34 +153,14 @@ TEST(StatsMerge, VectorAddsElementwise)
     EXPECT_DOUBLE_EQ(va.value(2), 5.0);
 }
 
-TEST(StatsMerge, HistogramAddsBinsSamplesAndSum)
-{
-    StatGroup a("a"), b("b");
-    Histogram ha(a, "h", "", 0.0, 10.0, 5);
-    Histogram hb(b, "h", "", 0.0, 10.0, 5);
-    ha.sample(1.0);
-    hb.sample(1.0);
-    hb.sample(9.0);
-    EXPECT_TRUE(ha.mergeFrom(hb));
-    EXPECT_DOUBLE_EQ(ha.samples(), 3.0);
-    EXPECT_DOUBLE_EQ(ha.binCount(0), 2.0);
-    EXPECT_DOUBLE_EQ(ha.binCount(4), 1.0);
-    EXPECT_DOUBLE_EQ(ha.mean(), (1.0 + 1.0 + 9.0) / 3.0);
-}
-
 TEST(StatsMerge, ShapeMismatchesAreRejected)
 {
     StatGroup a("a"), b("b");
     Scalar s(a, "s", "");
     Vector v3(a, "v3", "", 3), v4(b, "v4", "", 4);
-    Histogram h5(a, "h5", "", 0.0, 10.0, 5);
-    Histogram h8(b, "h8", "", 0.0, 10.0, 8);
-    Histogram hRange(b, "hr", "", 0.0, 20.0, 5);
     EXPECT_FALSE(s.mergeFrom(v3));       // kind mismatch
     EXPECT_FALSE(v3.mergeFrom(v4));      // length mismatch
     EXPECT_FALSE(v3.mergeFrom(s));       // kind mismatch
-    EXPECT_FALSE(h5.mergeFrom(h8));      // bin-count mismatch
-    EXPECT_FALSE(h5.mergeFrom(hRange));  // bin-range mismatch
     EXPECT_DOUBLE_EQ(v3.total(), 0.0);   // rejected merge changes nothing
 }
 
@@ -278,125 +218,4 @@ TEST(StatsMergeDeath, MissingCounterpartPanics)
     StatGroup b("run");
     // b lacks a counterpart for a's stat.
     EXPECT_DEATH(b.mergeFrom(a), "onlyInA");
-}
-
-// --- Histogram percentiles (serving-layer SLO readouts) -------------
-
-TEST(StatsPercentile, EmptyHistogramReturnsRangeLo)
-{
-    StatGroup root("sim");
-    Histogram h(root, "lat", "", 10.0, 20.0, 10);
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 10.0);
-    EXPECT_DOUBLE_EQ(h.rangeLo(), 10.0);
-    EXPECT_DOUBLE_EQ(h.rangeHi(), 20.0);
-}
-
-TEST(StatsPercentile, SingleBinInterpolatesWithinBucket)
-{
-    StatGroup root("sim");
-    Histogram h(root, "lat", "", 0.0, 100.0, 10);
-    // Four samples, all landing in bin 2 ([20, 30)).
-    for (int i = 0; i < 4; ++i)
-        h.sample(25.0);
-    // The bin's weight is spread uniformly over its width: p=0.5 falls
-    // at the bin's midpoint, p=1 at its upper edge.
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 25.0);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 30.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.0), 20.0);
-}
-
-TEST(StatsPercentile, BucketBoundariesAreHalfOpen)
-{
-    StatGroup root("sim");
-    Histogram h(root, "lat", "", 0.0, 10.0, 10);
-    // A sample exactly on a boundary belongs to the upper bin.
-    h.sample(3.0);
-    EXPECT_DOUBLE_EQ(h.binCount(3), 1.0);
-    EXPECT_DOUBLE_EQ(h.binCount(2), 0.0);
-    // Out-of-range samples clamp into the edge bins.
-    h.reset();
-    h.sample(-5.0);
-    h.sample(42.0);
-    EXPECT_DOUBLE_EQ(h.binCount(0), 1.0);
-    EXPECT_DOUBLE_EQ(h.binCount(9), 1.0);
-    // Percentiles never leave the configured range.
-    EXPECT_GE(h.percentile(0.0), 0.0);
-    EXPECT_LE(h.percentile(1.0), 10.0);
-}
-
-TEST(StatsPercentile, P50AndP99InterpolateAcrossBins)
-{
-    StatGroup root("sim");
-    Histogram h(root, "lat", "", 0.0, 100.0, 100);
-    // 100 samples: one per unit bin. The interpolated cumulative
-    // distribution crosses p exactly at the bin edges: 50% of the
-    // mass lies below 50.0, 99% below 99.0.
-    for (int i = 0; i < 100; ++i)
-        h.sample(i + 0.5);
-    EXPECT_DOUBLE_EQ(h.percentile(0.50), 50.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.99), 99.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.01), 1.0);
-    // Off-boundary targets interpolate inside the crossing bin:
-    // p=0.505 needs half of bin 50's sample => 50.5.
-    EXPECT_DOUBLE_EQ(h.percentile(0.505), 50.5);
-}
-
-TEST(StatsPercentile, SkewedMassFindsTheHeavyBin)
-{
-    StatGroup root("sim");
-    Histogram h(root, "lat", "", 0.0, 100.0, 10);
-    // 90 fast requests, 10 slow ones: p50 sits in the fast bin,
-    // p99 deep in the slow bin.
-    for (int i = 0; i < 90; ++i)
-        h.sample(5.0);
-    for (int i = 0; i < 10; ++i)
-        h.sample(95.0);
-    // p50: 50 of the 90 fast samples => 50/90 through bin [0, 10).
-    EXPECT_DOUBLE_EQ(h.percentile(0.50), 10.0 * 50.0 / 90.0);
-    // p99: 9 of the 10 slow samples => 9/10 through bin [90, 100).
-    EXPECT_DOUBLE_EQ(h.percentile(0.99), 99.0);
-}
-
-TEST(StatsPercentile, MergePreservesPercentiles)
-{
-    // Percentiles of a merged histogram equal percentiles of the
-    // union of samples, and merging is associative in fixed order.
-    auto build = [] {
-        auto g = std::make_unique<StatGroup>("g");
-        auto h = std::make_unique<Histogram>(*g, "lat", "", 0.0, 100.0,
-                                             100);
-        return std::pair(std::move(g), std::move(h));
-    };
-    auto [ga, ha] = build();
-    auto [gb, hb] = build();
-    auto [gc, hc] = build();
-    auto [gu, hu] = build();
-    for (int i = 0; i < 30; ++i) {
-        ha->sample(10.5);
-        hu->sample(10.5);
-    }
-    for (int i = 0; i < 30; ++i) {
-        hb->sample(50.5);
-        hu->sample(50.5);
-    }
-    for (int i = 0; i < 40; ++i) {
-        hc->sample(90.5);
-        hu->sample(90.5);
-    }
-    // (a + b) + c
-    auto [g1, h1] = build();
-    ASSERT_TRUE(h1->mergeFrom(*ha));
-    ASSERT_TRUE(h1->mergeFrom(*hb));
-    ASSERT_TRUE(h1->mergeFrom(*hc));
-    // a + (b + c)
-    auto [g2, h2] = build();
-    ASSERT_TRUE(hb->mergeFrom(*hc));
-    ASSERT_TRUE(h2->mergeFrom(*ha));
-    ASSERT_TRUE(h2->mergeFrom(*hb));
-    for (double p : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
-        EXPECT_DOUBLE_EQ(h1->percentile(p), hu->percentile(p));
-        EXPECT_DOUBLE_EQ(h2->percentile(p), hu->percentile(p));
-    }
-    EXPECT_DOUBLE_EQ(h1->samples(), 100.0);
-    EXPECT_DOUBLE_EQ(h1->mean(), h2->mean());
 }

@@ -2,10 +2,9 @@
  * @file
  * The whole-plan static auditor: a golden corpus (every zoo network at
  * both uniform precisions, compiled plans, disjoint multi-plan
- * residency, the default serve config), one deliberately-broken
- * fixture per plan-level rule (asserting the exact rule id fires), and
- * the mergeFrom order-independence guarantee the plan report relies
- * on.
+ * residency), one deliberately-broken fixture per plan-level rule
+ * (asserting the exact rule id fires), and the mergeFrom
+ * order-independence guarantee the plan report relies on.
  */
 
 #include <gtest/gtest.h>
@@ -87,18 +86,6 @@ chainGraph()
     return g;
 }
 
-ServeAuditConfig
-goodServeConfig()
-{
-    ServeAuditConfig cfg;
-    cfg.queueDepth = 64;
-    cfg.maxBatch = 8;
-    cfg.windowTicks = 64;
-    cfg.cyclesPerTick = 1000;
-    cfg.minServiceTicks = 1;
-    return cfg;
-}
-
 } // namespace
 
 // ----------------------------------------------------------------------
@@ -153,11 +140,6 @@ TEST(PlanVerifierGolden, PackedTwoPlanResidencyIsClean)
     EXPECT_TRUE(report.ok()) << report.toString();
     // Packing actually separated the footprints.
     EXPECT_EQ(layouts[1].baseSubarray, layouts[0].spanSubarrays);
-}
-
-TEST(PlanVerifierGolden, DefaultServeConfigIsClean)
-{
-    EXPECT_TRUE(audit_serve_config(goodServeConfig()).ok());
 }
 
 // ----------------------------------------------------------------------
@@ -386,44 +368,6 @@ TEST(PlanVerifierBroken, EpilogueWithoutItsRelu)
     EXPECT_EQ(report.errorCount(), 3u) << report.toString();
     EXPECT_TRUE(report.has(RuleId::PlanEpilogue));
     EXPECT_FALSE(report.ok());
-}
-
-TEST(PlanVerifierBroken, ServeQueueZero)
-{
-    ServeAuditConfig cfg = goodServeConfig();
-    cfg.queueDepth = 0;
-    EXPECT_TRUE(audit_serve_config(cfg).has(RuleId::ServeQueue));
-}
-
-TEST(PlanVerifierBroken, ServeBatchBeyondQueue)
-{
-    ServeAuditConfig cfg = goodServeConfig();
-    cfg.maxBatch = cfg.queueDepth + 1;
-    EXPECT_TRUE(audit_serve_config(cfg).has(RuleId::ServeBatch));
-
-    cfg = goodServeConfig();
-    cfg.maxBatch = 0;
-    EXPECT_TRUE(audit_serve_config(cfg).has(RuleId::ServeBatch));
-}
-
-TEST(PlanVerifierBroken, ServeWindowSpendsDeadline)
-{
-    ServeAuditConfig cfg = goodServeConfig();
-    cfg.sloDeadlineTicks = cfg.windowTicks; // Window eats it all.
-    EXPECT_TRUE(audit_serve_config(cfg).has(RuleId::ServeWindow));
-}
-
-TEST(PlanVerifierBroken, ServeServiceFloorMissesDeadline)
-{
-    ServeAuditConfig cfg = goodServeConfig();
-    cfg.minServiceTicks = 100;
-    cfg.windowTicks = 0;
-    cfg.sloDeadlineTicks = 50;
-    EXPECT_TRUE(audit_serve_config(cfg).has(RuleId::ServeService));
-
-    cfg = goodServeConfig();
-    cfg.cyclesPerTick = 0;
-    EXPECT_TRUE(audit_serve_config(cfg).has(RuleId::ServeService));
 }
 
 // ----------------------------------------------------------------------

@@ -4,8 +4,7 @@
  * executing anything. Where bfree_lint proves one kernel at a time,
  * the auditor lays every network out on the fabric and runs the
  * verify::PlanVerifier catalogue: region/interval disjointness,
- * producer/consumer dataflow, the capacity ledger, and the
- * serving-config audit.
+ * producer/consumer dataflow and the capacity ledger.
  *
  *   bfree_audit --all
  *   bfree_audit --network vgg16 --precision 4
@@ -25,7 +24,6 @@
 
 #include "dnn/model_zoo.hh"
 #include "dnn/quantize.hh"
-#include "serve/server.hh"
 #include "verify/plan_verifier.hh"
 
 namespace {
@@ -41,7 +39,6 @@ usage(std::ostream &os)
           "  --all             audit every network in the model zoo\n"
           "  --precision P     8 | 4 | mixed | both   (default both)\n"
           "  --slices N        LLC slices to map onto (default 14)\n"
-          "  --slo TICKS       SLO deadline for the serve-config audit\n"
           "  --json FILE       append one JSON object per finding\n"
           "  --verbose         print warnings and notes too\n"
           "  --help            this text\n";
@@ -132,7 +129,6 @@ main(int argc, char **argv)
     std::string precision = "both";
     std::string json_path;
     unsigned slices = 14;
-    sim::Tick slo = sim::max_tick;
     bool verbose = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -162,8 +158,6 @@ main(int argc, char **argv)
             precision = next();
         else if (arg == "--slices")
             slices = static_cast<unsigned>(next_u64());
-        else if (arg == "--slo")
-            slo = next_u64();
         else if (arg == "--json")
             json_path = next();
         else if (arg == "--verbose")
@@ -228,22 +222,6 @@ main(int argc, char **argv)
                                               + "-bit)");
             total_errors += emit(subject, bits, report, verbose, json);
         }
-    }
-
-    // Audit the serving defaults the CLI and the serve tools construct
-    // engines with, under the requested SLO deadline.
-    {
-        const serve::ServeConfig scfg;
-        verify::ServeAuditConfig audit;
-        audit.queueDepth = scfg.queueDepth;
-        audit.maxBatch = scfg.batcher.maxBatch;
-        audit.windowTicks = scfg.batcher.windowTicks;
-        audit.cyclesPerTick = scfg.cyclesPerTick;
-        audit.minServiceTicks = scfg.minServiceTicks;
-        audit.sloDeadlineTicks = slo;
-        total_errors += emit("serve defaults", 0,
-                             verify::audit_serve_config(audit), verbose,
-                             json);
     }
 
     if (json && !*json) {

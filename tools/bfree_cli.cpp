@@ -22,8 +22,6 @@
 #include "core/stats_export.hh"
 #include "dnn/layer.hh"
 #include "dnn/quantize.hh"
-#include "serve/server.hh"
-#include "serve/trace.hh"
 #include "sim/cpuid.hh"
 #include "sim/parallel.hh"
 #include "verify/plan_verifier.hh"
@@ -58,10 +56,6 @@ usage(std::ostream &os)
           "                    per-layer scratch, frozen weights,\n"
           "                    dispatched kernel level, amortization\n"
           "                    counts), then exit\n"
-          "  --serve-stats     replay a fixed-seed arrival trace\n"
-          "                    through the serving front-end (request\n"
-          "                    queue + continuous batcher) and dump the\n"
-          "                    latency/SLO statistics, then exit\n"
           "  --describe        print the network's structure and exit\n"
           "  --layers          print the per-layer table\n"
           "  --csv             emit per-layer CSV instead of text\n"
@@ -108,7 +102,6 @@ main(int argc, char **argv)
     bool lint = false;
     bool audit = false;
     bool planStats = false;
-    bool serveStats = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -159,8 +152,6 @@ main(int argc, char **argv)
             audit = true;
         else if (arg == "--plan-stats")
             planStats = true;
-        else if (arg == "--serve-stats")
-            serveStats = true;
         else if (arg == "--describe")
             describe = true;
         else if (arg == "--layers")
@@ -333,83 +324,6 @@ main(int argc, char **argv)
                                      "functionally here"
                                    : "layer only runs standalone");
         }
-        return 0;
-    }
-
-    if (serveStats) {
-        // Serving runs the functional plan, so it needs the same
-        // guards as the --plan-stats demo: a plannable topology, only
-        // runnable layer kinds, and a network small enough to execute
-        // functionally at the shell.
-        const unsigned bits = (precision == "4") ? 4u : 8u;
-        core::PlanStats probe;
-        if (!core::NetworkPlan::tryEstimate(net, bits, probe)) {
-            std::cout << net.name()
-                      << ": no execution plan — cannot serve this "
-                         "topology functionally\n";
-            return 0;
-        }
-        sim::Rng rng(42);
-        const core::NetworkWeights weights =
-            core::random_weights(net, rng);
-        const core::NetworkPlan plan = acc.compilePlan(net, weights, bits);
-        bool executable = net.totalMacs() <= (1ull << 26);
-        for (const core::PlannedLayer &pl : plan.layers()) {
-            switch (pl.layer.kind) {
-              case dnn::LayerKind::Conv:
-              case dnn::LayerKind::Fc:
-              case dnn::LayerKind::Relu:
-              case dnn::LayerKind::Sigmoid:
-              case dnn::LayerKind::Tanh:
-              case dnn::LayerKind::MaxPool:
-              case dnn::LayerKind::AvgPool:
-              case dnn::LayerKind::Softmax:
-                break;
-              default:
-                executable = false;
-                break;
-            }
-        }
-        if (!executable) {
-            std::cout << net.name()
-                      << ": serving demo skipped (layer only runs "
-                         "standalone, or network too large to execute "
-                         "functionally here)\n";
-            return 0;
-        }
-
-        serve::ServeConfig scfg;
-        scfg.queueDepth = 32;
-        // --batch selects the merge bound; the default of 1 would
-        // disable batching, so serving defaults to 8 instead.
-        scfg.batcher.maxBatch = batch > 1 ? batch : 8;
-        scfg.batcher.windowTicks = 400;
-        scfg.threads = threads;
-        scfg.cyclesPerTick = 1000;
-        scfg.stats.occupancyBins = scfg.batcher.maxBatch + 1;
-        scfg.stats.latencyHistMaxTicks = 8192;
-        scfg.stats.latencyBins = 128;
-        serve::ServeEngine engine(plan, scfg);
-
-        // Fixed-seed mixed trace: a Poisson stretch plus one burst —
-        // the same replay for everyone, whatever the thread count.
-        sim::Rng trng(7);
-        serve::ArrivalTrace trace = serve::poisson_trace(
-            trng, 24, /*meanGapTicks=*/500, /*deadline=*/20000);
-        {
-            const sim::Tick offset = trace.horizon() + 100;
-            for (std::size_t i = 0; i < 8; ++i)
-                trace.arrivals.push_back({.tick = offset,
-                                          .inputSeed = 900 + i,
-                                          .deadlineTicks = 20000});
-        }
-        const serve::ReplayReport rep = engine.replay(trace);
-        std::printf("serving %s @ int%u: %zu arrivals, %zu served, "
-                    "%.0f batches, end tick %llu\n",
-                    net.name().c_str(), bits, trace.size(),
-                    rep.served.size(), engine.stats().batches.value(),
-                    static_cast<unsigned long long>(rep.endTick));
-        engine.stats().dumpAll(std::cout);
         return 0;
     }
 
