@@ -491,13 +491,28 @@ Bce::accumulateIncoming(std::int32_t local, std::int32_t incoming)
 double
 Bce::evaluatePwl(const lut::PwlTable &table, double x)
 {
-    lut::MicroOpCounts counts;
-    const double y = table.evaluate(x, &counts);
-    stats_.counts += counts;
-    // The alpha/beta fetch reads the sub-array LUT rows.
-    ++stats_.specialLutEvents;
-    chargeCycles(counts.cycles);
+    double y;
+    evaluatePwlSpan(table, &x, &y, 1);
     return y;
+}
+
+void
+Bce::evaluatePwlSpan(const lut::PwlTable &table, const double *in,
+                     double *out, std::size_t n)
+{
+    if (_tier == ExecTier::Legacy || !simd::pwl_span(table, in, out, n)) {
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = table.evaluate(in[i]);
+    }
+    const lut::MicroOpCounts one = lut::PwlTable::evalCounts();
+    stats_.counts.lutLookups += n * one.lutLookups;
+    stats_.counts.romLookups += n * one.romLookups;
+    stats_.counts.shifts += n * one.shifts;
+    stats_.counts.adds += n * one.adds;
+    stats_.counts.cycles += n * one.cycles;
+    // Each alpha/beta fetch reads the sub-array LUT rows.
+    stats_.specialLutEvents += n;
+    chargeCycles(n * one.cycles);
 }
 
 double

@@ -340,8 +340,20 @@ class Bce
     // ------------------------------------------------------------------
     // Special functions
     // ------------------------------------------------------------------
-    /** Evaluate a PWL table (sigmoid/tanh/exp); two cycles. */
+    /** Evaluate a PWL table (sigmoid/tanh/exp); two cycles. The n = 1
+     *  call of evaluatePwlSpan. */
     double evaluatePwl(const lut::PwlTable &table, double x);
+
+    /**
+     * out[i] = table.evaluate(in[i]) for i in [0, n) (in == out is
+     * allowed), booked in one step as n evaluatePwl calls: per element
+     * PwlTable::evalCounts(), one special-LUT event and two cycles in
+     * the current mode. The Legacy tier runs the oracle per element;
+     * the Tiered tier runs simd::pwl_span where it has a vector form
+     * and the same oracle loop elsewhere; both are bit-identical.
+     */
+    void evaluatePwlSpan(const lut::PwlTable &table, const double *in,
+                         double *out, std::size_t n);
 
     /** LUT division (Section III-C2); four cycles. */
     double divide(double x, double y, const lut::DivisionLut &div);

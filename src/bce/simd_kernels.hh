@@ -39,6 +39,7 @@
 #include <cstdint>
 
 #include "lut/datapath_table.hh"
+#include "lut/pwl.hh"
 
 namespace bfree::bce::simd {
 
@@ -285,6 +286,21 @@ void dequantize_store(const std::int32_t *acc, std::size_t accStride,
  */
 bool max_pool_2x2_q8(const float *in, std::size_t channels,
                      std::size_t inH, std::size_t inW, float *out);
+
+// ---------------------------------------------------------------------
+// PWL span: sigmoid / tanh / exp over a run of activations
+// ---------------------------------------------------------------------
+
+/**
+ * out[i] = table.evaluate(in[i]) for i in [0, n), bit for bit, NaN
+ * lanes included (in == out is allowed), and true, at both AVX-512
+ * levels for n >= 8: eight lanes of the oracle's steps with a gather
+ * of alpha and beta and a masked tail. Otherwise false and nothing
+ * written: the caller (Bce::evaluatePwlSpan) runs the oracle loop.
+ * Books nothing: the caller does.
+ */
+bool pwl_span(const lut::PwlTable &table, const double *in, double *out,
+              std::size_t n);
 
 } // namespace bfree::bce::simd
 

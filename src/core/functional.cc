@@ -282,24 +282,27 @@ void
 FunctionalExecutor::runActivationInto(const PlannedLayer &pl,
                                       const float *in, float *out)
 {
-    if (pl.layer.kind == dnn::LayerKind::Relu) {
-        bce.reluQ8(in, out, pl.inElems);
+    const std::size_t n = pl.inElems;
+    const lut::PwlTable *table = nullptr;
+    switch (pl.layer.kind) {
+      case dnn::LayerKind::Relu:
+        bce.reluQ8(in, out, n);
         return;
+      case dnn::LayerKind::Sigmoid:
+        table = &sigmoidTable;
+        break;
+      case dnn::LayerKind::Tanh:
+        table = &tanhTable;
+        break;
+      default:
+        bfree_panic("unsupported activation in functional path");
     }
-    for (std::size_t i = 0; i < pl.inElems; ++i) {
-        const float x = in[i];
-        switch (pl.layer.kind) {
-          case dnn::LayerKind::Sigmoid:
-            out[i] =
-                static_cast<float>(bce.evaluatePwl(sigmoidTable, x));
-            break;
-          case dnn::LayerKind::Tanh:
-            out[i] = static_cast<float>(bce.evaluatePwl(tanhTable, x));
-            break;
-          default:
-            bfree_panic("unsupported activation in functional path");
-        }
-    }
+    // One PWL span over the layer in double scratch (plan_shapes).
+    double *x = arena_.alloc<double>(n);
+    std::copy(in, in + n, x);
+    bce.evaluatePwlSpan(*table, x, x, n);
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = static_cast<float>(x[i]);
 }
 
 void
@@ -451,34 +454,49 @@ FunctionalExecutor::runLstmStep(const NetworkPlan &plan,
     if (x.size() != in || prev.h.size() != hid)
         bfree_fatal("runLstmStep: state size mismatch");
 
-    // Concatenate [x, h] into one row vector and run the packed gate
-    // matvec on the broadcast datapath: [1][cols] x [cols][4*hid]. The
-    // frozen row-major [4*hid][cols] gate matrix is exactly the
-    // transposed tile that product wants.
-    dnn::FloatTensor xh({std::size_t(1), cols});
-    std::copy(x.begin(), x.end(), xh.data());
-    std::copy(prev.h.begin(), prev.h.end(), xh.data() + in);
-    const dnn::FloatTensor gates =
-        qMatmulFrozen(xh, pl.frozen[0], cols, std::size_t(4) * hid);
+    // The step runs in the LstmCell's planned arena scratch: the
+    // [x, h] row, the gate row, one double row for the PWL spans and
+    // the matmul body's own. The returned state is the only heap
+    // allocation.
+    const std::size_t gateN = std::size_t(4) * hid;
+    arena_.reserve(pl.scratchBytes);
+    arena_.reset();
+    arena_.resetHighWater();
+    float *xh = arena_.alloc<float>(cols);
+    float *gates = arena_.alloc<float>(gateN);
+    double *act = arena_.alloc<double>(gateN);
 
-    const std::vector<float> &bias = pl.bias;
+    // The packed gate matvec on the broadcast datapath, [1][cols] x
+    // [cols][4*hid]: the frozen row-major [4*hid][cols] gate matrix is
+    // exactly the transposed tile that product wants. The gate bias is
+    // added in the dequantize store.
+    std::copy(x.begin(), x.end(), xh);
+    std::copy(prev.h.begin(), prev.h.end(), xh + in);
+    matmulInto(xh, 1, cols, gateN, pl.frozen[0], false, pl.bias.data(),
+               false, gates);
+
+    // The gates [i, f, g, o] as PWL spans, in place.
+    std::copy(gates, gates + gateN, act);
+    double *const ig = act;
+    double *const fg = act + hid;
+    double *const gg = act + 2 * std::size_t(hid);
+    double *const og = act + 3 * std::size_t(hid);
+    bce.evaluatePwlSpan(sigmoidTable, ig, ig, 2 * std::size_t(hid));
+    bce.evaluatePwlSpan(tanhTable, gg, gg, hid);
+    bce.evaluatePwlSpan(sigmoidTable, og, og, hid);
+
+    // c' = f * c + i * g overwrites g; h' = o * tanh(c').
     dnn::LstmState next;
     next.h.resize(hid);
     next.c.resize(hid);
     for (unsigned j = 0; j < hid; ++j) {
-        const double i_g = bce.evaluatePwl(
-            sigmoidTable, gates.at(0, 0 * hid + j) + bias[0 * hid + j]);
-        const double f_g = bce.evaluatePwl(
-            sigmoidTable, gates.at(0, 1 * hid + j) + bias[1 * hid + j]);
-        const double g_g = bce.evaluatePwl(
-            tanhTable, gates.at(0, 2 * hid + j) + bias[2 * hid + j]);
-        const double o_g = bce.evaluatePwl(
-            sigmoidTable, gates.at(0, 3 * hid + j) + bias[3 * hid + j]);
-        const double c_new = f_g * prev.c[j] + i_g * g_g;
+        const double c_new = fg[j] * prev.c[j] + ig[j] * gg[j];
         next.c[j] = static_cast<float>(c_new);
-        next.h[j] = static_cast<float>(
-            o_g * bce.evaluatePwl(tanhTable, c_new));
+        gg[j] = c_new;
     }
+    bce.evaluatePwlSpan(tanhTable, gg, gg, hid);
+    for (unsigned j = 0; j < hid; ++j)
+        next.h[j] = static_cast<float>(og[j] * gg[j]);
     return next;
 }
 

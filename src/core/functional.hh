@@ -113,11 +113,14 @@ class FunctionalExecutor
                  std::size_t outElems);
 
     /**
-     * One LSTM timestep from a compiled plan: gate matvecs on the
-     * matmul-mode BCE against the frozen gate tile, sigmoid/tanh
-     * through the PWL tables. @p layerIndex selects the LstmCell layer
+     * One LSTM timestep from a compiled plan: the gate matvec on the
+     * matmul-mode BCE against the frozen gate tile with the gate bias
+     * added in its store, then sigmoid/tanh as PWL spans
+     * (Bce::evaluatePwlSpan). @p layerIndex selects the LstmCell layer
      * inside the plan; its weights pack [i, f, g, o] x [input + hidden]
-     * as in dnn::reference_lstm_step.
+     * as in dnn::reference_lstm_step. Scratch comes from the arena (the
+     * layer's PlannedLayer::scratchBytes); the returned state's h and
+     * c are the step's only heap allocations.
      */
     dnn::LstmState runLstmStep(const NetworkPlan &plan,
                                std::size_t layerIndex,

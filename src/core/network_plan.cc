@@ -214,7 +214,8 @@ plan_shapes(const dnn::Network &net, unsigned bits,
             break;
           case dnn::LayerKind::Sigmoid:
           case dnn::LayerKind::Tanh:
-            // Element-wise: no scratch, shape preserved.
+            // One PWL span over a double copy; shape preserved.
+            pl.scratchBytes = TensorArena::paddedBytes<double>(elems);
             break;
           case dnn::LayerKind::MaxPool:
           case dnn::LayerKind::AvgPool: {
@@ -232,12 +233,21 @@ plan_shapes(const dnn::Network &net, unsigned bits,
             pl.scratchBytes =
                 TensorArena::paddedBytes<double>(elems);
             break;
-          case dnn::LayerKind::LstmCell:
-            // Standalone execution only (runLstmStep); the network
-            // walk never runs it, so it claims no arena scratch.
+          case dnn::LayerKind::LstmCell: {
+            // Standalone execution only (runLstmStep), which runs in
+            // this layer's scratch: the [x, h] row, the gate row, the
+            // double row of the PWL spans and the gate matvec's own.
+            const std::size_t cols =
+                std::size_t(layer.lstmInput) + layer.lstmHidden;
+            const std::size_t gates = std::size_t(4) * layer.lstmHidden;
+            pl.scratchBytes = TensorArena::paddedBytes<float>(cols)
+                              + TensorArena::paddedBytes<float>(gates)
+                              + TensorArena::paddedBytes<double>(gates)
+                              + matmul_scratch_bytes(1, cols, gates, bits);
             shape = {layer.lstmHidden, std::size_t(1), std::size_t(1)};
             elems = layer.lstmHidden;
             break;
+          }
           case dnn::LayerKind::Attention:
             shape = {layer.seqLen, layer.dModel};
             elems = std::size_t(layer.seqLen) * layer.dModel;

@@ -15,32 +15,44 @@ PwlTable::PwlTable(std::string name, std::function<double(double)> fn,
         bfree_fatal("PWL table '", _name,
                     "' needs segments > 0 and xmax > xmin");
 
-    width = (xmax - xmin) / segments;
+    _width = (xmax - xmin) / segments;
     segs.resize(segments);
     for (unsigned s = 0; s < segments; ++s) {
-        const double xl = xmin + s * width;
-        const double xr = xl + width;
+        const double xl = xmin + s * _width;
+        const double xr = xl + _width;
         const double yl = fn(xl);
         const double yr = fn(xr);
-        segs[s].alpha = (yr - yl) / width;
+        segs[s].alpha = (yr - yl) / _width;
         segs[s].beta = yl - segs[s].alpha * xl;
     }
+}
+
+MicroOpCounts
+PwlTable::evalCounts()
+{
+    MicroOpCounts c;
+    c.lutLookups = 1; // alpha/beta pair fetch
+    c.romLookups = 1; // alpha * x on the multiply datapath
+    c.adds = 1;       // + beta
+    c.cycles = 2;
+    return c;
 }
 
 double
 PwlTable::evaluate(double x, MicroOpCounts *counts) const
 {
+    if (counts != nullptr)
+        *counts += evalCounts();
+    // std::clamp passes NaN through, and the index cast of NaN is
+    // undefined: NaN in is NaN out, booked like any other input.
+    if (std::isnan(x))
+        return x;
     const double clamped = std::clamp(x, _xmin, _xmax);
-    auto index = static_cast<std::size_t>((clamped - _xmin) / width);
+    auto index = static_cast<std::size_t>((clamped - _xmin) / _width);
     index = std::min(index, segs.size() - 1);
     const PwlSegment &seg = segs[index];
-
-    if (counts != nullptr) {
-        counts->lutLookups += 1; // alpha/beta pair fetch
-        counts->romLookups += 1; // alpha * x on the multiply datapath
-        counts->adds += 1;       // + beta
-        counts->cycles += 2;
-    }
+    // This file compiles with -ffp-contract=off: the product and the
+    // sum round separately here, in every build (src/lut/CMakeLists).
     return seg.alpha * clamped + seg.beta;
 }
 

@@ -51,10 +51,24 @@ class PwlTable
     double xmax() const { return _xmax; }
     unsigned segments() const { return static_cast<unsigned>(segs.size()); }
 
+    /** Segment width, (xmax - xmin) / segments. */
+    double width() const { return _width; }
+
+    /**
+     * What one evaluation books: one alpha/beta pair fetch, one ROM
+     * multiply, one add and two cycles, whatever the input.
+     */
+    static MicroOpCounts evalCounts();
+
     /**
      * Evaluate the approximation; inputs outside the range clamp to the
      * boundary segments (saturating behaviour, correct for sigmoid/tanh
-     * tails and exp underflow).
+     * tails and exp underflow). A NaN input is returned unchanged. The
+     * steps, in this order and each rounded on its own, are the
+     * specification every vector form reproduces bit for bit: clamp,
+     * subtract xmin, divide by width(), truncate to the segment index,
+     * cap it at the last segment, then alpha * x and + beta (two
+     * operations, never a fused multiply-add).
      */
     double evaluate(double x, MicroOpCounts *counts = nullptr) const;
 
@@ -69,7 +83,7 @@ class PwlTable
     std::string _name;
     double _xmin;
     double _xmax;
-    double width;
+    double _width;
     std::vector<PwlSegment> segs;
 };
 

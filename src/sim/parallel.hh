@@ -159,10 +159,7 @@ class SweepContext
      */
     std::ostream &out;
 
-    /**
-     * Private stat group, nested under the report root. Congruent
-     * groups can later be folded with StatGroup::mergeFrom.
-     */
+    /** Private stat group, nested under the report root. */
     StatGroup &stats;
 
     /**

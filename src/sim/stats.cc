@@ -48,16 +48,6 @@ Scalar::dump(std::ostream &os) const
     emit_line(os, fullName(), total, description());
 }
 
-bool
-Scalar::mergeFrom(const StatBase &other)
-{
-    const auto *o = dynamic_cast<const Scalar *>(&other);
-    if (o == nullptr)
-        return false;
-    total += o->total;
-    return true;
-}
-
 void
 Vector::add(std::size_t index, double v)
 {
@@ -93,17 +83,6 @@ Vector::dump(std::ostream &os) const
                   description());
     }
     emit_line(os, fullName() + ".total", total(), description());
-}
-
-bool
-Vector::mergeFrom(const StatBase &other)
-{
-    const auto *o = dynamic_cast<const Vector *>(&other);
-    if (o == nullptr || o->values.size() != values.size())
-        return false;
-    for (std::size_t i = 0; i < values.size(); ++i)
-        values[i] += o->values[i];
-    return true;
 }
 
 StatGroup::StatGroup(std::string name) : _name(std::move(name)) {}
@@ -189,30 +168,6 @@ StatGroup::findChild(const std::string &name) const
             return child;
     }
     return nullptr;
-}
-
-void
-StatGroup::mergeFrom(const StatGroup &other)
-{
-    for (const StatBase *stat : other.stats) {
-        StatBase *mine = findStat(stat->name());
-        if (mine == nullptr) {
-            bfree_panic("merge into '", fullName(), "': no stat named '",
-                        stat->name(), "'");
-        }
-        if (!mine->mergeFrom(*stat)) {
-            bfree_panic("merge into '", fullName(), "': stat '",
-                        stat->name(), "' has a different kind or shape");
-        }
-    }
-    for (const StatGroup *child : other.children) {
-        StatGroup *mine = findChild(child->name());
-        if (mine == nullptr) {
-            bfree_panic("merge into '", fullName(),
-                        "': no child group named '", child->name(), "'");
-        }
-        mine->mergeFrom(*child);
-    }
 }
 
 } // namespace bfree::sim

@@ -46,16 +46,6 @@ class StatBase
     /** Reset to the initial value. */
     virtual void reset() = 0;
 
-    /**
-     * Accumulate another stat's values into this one. The two stats
-     * must be of the same kind and shape (same vector length); returns
-     * false otherwise, leaving this stat untouched. Merging is
-     * associative, so folding a set of congruent stats in a fixed order
-     * yields a bit-identical result no matter which threads produced
-     * them.
-     */
-    virtual bool mergeFrom(const StatBase &other) = 0;
-
   protected:
     const StatGroup &parent() const { return *_parent; }
 
@@ -90,7 +80,6 @@ class Scalar : public StatBase
 
     void dump(std::ostream &os) const override;
     void reset() override { total = 0.0; }
-    bool mergeFrom(const StatBase &other) override;
 
   private:
     double total = 0.0;
@@ -113,7 +102,6 @@ class Vector : public StatBase
 
     void dump(std::ostream &os) const override;
     void reset() override { values.assign(values.size(), 0.0); }
-    bool mergeFrom(const StatBase &other) override;
 
   private:
     std::vector<double> values;
@@ -153,15 +141,6 @@ class StatGroup
 
     /** Child group with leaf name @p name, or nullptr. */
     StatGroup *findChild(const std::string &name) const;
-
-    /**
-     * Accumulate a structurally congruent group into this one: every
-     * stat and child group of @p other is matched by leaf name and
-     * merged recursively. Panics on a missing or shape-mismatched
-     * counterpart — merging is for same-schema groups (e.g. the same
-     * simulation run under different shardings), not arbitrary pairs.
-     */
-    void mergeFrom(const StatGroup &other);
 
   private:
     friend class StatBase;

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
@@ -1087,6 +1088,138 @@ TEST(SimdKernels, DequantizeStoreMatchesScalarEpilogueAtEveryLevel)
                     }
                 }
             }
+        }
+    });
+}
+
+namespace {
+
+/** The bits of @p x: NaN payloads and signed zeros compare exactly. */
+std::uint64_t
+bits_of(double x)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+}
+
+/**
+ * Inputs for the PWL span over @p t: every segment's left edge and its
+ * neighbours on both sides, the range ends and values beyond them,
+ * signed zeros, infinities, NaNs (quiet, negative, signalling) and
+ * random doubles, in range and from random bit patterns.
+ */
+std::vector<double>
+pwl_inputs(const lut::PwlTable &t)
+{
+    using limits = std::numeric_limits<double>;
+    constexpr double inf = limits::infinity();
+    std::vector<double> xs;
+    for (unsigned s = 0; s <= t.segments(); ++s) {
+        const double edge = t.xmin() + s * t.width();
+        xs.push_back(edge);
+        xs.push_back(std::nextafter(edge, -inf));
+        xs.push_back(std::nextafter(edge, inf));
+    }
+    for (const double x :
+         {t.xmin(), t.xmax(), t.xmin() - 0.5, t.xmax() + 0.5, -1e300, 1e300,
+          0.0, -0.0, inf, -inf, limits::quiet_NaN(), -limits::quiet_NaN(),
+          limits::signaling_NaN(), limits::denorm_min(), -limits::max()})
+        xs.push_back(x);
+    std::uint64_t state = 0x9E3779B97F4A7C15u;
+    const auto next = [&state] {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        return state;
+    };
+    const double span = t.xmax() - t.xmin() + 4.0;
+    for (int i = 0; i < 512; ++i) {
+        xs.push_back(t.xmin() - 2.0
+                     + span * static_cast<double>(next() >> 11) * 0x1p-53);
+        std::uint64_t b = next();
+        double x;
+        std::memcpy(&x, &b, sizeof x);
+        xs.push_back(x);
+    }
+    return xs;
+}
+
+} // namespace
+
+TEST(SimdKernels, PwlSpanMatchesScalarEvaluateAtEveryLevel)
+{
+    // Bce::evaluatePwlSpan at the Tiered tier runs simd::pwl_span
+    // where it has a vector form and the oracle loop elsewhere; it
+    // must return PwlTable::evaluate's bits and book what n
+    // evaluatePwl calls on the Legacy oracle book, energy included.
+    // The last table has a bound at 0 and beta = -0.0 in its first
+    // segment: only a clamp that keeps -0.0 (std::clamp's) gets
+    // evaluate(-0.0) = -0.0 there.
+    const lut::PwlTable tables[] = {
+        lut::make_sigmoid_table(), lut::make_tanh_table(),
+        lut::make_exp_table(),
+        lut::PwlTable("signed-zero",
+                      [](double x) { return x == 0.0 ? -0.0 : x; }, 0.0,
+                      4.0, 4)};
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 0; n <= 17; ++n)
+        lengths.push_back(n);
+    for (const std::size_t n : {1023u, 1024u, 1025u})
+        lengths.push_back(n);
+    for_each_runnable_level([&](sim::SimdLevel level) {
+        for (const lut::PwlTable &t : tables) {
+            const std::vector<double> xs = pwl_inputs(t);
+            lengths.push_back(xs.size());
+            for (const std::size_t n : lengths) {
+                const std::string ctx =
+                    std::string(sim::simd_level_name(level)) + " "
+                    + t.name() + " n " + std::to_string(n);
+                // A window of the inputs that starts somewhere new for
+                // each length, so every tail lane sees edges and NaNs.
+                std::vector<double> in(n);
+                for (std::size_t i = 0; i < n; ++i)
+                    in[i] = xs[(i + 7 * n) % xs.size()];
+
+                Engine legacy(ExecTier::Legacy);
+                Engine simd(ExecTier::Tiered);
+                legacy.bce.setMode(BceMode::Special);
+                simd.bce.setMode(BceMode::Special);
+                lut::MicroOpCounts oracle;
+                std::vector<double> got(n + 1, 7.0);
+                simd.bce.evaluatePwlSpan(t, in.data(), got.data(), n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    const double want = t.evaluate(in[i], &oracle);
+                    ASSERT_EQ(bits_of(got[i]), bits_of(want))
+                        << ctx << " i " << i << " x " << in[i];
+                    ASSERT_EQ(bits_of(legacy.bce.evaluatePwl(t, in[i])),
+                              bits_of(want))
+                        << ctx << " i " << i;
+                }
+                ASSERT_EQ(got[n], 7.0) << ctx << " overrun";
+
+                const bce::BceStats &s = simd.bce.stats();
+                EXPECT_EQ(s.counts.lutLookups, oracle.lutLookups) << ctx;
+                EXPECT_EQ(s.counts.romLookups, oracle.romLookups) << ctx;
+                EXPECT_EQ(s.counts.adds, oracle.adds) << ctx;
+                EXPECT_EQ(s.counts.cycles, oracle.cycles) << ctx;
+                EXPECT_EQ(s.specialLutEvents, n) << ctx;
+                EXPECT_EQ(s.specialLutEvents,
+                          legacy.bce.stats().specialLutEvents)
+                    << ctx;
+                EXPECT_EQ(s.cyclesByMode, legacy.bce.stats().cyclesByMode)
+                    << ctx;
+                expect_engines_identical(legacy, simd, ctx);
+
+                // In place, as the LSTM step runs it.
+                std::vector<double> inPlace = in;
+                simd.bce.evaluatePwlSpan(t, inPlace.data(), inPlace.data(),
+                                         n);
+                for (std::size_t i = 0; i < n; ++i)
+                    ASSERT_EQ(bits_of(inPlace[i]), bits_of(got[i]))
+                        << ctx << " in place, i " << i;
+            }
+            lengths.pop_back();
         }
     });
 }

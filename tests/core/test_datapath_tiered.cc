@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -23,10 +25,12 @@
 #include "lut/fixed_point.hh"
 #include "lut/pwl.hh"
 #include "sim/parallel.hh"
+#include "simd_levels.hh"
 
 using namespace bfree;
 using bce::BceMode;
 using bce::ExecTier;
+using bfree::test::for_each_runnable_level;
 
 namespace {
 
@@ -459,27 +463,89 @@ TEST(TieredNetwork, TinyCnn16BitBitExact)
 
 TEST(TieredNetwork, LstmStepBitExact)
 {
-    const dnn::Network net = dnn::make_lstm(6, 12, 3);
-    sim::Rng rng(31);
-    const core::NetworkWeights weights = core::random_weights(net, rng);
+    // The Tiered step runs its gates through simd::pwl_span at every
+    // level; hidden sizes off the kernel's 8 lanes exercise its masked
+    // tails, and hid = 5 the oracle loop for spans shorter than 8.
     const std::vector<float> xin = {0.5f, -0.25f, 0.1f,
                                     -0.7f, 0.3f, 0.9f};
-    for (const unsigned bits : {8u, 16u}) {
+    for (const unsigned hid : {5u, 12u, 13u}) {
+        const dnn::Network net = dnn::make_lstm(6, hid, 3);
+        sim::Rng rng(31);
+        const core::NetworkWeights weights =
+            core::random_weights(net, rng);
+        for (const unsigned bits : {8u, 16u}) {
+            const core::NetworkPlan plan =
+                core::NetworkPlan::compile(net, weights, bits);
+            for_each_runnable_level([&](sim::SimdLevel) {
+                core::FunctionalExecutor legacy({}, {}, ExecTier::Legacy);
+                core::FunctionalExecutor tiered({}, {}, ExecTier::Tiered);
+                dnn::LstmState sl, st;
+                sl.h.assign(hid, 0.0f);
+                sl.c.assign(hid, 0.0f);
+                st = sl;
+                for (int t = 0; t < 3; ++t) {
+                    sl = legacy.runLstmStep(plan, 0, xin, sl);
+                    st = tiered.runLstmStep(plan, 0, xin, st);
+                    EXPECT_EQ(sl.h, st.h)
+                        << hid << " hidden, " << bits << " bits t=" << t;
+                    EXPECT_EQ(sl.c, st.c)
+                        << hid << " hidden, " << bits << " bits t=" << t;
+                }
+                expect_stats_equal(legacy.stats(), tiered.stats());
+                EXPECT_EQ(legacy.energy().total(), tiered.energy().total())
+                    << hid << " hidden, " << bits << " bits";
+            });
+        }
+    }
+}
+
+TEST(TieredNetwork, PwlLayersMatchPerElementEvaluatePwl)
+{
+    // Sigmoid and Tanh layers run one PWL span each; at every plan
+    // precision, tier and level they must give the outputs, statistics
+    // and energy of per-element evaluatePwl calls on the Legacy oracle.
+    const dnn::FeatureShape shape{3, 5, 7};
+    dnn::Network net("pwl-net", shape);
+    net.add(dnn::make_activation("sig", dnn::LayerKind::Sigmoid, shape));
+    net.add(dnn::make_activation("tanh", dnn::LayerKind::Tanh, shape));
+    sim::Rng rng(59);
+    dnn::FloatTensor input({shape.c, shape.h, shape.w});
+    input.fillUniform(rng, -12.0, 12.0);
+    input[0] = 0.0f;
+    input[1] = -0.0f;
+    input[2] = 8.0f;
+    input[3] = -4.0f;
+    input[4] = std::numeric_limits<float>::infinity();
+    const core::NetworkWeights weights = core::random_weights(net, rng);
+    const lut::PwlTable sigmoid = lut::make_sigmoid_table();
+    const lut::PwlTable tanh = lut::make_tanh_table();
+
+    Engine ref(ExecTier::Legacy);
+    std::vector<float> want(input.size());
+    for (std::size_t i = 0; i < input.size(); ++i)
+        want[i] = static_cast<float>(ref.bce.evaluatePwl(sigmoid, input[i]));
+    for (float &y : want)
+        y = static_cast<float>(ref.bce.evaluatePwl(tanh, y));
+    ref.bce.flushEnergy();
+
+    for (const unsigned bits : {4u, 8u, 16u}) {
         const core::NetworkPlan plan =
             core::NetworkPlan::compile(net, weights, bits);
-        core::FunctionalExecutor legacy({}, {}, ExecTier::Legacy);
-        core::FunctionalExecutor tiered({}, {}, ExecTier::Tiered);
-        dnn::LstmState sl, st;
-        sl.h.assign(12, 0.0f);
-        sl.c.assign(12, 0.0f);
-        st = sl;
-        for (int t = 0; t < 3; ++t) {
-            sl = legacy.runLstmStep(plan, 0, xin, sl);
-            st = tiered.runLstmStep(plan, 0, xin, st);
-            EXPECT_EQ(sl.h, st.h) << bits << " bits t=" << t;
-            EXPECT_EQ(sl.c, st.c) << bits << " bits t=" << t;
-        }
-        expect_stats_equal(legacy.stats(), tiered.stats());
+        for_each_runnable_level([&](sim::SimdLevel) {
+            for (const ExecTier tier : {ExecTier::Legacy, ExecTier::Tiered}) {
+                core::FunctionalExecutor exec({}, {}, tier);
+                const core::FunctionalResult r = exec.run(plan, input);
+                ASSERT_EQ(r.output.size(), want.size());
+                for (std::size_t i = 0; i < want.size(); ++i)
+                    ASSERT_EQ(std::memcmp(&r.output[i], &want[i],
+                                          sizeof(float)),
+                              0)
+                        << bits << " bits, element " << i;
+                expect_stats_equal(exec.stats(), ref.bce.stats());
+                EXPECT_EQ(exec.energy().total(), ref.account.total())
+                    << bits << " bits";
+            }
+        });
     }
 }
 

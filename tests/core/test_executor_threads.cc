@@ -217,9 +217,8 @@ TEST(ExecutorThreads, LstmStepMatchesOneThread)
         for (float &v : x)
             v = static_cast<float>(rng.uniformReal(-1.0, 1.0));
 
-    Outcome one;
-    for (const unsigned threads : kThreads) {
-        FunctionalExecutor ex({}, {}, ExecTier::Tiered, threads);
+    const auto run = [&](ExecTier tier, unsigned threads) {
+        FunctionalExecutor ex({}, {}, tier, threads);
         dnn::LstmState s{std::vector<float>(cell.lstmHidden),
                          std::vector<float>(cell.lstmHidden)};
         std::vector<float> out;
@@ -228,12 +227,13 @@ TEST(ExecutorThreads, LstmStepMatchesOneThread)
             out.insert(out.end(), s.h.begin(), s.h.end());
             out.insert(out.end(), s.c.begin(), s.c.end());
         }
-        const Outcome got = outcome(ex, std::move(out));
-        if (threads == 1)
-            one = got;
-        else
-            expect_same(one, got,
-                        "runLstmStep, " + std::to_string(threads)
-                            + " threads");
-    }
+        return outcome(ex, std::move(out));
+    };
+    // The Legacy tier (the PWL oracle, the per-span matmul) on one
+    // thread is the reference for the Tiered step at every count.
+    const Outcome legacy = run(ExecTier::Legacy, 1);
+    for (const unsigned threads : kThreads)
+        expect_same(legacy, run(ExecTier::Tiered, threads),
+                    "runLstmStep, " + std::to_string(threads)
+                        + " threads vs Legacy");
 }

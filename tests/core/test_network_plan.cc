@@ -320,6 +320,40 @@ TEST(NetworkPlan, SteadyStateMakesZeroHeapAllocations)
     }
 }
 
+TEST(NetworkPlan, WarmLstmStepAllocatesOnlyTheReturnedState)
+{
+    // The step's rows and the PWL spans' double row live in the
+    // LstmCell's planned arena scratch: a warm step's only heap
+    // allocations are the returned state's h and c. 39 -> 512 splits
+    // the gate matvec over four threads, so the fork/join is covered.
+    const Network net = make_lstm(39, 512, 1);
+    bfree::sim::Rng rng(61);
+    const NetworkWeights weights = random_weights(net, rng, 0.05);
+    const NetworkPlan plan = NetworkPlan::compile(net, weights, 8);
+    const PlannedLayer &cell = plan.layers()[0];
+    std::vector<float> x(cell.layer.lstmInput);
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x[i] = 0.05f * static_cast<float>(i % 7) - 0.15f;
+    for (const unsigned threads : {1u, 4u}) {
+        FunctionalExecutor exec({}, {}, bfree::bce::ExecTier::Tiered,
+                                threads);
+        ASSERT_EQ(exec.threads(), threads);
+        LstmState s{std::vector<float>(cell.layer.lstmHidden),
+                    std::vector<float>(cell.layer.lstmHidden)};
+        s = exec.runLstmStep(plan, 0, x, s);
+
+        const std::uint64_t before =
+            g_heap_allocs.load(std::memory_order_relaxed);
+        const LstmState next = exec.runLstmStep(plan, 0, x, s);
+        const std::uint64_t after =
+            g_heap_allocs.load(std::memory_order_relaxed);
+        EXPECT_EQ(after - before, 2u) << threads << " threads";
+        EXPECT_EQ(next.h.size(), cell.layer.lstmHidden);
+        EXPECT_EQ(exec.arena().highWater(), cell.scratchBytes)
+            << threads << " threads";
+    }
+}
+
 TEST(NetworkPlan, HighWaterTracksThePlanActuallyRun)
 {
     // Re-running a smaller plan through the same executor must report

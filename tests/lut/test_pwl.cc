@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <numeric>
 
 #include "lut/pwl.hh"
@@ -218,4 +221,31 @@ TEST(LutSoftmax, LargeNegativeLogitsUnderflowGracefully)
     const std::vector<double> probs = lut_softmax(logits, exp_t, div);
     EXPECT_GT(probs[0], 0.9);
     EXPECT_LT(probs[1], 0.1);
+}
+
+TEST(PwlTable, NanInIsNanOutWithTheSameBooking)
+{
+    // NaN must not reach the segment index: the cast of NaN to an
+    // integer is undefined. It comes back unchanged, booked like any
+    // other evaluation (this test also runs under
+    // -fsanitize=float-cast-overflow).
+    const double nans[] = {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::signaling_NaN()};
+    for (const PwlTable &t :
+         {make_sigmoid_table(), make_tanh_table(), make_exp_table()}) {
+        MicroOpCounts nanCounts, numCounts;
+        for (const double x : nans) {
+            const double y = t.evaluate(x, &nanCounts);
+            EXPECT_TRUE(std::isnan(y)) << t.name();
+            EXPECT_EQ(std::memcmp(&x, &y, sizeof x), 0) << t.name();
+            (void)t.evaluate(0.5, &numCounts);
+        }
+        EXPECT_EQ(nanCounts.lutLookups, numCounts.lutLookups);
+        EXPECT_EQ(nanCounts.romLookups, numCounts.romLookups);
+        EXPECT_EQ(nanCounts.shifts, numCounts.shifts);
+        EXPECT_EQ(nanCounts.adds, numCounts.adds);
+        EXPECT_EQ(nanCounts.cycles, numCounts.cycles);
+        EXPECT_EQ(nanCounts.cycles, 2 * std::size(nans));
+    }
 }

@@ -328,36 +328,6 @@ TEST(SweepRunner, JobGroupsNestUnderSweepRootInJobOrder)
     EXPECT_EQ(alpha->fullName(), "sweep.alpha");
 }
 
-TEST(SweepRunner, MergeFromFoldsCongruentJobStats)
-{
-    SweepRunner runner(4);
-    std::vector<SweepJob> jobs;
-    for (unsigned j = 0; j < 6; ++j) {
-        jobs.push_back({"shard" + std::to_string(j),
-                        [j](SweepContext &ctx) {
-            ctx.scalar("count", "c").set(static_cast<double>(j));
-            Vector &v = ctx.vector("v", "v", 3);
-            v.add(j % 3, 1.0);
-        }});
-    }
-    const SweepReport report = runner.run(std::move(jobs));
-
-    // Fold shards 1..5 into shard 0, in job-index order.
-    StatGroup *total = report.stats().findChild("shard0");
-    ASSERT_NE(total, nullptr);
-    for (unsigned j = 1; j < 6; ++j)
-        total->mergeFrom(*report.stats().findChild(
-            "shard" + std::to_string(j)));
-
-    const auto *count = dynamic_cast<Scalar *>(total->findStat("count"));
-    ASSERT_NE(count, nullptr);
-    EXPECT_DOUBLE_EQ(count->value(), 0 + 1 + 2 + 3 + 4 + 5);
-    const auto *v = dynamic_cast<Vector *>(total->findStat("v"));
-    ASSERT_NE(v, nullptr);
-    EXPECT_DOUBLE_EQ(v->total(), 6.0);
-    EXPECT_DOUBLE_EQ(v->value(0), 2.0);
-}
-
 TEST(SweepRunner, RecordsPerJobTiming)
 {
     SweepRunner runner(2);
