@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -47,8 +48,8 @@ struct DetailedSliceSim::Node
 {
     Node(DetailedSliceSim &parent, unsigned col, unsigned row)
         : parent(parent), col(col), row(row),
-          subarray(parent.geom, parent.tech, *parent.account),
-          bce(subarray, parent.tech, *parent.account)
+          subarray(parent.geom, parent.tech, parent.account),
+          bce(subarray, parent.tech, parent.account)
     {
         bce.loadMultLutImage();
         bce.setMode(bce::BceMode::Conv);
@@ -85,17 +86,9 @@ struct DetailedSliceSim::Node
 DetailedSliceSim::DetailedSliceSim(const tech::CacheGeometry &geom,
                                    const tech::TechParams &tech,
                                    unsigned rows, unsigned cols,
-                                   unsigned slice_len, unsigned bits,
-                                   GridEngine engine,
-                                   sim::EventQueue *ext_queue,
-                                   mem::EnergyAccount *ext_account)
+                                   unsigned slice_len, unsigned bits)
     : geom(geom), tech(tech), numRows(rows), numCols(cols),
-      sliceLen(slice_len), bits(bits), gridEngine(engine),
-      owned_queue(ext_queue ? nullptr : new sim::EventQueue),
-      owned_account(ext_account ? nullptr : new mem::EnergyAccount),
-      queue(ext_queue ? ext_queue : owned_queue.get()),
-      account(ext_account ? ext_account : owned_account.get()),
-      clock(tech.subarrayClockHz)
+      sliceLen(slice_len), bits(bits), clock(tech.subarrayClockHz)
 {
     if (rows == 0 || rows > geom.subarraysPerSubBank)
         bfree_fatal("grid rows ", rows, " outside [1, ",
@@ -112,32 +105,21 @@ DetailedSliceSim::DetailedSliceSim(const tech::CacheGeometry &geom,
             grid[c].push_back(std::make_unique<Node>(*this, c, r));
         for (unsigned r = 0; r + 1 < rows; ++r) {
             vertical[c].push_back(std::make_unique<noc::Router>(
-                *queue, vertical_router_name(c, r), clock, tech,
-                *account));
+                queue, vertical_router_name(c, r), clock, tech,
+                account));
             Node *next = grid[c][r + 1].get();
             vertical[c].back()->connect(
                 [next](const noc::Flit &flit) { next->onPartial(flit); });
-            const unsigned next_row = r + 1;
-            vertical[c].back()->connectBurst(
-                [this, c, next_row](const noc::Flit *flits, std::size_t n,
-                                    sim::Tick first, sim::Tick) {
-                    onPartialTrain(c, next_row, first, flits, n);
-                });
         }
     }
 
     for (unsigned c = 0; c + 1 < cols; ++c) {
         horizontal.push_back(std::make_unique<noc::Router>(
-            *queue, horizontal_router_name(c), clock, tech, *account));
+            queue, horizontal_router_name(c), clock, tech, account));
         const unsigned next_col = c + 1;
         horizontal[c]->connect([this, next_col](const noc::Flit &flit) {
             triggerColumn(next_col, flit.tag);
         });
-        horizontal[c]->connectBurst(
-            [this, next_col](const noc::Flit *, std::size_t,
-                             sim::Tick first, sim::Tick) {
-                onWaveTrain(next_col, first);
-            });
     }
 }
 
@@ -172,18 +154,6 @@ DetailedSliceSim::cyclesPerStep() const
     return static_cast<std::uint64_t>(sliceLen) * (bits / 4);
 }
 
-sim::Tick
-DetailedSliceSim::stepTicks() const
-{
-    return clock.cyclesToTicks(sim::Cycles(cyclesPerStep()));
-}
-
-sim::Tick
-DetailedSliceSim::hopTicks() const
-{
-    return clock.cyclesToTicks(sim::Cycles(tech.routerHopCycles));
-}
-
 void
 DetailedSliceSim::triggerColumn(unsigned col, unsigned wave)
 {
@@ -209,176 +179,53 @@ DetailedSliceSim::forward(unsigned col, unsigned row, unsigned wave,
             bfree_panic("column ", col, ": wave ", wave,
                         " completed out of order");
         completed[col].push_back(sum);
-        drain_tick = std::max(drain_tick, queue->now());
+        drain_tick = std::max(drain_tick, queue.now());
     }
 }
 
-void
-DetailedSliceSim::onWaveTrain(unsigned col, sim::Tick first)
-{
-    // Forward the whole train to the next column first, mirroring the
-    // per-flit engine's propagate-then-compute order.
-    if (col + 1 < numCols) {
-        std::vector<noc::Flit> train;
-        train.reserve(numWaves);
-        for (unsigned w = 0; w < numWaves; ++w)
-            train.push_back(noc::Flit{0, w});
-        horizontal[col]->sendBurst(std::move(train),
-                                   sim::Cycles(cyclesPerStep()));
-    }
-
-    Node &head = *grid[col][0];
-    std::vector<noc::Flit> sums;
-    sums.reserve(numWaves);
-    for (unsigned w = 0; w < numWaves; ++w) {
-        const std::int32_t local = head.localProduct(w);
-        sums.push_back(noc::Flit{
-            static_cast<std::uint64_t>(static_cast<std::uint32_t>(local)),
-            w});
-    }
-
-    if (numRows == 1) {
-        // Single-row column: wave w completes as it arrives.
-        for (unsigned w = 0; w < numWaves; ++w) {
-            if (w != completed[col].size())
-                bfree_panic("column ", col, ": wave ", w,
-                            " completed out of order");
-            completed[col].push_back(
-                static_cast<std::int32_t>(sums[w].payload));
-        }
-        if (numWaves > 0) {
-            drain_tick = std::max(
-                drain_tick, first + (numWaves - 1) * stepTicks());
-        }
-        return;
-    }
-    vertical[col][0]->sendBurst(std::move(sums),
-                                sim::Cycles(cyclesPerStep()));
-}
-
-void
-DetailedSliceSim::onPartialTrain(unsigned col, unsigned row,
-                                 sim::Tick first, const noc::Flit *flits,
-                                 std::size_t n)
-{
-    Node &node = *grid[col][row];
-    if (row + 1 < numRows) {
-        std::vector<noc::Flit> sums;
-        sums.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            const auto incoming =
-                static_cast<std::int32_t>(flits[i].payload);
-            const std::int32_t sum = node.bce.accumulateIncoming(
-                node.localProduct(flits[i].tag), incoming);
-            sums.push_back(noc::Flit{
-                static_cast<std::uint64_t>(
-                    static_cast<std::uint32_t>(sum)),
-                flits[i].tag});
-        }
-        vertical[col][row]->sendBurst(std::move(sums),
-                                      sim::Cycles(cyclesPerStep()));
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto incoming = static_cast<std::int32_t>(flits[i].payload);
-        const std::int32_t sum = node.bce.accumulateIncoming(
-            node.localProduct(flits[i].tag), incoming);
-        if (flits[i].tag != completed[col].size())
-            bfree_panic("column ", col, ": wave ", flits[i].tag,
-                        " completed out of order");
-        completed[col].push_back(sum);
-    }
-    if (n > 0) {
-        drain_tick =
-            std::max(drain_tick, first + (n - 1) * stepTicks());
-    }
-}
-
-void
-DetailedSliceSim::beginStreaming(
-    const std::vector<std::vector<std::int8_t>> &inputs)
+DetailedGridResult
+DetailedSliceSim::run(const std::vector<std::vector<std::int8_t>> &inputs)
 {
     for (const auto &wave : inputs) {
         if (wave.size() != std::size_t(numRows) * sliceLen)
             bfree_fatal("each input wave must carry rows * slice_len "
                         "elements");
     }
+    const auto waves = static_cast<unsigned>(inputs.size());
     currentInputs = &inputs;
-    numWaves = static_cast<unsigned>(inputs.size());
     completed.assign(numCols, {});
     for (auto &col : completed)
-        col.reserve(numWaves);
+        col.reserve(waves);
     drain_tick = 0;
-    events_at_begin = queue->processed();
-}
+    const std::uint64_t events_at_start = queue.processed();
 
-void
-DetailedSliceSim::injectWaveNow(unsigned wave)
-{
-    if (currentInputs == nullptr)
-        bfree_panic("injectWaveNow outside a stream");
-    triggerColumn(0, wave);
-}
+    const sim::Tick base = queue.now();
+    const sim::Tick cps_ticks =
+        clock.cyclesToTicks(sim::Cycles(cyclesPerStep()));
+    for (unsigned w = 0; w < waves; ++w) {
+        queue.scheduleCallback(base + (w + 1) * cps_ticks,
+                               [this, w] { triggerColumn(0, w); });
+    }
+    queue.run();
 
-void
-DetailedSliceSim::injectAllWavesNow()
-{
-    if (currentInputs == nullptr)
-        bfree_panic("injectAllWavesNow outside a stream");
-    if (numWaves > 0)
-        onWaveTrain(0, queue->now());
-}
-
-DetailedGridResult
-DetailedSliceSim::finishStreaming()
-{
-    if (currentInputs == nullptr)
-        bfree_panic("finishStreaming outside a stream");
     for (unsigned c = 0; c < numCols; ++c) {
-        if (completed[c].size() != numWaves)
+        if (completed[c].size() != waves)
             bfree_panic("column ", c, " drained ", completed[c].size(),
-                        " of ", numWaves, " waves");
+                        " of ", waves, " waves");
     }
 
     // Convert every node's integer micro-op tallies into joules before
-    // the shared account is read; fixed grid order keeps the float
-    // accumulation identical across engines and thread counts.
+    // the account is read, in fixed grid order.
     for (auto &column : grid)
         for (auto &node : column)
             node->bce.flushEnergy();
 
     DetailedGridResult result;
-    result.outputs = completed;
+    result.outputs = std::move(completed);
     result.cycles = clock.ticksToCycles(drain_tick).value();
-    result.events = queue->processed() - events_at_begin;
+    result.events = queue.processed() - events_at_start;
     currentInputs = nullptr;
     return result;
-}
-
-DetailedGridResult
-DetailedSliceSim::run(const std::vector<std::vector<std::int8_t>> &inputs)
-{
-    if (!owned_queue) {
-        bfree_panic("DetailedSliceSim::run needs an owned queue; use the "
-                    "streaming API with an external one");
-    }
-
-    beginStreaming(inputs);
-    const sim::Tick base = queue->now();
-    const sim::Tick cps_ticks = stepTicks();
-    if (gridEngine == GridEngine::Burst) {
-        if (numWaves > 0) {
-            queue->scheduleCallback(base + cps_ticks,
-                                    [this] { injectAllWavesNow(); });
-        }
-    } else {
-        for (unsigned w = 0; w < numWaves; ++w) {
-            queue->scheduleCallback(base + (w + 1) * cps_ticks,
-                                    [this, w] { injectWaveNow(w); });
-        }
-    }
-    queue->run();
-    return finishStreaming();
 }
 
 } // namespace bfree::map

@@ -18,24 +18,13 @@
  *
  * Every multiply goes through real Subarray + Bce objects, so the
  * functional outputs are exact and the wall clock cross-validates the
- * closed form used by the analytic model.
+ * closed form used by the analytic model. Router traffic is literal:
+ * one scheduled delivery per flit per hop, so a run dispatches
  *
- * Two timing engines produce identical results:
+ *     waves + waves * (cols - 1) + waves * cols * (rows - 1)
  *
- *  - GridEngine::PerFlit schedules one router event per flit per hop —
- *    the original, literal model, O(rows * cols * waves) events;
- *
- *  - GridEngine::Burst ships each link's whole wave train as one
- *    Router::sendBurst, O(rows * cols) events. Because every inter-wave
- *    gap is the same cps cycles and every quantity is a multiple of the
- *    clock period, flit arrival times are recovered arithmetically from
- *    (first_arrival, cadence) with zero rounding, so cycle counts,
- *    outputs, flit counts and energy are bit-identical to PerFlit.
- *
- * The streaming API (beginStreaming / injectWaveNow / injectAllWavesNow
- * / finishStreaming) lets a caller drive the grid from an external
- * event queue and energy account — the full-cache driver runs one grid
- * per LLC slice on per-shard queues this way.
+ * events (one injection per wave, then the horizontal and vertical
+ * hops), which is waves * rows * cols.
  */
 
 #ifndef BFREE_MAP_DETAILED_SLICE_SIM_HH
@@ -67,13 +56,6 @@ std::uint64_t detailed_grid_formula(unsigned rows, unsigned cols,
                                     unsigned waves, std::uint64_t cps,
                                     unsigned hop);
 
-/** Timing engine for the grid's router traffic. */
-enum class GridEngine
-{
-    PerFlit, ///< One scheduled event per flit per hop (literal model).
-    Burst,   ///< One scheduled event per wave train per hop.
-};
-
 /**
  * The 2-D systolic grid simulation.
  */
@@ -84,18 +66,10 @@ class DetailedSliceSim
      * @param rows      Sub-arrays per column (input-channel slices).
      * @param cols      Columns (filters / sub-bank chains).
      * @param slice_len Dot-product elements each node owns.
-     * @param engine    Router timing engine; identical results.
-     * @param ext_queue Event queue to schedule on; nullptr means the
-     *                  grid owns a private queue (required for run()).
-     * @param ext_account Energy account to charge; nullptr means a
-     *                  private account.
      */
     DetailedSliceSim(const tech::CacheGeometry &geom,
                      const tech::TechParams &tech, unsigned rows,
-                     unsigned cols, unsigned slice_len, unsigned bits,
-                     GridEngine engine = GridEngine::Burst,
-                     sim::EventQueue *ext_queue = nullptr,
-                     mem::EnergyAccount *ext_account = nullptr);
+                     unsigned cols, unsigned slice_len, unsigned bits);
 
     ~DetailedSliceSim();
 
@@ -105,55 +79,17 @@ class DetailedSliceSim
 
     /**
      * Stream @p waves input vectors (each rows * slice_len elements;
-     * every column sees the same inputs) and run to completion.
-     * Convenience wrapper over the streaming API; only valid when the
-     * grid owns its queue.
+     * every column sees the same inputs) and run to completion. Wave w
+     * enters column 0 (w + 1) * cyclesPerStep() cycles after the start.
      */
     DetailedGridResult
     run(const std::vector<std::vector<std::int8_t>> &inputs);
 
-    /**
-     * Streaming API: arm the grid for @p inputs. The caller then
-     * schedules injections on the grid's queue (injectWaveNow per wave
-     * for PerFlit, one injectAllWavesNow for Burst — wave w is taken to
-     * enter column 0 at now + w * stepTicks()) and, once the queue has
-     * drained, collects the result with finishStreaming().
-     */
-    void
-    beginStreaming(const std::vector<std::vector<std::int8_t>> &inputs);
-
-    /** Wave @p wave enters column 0 now (PerFlit engine). */
-    void injectWaveNow(unsigned wave);
-
-    /** All waves enter column 0 starting now, cps apart (Burst). */
-    void injectAllWavesNow();
-
-    /** Flush energy and collect the result of the current stream. */
-    DetailedGridResult finishStreaming();
-
     /** Per-node compute interval in cycles. */
     std::uint64_t cyclesPerStep() const;
 
-    /** Per-node compute interval in ticks. */
-    sim::Tick stepTicks() const;
-
-    /** Router hop latency in ticks. */
-    sim::Tick hopTicks() const;
-
-    /**
-     * Tick at which the last output of the current/last stream drained
-     * (valid after finishStreaming; includes any injection offset).
-     */
-    sim::Tick drainTick() const { return drain_tick; }
-
-    /** The queue this grid schedules on (owned or external). */
-    sim::EventQueue &eventQueue() { return *queue; }
-
-    /** This grid's clock domain. */
-    const sim::ClockDomain &clockDomain() const { return clock; }
-
-    /** Energy account charged by this grid (owned or external). */
-    const mem::EnergyAccount &energy() const { return *account; }
+    /** Energy account charged by this grid. */
+    const mem::EnergyAccount &energy() const { return account; }
 
   private:
     struct Node;
@@ -161,22 +97,9 @@ class DetailedSliceSim
     /** Wave w has arrived (horizontally) at column @p col. */
     void triggerColumn(unsigned col, unsigned wave);
 
-    /** Vertical forwarding inside a column (PerFlit engine). */
+    /** Vertical forwarding inside a column. */
     void forward(unsigned col, unsigned row, unsigned wave,
                  std::int32_t sum);
-
-    /**
-     * Burst engine: the whole wave train has arrived at column @p col,
-     * wave 0 at tick @p first and wave w at first + w * stepTicks().
-     */
-    void onWaveTrain(unsigned col, sim::Tick first);
-
-    /**
-     * Burst engine: a partial-sum train has arrived at (col, row),
-     * timed like onWaveTrain. @p sums holds one partial per wave.
-     */
-    void onPartialTrain(unsigned col, unsigned row, sim::Tick first,
-                        const noc::Flit *flits, std::size_t n);
 
     tech::CacheGeometry geom;
     tech::TechParams tech;
@@ -184,14 +107,10 @@ class DetailedSliceSim
     unsigned numCols;
     unsigned sliceLen;
     unsigned bits;
-    GridEngine gridEngine;
 
-    /** Owned instances when no external queue/account was supplied;
-     *  declared before the grid so nodes can hold references. */
-    std::unique_ptr<sim::EventQueue> owned_queue;
-    std::unique_ptr<mem::EnergyAccount> owned_account;
-    sim::EventQueue *queue;
-    mem::EnergyAccount *account;
+    /** Declared before the grid so nodes can hold references. */
+    sim::EventQueue queue;
+    mem::EnergyAccount account;
 
     sim::ClockDomain clock;
     /** nodes[col][row]. */
@@ -203,9 +122,7 @@ class DetailedSliceSim
 
     std::vector<std::vector<std::int32_t>> completed;
     const std::vector<std::vector<std::int8_t>> *currentInputs = nullptr;
-    unsigned numWaves = 0;
     sim::Tick drain_tick = 0;
-    std::uint64_t events_at_begin = 0;
 };
 
 } // namespace bfree::map

@@ -25,33 +25,6 @@ Router::send(const Flit &flit)
 }
 
 void
-Router::sendBurst(std::vector<Flit> flits, sim::Cycles cadence)
-{
-    if (flits.empty())
-        bfree_panic("router ", name(), " asked to send an empty burst");
-    if (!burstDownstream)
-        bfree_panic("router ", name(), " has no downstream burst sink");
-
-    // Charge hop energy per flit (not one n*pj add): bitwise identical
-    // to n scalar send() calls, so burst and per-flit runs agree on
-    // every energy stat to the last ulp.
-    for (std::size_t i = 0; i < flits.size(); ++i)
-        energy->addPj(mem::EnergyCategory::Router, tech.routerHopPj);
-    numFlits += flits.size();
-    ++numBursts;
-
-    const sim::Tick arrival =
-        clockEdge(sim::Cycles(tech.routerHopCycles));
-    const sim::Tick cadence_ticks = cadence.value() * clockPeriod();
-    auto train = std::make_shared<std::vector<Flit>>(std::move(flits));
-    eventq().scheduleCallback(arrival,
-                              [this, train, arrival, cadence_ticks] {
-        burstDownstream(train->data(), train->size(), arrival,
-                        cadence_ticks);
-    });
-}
-
-void
 Router::deliver()
 {
     if (inFlight.empty())

@@ -13,10 +13,8 @@
 #ifndef BFREE_NOC_ROUTER_HH
 #define BFREE_NOC_ROUTER_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,17 +40,6 @@ class Router : public sim::ClockedObject
   public:
     using Sink = std::function<void(const Flit &)>;
 
-    /**
-     * Downstream consumer of a whole flit train. Receives the flits,
-     * the arrival tick of the FIRST flit (= send tick + hop latency)
-     * and the cadence in ticks between consecutive flits; flit i's
-     * wire-level arrival is first_arrival + i * cadence, recovered
-     * arithmetically instead of with one event per flit.
-     */
-    using BurstSink = std::function<void(
-        const Flit *flits, std::size_t n, sim::Tick first_arrival,
-        sim::Tick cadence)>;
-
     Router(sim::EventQueue &queue, std::string name,
            const sim::ClockDomain &domain, const tech::TechParams &tech,
            mem::EnergyAccount &energy);
@@ -60,27 +47,11 @@ class Router : public sim::ClockedObject
     /** Connect the downstream consumer. */
     void connect(Sink sink) { downstream = std::move(sink); }
 
-    /** Connect the downstream burst consumer. */
-    void connectBurst(BurstSink sink)
-    { burstDownstream = std::move(sink); }
-
     /** Inject a flit; it arrives downstream after the hop latency. */
     void send(const Flit &flit);
 
-    /**
-     * Inject a whole flit train spaced @p cadence cycles apart, costing
-     * one scheduled event per hop instead of one per flit. Energy and
-     * flit counts are identical to sending each flit individually; only
-     * the event count shrinks. The burst sink fires at the first flit's
-     * arrival with the exact (first_arrival, cadence) timing metadata.
-     */
-    void sendBurst(std::vector<Flit> flits, sim::Cycles cadence);
-
-    /** Flits forwarded so far (scalar and burst combined). */
+    /** Flits forwarded so far. */
     std::uint64_t flitsForwarded() const { return numFlits; }
-
-    /** Bursts forwarded so far. */
-    std::uint64_t burstsForwarded() const { return numBursts; }
 
   private:
     void deliver();
@@ -88,9 +59,7 @@ class Router : public sim::ClockedObject
     tech::TechParams tech;
     mem::EnergyAccount *energy;
     Sink downstream;
-    BurstSink burstDownstream;
     std::uint64_t numFlits = 0;
-    std::uint64_t numBursts = 0;
 
     // One outstanding flit per hop-latency window is enough for the
     // systolic traffic pattern (one flit per cycle per link); a short

@@ -148,32 +148,4 @@ EventQueue::run(Tick stop_at)
     return current_tick;
 }
 
-std::uint64_t
-EventQueue::runUntilBarrier(Tick barrier)
-{
-    if (barrier < current_tick) {
-        bfree_panic("epoch barrier ", barrier, " is in the past (now ",
-                    current_tick, ")");
-    }
-    std::uint64_t dispatched = 0;
-    for (;;) {
-        pruneStale();
-        if (heap.empty() || heap.top().when >= barrier)
-            break;
-        step();
-        ++dispatched;
-    }
-    // Idle-advance to the barrier so work injected by the cross-shard
-    // rendezvous at exactly the barrier tick is legal to schedule.
-    current_tick = barrier;
-    return dispatched;
-}
-
-Tick
-EventQueue::nextEventTick()
-{
-    pruneStale();
-    return heap.empty() ? max_tick : heap.top().when;
-}
-
 } // namespace bfree::sim

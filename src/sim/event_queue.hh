@@ -9,19 +9,9 @@
  * deterministic, which the cross-validation tests between the detailed
  * and analytic timing models rely on.
  *
- * Two facilities support the sharded detailed engine:
- *
- *  - scheduleCallback() draws one-shot events from an object pool linked
- *    through an intrusive free list, so hot paths that fire millions of
- *    transient events (wave emitters, cross-shard injections) allocate
- *    nothing in steady state;
- *
- *  - runUntilBarrier() advances the queue through one epoch window,
- *    processing every event strictly before the barrier and then moving
- *    simulated time to the barrier itself. Independent queues stepped
- *    through the same barrier sequence stay in lockstep, which is what
- *    lets one queue per cache slice run on separate threads while
- *    cross-slice traffic crosses only at the (deterministic) barriers.
+ * scheduleCallback() draws one-shot events from an object pool linked
+ * through an intrusive free list, so the detailed models' per-wave
+ * emitters allocate nothing once the pool has warmed up.
  */
 
 #ifndef BFREE_SIM_EVENT_QUEUE_HH
@@ -167,23 +157,6 @@ class EventQueue
 
     /** Dispatch exactly one event; returns false if the queue is empty. */
     bool step();
-
-    /**
-     * Epoch window API: process every event strictly before @p barrier,
-     * then advance simulated time to the barrier itself (even when the
-     * queue is idle). Returns the number of events dispatched. After it
-     * returns, new work may legally be scheduled at any tick >= the
-     * barrier, which is the contract the sharded engine's cross-shard
-     * rendezvous relies on.
-     */
-    std::uint64_t runUntilBarrier(Tick barrier);
-
-    /**
-     * Tick of the earliest pending event, or max_tick when the queue is
-     * empty. Prunes stale heap entries left behind by deschedule() as a
-     * side effect.
-     */
-    Tick nextEventTick();
 
   private:
     class PoolEvent;

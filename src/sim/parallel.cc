@@ -209,17 +209,6 @@ SweepContext::scalar(std::string name, std::string description)
     return ref;
 }
 
-Vector &
-SweepContext::vector(std::string name, std::string description,
-                     std::size_t size)
-{
-    auto stat = std::make_unique<Vector>(stats, std::move(name),
-                                         std::move(description), size);
-    Vector &ref = *stat;
-    owned.push_back(std::move(stat));
-    return ref;
-}
-
 SweepReport::SweepReport() : root(std::make_unique<StatGroup>("sweep")) {}
 
 std::string

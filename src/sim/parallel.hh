@@ -168,8 +168,6 @@ class SweepContext
      * stat, which would unregister when the job returns).
      */
     Scalar &scalar(std::string name, std::string description = "");
-    Vector &vector(std::string name, std::string description,
-                   std::size_t size);
 
   private:
     friend class SweepRunner;

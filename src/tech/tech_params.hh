@@ -146,15 +146,6 @@ struct TechParams
     /** Router traversal latency in cycles of the sub-array clock. */
     unsigned routerHopCycles = 1;
 
-    /**
-     * Input-streaming hop latency between adjacent LLC slices, in
-     * sub-array clock cycles (ring segment + slice ingress). Also the
-     * sharded detailed engine's cross-shard lookahead: a flit posted by
-     * slice s at tick t cannot reach slice s+1 before
-     * t + interSliceHopCycles.
-     */
-    unsigned interSliceHopCycles = 2;
-
     // ------------------------------------------------------------------
     // Sub-array timing
     // ------------------------------------------------------------------

@@ -1,7 +1,8 @@
 /**
  * @file
- * The 2-D systolic grid: exact outputs per filter column, cycles match
- * the closed form, and the equivalence with a matrix multiply.
+ * The 2-D systolic grid: exact outputs per filter column, cycles and
+ * event counts match the closed forms, and the equivalence with a
+ * matrix multiply.
  */
 
 #include <gtest/gtest.h>
@@ -40,6 +41,18 @@ reference_output(const Weights &w, const std::vector<std::int8_t> &wave,
         for (unsigned i = 0; i < slice_len; ++i)
             acc += std::int32_t(w[col][r][i]) * wave[r * slice_len + i];
     return acc;
+}
+
+/**
+ * Events a literal per-flit run dispatches: one injection per wave at
+ * column 0, then one delivery per flit per hop, over cols - 1
+ * horizontal links and rows - 1 vertical links in each column.
+ */
+std::uint64_t
+per_flit_events(unsigned rows, unsigned cols, unsigned waves)
+{
+    const std::uint64_t w = waves;
+    return w + w * (cols - 1) + w * cols * (rows - 1);
 }
 
 } // namespace
@@ -90,6 +103,17 @@ TEST_P(GridSweep, OutputsAndCyclesMatchClosedForm)
               detailed_grid_formula(p.rows, p.cols, p.waves,
                                     sim.cyclesPerStep(),
                                     tech.routerHopCycles));
+    // A batching router path would dispatch fewer events than this.
+    const std::uint64_t events = per_flit_events(p.rows, p.cols, p.waves);
+    EXPECT_EQ(r.events, events);
+
+    // Every flit (all events but the injections) pays one hop, charged
+    // one addPj at a time.
+    double router_j = 0.0;
+    for (std::uint64_t f = 0; f < events - p.waves; ++f)
+        router_j += tech.routerHopPj * 1e-12;
+    EXPECT_EQ(sim.energy().joules(bfree::mem::EnergyCategory::Router),
+              router_j);
 }
 
 INSTANTIATE_TEST_SUITE_P(

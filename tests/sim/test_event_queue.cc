@@ -248,19 +248,6 @@ TEST(EventQueue, DescheduledNeverRescheduledIsSquashedSilently)
     EXPECT_EQ(log, (std::vector<int>{2, 1}));
 }
 
-TEST(EventQueue, NextEventTickSeesThroughStaleEntries)
-{
-    EventQueue q;
-    std::vector<int> log;
-    RecordingEvent a(log, 1);
-    q.schedule(&a, 10);
-    q.deschedule(&a);
-    q.schedule(&a, 70);
-    EXPECT_EQ(q.nextEventTick(), 70u);
-    q.run();
-    EXPECT_EQ(q.nextEventTick(), max_tick);
-}
-
 TEST(EventQueue, ScheduleCallbackFiresAndRecycles)
 {
     EventQueue q;
@@ -306,43 +293,6 @@ TEST(EventQueue, CallbackRespectsPriority)
     q.scheduleCallback(10, [&] { log.push_back(2); }, -10);
     q.run();
     EXPECT_EQ(log, (std::vector<int>{2, 1}));
-}
-
-TEST(EventQueue, RunUntilBarrierIsStrictAndIdleAdvances)
-{
-    EventQueue q;
-    std::vector<int> log;
-    RecordingEvent a(log, 1);
-    RecordingEvent b(log, 2);
-    RecordingEvent c(log, 3);
-    q.schedule(&a, 10);
-    q.schedule(&b, 50); // exactly at the barrier: must NOT fire
-    q.schedule(&c, 90);
-    EXPECT_EQ(q.runUntilBarrier(50), 1u);
-    EXPECT_EQ(log, (std::vector<int>{1}));
-    EXPECT_EQ(q.now(), 50u); // idle-advanced to the barrier
-
-    // Work injected at exactly the barrier tick is legal and ordered
-    // before the event already waiting there (b was scheduled first,
-    // but same-tick order is by sequence, so b still fires first).
-    q.scheduleCallback(50, [&] { log.push_back(4); });
-    EXPECT_EQ(q.runUntilBarrier(100), 3u);
-    EXPECT_EQ(log, (std::vector<int>{1, 2, 4, 3}));
-    EXPECT_EQ(q.now(), 100u);
-
-    // An empty queue still advances to the barrier.
-    EXPECT_EQ(q.runUntilBarrier(200), 0u);
-    EXPECT_EQ(q.now(), 200u);
-}
-
-TEST(EventQueueDeath, BarrierInThePastPanics)
-{
-    EventQueue q;
-    std::vector<int> log;
-    RecordingEvent a(log, 1);
-    q.schedule(&a, 100);
-    q.run();
-    EXPECT_DEATH(q.runUntilBarrier(50), "in the past");
 }
 
 TEST(EventQueueDeath, SchedulingInThePastPanics)

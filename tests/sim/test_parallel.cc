@@ -263,12 +263,10 @@ make_mixed_jobs(unsigned count)
                 static_cast<int>(rng.uniformInt(1000, 20000));
             double acc = 0.0;
             Scalar &draws = ctx.scalar("draws", "rng draws");
-            Vector &mod = ctx.vector("mod", "draw mod 4", 4);
             for (int i = 0; i < iters; ++i) {
                 const double g = rng.gaussian(0.0, 1.0);
                 acc += g;
                 ++draws;
-                mod.add(static_cast<std::size_t>(i % 4), 1.0);
             }
             ctx.out << "job " << ctx.jobIndex << " iters " << iters
                     << " acc " << acc << "\n";

@@ -15,7 +15,6 @@
  * I/O errors.
  */
 
-#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -25,6 +24,8 @@
 #include "dnn/model_zoo.hh"
 #include "dnn/quantize.hh"
 #include "verify/plan_verifier.hh"
+
+#include "arg_parse.hh"
 
 namespace {
 
@@ -140,15 +141,6 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        auto next_u64 = [&]() -> std::uint64_t {
-            const std::string v = next();
-            try {
-                return std::stoull(v);
-            } catch (const std::exception &) {
-                std::cerr << arg << " got '" << v << "'\n";
-                std::exit(2);
-            }
-        };
         if (arg == "--network")
             names.push_back(next());
         else if (arg == "--all")
@@ -157,7 +149,7 @@ main(int argc, char **argv)
         else if (arg == "--precision")
             precision = next();
         else if (arg == "--slices")
-            slices = static_cast<unsigned>(next_u64());
+            slices = tools::parse_unsigned(arg, next(), 1u << 10);
         else if (arg == "--json")
             json_path = next();
         else if (arg == "--verbose")

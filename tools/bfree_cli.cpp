@@ -26,6 +26,8 @@
 #include "sim/parallel.hh"
 #include "verify/plan_verifier.hh"
 
+#include "arg_parse.hh"
+
 namespace {
 
 using namespace bfree;
@@ -112,34 +114,16 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        // stoul would accept "-3" and wrap it to ~4 billion.
-        auto next_unsigned = [&](unsigned long max) -> unsigned {
-            const std::string v = next();
-            unsigned long n = 0;
-            std::size_t used = 0;
-            try {
-                n = std::stoul(v, &used);
-            } catch (const std::exception &) {
-                used = 0;
-            }
-            if (used != v.size() || v[0] == '-' || n > max) {
-                std::cerr << arg << " got '" << v
-                          << "', expected a number in [0, " << max
-                          << "]\n";
-                std::exit(2);
-            }
-            return static_cast<unsigned>(n);
-        };
         if (arg == "--network")
             network = next();
         else if (arg == "--batch")
-            batch = next_unsigned(1u << 20);
+            batch = tools::parse_unsigned(arg, next(), 1u << 20);
         else if (arg == "--memory")
             memory = next();
         else if (arg == "--slices")
-            slices = next_unsigned(1u << 10);
+            slices = tools::parse_unsigned(arg, next(), 1u << 10);
         else if (arg == "--threads")
-            threads = next_unsigned(4096);
+            threads = tools::parse_unsigned(arg, next(), 4096);
         else if (arg == "--mode")
             mode = next();
         else if (arg == "--precision")

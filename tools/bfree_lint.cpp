@@ -20,6 +20,8 @@
 #include "dnn/quantize.hh"
 #include "verify/kernel_verifier.hh"
 
+#include "arg_parse.hh"
+
 namespace {
 
 using namespace bfree;
@@ -82,15 +84,9 @@ main(int argc, char **argv)
         else if (arg == "--all")
             names = {"vgg16", "inception", "lstm",
                      "bert-base", "bert-large", "tiny"};
-        else if (arg == "--slices") {
-            const std::string v = next();
-            try {
-                slices = static_cast<unsigned>(std::stoul(v));
-            } catch (const std::exception &) {
-                std::cerr << "--slices got '" << v << "'\n";
-                return 2;
-            }
-        } else if (arg == "--mode")
+        else if (arg == "--slices")
+            slices = tools::parse_unsigned(arg, next(), 1u << 10);
+        else if (arg == "--mode")
             mode = next();
         else if (arg == "--precision")
             precision = next();
