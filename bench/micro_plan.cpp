@@ -67,7 +67,7 @@ ms_between(Clock::time_point a, Clock::time_point b)
 
 /**
  * Small CNN covering overlapping (3x3 stride-1), 1x1 and disjoint
- * (2x2 stride-2) conv windows, all through the elided front end. The
+ * (2x2 stride-2) conv windows, all through the channels-last front. The
  * two ReLUs fold into their convs' stores and the 2x2 / stride-2 max
  * pool takes the vector pool path. The --dump-stats block runs it so
  * the CI ISA and thread sweeps byte-compare conv, ReLU and pool

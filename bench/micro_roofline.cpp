@@ -18,9 +18,10 @@
  *    point against the scalar tiered loop.
  *
  *  - stages: whole-image wall time of one conv layer through the
- *    elided front end at the resolved ISA, split into marshal
- *    (everything that produces int8 patches: quantize, staging, span
- *    materialization) vs the tiered span kernels. The section also
+ *    channels-last front at the resolved ISA, split into marshal
+ *    (everything that produces int8 patches: the quantize into the
+ *    staged HWC plane and the Kh-run patch copies) vs the tiered span
+ *    kernels. The section also
  *    carries the modeled marshal traffic in bytes and the bandwidth
  *    that implies, so marshal cost can be cross-checked against the
  *    triad roof. images_per_s_auto is the gated whole-image rate.
@@ -51,7 +52,7 @@
 
 #include "bce/bce.hh"
 #include "bce/simd_kernels.hh"
-#include "dnn/im2col.hh"
+#include "core/conv_front.hh"
 #include "dnn/layer.hh"
 #include "dnn/quantize.hh"
 #include "mem/energy_account.hh"
@@ -159,7 +160,7 @@ measure_kernel_macs_per_s(bce::BceMode mode, unsigned bits,
 /** Per-image marshal cost of the conv front end. */
 struct MarshalResult
 {
-    double quantize = 0.0; ///< Plane quantize share.
+    double quantize = 0.0; ///< Quantize-and-stage share.
     double marshal = 0.0;  ///< Everything producing patches, quantize
                            ///< included.
 
@@ -171,10 +172,10 @@ struct MarshalResult
 
 /**
  * The stage-study rig: one conv layer (3x3 stride-1 pad-1, 32x16x16
- * -> 32 channels) with the production front half of core/functional.cc
- * replicated — plane quantize + once-per-image staging + slack span
- * materialization — marshalling every output position's int8 patch
- * into one buffer.
+ * -> 32 channels) through the production front of core/conv_front.hh
+ * (the quantize into the zero-padded HWC plane, then the Kh-run patch
+ * copies of every output row) on one thread, marshalling every output
+ * position's int8 patch into one buffer.
  *
  * Marshal and kernel are timed SEPARATELY: the kernel loop reads only
  * the marshalled patch buffer.
@@ -190,54 +191,37 @@ struct StageRig
 
     std::vector<float> in;
     dnn::SymQuant sq;
-    std::vector<std::int8_t> qin, patches, staging, weights;
-    std::vector<std::int32_t> offsets;
-    dnn::ElisionLayout el;
-    bce::simd::SpanView view;
+    core::HwcPlane hp = core::hwc_plane(l);
+    std::vector<std::int8_t> plane, stage, patches, weights;
 
     StageRig()
     {
-        static constexpr std::size_t slack =
-            bce::simd::SpanView::slackBytes;
         in.resize(in_elems);
         for (std::size_t i = 0; i < in_elems; ++i)
             in[i] = static_cast<float>(static_cast<int>(i * 13 % 255)
                                        - 127)
                     / 64.0f;
         sq.scale = 1.0 / 64.0;
-        qin.resize(in_elems + slack);
-        patches.resize(positions * patch_len + slack);
+        plane.resize(hp.bytes());
+        stage.resize(core::hwc_stage_scratch_bytes(l));
+        patches.resize(positions * patch_len);
         weights = pattern(std::size_t(l.outChannels) * patch_len, 5,
                           127);
-        el = dnn::elision_layout(l);
-        staging.resize(el.staged ? el.stagingBytes + slack : 0);
-        offsets.resize(el.nRuns);
-        dnn::elided_offsets(l, offsets.data());
-        view.offsets = offsets.data();
-        view.nRuns = el.nRuns;
-        view.runLen = el.runLen;
     }
 
-    /** One whole-image marshal pass; returns the quantize share of
-     *  the pass's wall time. */
+    /** One whole-image marshal pass; returns the quantize-and-stage
+     *  share of the pass's wall time. */
     double
     marshal_once()
     {
         const auto t0 = std::chrono::steady_clock::now();
-        dnn::quantize_span(sq, in.data(), in_elems, qin.data());
+        core::stage_hwc_rows(l, sq, in.data(), 0, hp.rows, plane.data(),
+                             stage.data());
         const double quantize = seconds_since(t0);
-        const std::int8_t *plane = qin.data();
-        if (el.staged) {
-            dnn::stage_plane_i8(l, qin.data(), staging.data());
-            plane = staging.data();
-        }
-        for (unsigned oh = 0; oh < out.h; ++oh) {
-            view.base = plane + std::size_t(oh) * l.strideH * el.rowBytes;
-            bce::simd::materialize_span_block(
-                view, out.w, l.strideW,
-                patches.data() + std::size_t(oh) * out.w * patch_len,
-                patch_len);
-        }
+        for (unsigned oh = 0; oh < out.h; ++oh)
+            core::copy_patch_row(l, plane.data(), oh,
+                                 patches.data()
+                                     + std::size_t(oh) * out.w * patch_len);
         return quantize;
     }
 
@@ -256,16 +240,14 @@ struct StageRig
         r.marshal *= per;
 
         // Modeled marshal traffic per image, all counted as touched
-        // bytes: 4 B read + 1 B written per quantized tap, one
-        // whole-plane staging pass (write the padded plane, read the
-        // quantized one) and 1 B each way per copied patch byte.
+        // bytes: 4 B read per input float, the staged plane written
+        // once (padding included) and 1 B each way per copied patch
+        // byte.
         const double patch_bytes = static_cast<double>(positions)
                                    * static_cast<double>(patch_len);
-        r.marshalBytes =
-            5.0 * static_cast<double>(in_elems) + 2.0 * patch_bytes
-            + (el.staged ? static_cast<double>(el.stagingBytes)
-                               + static_cast<double>(in_elems)
-                         : 0.0);
+        r.marshalBytes = 4.0 * static_cast<double>(in_elems)
+                         + static_cast<double>(hp.bytes())
+                         + 2.0 * patch_bytes;
         return r;
     }
 

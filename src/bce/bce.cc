@@ -381,20 +381,6 @@ Bce::foldTile(const lut::DatapathTable &t, std::size_t m, std::size_t k,
             std::uint64_t{m} * n};
 }
 
-Bce::TileTally
-Bce::computeTile(const lut::DatapathTable &t, BceMode mode,
-                 const std::int8_t *a, const std::int8_t *b,
-                 std::int32_t *out, std::size_t m, std::size_t k,
-                 std::size_t n, const std::uint32_t *aFeatures,
-                 const std::uint32_t *bFeatures,
-                 const std::int32_t *bRowSums)
-{
-    if (mode == BceMode::Conv)
-        std::fill(out, out + m * n, 0);
-    simd::gemm_i8(a, b, out, m, k, n, bRowSums);
-    return foldTile(t, m, k, n, aFeatures, bFeatures);
-}
-
 void
 Bce::bookTile(const TileTally &tally, std::size_t k, unsigned bits)
 {
@@ -417,7 +403,8 @@ bool
 Bce::runTile(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
              std::size_t m, std::size_t k, std::size_t n, unsigned bits,
              const std::uint32_t *bFeatures, const std::int32_t *bRowSums,
-             std::uint32_t *scratch)
+             std::uint32_t *scratch, std::size_t rowStride,
+             std::size_t colStride)
 {
     if (m == 0 || n == 0)
         return false;
@@ -438,9 +425,10 @@ Bce::runTile(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
     const auto [lo, hi] = tileDomain(*t);
     if (!simd::features_in_domain(scratch, k, lo, hi))
         return false;
-    bookTile(computeTile(*t, _mode, a, b, out, m, k, n, scratch, bFeatures,
-                         bRowSums),
-             k, bits);
+    if (_mode == BceMode::Conv)
+        std::fill(out, out + m * n, 0);
+    simd::gemm_i8(a, b, out, m, k, n, bRowSums, rowStride, colStride);
+    bookTile(foldTile(*t, m, k, n, scratch, bFeatures), k, bits);
     return true;
 }
 
@@ -449,16 +437,20 @@ Bce::convTile(const std::int8_t *a, const std::int8_t *w,
               std::int32_t *out, std::size_t m, std::size_t k,
               std::size_t n, unsigned bits,
               const std::uint32_t *wFeatures, const std::int32_t *wRowSums,
-              std::uint32_t *scratch)
+              std::uint32_t *scratch, std::size_t rowStride,
+              std::size_t colStride)
 {
     if (_mode != BceMode::Conv)
         bfree_panic("convTile requires conv mode");
 
-    if (runTile(a, w, out, m, k, n, bits, wFeatures, wRowSums, scratch))
+    if (rowStride == 0)
+        rowStride = n;
+    if (runTile(a, w, out, m, k, n, bits, wFeatures, wRowSums, scratch,
+                rowStride, colStride))
         return;
     for (std::size_t i = 0; i < m; ++i)
         for (std::size_t j = 0; j < n; ++j)
-            out[i * n + j] =
+            out[i * rowStride + j * colStride] =
                 dotProductSpan(w + j * k, a + i * k, k, bits);
 }
 
@@ -473,7 +465,7 @@ Bce::matmulTile(const std::int8_t *a, const std::int8_t *bt,
         bfree_panic("matmulTile requires matmul mode");
 
     if (runTile(a, bt, out, m, k, n, bits, btFeatures, btRowSums,
-                scratch))
+                scratch, n, 1))
         return;
     for (std::size_t i = 0; i < m; ++i)
         for (std::size_t j = 0; j < n; ++j)

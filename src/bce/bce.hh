@@ -242,31 +242,20 @@ class Bce
         return simd::feature_count * k + 1;
     }
 
-    // A tile on the GEMM path is two steps. The compute step
-    // (computeTile, foldTile) runs the GEMM and folds the micro-op
-    // tallies of the tile's spans into a TileTally; it touches no Bce
+    // A tile on the GEMM path is two steps. The compute step runs
+    // simd::gemm_i8 for the products and folds the micro-op tallies of
+    // the tile's spans into a TileTally (foldTile); it touches no Bce
     // state, so disjoint tiles may compute on different threads against
     // the table tileTable() returned. The booking step (bookTile) books
-    // a tally into the statistics once, on the Bce's own thread. Tally
-    // sums are integer and order-free, so splitting a tile any way and
-    // booking the summed tally books exactly what the whole tile books.
+    // a tally into the statistics once, on the Bce's own thread. The
+    // tally is bilinear in integer feature sums, so a caller may fold a
+    // whole layer's sums once and run its GEMMs in any split.
 
     /** The integer tally of a tile's compute step. */
     struct TileTally
     {
         simd::SpanSums sums; ///< Micro-op tallies (acc unused).
         std::uint64_t spans = 0; ///< Activation rows x weight rows.
-
-        TileTally &
-        operator+=(const TileTally &o)
-        {
-            sums.lookups += o.sums.lookups;
-            sums.shifts += o.sums.shifts;
-            sums.adds += o.sums.adds;
-            sums.cycles += o.sums.cycles;
-            spans += o.spans;
-            return *this;
-        }
     };
 
     /**
@@ -285,21 +274,7 @@ class Bce
                                         const std::uint32_t *bFeatures,
                                         std::int32_t aLimit);
 
-    /**
-     * Compute step of one m x n tile against @p t in @p mode: the
-     * products from simd::gemm_i8 into @p out (conv mode overwrites,
-     * matmul mode accumulates) and the tally folded from the
-     * activation and weight feature sums.
-     */
-    static TileTally computeTile(const lut::DatapathTable &t, BceMode mode,
-                                 const std::int8_t *a, const std::int8_t *b,
-                                 std::int32_t *out, std::size_t m,
-                                 std::size_t k, std::size_t n,
-                                 const std::uint32_t *aFeatures,
-                                 const std::uint32_t *bFeatures,
-                                 const std::int32_t *bRowSums);
-
-    /** The tally half of computeTile: m*n spans of length k, from the
+    /** The tally of the compute step: m*n spans of length k, from the
      *  rank-1 class-feature identity (simd::fold_tile_features). */
     static TileTally foldTile(const lut::DatapathTable &t, std::size_t m,
                               std::size_t k, std::size_t n,
@@ -311,15 +286,19 @@ class Bce
     void bookTile(const TileTally &tally, std::size_t k, unsigned bits);
 
     /**
-     * Conv-mode tile: out[i * n + j] = dot(a[i], w[j]), the value m*n
-     * dotProductSpan(w[j], a[i], k, bits) calls return.
+     * Conv-mode tile: out[i * rowStride + j * colStride] = dot(a[i],
+     * w[j]), the value m*n dotProductSpan(w[j], a[i], k, bits) calls
+     * return. rowStride 0 means n (the row-major tile); rowStride 1
+     * and colStride m store it filter-major, one run per filter. The
+     * strides must lay the tile out densely over m*n words.
      */
     void convTile(const std::int8_t *a, const std::int8_t *w,
                   std::int32_t *out, std::size_t m, std::size_t k,
                   std::size_t n, unsigned bits,
                   const std::uint32_t *wFeatures = nullptr,
                   const std::int32_t *wRowSums = nullptr,
-                  std::uint32_t *scratch = nullptr);
+                  std::uint32_t *scratch = nullptr,
+                  std::size_t rowStride = 0, std::size_t colStride = 1);
 
     /**
      * Matmul-mode tile: BT is the transposed B tile and out (m x n
@@ -469,15 +448,17 @@ class Bce
 
     /**
      * The GEMM body of both tile entry points: tileTable(), the
-     * measured activation domain, then computeTile and bookTile.
-     * Returns false, with out and the statistics untouched, when the
-     * tile must run the per-span loop.
+     * measured activation domain, then simd::gemm_i8 into out (conv
+     * mode overwrites, matmul mode accumulates), foldTile and
+     * bookTile. Returns false, with out and the statistics untouched,
+     * when the tile must run the per-span loop.
      */
     bool runTile(const std::int8_t *a, const std::int8_t *b,
                  std::int32_t *out, std::size_t m, std::size_t k,
                  std::size_t n, unsigned bits,
                  const std::uint32_t *bFeatures,
-                 const std::int32_t *bRowSums, std::uint32_t *scratch);
+                 const std::int32_t *bRowSums, std::uint32_t *scratch,
+                 std::size_t rowStride, std::size_t colStride);
 
     mem::Subarray *sa;
     tech::TechParams tech;

@@ -165,17 +165,19 @@ feature_sums_scalar(const std::int8_t *tile, std::size_t rows,
 
 void
 gemm_scalar(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
-            std::size_t m, std::size_t k, std::size_t n, std::size_t ldo)
+            std::size_t m, std::size_t k, std::size_t n, std::size_t rs,
+            std::size_t cs)
 {
     for (std::size_t i = 0; i < m; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
             const std::int8_t *ar = a + i * k;
             const std::int8_t *br = b + j * k;
-            std::uint32_t acc = static_cast<std::uint32_t>(out[i * ldo + j]);
+            std::int32_t &o = out[i * rs + j * cs];
+            std::uint32_t acc = static_cast<std::uint32_t>(o);
             for (std::size_t p = 0; p < k; ++p)
                 acc += static_cast<std::uint32_t>(std::int32_t{ar[p]}
                                                   * br[p]);
-            out[i * ldo + j] = static_cast<std::int32_t>(acc);
+            o = static_cast<std::int32_t>(acc);
         }
     }
 }
@@ -196,36 +198,37 @@ row_sums_scalar(const std::int8_t *tile, std::size_t rows, std::size_t k,
  * Walk an m x n output in MR x NR register blocks; the ragged right
  * and bottom edges take 1 x NR, MR x 1 and 1 x 1 blocks. Columns are
  * the outer loop so a block's weight rows stay in L1 while the
- * activation rows stream from L2. Block<mr, nr>::run(a, b, k, out,
- * ldo, bSums) accumulates one block; bSums (the block's first weight
- * row sum) is read only by the VNNI block.
+ * activation rows stream from L2. Element (i, j) of the output lives
+ * at out[i * rs + j * cs]. Block<mr, nr>::run(a, b, k, out, rs, cs,
+ * bSums) accumulates one block; bSums (the block's first weight row
+ * sum) is read only by the VNNI block.
  */
 template <template <int, int> class Block, int MR, int NR>
 void
 gemm_blocked(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
-             std::size_t m, std::size_t k, std::size_t n, std::size_t ldo,
-             const std::int32_t *bSums = nullptr)
+             std::size_t m, std::size_t k, std::size_t n, std::size_t rs,
+             std::size_t cs, const std::int32_t *bSums = nullptr)
 {
     std::size_t j = 0;
     for (; j + NR <= n; j += NR) {
         const std::int32_t *sj = bSums != nullptr ? bSums + j : nullptr;
         std::size_t i = 0;
         for (; i + MR <= m; i += MR)
-            Block<MR, NR>::run(a + i * k, b + j * k, k, out + i * ldo + j, ldo,
-                               sj);
+            Block<MR, NR>::run(a + i * k, b + j * k, k,
+                               out + i * rs + j * cs, rs, cs, sj);
         for (; i < m; ++i)
-            Block<1, NR>::run(a + i * k, b + j * k, k, out + i * ldo + j, ldo,
-                              sj);
+            Block<1, NR>::run(a + i * k, b + j * k, k,
+                              out + i * rs + j * cs, rs, cs, sj);
     }
     for (; j < n; ++j) {
         const std::int32_t *sj = bSums != nullptr ? bSums + j : nullptr;
         std::size_t i = 0;
         for (; i + MR <= m; i += MR)
-            Block<MR, 1>::run(a + i * k, b + j * k, k, out + i * ldo + j, ldo,
-                              sj);
+            Block<MR, 1>::run(a + i * k, b + j * k, k,
+                              out + i * rs + j * cs, rs, cs, sj);
         for (; i < m; ++i)
-            Block<1, 1>::run(a + i * k, b + j * k, k, out + i * ldo + j, ldo,
-                             sj);
+            Block<1, 1>::run(a + i * k, b + j * k, k,
+                             out + i * rs + j * cs, rs, cs, sj);
     }
 }
 
@@ -976,6 +979,28 @@ feature_sums_sse42(const std::int8_t *tile, std::size_t rows,
 }
 
 /**
+ * out[j * cs] += r[j] for the four int32 lanes of @p r, mod 2^32: one
+ * vector add when the lanes are contiguous (cs == 1), else lane by
+ * lane.
+ */
+__attribute__((target("sse4.2"), always_inline)) inline void
+add_lanes4(std::int32_t *out, std::size_t cs, __m128i r)
+{
+    if (cs == 1) {
+        _mm_storeu_si128(
+            reinterpret_cast<__m128i *>(out),
+            _mm_add_epi32(
+                _mm_loadu_si128(reinterpret_cast<const __m128i *>(out)), r));
+        return;
+    }
+    alignas(16) std::uint32_t v[4];
+    _mm_store_si128(reinterpret_cast<__m128i *>(v), r);
+    for (int j = 0; j < 4; ++j)
+        out[j * cs] = static_cast<std::int32_t>(
+            static_cast<std::uint32_t>(out[j * cs]) + v[j]);
+}
+
+/**
  * Tail loads of the 256-bit and 128-bit GEMM blocks. With k >= W the
  * last W bytes of a row are loaded (overlapping the previous step) and
  * the activation side zeroes the lanes already counted, so the
@@ -1006,7 +1031,8 @@ struct GemmAvx2
 {
     __attribute__((target("avx2"))) static void
     run(const std::int8_t *a, const std::int8_t *b, std::size_t k,
-        std::int32_t *out, std::size_t ldo, const std::int32_t *)
+        std::int32_t *out, std::size_t rs, std::size_t cs,
+        const std::int32_t *)
     {
         __m256i acc[MR][NR];
         #pragma GCC unroll 4
@@ -1048,24 +1074,19 @@ struct GemmAvx2
         }
         #pragma GCC unroll 4
         for (int i = 0; i < MR; ++i) {
-            std::int32_t *o = out + i * ldo;
+            std::int32_t *o = out + i * rs;
             if constexpr (NR == 4) {
                 const __m256i h = _mm256_hadd_epi32(
                     _mm256_hadd_epi32(acc[i][0], acc[i][1]),
                     _mm256_hadd_epi32(acc[i][2], acc[i][3]));
-                const __m128i r =
-                    _mm_add_epi32(_mm256_castsi256_si128(h),
-                                  _mm256_extracti128_si256(h, 1));
-                _mm_storeu_si128(
-                    reinterpret_cast<__m128i *>(o),
-                    _mm_add_epi32(_mm_loadu_si128(
-                                      reinterpret_cast<const __m128i *>(o)),
-                                  r));
+                add_lanes4(o, cs,
+                           _mm_add_epi32(_mm256_castsi256_si128(h),
+                                         _mm256_extracti128_si256(h, 1)));
             } else {
                 #pragma GCC unroll 4
                 for (int j = 0; j < NR; ++j)
-                    o[j] = static_cast<std::int32_t>(
-                        static_cast<std::uint32_t>(o[j])
+                    o[j * cs] = static_cast<std::int32_t>(
+                        static_cast<std::uint32_t>(o[j * cs])
                         + wsum_u32x8(acc[i][j]));
             }
         }
@@ -1097,7 +1118,8 @@ struct GemmSse42
 {
     __attribute__((target("sse4.2"))) static void
     run(const std::int8_t *a, const std::int8_t *b, std::size_t k,
-        std::int32_t *out, std::size_t ldo, const std::int32_t *)
+        std::int32_t *out, std::size_t rs, std::size_t cs,
+        const std::int32_t *)
     {
         __m128i acc[MR][NR];
         #pragma GCC unroll 4
@@ -1139,22 +1161,18 @@ struct GemmSse42
         }
         #pragma GCC unroll 4
         for (int i = 0; i < MR; ++i) {
-            std::int32_t *o = out + i * ldo;
+            std::int32_t *o = out + i * rs;
             if constexpr (NR == 4) {
-                const __m128i r =
-                    _mm_hadd_epi32(_mm_hadd_epi32(acc[i][0], acc[i][1]),
-                                   _mm_hadd_epi32(acc[i][2], acc[i][3]));
-                _mm_storeu_si128(
-                    reinterpret_cast<__m128i *>(o),
-                    _mm_add_epi32(_mm_loadu_si128(
-                                      reinterpret_cast<const __m128i *>(o)),
-                                  r));
+                add_lanes4(o, cs,
+                           _mm_hadd_epi32(
+                               _mm_hadd_epi32(acc[i][0], acc[i][1]),
+                               _mm_hadd_epi32(acc[i][2], acc[i][3])));
             } else {
                 #pragma GCC unroll 4
                 for (int j = 0; j < NR; ++j) {
                     const __m128i h = _mm_hadd_epi32(acc[i][j], acc[i][j]);
-                    o[j] = static_cast<std::int32_t>(
-                        static_cast<std::uint32_t>(o[j])
+                    o[j * cs] = static_cast<std::int32_t>(
+                        static_cast<std::uint32_t>(o[j * cs])
                         + static_cast<std::uint32_t>(_mm_cvtsi128_si32(
                             _mm_hadd_epi32(h, h))));
                 }
@@ -1220,19 +1238,23 @@ feature_sums_avx512(const std::int8_t *tile, std::size_t rows,
 
 /**
  * Add the MR x NR int32 lane accumulators of a 512-bit GEMM block,
- * each reduced across its 16 lanes, into the output block (mod 2^32).
- * With @p bSums (the VNNI block's weight row sums), 128 * bSums[j] comes
- * off every column j in the same add.
+ * each reduced across its 16 lanes, into the output block (mod 2^32),
+ * element (i, j) at out[i * rs + j * cs]. With @p bSums (the VNNI
+ * block's weight row sums), 128 * bSums[j] comes off every column j in
+ * the same add. A full 4 x 4 block stored column-major (rs == 1, the
+ * conv tile's filter-major layout) is transposed in registers and
+ * lands as four contiguous column runs.
  */
 template <int MR, int NR>
 __attribute__((target("avx512f,avx512bw,avx512vl"), always_inline)) inline void
 store_block_512(const __m512i (&acc)[MR][NR], std::int32_t *out,
-                std::size_t ldo, const std::int32_t *bSums = nullptr)
+                std::size_t rs, std::size_t cs,
+                const std::int32_t *bSums = nullptr)
 {
-    #pragma GCC unroll 4
-    for (int i = 0; i < MR; ++i) {
-        std::int32_t *o = out + i * ldo;
-        if constexpr (NR == 4) {
+    if constexpr (NR == 4) {
+        __m128i r[MR];
+        #pragma GCC unroll 4
+        for (int i = 0; i < MR; ++i) {
             __m256i y[4];
             #pragma GCC unroll 4
             for (int j = 0; j < 4; ++j)
@@ -1242,24 +1264,39 @@ store_block_512(const __m512i (&acc)[MR][NR], std::int32_t *out,
             const __m256i h =
                 _mm256_hadd_epi32(_mm256_hadd_epi32(y[0], y[1]),
                                   _mm256_hadd_epi32(y[2], y[3]));
-            __m128i r = _mm_add_epi32(_mm256_castsi256_si128(h),
-                                      _mm256_extracti128_si256(h, 1));
+            r[i] = _mm_add_epi32(_mm256_castsi256_si128(h),
+                                 _mm256_extracti128_si256(h, 1));
             if (bSums != nullptr)
-                r = _mm_sub_epi32(
-                    r, _mm_slli_epi32(_mm_loadu_si128(
-                                          reinterpret_cast<const __m128i *>(
-                                              bSums)),
-                                      7));
-            _mm_storeu_si128(
-                reinterpret_cast<__m128i *>(o),
-                _mm_add_epi32(_mm_loadu_si128(
-                                  reinterpret_cast<const __m128i *>(o)),
-                              r));
-        } else {
+                r[i] = _mm_sub_epi32(
+                    r[i], _mm_slli_epi32(
+                              _mm_loadu_si128(
+                                  reinterpret_cast<const __m128i *>(bSums)),
+                              7));
+        }
+        if constexpr (MR == 4) {
+            if (rs == 1 && cs != 1) {
+                const __m128i t0 = _mm_unpacklo_epi32(r[0], r[1]);
+                const __m128i t1 = _mm_unpacklo_epi32(r[2], r[3]);
+                const __m128i t2 = _mm_unpackhi_epi32(r[0], r[1]);
+                const __m128i t3 = _mm_unpackhi_epi32(r[2], r[3]);
+                add_lanes4(out, 1, _mm_unpacklo_epi64(t0, t1));
+                add_lanes4(out + cs, 1, _mm_unpackhi_epi64(t0, t1));
+                add_lanes4(out + 2 * cs, 1, _mm_unpacklo_epi64(t2, t3));
+                add_lanes4(out + 3 * cs, 1, _mm_unpackhi_epi64(t2, t3));
+                return;
+            }
+        }
+        #pragma GCC unroll 4
+        for (int i = 0; i < MR; ++i)
+            add_lanes4(out + i * rs, cs, r[i]);
+    } else {
+        #pragma GCC unroll 4
+        for (int i = 0; i < MR; ++i) {
+            std::int32_t *o = out + i * rs;
             #pragma GCC unroll 4
             for (int j = 0; j < NR; ++j)
-                o[j] = static_cast<std::int32_t>(
-                    static_cast<std::uint32_t>(o[j])
+                o[j * cs] = static_cast<std::int32_t>(
+                    static_cast<std::uint32_t>(o[j * cs])
                     + static_cast<std::uint32_t>(
                         _mm512_reduce_add_epi32(acc[i][j]))
                     - (bSums != nullptr
@@ -1279,7 +1316,8 @@ struct GemmAvx512
 {
     __attribute__((target("avx512f,avx512bw,avx512vl"))) static void
     run(const std::int8_t *a, const std::int8_t *b, std::size_t k,
-        std::int32_t *out, std::size_t ldo, const std::int32_t *)
+        std::int32_t *out, std::size_t rs, std::size_t cs,
+        const std::int32_t *)
     {
         __m512i acc[MR][NR];
         #pragma GCC unroll 4
@@ -1306,7 +1344,7 @@ struct GemmAvx512
                         acc[i][j], _mm512_madd_epi16(va[i], vb));
             }
         }
-        store_block_512<MR, NR>(acc, out, ldo);
+        store_block_512<MR, NR>(acc, out, rs, cs);
     }
 };
 
@@ -1349,7 +1387,8 @@ struct GemmVnni
 
     __attribute__((target("avx512f,avx512bw,avx512vl,avx512vnni"))) static void
     run(const std::int8_t *a, const std::int8_t *b, std::size_t k,
-        std::int32_t *out, std::size_t ldo, const std::int32_t *bSums)
+        std::int32_t *out, std::size_t rs, std::size_t cs,
+        const std::int32_t *bSums)
     {
         __m512i acc[MR][NR];
         #pragma GCC unroll 4
@@ -1362,7 +1401,7 @@ struct GemmVnni
             step<false>(acc, a + p, b + p, k, 0);
         if (p < k)
             step<true>(acc, a + p, b + p, k, (__mmask64{1} << (k - p)) - 1);
-        store_block_512<MR, NR>(acc, out, ldo, bSums);
+        store_block_512<MR, NR>(acc, out, rs, cs, bSums);
     }
 };
 
@@ -1563,10 +1602,11 @@ weight_row_sums(const std::int8_t *tile, std::size_t rows, std::size_t k,
 void
 gemm_i8(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
         std::size_t m, std::size_t k, std::size_t n,
-        const std::int32_t *bRowSums, std::size_t ldo)
+        const std::int32_t *bRowSums, std::size_t rowStride,
+        std::size_t colStride)
 {
-    if (ldo == 0)
-        ldo = n;
+    const std::size_t rs = rowStride == 0 ? n : rowStride;
+    const std::size_t cs = colStride;
     switch (sim::active_simd_level()) {
 #ifdef BFREE_X86_KERNELS
       case sim::SimdLevel::Avx512Vnni: {
@@ -1579,83 +1619,18 @@ gemm_i8(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
             weight_row_sums(b, n, k, ownSums.data());
             bRowSums = ownSums.data();
         }
-        return gemm_blocked<GemmVnni, 4, 4>(a, b, out, m, k, n, ldo,
+        return gemm_blocked<GemmVnni, 4, 4>(a, b, out, m, k, n, rs, cs,
                                             bRowSums);
       }
       case sim::SimdLevel::Avx512:
-        return gemm_blocked<GemmAvx512, 4, 4>(a, b, out, m, k, n, ldo);
+        return gemm_blocked<GemmAvx512, 4, 4>(a, b, out, m, k, n, rs, cs);
       case sim::SimdLevel::Avx2:
-        return gemm_blocked<GemmAvx2, 2, 4>(a, b, out, m, k, n, ldo);
+        return gemm_blocked<GemmAvx2, 2, 4>(a, b, out, m, k, n, rs, cs);
       case sim::SimdLevel::Sse42:
-        return gemm_blocked<GemmSse42, 2, 4>(a, b, out, m, k, n, ldo);
+        return gemm_blocked<GemmSse42, 2, 4>(a, b, out, m, k, n, rs, cs);
 #endif
       default:
-        return gemm_scalar(a, b, out, m, k, n, ldo);
-    }
-}
-
-namespace {
-
-/** Copy exactly @p len in [1, 8) bytes, branch per width class. */
-inline void
-copy_exact_lt8(std::int8_t *dst, const std::int8_t *src, std::size_t len)
-{
-    if (len >= 4) {
-        // Two overlapping u32s cover 5..7 bytes (and 4 exactly).
-        std::memcpy(dst, src, 4);
-        std::memcpy(dst + len - 4, src + len - 4, 4);
-    } else if (len == 3) {
-        std::memcpy(dst, src, 2);
-        dst[2] = src[2];
-    } else if (len == 2) {
-        std::memcpy(dst, src, 2);
-    } else {
-        dst[0] = src[0];
-    }
-}
-
-} // namespace
-
-void
-materialize_span_block(const SpanView &view, std::size_t nPatches,
-                       std::size_t srcStep, std::int8_t *dst,
-                       std::size_t dstStep)
-{
-    if (view.len() == 0)
-        return;
-    if (view.runLen >= 8) {
-        for (std::size_t j = 0; j < nPatches; ++j)
-            for (std::size_t i = 0; i < view.nRuns; ++i)
-                std::memcpy(dst + j * dstStep + view.runLen * i,
-                            view.base + j * srcStep + view.offsets[i],
-                            view.runLen);
-        return;
-    }
-    // Transposed: the outer loop resolves each run's base once, the
-    // inner loop walks the patches — for a stride-1 conv row the
-    // sources are consecutive bytes, all in one or two cache lines. A
-    // run's 8-byte overshoot is only rewritten by a later run of the
-    // SAME patch if it stays inside that patch's dstStep slot: any
-    // spill past the slot lands in patch j+1's first runs, which run 0
-    // already wrote. So the 8-byte copy is used for the prefix of runs
-    // whose spill stays in-slot and the tail copies exact-width.
-    const std::size_t fast =
-        dstStep >= SpanView::slackBytes
-            ? std::min(view.nRuns,
-                       (dstStep - SpanView::slackBytes) / view.runLen + 1)
-            : 0;
-    for (std::size_t i = 0; i < fast; ++i) {
-        const std::int8_t *src = view.base + view.offsets[i];
-        std::int8_t *d = dst + view.runLen * i;
-        for (std::size_t j = 0; j < nPatches; ++j)
-            std::memcpy(d + j * dstStep, src + j * srcStep, 8);
-    }
-    for (std::size_t i = fast; i < view.nRuns; ++i) {
-        const std::int8_t *src = view.base + view.offsets[i];
-        std::int8_t *d = dst + view.runLen * i;
-        for (std::size_t j = 0; j < nPatches; ++j)
-            copy_exact_lt8(d + j * dstStep, src + j * srcStep,
-                           view.runLen);
+        return gemm_scalar(a, b, out, m, k, n, rs, cs);
     }
 }
 
@@ -1673,14 +1648,13 @@ relu_q8_scalar(const float *in, float *out, std::size_t n)
 }
 
 void
-dequantize_store_scalar(const std::int32_t *acc, std::size_t accStride,
-                        std::size_t n, double wScale, double xScale,
-                        const float *bias, std::size_t biasStride,
-                        bool relu, float *out)
+dequantize_store_scalar(const std::int32_t *acc, std::size_t n,
+                        double wScale, double xScale, const float *bias,
+                        std::size_t biasStride, bool relu, float *out)
 {
     for (std::size_t i = 0; i < n; ++i) {
         const float y =
-            static_cast<float>(acc[i * accStride] * wScale * xScale)
+            static_cast<float>(acc[i] * wScale * xScale)
             + bias[i * biasStride];
         out[i] = relu ? relu_q8(y) : y;
     }
@@ -1770,25 +1744,15 @@ relu_q8_avx512(const float *in, float *out, std::size_t n)
 }
 
 __attribute__((target("avx512f,avx512bw,avx512vl"))) void
-dequantize_store_avx512(const std::int32_t *acc, std::size_t accStride,
-                        std::size_t n, double wScale, double xScale,
-                        const float *bias, std::size_t biasStride,
-                        bool relu, float *out)
+dequantize_store_avx512(const std::int32_t *acc, std::size_t n,
+                        double wScale, double xScale, const float *bias,
+                        std::size_t biasStride, bool relu, float *out)
 {
     const __m512d ws = _mm512_set1_pd(wScale);
     const __m512d xs = _mm512_set1_pd(xScale);
-    const __m512i idx = _mm512_mullo_epi32(
-        _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2,
-                         1, 0),
-        _mm512_set1_epi32(static_cast<int>(accStride)));
     for (std::size_t i = 0; i < n; i += 16) {
         const __mmask16 m = lanes16(n - i);
-        const std::int32_t *a = acc + i * accStride;
-        const __m512i v =
-            accStride == 1
-                ? _mm512_maskz_loadu_epi32(m, a)
-                : _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), m,
-                                              idx, a, 4);
+        const __m512i v = _mm512_maskz_loadu_epi32(m, acc + i);
         const __m512d lo = _mm512_mul_pd(
             _mm512_mul_pd(_mm512_cvtepi32_pd(_mm512_castsi512_si256(v)),
                           ws),
@@ -1936,19 +1900,17 @@ relu_q8_span(const float *in, float *out, std::size_t n)
 }
 
 void
-dequantize_store(const std::int32_t *acc, std::size_t accStride,
-                 std::size_t n, double wScale, double xScale,
-                 const float *bias, std::size_t biasStride, bool relu,
-                 float *out)
+dequantize_store(const std::int32_t *acc, std::size_t n, double wScale,
+                 double xScale, const float *bias, std::size_t biasStride,
+                 bool relu, float *out)
 {
 #ifdef BFREE_X86_KERNELS
-    // The gather's lane offsets (15 * accStride) must fit int32.
-    if (epilogue_avx512() && accStride <= 0x7FFFFFF)
-        return dequantize_store_avx512(acc, accStride, n, wScale, xScale,
-                                       bias, biasStride, relu, out);
+    if (epilogue_avx512())
+        return dequantize_store_avx512(acc, n, wScale, xScale, bias,
+                                       biasStride, relu, out);
 #endif
-    dequantize_store_scalar(acc, accStride, n, wScale, xScale, bias,
-                            biasStride, relu, out);
+    dequantize_store_scalar(acc, n, wScale, xScale, bias, biasStride, relu,
+                            out);
 }
 
 bool

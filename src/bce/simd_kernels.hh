@@ -154,7 +154,8 @@ void weight_row_sums(const std::int8_t *tile, std::size_t rows,
 
 /**
  * Register-blocked int8 GEMM over K-contiguous operands:
- * out[i * n + j] += sum_p a[i * k + p] * b[j * k + p], wrapped mod 2^32
+ * out[i * rowStride + j * colStride] += sum_p a[i * k + p] * b[j * k + p],
+ * wrapped mod 2^32
  * exactly like the span kernels' accumulators. Ragged K is handled
  * with masked or zero-filled tails, never by reading past a row. One
  * core per x86 level: AVX512-VNNI runs a 4x4 vpdpbusd block over the
@@ -165,56 +166,17 @@ void weight_row_sums(const std::int8_t *tile, std::size_t rows,
  *
  * @p bRowSums, when not null, holds weight_row_sums of the n rows of
  * b (frozen at plan compile); null makes the VNNI core compute them
- * per call. The other cores ignore it. @p ldo is the row stride of
- * out, 0 meaning n: a block of columns [j0, j0 + n) of a wider output
- * is gemm_i8(a, b + j0 * k, out + j0, m, k, n, sums + j0, width).
+ * per call. The other cores ignore it. @p rowStride 0 means n, so the
+ * defaults are the row-major m x n output; a block of columns
+ * [j0, j0 + n) of a wider row-major output is gemm_i8(a, b + j0 * k,
+ * out + j0, m, k, n, sums + j0, width). rowStride 1 and colStride m
+ * store the output column-major, one contiguous run per weight row:
+ * the conv tile's filter-major layout.
  */
 void gemm_i8(const std::int8_t *a, const std::int8_t *b,
              std::int32_t *out, std::size_t m, std::size_t k,
              std::size_t n, const std::int32_t *bRowSums = nullptr,
-             std::size_t ldo = 0);
-
-/**
- * A strided view of an int8 operand span: the logical span is nRuns
- * runs of runLen bytes each, run i starting at base + offsets[i]. This
- * is how the elided conv front end addresses im2col patches in place
- * over the quantized input plane — base advances by strideW per output
- * position, the offsets describe the (channel, kernel-row) runs —
- * without materializing a patch per (position, filter) pair.
- */
-struct SpanView
-{
-    const std::int8_t *base = nullptr;
-    const std::int32_t *offsets = nullptr; ///< Per-run byte offsets.
-    std::size_t nRuns = 0;
-    std::size_t runLen = 0;
-
-    /**
-     * Slack bytes the caller reserves past the source and past every
-     * destination patch: both buffers carry >= 8 readable/writable
-     * bytes from every run's start. Lets runs shorter than 8 bytes
-     * copy a full 8-byte word each, roughly halving the cost of the
-     * 3-byte runs a 3x3 conv produces.
-     */
-    static constexpr std::size_t slackBytes = 8;
-
-    std::size_t len() const { return nRuns * runLen; }
-};
-
-/**
- * Materialize @p nPatches consecutive patches of @p view, the bytes
- * im2col_patch_i8 would have copied: patch j reads its runs at
- * view.base + j * srcStep and writes them contiguously (len() bytes)
- * to dst + j * dstStep. Runs shorter than 8 bytes take the transposed
- * 8-byte-word loop — each run's sources across a stride-1 conv row are
- * consecutive bytes, so the run offset is loaded once per row, not
- * once per patch — and may clobber up to 8 - runLen bytes past a
- * patch's last run (the slack, SpanView::slackBytes); longer runs
- * copy exact-width.
- */
-void materialize_span_block(const SpanView &view, std::size_t nPatches,
-                            std::size_t srcStep, std::int8_t *dst,
-                            std::size_t dstStep);
+             std::size_t rowStride = 0, std::size_t colStride = 1);
 
 // ---------------------------------------------------------------------
 // Q8 epilogue kernels: ReLU, the conv/FC dequantize store, 2x2 max pool
@@ -259,20 +221,19 @@ relu_q8(float x)
 void relu_q8_span(const float *in, float *out, std::size_t n);
 
 /**
- * The dequantize store of a conv or FC tile: for i in [0, n),
+ * The dequantize store of one contiguous run of a conv or FC tile: for
+ * i in [0, n),
  *
- *   y = float((double(acc[i * accStride]) * wScale) * xScale)
- *       + bias[i * biasStride]
+ *   y = float((double(acc[i]) * wScale) * xScale) + bias[i * biasStride]
  *
  * in exactly that order (folding wScale * xScale first changes low
  * bits), and out[i] = y, or relu_q8(y) when @p relu (a ReLU folded
  * into the producer at plan compile). @p biasStride is 0 (one bias
  * for the run, a conv filter's) or 1 (one per element, FC).
  */
-void dequantize_store(const std::int32_t *acc, std::size_t accStride,
-                      std::size_t n, double wScale, double xScale,
-                      const float *bias, std::size_t biasStride,
-                      bool relu, float *out);
+void dequantize_store(const std::int32_t *acc, std::size_t n,
+                      double wScale, double xScale, const float *bias,
+                      std::size_t biasStride, bool relu, float *out);
 
 /**
  * Unpadded 2x2 / stride-2 max pooling in Q8 over @p channels planes

@@ -1,0 +1,323 @@
+#include "conv_front.hh"
+
+#include <algorithm>
+#include <cstring>
+#include <utility>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
+#include "bce/simd_kernels.hh"
+
+namespace bfree::core {
+
+namespace {
+
+constexpr std::size_t kFeatures = bce::simd::feature_count;
+
+/** Rows one class_feature_sums call of the feature pass covers at
+ *  most: bounds the edge-column tile it copies into scratch. */
+constexpr std::size_t kBandRows = 32;
+
+/**
+ * The tap-feature geometry of one conv. A plane row is G = cols / sW
+ * column groups of sW * C bytes. The accumulator holds, per kernel
+ * row, the phase sums over whole rows (the class_feature_sums layout
+ * of a k = sW * C tile) and then the edge-column sums (the layout of a
+ * k = E * C tile): edge e < left is plane column e, the rest are the
+ * columns from oW * sW to the end of the row.
+ */
+struct TapGeometry
+{
+    std::size_t c, kh, kw, sh, sw, oh, ow, groups;
+    std::size_t left;  ///< qmax * sW columns, qmax = (kW - 1) / sW.
+    std::size_t right; ///< cols - oW * sW columns.
+    std::size_t edges; ///< left + right.
+
+    explicit TapGeometry(const dnn::Layer &l)
+        : c(l.input.c), kh(l.kernelH), kw(l.kernelW), sh(l.strideH),
+          sw(l.strideW), oh(l.outputShape().h), ow(l.outputShape().w),
+          groups(hwc_plane(l).cols / sw), left((kw - 1) / sw * sw),
+          right(groups * sw - ow * sw), edges(left + right)
+    {}
+
+    std::size_t phaseWords() const { return kFeatures * sw * c; }
+    std::size_t edgeWords() const { return kFeatures * edges * c; }
+    std::size_t blockWords() const { return phaseWords() + edgeWords(); }
+    /** Words of one class_feature_sums result, range word included. */
+    std::size_t sumsWords() const
+    {
+        return std::max(phaseWords(), edgeWords()) + 1;
+    }
+
+    /** Kernel rows [first, last] step sH that read plane row r: ky =
+     *  r - oh' sH with oh' in [0, oH) and ky in [0, kH). Empty when
+     *  first > last. */
+    std::pair<std::size_t, std::size_t>
+    readers(std::size_t r) const
+    {
+        const std::size_t top = (oh - 1) * sh; // top row of the last output
+        const std::size_t lo = r > top ? r - top : 0;
+        return {lo + (r - lo) % sh, std::min(r, kh - 1)};
+    }
+};
+
+/** dst[i] += src[i], i in [0, n), mod 2^32. */
+void
+add_words(std::uint32_t *dst, const std::uint32_t *src, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        dst[i] += src[i];
+}
+
+/**
+ * Copy @p len bytes. Runs shorter than 16 bytes (a 3x3 kernel over
+ * three channels copies 9) take two overlapping fixed-width moves
+ * instead of a library call; nothing outside [dst, dst + len) is
+ * written or outside [src, src + len) read.
+ */
+inline void
+copy_run(std::int8_t *dst, const std::int8_t *src, std::size_t len)
+{
+    if (len >= 16) {
+        std::memcpy(dst, src, len);
+    } else if (len >= 8) {
+        std::memcpy(dst, src, 8);
+        std::memcpy(dst + len - 8, src + len - 8, 8);
+    } else if (len >= 4) {
+        std::memcpy(dst, src, 4);
+        std::memcpy(dst + len - 4, src + len - 4, 4);
+    } else {
+        for (std::size_t i = 0; i < len; ++i)
+            dst[i] = src[i];
+    }
+}
+
+/**
+ * The [c][w] block of quantized channel rows @p src, channels-last:
+ * dst[x * c + ch] = src[ch * w + x]. Eight channels by eight columns
+ * at a time through a byte-unpack transpose where SSE2 is available.
+ */
+void
+transpose_to_hwc(const std::int8_t *src, std::size_t c, std::size_t w,
+                 std::int8_t *dst)
+{
+    std::size_t ch0 = 0;
+#if defined(__SSE2__)
+    for (; ch0 + 8 <= c; ch0 += 8) {
+        std::size_t x = 0;
+        for (; x + 8 <= w; x += 8) {
+            const std::int8_t *s = src + ch0 * w + x;
+            __m128i r[8];
+            for (int i = 0; i < 8; ++i)
+                r[i] = _mm_loadl_epi64(
+                    reinterpret_cast<const __m128i *>(s + i * w));
+            const __m128i t0 = _mm_unpacklo_epi8(r[0], r[1]);
+            const __m128i t1 = _mm_unpacklo_epi8(r[2], r[3]);
+            const __m128i t2 = _mm_unpacklo_epi8(r[4], r[5]);
+            const __m128i t3 = _mm_unpacklo_epi8(r[6], r[7]);
+            const __m128i u0 = _mm_unpacklo_epi16(t0, t1);
+            const __m128i u1 = _mm_unpackhi_epi16(t0, t1);
+            const __m128i u2 = _mm_unpacklo_epi16(t2, t3);
+            const __m128i u3 = _mm_unpackhi_epi16(t2, t3);
+            // Column pairs (x, x + 1), eight channels each.
+            const __m128i v[4] = {
+                _mm_unpacklo_epi32(u0, u2), _mm_unpackhi_epi32(u0, u2),
+                _mm_unpacklo_epi32(u1, u3), _mm_unpackhi_epi32(u1, u3)};
+            std::int8_t *d = dst + x * c + ch0;
+            for (int i = 0; i < 4; ++i) {
+                _mm_storel_epi64(reinterpret_cast<__m128i *>(d + 2 * i * c),
+                                 v[i]);
+                _mm_storel_epi64(
+                    reinterpret_cast<__m128i *>(d + (2 * i + 1) * c),
+                    _mm_unpackhi_epi64(v[i], v[i]));
+            }
+        }
+        for (; x < w; ++x)
+            for (std::size_t ch = ch0; ch < ch0 + 8; ++ch)
+                dst[x * c + ch] = src[ch * w + x];
+    }
+#endif
+    for (; ch0 < c; ++ch0)
+        for (std::size_t x = 0; x < w; ++x)
+            dst[x * c + ch0] = src[ch0 * w + x];
+}
+
+} // namespace
+
+HwcPlane
+hwc_plane(const dnn::Layer &layer)
+{
+    const dnn::FeatureShape o = layer.outputShape();
+    const std::size_t sw = layer.strideW;
+    HwcPlane p;
+    p.rows = std::size_t(layer.input.h) + 2 * layer.padH;
+    p.cols = (std::max(std::size_t(layer.input.w) + 2 * layer.padW,
+                       std::size_t(o.w) * sw)
+              + sw - 1)
+             / sw * sw;
+    p.channels = layer.input.c;
+    return p;
+}
+
+std::size_t
+hwc_stage_scratch_bytes(const dnn::Layer &layer)
+{
+    return std::size_t(layer.input.c) * layer.input.w;
+}
+
+void
+stage_hwc_rows(const dnn::Layer &layer, const dnn::SymQuant &q,
+               const float *in, std::size_t r0, std::size_t r1,
+               std::int8_t *plane, std::int8_t *scratch)
+{
+    const HwcPlane p = hwc_plane(layer);
+    const std::size_t c = p.channels;
+    const std::size_t inH = layer.input.h;
+    const std::size_t inW = layer.input.w;
+    const std::size_t padH = layer.padH;
+    const std::size_t lead = std::size_t(layer.padW) * c;
+    const std::size_t body = inW * c;
+    for (std::size_t r = r0; r < r1; ++r) {
+        std::int8_t *row = plane + r * p.rowBytes();
+        if (r < padH || r >= padH + inH) {
+            std::memset(row, 0, p.rowBytes());
+            continue;
+        }
+        std::memset(row, 0, lead);
+        std::memset(row + lead + body, 0, p.rowBytes() - lead - body);
+        const float *src = in + (r - padH) * inW;
+        if (c == 1) {
+            dnn::quantize_span(q, src, inW, row + lead);
+            continue;
+        }
+        // Quantize the row channel by channel (contiguous spans), then
+        // transpose [c][x] to [x][c].
+        for (std::size_t ch = 0; ch < c; ++ch)
+            dnn::quantize_span(q, src + ch * inH * inW, inW,
+                               scratch + ch * inW);
+        transpose_to_hwc(scratch, c, inW, row + lead);
+    }
+}
+
+void
+copy_patch_row(const dnn::Layer &layer, const std::int8_t *plane,
+               unsigned oh, std::int8_t *patches)
+{
+    const HwcPlane p = hwc_plane(layer);
+    const std::size_t run = std::size_t(layer.kernelW) * p.channels;
+    const std::size_t step = std::size_t(layer.strideW) * p.channels;
+    const std::size_t ow = layer.outputShape().w;
+    const std::int8_t *top =
+        plane + std::size_t(oh) * layer.strideH * p.rowBytes();
+    for (std::size_t x = 0; x < ow; ++x) {
+        const std::int8_t *src = top + x * step;
+        for (unsigned ky = 0; ky < layer.kernelH;
+             ++ky, src += p.rowBytes(), patches += run)
+            copy_run(patches, src, run);
+    }
+}
+
+std::size_t
+tap_feature_words(const dnn::Layer &layer)
+{
+    const TapGeometry g(layer);
+    return g.kh * g.blockWords();
+}
+
+std::size_t
+tap_feature_scratch_words(const dnn::Layer &layer)
+{
+    const TapGeometry g(layer);
+    // The class_feature_sums result, then the edge-column tile of one
+    // band of rows.
+    return g.sumsWords() + (kBandRows * g.edges * g.c + 3) / 4;
+}
+
+void
+classify_hwc_rows(const dnn::Layer &layer, const std::int8_t *plane,
+                  std::size_t r0, std::size_t r1, std::uint32_t *acc,
+                  std::uint32_t *scratch)
+{
+    const TapGeometry g(layer);
+    const std::size_t rowBytes = g.groups * g.sw * g.c;
+    std::uint32_t *sums = scratch;
+    auto *edgeTile = reinterpret_cast<std::int8_t *>(scratch + g.sumsWords());
+    // Bands of consecutive rows read by the same kernel rows (with
+    // stride 1, every interior row): one phase call over the band's
+    // whole rows, one over its edge columns gathered into a tile.
+    for (std::size_t a = r0; a < r1;) {
+        const auto [ky0, ky1] = g.readers(a);
+        std::size_t b = a + 1;
+        while (b < r1 && b - a < kBandRows && g.readers(b).first == ky0
+               && g.readers(b).second == ky1)
+            ++b;
+        if (ky0 <= ky1) {
+            bce::simd::class_feature_sums(plane + a * rowBytes,
+                                          (b - a) * g.groups, g.sw * g.c,
+                                          sums);
+            for (std::size_t ky = ky0; ky <= ky1; ky += g.sh)
+                add_words(acc + ky * g.blockWords(), sums, g.phaseWords());
+            if (g.edges > 0) {
+                const std::size_t tileRow = g.edges * g.c;
+                for (std::size_t r = a; r < b; ++r) {
+                    const std::int8_t *row = plane + r * rowBytes;
+                    std::int8_t *t = edgeTile + (r - a) * tileRow;
+                    std::memcpy(t, row, g.left * g.c);
+                    std::memcpy(t + g.left * g.c, row + g.ow * g.sw * g.c,
+                                g.right * g.c);
+                }
+                bce::simd::class_feature_sums(edgeTile, b - a, tileRow,
+                                              sums);
+                for (std::size_t ky = ky0; ky <= ky1; ky += g.sh)
+                    add_words(acc + ky * g.blockWords() + g.phaseWords(),
+                              sums, g.edgeWords());
+            }
+        }
+        a = b;
+    }
+}
+
+void
+sum_tap_features(const dnn::Layer &layer, std::uint32_t *acc,
+                 const std::uint32_t *other)
+{
+    add_words(acc, other, tap_feature_words(layer));
+}
+
+void
+tap_features(const dnn::Layer &layer, const std::uint32_t *acc,
+             std::uint32_t *fx)
+{
+    const TapGeometry g(layer);
+    const std::size_t k = g.kh * g.kw * g.c;
+    const std::size_t edgeRow = g.edges * g.c;
+    for (std::size_t ky = 0; ky < g.kh; ++ky) {
+        const std::uint32_t *phase = acc + ky * g.blockWords();
+        const std::uint32_t *edge = phase + g.phaseWords();
+        for (std::size_t kx = 0; kx < g.kw; ++kx) {
+            const std::size_t phi = kx % g.sw;
+            const std::size_t q = kx / g.sw;
+            const std::size_t tap = (ky * g.kw + kx) * g.c;
+            for (std::size_t f = 0; f < kFeatures; ++f) {
+                std::uint32_t *out = fx + f * k + tap;
+                std::copy_n(phase + f * g.sw * g.c + phi * g.c, g.c, out);
+                // Take off the groups the tap does not read: the q
+                // before its first and those after its last, q + oW - 1.
+                const auto skip = [&](std::size_t e) {
+                    const std::uint32_t *col =
+                        edge + f * edgeRow + e * g.c;
+                    for (std::size_t ch = 0; ch < g.c; ++ch)
+                        out[ch] -= col[ch];
+                };
+                for (std::size_t j = 0; j < q; ++j)
+                    skip(phi + j * g.sw);
+                for (std::size_t j = q + g.ow; j < g.groups; ++j)
+                    skip(g.left + phi + j * g.sw - g.ow * g.sw);
+            }
+        }
+    }
+}
+
+} // namespace bfree::core

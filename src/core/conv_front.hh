@@ -1,0 +1,123 @@
+/**
+ * @file
+ * The channels-last front of the <= 8-bit conv.
+ *
+ * The paper lays a conv's operands out with the channels along the
+ * reduction ("filters across columns, channels across rows"). The
+ * executor does the same on the host: it quantizes the CHW float
+ * activations once into a zero-padded HWC int8 plane, so kernel row
+ * ky of the patch at output column ow is one contiguous run of
+ * kernelW * inC bytes and a patch is kernelH copies. The frozen
+ * filters are stored in the same (ky, kx, c) order
+ * (dnn::freeze_conv_weights), so patch and filter still meet as two
+ * K-contiguous rows in the GEMM.
+ *
+ * The activation side of the tile tally is computed once per layer
+ * from the staged plane instead of once per copied patch row. The
+ * feature sum of tap (ky, kx, c) over every output position is
+ *
+ *     F_x(ky, kx, c) = sum_{oh, ow} f(plane[ky + oh sH][kx + ow sW][c])
+ *
+ * A staged row is G column groups of sW columns. With kx = q sW + phi,
+ * the columns kx + ow sW are the phase-phi columns of groups q ..
+ * q + oW - 1, so F_x is the phase-phi sum over all G groups minus the
+ * phase-phi columns of the q groups before and of the groups after
+ * them: the row's few edge columns. Each staged row is classified
+ * once: bands of consecutive rows read by the same kernel rows (every
+ * interior row at stride 1) take one bce::simd::class_feature_sums
+ * call over the band viewed as groups of sW * inC bytes, and one over
+ * its edge columns, and the sums go to the accumulator of every kernel
+ * row that reads the band. The sums are integer and the tally is
+ * bilinear in them, so one fold per layer books exactly what one fold
+ * per patch row booked. Padding is staged as literal zeros and
+ * contributes f(0) on its own.
+ */
+
+#ifndef BFREE_CORE_CONV_FRONT_HH
+#define BFREE_CORE_CONV_FRONT_HH
+
+#include <cstddef>
+#include <cstdint>
+
+#include "dnn/layer.hh"
+#include "dnn/quantize.hh"
+
+namespace bfree::core {
+
+/** Shape of the channels-last staging plane of one conv layer. */
+struct HwcPlane
+{
+    /** inH + 2 padH: plane rows, the padding rows included. */
+    std::size_t rows = 0;
+    /** Columns per row: inW + 2 padW, widened to oW * strideW when a
+     *  kernel narrower than its stride leaves the last window short,
+     *  and rounded up to whole strideW groups (the feature pass reads
+     *  whole groups). The widening is zero bytes no patch reads. */
+    std::size_t cols = 0;
+    /** inC: bytes per column. */
+    std::size_t channels = 0;
+
+    std::size_t rowBytes() const { return cols * channels; }
+    std::size_t bytes() const { return rows * rowBytes(); }
+};
+
+/** The staging plane of conv @p layer. */
+HwcPlane hwc_plane(const dnn::Layer &layer);
+
+/**
+ * Quantize through @p q and stage plane rows [r0, r1) of @p layer
+ * into @p plane: padding rows and columns as zero bytes, input row
+ * r - padH channels-last between them. @p scratch holds
+ * hwc_stage_scratch_bytes(layer) bytes (one input row in CHW order).
+ * Disjoint row ranges may be staged on different threads.
+ */
+void stage_hwc_rows(const dnn::Layer &layer, const dnn::SymQuant &q,
+                    const float *in, std::size_t r0, std::size_t r1,
+                    std::int8_t *plane, std::int8_t *scratch);
+
+/** Scratch bytes stage_hwc_rows takes: inC * inW. */
+std::size_t hwc_stage_scratch_bytes(const dnn::Layer &layer);
+
+/**
+ * The o.w patches of output row @p oh, copied from the staged plane:
+ * patch ow is K = kernelH * kernelW * inC bytes at patches + ow * K,
+ * in (ky, kx, c) order, kernelH runs of kernelW * inC bytes each.
+ */
+void copy_patch_row(const dnn::Layer &layer, const std::int8_t *plane,
+                    unsigned oh, std::int8_t *patches);
+
+/** Words of one thread's tap-feature accumulator (classify_hwc_rows). */
+std::size_t tap_feature_words(const dnn::Layer &layer);
+
+/** Scratch words classify_hwc_rows takes beside the accumulator. */
+std::size_t tap_feature_scratch_words(const dnn::Layer &layer);
+
+/**
+ * Classify the staged plane rows [r0, r1) of @p layer and add their
+ * phase and edge-column feature sums into the accumulator @p acc
+ * (tap_feature_words, zeroed by the caller before the first call) of
+ * every kernel row whose output rows read them. Rows no output reads
+ * are skipped. One accumulator per thread, summed by
+ * sum_tap_features.
+ */
+void classify_hwc_rows(const dnn::Layer &layer, const std::int8_t *plane,
+                       std::size_t r0, std::size_t r1, std::uint32_t *acc,
+                       std::uint32_t *scratch);
+
+/** @p acc += @p other, two tap-feature accumulators of @p layer. */
+void sum_tap_features(const dnn::Layer &layer, std::uint32_t *acc,
+                      const std::uint32_t *other);
+
+/**
+ * F_x of the whole layer from the summed accumulator @p acc:
+ * fx[f * K + (ky * kernelW + kx) * inC + c] for the four class
+ * features f, the activation-side feature sums a tile of all oH * oW
+ * patches would have (bce::simd::class_feature_sums without its range
+ * word).
+ */
+void tap_features(const dnn::Layer &layer, const std::uint32_t *acc,
+                  std::uint32_t *fx);
+
+} // namespace bfree::core
+
+#endif // BFREE_CORE_CONV_FRONT_HH

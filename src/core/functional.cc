@@ -5,7 +5,7 @@
 #include <functional>
 
 #include "bce/simd_kernels.hh"
-#include "dnn/im2col.hh"
+#include "core/conv_front.hh"
 #include "mem/micro_op_energy.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
@@ -41,7 +41,23 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
     const dnn::Layer &layer = pl.layer;
     const dnn::FeatureShape o = layer.outputShape();
     const dnn::QuantizedWeights &fw = pl.frozen[0];
-    const SymQuant qi = choose_sym(in, pl.inElems, bits);
+
+    // The max-abs scan, split over the pool: max is order-free and
+    // NaN-skipping in every chunk, so the peak is the serial one.
+    const std::size_t n = pl.inElems;
+    const std::size_t scanChunks = std::max<std::size_t>(
+        1, std::min<std::size_t>(slots_.size(), n / minScanElemsPerChunk));
+    for (RowSlot &rs : slots_)
+        rs.peak = 1e-9f;
+    pool_.parallelFor(scanChunks, [&](std::size_t c, unsigned slot) {
+        const std::size_t b = c * n / scanChunks;
+        const std::size_t e = (c + 1) * n / scanChunks;
+        slots_[slot].peak = dnn::peak_abs(in + b, e - b, slots_[slot].peak);
+    });
+    float peak = 1e-9f;
+    for (const RowSlot &rs : slots_)
+        peak = std::max(peak, rs.peak);
+    const SymQuant qi = dnn::sym_for_peak(peak, bits);
 
     bce.setMode(bce::BceMode::Conv);
 
@@ -52,84 +68,81 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
     const std::size_t outHW = std::size_t(o.h) * o.w;
 
     if (bits <= 8) {
-        // The elided front end, sized at plan compile through the same
-        // expressions: quantize the plane once; padded layers stage
-        // the whole zero-padded plane once more. After that the front
-        // half is pure addressing: a per-layer run-offset table plus a
-        // uniform base shift per output position, compacted one output
-        // ROW of patches at a time. Every buffer the view touches
-        // carries slackBytes so the compactor can use whole-word
-        // copies.
-        constexpr std::size_t slack = bce::simd::SpanView::slackBytes;
-        const dnn::ElisionLayout el = dnn::elision_layout(layer);
-        std::int8_t *qin =
-            arena_.alloc<std::int8_t>(pl.inElems + (el.staged ? 0 : slack));
-        dnn::quantize_span(qi, in, pl.inElems, qin);
-        std::int32_t *offsets = arena_.alloc<std::int32_t>(el.nRuns);
-        dnn::elided_offsets(layer, offsets);
-        const std::int8_t *viewPlane = qin;
-        if (el.staged) {
-            std::int8_t *staging =
-                arena_.alloc<std::int8_t>(el.stagingBytes + slack);
-            dnn::stage_plane_i8(layer, qin, staging);
-            viewPlane = staging;
-        }
-        bce::simd::SpanView view;
-        view.offsets = offsets;
-        view.nRuns = el.nRuns;
-        view.runLen = el.runLen;
+        // The channels-last front (core/conv_front.hh), sized at plan
+        // compile through the same expressions: the pool quantizes the
+        // input into the zero-padded HWC plane, classifying each staged
+        // row for the layer's activation features as it goes; then
+        // every output row is kernelH run copies per patch, one GEMM
+        // into a filter-major tile and one contiguous store per filter.
+        const HwcPlane hp = hwc_plane(layer);
+        std::int8_t *plane = arena_.alloc<std::int8_t>(hp.bytes());
+        const lut::DatapathTable *table =
+            bce.tileTable(bits, patch_len, fw.featureSums(), qi.limit);
 
-        // The row's o.w patches against every filter: out (row i is
-        // output column i) is dequantized into the filter planes, one
-        // contiguous run per filter, with a folded ReLU applied in the
-        // same pass.
-        const auto patchRow = [&](unsigned oh, std::int8_t *patch) {
-            bce::simd::SpanView v = view;
-            v.base =
-                viewPlane + std::size_t(oh) * layer.strideH * el.rowBytes;
-            bce::simd::materialize_span_block(v, o.w, layer.strideW, patch,
-                                              patch_len);
-        };
+        rowArena_.reset();
+        for (RowSlot &rs : slots_) {
+            rs.patch = rowArena_.alloc<std::int8_t>(std::size_t(o.w)
+                                                    * patch_len);
+            rs.accs = rowArena_.alloc<std::int32_t>(std::size_t(o.w) * o.c);
+            rs.stage = rowArena_.alloc<std::int8_t>(
+                hwc_stage_scratch_bytes(layer));
+            rs.taps =
+                rowArena_.alloc<std::uint32_t>(tap_feature_words(layer));
+            rs.tapScratch = rowArena_.alloc<std::uint32_t>(
+                tap_feature_scratch_words(layer));
+            if (table != nullptr)
+                std::fill_n(rs.taps, tap_feature_words(layer), 0u);
+        }
+        const std::size_t stageChunks =
+            std::min<std::size_t>(slots_.size(), hp.rows);
+        pool_.parallelFor(stageChunks, [&](std::size_t c, unsigned slot) {
+            RowSlot &rs = slots_[slot];
+            const std::size_t r0 = c * hp.rows / stageChunks;
+            const std::size_t r1 = (c + 1) * hp.rows / stageChunks;
+            stage_hwc_rows(layer, qi, in, r0, r1, plane, rs.stage);
+            if (table != nullptr)
+                classify_hwc_rows(layer, plane, r0, r1, rs.taps,
+                                  rs.tapScratch);
+        });
+
+        // Row oh's tile holds filter k's o.w outputs at accs + k * o.w:
+        // dequantized into the filter planes, one contiguous run per
+        // filter, with a folded ReLU applied in the same pass.
         const auto storeRow = [&](unsigned oh, const std::int32_t *accs) {
             for (unsigned k = 0; k < o.c; ++k)
                 bce::simd::dequantize_store(
-                    accs + k, o.c, o.w, fw.scale.scale, qi.scale,
-                    &pl.bias[k], 0, pl.foldedRelu,
+                    accs + std::size_t(k) * o.w, o.w, fw.scale.scale,
+                    qi.scale, &pl.bias[k], 0, pl.foldedRelu,
                     out + std::size_t(k) * outHW + std::size_t(oh) * o.w);
         };
 
-        // Row scratch from the executor's row arena: one slot per pool
-        // thread, or only the caller's when the per-span loop runs.
-        const lut::DatapathTable *table =
-            bce.tileTable(bits, patch_len, fw.featureSums(), qi.limit);
-        const std::size_t nSlots = table != nullptr ? slots_.size() : 1;
-        rowArena_.reset();
-        for (std::size_t s = 0; s < nSlots; ++s) {
-            slots_[s].patch = rowArena_.alloc<std::int8_t>(
-                std::size_t(o.w) * patch_len + slack);
-            slots_[s].accs =
-                rowArena_.alloc<std::int32_t>(std::size_t(o.w) * o.c);
-            slots_[s].features = rowArena_.alloc<std::uint32_t>(
-                bce::Bce::tileScratchWords(patch_len));
-            slots_[s].tally = {};
-        }
         if (table == nullptr) {
             // The per-span loop books as it goes: one row at a time on
             // the calling thread.
             RowSlot &rs = slots_[0];
             for (unsigned oh = 0; oh < o.h; ++oh) {
-                patchRow(oh, rs.patch);
+                copy_patch_row(layer, plane, oh, rs.patch);
                 bce.convTile(rs.patch, fw.q8.data(), rs.accs, o.w,
                              patch_len, o.c, bits, fw.featureSums(),
-                             fw.rowSumData(), rs.features);
+                             fw.rowSumData(), nullptr, 1, o.w);
                 storeRow(oh, rs.accs);
             }
             return;
         }
 
-        // Contiguous row chunks, one per pool thread at most. Each
-        // thread runs the compute step of its rows' tiles on its own
-        // slot; the summed tally is booked once, here.
+        // The whole layer's tally, from its activation features and
+        // the frozen filter features, booked once.
+        std::uint32_t *fx = arena_.alloc<std::uint32_t>(
+            bce::simd::feature_count * patch_len);
+        for (std::size_t s = 1; s < slots_.size(); ++s)
+            sum_tap_features(layer, slots_[0].taps, slots_[s].taps);
+        tap_features(layer, slots_[0].taps, fx);
+        bce.bookTile(bce::Bce::foldTile(*table, outHW, patch_len, o.c, fx,
+                                        fw.featureSums()),
+                     patch_len, bits);
+
+        // Contiguous row chunks, one per pool thread at most; each runs
+        // its rows' GEMMs on its own slot.
         const std::size_t chunks =
             std::min<std::size_t>(slots_.size(), o.h);
         pool_.parallelFor(chunks, [&](std::size_t c, unsigned slot) {
@@ -137,20 +150,13 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
             const auto begin = static_cast<unsigned>(c * o.h / chunks);
             const auto end = static_cast<unsigned>((c + 1) * o.h / chunks);
             for (unsigned oh = begin; oh < end; ++oh) {
-                patchRow(oh, rs.patch);
-                bce::simd::class_feature_sums(rs.patch, o.w, patch_len,
-                                              rs.features);
-                rs.tally += bce::Bce::computeTile(
-                    *table, bce::BceMode::Conv, rs.patch, fw.q8.data(),
-                    rs.accs, o.w, patch_len, o.c, rs.features,
-                    fw.featureSums(), fw.rowSumData());
+                copy_patch_row(layer, plane, oh, rs.patch);
+                std::fill_n(rs.accs, std::size_t(o.w) * o.c, 0);
+                bce::simd::gemm_i8(rs.patch, fw.q8.data(), rs.accs, o.w,
+                                   patch_len, o.c, fw.rowSumData(), 1, o.w);
                 storeRow(oh, rs.accs);
             }
         });
-        bce::Bce::TileTally tally;
-        for (const RowSlot &rs : slots_)
-            tally += rs.tally;
-        bce.bookTile(tally, patch_len, bits);
         return;
     }
 
@@ -257,7 +263,7 @@ FunctionalExecutor::matmulInto(const float *a, std::size_t m,
             bce.bookTile(tally, k, bits);
         }
         for (std::size_t i = 0; i < m; ++i)
-            bce::simd::dequantize_store(accs + i * n, 1, n, s0, s1, bias,
+            bce::simd::dequantize_store(accs + i * n, n, s0, s1, bias,
                                         biasStride, relu, out + i * n);
         return;
     }

@@ -20,14 +20,15 @@
  *
  * Within one inference the executor splits the loops that hold the
  * MACs over its own worker pool, the way BFree's sub-arrays share a
- * layer: a <= 8-bit conv's output rows in contiguous chunks, and a
- * matmul's weight rows (N) in contiguous blocks. The workers only run
- * the compute step of the tile (Bce::computeTile); the statistics are
- * booked once on the calling thread from the summed integer tally, so
- * outputs, statistics and energy are byte-identical at every executor
- * thread count. Everything else (quantize and stage, pooling, the PWL
- * and softmax, the per-span fallback, the Legacy tier and 16-bit
- * layers) runs on the calling thread.
+ * layer: a conv's input scan and its channels-last staging in
+ * contiguous row chunks (core/conv_front.hh), a <= 8-bit conv's output
+ * rows in contiguous chunks, and a matmul's weight rows (N) in
+ * contiguous blocks. The workers run no Bce code: they stage, classify
+ * and run simd::gemm_i8; the statistics are booked once on the calling
+ * thread from integer sums, so outputs, statistics and energy are
+ * byte-identical at every executor thread count. Everything else
+ * (pooling, the PWL and softmax, the per-span fallback, the Legacy
+ * tier's rows and 16-bit layers) runs on the calling thread.
  */
 
 #ifndef BFREE_CORE_FUNCTIONAL_HH
@@ -74,6 +75,11 @@ class FunctionalExecutor
      * section 17, "Intra-image parallelism").
      */
     static constexpr std::size_t minMatmulMacsPerBlock = 1u << 18;
+
+    /** A conv's max-abs input scan splits over the pool in chunks of
+     *  at least this many floats: about 6 us of AVX-512 scan (0.2 ns a
+     *  float on the host above), over the 2-4 us a fork/join costs. */
+    static constexpr std::size_t minScanElemsPerChunk = 1u << 15;
 
     /**
      * @param tier    Execution tier of the underlying BCE. Tiered (the
@@ -184,13 +190,15 @@ class FunctionalExecutor
     unsigned threads() const { return pool_.threads(); }
 
   private:
-    /** One pool thread's conv row scratch and its tally. */
+    /** One pool thread's conv scratch (conv_row_scratch_bytes). */
     struct RowSlot
     {
-        std::int8_t *patch = nullptr;
-        std::int32_t *accs = nullptr;
-        std::uint32_t *features = nullptr;
-        bce::Bce::TileTally tally;
+        std::int8_t *patch = nullptr;  ///< One output row of patches.
+        std::int32_t *accs = nullptr;  ///< The row's filter-major tile.
+        std::int8_t *stage = nullptr;  ///< stage_hwc_rows scratch.
+        std::uint32_t *taps = nullptr; ///< Tap-feature accumulator.
+        std::uint32_t *tapScratch = nullptr;
+        float peak = 0.0f; ///< Running max-abs of the input scan.
     };
 
     /** Conv over im2col patches, frozen filter bank, arena scratch. */

@@ -6,7 +6,7 @@
 
 #include "bce/bce.hh"
 #include "bce/simd_kernels.hh"
-#include "dnn/im2col.hh"
+#include "core/conv_front.hh"
 #include "sim/logging.hh"
 #include "verify/plan_verifier.hh"
 
@@ -74,12 +74,15 @@ conv_row_scratch_bytes(const dnn::Layer &layer)
     const dnn::FeatureShape o = layer.outputShape();
     const std::size_t patch_len =
         std::size_t(layer.input.c) * layer.kernelH * layer.kernelW;
-    return TensorArena::paddedBytes<std::int8_t>(
-               std::size_t(o.w) * patch_len
-               + bce::simd::SpanView::slackBytes)
+    return TensorArena::paddedBytes<std::int8_t>(std::size_t(o.w)
+                                                 * patch_len)
            + TensorArena::paddedBytes<std::int32_t>(std::size_t(o.w) * o.c)
+           + TensorArena::paddedBytes<std::int8_t>(
+               hwc_stage_scratch_bytes(layer))
            + TensorArena::paddedBytes<std::uint32_t>(
-               bce::Bce::tileScratchWords(patch_len));
+               tap_feature_words(layer))
+           + TensorArena::paddedBytes<std::uint32_t>(
+               tap_feature_scratch_words(layer));
 }
 
 namespace {
@@ -162,29 +165,23 @@ plan_shapes(const dnn::Network &net, unsigned bits,
                                           * layer.kernelH * layer.kernelW;
             if (bits > 8) {
                 // Wide precision: one wide span per filter over an
-                // int32 patch; no int8 front end exists to elide.
+                // int32 patch walked from the CHW input; no int8 plane.
                 pl.scratchBytes =
                     TensorArena::paddedBytes<std::int32_t>(patch_len);
                 shape = {o.c, o.h, o.w};
                 elems = o.elements();
                 break;
             }
-            // The elided front end: the quantized plane, the per-layer
-            // run-offset table and, for padded layers, the staged
-            // zero-padded plane. Buffers the view compactor touches
-            // carry its whole-word copy slack. Every size goes through
-            // the exact paddedBytes expressions runConvInto allocates
-            // with. The per-thread row scratch lives in the executor's
-            // row arena (conv_row_scratch_bytes, rowScratchBytes).
-            constexpr std::size_t slack = bce::simd::SpanView::slackBytes;
-            const dnn::ElisionLayout el = dnn::elision_layout(layer);
+            // The channels-last front: the staged HWC plane and the
+            // layer's activation features, through the exact
+            // paddedBytes expressions runConvInto allocates with. The
+            // per-thread scratch lives in the executor's row arena
+            // (conv_row_scratch_bytes, rowScratchBytes).
             pl.scratchBytes =
                 TensorArena::paddedBytes<std::int8_t>(
-                    layer.input.elements() + (el.staged ? 0 : slack))
-                + TensorArena::paddedBytes<std::int32_t>(el.nRuns)
-                + (el.staged ? TensorArena::paddedBytes<std::int8_t>(
-                                   el.stagingBytes + slack)
-                             : 0);
+                    hwc_plane(layer).bytes())
+                + TensorArena::paddedBytes<std::uint32_t>(
+                    bce::simd::feature_count * patch_len);
             ps.rowScratchBytes =
                 std::max(ps.rowScratchBytes, conv_row_scratch_bytes(layer));
             shape = {o.c, o.h, o.w};
@@ -328,10 +325,10 @@ NetworkPlan::compile(const dnn::Network &net,
             if (w.bias.size() != layer.outChannels)
                 bfree_fatal("plan: conv '", layer.name, "' expects ",
                             layer.outChannels, " biases");
-            // Filter-bank order [outC][inC][kh][kw] already matches the
-            // im2col patch walk — freeze in place.
+            // Channels-last filters, (ky, kx, c), the order of a patch
+            // copied from the staged plane; 16-bit keeps storage order.
             pl.frozen.push_back(
-                dnn::freeze_weights(w.weights.data(), count, bits));
+                dnn::freeze_conv_weights(layer, w.weights.data(), bits));
             freeze_features(pl.frozen.back(), layer.outChannels,
                             patch_len);
             break;

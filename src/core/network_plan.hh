@@ -8,7 +8,7 @@
  *
  *  - every layer's weights are pushed through dnn::SymQuant once and
  *    frozen in the exact layout the steady-state kernels consume
- *    (im2col filter-bank order for conv, the transposed-B GEMM tile
+ *    (channels-last filters for conv, the transposed-B GEMM tile
  *    for FC / LSTM / attention projections);
  *  - the symmetric weight scales are chosen (dnn::choose_sym reads only
  *    the peak magnitude, so the choice is layout-independent);
@@ -64,11 +64,11 @@ std::size_t matmul_scratch_bytes(std::size_t m, std::size_t k,
                                  std::size_t n, unsigned bits);
 
 /**
- * Arena bytes one thread of the <= 8-bit conv front end takes per
- * output row of @p layer: the row of o.w patches (with the view
- * compactor's slack), Bce::convTile's int32 outputs for the row and
- * the activation-side feature sums. Every executor thread that takes
- * rows holds one such set.
+ * Row-arena bytes one executor thread takes for a <= 8-bit conv
+ * @p layer: one output row of o.w patches, the row's int32
+ * filter-major tile, the staging scratch of one input row and the
+ * tap-feature accumulator with its scratch (core/conv_front.hh).
+ * Every executor thread holds one such set.
  */
 std::size_t conv_row_scratch_bytes(const dnn::Layer &layer);
 
@@ -80,7 +80,7 @@ struct PlannedLayer
 
     /**
      * Frozen weight tensors. Conv / FC / LSTM layers have one entry
-     * (conv in filter-bank order, FC and LSTM already in the
+     * (conv channels-last, dnn::freeze_conv_weights; FC and LSTM in the
      * transposed-B tile layout the blocked GEMM consumes — the LSTM
      * row-major gate matrix IS that tile, which is what made the legacy
      * per-call transpose redundant). Attention has four entries: the

@@ -119,71 +119,6 @@ im2col_patch_i8(const Layer &layer, const std::int8_t *qin, unsigned oh,
     }
 }
 
-ElisionLayout
-elision_layout(const Layer &layer)
-{
-    if (layer.kind != LayerKind::Conv)
-        bfree_panic("elision_layout requires a convolution layer");
-    ElisionLayout el;
-    el.staged = layer.padW > 0 || layer.padH > 0;
-    el.rowBytes = std::size_t(layer.input.w) + 2 * layer.padW;
-    el.planeRows = std::size_t(layer.input.h) + 2 * layer.padH;
-    el.nRuns = std::size_t(layer.input.c) * layer.kernelH;
-    el.runLen = layer.kernelW;
-    el.stagingBytes = el.staged ? std::size_t(layer.input.c)
-                                      * el.planeRows * el.rowBytes
-                                : 0;
-    return el;
-}
-
-void
-stage_plane_i8(const Layer &layer, const std::int8_t *qin,
-               std::int8_t *staging)
-{
-    const std::size_t inW = layer.input.w;
-    const std::size_t inH = layer.input.h;
-    const std::size_t inHW = inH * inW;
-    const std::size_t padW = layer.padW;
-    const std::size_t padH = layer.padH;
-    const std::size_t rowBytes = inW + 2 * padW;
-    const std::size_t planeRows = inH + 2 * padH;
-
-    // The whole zero-padded plane, once per image: inC * planeRows
-    // long memcpy/memset rows, amortized across every output position
-    // of the image.
-    for (unsigned c = 0; c < layer.input.c; ++c) {
-        const std::int8_t *plane = qin + c * inHW;
-        for (std::size_t row = 0; row < planeRows;
-             ++row, staging += rowBytes) {
-            if (row < padH || row >= padH + inH) {
-                std::memset(staging, 0, rowBytes);
-                continue;
-            }
-            if (padW > 0) {
-                std::memset(staging, 0, padW);
-                std::memset(staging + padW + inW, 0, padW);
-            }
-            std::memcpy(staging + padW, plane + (row - padH) * inW,
-                        inW);
-        }
-    }
-}
-
-void
-elided_offsets(const Layer &layer, std::int32_t *offsets)
-{
-    const ElisionLayout el = elision_layout(layer);
-
-    // Run i = (c, r) of the (0, 0) patch starts at addressed-plane
-    // byte (c * planeRows + r) * rowBytes; every other output
-    // position is a uniform base shift on top.
-    std::size_t i = 0;
-    for (unsigned c = 0; c < layer.input.c; ++c)
-        for (unsigned r = 0; r < layer.kernelH; ++r, ++i)
-            offsets[i] = static_cast<std::int32_t>(
-                (c * el.planeRows + r) * el.rowBytes);
-}
-
 FloatTensor
 weights_to_matrix(const Layer &layer, const std::vector<float> &weights)
 {

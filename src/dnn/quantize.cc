@@ -161,23 +161,36 @@ quantize_core_avx512(const SymQuant &sq, const float *src, std::size_t n,
         (out) = _mm512_cvtpd_epi32(r_);                                  \
     } while (0)
 
+    // Full vectors, then the ragged tail through the same lane steps
+    // under a mask: the masked lanes load 0.0f and store nothing, so a
+    // short span (one channel row of a small feature map) stays in
+    // registers too.
+#define BFREE_QSTEP_512(v, m)                                            \
+    do {                                                                 \
+        __m256i r0, r1;                                                  \
+        BFREE_QROUND_PD_512(                                             \
+            _mm512_cvtps_pd(_mm512_castps512_ps256(v)), r0);             \
+        BFREE_QROUND_PD_512(                                             \
+            _mm512_cvtps_pd(_mm256_castsi256_ps(                         \
+                _mm512_extracti64x4_epi64(_mm512_castps_si512(v), 1))),  \
+            r1);                                                         \
+        const __m512i r32 = _mm512_inserti64x4(                          \
+            _mm512_zextsi256_si512(r0), r1, 1);                          \
+        _mm_mask_storeu_epi8(dst + i, m, _mm512_cvtsepi32_epi8(r32));    \
+    } while (0)
+
     std::size_t i = 0;
     for (; i + 16 <= n; i += 16) {
         const __m512 v = _mm512_loadu_ps(src + i);
-        __m256i r0, r1;
-        BFREE_QROUND_PD_512(
-            _mm512_cvtps_pd(_mm512_castps512_ps256(v)), r0);
-        BFREE_QROUND_PD_512(
-            _mm512_cvtps_pd(_mm256_castsi256_ps(
-                _mm512_extracti64x4_epi64(_mm512_castps_si512(v), 1))),
-            r1);
-        const __m512i r32 = _mm512_inserti64x4(
-            _mm512_zextsi256_si512(r0), r1, 1);
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + i),
-                         _mm512_cvtsepi32_epi8(r32));
+        BFREE_QSTEP_512(v, __mmask16(0xFFFF));
     }
+    if (i < n) {
+        const auto m = static_cast<__mmask16>((1u << (n - i)) - 1);
+        const __m512 v = _mm512_maskz_loadu_ps(m, src + i);
+        BFREE_QSTEP_512(v, m);
+    }
+#undef BFREE_QSTEP_512
 #undef BFREE_QROUND_PD_512
-    quantize_core_scalar(sq, src + i, n - i, dst + i);
 }
 
 /**
@@ -222,22 +235,6 @@ peak_abs_scalar(const float *data, std::size_t n, float peak)
     return peak;
 }
 
-/** max(peak, |data[i]|) over the non-NaN elements, dispatched beside
- *  quantize_span; bit-identical at every level. */
-float
-peak_abs(const float *data, std::size_t n, float peak)
-{
-    switch (sim::active_simd_level()) {
-#ifdef BFREE_X86_QUANTIZE
-      case sim::SimdLevel::Avx512:
-      case sim::SimdLevel::Avx512Vnni:
-        return peak_abs_avx512(data, n, peak);
-#endif
-      default:
-        return peak_abs_scalar(data, n, peak);
-    }
-}
-
 /** The signature every per-ISA quantize-span core shares. */
 using QuantizeSpanFn = void (*)(const SymQuant &sq, const float *src,
                                 std::size_t n, std::int8_t *dst);
@@ -263,6 +260,20 @@ quantize_span_fn()
 
 } // namespace
 
+float
+peak_abs(const float *data, std::size_t n, float peak)
+{
+    switch (sim::active_simd_level()) {
+#ifdef BFREE_X86_QUANTIZE
+      case sim::SimdLevel::Avx512:
+      case sim::SimdLevel::Avx512Vnni:
+        return peak_abs_avx512(data, n, peak);
+#endif
+      default:
+        return peak_abs_scalar(data, n, peak);
+    }
+}
+
 void
 quantize_span(const SymQuant &sq, const float *src, std::size_t n,
               std::int8_t *dst)
@@ -274,13 +285,18 @@ quantize_span(const SymQuant &sq, const float *src, std::size_t n,
 }
 
 SymQuant
-choose_sym(const float *data, std::size_t n, unsigned bits)
+sym_for_peak(float peak, unsigned bits)
 {
-    const float peak = peak_abs(data, n, 1e-9f);
     SymQuant s;
     s.limit = (1 << (bits - 1)) - 1;
     s.scale = peak / s.limit;
     return s;
+}
+
+SymQuant
+choose_sym(const float *data, std::size_t n, unsigned bits)
+{
+    return sym_for_peak(peak_abs(data, n, 1e-9f), bits);
 }
 
 QuantizedWeights
@@ -297,6 +313,33 @@ freeze_weights(const float *w, std::size_t n, unsigned bits)
         out.q32.resize(n);
         for (std::size_t i = 0; i < n; ++i)
             out.q32[i] = out.scale.q(w[i]);
+    }
+    return out;
+}
+
+QuantizedWeights
+freeze_conv_weights(const Layer &layer, const float *w, unsigned bits)
+{
+    const std::size_t c = layer.input.c;
+    const std::size_t taps = std::size_t(layer.kernelH) * layer.kernelW;
+    const std::size_t k = c * taps;
+    const std::size_t n = std::size_t(layer.outChannels) * k;
+    if (bits > 8)
+        return freeze_weights(w, n, bits);
+    QuantizedWeights out;
+    out.scale = choose_sym(w, n, bits);
+    out.bits = bits;
+    out.q8.resize(n);
+    // Each filter is quantized in storage order into one row of
+    // scratch and scattered from there: channel ch's tap t, (ky, kx)
+    // in row-major order, lands at t * inC + ch.
+    std::vector<std::int8_t> row(k);
+    for (std::size_t f = 0; f < layer.outChannels; ++f) {
+        quantize_span(out.scale, w + f * k, k, row.data());
+        std::int8_t *dst = out.q8.data() + f * k;
+        for (std::size_t t = 0; t < taps; ++t)
+            for (std::size_t ch = 0; ch < c; ++ch)
+                dst[t * c + ch] = row[ch * taps + t];
     }
     return out;
 }

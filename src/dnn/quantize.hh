@@ -46,8 +46,20 @@ struct SymQuant
     }
 };
 
-/** Pick the symmetric quantizer for @p n floats at @p bits precision. */
+/** Pick the symmetric quantizer for @p n floats at @p bits precision:
+ *  sym_for_peak(peak_abs(data, n, 1e-9f), bits). */
 SymQuant choose_sym(const float *data, std::size_t n, unsigned bits);
+
+/**
+ * max(peak, |data[i]|) over the non-NaN elements (a NaN is skipped as
+ * std::max(peak, NaN) skips it), dispatched on the active SIMD level
+ * and bit-identical at every level. max is order-free, so the peak of
+ * a span split into chunks is the max of the chunks' peaks.
+ */
+float peak_abs(const float *data, std::size_t n, float peak);
+
+/** The symmetric quantizer of a tensor whose peak_abs is @p peak. */
+SymQuant sym_for_peak(float peak, unsigned bits);
 
 /**
  * Quantize @p n floats through @p sq into int8, the vectorized span
@@ -135,6 +147,17 @@ QuantizedWeights freeze_weights(const float *w, std::size_t n,
  */
 QuantizedWeights freeze_weights_transposed(const float *w, std::size_t k,
                                            std::size_t n, unsigned bits);
+
+/**
+ * Freeze the [outC][inC][kH][kW] weights of conv @p layer. At <= 8
+ * bits q8 holds each filter channels-last, in (ky, kx, c) order:
+ * element (f, c, ky, kx) lands at f * K + (ky * kW + kx) * inC + c,
+ * the order of a patch copied from a channels-last plane. Wider
+ * precisions keep storage order in q32. The scale is chosen over all
+ * the weights, as freeze_weights chooses it.
+ */
+QuantizedWeights freeze_conv_weights(const Layer &layer, const float *w,
+                                     unsigned bits);
 
 /** A tensor together with its quantization parameters. */
 struct QuantizedTensor

@@ -196,10 +196,13 @@ DetailedSliceSim::run(const std::vector<std::vector<std::int8_t>> &inputs)
     completed.assign(numCols, {});
     for (auto &col : completed)
         col.reserve(waves);
-    drain_tick = 0;
     const std::uint64_t events_at_start = queue.processed();
 
+    // The queue's clock keeps running across runs: time this run from
+    // its own start, so a second run on the same grid reports its own
+    // cycles.
     const sim::Tick base = queue.now();
+    drain_tick = base;
     const sim::Tick cps_ticks =
         clock.cyclesToTicks(sim::Cycles(cyclesPerStep()));
     for (unsigned w = 0; w < waves; ++w) {
@@ -222,7 +225,7 @@ DetailedSliceSim::run(const std::vector<std::vector<std::int8_t>> &inputs)
 
     DetailedGridResult result;
     result.outputs = std::move(completed);
-    result.cycles = clock.ticksToCycles(drain_tick).value();
+    result.cycles = clock.ticksToCycles(drain_tick - base).value();
     result.events = queue.processed() - events_at_start;
     currentInputs = nullptr;
     return result;

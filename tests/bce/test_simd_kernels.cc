@@ -603,6 +603,20 @@ expect_gemm_matches_reference(const std::vector<std::int8_t> &a,
     ASSERT_EQ(want, got) << ctx << " m " << m << " k " << k << " n " << n
                          << (frozenSums ? " frozen" : " per-call")
                          << " row sums";
+
+    // The same product stored column-major (row stride 1, column
+    // stride m), the conv tile's filter-major layout.
+    std::vector<std::int32_t> colMajor(m * n);
+    for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            colMajor[j * m + i] = out[i * n + j];
+    bce::simd::gemm_i8(a.data(), b.data(), colMajor.data(), m, k, n,
+                       frozenSums ? rowSums.data() : nullptr, 1, m);
+    for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            ASSERT_EQ(want[i * n + j], colMajor[j * m + i])
+                << ctx << " column-major m " << m << " k " << k << " n "
+                << n << " (" << i << "," << j << ")";
 }
 
 } // namespace
@@ -611,8 +625,9 @@ TEST(SimdKernels, GemmMatchesScalarReferenceAtEveryLevel)
 {
     // Every block edge (1 x NR, MR x 1, 1 x 1) against every K up to
     // 130: two whole 64-byte VNNI steps plus every mask width, and
-    // every 32-, 16- and 8-byte madd step and tail. The incoming out
-    // is non-zero (matmul accumulates into it).
+    // every 32-, 16- and 8-byte madd step and tail, row-major and
+    // column-major. The incoming out is non-zero (matmul accumulates
+    // into it).
     for_each_runnable_level([](sim::SimdLevel level) {
         const std::string ctx = sim::simd_level_name(level);
         for (std::size_t k = 1; k <= 130; ++k) {
@@ -1009,8 +1024,8 @@ TEST(SimdKernels, ZeroLengthSpanIsANoOp)
 
 TEST(SimdKernels, DequantizeStoreMatchesScalarEpilogueAtEveryLevel)
 {
-    // The conv/FC store against its scalar specification: strided and
-    // contiguous accumulators, one bias per run or per element, ragged
+    // The conv/FC store against its scalar specification: one
+    // contiguous run of accumulators, one bias per run or per element, ragged
     // lengths, with and without the folded ReLU. Biases and scales
     // reach the ReLU's slow lanes: y * 256 at and past 2^31, NaN from
     // an infinite scale, ties at +-0.5 / 256.
@@ -1041,13 +1056,13 @@ TEST(SimdKernels, DequantizeStoreMatchesScalarEpilogueAtEveryLevel)
             const std::vector<std::int32_t> same(21, t.acc);
             const float zero = 0.0f;
             std::vector<float> got(same.size());
-            bce::simd::dequantize_store(same.data(), 1, same.size(), t.w,
-                                        t.x, &zero, 0, false, got.data());
+            bce::simd::dequantize_store(same.data(), same.size(), t.w, t.x,
+                                        &zero, 0, false, got.data());
             for (const float v : got)
                 ASSERT_EQ(v, static_cast<float>(t.acc * t.w * t.x))
                     << sim::simd_level_name(level) << " acc " << t.acc;
         }
-        for (const std::size_t stride : {std::size_t(1), std::size_t(5)}) {
+        {
             for (const std::size_t n : {std::size_t(0), std::size_t(1),
                                         std::size_t(16), std::size_t(23),
                                         std::size_t(64)}) {
@@ -1063,12 +1078,12 @@ TEST(SimdKernels, DequantizeStoreMatchesScalarEpilogueAtEveryLevel)
                                     bstride ? perElem.data() : &bias;
                                 std::vector<float> got(n + 1, 7.0f);
                                 bce::simd::dequantize_store(
-                                    acc.data(), stride, n, 0.5, xs, b,
-                                    bstride, relu, got.data());
+                                    acc.data(), n, 0.5, xs, b, bstride,
+                                    relu, got.data());
                                 for (std::size_t i = 0; i < n; ++i) {
                                     const float y =
                                         static_cast<float>(
-                                            acc[i * stride] * 0.5 * xs)
+                                            acc[i] * 0.5 * xs)
                                         + b[i * bstride];
                                     const float want =
                                         relu ? bce::simd::relu_q8(y) : y;
@@ -1077,8 +1092,8 @@ TEST(SimdKernels, DequantizeStoreMatchesScalarEpilogueAtEveryLevel)
                                     std::memcpy(&w, &want, 4);
                                     ASSERT_EQ(x, w)
                                         << sim::simd_level_name(level)
-                                        << " stride " << stride << " n "
-                                        << n << " i " << i << " bias "
+                                        << " n " << n << " i " << i
+                                        << " bias "
                                         << bias << " xs " << xs
                                         << " relu " << relu;
                                 }

@@ -1,0 +1,346 @@
+/**
+ * @file
+ * Seeded conv-geometry fuzzer. Every seed draws a chain of one or two
+ * convs, each with an optional folded ReLU, over awkward geometry:
+ * 1-16 input channels; square, 1xk and kx1 kernels from 1 to 7;
+ * strides up to and past the kernel (disjoint windows) per axis;
+ * paddings up to kernel - 1; and outputs shorter than the executor's
+ * thread count. Each net is compiled to one plan and run at 4 and 8
+ * bits:
+ *
+ *  - on the Tiered tier at every runnable SIMD level and at 1-4
+ *    executor threads, against the Legacy tier (the full scalar
+ *    decomposition): outputs, BceStats and energy byte for byte;
+ *  - against the float reference (dnn/reference), within the
+ *    quantization bound derived in reference_bound().
+ *
+ * The seed list is fixed so a failure reproduces; the geometry of the
+ * failing net is printed with it.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/functional.hh"
+#include "dnn/reference.hh"
+#include "sim/random.hh"
+#include "simd_levels.hh"
+
+using namespace bfree;
+using bce::ExecTier;
+using core::FunctionalExecutor;
+using core::NetworkPlan;
+using core::NetworkWeights;
+using dnn::FeatureShape;
+using dnn::FloatTensor;
+using dnn::Layer;
+using dnn::LayerKind;
+
+namespace {
+
+constexpr std::uint64_t kSeeds[] = {1,  2,  3,  5,  8,  13, 21, 34,
+                                    55, 89, 144, 233, 377, 610, 987,
+                                    1597, 2584, 4181, 6765, 10946};
+
+/** A generated net, its weights and input, and a printable shape. */
+struct FuzzNet
+{
+    dnn::Network net{"", FeatureShape{}};
+    NetworkWeights weights;
+    FloatTensor input;
+    std::string desc;
+};
+
+/** Cap on a conv's MACs, so the Legacy tier stays quick. One filter
+ *  of the largest first conv (14 x 14 outputs, 16 x 7 x 7 taps) fits. */
+constexpr std::uint64_t kMaxMacs = 160000;
+
+/**
+ * Draw one conv over @p in: a kernel shape, per-axis strides and pads
+ * with the edges (stride >= kernel, pad = kernel - 1) drawn often.
+ */
+Layer
+draw_conv(sim::Rng &rng, const std::string &name, const FeatureShape &in)
+{
+    unsigned kh = 1, kw = 1;
+    switch (rng.uniformInt(0, 2)) {
+      case 0:
+        kh = kw = static_cast<unsigned>(rng.uniformInt(1, 7));
+        break;
+      case 1:
+        kw = static_cast<unsigned>(rng.uniformInt(2, 7));
+        break;
+      default:
+        kh = static_cast<unsigned>(rng.uniformInt(2, 7));
+        break;
+    }
+    const auto axis = [&](unsigned k, unsigned &stride, unsigned &pad) {
+        stride = rng.uniformInt(0, 2) == 0
+                     ? k + static_cast<unsigned>(rng.uniformInt(0, 1))
+                     : static_cast<unsigned>(rng.uniformInt(1, 3));
+        pad = rng.uniformInt(0, 2) == 0
+                  ? k - 1
+                  : static_cast<unsigned>(rng.uniformInt(0, k - 1));
+    };
+    unsigned sh = 1, sw = 1, ph = 0, pw = 0;
+    axis(kh, sh, ph);
+    axis(kw, sw, pw);
+    const unsigned outC = static_cast<unsigned>(rng.uniformInt(1, 9));
+    Layer l = dnn::make_conv2(name, in, outC, kh, kw, 1, ph, pw);
+    l.strideH = sh;
+    l.strideW = sw;
+    return l;
+}
+
+std::string
+describe(const Layer &l)
+{
+    std::ostringstream os;
+    os << l.name << " " << l.input.c << "x" << l.input.h << "x"
+       << l.input.w << " -> " << l.outChannels << " k" << l.kernelH
+       << "x" << l.kernelW << " s" << l.strideH << "x" << l.strideW
+       << " p" << l.padH << "x" << l.padW;
+    return os.str();
+}
+
+/** The input extent along one axis: an output of 1-3 rows (below the
+ *  largest thread count) one time in three, else of 1-14. */
+unsigned
+draw_extent(sim::Rng &rng, unsigned k, unsigned s, unsigned pad)
+{
+    const int outs = rng.uniformInt(0, 2) == 0
+                         ? static_cast<int>(rng.uniformInt(1, 3))
+                         : static_cast<int>(rng.uniformInt(1, 14));
+    // (in + 2 * pad - k) / s + 1 = outs, and at least one row.
+    return static_cast<unsigned>(std::max(
+        1, (outs - 1) * static_cast<int>(s) + static_cast<int>(k)
+               - 2 * static_cast<int>(pad)));
+}
+
+FuzzNet
+make_fuzz_net(std::uint64_t seed)
+{
+    sim::Rng rng(seed * 7919 + 11);
+    FuzzNet f;
+    const unsigned convs = static_cast<unsigned>(rng.uniformInt(1, 2));
+    FeatureShape shape{static_cast<unsigned>(rng.uniformInt(1, 16)), 1, 1};
+
+    std::vector<Layer> layers;
+    for (unsigned i = 0; i < convs; ++i) {
+        const std::string name = "conv" + std::to_string(i);
+        // Draw the window first with a placeholder extent, then size
+        // the first conv's input to it; later convs take what they get.
+        Layer l = draw_conv(rng, name, shape);
+        if (i == 0) {
+            shape.h = draw_extent(rng, l.kernelH, l.strideH, l.padH);
+            shape.w = draw_extent(rng, l.kernelW, l.strideW, l.padW);
+            l.input = shape;
+        } else if (shape.h + 2 * l.padH < l.kernelH
+                   || shape.w + 2 * l.padW < l.kernelW) {
+            break; // the first conv left too little for this window
+        }
+        // Keep the Legacy tier quick: shrink the filter count first.
+        while (l.outChannels > 1 && l.macs() > kMaxMacs)
+            --l.outChannels;
+        if (l.macs() > kMaxMacs)
+            break; // only a second conv can get here
+        layers.push_back(l);
+        shape = l.outputShape();
+    }
+    f.net = dnn::Network("fuzz" + std::to_string(seed), layers[0].input);
+    for (const Layer &l : layers) {
+        f.net.add(l);
+        f.desc += describe(l) + "; ";
+        if (rng.uniformInt(0, 1) == 0) {
+            f.net.add(dnn::make_activation(l.name + "/relu", LayerKind::Relu,
+                                           l.outputShape()));
+            f.desc += "relu; ";
+        }
+    }
+    f.weights = core::random_weights(f.net, rng);
+    const FeatureShape in = f.net.input();
+    f.input = FloatTensor({in.c, in.h, in.w});
+    f.input.fillUniform(rng, -1.0, 1.0);
+    return f;
+}
+
+/** Everything one run leaves that the tiers must agree on. */
+struct Outcome
+{
+    std::vector<float> out;
+    bce::BceStats stats;
+    double energy = 0.0;
+};
+
+Outcome
+run_plan(const NetworkPlan &plan, const FloatTensor &input, ExecTier tier,
+         unsigned threads)
+{
+    FunctionalExecutor ex({}, {}, tier, threads);
+    const FloatTensor o = ex.run(plan, input).output;
+    return {std::vector<float>(o.data(), o.data() + o.size()), ex.stats(),
+            ex.energy().total()};
+}
+
+void
+expect_same(const Outcome &a, const Outcome &b, const std::string &what)
+{
+    ASSERT_EQ(a.out.size(), b.out.size()) << what;
+    EXPECT_EQ(0, std::memcmp(a.out.data(), b.out.data(),
+                             a.out.size() * sizeof(float)))
+        << what;
+    const bce::BceStats &x = a.stats;
+    const bce::BceStats &y = b.stats;
+    EXPECT_EQ(x.cycles, y.cycles) << what;
+    EXPECT_EQ(x.macs, y.macs) << what;
+    EXPECT_EQ(x.configLoads, y.configLoads) << what;
+    EXPECT_EQ(x.counts.lutLookups, y.counts.lutLookups) << what;
+    EXPECT_EQ(x.counts.romLookups, y.counts.romLookups) << what;
+    EXPECT_EQ(x.counts.shifts, y.counts.shifts) << what;
+    EXPECT_EQ(x.counts.adds, y.counts.adds) << what;
+    EXPECT_EQ(x.counts.cycles, y.counts.cycles) << what;
+    EXPECT_EQ(x.cyclesByMode, y.cyclesByMode) << what;
+    EXPECT_EQ(x.lutReadsPim, y.lutReadsPim) << what;
+    EXPECT_EQ(x.lutReadsCache, y.lutReadsCache) << what;
+    EXPECT_EQ(x.specialLutEvents, y.specialLutEvents) << what;
+    EXPECT_EQ(a.energy, b.energy) << what;
+}
+
+float
+peak(const std::vector<float> &v)
+{
+    float m = 0.0f;
+    for (float x : v)
+        m = std::max(m, std::abs(x));
+    return m;
+}
+
+/**
+ * The float reference of @p f's chain and, per output element, the
+ * bound the quantized run must stay within. Per conv with K taps,
+ * weight peak mw and scale sw = mw / limit, a reference input peak mx
+ * and an input already off by at most e (the previous layer's bound),
+ * the executor quantizes an input of peak at most mx + e, so with
+ * sx = (mx + e) / limit each tap's product is off by at most
+ *
+ *     mw * (sx / 2 + e) + mx * sw / 2
+ *
+ * (|w^| <= mw, |x^ - x'| <= sx / 2, |x' - x| <= e, |w^ - w| <= sw / 2),
+ * and the layer's output by K times that. A folded ReLU adds its Q8
+ * rounding, 1/512; float summation order adds a relative 1e-5.
+ */
+std::pair<std::vector<float>, std::vector<double>>
+reference_bound(const FuzzNet &f, unsigned bits)
+{
+    const double limit = (1 << (bits - 1)) - 1;
+    FloatTensor act = f.input;
+    double e = 0.0;
+    for (std::size_t i = 0; i < f.net.layers().size(); ++i) {
+        const Layer &l = f.net.layers()[i];
+        if (l.kind == LayerKind::Relu) {
+            act = dnn::reference_activation(LayerKind::Relu, act);
+            e += 1.0 / 512;
+            continue;
+        }
+        const std::vector<float> in(act.data(), act.data() + act.size());
+        const double mx = peak(in);
+        const double mw = peak(f.weights[i].weights);
+        const double sw = mw / limit;
+        const double sx = (mx + e) / limit;
+        const double k = double(l.input.c) * l.kernelH * l.kernelW;
+        act = dnn::reference_conv(l, act, f.weights[i].weights,
+                                  f.weights[i].bias);
+        e = k * (mw * (sx / 2 + e) + mx * sw / 2);
+    }
+    std::vector<float> ref(act.data(), act.data() + act.size());
+    std::vector<double> bound(ref.size());
+    for (std::size_t j = 0; j < ref.size(); ++j)
+        bound[j] = e + 1e-5 * (1.0 + std::abs(ref[j]));
+    return {std::move(ref), std::move(bound)};
+}
+
+} // namespace
+
+TEST(ConvFuzz, TieredMatchesLegacyAtEveryLevelAndThreadCount)
+{
+    for (const std::uint64_t seed : kSeeds) {
+        const FuzzNet f = make_fuzz_net(seed);
+        SCOPED_TRACE("seed " + std::to_string(seed) + ": " + f.desc);
+        for (const unsigned bits : {4u, 8u}) {
+            SCOPED_TRACE(std::to_string(bits) + " bits");
+            const NetworkPlan plan =
+                NetworkPlan::compile(f.net, f.weights, bits);
+            ASSERT_TRUE(plan.diagnostics().ok());
+            const Outcome legacy =
+                run_plan(plan, f.input, ExecTier::Legacy, 1);
+            test::for_each_runnable_level([&](sim::SimdLevel) {
+                expect_same(legacy,
+                            run_plan(plan, f.input, ExecTier::Legacy, 1),
+                            "legacy");
+                for (const unsigned threads : {1u, 2u, 3u, 4u})
+                    expect_same(legacy,
+                                run_plan(plan, f.input, ExecTier::Tiered,
+                                         threads),
+                                "tiered, " + std::to_string(threads)
+                                    + " threads");
+            });
+        }
+    }
+}
+
+TEST(ConvFuzz, QuantizedRunTracksTheFloatReference)
+{
+    for (const std::uint64_t seed : kSeeds) {
+        const FuzzNet f = make_fuzz_net(seed);
+        SCOPED_TRACE("seed " + std::to_string(seed) + ": " + f.desc);
+        for (const unsigned bits : {4u, 8u}) {
+            SCOPED_TRACE(std::to_string(bits) + " bits");
+            const NetworkPlan plan =
+                NetworkPlan::compile(f.net, f.weights, bits);
+            const Outcome got = run_plan(plan, f.input, ExecTier::Tiered, 0);
+            const auto [ref, bound] = reference_bound(f, bits);
+            ASSERT_EQ(got.out.size(), ref.size());
+            for (std::size_t j = 0; j < ref.size(); ++j)
+                ASSERT_LE(std::abs(double(got.out[j]) - ref[j]), bound[j])
+                    << "element " << j << ": " << got.out[j] << " vs "
+                    << ref[j];
+        }
+    }
+}
+
+TEST(ConvFuzz, SeedsCoverTheEdges)
+{
+    // The generator must keep reaching the shapes it exists for.
+    bool disjoint = false, maxPad = false, shortOut = false, oneByK = false,
+         wide = false, narrow = false, twoConvs = false;
+    for (const std::uint64_t seed : kSeeds) {
+        const FuzzNet f = make_fuzz_net(seed);
+        unsigned convs = 0;
+        for (const Layer &l : f.net.layers()) {
+            if (l.kind != LayerKind::Conv)
+                continue;
+            ++convs;
+            disjoint |= l.strideH >= l.kernelH && l.strideW >= l.kernelW
+                        && l.kernelH * l.kernelW > 1;
+            maxPad |= l.padH == l.kernelH - 1 && l.padH > 0;
+            shortOut |= l.outputShape().h < 4;
+            oneByK |= l.kernelH != l.kernelW;
+            wide |= l.input.c >= 12;
+            narrow |= l.input.c <= 2;
+        }
+        twoConvs |= convs == 2;
+    }
+    EXPECT_TRUE(disjoint);
+    EXPECT_TRUE(maxPad);
+    EXPECT_TRUE(shortOut);
+    EXPECT_TRUE(oneByK);
+    EXPECT_TRUE(wide);
+    EXPECT_TRUE(narrow);
+    EXPECT_TRUE(twoConvs);
+}

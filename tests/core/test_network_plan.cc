@@ -393,8 +393,9 @@ namespace {
  * The conv-and-folded-ReLU chain of @p plan (every Relu folded into
  * the conv before it) recomputed from its frozen weights through
  * im2col_patch_i8 and plain integer dot products, dequantized by the
- * store's specified formula: the oracle for the elided front end's
- * addressing.
+ * store's specified formula: the oracle for the channels-last front.
+ * The frozen filters are channels-last: CHW patch tap (c, ky, kx)
+ * meets filter byte (ky * kW + kx) * inC + c.
  */
 std::vector<float>
 patch_oracle(const NetworkPlan &plan, unsigned bits, const float *input)
@@ -418,8 +419,15 @@ patch_oracle(const NetworkPlan &plan, unsigned bits, const float *input)
                 im2col_patch_i8(l, qin.data(), oh, ow, patch.data());
                 for (unsigned f = 0; f < o.c; ++f) {
                     std::int32_t acc = 0;
-                    for (std::size_t p = 0; p < k; ++p)
-                        acc += fw.q8[f * k + p] * patch[p];
+                    std::size_t p = 0;
+                    for (unsigned c = 0; c < l.input.c; ++c)
+                        for (unsigned ky = 0; ky < l.kernelH; ++ky)
+                            for (unsigned kx = 0; kx < l.kernelW; ++kx, ++p)
+                                acc += fw.q8[f * k
+                                             + (ky * l.kernelW + kx)
+                                                   * l.input.c
+                                             + c]
+                                       * patch[p];
                     const float y =
                         static_cast<float>(acc * fw.scale.scale * qi.scale)
                         + pl.bias[f];
@@ -438,7 +446,7 @@ patch_oracle(const NetworkPlan &plan, unsigned bits, const float *input)
 TEST(NetworkPlan, TieredPlanMatchesLegacyTierAtEveryLevel)
 {
     // The exactness contract through a compiled plan: the tiered
-    // datapath (elided front end, GEMM tile, histogram tallies) must
+    // datapath (channels-last front, GEMM tile, histogram tallies) must
     // reproduce the full scalar Legacy tier in outputs, BceStats and
     // energy, bit for bit, on every conv window shape — disjoint
     // (stride >= kernel on one or both axes), 1x1 and padded

@@ -1,12 +1,14 @@
 /**
  * @file
  * Differential proof that the vectorized front half of the tiered
- * datapath — quantize_span and the row-run im2col patch extraction —
- * is byte-identical to the scalar reference at every SIMD level this
- * binary carries: random and tie-boundary values, ragged span lengths
- * straddling every vector width, misaligned buffers, and conv shapes
- * with odd extents and stride/pad edges. Exactness here is what lets
- * the whole pipeline claim bit-parity with the legacy path.
+ * datapath — quantize_span, the row-run im2col patch extraction and
+ * the channels-last front (staged plane, Kh-run patch copies, per-layer
+ * tap features) — is byte-identical to the scalar reference at every
+ * SIMD level this binary carries: random and tie-boundary values,
+ * ragged span lengths straddling every vector width, misaligned
+ * buffers, and conv shapes with odd extents and stride/pad edges.
+ * Exactness here is what lets the whole pipeline claim bit-parity with
+ * the legacy path.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "bce/simd_kernels.hh"
+#include "core/conv_front.hh"
 #include "dnn/im2col.hh"
 #include "dnn/layer.hh"
 #include "dnn/quantize.hh"
@@ -369,139 +372,179 @@ TEST(Im2ColFloat, RowRunMatchesElementwiseReferenceExactly)
 }
 
 // ---------------------------------------------------------------------
-// Elided addressing: SpanView materialization over the staged plane
+// The channels-last front: staged plane, Kh-run patch copies and the
+// per-layer tap features
 // ---------------------------------------------------------------------
 
 namespace {
 
-/** The conv shapes the elided addressing must reproduce: stride > 1,
- *  stride > kernel (disjoint windows), asymmetric kernels AND
+/** The conv shapes the channels-last front must reproduce: stride > 1,
+ *  stride > kernel (disjoint windows, and a last column group past the
+ *  padded row), pad = kernel - 1 with stride 2, asymmetric kernels AND
  *  paddings, kernels larger than the input, 1x1, and lane-straddling
  *  channel counts. */
 std::vector<Layer>
 frontend_cases()
 {
-    return {
+    std::vector<Layer> ls{
         make_conv("odd", {3, 7, 7}, 4, 3, 1, 1),
         make_conv("stride", {5, 9, 9}, 4, 3, 2, 0),
         make_conv("stride3", {3, 11, 11}, 2, 2, 3, 0),
+        make_conv("s2-pad-k-1", {5, 9, 8}, 3, 3, 2, 2),
+        make_conv("k1-s2", {4, 5, 5}, 2, 1, 2, 0),
         make_conv("pad2", {2, 5, 5}, 4, 5, 1, 2),
         make_conv("tiny", {1, 1, 1}, 1, 1, 1, 0),
         make_conv("one-by-one", {9, 5, 5}, 3, 1, 1, 0),
         make_conv("lanes", {17, 6, 6}, 4, 3, 1, 1),
+        make_conv("wide", {70, 5, 6}, 2, 3, 1, 1),
         make_conv("k-gt-input", {2, 3, 3}, 2, 5, 1, 2),
         make_conv2("asym", {3, 8, 5}, 2, 1, 7, 1, 0, 3),
         make_conv2("asym-pad", {2, 6, 6}, 2, 3, 3, 2, 2, 0),
     };
+    Layer mixed = make_conv2("mixed-strides", {6, 9, 10}, 2, 3, 2, 1, 2, 1);
+    mixed.strideH = 2;
+    mixed.strideW = 3;
+    ls.push_back(mixed);
+    return ls;
 }
 
-using bce::simd::SpanView;
-
-/** Run the whole elided pipeline for @p l and compare every patch of
- *  the row-block materialize_span_block against im2col_patch_i8. */
-void
-expect_elision_matches(const Layer &l, const std::string &ctx)
+/** A channels-last plane of @p l staged from @p in through @p sq in
+ *  @p chunks row ranges (as the executor's threads stage it), over
+ *  bytes poisoned first so an unwritten byte shows. */
+std::vector<std::int8_t>
+staged_plane(const Layer &l, const SymQuant &sq, const std::vector<float> &in,
+             std::size_t chunks)
 {
-    constexpr std::size_t slack = SpanView::slackBytes;
+    const bfree::core::HwcPlane hp = bfree::core::hwc_plane(l);
+    std::vector<std::int8_t> plane(hp.bytes(), 55);
+    std::vector<std::int8_t> scratch(bfree::core::hwc_stage_scratch_bytes(l));
+    for (std::size_t c = 0; c < chunks; ++c)
+        bfree::core::stage_hwc_rows(l, sq, in.data(), c * hp.rows / chunks,
+                                    (c + 1) * hp.rows / chunks, plane.data(),
+                                    scratch.data());
+    return plane;
+}
+
+std::vector<float>
+random_input(const Layer &l)
+{
     sim::Rng rng(97);
-    const std::size_t in_elems = l.input.elements();
-    std::vector<float> in(in_elems);
+    std::vector<float> in(l.input.elements());
     for (float &v : in)
         v = static_cast<float>(rng.uniformReal(-2.0, 2.0));
+    return in;
+}
 
-    SymQuant sq;
-    sq.scale = 0.02;
-    std::vector<std::int8_t> qin(in_elems + slack, 0);
-    quantize_span(sq, in.data(), in_elems, qin.data());
+/** Every patch of @p l, copied row by row from the staged plane (in
+ *  (ky, kx, c) order): rows = oH * oW, K bytes each. */
+std::vector<std::int8_t>
+hwc_patches(const Layer &l, const std::vector<std::int8_t> &plane)
+{
+    const FeatureShape o = l.outputShape();
+    const std::size_t k = std::size_t(l.input.c) * l.kernelH * l.kernelW;
+    std::vector<std::int8_t> all(std::size_t(o.h) * o.w * k);
+    for (unsigned oh = 0; oh < o.h; ++oh)
+        bfree::core::copy_patch_row(l, plane.data(), oh,
+                                    all.data() + std::size_t(oh) * o.w * k);
+    return all;
+}
 
-    const ElisionLayout el = elision_layout(l);
-    std::vector<std::int8_t> staging;
-    const std::int8_t *plane = qin.data();
-    if (el.staged) {
-        staging.assign(el.stagingBytes + slack, 55);
-        stage_plane_i8(l, qin.data(), staging.data());
-        plane = staging.data();
-    }
-    std::vector<std::int32_t> offsets(el.nRuns);
-    elided_offsets(l, offsets.data());
-
-    SpanView view;
-    view.offsets = offsets.data();
-    view.nRuns = el.nRuns;
-    view.runLen = el.runLen;
-
-    const std::size_t patch_len =
-        std::size_t(l.input.c) * l.kernelH * l.kernelW;
-    ASSERT_EQ(patch_len, view.len()) << ctx;
-    const FeatureShape out = l.outputShape();
-    std::vector<std::int8_t> want(patch_len);
-    std::vector<std::int8_t> row(std::size_t(out.w) * patch_len
-                                 + slack);
-    for (unsigned oh = 0; oh < out.h; ++oh) {
-        view.base = plane
-                    + std::size_t(oh) * l.strideH * el.rowBytes;
-        bce::simd::materialize_span_block(view, out.w, l.strideW,
-                                          row.data(), patch_len);
-        for (unsigned ow = 0; ow < out.w; ++ow) {
-            im2col_patch_i8(l, qin.data(), oh, ow, want.data());
-            ASSERT_EQ(0,
-                      std::memcmp(want.data(),
-                                  row.data()
-                                      + std::size_t(ow) * patch_len,
-                                  patch_len))
-                << ctx << " " << l.name << " block (" << oh << ","
-                << ow << ")";
-        }
-    }
+/** Patch byte (c, ky, kx) of im2col's CHW order sits at (ky, kx, c)
+ *  in a channels-last patch. */
+std::size_t
+hwc_index(const Layer &l, std::size_t c, std::size_t ky, std::size_t kx)
+{
+    return (ky * l.kernelW + kx) * l.input.c + c;
 }
 
 } // namespace
 
-TEST(SpanViewElision, ReproducesPatchBytesAtEveryLevel)
+TEST(HwcFront, PatchRowsMatchIm2colAtEveryLevel)
 {
-    // Staged (padded) and in-place layouts, against the row-run patch
-    // copies the span kernels otherwise consume.
+    // The staged plane and the Kh-run copies, permuted back to CHW
+    // order, against the row-run patch oracle on the quantized CHW
+    // plane, staged whole and in ragged row chunks.
     for_each_runnable_level([](sim::SimdLevel level) {
         const std::string ctx = sim::simd_level_name(level);
-        for (const Layer &l : frontend_cases())
-            expect_elision_matches(l, ctx);
+        for (const Layer &l : frontend_cases()) {
+            const std::vector<float> in = random_input(l);
+            SymQuant sq;
+            sq.scale = 0.02;
+            std::vector<std::int8_t> qin(in.size());
+            quantize_span(sq, in.data(), in.size(), qin.data());
+            const FeatureShape o = l.outputShape();
+            const std::size_t k =
+                std::size_t(l.input.c) * l.kernelH * l.kernelW;
+            std::vector<std::int8_t> want(k);
+            for (const std::size_t chunks : {1u, 3u}) {
+                const std::vector<std::int8_t> got =
+                    hwc_patches(l, staged_plane(l, sq, in, chunks));
+                for (unsigned oh = 0; oh < o.h; ++oh) {
+                    for (unsigned ow = 0; ow < o.w; ++ow) {
+                        im2col_patch_i8(l, qin.data(), oh, ow, want.data());
+                        const std::int8_t *patch =
+                            &got[(std::size_t(oh) * o.w + ow) * k];
+                        std::size_t p = 0;
+                        for (unsigned c = 0; c < l.input.c; ++c)
+                            for (unsigned ky = 0; ky < l.kernelH; ++ky)
+                                for (unsigned kx = 0; kx < l.kernelW;
+                                     ++kx, ++p)
+                                    ASSERT_EQ(want[p],
+                                              patch[hwc_index(l, c, ky, kx)])
+                                        << ctx << " " << l.name << " ("
+                                        << oh << "," << ow << ") tap " << p;
+                    }
+                }
+            }
+        }
     });
 }
 
-TEST(SpanViewBlock, SpillStaysInsidePatchSlots)
+TEST(HwcFront, TapFeaturesMatchPatchFeaturesAtEveryLevel)
 {
-    // The transposed block loop's regression shape: 3-byte runs in a
-    // 9-byte patch slot (one input channel, 3x3, stride 2), where an
-    // 8-byte copy from run 1 on would cross into the NEXT patch's
-    // already-written bytes. Every byte of every slot must match
-    // im2col_patch_i8.
-    const Layer l = make_conv("spill", {1, 11, 11}, 1, 3, 2, 0);
-    constexpr std::size_t slack = SpanView::slackBytes;
-    const ElisionLayout el = elision_layout(l);
-    ASSERT_FALSE(el.staged);
-    ASSERT_EQ(el.runLen, 3u);
-    std::vector<std::int8_t> plane(l.input.elements() + slack);
-    for (std::size_t i = 0; i < plane.size(); ++i)
-        plane[i] = static_cast<std::int8_t>(i * 7 + 3);
-    std::vector<std::int32_t> offsets(el.nRuns);
-    elided_offsets(l, offsets.data());
+    // The per-layer F_x from classifying each staged row once must
+    // equal class_feature_sums over every materialized patch: strided,
+    // disjoint and padded windows, split over several accumulators the
+    // way the executor's threads split it.
+    for_each_runnable_level([](sim::SimdLevel level) {
+        const std::string ctx = sim::simd_level_name(level);
+        for (const Layer &l : frontend_cases()) {
+            const std::vector<float> in = random_input(l);
+            SymQuant sq;
+            sq.scale = 0.01; // saturates some taps at +-127
+            const std::vector<std::int8_t> plane = staged_plane(l, sq, in, 1);
+            const FeatureShape o = l.outputShape();
+            const std::size_t k =
+                std::size_t(l.input.c) * l.kernelH * l.kernelW;
+            const std::size_t words = bce::simd::feature_count * k;
 
-    SpanView view;
-    view.base = plane.data();
-    view.offsets = offsets.data();
-    view.nRuns = el.nRuns;
-    view.runLen = el.runLen;
+            std::vector<std::uint32_t> want(words + 1);
+            bce::simd::class_feature_sums(hwc_patches(l, plane).data(),
+                                          std::size_t(o.h) * o.w, k,
+                                          want.data());
 
-    const std::size_t patchLen = view.len();
-    const std::size_t nPatches = l.outputShape().w;
-    std::vector<std::int8_t> got(nPatches * patchLen + slack, 0);
-    bce::simd::materialize_span_block(view, nPatches, l.strideW,
-                                      got.data(), patchLen);
-    std::vector<std::int8_t> want(patchLen);
-    for (std::size_t ow = 0; ow < nPatches; ++ow) {
-        im2col_patch_i8(l, plane.data(), 0, ow, want.data());
-        ASSERT_EQ(0, std::memcmp(want.data(), &got[ow * patchLen],
-                                 patchLen))
-            << "patch " << ow;
-    }
+            const bfree::core::HwcPlane hp = bfree::core::hwc_plane(l);
+            const std::size_t accWords = bfree::core::tap_feature_words(l);
+            std::vector<std::uint32_t> scratch(
+                bfree::core::tap_feature_scratch_words(l));
+            for (const std::size_t chunks : {1u, 2u, 5u}) {
+                std::vector<std::vector<std::uint32_t>> accs(
+                    chunks, std::vector<std::uint32_t>(accWords, 0));
+                for (std::size_t c = 0; c < chunks; ++c)
+                    bfree::core::classify_hwc_rows(
+                        l, plane.data(), c * hp.rows / chunks,
+                        (c + 1) * hp.rows / chunks, accs[c].data(),
+                        scratch.data());
+                for (std::size_t c = 1; c < chunks; ++c)
+                    bfree::core::sum_tap_features(l, accs[0].data(),
+                                                  accs[c].data());
+                std::vector<std::uint32_t> got(words);
+                bfree::core::tap_features(l, accs[0].data(), got.data());
+                for (std::size_t w = 0; w < words; ++w)
+                    ASSERT_EQ(want[w], got[w])
+                        << ctx << " " << l.name << " word " << w
+                        << " chunks " << chunks;
+            }
+        }
+    });
 }

@@ -156,6 +156,28 @@ TEST(Grid, EveryColumnProducesOneOutputPerWave)
     }
 }
 
+TEST(Grid, SecondRunReportsOnlyItsOwnCycles)
+{
+    // The grid's queue keeps its clock between runs: each run's
+    // cycles must count from that run's start, not from tick 0.
+    CacheGeometry geom;
+    TechParams tech;
+    DetailedSliceSim sim(geom, tech, 2, 3, 4, 8);
+    Weights w(3, std::vector<std::vector<std::int8_t>>(
+                     2, std::vector<std::int8_t>(4, 1)));
+    sim.loadWeights(w);
+    std::vector<std::vector<std::int8_t>> inputs(
+        4, std::vector<std::int8_t>(8, 1));
+    const std::uint64_t want = detailed_grid_formula(
+        2, 3, 4, sim.cyclesPerStep(), tech.routerHopCycles);
+    const DetailedGridResult first = sim.run(inputs);
+    const DetailedGridResult second = sim.run(inputs);
+    EXPECT_EQ(first.cycles, want);
+    EXPECT_EQ(second.cycles, want);
+    EXPECT_EQ(second.outputs, first.outputs);
+    EXPECT_EQ(second.events, first.events);
+}
+
 TEST(Grid, WiderGridTakesLongerOnlyByHops)
 {
     CacheGeometry geom;
