@@ -2,7 +2,7 @@
  * @file
  * Micro-benchmarks (google-benchmark) of the functional LUT datapath:
  * host-side throughput of the operand analyzer, BCE multiply paths,
- * LUT division, PWL evaluation and the detailed chain simulator.
+ * LUT division and PWL evaluation.
  * These measure the simulator itself, not the modelled hardware.
  */
 
@@ -14,7 +14,6 @@
 #include "lut/division.hh"
 #include "lut/operand_analyzer.hh"
 #include "lut/pwl.hh"
-#include "map/detailed_sim.hh"
 #include "sim/random.hh"
 
 namespace {
@@ -123,32 +122,5 @@ BM_PwlSigmoid(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PwlSigmoid);
-
-void
-BM_DetailedChain(benchmark::State &state)
-{
-    const auto nodes = static_cast<unsigned>(state.range(0));
-    tech::CacheGeometry geom;
-    tech::TechParams tp;
-    sim::Rng rng(5);
-
-    std::vector<std::vector<std::int8_t>> weights(
-        nodes, std::vector<std::int8_t>(8));
-    for (auto &slice : weights)
-        for (auto &w : slice)
-            w = static_cast<std::int8_t>(rng.uniformInt(-128, 127));
-    std::vector<std::vector<std::int8_t>> inputs(
-        4, std::vector<std::int8_t>(std::size_t(nodes) * 8));
-    for (auto &wave : inputs)
-        for (auto &v : wave)
-            v = static_cast<std::int8_t>(rng.uniformInt(-128, 127));
-
-    for (auto _ : state) {
-        map::DetailedSubBankSim sim(geom, tp, nodes, 8, 8);
-        sim.loadWeights(weights);
-        benchmark::DoNotOptimize(sim.run(inputs));
-    }
-}
-BENCHMARK(BM_DetailedChain)->Arg(2)->Arg(8);
 
 } // namespace

@@ -27,7 +27,7 @@ FunctionalExecutor::FunctionalExecutor(const tech::CacheGeometry &geom,
 }
 
 // Symmetric per-tensor quantization lives in dnn::SymQuant /
-// dnn::choose_sym, shared with the detailed cache driver so both paths
+// dnn::choose_sym, shared by every executor path so all of them
 // quantize (and so dequantize) bit-identically. Weight-side quantization
 // is frozen at plan compile (dnn::freeze_weights); only the
 // input-dependent activation side is quantized here.

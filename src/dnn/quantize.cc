@@ -64,21 +64,35 @@ quantize_core_sse42(const SymQuant &sq, const float *src, std::size_t n,
         (out) = _mm_cvtpd_epi32(r_);                                     \
     } while (0)
 
+    // Four lanes to four saturated bytes, packed into one int.
+#define BFREE_QSTEP_128(v, word)                                         \
+    do {                                                                 \
+        __m128i r0, r1;                                                  \
+        BFREE_QROUND_PD_128(_mm_cvtps_pd(v), r0);                        \
+        BFREE_QROUND_PD_128(_mm_cvtps_pd(_mm_movehl_ps(v, v)), r1);      \
+        const __m128i r32 = _mm_unpacklo_epi64(r0, r1);                  \
+        const __m128i r16 = _mm_packs_epi32(r32, r32);                   \
+        (word) = _mm_cvtsi128_si32(_mm_packs_epi16(r16, r16));           \
+    } while (0)
+
     std::size_t i = 0;
+    int word;
     for (; i + 4 <= n; i += 4) {
-        const __m128 v =
-            _mm_loadu_ps(src + i);
-        __m128i r0, r1;
-        BFREE_QROUND_PD_128(_mm_cvtps_pd(v), r0);
-        BFREE_QROUND_PD_128(_mm_cvtps_pd(_mm_movehl_ps(v, v)), r1);
-        const __m128i r32 = _mm_unpacklo_epi64(r0, r1);
-        const __m128i r16 = _mm_packs_epi32(r32, r32);
-        const __m128i r8 = _mm_packs_epi16(r16, r16);
-        const int word = _mm_cvtsi128_si32(r8);
+        const __m128 v = _mm_loadu_ps(src + i);
+        BFREE_QSTEP_128(v, word);
         std::memcpy(dst + i, &word, 4);
     }
+    // The ragged tail runs the same lane steps on a zero-padded copy
+    // and stores only its own bytes.
+    if (i < n) {
+        float pad[4] = {};
+        std::memcpy(pad, src + i, (n - i) * sizeof(float));
+        const __m128 v = _mm_loadu_ps(pad);
+        BFREE_QSTEP_128(v, word);
+        std::memcpy(dst + i, &word, n - i);
+    }
+#undef BFREE_QSTEP_128
 #undef BFREE_QROUND_PD_128
-    quantize_core_scalar(sq, src + i, n - i, dst + i);
 }
 
 __attribute__((target("avx2"))) void
@@ -107,20 +121,36 @@ quantize_core_avx2(const SymQuant &sq, const float *src, std::size_t n,
         (out) = _mm256_cvtpd_epi32(r_);                                  \
     } while (0)
 
+    // Eight lanes to eight saturated bytes, packed into one int64.
+#define BFREE_QSTEP_256(v, word)                                         \
+    do {                                                                 \
+        __m128i r0, r1;                                                  \
+        BFREE_QROUND_PD_256(                                             \
+            _mm256_cvtps_pd(_mm256_castps256_ps128(v)), r0);             \
+        BFREE_QROUND_PD_256(                                             \
+            _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)), r1);           \
+        const __m128i r16 = _mm_packs_epi32(r0, r1);                     \
+        (word) = _mm_cvtsi128_si64(_mm_packs_epi16(r16, r16));           \
+    } while (0)
+
     std::size_t i = 0;
+    long long word;
     for (; i + 8 <= n; i += 8) {
         const __m256 v = _mm256_loadu_ps(src + i);
-        __m128i r0, r1;
-        BFREE_QROUND_PD_256(
-            _mm256_cvtps_pd(_mm256_castps256_ps128(v)), r0);
-        BFREE_QROUND_PD_256(
-            _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)), r1);
-        const __m128i r16 = _mm_packs_epi32(r0, r1);
-        const __m128i r8 = _mm_packs_epi16(r16, r16);
-        _mm_storel_epi64(reinterpret_cast<__m128i *>(dst + i), r8);
+        BFREE_QSTEP_256(v, word);
+        std::memcpy(dst + i, &word, 8);
     }
+    // The ragged tail runs the same lane steps on a zero-padded copy
+    // and stores only its own bytes.
+    if (i < n) {
+        float pad[8] = {};
+        std::memcpy(pad, src + i, (n - i) * sizeof(float));
+        const __m256 v = _mm256_loadu_ps(pad);
+        BFREE_QSTEP_256(v, word);
+        std::memcpy(dst + i, &word, n - i);
+    }
+#undef BFREE_QSTEP_256
 #undef BFREE_QROUND_PD_256
-    quantize_core_scalar(sq, src + i, n - i, dst + i);
 }
 
 // GCC 12 false positive through the _mm*_undefined_*() masked-fallback

@@ -26,10 +26,11 @@ namespace bfree::dnn {
 
 /**
  * Symmetric per-tensor quantizer: round-to-nearest onto
- * [-limit, limit] with a data-derived scale. The functional executor
- * and the detailed cache driver both quantize through this exact
- * struct, which is what makes their float outputs bit-identical (same
- * rounding, same clamp, same dequant arithmetic).
+ * [-limit, limit] with a data-derived scale. Every quantize path of
+ * the functional executor either calls q() or reproduces it exactly
+ * (quantize_span), which is what makes the outputs bit-identical at
+ * every SIMD level and thread count (same rounding, same clamp, same
+ * dequant arithmetic).
  */
 struct SymQuant
 {

@@ -7,10 +7,9 @@
  * computation phase streams inputs systolically while the BCEs compute
  * and reduce partial sums across each sub-bank.
  *
- * The model is analytic (closed form per layer) and is cross-validated
- * against the event-driven detailed model in detailed_sim.hh on small
- * kernels; full networks (4.7-39.5 G MACs) only run analytically, the
- * same altitude the paper's simulator operates at.
+ * The model is analytic (closed form per layer), the same altitude the
+ * paper's simulator operates at. No cycle-level model backs it; its
+ * tests check the closed forms and their scaling properties.
  *
  * Phase accounting per layer:
  *   weightLoad — weight bytes through the main-memory channel + ring
@@ -126,7 +125,7 @@ class ExecutionModel
 
     /**
      * Closed-form compute seconds for a MAC layer under a mapping
-     * (exposed for cross-validation against the detailed model).
+     * (public so tests can check the rate formula directly).
      */
     double computeSeconds(const dnn::Layer &layer,
                           const LayerMapping &mapping) const;

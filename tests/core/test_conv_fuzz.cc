@@ -1,12 +1,18 @@
 /**
  * @file
- * Seeded conv-geometry fuzzer. Every seed draws a chain of one or two
- * convs, each with an optional folded ReLU, over awkward geometry:
- * 1-16 input channels; square, 1xk and kx1 kernels from 1 to 7;
- * strides up to and past the kernel (disjoint windows) per axis;
- * paddings up to kernel - 1; and outputs shorter than the executor's
- * thread count. Each net is compiled to one plan and run at 4 and 8
- * bits:
+ * Seeded conv and FC geometry fuzzer. A conv seed draws a chain of
+ * one or two convs over awkward geometry: 1-16 input channels; square,
+ * 1xk and kx1 kernels from 1 to 7; strides up to and past the kernel
+ * (disjoint windows) per axis; paddings up to kernel - 1; and outputs
+ * shorter than the executor's thread count. Two conv chains in three
+ * end in an FC, or an FC and a narrow head; a flat seed draws the same
+ * FC tail from a flat input instead. Every layer may fold a ReLU. An
+ * FC's width is drawn around the executor's matmul split: 1/2 to 9/2
+ * blocks of minMatmulMacsPerBlock MACs, just below or just above each
+ * multiple, so 2-4 threads run it unsplit, partly split and fully
+ * split; its K is often not a multiple of 16 or 64, and some FCs have
+ * fewer four-row quads than threads. Each net is compiled to one plan
+ * and run at 4 and 8 bits:
  *
  *  - on the Tiered tier at every runnable SIMD level and at 1-4
  *    executor threads, against the Legacy tier (the full scalar
@@ -47,6 +53,28 @@ namespace {
 constexpr std::uint64_t kSeeds[] = {1,  2,  3,  5,  8,  13, 21, 34,
                                     55, 89, 144, 233, 377, 610, 987,
                                     1597, 2584, 4181, 6765, 10946};
+
+/** Seeds of the FC chains from a flat input. */
+constexpr std::uint64_t kFlatSeeds[] = {3, 7, 11, 18, 47, 123};
+
+/** One generated net: its seed, and whether it is a flat FC chain. */
+struct FuzzCase
+{
+    std::uint64_t seed;
+    bool flat;
+};
+
+/** The conv seeds, then the flat seeds. */
+std::vector<FuzzCase>
+fuzz_cases()
+{
+    std::vector<FuzzCase> cases;
+    for (const std::uint64_t seed : kSeeds)
+        cases.push_back({seed, false});
+    for (const std::uint64_t seed : kFlatSeeds)
+        cases.push_back({seed, true});
+    return cases;
+}
 
 /** A generated net, its weights and input, and a printable shape. */
 struct FuzzNet
@@ -98,10 +126,57 @@ draw_conv(sim::Rng &rng, const std::string &name, const FeatureShape &in)
     return l;
 }
 
+/** Cap on an FC's weight rows, so an FC over a narrow K (a small conv
+ *  output) stays small; only a wide K reaches the split. */
+constexpr std::size_t kMaxFcRows = 1024;
+
+/**
+ * Draw an FC over @p k inputs. A head (@p head) or one FC in four has
+ * 1-9 weight rows (fewer four-row quads than threads); else its k x n
+ * MACs land just below or just above a multiple of half a matmul
+ * block, from 1/2 to 9/2 blocks, at most kMaxFcRows rows.
+ */
+Layer
+draw_fc(sim::Rng &rng, const std::string &name, unsigned k, bool head)
+{
+    std::size_t n = 0;
+    if (head || rng.uniformInt(0, 3) == 0) {
+        n = static_cast<std::size_t>(rng.uniformInt(1, 9));
+    } else {
+        const std::size_t macs =
+            static_cast<std::size_t>(rng.uniformInt(1, 9))
+            * FunctionalExecutor::minMatmulMacsPerBlock / 2;
+        n = std::clamp<std::size_t>(
+            macs / k + static_cast<std::size_t>(rng.uniformInt(0, 1)), 1,
+            kMaxFcRows);
+    }
+    return dnn::make_fc(name, k, static_cast<unsigned>(n));
+}
+
+/** A flat FC input width: a multiple of 64, of 16 but not 64, or any
+ *  width up to 3000. */
+unsigned
+draw_flat_width(sim::Rng &rng)
+{
+    switch (rng.uniformInt(0, 3)) {
+      case 0:
+        return 64 * static_cast<unsigned>(rng.uniformInt(1, 40));
+      case 1:
+        return 64 * static_cast<unsigned>(rng.uniformInt(0, 40))
+               + 16 * static_cast<unsigned>(rng.uniformInt(1, 3));
+      default:
+        return static_cast<unsigned>(rng.uniformInt(1, 3000));
+    }
+}
+
 std::string
 describe(const Layer &l)
 {
     std::ostringstream os;
+    if (l.kind == LayerKind::Fc) {
+        os << l.name << " " << l.inFeatures << " -> " << l.outFeatures;
+        return os.str();
+    }
     os << l.name << " " << l.input.c << "x" << l.input.h << "x"
        << l.input.w << " -> " << l.outChannels << " k" << l.kernelH
        << "x" << l.kernelW << " s" << l.strideH << "x" << l.strideW
@@ -124,12 +199,19 @@ draw_extent(sim::Rng &rng, unsigned k, unsigned s, unsigned pad)
 }
 
 FuzzNet
-make_fuzz_net(std::uint64_t seed)
+make_fuzz_net(const FuzzCase &c)
 {
+    const std::uint64_t seed = c.seed;
     sim::Rng rng(seed * 7919 + 11);
+    // The FC draws take their own stream, so the conv geometry of a
+    // seed is what it was before FCs joined the fuzzer.
+    sim::Rng fcRng(seed * 104729 + 5);
     FuzzNet f;
-    const unsigned convs = static_cast<unsigned>(rng.uniformInt(1, 2));
+    const unsigned convs =
+        c.flat ? 0 : static_cast<unsigned>(rng.uniformInt(1, 2));
     FeatureShape shape{static_cast<unsigned>(rng.uniformInt(1, 16)), 1, 1};
+    if (c.flat)
+        shape = {draw_flat_width(fcRng), 1, 1};
 
     std::vector<Layer> layers;
     for (unsigned i = 0; i < convs; ++i) {
@@ -153,7 +235,18 @@ make_fuzz_net(std::uint64_t seed)
         layers.push_back(l);
         shape = l.outputShape();
     }
-    f.net = dnn::Network("fuzz" + std::to_string(seed), layers[0].input);
+    // No FC after a conv one time in three; else one, or one and a
+    // narrow head. A flat chain has one, or one and a head.
+    const unsigned fcs = static_cast<unsigned>(
+        fcRng.uniformInt(c.flat ? 1 : 0, 2));
+    for (unsigned i = 0; i < fcs; ++i) {
+        layers.push_back(draw_fc(fcRng, "fc" + std::to_string(i),
+                                 static_cast<unsigned>(shape.elements()),
+                                 i == 1));
+        shape = layers.back().outputShape();
+    }
+    f.net = dnn::Network((c.flat ? "flat" : "fuzz") + std::to_string(seed),
+                         layers[0].input);
     for (const Layer &l : layers) {
         f.net.add(l);
         f.desc += describe(l) + "; ";
@@ -223,7 +316,7 @@ peak(const std::vector<float> &v)
 
 /**
  * The float reference of @p f's chain and, per output element, the
- * bound the quantized run must stay within. Per conv with K taps,
+ * bound the quantized run must stay within. Per conv or FC with K taps,
  * weight peak mw and scale sw = mw / limit, a reference input peak mx
  * and an input already off by at most e (the previous layer's bound),
  * the executor quantizes an input of peak at most mx + e, so with
@@ -253,9 +346,13 @@ reference_bound(const FuzzNet &f, unsigned bits)
         const double mw = peak(f.weights[i].weights);
         const double sw = mw / limit;
         const double sx = (mx + e) / limit;
-        const double k = double(l.input.c) * l.kernelH * l.kernelW;
-        act = dnn::reference_conv(l, act, f.weights[i].weights,
-                                  f.weights[i].bias);
+        const bool fc = l.kind == LayerKind::Fc;
+        const double k = fc ? double(l.inFeatures)
+                            : double(l.input.c) * l.kernelH * l.kernelW;
+        act = fc ? dnn::reference_fc(l, act, f.weights[i].weights,
+                                     f.weights[i].bias)
+                 : dnn::reference_conv(l, act, f.weights[i].weights,
+                                       f.weights[i].bias);
         e = k * (mw * (sx / 2 + e) + mx * sw / 2);
     }
     std::vector<float> ref(act.data(), act.data() + act.size());
@@ -269,9 +366,9 @@ reference_bound(const FuzzNet &f, unsigned bits)
 
 TEST(ConvFuzz, TieredMatchesLegacyAtEveryLevelAndThreadCount)
 {
-    for (const std::uint64_t seed : kSeeds) {
-        const FuzzNet f = make_fuzz_net(seed);
-        SCOPED_TRACE("seed " + std::to_string(seed) + ": " + f.desc);
+    for (const FuzzCase &c : fuzz_cases()) {
+        const FuzzNet f = make_fuzz_net(c);
+        SCOPED_TRACE(f.net.name() + ": " + f.desc);
         for (const unsigned bits : {4u, 8u}) {
             SCOPED_TRACE(std::to_string(bits) + " bits");
             const NetworkPlan plan =
@@ -296,9 +393,9 @@ TEST(ConvFuzz, TieredMatchesLegacyAtEveryLevelAndThreadCount)
 
 TEST(ConvFuzz, QuantizedRunTracksTheFloatReference)
 {
-    for (const std::uint64_t seed : kSeeds) {
-        const FuzzNet f = make_fuzz_net(seed);
-        SCOPED_TRACE("seed " + std::to_string(seed) + ": " + f.desc);
+    for (const FuzzCase &c : fuzz_cases()) {
+        const FuzzNet f = make_fuzz_net(c);
+        SCOPED_TRACE(f.net.name() + ": " + f.desc);
         for (const unsigned bits : {4u, 8u}) {
             SCOPED_TRACE(std::to_string(bits) + " bits");
             const NetworkPlan plan =
@@ -319,10 +416,34 @@ TEST(ConvFuzz, SeedsCoverTheEdges)
     // The generator must keep reaching the shapes it exists for.
     bool disjoint = false, maxPad = false, shortOut = false, oneByK = false,
          wide = false, narrow = false, twoConvs = false;
-    for (const std::uint64_t seed : kSeeds) {
-        const FuzzNet f = make_fuzz_net(seed);
-        unsigned convs = 0;
+    bool fcAfterConv = false, flatFc = false, twoFcs = false,
+         fewRows = false, k64 = false, k16Not64 = false, kRagged = false;
+    // Per thread count 2-4: an FC run unsplit, one split over fewer
+    // blocks than threads and one split over all of them.
+    constexpr std::size_t block = FunctionalExecutor::minMatmulMacsPerBlock;
+    bool unsplit[5] = {}, partly[5] = {}, fully[5] = {};
+    for (const FuzzCase &c : fuzz_cases()) {
+        const FuzzNet f = make_fuzz_net(c);
+        unsigned convs = 0, fcs = 0;
         for (const Layer &l : f.net.layers()) {
+            if (l.kind == LayerKind::Fc) {
+                ++fcs;
+                fcAfterConv |= convs > 0;
+                flatFc |= convs == 0 && fcs == 1;
+                const std::size_t k = l.inFeatures, n = l.outFeatures;
+                fewRows |= n < 9;
+                k64 |= k % 64 == 0;
+                k16Not64 |= k % 16 == 0 && k % 64 != 0;
+                kRagged |= k % 16 != 0 && k > 16;
+                for (std::size_t t = 2; t <= 4; ++t) {
+                    const std::size_t blocks =
+                        std::min({k * n / block, t, (n + 3) / 4});
+                    unsplit[t] |= blocks <= 1;
+                    partly[t] |= blocks > 1 && blocks < t;
+                    fully[t] |= blocks == t;
+                }
+                continue;
+            }
             if (l.kind != LayerKind::Conv)
                 continue;
             ++convs;
@@ -335,6 +456,7 @@ TEST(ConvFuzz, SeedsCoverTheEdges)
             narrow |= l.input.c <= 2;
         }
         twoConvs |= convs == 2;
+        twoFcs |= fcs == 2;
     }
     EXPECT_TRUE(disjoint);
     EXPECT_TRUE(maxPad);
@@ -343,4 +465,16 @@ TEST(ConvFuzz, SeedsCoverTheEdges)
     EXPECT_TRUE(wide);
     EXPECT_TRUE(narrow);
     EXPECT_TRUE(twoConvs);
+    EXPECT_TRUE(fcAfterConv);
+    EXPECT_TRUE(flatFc);
+    EXPECT_TRUE(twoFcs);
+    EXPECT_TRUE(fewRows);
+    EXPECT_TRUE(k64);
+    EXPECT_TRUE(k16Not64);
+    EXPECT_TRUE(kRagged);
+    for (std::size_t t = 2; t <= 4; ++t) {
+        EXPECT_TRUE(unsplit[t]) << t << " threads";
+        EXPECT_TRUE(partly[t] || t == 2) << t << " threads";
+        EXPECT_TRUE(fully[t]) << t << " threads";
+    }
 }

@@ -106,8 +106,21 @@ TEST(QuantizeSpan, TieBoundariesExactAtEveryLevel)
 TEST(QuantizeSpan, RaggedLengthsExactAtEveryLevel)
 {
     // Lengths 0..67 straddle the 4/8/16-lane widths and every tail
-    // remainder shape.
-    for_each_runnable_level([](sim::SimdLevel level) {
+    // remainder shape. Lengths 0..33 also rotate a .5 tie, a value one
+    // ulp either side of it and a clamped value through each lane, so
+    // every width's tail step meets each of them, at the int8 and the
+    // 4-bit clamp.
+    std::vector<float> pool;
+    for (int k = -9; k <= 9; k += 2) {
+        const float tie = static_cast<float>(k) * 0.125f; // x = k / 2
+        pool.push_back(tie);
+        pool.push_back(std::nextafter(tie, 0.0f));
+        pool.push_back(std::nextafter(tie, 2.0f * tie));
+    }
+    for (const float v : {31.875f, -31.875f, 1000.0f, -1000.0f, 0.0f,
+                          -0.0f})
+        pool.push_back(v);
+    for_each_runnable_level([&](sim::SimdLevel level) {
         const std::string ctx = sim::simd_level_name(level);
         sim::Rng rng(92);
         SymQuant sq;
@@ -118,6 +131,22 @@ TEST(QuantizeSpan, RaggedLengthsExactAtEveryLevel)
                 v = static_cast<float>(rng.uniformReal(-8.0, 8.0));
             expect_span_matches_scalar(
                 sq, in, ctx + " len " + std::to_string(len));
+        }
+        sq.scale = 0.25;
+        for (const std::int32_t limit : {127, 7}) {
+            sq.limit = limit;
+            for (std::size_t len = 0; len <= 33; ++len) {
+                for (std::size_t r = 0; r < pool.size(); ++r) {
+                    std::vector<float> in(len);
+                    for (std::size_t i = 0; i < len; ++i)
+                        in[i] = pool[(i + r) % pool.size()];
+                    expect_span_matches_scalar(
+                        sq, in,
+                        ctx + " limit " + std::to_string(limit) + " len "
+                            + std::to_string(len) + " rotation "
+                            + std::to_string(r));
+                }
+            }
         }
     });
 }

@@ -22,7 +22,6 @@
 #include <thread>
 
 #include "dnn/model_zoo.hh"
-#include "map/detailed_sim.hh"
 #include "map/exec_model.hh"
 #include "sim/parallel.hh"
 #include "sim/random.hh"
@@ -363,50 +362,6 @@ TEST(ExecSweep, ResultsBitIdenticalAcrossThreadCounts)
     }
     // Larger fabrics are not slower on the same network.
     EXPECT_LE(serial.back().time.compute, serial.front().time.compute);
-}
-
-TEST(DetailedBatch, MatchesSingleRunsAndFormula)
-{
-    const tech::CacheGeometry geom;
-    const tech::TechParams tech;
-
-    std::vector<map::DetailedJob> jobs;
-    for (unsigned j = 0; j < 3; ++j) {
-        map::DetailedJob job;
-        job.nodes = 2 + j;
-        job.sliceLen = 8;
-        job.bits = 8;
-        Rng rng(42 + j);
-        job.weights.assign(job.nodes,
-                           std::vector<std::int8_t>(job.sliceLen));
-        for (auto &s : job.weights)
-            for (auto &w : s)
-                w = static_cast<std::int8_t>(rng.uniformInt(-128, 127));
-        job.inputs.assign(
-            5, std::vector<std::int8_t>(std::size_t(job.nodes)
-                                        * job.sliceLen));
-        for (auto &wave : job.inputs)
-            for (auto &x : wave)
-                x = static_cast<std::int8_t>(rng.uniformInt(-128, 127));
-        jobs.push_back(std::move(job));
-    }
-
-    const auto batch =
-        map::run_detailed_batch(geom, tech, jobs, 3);
-    ASSERT_EQ(batch.size(), jobs.size());
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        map::DetailedSubBankSim single(geom, tech, jobs[j].nodes,
-                                       jobs[j].sliceLen, jobs[j].bits);
-        single.loadWeights(jobs[j].weights);
-        const auto expected = single.run(jobs[j].inputs);
-        EXPECT_EQ(batch[j].outputs, expected.outputs) << j;
-        EXPECT_EQ(batch[j].cycles, expected.cycles) << j;
-        EXPECT_EQ(batch[j].cycles,
-                  map::detailed_chain_formula(jobs[j].nodes, 5,
-                                              single.cyclesPerStep(),
-                                              tech.routerHopCycles))
-            << j;
-    }
 }
 
 TEST(Rng, SameSeedSameSequence)
