@@ -1,11 +1,13 @@
 #include "bce.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 
 #include "lut/lut_image.hh"
 #include "sim/logging.hh"
+#include "sim/parallel.hh"
 #include "simd_kernels.hh"
 
 namespace bfree::bce {
@@ -550,18 +552,42 @@ Bce::bookRelu(std::size_t n)
 
 void
 Bce::poolQ8(const PoolShape &g, bool average, const lut::DivisionLut &div,
-            const float *in, float *out)
+            const float *in, float *out, sim::ThreadPool *pool)
 {
     // Unpadded 2x2 / stride-2 max pooling (VGG's only pool) has a
-    // vector form: four taps, so 3 adds and 3 cycles per window.
+    // vector form: four taps, so 3 adds and 3 cycles per window. The
+    // channel planes are independent, so contiguous runs of them go
+    // to the pool's threads; the kernel declines on every thread or
+    // on none (it depends on the active level only).
     if (!average && g.kernelH == 2 && g.kernelW == 2 && g.strideH == 2
         && g.strideW == 2 && g.padH == 0 && g.padW == 0
-        && g.outH == g.inH / 2 && g.outW == g.inW / 2
-        && simd::max_pool_2x2_q8(in, g.channels, g.inH, g.inW, out)) {
-        const std::uint64_t windows = g.channels * g.outH * g.outW;
-        stats_.counts.adds += 3 * windows;
-        chargeCycles(3 * windows);
-        return;
+        && g.outH == g.inH / 2 && g.outW == g.inW / 2) {
+        const std::size_t inPlane = g.inH * g.inW;
+        const std::size_t outPlane = g.outH * g.outW;
+        const auto run = [&](std::size_t c0, std::size_t c1) {
+            return simd::max_pool_2x2_q8(in + c0 * inPlane, c1 - c0, g.inH,
+                                         g.inW, out + c0 * outPlane);
+        };
+        bool vector = true;
+        if (pool != nullptr && pool->threads() > 1 && g.channels > 1) {
+            const std::size_t chunks =
+                std::min<std::size_t>(pool->threads(), g.channels);
+            std::atomic<bool> ran{true};
+            pool->parallelFor(chunks, [&](std::size_t c, unsigned) {
+                if (!run(c * g.channels / chunks,
+                         (c + 1) * g.channels / chunks))
+                    ran.store(false, std::memory_order_relaxed);
+            });
+            vector = ran.load(std::memory_order_relaxed);
+        } else {
+            vector = run(0, g.channels);
+        }
+        if (vector) {
+            const std::uint64_t windows = g.channels * outPlane;
+            stats_.counts.adds += 3 * windows;
+            chargeCycles(3 * windows);
+            return;
+        }
     }
     std::uint64_t adds = 0, cycles = 0;
     for (std::size_t c = 0; c < g.channels; ++c) {

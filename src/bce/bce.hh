@@ -58,6 +58,10 @@
 #include "mem/subarray.hh"
 #include "simd_kernels.hh"
 
+namespace bfree::sim {
+class ThreadPool;
+} // namespace bfree::sim
+
 namespace bfree::bce {
 
 /** Datapath configuration of the BCE. */
@@ -361,11 +365,13 @@ class Bce
      * of one maxReduce() (or avgPool()) call over the window's
      * in-bounds Q8 values; the bookkeeping is booked once per call.
      * Unpadded 2x2 / stride-2 max pooling runs simd::max_pool_2x2_q8
-     * where the active level has it.
+     * where the active level has it, split by channel plane over
+     * @p pool when one is given; the booking stays on the calling
+     * thread, so outputs and statistics do not depend on the split.
      */
     void poolQ8(const PoolShape &shape, bool average,
                 const lut::DivisionLut &div, const float *in,
-                float *out);
+                float *out, sim::ThreadPool *pool = nullptr);
 
     /** Average pooling: accumulate then LUT-divide. */
     double avgPool(const std::int32_t *values, std::size_t n,

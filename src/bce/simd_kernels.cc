@@ -811,15 +811,11 @@ SpanSums
 span_hist(sim::SimdLevel level, const lut::DatapathTable &t,
           const std::int8_t *a, const std::int8_t *b, std::size_t len)
 {
-    switch (level) {
-      case sim::SimdLevel::Avx512:
-      case sim::SimdLevel::Avx512Vnni:
+    if (sim::has_avx512(level))
         return span_avx512_hist<D>(t, a, b, len);
-      case sim::SimdLevel::Avx2:
+    if (level == sim::SimdLevel::Avx2)
         return span_avx2_hist<D>(t, a, b, len);
-      default:
-        return span_sse42_hist<D>(t, a, b, len);
-    }
+    return span_sse42_hist<D>(t, a, b, len);
 }
 
 // ---------------------------------------------------------------------
@@ -1440,6 +1436,214 @@ row_sums_avx512(const std::int8_t *tile, std::size_t rows, std::size_t k,
     }
 }
 
+/** The first @p rem (<= 16) lanes. */
+inline __mmask16
+lanes16(std::size_t rem)
+{
+    return rem >= 16 ? __mmask16(0xFFFF)
+                     : static_cast<__mmask16>((1u << rem) - 1);
+}
+
+#if defined(__x86_64__)
+
+/**
+ * The AMX core's tile palette: all eight tiles 16 rows x 64 bytes.
+ * tmm0-3 are a 2x2 block's int32 C tiles (row tile, panel) = (0, 0),
+ * (0, 1), (1, 0), (1, 1); tmm4-5 its two patch tiles; tmm6-7 its two
+ * panel tiles. It lives in constant data because the ldtilecfg
+ * intrinsic declares only the first bytes of its operand as read, so
+ * a config filled on the stack could lose its stores.
+ */
+struct alignas(64) TileConfig
+{
+    std::uint8_t palette;
+    std::uint8_t startRow;
+    std::uint8_t reserved[14];
+    std::uint16_t colsb[16];
+    std::uint8_t rows[16];
+};
+
+constexpr TileConfig
+amx_tile_config()
+{
+    TileConfig c{};
+    c.palette = 1;
+    for (int t = 0; t < 8; ++t) {
+        c.colsb[t] = panel_k_step;
+        c.rows[t] = panel_width;
+    }
+    return c;
+}
+
+alignas(64) constexpr TileConfig amx_config = amx_tile_config();
+
+/**
+ * One block of MR row tiles x NR panels over every K step: patch rows
+ * [0, 16 MR) of @p a at stride @p k against the panel @p b (and the
+ * next panel, @p panelStride bytes on), tiles stored to c[2 r + p].
+ * Row bytes past k meet the panel's zero k-quads; rows past the
+ * caller's m are computed and never stored.
+ */
+template <int MR, int NR>
+__attribute__((target("amx-tile,amx-int8"))) inline void
+amx_block(const std::int8_t *a, std::size_t k, const std::int8_t *b,
+          std::size_t panelStride, std::size_t steps,
+          std::int32_t (*c)[panel_width * panel_width])
+{
+    _tile_zero(0);
+    if constexpr (NR == 2)
+        _tile_zero(1);
+    if constexpr (MR == 2)
+        _tile_zero(2);
+    if constexpr (MR == 2 && NR == 2)
+        _tile_zero(3);
+    const std::size_t a1 = panel_width * k;
+    for (std::size_t s = 0; s < steps; ++s) {
+        const std::int8_t *as = a + s * panel_k_step;
+        const std::int8_t *bs = b + s * panel_block_bytes;
+        _tile_loadd(4, as, k);
+        _tile_loadd(6, bs, panel_k_step);
+        _tile_dpbssd(0, 4, 6);
+        if constexpr (NR == 2) {
+            _tile_loadd(7, bs + panelStride, panel_k_step);
+            _tile_dpbssd(1, 4, 7);
+        }
+        if constexpr (MR == 2) {
+            _tile_loadd(5, as + a1, k);
+            _tile_dpbssd(2, 5, 6);
+        }
+        if constexpr (MR == 2 && NR == 2)
+            _tile_dpbssd(3, 5, 7);
+    }
+    constexpr long cStride = panel_width * sizeof(std::int32_t);
+    _tile_stored(0, c[0], cStride);
+    if constexpr (NR == 2)
+        _tile_stored(1, c[1], cStride);
+    if constexpr (MR == 2)
+        _tile_stored(2, c[2], cStride);
+    if constexpr (MR == 2 && NR == 2)
+        _tile_stored(3, c[3], cStride);
+}
+
+/**
+ * Add rows [0, rows) x columns [0, cols) of the 16 x 16 int32 tile
+ * @p c into the output, element (r, j) at out[r * rs + j * cs], mod
+ * 2^32. Row-major outputs (cs == 1) take one masked row add per row;
+ * filter-major ones (rs == 1) transpose the tile in registers and take
+ * one masked add per column, a contiguous run of the filter's outputs.
+ */
+__attribute__((target("avx512f,avx512bw,avx512vl"))) void
+amx_add_tile(const std::int32_t *c, std::size_t rows, std::size_t cols,
+             std::int32_t *out, std::size_t rs, std::size_t cs)
+{
+    if (cs == 1) {
+        const __mmask16 m = lanes16(cols);
+        for (std::size_t r = 0; r < rows; ++r) {
+            std::int32_t *o = out + r * rs;
+            _mm512_mask_storeu_epi32(
+                o, m,
+                _mm512_add_epi32(_mm512_maskz_loadu_epi32(m, o),
+                                 _mm512_load_si512(c + r * panel_width)));
+        }
+        return;
+    }
+    if (rs != 1) {
+        for (std::size_t r = 0; r < rows; ++r)
+            for (std::size_t j = 0; j < cols; ++j) {
+                std::int32_t &o = out[r * rs + j * cs];
+                o = static_cast<std::int32_t>(
+                    static_cast<std::uint32_t>(o)
+                    + static_cast<std::uint32_t>(c[r * panel_width + j]));
+            }
+        return;
+    }
+    // 16 x 16 transpose: interleave row pairs, then row quads, so
+    // u[4 g + e] holds column 4 L + e of rows 4 g .. 4 g + 3 in 128-bit
+    // lane L; then gather lane L of u[e], u[4 + e], u[8 + e], u[12 + e].
+    __m512i t[16], u[16];
+    for (int i = 0; i < 16; i += 2) {
+        const __m512i r0 = _mm512_load_si512(c + i * panel_width);
+        const __m512i r1 = _mm512_load_si512(c + (i + 1) * panel_width);
+        t[i] = _mm512_unpacklo_epi32(r0, r1);
+        t[i + 1] = _mm512_unpackhi_epi32(r0, r1);
+    }
+    for (int g = 0; g < 16; g += 4) {
+        u[g] = _mm512_unpacklo_epi64(t[g], t[g + 2]);
+        u[g + 1] = _mm512_unpackhi_epi64(t[g], t[g + 2]);
+        u[g + 2] = _mm512_unpacklo_epi64(t[g + 1], t[g + 3]);
+        u[g + 3] = _mm512_unpackhi_epi64(t[g + 1], t[g + 3]);
+    }
+    __m512i col[16];
+    for (int e = 0; e < 4; ++e) {
+        const __m512i v0 = _mm512_shuffle_i32x4(u[e], u[4 + e], 0x88);
+        const __m512i v1 = _mm512_shuffle_i32x4(u[e], u[4 + e], 0xDD);
+        const __m512i v2 = _mm512_shuffle_i32x4(u[8 + e], u[12 + e], 0x88);
+        const __m512i v3 = _mm512_shuffle_i32x4(u[8 + e], u[12 + e], 0xDD);
+        col[e] = _mm512_shuffle_i32x4(v0, v2, 0x88);
+        col[4 + e] = _mm512_shuffle_i32x4(v1, v3, 0x88);
+        col[8 + e] = _mm512_shuffle_i32x4(v0, v2, 0xDD);
+        col[12 + e] = _mm512_shuffle_i32x4(v1, v3, 0xDD);
+    }
+    const __mmask16 m = lanes16(rows);
+    for (std::size_t j = 0; j < cols; ++j) {
+        std::int32_t *o = out + j * cs;
+        _mm512_mask_storeu_epi32(
+            o, m, _mm512_add_epi32(_mm512_maskz_loadu_epi32(m, o), col[j]));
+    }
+}
+
+/**
+ * AMX-INT8 GEMM over a B panel (pack_panel): 2x2 blocks of 16 x 16
+ * tiles, one tdpbssd per tile per 64-byte K step, the patch tiles
+ * loaded straight from @p a at stride k. tdpbssd multiplies s8 by s8
+ * into int32 lanes that wrap like the other cores, so no bias or row
+ * sums are involved. The tile config is loaded and released on every
+ * call: each pool thread owns its tile state only for the call.
+ */
+__attribute__((target("amx-tile,amx-int8,avx512f,avx512bw,avx512vl"))) void
+gemm_amx(const std::int8_t *a, const std::int8_t *panel, std::int32_t *out,
+         std::size_t m, std::size_t k, std::size_t n, std::size_t rs,
+         std::size_t cs)
+{
+    const std::size_t steps = (k + panel_k_step - 1) / panel_k_step;
+    const std::size_t panels = (n + panel_width - 1) / panel_width;
+    const std::size_t panelStride = steps * panel_block_bytes;
+    alignas(64) std::int32_t c[4][panel_width * panel_width];
+    // The tile loads are asm without memory operands: keep every store
+    // to the operands ahead of them.
+    __asm__ volatile("" ::: "memory");
+    _tile_loadconfig(&amx_config);
+    for (std::size_t jp = 0; jp < panels; jp += 2) {
+        const bool twoPanels = jp + 1 < panels;
+        const std::int8_t *b = panel + jp * panelStride;
+        for (std::size_t i = 0; i < m; i += 2 * panel_width) {
+            const bool twoRows = i + panel_width < m;
+            const std::int8_t *ai = a + i * k;
+            if (twoRows && twoPanels)
+                amx_block<2, 2>(ai, k, b, panelStride, steps, c);
+            else if (twoRows)
+                amx_block<2, 1>(ai, k, b, panelStride, steps, c);
+            else if (twoPanels)
+                amx_block<1, 2>(ai, k, b, panelStride, steps, c);
+            else
+                amx_block<1, 1>(ai, k, b, panelStride, steps, c);
+            for (std::size_t rb = 0; rb < (twoRows ? 2u : 1u); ++rb) {
+                const std::size_t r0 = i + rb * panel_width;
+                for (std::size_t pb = 0; pb < (twoPanels ? 2u : 1u); ++pb) {
+                    const std::size_t j0 = (jp + pb) * panel_width;
+                    amx_add_tile(c[2 * rb + pb],
+                                 std::min(panel_width, m - r0),
+                                 std::min(panel_width, n - j0),
+                                 out + r0 * rs + j0 * cs, rs, cs);
+                }
+            }
+        }
+    }
+    _tile_release();
+}
+
+#endif // __x86_64__
+
 #pragma GCC diagnostic pop
 
 #endif // BFREE_X86_KERNELS
@@ -1543,19 +1747,16 @@ void
 class_feature_sums(const std::int8_t *tile, std::size_t rows,
                    std::size_t k, std::uint32_t *sums)
 {
-    switch (sim::active_simd_level()) {
 #ifdef BFREE_X86_KERNELS
-      case sim::SimdLevel::Avx512:
-      case sim::SimdLevel::Avx512Vnni:
+    const sim::SimdLevel level = sim::active_simd_level();
+    if (sim::has_avx512(level))
         return feature_sums_avx512(tile, rows, k, sums);
-      case sim::SimdLevel::Avx2:
+    if (level == sim::SimdLevel::Avx2)
         return feature_sums_avx2(tile, rows, k, sums);
-      case sim::SimdLevel::Sse42:
+    if (level == sim::SimdLevel::Sse42)
         return feature_sums_sse42(tile, rows, k, sums);
 #endif
-      default:
-        return feature_sums_scalar(tile, rows, k, sums);
-    }
+    feature_sums_scalar(tile, rows, k, sums);
 }
 
 bool
@@ -1588,14 +1789,50 @@ void
 weight_row_sums(const std::int8_t *tile, std::size_t rows, std::size_t k,
                 std::int32_t *sums)
 {
-    switch (sim::active_simd_level()) {
 #ifdef BFREE_X86_KERNELS
-      case sim::SimdLevel::Avx512:
-      case sim::SimdLevel::Avx512Vnni:
+    if (sim::has_avx512(sim::active_simd_level()))
         return row_sums_avx512(tile, rows, k, sums);
 #endif
-      default:
-        return row_sums_scalar(tile, rows, k, sums);
+    row_sums_scalar(tile, rows, k, sums);
+}
+
+std::size_t
+panel_bytes(std::size_t n, std::size_t k)
+{
+    return (n + panel_width - 1) / panel_width
+           * ((k + panel_k_step - 1) / panel_k_step) * panel_block_bytes;
+}
+
+std::size_t
+panel_a_bytes(std::size_t m, std::size_t k)
+{
+    if (m == 0)
+        return 0;
+    return ((m + panel_width - 1) / panel_width * panel_width - 1) * k
+           + (k + panel_k_step - 1) / panel_k_step * panel_k_step;
+}
+
+void
+pack_panel(const std::int8_t *b, std::size_t n, std::size_t k,
+           std::int8_t *panel)
+{
+    const std::size_t steps = (k + panel_k_step - 1) / panel_k_step;
+    std::memset(panel, 0, panel_bytes(n, k));
+    // Quad p / 4 of filter j: row (p % 64) / 4 of step p / 64's block.
+    const auto quad = [](std::size_t p) {
+        return p / panel_k_step * panel_block_bytes
+               + p % panel_k_step / 4 * panel_k_step;
+    };
+    for (std::size_t j = 0; j < n; ++j) {
+        std::int8_t *dst = panel
+                           + j / panel_width * steps * panel_block_bytes
+                           + j % panel_width * 4;
+        const std::int8_t *src = b + j * k;
+        std::size_t p = 0;
+        for (; p + 4 <= k; p += 4)
+            std::memcpy(dst + quad(p), src + p, 4);
+        for (; p < k; ++p)
+            dst[quad(p) + p % 4] = src[p];
     }
 }
 
@@ -1603,12 +1840,18 @@ void
 gemm_i8(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
         std::size_t m, std::size_t k, std::size_t n,
         const std::int32_t *bRowSums, std::size_t rowStride,
-        std::size_t colStride)
+        std::size_t colStride, const std::int8_t *bPanel)
 {
     const std::size_t rs = rowStride == 0 ? n : rowStride;
     const std::size_t cs = colStride;
     switch (sim::active_simd_level()) {
 #ifdef BFREE_X86_KERNELS
+      case sim::SimdLevel::AmxInt8:
+#if defined(__x86_64__)
+        if (bPanel != nullptr)
+            return gemm_amx(a, bPanel, out, m, k, n, rs, cs);
+#endif
+        [[fallthrough]];
       case sim::SimdLevel::Avx512Vnni: {
         // (a + 128) * w summed mod 2^32, minus 128 * rowsum(w) mod
         // 2^32, is dot(a, w) mod 2^32: the value gemm_scalar wraps to,
@@ -1676,14 +1919,6 @@ max_window_2x2_scalar(const float *r0, const float *r1, std::size_t ow)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #pragma GCC diagnostic ignored "-Wuninitialized"
-
-/** The first @p rem (<= 16) lanes. */
-inline __mmask16
-lanes16(std::size_t rem)
-{
-    return rem >= 16 ? __mmask16(0xFFFF)
-                     : static_cast<__mmask16>((1u << rem) - 1);
-}
 
 /**
  * q8 of 16 lanes in registers, the scalar q8's in-range branch: scale,
@@ -1880,9 +2115,7 @@ pwl_span_avx512(const lut::PwlTable &t, const double *in, double *out,
 bool
 epilogue_avx512()
 {
-    const sim::SimdLevel level = sim::active_simd_level();
-    return level == sim::SimdLevel::Avx512
-           || level == sim::SimdLevel::Avx512Vnni;
+    return sim::has_avx512(sim::active_simd_level());
 }
 
 #endif // BFREE_X86_KERNELS

@@ -26,7 +26,8 @@
  * test oracle. NEON keeps its own widening-multiply kernel.
  *
  * Variant selection is runtime CPU dispatch (sim/cpuid): one binary
- * carries scalar, SSE4.2, AVX2, AVX-512, AVX512-VNNI and NEON paths,
+ * carries scalar, SSE4.2, AVX2, AVX-512, AVX512-VNNI, AMX-INT8 and
+ * NEON paths,
  * and CI pins each via BFREE_FORCE_SCALAR / BFREE_FORCE_ISA to
  * differentially verify them all on one host.
  */
@@ -152,17 +153,51 @@ SpanSums fold_tile_features(const std::uint32_t *fx,
 void weight_row_sums(const std::int8_t *tile, std::size_t rows,
                      std::size_t k, std::int32_t *sums);
 
+/** Weight rows (filters) per B panel, and rows per AMX patch tile. */
+constexpr std::size_t panel_width = 16;
+/** K bytes per AMX step: one 64-byte patch-tile row. */
+constexpr std::size_t panel_k_step = 64;
+/** One panel step: 16 k-quads x 16 weight rows x 4 bytes. */
+constexpr std::size_t panel_block_bytes = panel_width * panel_k_step;
+
+/**
+ * Bytes of the B panel of an n x k weight tile: ceil(n / 16) panels of
+ * ceil(k / 64) blocks of panel_block_bytes.
+ */
+std::size_t panel_bytes(std::size_t n, std::size_t k);
+
+/**
+ * Pack the n x k row-major weight tile @p b into the B panel the AMX
+ * core reads (panel_bytes(n, k) bytes at @p panel): panel j / 16, step
+ * p / 64, row (p % 64) / 4, bytes 4 (j % 16) .. + 3 hold
+ * b[j][p - p % 4 .. + 3]. Bytes past k and rows past n are zero.
+ */
+void pack_panel(const std::int8_t *b, std::size_t n, std::size_t k,
+                std::int8_t *panel);
+
+/**
+ * Bytes gemm_i8 may read from @p a when it runs the AMX core: patch
+ * tiles load whole 16-row, 64-byte blocks at stride k, so the last
+ * tile reads up to row ceil(m / 16) * 16 - 1 and up to ceil(k / 64) *
+ * 64 bytes into it. The bytes past the m x k operand may hold
+ * anything: past k they meet the panel's zeros, past m their outputs
+ * are not stored.
+ */
+std::size_t panel_a_bytes(std::size_t m, std::size_t k);
+
 /**
  * Register-blocked int8 GEMM over K-contiguous operands:
  * out[i * rowStride + j * colStride] += sum_p a[i * k + p] * b[j * k + p],
  * wrapped mod 2^32
  * exactly like the span kernels' accumulators. Ragged K is handled
- * with masked or zero-filled tails, never by reading past a row. One
- * core per x86 level: AVX512-VNNI runs a 4x4 vpdpbusd block over the
- * activation side biased to u8 (a + 128) and subtracts
- * 128 * rowsum(b_j) afterwards; AVX-512 (4x4), AVX2 and SSE4.2 (2x4)
- * widen both sides to int16 and sum with madd; a scalar loop serves
- * the rest, NEON included.
+ * with masked or zero-filled tails, never by reading past a row (the
+ * AMX core excepted, below). One core per x86 level: AMX-INT8 runs
+ * 2x2 blocks of 16 x 16 tdpbssd tiles (s8 x s8, no bias) when given a
+ * panel; AVX512-VNNI, and AMX-INT8 without a panel, run a 4x4
+ * vpdpbusd block over the activation side biased to u8 (a + 128) and
+ * subtract 128 * rowsum(b_j) afterwards; AVX-512 (4x4), AVX2 and
+ * SSE4.2 (2x4) widen both sides to int16 and sum with madd; a scalar
+ * loop serves the rest, NEON included.
  *
  * @p bRowSums, when not null, holds weight_row_sums of the n rows of
  * b (frozen at plan compile); null makes the VNNI core compute them
@@ -172,11 +207,17 @@ void weight_row_sums(const std::int8_t *tile, std::size_t rows,
  * out + j0, m, k, n, sums + j0, width). rowStride 1 and colStride m
  * store the output column-major, one contiguous run per weight row:
  * the conv tile's filter-major layout.
+ *
+ * @p bPanel, when not null, is b packed by pack_panel (frozen at plan
+ * compile). At the AmxInt8 level the call then runs the AMX core,
+ * which reads panel_a_bytes(m, k) bytes from @p a; the caller sizes
+ * the operand's buffer for it. Every other level ignores the panel.
  */
 void gemm_i8(const std::int8_t *a, const std::int8_t *b,
              std::int32_t *out, std::size_t m, std::size_t k,
              std::size_t n, const std::int32_t *bRowSums = nullptr,
-             std::size_t rowStride = 0, std::size_t colStride = 1);
+             std::size_t rowStride = 0, std::size_t colStride = 1,
+             const std::int8_t *bPanel = nullptr);
 
 // ---------------------------------------------------------------------
 // Q8 epilogue kernels: ReLU, the conv/FC dequantize store, 2x2 max pool
@@ -184,8 +225,8 @@ void gemm_i8(const std::int8_t *a, const std::int8_t *b,
 //
 // The special-mode datapath works on activations in Q8 fixed point.
 // The scalar forms below are the specification; the dispatched span
-// kernels have an AVX-512 variant (both AVX-512 levels) and fall back
-// to these loops everywhere else. Lanes the vector q8 cannot round in
+// kernels have an AVX-512 variant (every sim::has_avx512 level) and
+// fall back to these loops everywhere else. Lanes the vector q8 cannot round in
 // registers (|x * 256| >= 2^31, or NaN) take the scalar q8 per lane.
 
 /**
@@ -254,9 +295,9 @@ bool max_pool_2x2_q8(const float *in, std::size_t channels,
 
 /**
  * out[i] = table.evaluate(in[i]) for i in [0, n), bit for bit, NaN
- * lanes included (in == out is allowed), and true, at both AVX-512
- * levels for n >= 8: eight lanes of the oracle's steps with a gather
- * of alpha and beta and a masked tail. Otherwise false and nothing
+ * lanes included (in == out is allowed), and true, at every
+ * sim::has_avx512 level for n >= 8: eight lanes of the oracle's steps
+ * with a gather of alpha and beta and a masked tail. Otherwise false and nothing
  * written: the caller (Bce::evaluatePwlSpan) runs the oracle loop.
  * Books nothing: the caller does.
  */

@@ -201,6 +201,14 @@ stage_hwc_rows(const dnn::Layer &layer, const dnn::SymQuant &q,
     }
 }
 
+std::size_t
+patch_row_bytes(const dnn::Layer &layer)
+{
+    return bce::simd::panel_a_bytes(layer.outputShape().w,
+                                    std::size_t(layer.input.c)
+                                        * layer.kernelH * layer.kernelW);
+}
+
 void
 copy_patch_row(const dnn::Layer &layer, const std::int8_t *plane,
                unsigned oh, std::int8_t *patches)

@@ -79,6 +79,13 @@ void stage_hwc_rows(const dnn::Layer &layer, const dnn::SymQuant &q,
 std::size_t hwc_stage_scratch_bytes(const dnn::Layer &layer);
 
 /**
+ * Bytes of one output row's patch buffer: the o.w patches
+ * copy_patch_row writes plus the slack the AMX GEMM core's 16-row,
+ * 64-byte tile loads read past them (bce::simd::panel_a_bytes).
+ */
+std::size_t patch_row_bytes(const dnn::Layer &layer);
+
+/**
  * The o.w patches of output row @p oh, copied from the staged plane:
  * patch ow is K = kernelH * kernelW * inC bytes at patches + ow * K,
  * in (ky, kx, c) order, kernelH runs of kernelW * inC bytes each.

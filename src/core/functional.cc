@@ -81,8 +81,7 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
 
         rowArena_.reset();
         for (RowSlot &rs : slots_) {
-            rs.patch = rowArena_.alloc<std::int8_t>(std::size_t(o.w)
-                                                    * patch_len);
+            rs.patch = rowArena_.alloc<std::int8_t>(patch_row_bytes(layer));
             rs.accs = rowArena_.alloc<std::int32_t>(std::size_t(o.w) * o.c);
             rs.stage = rowArena_.alloc<std::int8_t>(
                 hwc_stage_scratch_bytes(layer));
@@ -153,7 +152,8 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
                 copy_patch_row(layer, plane, oh, rs.patch);
                 std::fill_n(rs.accs, std::size_t(o.w) * o.c, 0);
                 bce::simd::gemm_i8(rs.patch, fw.q8.data(), rs.accs, o.w,
-                                   patch_len, o.c, fw.rowSumData(), 1, o.w);
+                                   patch_len, o.c, fw.rowSumData(), 1, o.w,
+                                   fw.panelData());
                 storeRow(oh, rs.accs);
             }
         });
@@ -323,7 +323,7 @@ FunctionalExecutor::runPoolInto(const PlannedLayer &pl, const float *in,
         .kernelW = layer.kernelW, .strideH = layer.strideH,
         .strideW = layer.strideW, .padH = layer.padH, .padW = layer.padW};
     bce.poolQ8(shape, layer.kind == dnn::LayerKind::AvgPool, divisionLut,
-               in, out);
+               in, out, &pool_);
 }
 
 void

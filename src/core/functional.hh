@@ -22,13 +22,15 @@
  * MACs over its own worker pool, the way BFree's sub-arrays share a
  * layer: a conv's input scan and its channels-last staging in
  * contiguous row chunks (core/conv_front.hh), a <= 8-bit conv's output
- * rows in contiguous chunks, and a matmul's weight rows (N) in
- * contiguous blocks. The workers run no Bce code: they stage, classify
- * and run simd::gemm_i8; the statistics are booked once on the calling
- * thread from integer sums, so outputs, statistics and energy are
- * byte-identical at every executor thread count. Everything else
- * (pooling, the PWL and softmax, the per-span fallback, the Legacy
- * tier's rows and 16-bit layers) runs on the calling thread.
+ * rows in contiguous chunks, a matmul's weight rows (N) in contiguous
+ * blocks and a 2x2 max pool's channel planes in contiguous runs. The
+ * workers run no booking code: they stage, classify and run
+ * simd::gemm_i8 and simd::max_pool_2x2_q8; the statistics are booked
+ * once on the calling thread from integer sums, so outputs,
+ * statistics and energy are byte-identical at every executor thread
+ * count. Everything else (other pools, the PWL and softmax, the
+ * per-span fallback, the Legacy tier's rows and 16-bit layers) runs on
+ * the calling thread.
  */
 
 #ifndef BFREE_CORE_FUNCTIONAL_HH

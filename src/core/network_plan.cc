@@ -7,6 +7,7 @@
 #include "bce/bce.hh"
 #include "bce/simd_kernels.hh"
 #include "core/conv_front.hh"
+#include "sim/cpuid.hh"
 #include "sim/logging.hh"
 #include "verify/plan_verifier.hh"
 
@@ -72,10 +73,7 @@ conv_row_scratch_bytes(const dnn::Layer &layer)
 {
     using dnn::TensorArena;
     const dnn::FeatureShape o = layer.outputShape();
-    const std::size_t patch_len =
-        std::size_t(layer.input.c) * layer.kernelH * layer.kernelW;
-    return TensorArena::paddedBytes<std::int8_t>(std::size_t(o.w)
-                                                 * patch_len)
+    return TensorArena::paddedBytes<std::int8_t>(patch_row_bytes(layer))
            + TensorArena::paddedBytes<std::int32_t>(std::size_t(o.w) * o.c)
            + TensorArena::paddedBytes<std::int8_t>(
                hwc_stage_scratch_bytes(layer))
@@ -106,6 +104,24 @@ freeze_features(dnn::QuantizedWeights &qw, std::size_t rows, std::size_t k)
                                   qw.features.data());
     qw.rowSums.resize(rows);
     bce::simd::weight_row_sums(qw.q8.data(), rows, k, qw.rowSums.data());
+}
+
+/**
+ * Pack the rows x k frozen conv filters @p qw into the AMX core's B
+ * panel wherever the host can run the AmxInt8 level, whatever level is
+ * active: a level forced after compile still finds the panel, and
+ * every other level ignores it.
+ */
+void
+freeze_panel(dnn::QuantizedWeights &qw, std::size_t rows, std::size_t k)
+{
+    const std::size_t bytes = bce::simd::panel_bytes(rows, k);
+    if (!qw.narrow() || bytes == 0
+        || !sim::simd_level_compiled(sim::SimdLevel::AmxInt8)
+        || !sim::simd_level_supported(sim::SimdLevel::AmxInt8))
+        return;
+    qw.panel.resize(bytes / sizeof(dnn::QuantizedWeights::PanelLine));
+    bce::simd::pack_panel(qw.q8.data(), rows, k, qw.panel.front().bytes);
 }
 
 /** Report a planning failure: fatal by default, or recorded in @p err
@@ -331,6 +347,7 @@ NetworkPlan::compile(const dnn::Network &net,
                 dnn::freeze_conv_weights(layer, w.weights.data(), bits));
             freeze_features(pl.frozen.back(), layer.outChannels,
                             patch_len);
+            freeze_panel(pl.frozen.back(), layer.outChannels, patch_len);
             break;
           }
           case dnn::LayerKind::Fc: {

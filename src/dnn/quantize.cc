@@ -273,19 +273,16 @@ using QuantizeSpanFn = void (*)(const SymQuant &sq, const float *src,
 QuantizeSpanFn
 quantize_span_fn()
 {
-    switch (sim::active_simd_level()) {
 #ifdef BFREE_X86_QUANTIZE
-      case sim::SimdLevel::Avx512:
-      case sim::SimdLevel::Avx512Vnni:
+    const sim::SimdLevel level = sim::active_simd_level();
+    if (sim::has_avx512(level))
         return &quantize_core_avx512;
-      case sim::SimdLevel::Avx2:
+    if (level == sim::SimdLevel::Avx2)
         return &quantize_core_avx2;
-      case sim::SimdLevel::Sse42:
+    if (level == sim::SimdLevel::Sse42)
         return &quantize_core_sse42;
 #endif
-      default:
-        return &quantize_core_scalar;
-    }
+    return &quantize_core_scalar;
 }
 
 } // namespace
@@ -293,15 +290,11 @@ quantize_span_fn()
 float
 peak_abs(const float *data, std::size_t n, float peak)
 {
-    switch (sim::active_simd_level()) {
 #ifdef BFREE_X86_QUANTIZE
-      case sim::SimdLevel::Avx512:
-      case sim::SimdLevel::Avx512Vnni:
+    if (sim::has_avx512(sim::active_simd_level()))
         return peak_abs_avx512(data, n, peak);
 #endif
-      default:
-        return peak_abs_scalar(data, n, peak);
-    }
+    return peak_abs_scalar(data, n, peak);
 }
 
 void

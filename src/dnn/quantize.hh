@@ -105,6 +105,17 @@ struct QuantizedWeights
      * Frozen, and left empty, together with features.
      */
     std::vector<std::int32_t> rowSums;
+    /** One 64-byte line of panel, aligned to a cache line. */
+    struct alignas(64) PanelLine
+    {
+        std::int8_t bytes[64];
+    };
+    /**
+     * The same tile packed into the AMX GEMM core's B panel
+     * (bce::simd::pack_panel). Frozen for conv filters on hosts that
+     * can run the AmxInt8 level; empty otherwise.
+     */
+    std::vector<PanelLine> panel;
 
     /** The frozen feature sums, or null when none were frozen. */
     const std::uint32_t *
@@ -120,15 +131,23 @@ struct QuantizedWeights
         return rowSums.empty() ? nullptr : rowSums.data();
     }
 
+    /** The frozen B panel, or null when none was packed. */
+    const std::int8_t *
+    panelData() const
+    {
+        return panel.empty() ? nullptr : panel.front().bytes;
+    }
+
     bool narrow() const { return bits <= 8; }
     std::size_t count() const { return narrow() ? q8.size() : q32.size(); }
     /** Everything frozen for this tensor: the quantized values plus
-     *  the feature and row sums frozen beside them. */
+     *  the feature and row sums and the panel frozen beside them. */
     std::size_t frozenBytes() const
     {
         return (narrow() ? q8.size() : q32.size() * sizeof(std::int32_t))
                + features.size() * sizeof(std::uint32_t)
-               + rowSums.size() * sizeof(std::int32_t);
+               + rowSums.size() * sizeof(std::int32_t)
+               + panel.size() * sizeof(PanelLine);
     }
 };
 

@@ -25,6 +25,7 @@
 #include "bce/bce.hh"
 #include "bce/simd_kernels.hh"
 #include "lut/mult_lut.hh"
+#include "lut/pwl.hh"
 #include "sim/cpuid.hh"
 #include "simd_levels.hh"
 
@@ -517,7 +518,8 @@ TEST(SimdKernels, ClassFeatureSumsRecordTheOperandRange)
     for (const sim::SimdLevel level :
          {sim::SimdLevel::Scalar, sim::SimdLevel::Sse42,
           sim::SimdLevel::Neon, sim::SimdLevel::Avx2,
-          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni}) {
+          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni,
+          sim::SimdLevel::AmxInt8}) {
         if (!sim::simd_level_compiled(level)
             || !sim::simd_level_supported(level))
             continue;
@@ -671,6 +673,143 @@ TEST(SimdKernels, GemmExtremeSumsExactAtEveryLevel)
                                               ctx);
         }
     });
+}
+
+TEST(SimdKernels, PanelGemmMatchesScalarReferenceAtEveryLevel)
+{
+    // The conv GEMM's call shape: filters packed into a B panel and a
+    // patch buffer sized for the AMX tile loads, its slack past m x k
+    // holding junk. At AmxInt8 this runs tdpbssd over every row-tile
+    // and panel edge of the 2x2 block and every 64-byte K tail (K = 27
+    // is conv1_1's, 576 and 4608 VGG's); the other levels ignore the
+    // panel. Operands sit at -128 and 127 among other values, so the
+    // s8 x s8 sums reach their extremes, and the incoming out is
+    // non-zero.
+    const std::size_t ks[] = {1, 3, 4, 27, 63, 64, 65, 576, 4608};
+    const std::size_t ns[] = {1, 15, 16, 17, 33, 64};
+    std::vector<std::size_t> ms;
+    for (std::size_t m = 1; m <= 17; ++m)
+        ms.push_back(m);
+    for (const std::size_t m : {28u, 33u, 224u})
+        ms.push_back(m);
+    const auto extremes = [](std::size_t count, int seed) {
+        std::vector<std::int8_t> v = full_range(count, seed);
+        for (std::size_t i = 0; i < count; i += 3)
+            v[i] = (i / 3 + static_cast<std::size_t>(seed)) % 2 == 0
+                       ? std::int8_t{-128}
+                       : std::int8_t{127};
+        return v;
+    };
+    // The reference runs once per shape; every level is checked
+    // against it.
+    for (const std::size_t k : ks) {
+        for (const std::size_t n : ns) {
+            const auto b = extremes(n * k, int(k + 5 * n));
+            std::vector<std::int8_t> panel(bce::simd::panel_bytes(n, k));
+            bce::simd::pack_panel(b.data(), n, k, panel.data());
+            std::vector<std::int32_t> rowSums(n);
+            bce::simd::weight_row_sums(b.data(), n, k, rowSums.data());
+            for (const std::size_t m : ms) {
+                auto a = extremes(bce::simd::panel_a_bytes(m, k),
+                                  int(k + 3 * m));
+                ASSERT_GE(a.size(), m * k);
+                // Junk in the slack: it must not reach the output.
+                for (std::size_t i = m * k; i < a.size(); ++i)
+                    a[i] = static_cast<std::int8_t>(0x5A ^ i);
+                std::vector<std::int32_t> out(m * n);
+                for (std::size_t i = 0; i < out.size(); ++i)
+                    out[i] = static_cast<std::int32_t>(i * 7919) - 1000;
+                std::vector<std::int32_t> want = out;
+                gemm_reference(a, b, want, m, k, n);
+                for_each_runnable_level([&](sim::SimdLevel level) {
+                    const std::string ctx = sim::simd_level_name(level);
+                    std::vector<std::int32_t> got = out;
+                    bce::simd::gemm_i8(a.data(), b.data(), got.data(), m, k,
+                                       n, rowSums.data(), 0, 1,
+                                       panel.data());
+                    ASSERT_EQ(want, got) << ctx << " row-major m " << m
+                                         << " k " << k << " n " << n;
+                    std::vector<std::int32_t> colMajor(m * n);
+                    for (std::size_t i = 0; i < m; ++i)
+                        for (std::size_t j = 0; j < n; ++j)
+                            colMajor[j * m + i] = out[i * n + j];
+                    bce::simd::gemm_i8(a.data(), b.data(), colMajor.data(),
+                                       m, k, n, rowSums.data(), 1, m,
+                                       panel.data());
+                    for (std::size_t i = 0; i < m; ++i)
+                        for (std::size_t j = 0; j < n; ++j)
+                            ASSERT_EQ(want[i * n + j], colMajor[j * m + i])
+                                << ctx << " filter-major m " << m << " k "
+                                << k << " n " << n << " (" << i << ","
+                                << j << ")";
+                });
+            }
+        }
+    }
+
+    // All -128 against all -128 and all 127: the largest sums a
+    // VGG-16 conv (K = 4608) can reach, |sum| <= 4608 * 128 * 128.
+    const std::size_t m = 33, k = 4608, n = 33;
+    const std::vector<std::int8_t> a(bce::simd::panel_a_bytes(m, k),
+                                     std::int8_t{-128});
+    std::vector<std::int8_t> b(n * k, std::int8_t{-128});
+    for (std::size_t j = 1; j < n; j += 2)
+        std::fill(b.begin() + j * k, b.begin() + (j + 1) * k,
+                  std::int8_t{127});
+    std::vector<std::int8_t> panel(bce::simd::panel_bytes(n, k));
+    bce::simd::pack_panel(b.data(), n, k, panel.data());
+    std::vector<std::int32_t> want(m * n, 0);
+    gemm_reference(a, b, want, m, k, n);
+    ASSERT_EQ(std::int32_t{4608 * 128 * 128}, want[0]);
+    for_each_runnable_level([&](sim::SimdLevel level) {
+        std::vector<std::int32_t> got(m * n, 0);
+        bce::simd::gemm_i8(a.data(), b.data(), got.data(), m, k, n, nullptr,
+                           0, 1, panel.data());
+        ASSERT_EQ(want, got) << sim::simd_level_name(level)
+                             << " extreme sums";
+    });
+}
+
+TEST(SimdKernels, PanelZeroesPastKAndN)
+{
+    // 17 filters of K = 65: two panels, two 64-byte steps; every byte
+    // of the last step past k = 65 and every row past n = 17 is zero.
+    const std::size_t n = 17, k = 65;
+    const auto b = full_range(n * k, 3);
+    std::vector<std::int8_t> panel(bce::simd::panel_bytes(n, k), 9);
+    ASSERT_EQ(2u * 2u * bce::simd::panel_block_bytes, panel.size());
+    bce::simd::pack_panel(b.data(), n, k, panel.data());
+    for (std::size_t j = 0; j < 32; ++j)
+        for (std::size_t p = 0; p < 128; ++p) {
+            const std::int8_t want = j < n && p < k ? b[j * k + p] : 0;
+            const std::size_t at = (j / 16 * 2 + p / 64) * 1024
+                                   + (p % 64) / 4 * 64 + j % 16 * 4 + p % 4;
+            ASSERT_EQ(want, panel[at]) << "filter " << j << " k " << p;
+        }
+}
+
+TEST(SimdKernels, EpilogueAndPwlKernelsRunAtEveryAvx512ClassLevel)
+{
+    // The AVX-512 kernel families serve every level sim::has_avx512
+    // names; a wider level must not silently drop the pool or the PWL
+    // span (the LSTM step's speed) to the scalar loops.
+    const lut::PwlTable sigmoid = lut::make_sigmoid_table();
+    const std::vector<double> in(16, 0.25);
+    std::vector<double> out(16);
+    const std::vector<float> plane(4 * 4, 1.0f);
+    std::vector<float> pooled(2 * 2);
+    bool any = false;
+    for_each_runnable_level([&](sim::SimdLevel level) {
+        if (!sim::has_avx512(level))
+            return;
+        any = true;
+        EXPECT_TRUE(bce::simd::pwl_span(sigmoid, in.data(), out.data(),
+                                        in.size()));
+        EXPECT_TRUE(bce::simd::max_pool_2x2_q8(plane.data(), 1, 4, 4,
+                                               pooled.data()));
+    });
+    if (!any)
+        GTEST_SKIP() << "no AVX-512-class level runs on this host";
 }
 
 TEST(SimdKernels, WeightRowSumsMatchScalarAtEveryLevel)
@@ -843,7 +982,8 @@ TEST(SimdKernelsDeath, Matmul4BitOutOfRangePanicsAtEveryLevel)
     for (const sim::SimdLevel level :
          {sim::SimdLevel::Scalar, sim::SimdLevel::Sse42,
           sim::SimdLevel::Neon, sim::SimdLevel::Avx2,
-          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni}) {
+          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni,
+          sim::SimdLevel::AmxInt8}) {
         if (!sim::simd_level_compiled(level)
             || !sim::simd_level_supported(level))
             continue;

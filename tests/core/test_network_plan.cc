@@ -127,7 +127,11 @@ TEST(NetworkPlan, FrozenBytesCountFeatureAndRowSums)
 {
     // The frozen footprint is everything compile froze: the quantized
     // values plus, for tile precisions, one feature array per weight
-    // tensor and one row sum per weight row.
+    // tensor and one row sum per weight row, and for tile-precision
+    // convs on a host that runs the AMX core, the filters' B panel.
+    const bool amx =
+        bfree::sim::simd_level_compiled(bfree::sim::SimdLevel::AmxInt8)
+        && bfree::sim::simd_level_supported(bfree::sim::SimdLevel::AmxInt8);
     const Network net = make_tiny_cnn();
     bfree::sim::Rng rng(13);
     const NetworkWeights weights = random_weights(net, rng);
@@ -140,9 +144,20 @@ TEST(NetworkPlan, FrozenBytesCountFeatureAndRowSums)
                     qw.narrow() ? qw.q8.size()
                                 : qw.q32.size() * sizeof(std::int32_t);
                 EXPECT_EQ(qw.narrow(), !qw.rowSums.empty()) << bits;
+                const bool panel = amx && qw.narrow()
+                                   && pl.layer.kind == LayerKind::Conv;
+                EXPECT_EQ(panel, !qw.panel.empty())
+                    << pl.layer.name << " at " << bits << " bits";
+                if (panel) {
+                    EXPECT_EQ(bfree::bce::simd::panel_bytes(
+                                  qw.rowSums.size(),
+                                  qw.q8.size() / qw.rowSums.size()),
+                              qw.panel.size() * 64);
+                }
                 EXPECT_EQ(qw.frozenBytes(),
                           values + qw.features.size() * sizeof(std::uint32_t)
-                              + qw.rowSums.size() * sizeof(std::int32_t))
+                              + qw.rowSums.size() * sizeof(std::int32_t)
+                              + qw.panel.size() * 64)
                     << pl.layer.name << " at " << bits << " bits";
                 total += qw.frozenBytes();
             }

@@ -24,6 +24,18 @@ TEST(Cpuid, LevelNamesAreStable)
                  sim::simd_level_name(sim::SimdLevel::Avx512));
     EXPECT_STREQ("avx512vnni",
                  sim::simd_level_name(sim::SimdLevel::Avx512Vnni));
+    EXPECT_STREQ("amx", sim::simd_level_name(sim::SimdLevel::AmxInt8));
+}
+
+TEST(Cpuid, Avx512KernelFamiliesServeEveryAvx512ClassLevel)
+{
+    EXPECT_FALSE(sim::has_avx512(sim::SimdLevel::Scalar));
+    EXPECT_FALSE(sim::has_avx512(sim::SimdLevel::Sse42));
+    EXPECT_FALSE(sim::has_avx512(sim::SimdLevel::Neon));
+    EXPECT_FALSE(sim::has_avx512(sim::SimdLevel::Avx2));
+    EXPECT_TRUE(sim::has_avx512(sim::SimdLevel::Avx512));
+    EXPECT_TRUE(sim::has_avx512(sim::SimdLevel::Avx512Vnni));
+    EXPECT_TRUE(sim::has_avx512(sim::SimdLevel::AmxInt8));
 }
 
 TEST(Cpuid, ScalarIsAlwaysCompiledAndSupported)
@@ -58,7 +70,8 @@ TEST(Cpuid, EveryCompiledAndSupportedLevelCanBeForced)
     for (const sim::SimdLevel level :
          {sim::SimdLevel::Scalar, sim::SimdLevel::Sse42,
           sim::SimdLevel::Neon, sim::SimdLevel::Avx2,
-          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni}) {
+          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni,
+          sim::SimdLevel::AmxInt8}) {
         if (!sim::simd_level_compiled(level)
             || !sim::simd_level_supported(level))
             continue;
@@ -141,20 +154,54 @@ TEST(CpuidDeath, ForceIsaAvx512ResolvesOrDies)
 TEST(Cpuid, WidestPickIsAvx512VnniOnAVnniCpu)
 {
     // With no override, a CPU with VNNI dispatches the vpdpbusd GEMM
-    // core; one without it never reports the level as supported.
+    // core, or the tdpbssd one where AMX-INT8 and the process's tile
+    // grant are there too; one without VNNI never reports the level as
+    // supported.
     ASSERT_EQ(0, unsetenv("BFREE_FORCE_SCALAR"));
     ASSERT_EQ(0, unsetenv("BFREE_FORCE_ISA"));
     sim::reset_simd_level();
     const bool vnni =
         sim::simd_level_compiled(sim::SimdLevel::Avx512Vnni)
         && sim::simd_level_supported(sim::SimdLevel::Avx512Vnni);
-    if (vnni) {
+    const bool amx = sim::simd_level_compiled(sim::SimdLevel::AmxInt8)
+                     && sim::simd_level_supported(sim::SimdLevel::AmxInt8);
+    if (amx) {
+        EXPECT_EQ(sim::SimdLevel::AmxInt8, sim::active_simd_level());
+        // AMX implies the VNNI level whose kernels it also runs.
+        EXPECT_TRUE(vnni);
+    } else if (vnni) {
         EXPECT_EQ(sim::SimdLevel::Avx512Vnni, sim::active_simd_level());
         // VNNI implies the AVX-512 trio its kernels also use.
         EXPECT_TRUE(sim::simd_level_supported(sim::SimdLevel::Avx512));
     } else {
         EXPECT_NE(sim::SimdLevel::Avx512Vnni, sim::active_simd_level());
     }
+}
+
+TEST(CpuidDeath, ForcingAmxWithoutAmxIsFatal)
+{
+    // The same contract for the tdpbssd level: it runs where the CPU
+    // has AMX-INT8 and the process got its tile grant, and dies loudly
+    // everywhere else.
+    ASSERT_EQ(0, setenv("BFREE_FORCE_ISA", "amx", 1));
+    if (sim::simd_level_compiled(sim::SimdLevel::AmxInt8)
+        && sim::simd_level_supported(sim::SimdLevel::AmxInt8)) {
+        sim::force_simd_level(sim::SimdLevel::AmxInt8);
+        EXPECT_EQ(sim::SimdLevel::AmxInt8, sim::active_simd_level());
+        sim::reset_simd_level();
+        EXPECT_EQ(sim::SimdLevel::AmxInt8, sim::active_simd_level());
+    } else {
+        EXPECT_DEATH(sim::force_simd_level(sim::SimdLevel::AmxInt8),
+                     "not built with kernels|does not support");
+        EXPECT_DEATH(
+            {
+                sim::reset_simd_level();
+                (void)sim::active_simd_level();
+            },
+            "not built with kernels|does not support");
+    }
+    ASSERT_EQ(0, unsetenv("BFREE_FORCE_ISA"));
+    sim::reset_simd_level();
 }
 
 TEST(CpuidDeath, ForcingAvx512VnniWithoutVnniIsFatal)

@@ -22,7 +22,8 @@ for_each_runnable_level(Body &&body)
     for (const sim::SimdLevel level :
          {sim::SimdLevel::Scalar, sim::SimdLevel::Sse42,
           sim::SimdLevel::Neon, sim::SimdLevel::Avx2,
-          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni}) {
+          sim::SimdLevel::Avx512, sim::SimdLevel::Avx512Vnni,
+          sim::SimdLevel::AmxInt8}) {
         if (!sim::simd_level_compiled(level)
             || !sim::simd_level_supported(level))
             continue;
