@@ -494,10 +494,23 @@ void
 Bce::evaluatePwlSpan(const lut::PwlTable &table, const double *in,
                      double *out, std::size_t n)
 {
+    pwlValues(table, in, out, n);
+    bookPwl(n);
+}
+
+void
+Bce::pwlValues(const lut::PwlTable &table, const double *in, double *out,
+               std::size_t n) const
+{
     if (_tier == ExecTier::Legacy || !simd::pwl_span(table, in, out, n)) {
         for (std::size_t i = 0; i < n; ++i)
             out[i] = table.evaluate(in[i]);
     }
+}
+
+void
+Bce::bookPwl(std::size_t n)
+{
     const lut::MicroOpCounts one = lut::PwlTable::evalCounts();
     stats_.counts.lutLookups += n * one.lutLookups;
     stats_.counts.romLookups += n * one.romLookups;

@@ -338,6 +338,17 @@ class Bce
     void evaluatePwlSpan(const lut::PwlTable &table, const double *in,
                          double *out, std::size_t n);
 
+    /**
+     * The values of evaluatePwlSpan, booked nowhere: it reads only the
+     * tier, so pool workers may run disjoint spans of one step at once
+     * and the caller books them all with bookPwl.
+     */
+    void pwlValues(const lut::PwlTable &table, const double *in,
+                   double *out, std::size_t n) const;
+
+    /** Book @p n PWL evaluations, as evaluatePwlSpan books its n. */
+    void bookPwl(std::size_t n);
+
     /** LUT division (Section III-C2); four cycles. */
     double divide(double x, double y, const lut::DivisionLut &div);
 

@@ -1771,14 +1771,16 @@ features_in_domain(const std::uint32_t *sums, std::size_t k,
 
 SpanSums
 fold_tile_features(const std::uint32_t *fx, const std::uint32_t *fw,
-                   std::size_t k, std::uint32_t cyclesFactor)
+                   std::size_t k, std::uint32_t cyclesFactor,
+                   std::size_t fwStride)
 {
+    const std::size_t ws = fwStride != 0 ? fwStride : k;
     FeatureSums f;
     for (std::size_t c = 0; c < k; ++c) {
         f.p += std::uint64_t{fx[c]} * fw[c];
-        f.o += std::uint64_t{fx[k + c]} * fw[k + c];
-        f.l += std::uint64_t{fx[2 * k + c]} * fw[2 * k + c];
-        f.z += std::uint64_t{fx[3 * k + c]} * fw[3 * k + c];
+        f.o += std::uint64_t{fx[k + c]} * fw[ws + c];
+        f.l += std::uint64_t{fx[2 * k + c]} * fw[2 * ws + c];
+        f.z += std::uint64_t{fx[3 * k + c]} * fw[3 * ws + c];
     }
     SpanSums s;
     fold_features(f, cyclesFactor, s);

@@ -139,10 +139,17 @@ bool features_in_domain(const std::uint32_t *sums, std::size_t k,
  * arrays: lookups = L, shifts = P - O, adds = P - Z (intra-multiply
  * adds only) and cycles = cyclesFactor * P, where P, O, L, Z are the
  * feature dot products sum_k F_x(k) * F_w(k). acc stays 0.
+ *
+ * Feature f of @p fw is read at fw[f * fwStride + c], fwStride 0
+ * meaning k, so columns [c0, c0 + k) of weight features frozen over
+ * K columns fold as fold_tile_features(fx, fw + c0, k, factor, K).
+ * Every tally is linear in the feature sums (wrapping mod 2^64), so
+ * the folds of disjoint column ranges add up to the whole tile's.
  */
 SpanSums fold_tile_features(const std::uint32_t *fx,
                             const std::uint32_t *fw, std::size_t k,
-                            std::uint32_t cyclesFactor);
+                            std::uint32_t cyclesFactor,
+                            std::size_t fwStride = 0);
 
 /**
  * Row sums of a rows x k row-major int8 tile, wrapped mod 2^32:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "bce/simd_kernels.hh"
@@ -25,6 +26,28 @@ FunctionalExecutor::FunctionalExecutor(const tech::CacheGeometry &geom,
     bce.setTier(tier);
     bce.loadMultLutImage();
 }
+
+namespace {
+
+/**
+ * Spread the dense m x k int8 rows at @p q out to a row stride of
+ * @p ldb >= k, zeros from k on, in place (the buffer holds m * ldb
+ * bytes): the activation side of a GEMM against rows dnn::pad_rows
+ * laid out. Rows move last first, so none is overwritten unread.
+ */
+void
+pad_operand_rows(std::int8_t *q, std::size_t m, std::size_t k,
+                 std::size_t ldb)
+{
+    if (ldb == k)
+        return;
+    for (std::size_t i = m; i-- > 0;) {
+        std::memmove(q + i * ldb, q + i * k, k);
+        std::fill(q + i * ldb + k, q + (i + 1) * ldb, std::int8_t{0});
+    }
+}
+
+} // namespace
 
 // Symmetric per-tensor quantization lives in dnn::SymQuant /
 // dnn::choose_sym, shared by every executor path so all of them
@@ -220,14 +243,17 @@ FunctionalExecutor::matmulInto(const float *a, std::size_t m,
     bce.setMode(bce::BceMode::Matmul);
     if (bits <= 8) {
         // One blocked GEMM tile over the LUT datapath against the
-        // frozen B^T tile, its feature and row sums.
-        std::int8_t *qa8 = arena_.alloc<std::int8_t>(m * k);
+        // frozen B^T tile, its feature and row sums. A tile frozen with
+        // padded rows (dnn::pad_rows) is multiplied over its row
+        // stride ldb, against activation rows zero-padded to match.
+        const std::size_t ldb = wt.rowStride(k);
+        std::int8_t *qa8 = arena_.alloc<std::int8_t>(m * ldb);
         dnn::quantize_span(qa, a, m * k, qa8);
         std::int32_t *accs = arena_.alloc<std::int32_t>(m * n);
         std::fill(accs, accs + m * n, 0);
         std::uint32_t *aFeatures =
             arena_.alloc<std::uint32_t>(bce::Bce::tileScratchWords(k));
-        const std::int8_t *w = wt.q8.data();
+        const std::int8_t *w = wt.tile();
         const std::int32_t *rowSums = wt.rowSumData();
         const std::uint32_t *wFeatures = wt.featureSums();
         // Weights frozen outside a plan, without feature sums, run the
@@ -235,9 +261,16 @@ FunctionalExecutor::matmulInto(const float *a, std::size_t m,
         const lut::DatapathTable *table =
             wFeatures != nullptr ? bce.tileTable(bits, k, wFeatures, qa.limit)
                                  : nullptr;
-        if (table == nullptr) {
+        if (table == nullptr && ldb == k) {
             bce.matmulTile(qa8, w, accs, m, k, n, bits, wFeatures, rowSums,
                            aFeatures);
+        } else if (table == nullptr) {
+            // Padded rows always carry frozen sums: this is the per-span
+            // loop matmulTile falls back to, over the row stride.
+            for (std::size_t i = 0; i < m; ++i)
+                for (std::size_t j = 0; j < n; ++j)
+                    accs[i * n + j] +=
+                        bce.matmulDotSpan(qa8 + i * k, w + j * ldb, k, bits);
         } else {
             // The activation features and the tally fold are computed
             // once; the GEMM splits over contiguous blocks of weight
@@ -246,6 +279,7 @@ FunctionalExecutor::matmulInto(const float *a, std::size_t m,
             bce::simd::class_feature_sums(qa8, m, k, aFeatures);
             const bce::Bce::TileTally tally =
                 bce::Bce::foldTile(*table, m, k, n, aFeatures, wFeatures);
+            pad_operand_rows(qa8, m, k, ldb);
             const std::size_t quads = (n + 3) / 4;
             const std::size_t blocks = std::max<std::size_t>(
                 1, std::min({m * k * n / minMatmulMacsPerBlock,
@@ -254,7 +288,7 @@ FunctionalExecutor::matmulInto(const float *a, std::size_t m,
                 const std::size_t j0 = b * quads / blocks * 4;
                 const std::size_t j1 =
                     std::min(n, (b + 1) * quads / blocks * 4);
-                bce::simd::gemm_i8(qa8, w + j0 * k, accs + j0, m, k,
+                bce::simd::gemm_i8(qa8, w + j0 * ldb, accs + j0, m, ldb,
                                    j1 - j0,
                                    rowSums != nullptr ? rowSums + j0
                                                       : nullptr,
@@ -434,7 +468,7 @@ FunctionalExecutor::qMatmulFrozen(const dnn::FloatTensor &a,
     dnn::FloatTensor out({m, n});
     // No plan run holds the arena here: size it for this product.
     arena_.reset();
-    arena_.reserve(matmul_scratch_bytes(m, k, n, wt.bits));
+    arena_.reserve(matmul_scratch_bytes(m, k, n, wt.bits, wt.rowStride(k)));
     matmulInto(a.data(), m, k, n, wt, false, nullptr, false, out.data());
     return out;
 }
@@ -460,10 +494,11 @@ FunctionalExecutor::runLstmStep(const NetworkPlan &plan,
     if (x.size() != in || prev.h.size() != hid)
         bfree_fatal("runLstmStep: state size mismatch");
 
-    // The step runs in the LstmCell's planned arena scratch: the
-    // [x, h] row, the gate row, one double row for the PWL spans and
-    // the matmul body's own. The returned state is the only heap
-    // allocation.
+    // The step runs in the LstmCell's planned arena scratch and, at
+    // <= 8 bits, one row-arena slot per thread (plan_shapes). The
+    // returned state is the only heap allocation.
+    const dnn::QuantizedWeights &wt = pl.frozen[0];
+    const unsigned bits = wt.bits;
     const std::size_t gateN = std::size_t(4) * hid;
     arena_.reserve(pl.scratchBytes);
     arena_.reset();
@@ -471,38 +506,130 @@ FunctionalExecutor::runLstmStep(const NetworkPlan &plan,
     float *xh = arena_.alloc<float>(cols);
     float *gates = arena_.alloc<float>(gateN);
     double *act = arena_.alloc<double>(gateN);
+    std::copy(x.begin(), x.end(), xh);
+    std::copy(prev.h.begin(), prev.h.end(), xh + in);
+
+    // Units [u0, u1) from their dequantized gates [i, f, g, o]: the
+    // gates as PWL spans in place, then c' = f * c + i * g over g and
+    // h' = o * tanh(c'). Every element depends on its own unit only,
+    // and the caller books the 5 * hid PWL evaluations once.
+    dnn::LstmState next;
+    next.h.resize(hid);
+    next.c.resize(hid);
+    const auto cell = [&](std::size_t u0, std::size_t u1) {
+        const std::size_t len = u1 - u0;
+        for (std::size_t g = 0; g < 4; ++g)
+            std::copy_n(gates + g * hid + u0, len, act + g * hid + u0);
+        double *const ig = act + u0;
+        double *const fg = act + hid + u0;
+        double *const gg = act + 2 * std::size_t(hid) + u0;
+        double *const og = act + 3 * std::size_t(hid) + u0;
+        bce.pwlValues(sigmoidTable, ig, ig, len);
+        bce.pwlValues(sigmoidTable, fg, fg, len);
+        bce.pwlValues(tanhTable, gg, gg, len);
+        bce.pwlValues(sigmoidTable, og, og, len);
+        for (std::size_t j = 0; j < len; ++j) {
+            const double c_new = fg[j] * prev.c[u0 + j] + ig[j] * gg[j];
+            next.c[u0 + j] = static_cast<float>(c_new);
+            gg[j] = c_new;
+        }
+        bce.pwlValues(tanhTable, gg, gg, len);
+        for (std::size_t j = 0; j < len; ++j)
+            next.h[u0 + j] = static_cast<float>(og[j] * gg[j]);
+    };
 
     // The packed gate matvec on the broadcast datapath, [1][cols] x
     // [cols][4*hid]: the frozen row-major [4*hid][cols] gate matrix is
     // exactly the transposed tile that product wants. The gate bias is
     // added in the dequantize store.
-    std::copy(x.begin(), x.end(), xh);
-    std::copy(prev.h.begin(), prev.h.end(), xh + in);
-    matmulInto(xh, 1, cols, gateN, pl.frozen[0], false, pl.bias.data(),
-               false, gates);
-
-    // The gates [i, f, g, o] as PWL spans, in place.
-    std::copy(gates, gates + gateN, act);
-    double *const ig = act;
-    double *const fg = act + hid;
-    double *const gg = act + 2 * std::size_t(hid);
-    double *const og = act + 3 * std::size_t(hid);
-    bce.evaluatePwlSpan(sigmoidTable, ig, ig, 2 * std::size_t(hid));
-    bce.evaluatePwlSpan(tanhTable, gg, gg, hid);
-    bce.evaluatePwlSpan(sigmoidTable, og, og, hid);
-
-    // c' = f * c + i * g overwrites g; h' = o * tanh(c').
-    dnn::LstmState next;
-    next.h.resize(hid);
-    next.c.resize(hid);
-    for (unsigned j = 0; j < hid; ++j) {
-        const double c_new = fg[j] * prev.c[j] + ig[j] * gg[j];
-        next.c[j] = static_cast<float>(c_new);
-        gg[j] = c_new;
+    const SymQuant qa = choose_sym(xh, cols, bits);
+    bce.setMode(bce::BceMode::Matmul);
+    if (!wt.narrow()) {
+        // 16-bit cells: the matmul body's wide spans, then every unit.
+        matmulInto(xh, 1, cols, gateN, wt, false, pl.bias.data(), false,
+                   gates);
+        cell(0, hid);
+        bce.bookPwl(5 * std::size_t(hid));
+        return next;
     }
-    bce.evaluatePwlSpan(tanhTable, gg, gg, hid);
-    for (unsigned j = 0; j < hid; ++j)
-        next.h[j] = static_cast<float>(og[j] * gg[j]);
+
+    // The [x, h] row is quantized once, zero-padded to the gate rows'
+    // stride (dnn::freeze_weights_padded).
+    const std::size_t ldb = wt.rowStride(cols);
+    std::int8_t *qa8 = arena_.alloc<std::int8_t>(ldb);
+    dnn::quantize_span(qa, xh, cols, qa8);
+    std::fill(qa8 + cols, qa8 + ldb, std::int8_t{0});
+    std::int32_t *accs = arena_.alloc<std::int32_t>(gateN);
+    const std::int8_t *w = wt.tile();
+    const std::uint32_t *wFeatures = wt.featureSums();
+    const std::int32_t *rowSums = wt.rowSumData();
+    const auto store = [&](std::size_t u0, std::size_t u1) {
+        for (std::size_t g = 0; g < 4; ++g) {
+            const std::size_t r0 = g * hid + u0;
+            bce::simd::dequantize_store(accs + r0, u1 - u0, qa.scale,
+                                        wt.scale.scale, &pl.bias[r0], 1,
+                                        false, gates + r0);
+        }
+    };
+
+    const lut::DatapathTable *table =
+        bce.tileTable(bits, cols, wFeatures, qa.limit);
+    if (table == nullptr) {
+        // The per-span loop (the Legacy tier) books as it goes, on
+        // this thread.
+        for (std::size_t j = 0; j < gateN; ++j)
+            accs[j] = bce.matmulDotSpan(qa8, w + j * ldb, cols, bits);
+        store(0, hid);
+        cell(0, hid);
+        bce.bookPwl(5 * std::size_t(hid));
+        return next;
+    }
+
+    // One fork per step. Index b is slice b of the hidden units, in
+    // 16-unit groups, so the pool's owner-first claims hand the same
+    // thread the same four gate row ranges every step and those rows
+    // stay in its core's L2. Each slice also classifies and folds
+    // column range b of the [x, h] row against the frozen weight
+    // features; the folds are summed here in slice order, and the tile
+    // and the PWL evaluations are booked once.
+    const PlanStats &ps = plan.stats();
+    rowArena_.reserve(slots_.size() * ps.rowScratchBytes);
+    rowArena_.reset();
+    for (RowSlot &rs : slots_)
+        rs.features = rowArena_.alloc<std::uint32_t>(
+            bce::Bce::tileScratchWords(cols));
+    const std::size_t groups = (std::size_t(hid) + 15) / 16;
+    const std::size_t slices = std::min<std::size_t>(slots_.size(), groups);
+    pool_.parallelFor(slices, [&](std::size_t b, unsigned slot) {
+        const std::size_t k0 = b * cols / slices;
+        const std::size_t k1 = (b + 1) * cols / slices;
+        std::uint32_t *fx = slots_[slot].features;
+        bce::simd::class_feature_sums(qa8 + k0, 1, k1 - k0, fx);
+        slots_[b].fold = bce::simd::fold_tile_features(
+            fx, wFeatures + k0, k1 - k0, table->cyclesFactor(), cols);
+
+        const std::size_t u0 = b * groups / slices * 16;
+        const std::size_t u1 =
+            std::min<std::size_t>(hid, (b + 1) * groups / slices * 16);
+        for (std::size_t g = 0; g < 4; ++g) {
+            const std::size_t r0 = g * hid + u0;
+            std::fill(accs + r0, accs + r0 + (u1 - u0), 0);
+            bce::simd::gemm_i8(qa8, w + r0 * ldb, accs + r0, 1, ldb,
+                               u1 - u0, rowSums + r0);
+        }
+        store(u0, u1);
+        cell(u0, u1);
+    });
+    bce::Bce::TileTally tally{{}, gateN};
+    for (std::size_t b = 0; b < slices; ++b) {
+        const bce::simd::SpanSums &f = slots_[b].fold;
+        tally.sums.lookups += f.lookups;
+        tally.sums.shifts += f.shifts;
+        tally.sums.adds += f.adds;
+        tally.sums.cycles += f.cycles;
+    }
+    bce.bookTile(tally, cols, bits);
+    bce.bookPwl(5 * std::size_t(hid));
     return next;
 }
 

@@ -23,14 +23,16 @@
  * layer: a conv's input scan and its channels-last staging in
  * contiguous row chunks (core/conv_front.hh), a <= 8-bit conv's output
  * rows in contiguous chunks, a matmul's weight rows (N) in contiguous
- * blocks and a 2x2 max pool's channel planes in contiguous runs. The
- * workers run no booking code: they stage, classify and run
- * simd::gemm_i8 and simd::max_pool_2x2_q8; the statistics are booked
+ * blocks, a 2x2 max pool's channel planes in contiguous runs and an
+ * LSTM step's hidden units in slices, each slice its gate rows' GEMMs,
+ * stores, PWL spans and cell update. The workers run no booking code:
+ * they stage, classify, fold and run simd::gemm_i8,
+ * simd::max_pool_2x2_q8 and the PWL values; the statistics are booked
  * once on the calling thread from integer sums, so outputs,
  * statistics and energy are byte-identical at every executor thread
- * count. Everything else (other pools, the PWL and softmax, the
- * per-span fallback, the Legacy tier's rows and 16-bit layers) runs on
- * the calling thread.
+ * count. Everything else (other pools, Sigmoid and Tanh layers and
+ * the softmax, the per-span fallback, the Legacy tier's rows and
+ * 16-bit layers) runs on the calling thread.
  */
 
 #ifndef BFREE_CORE_FUNCTIONAL_HH
@@ -39,6 +41,7 @@
 #include <vector>
 
 #include "bce/bce.hh"
+#include "bce/simd_kernels.hh"
 #include "core/network_plan.hh"
 #include "dnn/network.hh"
 #include "dnn/quantize.hh"
@@ -122,13 +125,18 @@ class FunctionalExecutor
 
     /**
      * One LSTM timestep from a compiled plan: the gate matvec on the
-     * matmul-mode BCE against the frozen gate tile with the gate bias
-     * added in its store, then sigmoid/tanh as PWL spans
-     * (Bce::evaluatePwlSpan). @p layerIndex selects the LstmCell layer
-     * inside the plan; its weights pack [i, f, g, o] x [input + hidden]
-     * as in dnn::reference_lstm_step. Scratch comes from the arena (the
-     * layer's PlannedLayer::scratchBytes); the returned state's h and
-     * c are the step's only heap allocations.
+     * matmul-mode BCE against the frozen gate tile (64-byte padded
+     * rows, dnn::freeze_weights_padded) with the gate bias added in its
+     * store, then sigmoid/tanh as PWL spans. At <= 8 bits on the tile
+     * path the step is one pool fork: slice b of the hidden units runs
+     * its four gate row ranges' GEMMs, stores, PWL spans and cell
+     * update, and folds column range b of the tally; the tile and the
+     * PWL evaluations are booked once here. @p layerIndex selects the
+     * LstmCell layer inside the plan; its weights pack [i, f, g, o] x
+     * [input + hidden] as in dnn::reference_lstm_step. Scratch comes
+     * from the arena (the layer's PlannedLayer::scratchBytes) and the
+     * row arena; the returned state's h and c are the step's only heap
+     * allocations.
      */
     dnn::LstmState runLstmStep(const NetworkPlan &plan,
                                std::size_t layerIndex,
@@ -191,8 +199,14 @@ class FunctionalExecutor
     /** Threads one inference uses, the caller included. */
     unsigned threads() const { return pool_.threads(); }
 
+    /** Forked indices run by another thread than their owner, whose
+     *  data then came through a second core's cache
+     *  (sim::ThreadPool::lateSteals). */
+    std::uint64_t lateSteals() const { return pool_.lateSteals(); }
+
   private:
-    /** One pool thread's conv scratch (conv_row_scratch_bytes). */
+    /** One pool thread's conv scratch (conv_row_scratch_bytes), or
+     *  its LSTM step scratch. */
     struct RowSlot
     {
         std::int8_t *patch = nullptr;  ///< One output row of patches.
@@ -201,6 +215,12 @@ class FunctionalExecutor
         std::uint32_t *taps = nullptr; ///< Tap-feature accumulator.
         std::uint32_t *tapScratch = nullptr;
         float peak = 0.0f; ///< Running max-abs of the input scan.
+        /** An LSTM step slice's activation features. */
+        std::uint32_t *features = nullptr;
+        /** The tally fold of the LSTM step slice with this slot's
+         *  number as its index: kept by index, not by the thread that
+         *  ran it, so the caller's sum does not depend on who did. */
+        bce::simd::SpanSums fold;
     };
 
     /** Conv over im2col patches, frozen filter bank, arena scratch. */

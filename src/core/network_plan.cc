@@ -57,12 +57,12 @@ random_weights(const dnn::Network &net, sim::Rng &rng, double scale)
 
 std::size_t
 matmul_scratch_bytes(std::size_t m, std::size_t k, std::size_t n,
-                     unsigned bits)
+                     unsigned bits, std::size_t ldb)
 {
     using dnn::TensorArena;
     if (bits > 8)
         return TensorArena::paddedBytes<std::int32_t>(m * k);
-    return TensorArena::paddedBytes<std::int8_t>(m * k)
+    return TensorArena::paddedBytes<std::int8_t>(m * std::max(k, ldb))
            + TensorArena::paddedBytes<std::int32_t>(m * n)
            + TensorArena::paddedBytes<std::uint32_t>(
                bce::Bce::tileScratchWords(k));
@@ -99,11 +99,23 @@ freeze_features(dnn::QuantizedWeights &qw, std::size_t rows, std::size_t k)
 {
     if (!qw.narrow())
         return;
-    qw.features.resize(bce::Bce::tileScratchWords(k));
-    bce::simd::class_feature_sums(qw.q8.data(), rows, k,
-                                  qw.features.data());
+    // Padded rows are summed over their stride: the zero columns past
+    // k add nothing to a row sum, their features are dropped below,
+    // and the range word already holds 0.
+    const std::size_t ldb = qw.rowStride(k);
+    qw.features.resize(bce::Bce::tileScratchWords(ldb));
+    bce::simd::class_feature_sums(qw.tile(), rows, ldb, qw.features.data());
+    if (ldb != k) {
+        for (std::size_t f = 1; f < bce::simd::feature_count; ++f)
+            std::copy_n(qw.features.begin() + f * ldb, k,
+                        qw.features.begin() + f * k);
+        qw.features[bce::simd::feature_count * k] =
+            qw.features[bce::simd::feature_count * ldb];
+        qw.features.resize(bce::Bce::tileScratchWords(k));
+        qw.features.shrink_to_fit();
+    }
     qw.rowSums.resize(rows);
-    bce::simd::weight_row_sums(qw.q8.data(), rows, k, qw.rowSums.data());
+    bce::simd::weight_row_sums(qw.tile(), rows, ldb, qw.rowSums.data());
 }
 
 /**
@@ -248,15 +260,30 @@ plan_shapes(const dnn::Network &net, unsigned bits,
             break;
           case dnn::LayerKind::LstmCell: {
             // Standalone execution only (runLstmStep), which runs in
-            // this layer's scratch: the [x, h] row, the gate row, the
-            // double row of the PWL spans and the gate matvec's own.
+            // this layer's scratch: the [x, h] row, the gate row and
+            // the double row of the PWL spans; at <= 8 bits the
+            // quantized row at the gate rows' padded stride and the
+            // gate accumulators, plus one row-arena slot per thread
+            // for a slice's activation features; wider, the matmul
+            // body's own.
             const std::size_t cols =
                 std::size_t(layer.lstmInput) + layer.lstmHidden;
             const std::size_t gates = std::size_t(4) * layer.lstmHidden;
             pl.scratchBytes = TensorArena::paddedBytes<float>(cols)
                               + TensorArena::paddedBytes<float>(gates)
-                              + TensorArena::paddedBytes<double>(gates)
-                              + matmul_scratch_bytes(1, cols, gates, bits);
+                              + TensorArena::paddedBytes<double>(gates);
+            if (bits > 8) {
+                pl.scratchBytes += matmul_scratch_bytes(1, cols, gates, bits);
+            } else {
+                pl.scratchBytes +=
+                    TensorArena::paddedBytes<std::int8_t>(
+                        dnn::padded_stride(cols))
+                    + TensorArena::paddedBytes<std::int32_t>(gates);
+                ps.rowScratchBytes = std::max(
+                    ps.rowScratchBytes,
+                    TensorArena::paddedBytes<std::uint32_t>(
+                        bce::Bce::tileScratchWords(cols)));
+            }
             shape = {layer.lstmHidden, std::size_t(1), std::size_t(1)};
             elems = layer.lstmHidden;
             break;
@@ -380,11 +407,13 @@ NetworkPlan::compile(const dnn::Network &net,
             // The row-major [4*hid][cols] gate matrix is already the
             // transposed tile of the [cols][4*hid] gate matmul: the
             // legacy path transposed it and the GEMM transposed it
-            // back. Freeze in place, no transpose.
-            pl.frozen.push_back(
-                dnn::freeze_weights(w.weights.data(), count, bits));
-            freeze_features(pl.frozen.back(),
-                            std::size_t(4) * layer.lstmHidden, cols);
+            // back. Freeze in place, no transpose, then give every row
+            // whole cache lines: each step's pool slot streams the same
+            // gate rows, from its own L2.
+            const std::size_t rows = std::size_t(4) * layer.lstmHidden;
+            pl.frozen.push_back(dnn::freeze_weights_padded(
+                w.weights.data(), rows, cols, bits));
+            freeze_features(pl.frozen.back(), rows, cols);
             break;
           }
           case dnn::LayerKind::Attention: {

@@ -56,12 +56,14 @@ NetworkWeights random_weights(const dnn::Network &net, sim::Rng &rng,
 
 /**
  * Arena bytes the executor's matmul body (FC layers, qMatmulFrozen)
- * takes for an m x k activation block against n frozen weight rows:
- * the quantized block, plus at <= 8 bits the int32 tile and the
+ * takes for an m x k activation block against n frozen weight rows at
+ * row stride @p ldb (0 means k; QuantizedWeights::rowStride): the
+ * quantized block, plus at <= 8 bits the int32 tile and the
  * activation-side feature sums.
  */
 std::size_t matmul_scratch_bytes(std::size_t m, std::size_t k,
-                                 std::size_t n, unsigned bits);
+                                 std::size_t n, unsigned bits,
+                                 std::size_t ldb = 0);
 
 /**
  * Row-arena bytes one executor thread takes for a <= 8-bit conv
@@ -116,9 +118,10 @@ struct PlanStats
     std::size_t activationBytes = 0;
     /** Worst single layer's scratch (the rest of the arena). */
     std::size_t peakScratchBytes = 0;
-    /** Worst conv_row_scratch_bytes over the plan's <= 8-bit convs:
-     *  what each executor thread holds in the executor's row arena
-     *  (not part of arenaBytes). */
+    /** Worst conv_row_scratch_bytes over the plan's <= 8-bit convs,
+     *  and a <= 8-bit LSTM cell's activation features: what each
+     *  executor thread holds in the executor's row arena (not part of
+     *  arenaBytes). */
     std::size_t rowScratchBytes = 0;
     /** Elements of the largest activation crossing a layer boundary. */
     std::size_t maxActivationElems = 0;

@@ -341,6 +341,28 @@ freeze_weights(const float *w, std::size_t n, unsigned bits)
 }
 
 QuantizedWeights
+freeze_weights_padded(const float *w, std::size_t rows, std::size_t cols,
+                      unsigned bits)
+{
+    if (bits > 8)
+        return freeze_weights(w, rows * cols, bits);
+    QuantizedWeights out;
+    out.scale = choose_sym(w, rows * cols, bits);
+    out.bits = bits;
+    constexpr std::size_t line = 64;
+    const std::size_t stride = padded_stride(cols);
+    out.q8.assign(rows * stride + line - 1, 0);
+    const std::size_t offset =
+        (line - reinterpret_cast<std::uintptr_t>(out.q8.data()) % line)
+        % line;
+    out.pad = {rows, cols, stride, offset};
+    for (std::size_t r = 0; r < rows; ++r)
+        quantize_span(out.scale, w + r * cols, cols,
+                      out.q8.data() + offset + r * stride);
+    return out;
+}
+
+QuantizedWeights
 freeze_conv_weights(const Layer &layer, const float *w, unsigned bits)
 {
     const std::size_t c = layer.input.c;

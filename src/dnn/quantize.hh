@@ -131,6 +131,19 @@ struct QuantizedWeights
         return rowSums.empty() ? nullptr : rowSums.data();
     }
 
+    /**
+     * The layout freeze_weights_padded gave q8, or all zero for dense
+     * rows: row r of the rows x cols tile starts at tile() + r *
+     * stride, stride is a multiple of 64 with zeros from cols on, and
+     * tile() = q8.data() + offset sits on a 64-byte line (q8 holds
+     * stride * rows + 63 bytes). A copy keeps the layout but not, in
+     * general, the line alignment.
+     */
+    struct RowPadding
+    {
+        std::size_t rows = 0, cols = 0, stride = 0, offset = 0;
+    } pad;
+
     /** The frozen B panel, or null when none was packed. */
     const std::int8_t *
     panelData() const
@@ -138,8 +151,25 @@ struct QuantizedWeights
         return panel.empty() ? nullptr : panel.front().bytes;
     }
 
+    /** Row 0 of the int8 tile. */
+    const std::int8_t *tile() const { return q8.data() + pad.offset; }
+
+    /** Elements between rows of the int8 tile of rows of @p k. */
+    std::size_t
+    rowStride(std::size_t k) const
+    {
+        return pad.stride != 0 ? pad.stride : k;
+    }
+
     bool narrow() const { return bits <= 8; }
-    std::size_t count() const { return narrow() ? q8.size() : q32.size(); }
+    /** Weights frozen: rows x cols, padding not counted. */
+    std::size_t
+    count() const
+    {
+        if (pad.stride != 0)
+            return pad.rows * pad.cols;
+        return narrow() ? q8.size() : q32.size();
+    }
     /** Everything frozen for this tensor: the quantized values plus
      *  the feature and row sums and the panel frozen beside them. */
     std::size_t frozenBytes() const
@@ -158,6 +188,26 @@ struct QuantizedWeights
  */
 QuantizedWeights freeze_weights(const float *w, std::size_t n,
                                 unsigned bits);
+
+/**
+ * freeze_weights of a row-major rows x cols matrix, with the int8 rows
+ * laid out at a multiple-of-64 stride, zero-padded past cols, and row
+ * 0 on a 64-byte line (QuantizedWeights::pad): a row-sliced GEMM then
+ * streams whole cache lines from the start of every row, and the
+ * padded K needs no tail. The values and the scale are freeze_weights'
+ * own, frozen straight into place with no dense copy. Wider precisions
+ * keep the dense q32 of freeze_weights.
+ */
+QuantizedWeights freeze_weights_padded(const float *w, std::size_t rows,
+                                       std::size_t cols, unsigned bits);
+
+/** The row stride freeze_weights_padded gives rows of @p cols: cols
+ *  rounded up to a multiple of 64. */
+constexpr std::size_t
+padded_stride(std::size_t cols)
+{
+    return (cols + 63) / 64 * 64;
+}
 
 /**
  * Freeze a row-major [k][n] matrix into the transposed-B layout the

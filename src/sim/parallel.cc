@@ -18,10 +18,15 @@ constexpr unsigned long maxThreads = 4096;
 
 /**
  * How long an idle worker polls for the next batch, and the caller for
- * the join, before blocking. The executor forks once per layer or LSTM
- * gate matvec, so batches come back to back; blocking at once there
- * cost 2-6% of vgg16-8b and lstm-8b throughput (DESIGN.md section 17,
- * "Polling before blocking"). A worker idle for longer sleeps.
+ * the join, before blocking; and how long an index waits for its owner
+ * before any free thread may take it. The executor forks once per
+ * layer or LSTM step, so batches come back to back; blocking at once
+ * there cost 2-6% of vgg16-8b and lstm-8b throughput (DESIGN.md
+ * section 17, "Polling before blocking"). A worker idle for longer
+ * sleeps. An owner that is awake starts its index within a few
+ * microseconds; one that is not (asleep, descheduled on a shared CPU,
+ * busy with an earlier index) loses it after the window, so the join
+ * waits for no late worker much longer than that.
  */
 constexpr std::chrono::microseconds spinWindow{100};
 
@@ -75,7 +80,8 @@ threads_from_args(int argc, char **argv, unsigned fallback)
 }
 
 ThreadPool::ThreadPool(unsigned threads)
-    : numThreads(resolve_threads(threads))
+    : numThreads(resolve_threads(threads)),
+      claims(std::make_unique<Claim[]>(numThreads))
 {
     // The caller is one of the threads: numThreads - 1 workers.
     workers.reserve(numThreads - 1);
@@ -118,15 +124,17 @@ ThreadPool::runFor(std::size_t count, ForFn fn, const void *ctx)
             std::rethrow_exception(error);
         return;
     }
-    const ForJob batch{fn, ctx, count};
+    ForJob batch{fn, ctx, count};
     {
         std::unique_lock<std::mutex> lock(mutex);
         // A worker that woke after the previous batch joined may still
-        // be inside its (empty) drain: let it leave before the index
-        // counter restarts.
+        // be inside its (empty) drain: let it leave before the claim
+        // counters restart.
         done.wait(lock, [this] { return running.load() == 0; });
+        for (unsigned s = 0; s < numThreads; ++s)
+            claims[s].next.store(0, std::memory_order_relaxed);
+        batch.start = std::chrono::steady_clock::now();
         job = batch;
-        next.store(0, std::memory_order_relaxed);
         ++generation;
     }
     wake.notify_all();
@@ -150,19 +158,74 @@ ThreadPool::runFor(std::size_t count, ForFn fn, const void *ctx)
         std::rethrow_exception(error);
 }
 
+bool
+ThreadPool::unclaimed(const ForJob &batch, unsigned owner) const
+{
+    return owner
+               + claims[owner].next.load(std::memory_order_relaxed)
+                     * numThreads
+           < batch.count;
+}
+
+bool
+ThreadPool::claim(const ForJob &batch, unsigned owner, std::size_t &index)
+{
+    // A counter only grows, so one that has passed the owner's last
+    // index stays there: checking first keeps finished slots from
+    // taking a fetch_add each time a thief looks.
+    if (!unclaimed(batch, owner))
+        return false;
+    index = owner
+            + claims[owner].next.fetch_add(1, std::memory_order_relaxed)
+                  * numThreads;
+    return index < batch.count;
+}
+
+void
+ThreadPool::call(const ForJob &batch, std::size_t index, unsigned slot)
+{
+    try {
+        batch.fn(batch.ctx, index, slot);
+    } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (!firstError)
+            firstError = std::current_exception();
+    }
+}
+
 void
 ThreadPool::drain(const ForJob &batch, unsigned slot)
 {
+    std::size_t i = 0;
+    while (claim(batch, slot, i))
+        call(batch, i, slot);
+
+    // Out of indices of its own, a thread waits for the other owners
+    // to claim theirs; an index still unclaimed once the batch is older
+    // than the window is taken here, by the next slot on from this one
+    // that has any.
+    bool late = false;
     for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= batch.count)
+        bool left = false;
+        for (unsigned d = 1; d < numThreads; ++d) {
+            const unsigned owner = (slot + d) % numThreads;
+            if (!unclaimed(batch, owner))
+                continue;
+            left = true;
+            if (!late)
+                break;
+            while (claim(batch, owner, i)) {
+                steals.fetch_add(1, std::memory_order_relaxed);
+                call(batch, i, slot);
+            }
+        }
+        if (!left)
             return;
-        try {
-            batch.fn(batch.ctx, i, slot);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (!firstError)
-                firstError = std::current_exception();
+        if (!late) {
+            late = std::chrono::steady_clock::now() - batch.start
+                   >= spinWindow;
+            if (!late)
+                cpuRelax();
         }
     }
 }

@@ -8,10 +8,11 @@
  * a naive fork/join makes the output depend on completion order. The
  * engine here separates the two concerns:
  *
- *  - ThreadPool is a fork/join over an index range: the caller and
- *    the workers claim the next index from one shared counter, so a
- *    thread that is free takes the next piece of work and unbalanced
- *    job costs still fill every core. Its parallelFor allocates
+ *  - ThreadPool is a fork/join over an index range: index i belongs
+ *    to thread i % threads, which runs it unless it has not started
+ *    it within a short window, when any free thread takes it. The same
+ *    thread then meets the same slice of the data every fork, and a
+ *    late thread cannot stall the join. Its parallelFor allocates
  *    nothing, so the functional executor splits each layer with it;
  *
  *  - SweepRunner gives every job a private output stream and a private
@@ -29,6 +30,7 @@
 #define BFREE_SIM_PARALLEL_HH
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -63,14 +65,21 @@ unsigned threads_from_args(int argc, char **argv, unsigned fallback = 0);
 /**
  * A fork/join thread pool.
  *
- * A pool of N threads is the calling thread plus N - 1 workers. Every
- * batch is an index range: the caller and the workers claim indices
- * from one shared counter until none are left, so whichever thread is
- * free takes the next index. A pool of one thread runs everything
- * inline on the calling thread in index order, with no worker threads
- * at all. Idle workers poll for the next batch for a short window
- * (batches often come back to back, one per layer), then block on a
- * condition variable. One thread submits at a time.
+ * A pool of N threads is the calling thread (slot 0) plus N - 1
+ * workers (slots 1 .. N - 1). Every batch is an index range, and index
+ * i is owned by slot i % N: each thread first claims its own indices,
+ * in order, so a fork that splits the same data the same way every
+ * time keeps each slice in one core's cache. A thread out of indices
+ * of its own takes any index still unclaimed once the batch is older
+ * than the spin window (a late steal), so a worker that is asleep,
+ * descheduled or busy with an earlier index cannot hold the join for
+ * longer than that; lateSteals() counts those. An eager steal (any
+ * free index at once) would drag a second slice through the thief's
+ * cache. A pool of one thread runs everything inline on the calling
+ * thread in index order, with no worker threads at all. Idle workers
+ * poll for the next batch for the same window (batches often come
+ * back to back, one per layer), then block on a condition variable.
+ * One thread submits at a time.
  */
 class ThreadPool
 {
@@ -87,20 +96,21 @@ class ThreadPool
     unsigned threads() const { return numThreads; }
 
     /**
-     * Execute every task to completion; blocks the caller. Tasks may
-     * run in any order and on any thread, the caller included. If a
-     * task throws, the batch still drains and the first exception is
-     * rethrown here.
+     * Execute every task to completion; blocks the caller. Task i
+     * normally runs on slot i % threads(), but tasks may run in any
+     * order and on any thread, the caller included. If a task throws,
+     * the batch still drains and the first exception is rethrown here.
      */
     void run(std::vector<std::function<void()>> tasks);
 
     /**
-     * Call body(i, slot) for every i in [0, count) and return once all
-     * calls have. The caller claims indices too; workers join as they
-     * wake, so a late worker only loses its share. @p slot in
-     * [0, threads()) names the thread making the call (0 is the
-     * caller): calls that run at the same time never share a slot, so
-     * per-slot scratch needs no lock. Allocates nothing. If a call
+     * Call body(i, slot) for every i in [0, count) exactly once and
+     * return once all calls have. @p slot in [0, threads()) names the
+     * thread making the call (0 is the caller); it is i % threads()
+     * unless that thread was late and another took index i. Calls
+     * that run at the same time never share a slot, so per-slot
+     * scratch needs no lock; anything that must not depend on the
+     * thread belongs to the index. Allocates nothing. If a call
      * throws, the rest still run and the first exception is rethrown.
      */
     template <typename Body>
@@ -114,6 +124,17 @@ class ThreadPool
                &body);
     }
 
+    /**
+     * Indices run by a thread other than their owner, since the pool
+     * was made: each one an owner that had not started it within the
+     * spin window. Read with relaxed order, for tests and reports.
+     */
+    std::uint64_t
+    lateSteals() const
+    {
+        return steals.load(std::memory_order_relaxed);
+    }
+
   private:
     /** The type-erased body of one parallelFor. */
     using ForFn = void (*)(const void *, std::size_t, unsigned);
@@ -122,11 +143,28 @@ class ThreadPool
         ForFn fn = nullptr;
         const void *ctx = nullptr;
         std::size_t count = 0;
+        /** Published at; indices unclaimed past start + the spin
+         *  window are anyone's. */
+        std::chrono::steady_clock::time_point start{};
+    };
+
+    /** One slot's claim counter: its p-th index is slot + p * threads.
+     *  A cache line each, so owners do not share one. */
+    struct alignas(64) Claim
+    {
+        std::atomic<std::size_t> next{0};
     };
 
     void runFor(std::size_t count, ForFn fn, const void *ctx);
-    /** Claim and run indices of @p batch until none are left. */
+    /** Claim and run @p slot's own indices of @p batch, then steal
+     *  late ones until no index is left unclaimed. */
     void drain(const ForJob &batch, unsigned slot);
+    /** Whether some index of @p owner's is not yet claimed. */
+    bool unclaimed(const ForJob &batch, unsigned owner) const;
+    /** Claim the next index of @p owner's, or return false when its
+     *  indices are all claimed. */
+    bool claim(const ForJob &batch, unsigned owner, std::size_t &index);
+    void call(const ForJob &batch, std::size_t index, unsigned slot);
     void workerLoop(unsigned self);
 
     unsigned numThreads;
@@ -142,8 +180,10 @@ class ThreadPool
     std::atomic<bool> stopping{false};
     std::atomic<std::uint64_t> generation{0}; ///< Bumped per batch.
     std::atomic<unsigned> running{0};         ///< Workers in a drain.
-    /** Next unclaimed index; claimed without the mutex. */
-    std::atomic<std::size_t> next{0};
+    /** Per-slot claim counters, numThreads of them; claimed without
+     *  the mutex, reset under it while no worker drains. */
+    std::unique_ptr<Claim[]> claims;
+    std::atomic<std::uint64_t> steals{0}; ///< lateSteals().
 };
 
 /** What one sweep job sees while it runs. */

@@ -16,6 +16,7 @@
 #include <iomanip>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "bce/bce.hh"
@@ -465,35 +466,66 @@ TEST(TieredNetwork, LstmStepBitExact)
 {
     // The Tiered step runs its gates through simd::pwl_span at every
     // level; hidden sizes off the kernel's 8 lanes exercise its masked
-    // tails, and hid = 5 the oracle loop for spans shorter than 8.
-    const std::vector<float> xin = {0.5f, -0.25f, 0.1f,
-                                    -0.7f, 0.3f, 0.9f};
-    for (const unsigned hid : {5u, 12u, 13u}) {
-        const dnn::Network net = dnn::make_lstm(6, hid, 3);
-        sim::Rng rng(31);
+    // tails, and hid = 5 the oracle loop for spans shorter than 8. The
+    // [x, h] rows of 63, 64 and 65 columns (and 127 to 129) sit around
+    // the gate rows' 64-byte stride, and 37 and 70 hidden units make
+    // 3 and 5 groups of 16 that 3 and 4 threads split unevenly. Every
+    // level, every precision and 1 to 4 executor threads must give the
+    // Legacy tier's h, c, statistics and energy.
+    struct Shape
+    {
+        unsigned in, hid;
+    };
+    const Shape shapes[] = {{6, 5},   {6, 12},  {6, 13},  {26, 37},
+                            {27, 37}, {28, 37}, {57, 70}, {58, 70},
+                            {59, 70}};
+    for (const Shape shape : shapes) {
+        const dnn::Network net = dnn::make_lstm(shape.in, shape.hid, 3);
+        sim::Rng rng(31 + shape.in);
         const core::NetworkWeights weights =
             core::random_weights(net, rng);
-        for (const unsigned bits : {8u, 16u}) {
+        std::vector<float> xin(shape.in);
+        for (float &v : xin)
+            v = static_cast<float>(rng.uniformReal(-1.0, 1.0));
+        for (const unsigned bits : {4u, 8u, 16u}) {
             const core::NetworkPlan plan =
                 core::NetworkPlan::compile(net, weights, bits);
+            const std::string what = std::to_string(shape.in) + " + "
+                                     + std::to_string(shape.hid) + ", "
+                                     + std::to_string(bits) + " bits";
+            core::FunctionalExecutor legacy({}, {}, ExecTier::Legacy, 1);
+            std::vector<dnn::LstmState> want;
+            dnn::LstmState sl{std::vector<float>(shape.hid),
+                              std::vector<float>(shape.hid)};
+            for (int t = 0; t < 3; ++t)
+                want.push_back(sl = legacy.runLstmStep(plan, 0, xin, sl));
             for_each_runnable_level([&](sim::SimdLevel) {
-                core::FunctionalExecutor legacy({}, {}, ExecTier::Legacy);
-                core::FunctionalExecutor tiered({}, {}, ExecTier::Tiered);
-                dnn::LstmState sl, st;
-                sl.h.assign(hid, 0.0f);
-                sl.c.assign(hid, 0.0f);
-                st = sl;
-                for (int t = 0; t < 3; ++t) {
-                    sl = legacy.runLstmStep(plan, 0, xin, sl);
-                    st = tiered.runLstmStep(plan, 0, xin, st);
-                    EXPECT_EQ(sl.h, st.h)
-                        << hid << " hidden, " << bits << " bits t=" << t;
-                    EXPECT_EQ(sl.c, st.c)
-                        << hid << " hidden, " << bits << " bits t=" << t;
+                for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+                    core::FunctionalExecutor tiered({}, {}, ExecTier::Tiered,
+                                                    threads);
+                    dnn::LstmState st{std::vector<float>(shape.hid),
+                                      std::vector<float>(shape.hid)};
+                    for (int t = 0; t < 3; ++t) {
+                        st = tiered.runLstmStep(plan, 0, xin, st);
+                        ASSERT_EQ(0, std::memcmp(want[t].h.data(),
+                                                 st.h.data(),
+                                                 shape.hid * sizeof(float)))
+                            << what << ", " << threads << " threads t=" << t;
+                        ASSERT_EQ(0, std::memcmp(want[t].c.data(),
+                                                 st.c.data(),
+                                                 shape.hid * sizeof(float)))
+                            << what << ", " << threads << " threads t=" << t;
+                    }
+                    expect_stats_equal(legacy.stats(), tiered.stats());
+                    for (std::size_t c = 0; c < mem::num_energy_categories;
+                         ++c) {
+                        const auto cat = static_cast<mem::EnergyCategory>(c);
+                        EXPECT_EQ(legacy.energy().joules(cat),
+                                  tiered.energy().joules(cat))
+                            << what << ", " << threads
+                            << " threads, energy category " << c;
+                    }
                 }
-                expect_stats_equal(legacy.stats(), tiered.stats());
-                EXPECT_EQ(legacy.energy().total(), tiered.energy().total())
-                    << hid << " hidden, " << bits << " bits";
             });
         }
     }

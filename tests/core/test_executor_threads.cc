@@ -12,6 +12,7 @@
 
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bce/simd_kernels.hh"
@@ -200,40 +201,151 @@ TEST(ExecutorThreads, QMatmulFrozenMatchesOneThread)
     }
 }
 
-TEST(ExecutorThreads, LstmStepMatchesOneThread)
+TEST(ExecutorThreads, QMatmulFrozenOverPaddedRowsMatchesDense)
 {
-    // 4 x 512 gate rows of 39 + 512 columns: above the split threshold.
-    const dnn::Network net = dnn::make_lstm(39, 512, 3);
-    const dnn::Layer &cell = net.layers()[0];
-    ASSERT_GE(std::size_t{4} * cell.lstmHidden
-                  * (cell.lstmInput + cell.lstmHidden),
-              4 * FunctionalExecutor::minMatmulMacsPerBlock);
-    sim::Rng rng(47);
-    const NetworkPlan plan =
-        NetworkPlan::compile(net, core::random_weights(net, rng, 0.05), 8);
-    std::vector<std::vector<float>> xs(3,
-                                       std::vector<float>(cell.lstmInput));
+    // The same n x k tile frozen dense and with 64-byte padded rows
+    // (k = 250 pads to 256, the layout of the LSTM gate matrix): every
+    // tier and thread count must give the dense tile's bytes, through
+    // the split GEMM on m = 1 and m = 3 rows and the per-span loop.
+    constexpr std::size_t k = 250, n = 2050;
+    sim::Rng rng(43);
+    std::vector<float> w(n * k);
+    for (float &v : w)
+        v = static_cast<float>(rng.uniformReal(-0.5, 0.5));
+    for (const unsigned bits : {8u, 4u}) {
+        dnn::QuantizedWeights dense =
+            dnn::freeze_weights(w.data(), n * k, bits);
+        dense.features.resize(bce::Bce::tileScratchWords(k));
+        bce::simd::class_feature_sums(dense.q8.data(), n, k,
+                                      dense.features.data());
+        dense.rowSums.resize(n);
+        bce::simd::weight_row_sums(dense.q8.data(), n, k,
+                                   dense.rowSums.data());
+        dnn::QuantizedWeights padded =
+            dnn::freeze_weights_padded(w.data(), n, k, bits);
+        ASSERT_EQ(padded.rowStride(k), 256u);
+        ASSERT_EQ(padded.count(), dense.count());
+        padded.features = dense.features;
+        padded.rowSums = dense.rowSums;
+        for (const std::size_t m : {1u, 3u}) {
+            FloatTensor a({m, k});
+            a.fillUniform(rng, -1.0, 1.0);
+            for (const ExecTier tier : {ExecTier::Tiered, ExecTier::Legacy}) {
+                FunctionalExecutor ref({}, {}, tier, 1);
+                const FloatTensor r = ref.qMatmulFrozen(a, dense, k, n);
+                const Outcome want = outcome(
+                    ref, std::vector<float>(r.data(), r.data() + r.size()));
+                for (const unsigned threads : kThreads) {
+                    FunctionalExecutor ex({}, {}, tier, threads);
+                    const FloatTensor o = ex.qMatmulFrozen(a, padded, k, n);
+                    expect_same(want,
+                                outcome(ex, std::vector<float>(
+                                                o.data(), o.data() + o.size())),
+                                "padded qMatmulFrozen at "
+                                    + std::to_string(bits) + " bits, m = "
+                                    + std::to_string(m) + ", "
+                                    + std::to_string(threads) + " threads, "
+                                    + (tier == ExecTier::Tiered ? "Tiered"
+                                                                : "Legacy"));
+                }
+            }
+        }
+    }
+}
+
+namespace {
+
+/** h and c of every step of @p xs from a zero state, appended. */
+std::vector<float>
+lstm_steps(FunctionalExecutor &ex, const NetworkPlan &plan,
+           const std::vector<std::vector<float>> &xs)
+{
+    const dnn::Layer &cell = plan.layers()[0].layer;
+    dnn::LstmState s{std::vector<float>(cell.lstmHidden),
+                     std::vector<float>(cell.lstmHidden)};
+    std::vector<float> out;
+    for (const std::vector<float> &x : xs) {
+        s = ex.runLstmStep(plan, 0, x, s);
+        out.insert(out.end(), s.h.begin(), s.h.end());
+        out.insert(out.end(), s.c.begin(), s.c.end());
+    }
+    return out;
+}
+
+/** Three random inputs for the cell of @p net. */
+std::vector<std::vector<float>>
+lstm_inputs(const dnn::Network &net, sim::Rng &rng)
+{
+    std::vector<std::vector<float>> xs(
+        3, std::vector<float>(net.layers()[0].lstmInput));
     for (std::vector<float> &x : xs)
         for (float &v : x)
             v = static_cast<float>(rng.uniformReal(-1.0, 1.0));
+    return xs;
+}
 
-    const auto run = [&](ExecTier tier, unsigned threads) {
-        FunctionalExecutor ex({}, {}, tier, threads);
-        dnn::LstmState s{std::vector<float>(cell.lstmHidden),
-                         std::vector<float>(cell.lstmHidden)};
-        std::vector<float> out;
-        for (const std::vector<float> &x : xs) {
-            s = ex.runLstmStep(plan, 0, x, s);
-            out.insert(out.end(), s.h.begin(), s.h.end());
-            out.insert(out.end(), s.c.begin(), s.c.end());
-        }
-        return outcome(ex, std::move(out));
+} // namespace
+
+TEST(ExecutorThreads, LstmStepMatchesOneThread)
+{
+    // 4 x 512 gate rows of 39 + 512 columns, the step's fork at every
+    // count; then 300 hidden units (19 groups of 16 and a ragged last
+    // group, which neither 3 nor 4 threads divide evenly) at 383, 384
+    // and 385 columns, around a multiple of the 64-byte row stride.
+    struct Shape
+    {
+        unsigned in, hid;
     };
-    // The Legacy tier (the PWL oracle, the per-span matmul) on one
-    // thread is the reference for the Tiered step at every count.
-    const Outcome legacy = run(ExecTier::Legacy, 1);
-    for (const unsigned threads : kThreads)
-        expect_same(legacy, run(ExecTier::Tiered, threads),
-                    "runLstmStep, " + std::to_string(threads)
-                        + " threads vs Legacy");
+    for (const Shape shape : {Shape{39, 512}, Shape{83, 300},
+                              Shape{84, 300}, Shape{85, 300}}) {
+        const dnn::Network net = dnn::make_lstm(shape.in, shape.hid, 3);
+        sim::Rng rng(47 + shape.in);
+        const NetworkPlan plan = NetworkPlan::compile(
+            net, core::random_weights(net, rng, 0.05), 8);
+        const std::vector<std::vector<float>> xs = lstm_inputs(net, rng);
+        // The Legacy tier (the PWL oracle, the per-span matmul) on one
+        // thread is the reference for the Tiered step at every count.
+        FunctionalExecutor ref({}, {}, ExecTier::Legacy, 1);
+        const Outcome legacy = outcome(ref, lstm_steps(ref, plan, xs));
+        for (const unsigned threads : kThreads) {
+            FunctionalExecutor ex({}, {}, ExecTier::Tiered, threads);
+            expect_same(legacy, outcome(ex, lstm_steps(ex, plan, xs)),
+                        "runLstmStep " + std::to_string(shape.in) + " + "
+                            + std::to_string(shape.hid) + ", "
+                            + std::to_string(threads)
+                            + " threads vs Legacy");
+        }
+    }
+}
+
+TEST(ExecutorThreads, TwoLstmExecutorsAtOnceMatchLegacy)
+{
+    // Two executors of four threads each step one shared plan at the
+    // same time from two threads: eight pool threads on a four-CPU
+    // host, where owners are often late and their slices stolen. Each
+    // must still give the Legacy bytes.
+    const dnn::Network net = dnn::make_lstm(39, 256, 3);
+    sim::Rng rng(53);
+    const NetworkPlan plan = NetworkPlan::compile(
+        net, core::random_weights(net, rng, 0.05), 8);
+    const std::vector<std::vector<float>> xs = lstm_inputs(net, rng);
+    FunctionalExecutor ref({}, {}, ExecTier::Legacy, 1);
+    const Outcome legacy = outcome(ref, lstm_steps(ref, plan, xs));
+
+    constexpr int rounds = 20;
+    std::vector<Outcome> got[2];
+    const auto client = [&](int c) {
+        for (int r = 0; r < rounds; ++r) {
+            FunctionalExecutor ex({}, {}, ExecTier::Tiered, 4);
+            got[c].push_back(outcome(ex, lstm_steps(ex, plan, xs)));
+        }
+    };
+    std::thread other(client, 1);
+    client(0);
+    other.join();
+    for (int c = 0; c < 2; ++c)
+        for (int r = 0; r < rounds; ++r)
+            expect_same(legacy, got[c][r],
+                        "client " + std::to_string(c) + ", round "
+                            + std::to_string(r));
 }

@@ -132,37 +132,87 @@ TEST(NetworkPlan, FrozenBytesCountFeatureAndRowSums)
     const bool amx =
         bfree::sim::simd_level_compiled(bfree::sim::SimdLevel::AmxInt8)
         && bfree::sim::simd_level_supported(bfree::sim::SimdLevel::AmxInt8);
-    const Network net = make_tiny_cnn();
-    bfree::sim::Rng rng(13);
-    const NetworkWeights weights = random_weights(net, rng);
-    for (unsigned bits : {4u, 8u, 16u}) {
-        const NetworkPlan plan = NetworkPlan::compile(net, weights, bits);
-        std::size_t total = 0;
-        for (const PlannedLayer &pl : plan.layers()) {
-            for (const QuantizedWeights &qw : pl.frozen) {
-                const std::size_t values =
-                    qw.narrow() ? qw.q8.size()
-                                : qw.q32.size() * sizeof(std::int32_t);
-                EXPECT_EQ(qw.narrow(), !qw.rowSums.empty()) << bits;
-                const bool panel = amx && qw.narrow()
-                                   && pl.layer.kind == LayerKind::Conv;
-                EXPECT_EQ(panel, !qw.panel.empty())
-                    << pl.layer.name << " at " << bits << " bits";
-                if (panel) {
-                    EXPECT_EQ(bfree::bce::simd::panel_bytes(
-                                  qw.rowSums.size(),
-                                  qw.q8.size() / qw.rowSums.size()),
-                              qw.panel.size() * 64);
+    // An LSTM's gate rows are frozen padded, and the padding counts
+    // (LstmGateRowsFrozenPaddedInPlace checks the layout).
+    for (const Network &net : {make_tiny_cnn(), make_lstm(39, 70, 1)}) {
+        bfree::sim::Rng rng(13);
+        const NetworkWeights weights = random_weights(net, rng);
+        for (unsigned bits : {4u, 8u, 16u}) {
+            const NetworkPlan plan = NetworkPlan::compile(net, weights, bits);
+            std::size_t total = 0;
+            for (const PlannedLayer &pl : plan.layers()) {
+                for (const QuantizedWeights &qw : pl.frozen) {
+                    const std::size_t values =
+                        qw.narrow() ? qw.q8.size()
+                                    : qw.q32.size() * sizeof(std::int32_t);
+                    EXPECT_EQ(qw.narrow(), !qw.rowSums.empty()) << bits;
+                    const bool panel = amx && qw.narrow()
+                                       && pl.layer.kind == LayerKind::Conv;
+                    EXPECT_EQ(panel, !qw.panel.empty())
+                        << pl.layer.name << " at " << bits << " bits";
+                    if (panel) {
+                        EXPECT_EQ(bfree::bce::simd::panel_bytes(
+                                      qw.rowSums.size(),
+                                      qw.q8.size() / qw.rowSums.size()),
+                                  qw.panel.size() * 64);
+                    }
+                    EXPECT_EQ(qw.frozenBytes(),
+                              values
+                                  + qw.features.size() * sizeof(std::uint32_t)
+                                  + qw.rowSums.size() * sizeof(std::int32_t)
+                                  + qw.panel.size() * 64)
+                        << pl.layer.name << " at " << bits << " bits";
+                    total += qw.frozenBytes();
                 }
-                EXPECT_EQ(qw.frozenBytes(),
-                          values + qw.features.size() * sizeof(std::uint32_t)
-                              + qw.rowSums.size() * sizeof(std::int32_t)
-                              + qw.panel.size() * 64)
-                    << pl.layer.name << " at " << bits << " bits";
-                total += qw.frozenBytes();
             }
+            EXPECT_EQ(plan.stats().frozenWeightBytes, total) << bits;
         }
-        EXPECT_EQ(plan.stats().frozenWeightBytes, total) << bits;
+    }
+}
+
+TEST(NetworkPlan, LstmGateRowsFrozenPaddedInPlace)
+{
+    // The gate matrix is frozen once, straight into rows at a 64-byte
+    // multiple stride with row 0 on a cache line and zeros past cols:
+    // the dense values, scale, feature and row sums, no second copy.
+    for (const unsigned hid : {70u, 25u}) {
+        const Network net = make_lstm(39, hid, 1);
+        bfree::sim::Rng rng(17);
+        const NetworkWeights weights = random_weights(net, rng);
+        const std::size_t cols = 39 + hid;
+        const std::size_t rows = std::size_t(4) * hid;
+        for (const unsigned bits : {4u, 8u}) {
+            const NetworkPlan plan = NetworkPlan::compile(net, weights, bits);
+            const QuantizedWeights &qw = plan.layers()[0].frozen[0];
+            const QuantizedWeights dense = bfree::dnn::freeze_weights(
+                weights[0].weights.data(), rows * cols, bits);
+            const std::size_t stride = qw.rowStride(cols);
+            EXPECT_EQ(stride % 64, 0u);
+            EXPECT_GE(stride, cols);
+            EXPECT_LT(stride, cols + 64);
+            EXPECT_EQ(reinterpret_cast<std::uintptr_t>(qw.tile()) % 64, 0u);
+            EXPECT_EQ(qw.q8.size(), rows * stride + 63);
+            EXPECT_EQ(qw.count(), rows * cols);
+            EXPECT_EQ(plan.stats().frozenValues, rows * cols);
+            EXPECT_EQ(qw.scale.scale, dense.scale.scale);
+            for (std::size_t r = 0; r < rows; ++r) {
+                ASSERT_EQ(0, std::memcmp(qw.tile() + r * stride,
+                                         dense.q8.data() + r * cols, cols))
+                    << "row " << r;
+                for (std::size_t c = cols; c < stride; ++c)
+                    ASSERT_EQ(qw.tile()[r * stride + c], 0)
+                        << "row " << r << " pad " << c;
+            }
+            std::vector<std::uint32_t> features(
+                bfree::bce::Bce::tileScratchWords(cols));
+            bfree::bce::simd::class_feature_sums(dense.q8.data(), rows, cols,
+                                                 features.data());
+            EXPECT_EQ(qw.features, features) << bits;
+            std::vector<std::int32_t> rowSums(rows);
+            bfree::bce::simd::weight_row_sums(dense.q8.data(), rows, cols,
+                                              rowSums.data());
+            EXPECT_EQ(qw.rowSums, rowSums) << bits;
+        }
     }
 }
 

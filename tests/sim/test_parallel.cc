@@ -12,6 +12,7 @@
 
 #include <sched.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -244,6 +245,123 @@ TEST(ThreadPool, ParallelForPropagatesFirstException)
     more.push_back([&count] { ++count; });
     pool.run(std::move(more));
     EXPECT_EQ(count.load(), 45);
+}
+
+TEST(ThreadPool, EveryIndexRunsExactlyOnceOverThousandsOfBatches)
+{
+    // Counts below, at and above the thread count: the owner-first
+    // claims and the late steals between them must cover every index
+    // exactly once, batch after batch.
+    ThreadPool pool(4);
+    for (const std::size_t count : {1u, 2u, 3u, 4u, 5u, 9u, 67u}) {
+        std::vector<std::atomic<int>> hits(count);
+        const int batches = 3000;
+        for (int b = 0; b < batches; ++b)
+            pool.parallelFor(count,
+                             [&](std::size_t i, unsigned) { ++hits[i]; });
+        for (std::size_t i = 0; i < count; ++i)
+            EXPECT_EQ(hits[i].load(), batches) << i << " of " << count;
+    }
+}
+
+TEST(ThreadPool, IndexRunsOnItsOwnerSlot)
+{
+    // Index i belongs to slot i % threads. Each call here holds until
+    // all four have started, so no thread finishes its own index while
+    // another is unclaimed and nobody can steal: every index must run
+    // on its owner, every batch. A pool whose threads take indices from
+    // one shared counter places them in arrival order instead.
+    ThreadPool pool(4);
+    const std::uint64_t stealsBefore = pool.lateSteals();
+    int misplaced = 0;
+    int timedOut = 0;
+    for (int batch = 0; batch < 200; ++batch) {
+        std::mutex m;
+        std::condition_variable allIn;
+        int arrived = 0;
+        std::array<unsigned, 4> ranOn{};
+        pool.parallelFor(4, [&](std::size_t i, unsigned slot) {
+            std::unique_lock<std::mutex> lock(m);
+            ranOn[i] = slot;
+            if (++arrived == 4)
+                allIn.notify_all();
+            if (!allIn.wait_for(lock, std::chrono::seconds(20),
+                                [&] { return arrived == 4; }))
+                ++timedOut;
+        });
+        for (unsigned i = 0; i < 4; ++i)
+            misplaced += ranOn[i] != i;
+    }
+    EXPECT_EQ(timedOut, 0);
+    EXPECT_EQ(misplaced, 0);
+    EXPECT_EQ(pool.lateSteals(), stealsBefore);
+}
+
+TEST(ThreadPool, LateOwnersIndexIsStolenAndRunsOnce)
+{
+    // Slot 1 owns indices 1 and 5 of 8. Index 1 holds whoever runs it
+    // until index 5 has started, so 5 can only start on another thread
+    // after the spin window: a late steal (of 5, or of 1 if slot 1 was
+    // late for it too). Without steals the batch would wait out the
+    // 20 s timeout.
+    ThreadPool pool(4);
+    for (int warm = 0; warm < 10; ++warm)
+        pool.parallelFor(4, [](std::size_t, unsigned) {});
+    const std::uint64_t stealsBefore = pool.lateSteals();
+    std::vector<std::atomic<int>> hits(8);
+    std::array<std::atomic<unsigned>, 8> ranOn{};
+    std::mutex m;
+    std::condition_variable started;
+    bool fiveStarted = false;
+    bool timedOut = false;
+    pool.parallelFor(8, [&](std::size_t i, unsigned slot) {
+        ++hits[i];
+        ranOn[i] = slot;
+        std::unique_lock<std::mutex> lock(m);
+        if (i == 5) {
+            fiveStarted = true;
+            started.notify_all();
+        } else if (i == 1
+                   && !started.wait_for(lock, std::chrono::seconds(20),
+                                        [&] { return fiveStarted; })) {
+            timedOut = true;
+        }
+    });
+    EXPECT_FALSE(timedOut);
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << i;
+    EXPECT_NE(ranOn[1].load(), ranOn[5].load());
+    EXPECT_GE(pool.lateSteals(), stealsBefore + 1);
+
+    // A late steal leaves nothing behind: the next batches run clean.
+    std::atomic<int> count{0};
+    for (int b = 0; b < 100; ++b)
+        pool.parallelFor(8, [&](std::size_t, unsigned) { ++count; });
+    EXPECT_EQ(count.load(), 800);
+}
+
+TEST(ThreadPool, ExceptionsFromOwnersAndThievesPropagate)
+{
+    // Throwing indices on several owners, with more indices than
+    // threads: one of the exceptions comes back, every other index
+    // still ran exactly once, and the pool stays usable.
+    ThreadPool pool(4);
+    std::vector<std::atomic<int>> hits(23);
+    try {
+        pool.parallelFor(hits.size(), [&](std::size_t i, unsigned) {
+            ++hits[i];
+            if (i % 5 == 2)
+                throw std::runtime_error("index " + std::to_string(i));
+        });
+        ADD_FAILURE() << "no exception propagated";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()).rfind("index ", 0), 0u);
+    }
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << i;
+    std::atomic<int> count{0};
+    pool.parallelFor(9, [&](std::size_t, unsigned) { ++count; });
+    EXPECT_EQ(count.load(), 9);
 }
 
 namespace {
