@@ -173,7 +173,8 @@ struct MarshalResult
 /**
  * The stage-study rig: one conv layer (3x3 stride-1 pad-1, 32x16x16
  * -> 32 channels) through the production front of core/conv_front.hh
- * (the quantize into the zero-padded HWC plane, then the Kh-run patch
+ * (the quantize of a channels-last input into the zero-padded HWC
+ * plane, one span per row, then the Kh-run patch
  * copies of every output row) on one thread, marshalling every output
  * position's int8 patch into one buffer.
  *
@@ -192,7 +193,7 @@ struct StageRig
     std::vector<float> in;
     dnn::SymQuant sq;
     core::HwcPlane hp = core::hwc_plane(l);
-    std::vector<std::int8_t> plane, stage, patches, weights;
+    std::vector<std::int8_t> plane, patches, weights;
 
     StageRig()
     {
@@ -203,7 +204,6 @@ struct StageRig
                     / 64.0f;
         sq.scale = 1.0 / 64.0;
         plane.resize(hp.bytes());
-        stage.resize(core::hwc_stage_scratch_bytes(l));
         patches.resize(positions * patch_len);
         weights = pattern(std::size_t(l.outChannels) * patch_len, 5,
                           127);
@@ -215,8 +215,7 @@ struct StageRig
     marshal_once()
     {
         const auto t0 = std::chrono::steady_clock::now();
-        core::stage_hwc_rows(l, sq, in.data(), 0, hp.rows, plane.data(),
-                             stage.data());
+        core::stage_hwc_rows(l, sq, in.data(), 0, hp.rows, plane.data());
         const double quantize = seconds_since(t0);
         for (unsigned oh = 0; oh < out.h; ++oh)
             core::copy_patch_row(l, plane.data(), oh,

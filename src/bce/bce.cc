@@ -405,8 +405,7 @@ bool
 Bce::runTile(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
              std::size_t m, std::size_t k, std::size_t n, unsigned bits,
              const std::uint32_t *bFeatures, const std::int32_t *bRowSums,
-             std::uint32_t *scratch, std::size_t rowStride,
-             std::size_t colStride)
+             std::uint32_t *scratch)
 {
     if (m == 0 || n == 0)
         return false;
@@ -429,7 +428,7 @@ Bce::runTile(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
         return false;
     if (_mode == BceMode::Conv)
         std::fill(out, out + m * n, 0);
-    simd::gemm_i8(a, b, out, m, k, n, bRowSums, rowStride, colStride);
+    simd::gemm_i8(a, b, out, m, k, n, bRowSums);
     bookTile(foldTile(*t, m, k, n, scratch, bFeatures), k, bits);
     return true;
 }
@@ -439,21 +438,16 @@ Bce::convTile(const std::int8_t *a, const std::int8_t *w,
               std::int32_t *out, std::size_t m, std::size_t k,
               std::size_t n, unsigned bits,
               const std::uint32_t *wFeatures, const std::int32_t *wRowSums,
-              std::uint32_t *scratch, std::size_t rowStride,
-              std::size_t colStride)
+              std::uint32_t *scratch)
 {
     if (_mode != BceMode::Conv)
         bfree_panic("convTile requires conv mode");
 
-    if (rowStride == 0)
-        rowStride = n;
-    if (runTile(a, w, out, m, k, n, bits, wFeatures, wRowSums, scratch,
-                rowStride, colStride))
+    if (runTile(a, w, out, m, k, n, bits, wFeatures, wRowSums, scratch))
         return;
     for (std::size_t i = 0; i < m; ++i)
         for (std::size_t j = 0; j < n; ++j)
-            out[i * rowStride + j * colStride] =
-                dotProductSpan(w + j * k, a + i * k, k, bits);
+            out[i * n + j] = dotProductSpan(w + j * k, a + i * k, k, bits);
 }
 
 void
@@ -466,8 +460,7 @@ Bce::matmulTile(const std::int8_t *a, const std::int8_t *bt,
     if (_mode != BceMode::Matmul)
         bfree_panic("matmulTile requires matmul mode");
 
-    if (runTile(a, bt, out, m, k, n, bits, btFeatures, btRowSums,
-                scratch, n, 1))
+    if (runTile(a, bt, out, m, k, n, bits, btFeatures, btRowSums, scratch))
         return;
     for (std::size_t i = 0; i < m; ++i)
         for (std::size_t j = 0; j < n; ++j)
@@ -569,86 +562,85 @@ Bce::poolQ8(const PoolShape &g, bool average, const lut::DivisionLut &div,
 {
     // Unpadded 2x2 / stride-2 max pooling (VGG's only pool) has a
     // vector form: four taps, so 3 adds and 3 cycles per window. The
-    // channel planes are independent, so contiguous runs of them go
-    // to the pool's threads; the kernel declines on every thread or
-    // on none (it depends on the active level only).
+    // output rows are independent, so contiguous runs of them go to
+    // the pool's threads; the kernel declines on every thread or on
+    // none (it depends on the active level only).
+    const std::size_t inRow = g.inW * g.channels;
+    const std::size_t outRow = g.outW * g.channels;
     if (!average && g.kernelH == 2 && g.kernelW == 2 && g.strideH == 2
         && g.strideW == 2 && g.padH == 0 && g.padW == 0
         && g.outH == g.inH / 2 && g.outW == g.inW / 2) {
-        const std::size_t inPlane = g.inH * g.inW;
-        const std::size_t outPlane = g.outH * g.outW;
-        const auto run = [&](std::size_t c0, std::size_t c1) {
-            return simd::max_pool_2x2_q8(in + c0 * inPlane, c1 - c0, g.inH,
-                                         g.inW, out + c0 * outPlane);
+        const auto run = [&](std::size_t oh0, std::size_t oh1) {
+            return simd::max_pool_2x2_q8(in + 2 * oh0 * inRow, oh1 - oh0,
+                                         g.inW, g.channels,
+                                         out + oh0 * outRow);
         };
         bool vector = true;
-        if (pool != nullptr && pool->threads() > 1 && g.channels > 1) {
+        if (pool != nullptr && pool->threads() > 1 && g.outH > 1) {
             const std::size_t chunks =
-                std::min<std::size_t>(pool->threads(), g.channels);
+                std::min<std::size_t>(pool->threads(), g.outH);
             std::atomic<bool> ran{true};
             pool->parallelFor(chunks, [&](std::size_t c, unsigned) {
-                if (!run(c * g.channels / chunks,
-                         (c + 1) * g.channels / chunks))
+                if (!run(c * g.outH / chunks, (c + 1) * g.outH / chunks))
                     ran.store(false, std::memory_order_relaxed);
             });
             vector = ran.load(std::memory_order_relaxed);
         } else {
-            vector = run(0, g.channels);
+            vector = run(0, g.outH);
         }
         if (vector) {
-            const std::uint64_t windows = g.channels * outPlane;
+            const std::uint64_t windows = g.channels * g.outH * g.outW;
             stats_.counts.adds += 3 * windows;
             chargeCycles(3 * windows);
             return;
         }
     }
     std::uint64_t adds = 0, cycles = 0;
-    for (std::size_t c = 0; c < g.channels; ++c) {
-        const float *plane = in + c * g.inH * g.inW;
-        for (std::size_t oh = 0; oh < g.outH; ++oh) {
-            // The window clipped to the plane, as maxReduce/avgPool
-            // callers gather it: in-bounds taps only.
-            const long h0 = static_cast<long>(oh * g.strideH)
-                            - static_cast<long>(g.padH);
-            const std::size_t r0 = static_cast<std::size_t>(
-                std::max(h0, 0L));
-            const std::size_t r1 = static_cast<std::size_t>(std::clamp(
-                h0 + static_cast<long>(g.kernelH), 0L,
-                static_cast<long>(g.inH)));
-            for (std::size_t ow = 0; ow < g.outW; ++ow) {
-                const long w0 = static_cast<long>(ow * g.strideW)
-                                - static_cast<long>(g.padW);
-                const std::size_t s0 = static_cast<std::size_t>(
-                    std::max(w0, 0L));
-                const std::size_t s1 = static_cast<std::size_t>(
-                    std::clamp(w0 + static_cast<long>(g.kernelW), 0L,
-                               static_cast<long>(g.inW)));
-                std::size_t wn = 0;
+    for (std::size_t oh = 0; oh < g.outH; ++oh) {
+        // The window clipped to the input, as maxReduce/avgPool
+        // callers gather it: in-bounds taps only.
+        const long h0 = static_cast<long>(oh * g.strideH)
+                        - static_cast<long>(g.padH);
+        const std::size_t r0 = static_cast<std::size_t>(std::max(h0, 0L));
+        const std::size_t r1 = static_cast<std::size_t>(
+            std::clamp(h0 + static_cast<long>(g.kernelH), 0L,
+                       static_cast<long>(g.inH)));
+        for (std::size_t ow = 0; ow < g.outW; ++ow) {
+            const long w0 = static_cast<long>(ow * g.strideW)
+                            - static_cast<long>(g.padW);
+            const std::size_t s0 =
+                static_cast<std::size_t>(std::max(w0, 0L));
+            const std::size_t s1 = static_cast<std::size_t>(
+                std::clamp(w0 + static_cast<long>(g.kernelW), 0L,
+                           static_cast<long>(g.inW)));
+            const std::size_t wn = (r1 - r0) * (s1 - s0);
+            if (wn == 0)
+                bfree_panic(average ? "avgPool over an empty window"
+                                    : "maxReduce over an empty window");
+            float *slots = out + oh * outRow + ow * g.channels;
+            for (std::size_t c = 0; c < g.channels; ++c) {
                 std::int32_t best = 0;
                 std::int64_t sum = 0;
+                bool first = true;
                 for (std::size_t r = r0; r < r1; ++r) {
                     for (std::size_t s = s0; s < s1; ++s) {
                         const std::int32_t v =
-                            simd::q8(plane[r * g.inW + s]);
-                        if (wn == 0 || v > best)
+                            simd::q8(in[r * inRow + s * g.channels + c]);
+                        if (first || v > best)
                             best = v;
                         sum += v;
-                        ++wn;
+                        first = false;
                     }
                 }
-                if (wn == 0)
-                    bfree_panic(average ? "avgPool over an empty window"
-                                        : "maxReduce over an empty window");
                 adds += wn - 1;
                 cycles += wn > 1 ? wn - 1 : 1;
-                float &slot = out[(c * g.outH + oh) * g.outW + ow];
                 if (average) {
                     const double q =
                         divide(static_cast<double>(std::llabs(sum)),
                                static_cast<double>(wn), div);
-                    slot = static_cast<float>(sum < 0 ? -q : q) / 256.0f;
+                    slots[c] = static_cast<float>(sum < 0 ? -q : q) / 256.0f;
                 } else {
-                    slot = static_cast<float>(best) / 256.0f;
+                    slots[c] = static_cast<float>(best) / 256.0f;
                 }
             }
         }

@@ -290,19 +290,18 @@ class Bce
     void bookTile(const TileTally &tally, std::size_t k, unsigned bits);
 
     /**
-     * Conv-mode tile: out[i * rowStride + j * colStride] = dot(a[i],
-     * w[j]), the value m*n dotProductSpan(w[j], a[i], k, bits) calls
-     * return. rowStride 0 means n (the row-major tile); rowStride 1
-     * and colStride m store it filter-major, one run per filter. The
-     * strides must lay the tile out densely over m*n words.
+     * Conv-mode tile: the row-major m x n tile out[i * n + j] =
+     * dot(a[i], w[j]), the value m*n dotProductSpan(w[j], a[i], k,
+     * bits) calls return: one output row's patches against the
+     * filters, each position's filters one run of its channels-last
+     * output.
      */
     void convTile(const std::int8_t *a, const std::int8_t *w,
                   std::int32_t *out, std::size_t m, std::size_t k,
                   std::size_t n, unsigned bits,
                   const std::uint32_t *wFeatures = nullptr,
                   const std::int32_t *wRowSums = nullptr,
-                  std::uint32_t *scratch = nullptr,
-                  std::size_t rowStride = 0, std::size_t colStride = 1);
+                  std::uint32_t *scratch = nullptr);
 
     /**
      * Matmul-mode tile: BT is the transposed B tile and out (m x n
@@ -371,14 +370,15 @@ class Bce
     void bookRelu(std::size_t n);
 
     /**
-     * Max or average pooling over a whole channels x inH x inW plane in
-     * Q8 fixed point. Each window's result, adds and cycles are those
-     * of one maxReduce() (or avgPool()) call over the window's
-     * in-bounds Q8 values; the bookkeeping is booked once per call.
-     * Unpadded 2x2 / stride-2 max pooling runs simd::max_pool_2x2_q8
-     * where the active level has it, split by channel plane over
-     * @p pool when one is given; the booking stays on the calling
-     * thread, so outputs and statistics do not depend on the split.
+     * Max or average pooling over a whole channels-last inH x inW x
+     * channels activation in Q8 fixed point, written channels-last.
+     * Each window's result, adds and cycles are those of one
+     * maxReduce() (or avgPool()) call over the window's in-bounds Q8
+     * values; the bookkeeping is booked once per call. Unpadded 2x2 /
+     * stride-2 max pooling runs simd::max_pool_2x2_q8 where the active
+     * level has it, split by output rows over @p pool when one is
+     * given; the booking stays on the calling thread, so outputs and
+     * statistics do not depend on the split.
      */
     void poolQ8(const PoolShape &shape, bool average,
                 const lut::DivisionLut &div, const float *in,
@@ -465,17 +465,17 @@ class Bce
 
     /**
      * The GEMM body of both tile entry points: tileTable(), the
-     * measured activation domain, then simd::gemm_i8 into out (conv
-     * mode overwrites, matmul mode accumulates), foldTile and
-     * bookTile. Returns false, with out and the statistics untouched,
-     * when the tile must run the per-span loop.
+     * measured activation domain, then simd::gemm_i8 into the
+     * row-major m x n out (conv mode overwrites, matmul mode
+     * accumulates), foldTile and bookTile. Returns false, with out and
+     * the statistics untouched, when the tile must run the per-span
+     * loop.
      */
     bool runTile(const std::int8_t *a, const std::int8_t *b,
                  std::int32_t *out, std::size_t m, std::size_t k,
                  std::size_t n, unsigned bits,
                  const std::uint32_t *bFeatures,
-                 const std::int32_t *bRowSums, std::uint32_t *scratch,
-                 std::size_t rowStride, std::size_t colStride);
+                 const std::int32_t *bRowSums, std::uint32_t *scratch);
 
     mem::Subarray *sa;
     tech::TechParams tech;

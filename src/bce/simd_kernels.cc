@@ -165,14 +165,13 @@ feature_sums_scalar(const std::int8_t *tile, std::size_t rows,
 
 void
 gemm_scalar(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
-            std::size_t m, std::size_t k, std::size_t n, std::size_t rs,
-            std::size_t cs)
+            std::size_t m, std::size_t k, std::size_t n, std::size_t rs)
 {
     for (std::size_t i = 0; i < m; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
             const std::int8_t *ar = a + i * k;
             const std::int8_t *br = b + j * k;
-            std::int32_t &o = out[i * rs + j * cs];
+            std::int32_t &o = out[i * rs + j];
             std::uint32_t acc = static_cast<std::uint32_t>(o);
             for (std::size_t p = 0; p < k; ++p)
                 acc += static_cast<std::uint32_t>(std::int32_t{ar[p]}
@@ -199,15 +198,15 @@ row_sums_scalar(const std::int8_t *tile, std::size_t rows, std::size_t k,
  * and bottom edges take 1 x NR, MR x 1 and 1 x 1 blocks. Columns are
  * the outer loop so a block's weight rows stay in L1 while the
  * activation rows stream from L2. Element (i, j) of the output lives
- * at out[i * rs + j * cs]. Block<mr, nr>::run(a, b, k, out, rs, cs,
- * bSums) accumulates one block; bSums (the block's first weight row
- * sum) is read only by the VNNI block.
+ * at out[i * rs + j]. Block<mr, nr>::run(a, b, k, out, rs, bSums)
+ * accumulates one block; bSums (the block's first weight row sum) is
+ * read only by the VNNI block.
  */
 template <template <int, int> class Block, int MR, int NR>
 void
 gemm_blocked(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
              std::size_t m, std::size_t k, std::size_t n, std::size_t rs,
-             std::size_t cs, const std::int32_t *bSums = nullptr)
+             const std::int32_t *bSums = nullptr)
 {
     std::size_t j = 0;
     for (; j + NR <= n; j += NR) {
@@ -215,20 +214,20 @@ gemm_blocked(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
         std::size_t i = 0;
         for (; i + MR <= m; i += MR)
             Block<MR, NR>::run(a + i * k, b + j * k, k,
-                               out + i * rs + j * cs, rs, cs, sj);
+                               out + i * rs + j, rs, sj);
         for (; i < m; ++i)
             Block<1, NR>::run(a + i * k, b + j * k, k,
-                              out + i * rs + j * cs, rs, cs, sj);
+                              out + i * rs + j, rs, sj);
     }
     for (; j < n; ++j) {
         const std::int32_t *sj = bSums != nullptr ? bSums + j : nullptr;
         std::size_t i = 0;
         for (; i + MR <= m; i += MR)
             Block<MR, 1>::run(a + i * k, b + j * k, k,
-                              out + i * rs + j * cs, rs, cs, sj);
+                              out + i * rs + j, rs, sj);
         for (; i < m; ++i)
             Block<1, 1>::run(a + i * k, b + j * k, k,
-                             out + i * rs + j * cs, rs, cs, sj);
+                             out + i * rs + j, rs, sj);
     }
 }
 
@@ -974,26 +973,14 @@ feature_sums_sse42(const std::int8_t *tile, std::size_t rows,
     sums[feature_count * k] = pack_range(lo, hi, 16);
 }
 
-/**
- * out[j * cs] += r[j] for the four int32 lanes of @p r, mod 2^32: one
- * vector add when the lanes are contiguous (cs == 1), else lane by
- * lane.
- */
+/** out[j] += r[j] for the four int32 lanes of @p r, mod 2^32. */
 __attribute__((target("sse4.2"), always_inline)) inline void
-add_lanes4(std::int32_t *out, std::size_t cs, __m128i r)
+add_lanes4(std::int32_t *out, __m128i r)
 {
-    if (cs == 1) {
-        _mm_storeu_si128(
-            reinterpret_cast<__m128i *>(out),
-            _mm_add_epi32(
-                _mm_loadu_si128(reinterpret_cast<const __m128i *>(out)), r));
-        return;
-    }
-    alignas(16) std::uint32_t v[4];
-    _mm_store_si128(reinterpret_cast<__m128i *>(v), r);
-    for (int j = 0; j < 4; ++j)
-        out[j * cs] = static_cast<std::int32_t>(
-            static_cast<std::uint32_t>(out[j * cs]) + v[j]);
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i *>(out),
+        _mm_add_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i *>(out)),
+                      r));
 }
 
 /**
@@ -1027,8 +1014,7 @@ struct GemmAvx2
 {
     __attribute__((target("avx2"))) static void
     run(const std::int8_t *a, const std::int8_t *b, std::size_t k,
-        std::int32_t *out, std::size_t rs, std::size_t cs,
-        const std::int32_t *)
+        std::int32_t *out, std::size_t rs, const std::int32_t *)
     {
         __m256i acc[MR][NR];
         #pragma GCC unroll 4
@@ -1075,14 +1061,13 @@ struct GemmAvx2
                 const __m256i h = _mm256_hadd_epi32(
                     _mm256_hadd_epi32(acc[i][0], acc[i][1]),
                     _mm256_hadd_epi32(acc[i][2], acc[i][3]));
-                add_lanes4(o, cs,
-                           _mm_add_epi32(_mm256_castsi256_si128(h),
-                                         _mm256_extracti128_si256(h, 1)));
+                add_lanes4(o, _mm_add_epi32(_mm256_castsi256_si128(h),
+                                            _mm256_extracti128_si256(h, 1)));
             } else {
                 #pragma GCC unroll 4
                 for (int j = 0; j < NR; ++j)
-                    o[j * cs] = static_cast<std::int32_t>(
-                        static_cast<std::uint32_t>(o[j * cs])
+                    o[j] = static_cast<std::int32_t>(
+                        static_cast<std::uint32_t>(o[j])
                         + wsum_u32x8(acc[i][j]));
             }
         }
@@ -1114,8 +1099,7 @@ struct GemmSse42
 {
     __attribute__((target("sse4.2"))) static void
     run(const std::int8_t *a, const std::int8_t *b, std::size_t k,
-        std::int32_t *out, std::size_t rs, std::size_t cs,
-        const std::int32_t *)
+        std::int32_t *out, std::size_t rs, const std::int32_t *)
     {
         __m128i acc[MR][NR];
         #pragma GCC unroll 4
@@ -1159,16 +1143,15 @@ struct GemmSse42
         for (int i = 0; i < MR; ++i) {
             std::int32_t *o = out + i * rs;
             if constexpr (NR == 4) {
-                add_lanes4(o, cs,
-                           _mm_hadd_epi32(
-                               _mm_hadd_epi32(acc[i][0], acc[i][1]),
-                               _mm_hadd_epi32(acc[i][2], acc[i][3])));
+                add_lanes4(o, _mm_hadd_epi32(
+                                  _mm_hadd_epi32(acc[i][0], acc[i][1]),
+                                  _mm_hadd_epi32(acc[i][2], acc[i][3])));
             } else {
                 #pragma GCC unroll 4
                 for (int j = 0; j < NR; ++j) {
                     const __m128i h = _mm_hadd_epi32(acc[i][j], acc[i][j]);
-                    o[j * cs] = static_cast<std::int32_t>(
-                        static_cast<std::uint32_t>(o[j * cs])
+                    o[j] = static_cast<std::int32_t>(
+                        static_cast<std::uint32_t>(o[j])
                         + static_cast<std::uint32_t>(_mm_cvtsi128_si32(
                             _mm_hadd_epi32(h, h))));
                 }
@@ -1235,17 +1218,14 @@ feature_sums_avx512(const std::int8_t *tile, std::size_t rows,
 /**
  * Add the MR x NR int32 lane accumulators of a 512-bit GEMM block,
  * each reduced across its 16 lanes, into the output block (mod 2^32),
- * element (i, j) at out[i * rs + j * cs]. With @p bSums (the VNNI
- * block's weight row sums), 128 * bSums[j] comes off every column j in
- * the same add. A full 4 x 4 block stored column-major (rs == 1, the
- * conv tile's filter-major layout) is transposed in registers and
- * lands as four contiguous column runs.
+ * element (i, j) at out[i * rs + j]. With @p bSums (the VNNI block's
+ * weight row sums), 128 * bSums[j] comes off every column j in the
+ * same add.
  */
 template <int MR, int NR>
 __attribute__((target("avx512f,avx512bw,avx512vl"), always_inline)) inline void
 store_block_512(const __m512i (&acc)[MR][NR], std::int32_t *out,
-                std::size_t rs, std::size_t cs,
-                const std::int32_t *bSums = nullptr)
+                std::size_t rs, const std::int32_t *bSums = nullptr)
 {
     if constexpr (NR == 4) {
         __m128i r[MR];
@@ -1269,30 +1249,17 @@ store_block_512(const __m512i (&acc)[MR][NR], std::int32_t *out,
                                   reinterpret_cast<const __m128i *>(bSums)),
                               7));
         }
-        if constexpr (MR == 4) {
-            if (rs == 1 && cs != 1) {
-                const __m128i t0 = _mm_unpacklo_epi32(r[0], r[1]);
-                const __m128i t1 = _mm_unpacklo_epi32(r[2], r[3]);
-                const __m128i t2 = _mm_unpackhi_epi32(r[0], r[1]);
-                const __m128i t3 = _mm_unpackhi_epi32(r[2], r[3]);
-                add_lanes4(out, 1, _mm_unpacklo_epi64(t0, t1));
-                add_lanes4(out + cs, 1, _mm_unpackhi_epi64(t0, t1));
-                add_lanes4(out + 2 * cs, 1, _mm_unpacklo_epi64(t2, t3));
-                add_lanes4(out + 3 * cs, 1, _mm_unpackhi_epi64(t2, t3));
-                return;
-            }
-        }
         #pragma GCC unroll 4
         for (int i = 0; i < MR; ++i)
-            add_lanes4(out + i * rs, cs, r[i]);
+            add_lanes4(out + i * rs, r[i]);
     } else {
         #pragma GCC unroll 4
         for (int i = 0; i < MR; ++i) {
             std::int32_t *o = out + i * rs;
             #pragma GCC unroll 4
             for (int j = 0; j < NR; ++j)
-                o[j * cs] = static_cast<std::int32_t>(
-                    static_cast<std::uint32_t>(o[j * cs])
+                o[j] = static_cast<std::int32_t>(
+                    static_cast<std::uint32_t>(o[j])
                     + static_cast<std::uint32_t>(
                         _mm512_reduce_add_epi32(acc[i][j]))
                     - (bSums != nullptr
@@ -1312,8 +1279,7 @@ struct GemmAvx512
 {
     __attribute__((target("avx512f,avx512bw,avx512vl"))) static void
     run(const std::int8_t *a, const std::int8_t *b, std::size_t k,
-        std::int32_t *out, std::size_t rs, std::size_t cs,
-        const std::int32_t *)
+        std::int32_t *out, std::size_t rs, const std::int32_t *)
     {
         __m512i acc[MR][NR];
         #pragma GCC unroll 4
@@ -1340,7 +1306,7 @@ struct GemmAvx512
                         acc[i][j], _mm512_madd_epi16(va[i], vb));
             }
         }
-        store_block_512<MR, NR>(acc, out, rs, cs);
+        store_block_512<MR, NR>(acc, out, rs);
     }
 };
 
@@ -1383,8 +1349,7 @@ struct GemmVnni
 
     __attribute__((target("avx512f,avx512bw,avx512vl,avx512vnni"))) static void
     run(const std::int8_t *a, const std::int8_t *b, std::size_t k,
-        std::int32_t *out, std::size_t rs, std::size_t cs,
-        const std::int32_t *bSums)
+        std::int32_t *out, std::size_t rs, const std::int32_t *bSums)
     {
         __m512i acc[MR][NR];
         #pragma GCC unroll 4
@@ -1397,7 +1362,7 @@ struct GemmVnni
             step<false>(acc, a + p, b + p, k, 0);
         if (p < k)
             step<true>(acc, a + p, b + p, k, (__mmask64{1} << (k - p)) - 1);
-        store_block_512<MR, NR>(acc, out, rs, cs, bSums);
+        store_block_512<MR, NR>(acc, out, rs, bSums);
     }
 };
 
@@ -1527,68 +1492,20 @@ amx_block(const std::int8_t *a, std::size_t k, const std::int8_t *b,
 
 /**
  * Add rows [0, rows) x columns [0, cols) of the 16 x 16 int32 tile
- * @p c into the output, element (r, j) at out[r * rs + j * cs], mod
- * 2^32. Row-major outputs (cs == 1) take one masked row add per row;
- * filter-major ones (rs == 1) transpose the tile in registers and take
- * one masked add per column, a contiguous run of the filter's outputs.
+ * @p c into the output, element (r, j) at out[r * rs + j], mod 2^32:
+ * one masked row add per row.
  */
 __attribute__((target("avx512f,avx512bw,avx512vl"))) void
 amx_add_tile(const std::int32_t *c, std::size_t rows, std::size_t cols,
-             std::int32_t *out, std::size_t rs, std::size_t cs)
+             std::int32_t *out, std::size_t rs)
 {
-    if (cs == 1) {
-        const __mmask16 m = lanes16(cols);
-        for (std::size_t r = 0; r < rows; ++r) {
-            std::int32_t *o = out + r * rs;
-            _mm512_mask_storeu_epi32(
-                o, m,
-                _mm512_add_epi32(_mm512_maskz_loadu_epi32(m, o),
-                                 _mm512_load_si512(c + r * panel_width)));
-        }
-        return;
-    }
-    if (rs != 1) {
-        for (std::size_t r = 0; r < rows; ++r)
-            for (std::size_t j = 0; j < cols; ++j) {
-                std::int32_t &o = out[r * rs + j * cs];
-                o = static_cast<std::int32_t>(
-                    static_cast<std::uint32_t>(o)
-                    + static_cast<std::uint32_t>(c[r * panel_width + j]));
-            }
-        return;
-    }
-    // 16 x 16 transpose: interleave row pairs, then row quads, so
-    // u[4 g + e] holds column 4 L + e of rows 4 g .. 4 g + 3 in 128-bit
-    // lane L; then gather lane L of u[e], u[4 + e], u[8 + e], u[12 + e].
-    __m512i t[16], u[16];
-    for (int i = 0; i < 16; i += 2) {
-        const __m512i r0 = _mm512_load_si512(c + i * panel_width);
-        const __m512i r1 = _mm512_load_si512(c + (i + 1) * panel_width);
-        t[i] = _mm512_unpacklo_epi32(r0, r1);
-        t[i + 1] = _mm512_unpackhi_epi32(r0, r1);
-    }
-    for (int g = 0; g < 16; g += 4) {
-        u[g] = _mm512_unpacklo_epi64(t[g], t[g + 2]);
-        u[g + 1] = _mm512_unpackhi_epi64(t[g], t[g + 2]);
-        u[g + 2] = _mm512_unpacklo_epi64(t[g + 1], t[g + 3]);
-        u[g + 3] = _mm512_unpackhi_epi64(t[g + 1], t[g + 3]);
-    }
-    __m512i col[16];
-    for (int e = 0; e < 4; ++e) {
-        const __m512i v0 = _mm512_shuffle_i32x4(u[e], u[4 + e], 0x88);
-        const __m512i v1 = _mm512_shuffle_i32x4(u[e], u[4 + e], 0xDD);
-        const __m512i v2 = _mm512_shuffle_i32x4(u[8 + e], u[12 + e], 0x88);
-        const __m512i v3 = _mm512_shuffle_i32x4(u[8 + e], u[12 + e], 0xDD);
-        col[e] = _mm512_shuffle_i32x4(v0, v2, 0x88);
-        col[4 + e] = _mm512_shuffle_i32x4(v1, v3, 0x88);
-        col[8 + e] = _mm512_shuffle_i32x4(v0, v2, 0xDD);
-        col[12 + e] = _mm512_shuffle_i32x4(v1, v3, 0xDD);
-    }
-    const __mmask16 m = lanes16(rows);
-    for (std::size_t j = 0; j < cols; ++j) {
-        std::int32_t *o = out + j * cs;
+    const __mmask16 m = lanes16(cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+        std::int32_t *o = out + r * rs;
         _mm512_mask_storeu_epi32(
-            o, m, _mm512_add_epi32(_mm512_maskz_loadu_epi32(m, o), col[j]));
+            o, m,
+            _mm512_add_epi32(_mm512_maskz_loadu_epi32(m, o),
+                             _mm512_load_si512(c + r * panel_width)));
     }
 }
 
@@ -1602,8 +1519,7 @@ amx_add_tile(const std::int32_t *c, std::size_t rows, std::size_t cols,
  */
 __attribute__((target("amx-tile,amx-int8,avx512f,avx512bw,avx512vl"))) void
 gemm_amx(const std::int8_t *a, const std::int8_t *panel, std::int32_t *out,
-         std::size_t m, std::size_t k, std::size_t n, std::size_t rs,
-         std::size_t cs)
+         std::size_t m, std::size_t k, std::size_t n, std::size_t rs)
 {
     const std::size_t steps = (k + panel_k_step - 1) / panel_k_step;
     const std::size_t panels = (n + panel_width - 1) / panel_width;
@@ -1634,7 +1550,7 @@ gemm_amx(const std::int8_t *a, const std::int8_t *panel, std::int32_t *out,
                     amx_add_tile(c[2 * rb + pb],
                                  std::min(panel_width, m - r0),
                                  std::min(panel_width, n - j0),
-                                 out + r0 * rs + j0 * cs, rs, cs);
+                                 out + r0 * rs + j0, rs);
                 }
             }
         }
@@ -1842,16 +1758,15 @@ void
 gemm_i8(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
         std::size_t m, std::size_t k, std::size_t n,
         const std::int32_t *bRowSums, std::size_t rowStride,
-        std::size_t colStride, const std::int8_t *bPanel)
+        const std::int8_t *bPanel)
 {
     const std::size_t rs = rowStride == 0 ? n : rowStride;
-    const std::size_t cs = colStride;
     switch (sim::active_simd_level()) {
 #ifdef BFREE_X86_KERNELS
       case sim::SimdLevel::AmxInt8:
 #if defined(__x86_64__)
         if (bPanel != nullptr)
-            return gemm_amx(a, bPanel, out, m, k, n, rs, cs);
+            return gemm_amx(a, bPanel, out, m, k, n, rs);
 #endif
         [[fallthrough]];
       case sim::SimdLevel::Avx512Vnni: {
@@ -1864,18 +1779,18 @@ gemm_i8(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
             weight_row_sums(b, n, k, ownSums.data());
             bRowSums = ownSums.data();
         }
-        return gemm_blocked<GemmVnni, 4, 4>(a, b, out, m, k, n, rs, cs,
+        return gemm_blocked<GemmVnni, 4, 4>(a, b, out, m, k, n, rs,
                                             bRowSums);
       }
       case sim::SimdLevel::Avx512:
-        return gemm_blocked<GemmAvx512, 4, 4>(a, b, out, m, k, n, rs, cs);
+        return gemm_blocked<GemmAvx512, 4, 4>(a, b, out, m, k, n, rs);
       case sim::SimdLevel::Avx2:
-        return gemm_blocked<GemmAvx2, 2, 4>(a, b, out, m, k, n, rs, cs);
+        return gemm_blocked<GemmAvx2, 2, 4>(a, b, out, m, k, n, rs);
       case sim::SimdLevel::Sse42:
-        return gemm_blocked<GemmSse42, 2, 4>(a, b, out, m, k, n, rs, cs);
+        return gemm_blocked<GemmSse42, 2, 4>(a, b, out, m, k, n, rs);
 #endif
       default:
-        return gemm_scalar(a, b, out, m, k, n, rs, cs);
+        return gemm_scalar(a, b, out, m, k, n, rs);
     }
 }
 
@@ -1905,14 +1820,13 @@ dequantize_store_scalar(const std::int32_t *acc, std::size_t n,
     }
 }
 
-/** One 2x2 window of the rows @p r0 / @p r1 at column 2 * ow, tap by
- *  tap: the generic pool loop's result for that window. */
+/** One channel of a 2x2 window from its four taps, tap by tap: the
+ *  generic pool loop's result for that window. */
 inline float
-max_window_2x2_scalar(const float *r0, const float *r1, std::size_t ow)
+max_window_2x2_scalar(float a, float b, float c, float d)
 {
-    const std::size_t s = 2 * ow;
-    const std::int32_t best = std::max(std::max(q8(r0[s]), q8(r0[s + 1])),
-                                       std::max(q8(r1[s]), q8(r1[s + 1])));
+    const std::int32_t best =
+        std::max(std::max(q8(a), q8(b)), std::max(q8(c), q8(d)));
     return static_cast<float>(best) / 256.0f;
 }
 
@@ -2021,46 +1935,41 @@ below_512(__m512 v, __m512 limit)
 }
 
 __attribute__((target("avx512f,avx512bw,avx512vl"))) void
-max_pool_2x2_avx512(const float *in, std::size_t channels,
-                    std::size_t inH, std::size_t inW, float *out)
+max_pool_2x2_avx512(const float *in, std::size_t rows, std::size_t inW,
+                    std::size_t channels, float *out)
 {
-    const std::size_t outH = inH / 2;
     const std::size_t outW = inW / 2;
-    const __m512i evens = _mm512_set_epi32(30, 28, 26, 24, 22, 20, 18, 16,
-                                           14, 12, 10, 8, 6, 4, 2, 0);
-    const __m512i odds = _mm512_add_epi32(evens, _mm512_set1_epi32(1));
+    const std::size_t inRow = inW * channels;
     // |x| < 2^23 is |x * 256| < 2^31: q8's in-register range.
     const __m512 limit = _mm512_set1_ps(8388608.0f);
-    for (std::size_t c = 0; c < channels; ++c) {
-        for (std::size_t oh = 0; oh < outH; ++oh) {
-            const float *r0 = in + (c * inH + 2 * oh) * inW;
-            const float *r1 = r0 + inW;
-            float *dst = out + (c * outH + oh) * outW;
-            // 16 windows per step: 32 columns of both rows.
-            for (std::size_t ow = 0; ow < outW; ow += 16) {
-                const std::size_t rem = std::min<std::size_t>(16, outW - ow);
-                const __mmask16 mlo = lanes16(2 * rem);
-                const __mmask16 mhi = lanes16(rem > 8 ? 2 * (rem - 8) : 0);
-                const __m512 a0 = _mm512_maskz_loadu_ps(mlo, r0 + 2 * ow);
-                const __m512 a1 =
-                    _mm512_maskz_loadu_ps(mhi, r0 + 2 * ow + 16);
-                const __m512 b0 = _mm512_maskz_loadu_ps(mlo, r1 + 2 * ow);
-                const __m512 b1 =
-                    _mm512_maskz_loadu_ps(mhi, r1 + 2 * ow + 16);
-                if ((below_512(a0, limit) & below_512(a1, limit)
-                     & below_512(b0, limit) & below_512(b1, limit))
+    for (std::size_t oh = 0; oh < rows; ++oh) {
+        const float *r0 = in + 2 * oh * inRow;
+        const float *r1 = r0 + inRow;
+        float *dst = out + oh * outW * channels;
+        for (std::size_t ow = 0; ow < outW; ++ow, dst += channels) {
+            // The window's four taps are four runs of the channels.
+            const float *t0 = r0 + 2 * ow * channels;
+            const float *t1 = t0 + channels;
+            const float *t2 = r1 + 2 * ow * channels;
+            const float *t3 = t2 + channels;
+            for (std::size_t c = 0; c < channels; c += 16) {
+                const __mmask16 m = lanes16(channels - c);
+                const __m512 a = _mm512_maskz_loadu_ps(m, t0 + c);
+                const __m512 b = _mm512_maskz_loadu_ps(m, t1 + c);
+                const __m512 d = _mm512_maskz_loadu_ps(m, t2 + c);
+                const __m512 e = _mm512_maskz_loadu_ps(m, t3 + c);
+                if ((below_512(a, limit) & below_512(b, limit)
+                     & below_512(d, limit) & below_512(e, limit))
                     != 0xFFFF) {
-                    for (std::size_t w = ow; w < ow + rem; ++w)
-                        dst[w] = max_window_2x2_scalar(r0, r1, w);
+                    for (std::size_t l = c; l < c + 16 && l < channels; ++l)
+                        dst[l] = max_window_2x2_scalar(t0[l], t1[l], t2[l],
+                                                       t3[l]);
                     continue;
                 }
-                const __m512 lo = _mm512_max_ps(a0, b0);
-                const __m512 hi = _mm512_max_ps(a1, b1);
                 const __m512 best =
-                    _mm512_max_ps(_mm512_permutex2var_ps(lo, evens, hi),
-                                  _mm512_permutex2var_ps(lo, odds, hi));
+                    _mm512_max_ps(_mm512_max_ps(a, b), _mm512_max_ps(d, e));
                 __mmask16 ok;
-                _mm512_mask_storeu_ps(dst + ow, lanes16(rem),
+                _mm512_mask_storeu_ps(dst + c, m,
                                       from_q8_512(q8_512(best, ok)));
             }
         }
@@ -2166,12 +2075,12 @@ pwl_span(const lut::PwlTable &table, const double *in, double *out,
 }
 
 bool
-max_pool_2x2_q8(const float *in, std::size_t channels, std::size_t inH,
-                std::size_t inW, float *out)
+max_pool_2x2_q8(const float *in, std::size_t rows, std::size_t inW,
+                std::size_t channels, float *out)
 {
 #ifdef BFREE_X86_KERNELS
     if (epilogue_avx512()) {
-        max_pool_2x2_avx512(in, channels, inH, inW, out);
+        max_pool_2x2_avx512(in, rows, inW, channels, out);
         return true;
     }
 #endif

@@ -194,9 +194,8 @@ std::size_t panel_a_bytes(std::size_t m, std::size_t k);
 
 /**
  * Register-blocked int8 GEMM over K-contiguous operands:
- * out[i * rowStride + j * colStride] += sum_p a[i * k + p] * b[j * k + p],
- * wrapped mod 2^32
- * exactly like the span kernels' accumulators. Ragged K is handled
+ * out[i * rowStride + j] += sum_p a[i * k + p] * b[j * k + p], wrapped
+ * mod 2^32 exactly like the span kernels' accumulators. Ragged K is handled
  * with masked or zero-filled tails, never by reading past a row (the
  * AMX core excepted, below). One core per x86 level: AMX-INT8 runs
  * 2x2 blocks of 16 x 16 tdpbssd tiles (s8 x s8, no bias) when given a
@@ -208,12 +207,12 @@ std::size_t panel_a_bytes(std::size_t m, std::size_t k);
  *
  * @p bRowSums, when not null, holds weight_row_sums of the n rows of
  * b (frozen at plan compile); null makes the VNNI core compute them
- * per call. The other cores ignore it. @p rowStride 0 means n, so the
- * defaults are the row-major m x n output; a block of columns
- * [j0, j0 + n) of a wider row-major output is gemm_i8(a, b + j0 * k,
- * out + j0, m, k, n, sums + j0, width). rowStride 1 and colStride m
- * store the output column-major, one contiguous run per weight row:
- * the conv tile's filter-major layout.
+ * per call. The other cores ignore it. @p rowStride 0 means n, the
+ * row-major m x n output: the conv tile's [o.w][o.c] layout, each
+ * output position's filters one contiguous run of its channels-last
+ * output row. A block of columns [j0, j0 + n) of a wider row-major
+ * output is gemm_i8(a, b + j0 * k, out + j0, m, k, n, sums + j0,
+ * width).
  *
  * @p bPanel, when not null, is b packed by pack_panel (frozen at plan
  * compile). At the AmxInt8 level the call then runs the AMX core,
@@ -223,7 +222,7 @@ std::size_t panel_a_bytes(std::size_t m, std::size_t k);
 void gemm_i8(const std::int8_t *a, const std::int8_t *b,
              std::int32_t *out, std::size_t m, std::size_t k,
              std::size_t n, const std::int32_t *bRowSums = nullptr,
-             std::size_t rowStride = 0, std::size_t colStride = 1,
+             std::size_t rowStride = 0,
              const std::int8_t *bPanel = nullptr);
 
 // ---------------------------------------------------------------------
@@ -284,17 +283,22 @@ void dequantize_store(const std::int32_t *acc, std::size_t n,
                       std::size_t biasStride, bool relu, float *out);
 
 /**
- * Unpadded 2x2 / stride-2 max pooling in Q8 over @p channels planes
- * of inH x inW: out[(c * outH + oh) * outW + ow] = q8(max of the
- * window) / 256 with outH = inH / 2, outW = inW / 2 (an odd last row
- * or column is dropped). Equal to the max of the four q8 values
- * because q8 is monotone non-decreasing inside (-2^31, 2^31); a block
- * holding NaN or a value outside that range takes the per-tap scalar
- * walk. Returns false, writing nothing, when the active level has no
- * vector form: the caller runs its generic window loop.
+ * Unpadded 2x2 / stride-2 max pooling in Q8 over channels-last (HWC)
+ * activations: @p rows output rows from the 2 * rows input rows of
+ * inW * channels floats at @p in,
+ * out[(oh * outW + ow) * channels + c] = q8(max of the window) / 256
+ * with outW = inW / 2 (an odd last column is dropped; the caller drops
+ * an odd last row). A window's four taps are four contiguous runs of
+ * the channels, so one step takes the elementwise max of four
+ * 16-channel loads. Equal to the max of the four q8 values because q8
+ * is monotone non-decreasing inside (-2^31, 2^31); a step holding NaN
+ * or a value outside that range takes the per-tap scalar walk. Rows
+ * are independent: disjoint row ranges may run on different threads.
+ * Returns false, writing nothing, when the active level has no vector
+ * form: the caller runs its generic window loop.
  */
-bool max_pool_2x2_q8(const float *in, std::size_t channels,
-                     std::size_t inH, std::size_t inW, float *out);
+bool max_pool_2x2_q8(const float *in, std::size_t rows, std::size_t inW,
+                     std::size_t channels, float *out);
 
 // ---------------------------------------------------------------------
 // PWL span: sigmoid / tanh / exp over a run of activations

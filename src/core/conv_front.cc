@@ -4,10 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 #include "bce/simd_kernels.hh"
 
 namespace bfree::core {
@@ -63,12 +59,31 @@ struct TapGeometry
     }
 };
 
-/** dst[i] += src[i], i in [0, n), mod 2^32. */
+/** dst[i] += src[i], i in [0, n), mod 2^32. Sixteen words per step
+ *  over unaliased arrays, so the step compiles to vector adds. */
 void
-add_words(std::uint32_t *dst, const std::uint32_t *src, std::size_t n)
+add_words(std::uint32_t *__restrict dst, const std::uint32_t *__restrict src,
+          std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i)
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16)
+        for (std::size_t j = 0; j < 16; ++j)
+            dst[i + j] += src[i + j];
+    for (; i < n; ++i)
         dst[i] += src[i];
+}
+
+/** dst[i] -= src[i], i in [0, n), mod 2^32, as add_words steps. */
+void
+sub_words(std::uint32_t *__restrict dst, const std::uint32_t *__restrict src,
+          std::size_t n)
+{
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16)
+        for (std::size_t j = 0; j < 16; ++j)
+            dst[i + j] -= src[i + j];
+    for (; i < n; ++i)
+        dst[i] -= src[i];
 }
 
 /**
@@ -94,56 +109,6 @@ copy_run(std::int8_t *dst, const std::int8_t *src, std::size_t len)
     }
 }
 
-/**
- * The [c][w] block of quantized channel rows @p src, channels-last:
- * dst[x * c + ch] = src[ch * w + x]. Eight channels by eight columns
- * at a time through a byte-unpack transpose where SSE2 is available.
- */
-void
-transpose_to_hwc(const std::int8_t *src, std::size_t c, std::size_t w,
-                 std::int8_t *dst)
-{
-    std::size_t ch0 = 0;
-#if defined(__SSE2__)
-    for (; ch0 + 8 <= c; ch0 += 8) {
-        std::size_t x = 0;
-        for (; x + 8 <= w; x += 8) {
-            const std::int8_t *s = src + ch0 * w + x;
-            __m128i r[8];
-            for (int i = 0; i < 8; ++i)
-                r[i] = _mm_loadl_epi64(
-                    reinterpret_cast<const __m128i *>(s + i * w));
-            const __m128i t0 = _mm_unpacklo_epi8(r[0], r[1]);
-            const __m128i t1 = _mm_unpacklo_epi8(r[2], r[3]);
-            const __m128i t2 = _mm_unpacklo_epi8(r[4], r[5]);
-            const __m128i t3 = _mm_unpacklo_epi8(r[6], r[7]);
-            const __m128i u0 = _mm_unpacklo_epi16(t0, t1);
-            const __m128i u1 = _mm_unpackhi_epi16(t0, t1);
-            const __m128i u2 = _mm_unpacklo_epi16(t2, t3);
-            const __m128i u3 = _mm_unpackhi_epi16(t2, t3);
-            // Column pairs (x, x + 1), eight channels each.
-            const __m128i v[4] = {
-                _mm_unpacklo_epi32(u0, u2), _mm_unpackhi_epi32(u0, u2),
-                _mm_unpacklo_epi32(u1, u3), _mm_unpackhi_epi32(u1, u3)};
-            std::int8_t *d = dst + x * c + ch0;
-            for (int i = 0; i < 4; ++i) {
-                _mm_storel_epi64(reinterpret_cast<__m128i *>(d + 2 * i * c),
-                                 v[i]);
-                _mm_storel_epi64(
-                    reinterpret_cast<__m128i *>(d + (2 * i + 1) * c),
-                    _mm_unpackhi_epi64(v[i], v[i]));
-            }
-        }
-        for (; x < w; ++x)
-            for (std::size_t ch = ch0; ch < ch0 + 8; ++ch)
-                dst[x * c + ch] = src[ch * w + x];
-    }
-#endif
-    for (; ch0 < c; ++ch0)
-        for (std::size_t x = 0; x < w; ++x)
-            dst[x * c + ch0] = src[ch0 * w + x];
-}
-
 } // namespace
 
 HwcPlane
@@ -161,16 +126,10 @@ hwc_plane(const dnn::Layer &layer)
     return p;
 }
 
-std::size_t
-hwc_stage_scratch_bytes(const dnn::Layer &layer)
-{
-    return std::size_t(layer.input.c) * layer.input.w;
-}
-
 void
 stage_hwc_rows(const dnn::Layer &layer, const dnn::SymQuant &q,
                const float *in, std::size_t r0, std::size_t r1,
-               std::int8_t *plane, std::int8_t *scratch)
+               std::int8_t *plane)
 {
     const HwcPlane p = hwc_plane(layer);
     const std::size_t c = p.channels;
@@ -187,17 +146,7 @@ stage_hwc_rows(const dnn::Layer &layer, const dnn::SymQuant &q,
         }
         std::memset(row, 0, lead);
         std::memset(row + lead + body, 0, p.rowBytes() - lead - body);
-        const float *src = in + (r - padH) * inW;
-        if (c == 1) {
-            dnn::quantize_span(q, src, inW, row + lead);
-            continue;
-        }
-        // Quantize the row channel by channel (contiguous spans), then
-        // transpose [c][x] to [x][c].
-        for (std::size_t ch = 0; ch < c; ++ch)
-            dnn::quantize_span(q, src + ch * inH * inW, inW,
-                               scratch + ch * inW);
-        transpose_to_hwc(scratch, c, inW, row + lead);
+        dnn::quantize_span(q, in + (r - padH) * body, body, row + lead);
     }
 }
 
@@ -288,10 +237,10 @@ classify_hwc_rows(const dnn::Layer &layer, const std::int8_t *plane,
 }
 
 void
-sum_tap_features(const dnn::Layer &layer, std::uint32_t *acc,
-                 const std::uint32_t *other)
+sum_tap_features(std::uint32_t *acc, const std::uint32_t *other,
+                 std::size_t w0, std::size_t w1)
 {
-    add_words(acc, other, tap_feature_words(layer));
+    add_words(acc + w0, other + w0, w1 - w0);
 }
 
 void
@@ -314,10 +263,7 @@ tap_features(const dnn::Layer &layer, const std::uint32_t *acc,
                 // Take off the groups the tap does not read: the q
                 // before its first and those after its last, q + oW - 1.
                 const auto skip = [&](std::size_t e) {
-                    const std::uint32_t *col =
-                        edge + f * edgeRow + e * g.c;
-                    for (std::size_t ch = 0; ch < g.c; ++ch)
-                        out[ch] -= col[ch];
+                    sub_words(out, edge + f * edgeRow + e * g.c, g.c);
                 };
                 for (std::size_t j = 0; j < q; ++j)
                     skip(phi + j * g.sw);

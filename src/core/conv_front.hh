@@ -4,8 +4,10 @@
  *
  * The paper lays a conv's operands out with the channels along the
  * reduction ("filters across columns, channels across rows"). The
- * executor does the same on the host: it quantizes the CHW float
- * activations once into a zero-padded HWC int8 plane, so kernel row
+ * executor does the same on the host: activations travel between the
+ * plan's spatial layers channels-last (HWC floats, NetworkPlan's
+ * ActLayout), so a conv quantizes each input row with one contiguous
+ * span into a zero-padded HWC int8 plane, and kernel row
  * ky of the patch at output column ow is one contiguous run of
  * kernelW * inC bytes and a patch is kernelH copies. The frozen
  * filters are stored in the same (ky, kx, c) order
@@ -66,17 +68,14 @@ HwcPlane hwc_plane(const dnn::Layer &layer);
 
 /**
  * Quantize through @p q and stage plane rows [r0, r1) of @p layer
- * into @p plane: padding rows and columns as zero bytes, input row
- * r - padH channels-last between them. @p scratch holds
- * hwc_stage_scratch_bytes(layer) bytes (one input row in CHW order).
- * Disjoint row ranges may be staged on different threads.
+ * into @p plane from the channels-last input @p in: padding rows and
+ * columns as zero bytes, and between them input row r - padH, one
+ * dnn::quantize_span over its inW * inC contiguous floats. Disjoint
+ * row ranges may be staged on different threads.
  */
 void stage_hwc_rows(const dnn::Layer &layer, const dnn::SymQuant &q,
                     const float *in, std::size_t r0, std::size_t r1,
-                    std::int8_t *plane, std::int8_t *scratch);
-
-/** Scratch bytes stage_hwc_rows takes: inC * inW. */
-std::size_t hwc_stage_scratch_bytes(const dnn::Layer &layer);
+                    std::int8_t *plane);
 
 /**
  * Bytes of one output row's patch buffer: the o.w patches
@@ -111,9 +110,14 @@ void classify_hwc_rows(const dnn::Layer &layer, const std::int8_t *plane,
                        std::size_t r0, std::size_t r1, std::uint32_t *acc,
                        std::uint32_t *scratch);
 
-/** @p acc += @p other, two tap-feature accumulators of @p layer. */
-void sum_tap_features(const dnn::Layer &layer, std::uint32_t *acc,
-                      const std::uint32_t *other);
+/**
+ * @p acc += @p other over the words [w0, w1) of two tap-feature
+ * accumulators (tap_feature_words each), mod 2^32. The sums are
+ * order-free, so disjoint word ranges may be summed on different
+ * threads.
+ */
+void sum_tap_features(std::uint32_t *acc, const std::uint32_t *other,
+                      std::size_t w0, std::size_t w1);
 
 /**
  * F_x of the whole layer from the summed accumulator @p acc:

@@ -86,17 +86,16 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
 
     const std::size_t patch_len =
         std::size_t(layer.input.c) * layer.kernelH * layer.kernelW;
-    const std::size_t inW = layer.input.w;
-    const std::size_t inHW = std::size_t(layer.input.h) * inW;
-    const std::size_t outHW = std::size_t(o.h) * o.w;
+    const std::size_t outRow = std::size_t(o.w) * o.c;
 
     if (bits <= 8) {
         // The channels-last front (core/conv_front.hh), sized at plan
         // compile through the same expressions: the pool quantizes the
-        // input into the zero-padded HWC plane, classifying each staged
-        // row for the layer's activation features as it goes; then
-        // every output row is kernelH run copies per patch, one GEMM
-        // into a filter-major tile and one contiguous store per filter.
+        // HWC input into the zero-padded HWC plane, one span per input
+        // row, classifying each staged row for the layer's activation
+        // features as it goes; then every output row is kernelH run
+        // copies per patch, one GEMM into a row-major [o.w][o.c] tile
+        // and one contiguous store per output position.
         const HwcPlane hp = hwc_plane(layer);
         std::int8_t *plane = arena_.alloc<std::int8_t>(hp.bytes());
         const lut::DatapathTable *table =
@@ -105,9 +104,7 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
         rowArena_.reset();
         for (RowSlot &rs : slots_) {
             rs.patch = rowArena_.alloc<std::int8_t>(patch_row_bytes(layer));
-            rs.accs = rowArena_.alloc<std::int32_t>(std::size_t(o.w) * o.c);
-            rs.stage = rowArena_.alloc<std::int8_t>(
-                hwc_stage_scratch_bytes(layer));
+            rs.accs = rowArena_.alloc<std::int32_t>(outRow);
             rs.taps =
                 rowArena_.alloc<std::uint32_t>(tap_feature_words(layer));
             rs.tapScratch = rowArena_.alloc<std::uint32_t>(
@@ -121,21 +118,22 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
             RowSlot &rs = slots_[slot];
             const std::size_t r0 = c * hp.rows / stageChunks;
             const std::size_t r1 = (c + 1) * hp.rows / stageChunks;
-            stage_hwc_rows(layer, qi, in, r0, r1, plane, rs.stage);
+            stage_hwc_rows(layer, qi, in, r0, r1, plane);
             if (table != nullptr)
                 classify_hwc_rows(layer, plane, r0, r1, rs.taps,
                                   rs.tapScratch);
         });
 
-        // Row oh's tile holds filter k's o.w outputs at accs + k * o.w:
-        // dequantized into the filter planes, one contiguous run per
-        // filter, with a folded ReLU applied in the same pass.
+        // Row oh's tile holds position ow's o.c filter outputs at
+        // accs + ow * o.c, the layout of the HWC output row: each
+        // position dequantized as one run against the filter biases,
+        // with a folded ReLU applied in the same pass.
         const auto storeRow = [&](unsigned oh, const std::int32_t *accs) {
-            for (unsigned k = 0; k < o.c; ++k)
-                bce::simd::dequantize_store(
-                    accs + std::size_t(k) * o.w, o.w, fw.scale.scale,
-                    qi.scale, &pl.bias[k], 0, pl.foldedRelu,
-                    out + std::size_t(k) * outHW + std::size_t(oh) * o.w);
+            float *dst = out + std::size_t(oh) * outRow;
+            for (std::size_t p = 0; p < outRow; p += o.c)
+                bce::simd::dequantize_store(accs + p, o.c, fw.scale.scale,
+                                            qi.scale, pl.bias.data(), 1,
+                                            pl.foldedRelu, dst + p);
         };
 
         if (table == nullptr) {
@@ -146,21 +144,30 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
                 copy_patch_row(layer, plane, oh, rs.patch);
                 bce.convTile(rs.patch, fw.q8.data(), rs.accs, o.w,
                              patch_len, o.c, bits, fw.featureSums(),
-                             fw.rowSumData(), nullptr, 1, o.w);
+                             fw.rowSumData());
                 storeRow(oh, rs.accs);
             }
             return;
         }
 
         // The whole layer's tally, from its activation features and
-        // the frozen filter features, booked once.
+        // the frozen filter features, booked once. The threads'
+        // accumulators are summed into slot 0's over disjoint word
+        // ranges, at most one per pool thread.
         std::uint32_t *fx = arena_.alloc<std::uint32_t>(
             bce::simd::feature_count * patch_len);
-        for (std::size_t s = 1; s < slots_.size(); ++s)
-            sum_tap_features(layer, slots_[0].taps, slots_[s].taps);
+        const std::size_t words = tap_feature_words(layer);
+        const std::size_t sumChunks = std::max<std::size_t>(
+            1, std::min(slots_.size(), words / minSumWordsPerChunk));
+        pool_.parallelFor(sumChunks, [&](std::size_t c, unsigned) {
+            const std::size_t w0 = c * words / sumChunks;
+            const std::size_t w1 = (c + 1) * words / sumChunks;
+            for (std::size_t s = 1; s < slots_.size(); ++s)
+                sum_tap_features(slots_[0].taps, slots_[s].taps, w0, w1);
+        });
         tap_features(layer, slots_[0].taps, fx);
-        bce.bookTile(bce::Bce::foldTile(*table, outHW, patch_len, o.c, fx,
-                                        fw.featureSums()),
+        bce.bookTile(bce::Bce::foldTile(*table, std::size_t(o.h) * o.w,
+                                        patch_len, o.c, fx, fw.featureSums()),
                      patch_len, bits);
 
         // Contiguous row chunks, one per pool thread at most; each runs
@@ -173,9 +180,9 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
             const auto end = static_cast<unsigned>((c + 1) * o.h / chunks);
             for (unsigned oh = begin; oh < end; ++oh) {
                 copy_patch_row(layer, plane, oh, rs.patch);
-                std::fill_n(rs.accs, std::size_t(o.w) * o.c, 0);
+                std::fill_n(rs.accs, outRow, 0);
                 bce::simd::gemm_i8(rs.patch, fw.q8.data(), rs.accs, o.w,
-                                   patch_len, o.c, fw.rowSumData(), 1, o.w,
+                                   patch_len, o.c, fw.rowSumData(), 0,
                                    fw.panelData());
                 storeRow(oh, rs.accs);
             }
@@ -184,7 +191,11 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
     }
 
     // 16-bit operands exceed the int8 patch element: walk an int32
-    // patch per output position and run each filter as one wide span.
+    // patch per output position, in the (c, ky, kx) order the 16-bit
+    // filters keep, from the HWC input, and run each filter as one
+    // wide span.
+    const std::size_t inC = layer.input.c;
+    const std::size_t inW = layer.input.w;
     std::int32_t *patch = arena_.alloc<std::int32_t>(patch_len);
     for (unsigned oh = 0; oh < o.h; ++oh) {
         for (unsigned ow = 0; ow < o.w; ++ow) {
@@ -203,7 +214,7 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
                             && ih < static_cast<int>(layer.input.h)
                             && iw < static_cast<int>(layer.input.w);
                         patch[p] =
-                            inside ? qi.q(in[c * inHW + ih * inW + iw])
+                            inside ? qi.q(in[(ih * inW + iw) * inC + c])
                                    : 0;
                     }
                 }
@@ -215,7 +226,7 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
                 const float y =
                     static_cast<float>(acc * fw.scale.scale * qi.scale)
                     + pl.bias[k];
-                out[std::size_t(k) * outHW + std::size_t(oh) * o.w + ow] =
+                out[std::size_t(oh) * outRow + std::size_t(ow) * o.c + k] =
                     pl.foldedRelu ? bce::simd::relu_q8(y) : y;
             }
         }
@@ -397,12 +408,43 @@ FunctionalExecutor::runInto(const NetworkPlan &plan, const float *input,
     arena_.resetHighWater();
     float *cur = arena_.alloc<float>(ps.maxActivationElems);
     float *next = arena_.alloc<float>(ps.maxActivationElems);
-    std::copy(input, input + inElems, cur);
+
+    // A layer's transposes (PlannedLayer::relayouts) run between the
+    // two activation buffers, split by positions over the pool at the
+    // scan's grain; layer 0's read the caller's input, in place of the
+    // copy into the first buffer, and the plan output's write the
+    // caller's output.
+    const auto transpose = [&](const Relayout &r, const float *from,
+                               float *to) {
+        const std::size_t positions = std::size_t(r.shape.h) * r.shape.w;
+        const std::size_t chunks = std::max<std::size_t>(
+            1, std::min<std::size_t>(slots_.size(),
+                                     r.shape.elements()
+                                         / minScanElemsPerChunk));
+        pool_.parallelFor(chunks, [&](std::size_t c, unsigned) {
+            relayout(r, from, to, c * positions / chunks,
+                     (c + 1) * positions / chunks);
+        });
+    };
+    const auto relayoutInto = [&](const std::vector<Relayout> &rs,
+                                  const float *from) {
+        for (const Relayout &r : rs) {
+            transpose(r, from, next);
+            std::swap(cur, next);
+            from = cur;
+        }
+    };
+    const std::vector<PlannedLayer> &layers = plan.layers();
+    if (layers.empty() || layers[0].relayouts.empty())
+        std::copy(input, input + inElems, cur);
+    else
+        relayoutInto(layers[0].relayouts, input);
 
     const unsigned bits = plan.bits();
-    const std::vector<PlannedLayer> &layers = plan.layers();
     for (std::size_t i = 0; i < layers.size(); ++i) {
         const PlannedLayer &pl = layers[i];
+        if (i > 0)
+            relayoutInto(pl.relayouts, cur);
         if (i > 0 && layers[i - 1].foldedRelu) {
             // The producer's store already applied this ReLU: book its
             // statistics, and leave the activations where they are.
@@ -441,7 +483,10 @@ FunctionalExecutor::runInto(const NetworkPlan &plan, const float *input,
         std::swap(cur, next);
     }
 
-    std::copy(cur, cur + outElems, output);
+    if (plan.outputRelayout())
+        transpose(*plan.outputRelayout(), cur, output);
+    else
+        std::copy(cur, cur + outElems, output);
     plan.noteRun();
 }
 

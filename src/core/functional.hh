@@ -13,7 +13,13 @@
  * Execution is plan-driven (core::NetworkPlan): weights are quantized
  * once at plan compile and the steady-state path serves all scratch
  * from pre-sized TensorArenas with zero heap allocations; every entry
- * point runs a compiled plan. run_functional_batch() amortizes one
+ * point runs a compiled plan. Between the layers of a plan the
+ * activations of conv and pool layers stay channels-last (HWC), the
+ * layout the conv front stages and the conv GEMM stores; the plan
+ * records the few boundaries where an FC or Softmax reads them, or a
+ * run returns them, and the executor transposes there between its two
+ * activation buffers (NetworkPlan's ActLayout and Relayout). Callers
+ * pass and get CHW tensors. run_functional_batch() amortizes one
  * plan across many inputs on the thread pool with outputs,
  * statistics and energy bit-identical to the sequential loop at any
  * thread count.
@@ -22,11 +28,13 @@
  * MACs over its own worker pool, the way BFree's sub-arrays share a
  * layer: a conv's input scan and its channels-last staging in
  * contiguous row chunks (core/conv_front.hh), a <= 8-bit conv's output
- * rows in contiguous chunks, a matmul's weight rows (N) in contiguous
- * blocks, a 2x2 max pool's channel planes in contiguous runs and an
- * LSTM step's hidden units in slices, each slice its gate rows' GEMMs,
- * stores, PWL spans and cell update. The workers run no booking code:
- * they stage, classify, fold and run simd::gemm_i8,
+ * rows in contiguous chunks (and the sum of its per-thread tap-feature
+ * accumulators in word ranges), a matmul's weight rows (N) in
+ * contiguous blocks, a 2x2 max pool's output rows in contiguous runs,
+ * a layout transpose's positions in contiguous runs and an LSTM
+ * step's hidden units in slices, each slice its gate rows'
+ * GEMMs, stores, PWL spans and cell update. The workers run no booking
+ * code: they stage, classify, fold and run simd::gemm_i8,
  * simd::max_pool_2x2_q8 and the PWL values; the statistics are booked
  * once on the calling thread from integer sums, so outputs,
  * statistics and energy are byte-identical at every executor thread
@@ -81,10 +89,17 @@ class FunctionalExecutor
      */
     static constexpr std::size_t minMatmulMacsPerBlock = 1u << 18;
 
-    /** A conv's max-abs input scan splits over the pool in chunks of
-     *  at least this many floats: about 6 us of AVX-512 scan (0.2 ns a
-     *  float on the host above), over the 2-4 us a fork/join costs. */
+    /** A conv's max-abs input scan, and a layout transpose, split over
+     *  the pool in chunks of at least this many floats: about 6 us of
+     *  AVX-512 scan (0.2 ns a float on the host above), and more of a
+     *  transpose, over the 2-4 us a fork/join costs. */
     static constexpr std::size_t minScanElemsPerChunk = 1u << 15;
+
+    /** A conv's per-thread tap-feature accumulators are summed over
+     *  the pool in word ranges of at least this many words: about 2 us
+     *  of vector adds against three other threads' accumulators
+     *  (0.18 ns an add on the host above), the cost of a fork/join. */
+    static constexpr std::size_t minSumWordsPerChunk = 1u << 12;
 
     /**
      * @param tier    Execution tier of the underlying BCE. Tiered (the
@@ -114,10 +129,13 @@ class FunctionalExecutor
     /**
      * The allocation-free core of run(): executes @p plan reading
      * @p inElems floats from @p input and writing @p outElems floats
-     * to @p output (both caller-owned). All intermediate activations
-     * ping-pong between two arena buffers. A Relu folded into its Conv
-     * or FC producer (PlannedLayer::foldedRelu) only books its
-     * statistics: the producer's store wrote the rectified values.
+     * to @p output (both caller-owned, CHW). All intermediate
+     * activations ping-pong between two arena buffers, in the layouts
+     * the plan gave them; the plan's transposes run between the two
+     * buffers, from @p input and into @p output. A Relu folded into
+     * its Conv or FC producer (PlannedLayer::foldedRelu) only books
+     * its statistics: the producer's store wrote the rectified
+     * values.
      */
     void runInto(const NetworkPlan &plan, const float *input,
                  std::size_t inElems, float *output,
@@ -210,8 +228,7 @@ class FunctionalExecutor
     struct RowSlot
     {
         std::int8_t *patch = nullptr;  ///< One output row of patches.
-        std::int32_t *accs = nullptr;  ///< The row's filter-major tile.
-        std::int8_t *stage = nullptr;  ///< stage_hwc_rows scratch.
+        std::int32_t *accs = nullptr;  ///< The row's [o.w][o.c] tile.
         std::uint32_t *taps = nullptr; ///< Tap-feature accumulator.
         std::uint32_t *tapScratch = nullptr;
         float peak = 0.0f; ///< Running max-abs of the input scan.
@@ -223,13 +240,15 @@ class FunctionalExecutor
         bce::simd::SpanSums fold;
     };
 
-    /** Conv over im2col patches, frozen filter bank, arena scratch. */
+    /** Conv from the HWC input @p in to the HWC output @p out through
+     *  the channels-last front, frozen filter bank, arena scratch. */
     void runConvInto(const PlannedLayer &pl, unsigned bits,
                      const float *in, float *out);
 
     void runActivationInto(const PlannedLayer &pl, const float *in,
                            float *out);
 
+    /** Pool from the HWC input @p in to the HWC output @p out. */
     void runPoolInto(const PlannedLayer &pl, const float *in,
                      float *out);
 

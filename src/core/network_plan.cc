@@ -75,17 +75,51 @@ conv_row_scratch_bytes(const dnn::Layer &layer)
     const dnn::FeatureShape o = layer.outputShape();
     return TensorArena::paddedBytes<std::int8_t>(patch_row_bytes(layer))
            + TensorArena::paddedBytes<std::int32_t>(std::size_t(o.w) * o.c)
-           + TensorArena::paddedBytes<std::int8_t>(
-               hwc_stage_scratch_bytes(layer))
            + TensorArena::paddedBytes<std::uint32_t>(
                tap_feature_words(layer))
            + TensorArena::paddedBytes<std::uint32_t>(
                tap_feature_scratch_words(layer));
 }
 
+const char *
+act_layout_name(ActLayout l)
+{
+    return l == ActLayout::Hwc ? "hwc" : "chw";
+}
+
+void
+relayout(const Relayout &r, const float *src, float *dst, std::size_t p0,
+         std::size_t p1)
+{
+    const std::size_t c = r.shape.c;
+    const std::size_t hw = std::size_t(r.shape.h) * r.shape.w;
+    // Blocks of 64 positions: a block's channels-last side (64 * c
+    // floats) stays in cache while each channel's 64 contiguous floats
+    // stream past it.
+    constexpr std::size_t block = 64;
+    for (std::size_t b0 = p0; b0 < p1; b0 += block) {
+        const std::size_t b1 = std::min(p1, b0 + block);
+        for (std::size_t ch = 0; ch < c; ++ch) {
+            if (r.to == ActLayout::Hwc)
+                for (std::size_t p = b0; p < b1; ++p)
+                    dst[p * c + ch] = src[ch * hw + p];
+            else
+                for (std::size_t p = b0; p < b1; ++p)
+                    dst[ch * hw + p] = src[p * c + ch];
+        }
+    }
+}
+
 namespace {
 
 using dnn::TensorArena;
+
+/** True when (c, h, w) is laid out differently in CHW and HWC. */
+bool
+needs_relayout(const dnn::FeatureShape &s)
+{
+    return s.c > 1 && std::size_t(s.h) * s.w > 1;
+}
 
 /**
  * Freeze the weight side of the tile: the class-feature column sums of
@@ -156,16 +190,18 @@ plan_fail(std::string *err, Args &&...args)
  * The dry planning pass: walk the layers tracking activation shape and
  * element counts, and record each layer's scratch requirement through
  * the exact same TensorArena::paddedBytes the runtime allocates with.
- * Fills layer/in/out/scratch fields of @p out (weights untouched) and
- * the whole-plan sizing in @p ps. Returns false (diagnostics in
- * @p err) when the network cannot be planned; with @p err null a
- * planning failure is fatal.
+ * Fills layer/in/out/scratch/layout fields of @p out (weights
+ * untouched), the output's transpose in @p outRelayout and the
+ * whole-plan sizing in @p ps. Returns false (diagnostics in @p err)
+ * when the network cannot be planned; with @p err null a planning
+ * failure is fatal.
  */
 bool
 plan_shapes(const dnn::Network &net, unsigned bits,
             std::vector<PlannedLayer> &out, std::size_t &inElems,
             std::size_t &outElems, std::vector<std::size_t> &outShape,
-            PlanStats &ps, std::string *err = nullptr)
+            std::optional<Relayout> &outRelayout, PlanStats &ps,
+            std::string *err = nullptr)
 {
     ps = PlanStats{};
 
@@ -174,6 +210,9 @@ plan_shapes(const dnn::Network &net, unsigned bits,
     std::size_t elems = net.input().elements();
     inElems = elems;
     ps.maxActivationElems = elems;
+    // The arriving activation: its layout and its (c, h, w).
+    ActLayout layout = ActLayout::Chw;
+    dnn::FeatureShape act = net.input();
 
     out.clear();
     out.reserve(net.layers().size());
@@ -181,6 +220,37 @@ plan_shapes(const dnn::Network &net, unsigned bits,
         PlannedLayer pl;
         pl.layer = layer;
         pl.inElems = elems;
+
+        // The layout this layer reads, and the shape it reads it
+        // under: convs and pools their own input shape, channels-last;
+        // elementwise layers whatever arrives; the rest flat CHW.
+        ActLayout want = ActLayout::Chw;
+        dnn::FeatureShape as = act;
+        switch (layer.kind) {
+          case dnn::LayerKind::Conv:
+          case dnn::LayerKind::MaxPool:
+          case dnn::LayerKind::AvgPool:
+            want = ActLayout::Hwc;
+            as = layer.input;
+            break;
+          case dnn::LayerKind::Relu:
+          case dnn::LayerKind::Sigmoid:
+          case dnn::LayerKind::Tanh:
+            want = layout;
+            break;
+          default:
+            break;
+        }
+        bool chw = layout == ActLayout::Chw;
+        if (!chw && (want == ActLayout::Chw || !(as == act))) {
+            if (needs_relayout(act))
+                pl.relayouts.push_back({ActLayout::Chw, act});
+            chw = true;
+        }
+        if (want == ActLayout::Hwc && chw && needs_relayout(as))
+            pl.relayouts.push_back({ActLayout::Hwc, as});
+        pl.layout = layout = want;
+        ps.relayouts += pl.relayouts.size();
 
         switch (layer.kind) {
           case dnn::LayerKind::Conv: {
@@ -298,6 +368,11 @@ plan_shapes(const dnn::Network &net, unsigned bits,
         }
 
         pl.outElems = elems;
+        act = shape.size() == 3
+                  ? dnn::FeatureShape{static_cast<unsigned>(shape[0]),
+                                      static_cast<unsigned>(shape[1]),
+                                      static_cast<unsigned>(shape[2])}
+                  : dnn::FeatureShape{static_cast<unsigned>(elems), 1, 1};
         ps.maxActivationElems =
             std::max(ps.maxActivationElems, elems);
         ps.peakScratchBytes =
@@ -307,6 +382,11 @@ plan_shapes(const dnn::Network &net, unsigned bits,
 
     outElems = elems;
     outShape = std::move(shape);
+    outRelayout.reset();
+    if (layout == ActLayout::Hwc && needs_relayout(act)) {
+        outRelayout = Relayout{ActLayout::Chw, act};
+        ps.relayouts += 1;
+    }
     ps.activationBytes =
         2 * TensorArena::paddedBytes<float>(ps.maxActivationElems);
     ps.arenaBytes = ps.activationBytes + ps.peakScratchBytes;
@@ -321,8 +401,9 @@ NetworkPlan::estimate(const dnn::Network &net, unsigned bits)
     std::vector<PlannedLayer> layers;
     std::size_t in = 0, outn = 0;
     std::vector<std::size_t> shape;
+    std::optional<Relayout> outRelayout;
     PlanStats ps;
-    plan_shapes(net, bits, layers, in, outn, shape, ps);
+    plan_shapes(net, bits, layers, in, outn, shape, outRelayout, ps);
     return ps;
 }
 
@@ -333,8 +414,10 @@ NetworkPlan::tryEstimate(const dnn::Network &net, unsigned bits,
     std::vector<PlannedLayer> layers;
     std::size_t in = 0, outn = 0;
     std::vector<std::size_t> shape;
+    std::optional<Relayout> outRelayout;
     std::string err;
-    return plan_shapes(net, bits, layers, in, outn, shape, out, &err);
+    return plan_shapes(net, bits, layers, in, outn, shape, outRelayout, out,
+                       &err);
 }
 
 NetworkPlan
@@ -349,7 +432,7 @@ NetworkPlan::compile(const dnn::Network &net,
     plan.net_ = net;
     plan.bits_ = bits;
     plan_shapes(net, bits, plan.layers_, plan.inElems_, plan.outElems_,
-                plan.outShape_, plan.stats_);
+                plan.outShape_, plan.outRelayout_, plan.stats_);
 
     for (std::size_t i = 0; i < plan.layers_.size(); ++i) {
         PlannedLayer &pl = plan.layers_[i];

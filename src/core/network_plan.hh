@@ -14,7 +14,12 @@
  *    the peak magnitude, so the choice is layout-independent);
  *  - a dry planning pass sizes one dnn::TensorArena: two ping-ponged
  *    activation buffers plus the worst single layer's scratch. The
- *    steady-state run then makes zero heap allocations.
+ *    steady-state run then makes zero heap allocations;
+ *  - the same pass fixes each activation's layout (ActLayout): conv
+ *    and pool layers read and write channels-last, FC and Softmax
+ *    read channel planes, and the few boundaries where the two meet
+ *    (and the plan's input and output) get a transpose the executor
+ *    runs between its two activation buffers (Relayout).
  *
  * Because SymQuant::q is a pure function, executing from the frozen
  * values is bit-identical to the legacy path that re-quantized on every
@@ -30,6 +35,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "dnn/network.hh"
@@ -67,12 +73,47 @@ std::size_t matmul_scratch_bytes(std::size_t m, std::size_t k,
 
 /**
  * Row-arena bytes one executor thread takes for a <= 8-bit conv
- * @p layer: one output row of o.w patches, the row's int32
- * filter-major tile, the staging scratch of one input row and the
- * tap-feature accumulator with its scratch (core/conv_front.hh).
- * Every executor thread holds one such set.
+ * @p layer: one output row of o.w patches, the row's int32 [o.w][o.c]
+ * tile and the tap-feature accumulator with its scratch
+ * (core/conv_front.hh). Every executor thread holds one such set.
  */
 std::size_t conv_row_scratch_bytes(const dnn::Layer &layer);
+
+/** Memory order of one activation between two plan layers. */
+enum class ActLayout : std::uint8_t
+{
+    /** Channel planes, [c][h][w]: the network's input and output
+     *  tensors, and what FC, Softmax, LSTM and attention layers read
+     *  (an FC's weights and a softmax's sum run in that order). */
+    Chw,
+    /** Channels-last, [h][w][c]: what conv and pool layers read and
+     *  write, so a conv stages each input row with one quantize span
+     *  and stores each output position as one run of its filters. */
+    Hwc,
+};
+
+/** Short name of @p l: "chw" or "hwc". */
+const char *act_layout_name(ActLayout l);
+
+/**
+ * One transpose of an activation of shape (c, h, w) into the layout
+ * @p to, from the other one. A shape with c == 1 or h * w == 1 reads
+ * the same in both layouts and never takes one.
+ */
+struct Relayout
+{
+    ActLayout to = ActLayout::Chw;
+    dnn::FeatureShape shape;
+};
+
+/**
+ * Run @p r over the positions [p0, p1) of its h * w: @p src holds the
+ * activation in the other layout, @p dst receives those positions'
+ * channels in r.to (shape.elements() floats each, not aliased).
+ * Disjoint position ranges may run on different threads.
+ */
+void relayout(const Relayout &r, const float *src, float *dst,
+              std::size_t p0, std::size_t p1);
 
 /** One layer frozen into a plan. */
 struct PlannedLayer
@@ -98,6 +139,21 @@ struct PlannedLayer
 
     /** Arena scratch bytes this layer allocates while it runs. */
     std::size_t scratchBytes = 0;
+
+    /** Layout of the activation this layer reads and of the one it
+     *  writes: every layer kind writes the layout it reads, and the
+     *  elementwise ones (Relu, Sigmoid, Tanh) keep what they get. */
+    ActLayout layout = ActLayout::Chw;
+
+    /**
+     * The transposes the executor runs on the arriving activation
+     * before this layer, in order: to CHW under the producer's shape
+     * (an HWC producer feeding an FC or Softmax, or a conv or pool
+     * that reads it under another shape), then to HWC under the
+     * layer's own input shape (a conv or pool after a CHW producer or
+     * the plan input). Empty at most boundaries.
+     */
+    std::vector<Relayout> relayouts;
 
     /**
      * Conv / FC only: the Relu layer right after this one is folded
@@ -132,6 +188,9 @@ struct PlanStats
 
     /** Relu layers folded into their producer's store (foldedRelu). */
     std::size_t foldedRelus = 0;
+    /** Transposes a run makes: every layer's relayouts plus the
+     *  plan output's. */
+    std::size_t relayouts = 0;
 };
 
 /**
@@ -154,6 +213,7 @@ class NetworkPlan
         inElems_ = o.inElems_;
         outElems_ = o.outElems_;
         outShape_ = std::move(o.outShape_);
+        outRelayout_ = o.outRelayout_;
         diagnostics_ = std::move(o.diagnostics_);
         served_.store(o.served_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
@@ -212,6 +272,13 @@ class NetworkPlan
         return outShape_;
     }
 
+    /** The transpose of the last layer's HWC output into the CHW
+     *  tensor a run returns, when the plan ends spatially. */
+    const std::optional<Relayout> &outputRelayout() const
+    {
+        return outRelayout_;
+    }
+
     /**
      * Inferences served from this plan so far — how many runs the
      * one-time quantization has been amortized over.
@@ -237,6 +304,7 @@ class NetworkPlan
     std::size_t inElems_ = 0;
     std::size_t outElems_ = 0;
     std::vector<std::size_t> outShape_;
+    std::optional<Relayout> outRelayout_;
     verify::VerifyReport diagnostics_;
 
     /** Amortization counter; mutable telemetry, not plan state. */

@@ -10,9 +10,11 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "bce/bce.hh"
+#include "sim/parallel.hh"
 #include "sim/random.hh"
 #include "simd_levels.hh"
 
@@ -307,8 +309,10 @@ TEST(BceSpecial, ReluSpanEqualsPerElementMaxReduce)
 
 namespace {
 
-/** poolQ8 against one maxReduce / avgPool call per clipped window, in
- *  outputs and statistics, at every runnable SIMD level. */
+/** poolQ8 over the channels-last @p in against one maxReduce /
+ *  avgPool call per clipped window and channel, in outputs and
+ *  statistics, at every runnable SIMD level, on the calling thread and
+ *  split over a three-thread pool. */
 void
 expect_pool_matches_reductions(const PoolShape &g, bool average,
                                const std::vector<float> &in)
@@ -331,11 +335,11 @@ expect_pool_matches_reductions(const PoolShape &g, bool average,
                             continue;
                         window.push_back(
                             static_cast<std::int32_t>(std::lround(
-                                in[(c * g.inH + ih) * g.inW + iw]
+                                in[(ih * g.inW + iw) * g.channels + c]
                                 * 256.0f)));
                     }
                 }
-                want[(c * g.outH + oh) * g.outW + ow] =
+                want[(oh * g.outW + ow) * g.channels + c] =
                     average
                         ? static_cast<float>(ref.bce.avgPool(
                               window.data(), window.size(), div))
@@ -346,12 +350,16 @@ expect_pool_matches_reductions(const PoolShape &g, bool average,
             }
         }
     }
+    bfree::sim::ThreadPool threads(3);
+    bfree::sim::ThreadPool *const pools[] = {nullptr, &threads};
     for_each_runnable_level([&](bfree::sim::SimdLevel) {
-        Fixture span;
-        std::vector<float> got(want.size());
-        span.bce.poolQ8(g, average, div, in.data(), got.data());
-        expect_same_bits(want, got);
-        expect_same_special_stats(ref.bce.stats(), span.bce.stats());
+        for (bfree::sim::ThreadPool *p : pools) {
+            Fixture span;
+            std::vector<float> got(want.size());
+            span.bce.poolQ8(g, average, div, in.data(), got.data(), p);
+            expect_same_bits(want, got);
+            expect_same_special_stats(ref.bce.stats(), span.bce.stats());
+        }
     });
 }
 
@@ -376,7 +384,7 @@ pool_shape(std::size_t channels, std::size_t inH, std::size_t inW,
 TEST(BceSpecial, PoolSpanEqualsPerWindowReductions)
 {
     // A padded, overlapping 3x3/stride-2 window walk over a ragged
-    // 2 x 7 x 6 plane: edge windows clip to 4 or 6 taps.
+    // 7 x 6 x 2 input: edge windows clip to 4 or 6 taps.
     const PoolShape g = pool_shape(2, 7, 6, 3, 2, 1);
     bfree::sim::Rng rng(11);
     std::vector<float> in(g.channels * g.inH * g.inW);
@@ -389,8 +397,9 @@ TEST(BceSpecial, PoolSpanEqualsPerWindowReductions)
 TEST(BceSpecial, MaxPool2x2EdgesEqualPerWindowReductions)
 {
     // The unpadded 2x2/stride-2 max pool has its own vector path: 16
-    // windows per step with masked tails, and any block holding a NaN
-    // or a value outside q8's register range on the per-tap walk.
+    // channels of one window per step with masked tails, and any step
+    // holding a NaN or a value outside q8's register range on the
+    // per-tap walk. Channel counts below, at and past one step.
     constexpr float inf = std::numeric_limits<float>::infinity();
     const float specials[] = {0.5f / 256,   -0.5f / 256,  1.5f / 256,
                               -1.5f / 256,  8388608.0f,   -8388608.0f,
@@ -398,26 +407,28 @@ TEST(BceSpecial, MaxPool2x2EdgesEqualPerWindowReductions)
                               -inf,         std::numeric_limits<float>::quiet_NaN(),
                               -0.0f,        1e-40f};
     bfree::sim::Rng rng(29);
-    for (const std::size_t outW : {1, 7, 15, 16, 17, 112}) {
+    for (const auto &[outW, channels] :
+         {std::pair<std::size_t, std::size_t>{1, 3}, {7, 3}, {15, 16},
+          {16, 17}, {17, 3}, {112, 3}, {7, 64}, {3, 33}}) {
         // An odd inH and, for odd outW, an odd inW: the last row and
         // column are dropped.
         const std::size_t inW = 2 * outW + (outW % 2);
-        const PoolShape g = pool_shape(3, 5, inW, 2, 2, 0);
+        const PoolShape g = pool_shape(channels, 5, inW, 2, 2, 0);
         std::vector<float> in(g.channels * g.inH * g.inW);
         for (float &v : in)
             v = static_cast<float>(rng.uniformReal(-2.0, 2.0));
         // Exact ties (multiples of 1/512) on the whole of channel 0.
         for (std::size_t i = 0; i < g.inH * g.inW; ++i)
-            in[i] = static_cast<float>(rng.uniformInt(-2048, 2048)) / 512;
+            in[i * g.channels] =
+                static_cast<float>(rng.uniformInt(-2048, 2048)) / 512;
         expect_pool_matches_reductions(g, false, in);
 
-        // Channel 2 salted with the special values, one per block of
-        // windows at a varying lane.
+        // Channel 2 salted with the special values, one per step at a
+        // varying position.
         for (std::size_t k = 0; k < std::size(specials); ++k) {
             std::vector<float> salted = in;
-            const std::size_t at = (2 * g.inH * g.inW)
-                                   + (k * 37) % (g.inH * g.inW);
-            salted[at] = specials[k];
+            salted[(k * 37) % (g.inH * g.inW) * g.channels + 2] =
+                specials[k];
             expect_pool_matches_reductions(g, false, salted);
         }
     }

@@ -606,19 +606,21 @@ expect_gemm_matches_reference(const std::vector<std::int8_t> &a,
                          << (frozenSums ? " frozen" : " per-call")
                          << " row sums";
 
-    // The same product stored column-major (row stride 1, column
-    // stride m), the conv tile's filter-major layout.
-    std::vector<std::int32_t> colMajor(m * n);
+    // The same product as a block of columns of a wider row-major
+    // output (row stride n + 5, the matmul body's weight-row blocks):
+    // the columns around the block keep their bytes.
+    const std::size_t ld = n + 5;
+    std::vector<std::int32_t> wide(m * ld, -7);
     for (std::size_t i = 0; i < m; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            colMajor[j * m + i] = out[i * n + j];
-    bce::simd::gemm_i8(a.data(), b.data(), colMajor.data(), m, k, n,
-                       frozenSums ? rowSums.data() : nullptr, 1, m);
+        std::copy_n(out.begin() + i * n, n, wide.begin() + i * ld + 2);
+    bce::simd::gemm_i8(a.data(), b.data(), wide.data() + 2, m, k, n,
+                       frozenSums ? rowSums.data() : nullptr, ld);
     for (std::size_t i = 0; i < m; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            ASSERT_EQ(want[i * n + j], colMajor[j * m + i])
-                << ctx << " column-major m " << m << " k " << k << " n "
-                << n << " (" << i << "," << j << ")";
+        for (std::size_t j = 0; j < ld; ++j)
+            ASSERT_EQ(j >= 2 && j < n + 2 ? want[i * n + j - 2] : -7,
+                      wide[i * ld + j])
+                << ctx << " row stride " << ld << " m " << m << " k " << k
+                << " n " << n << " (" << i << "," << j << ")";
 }
 
 } // namespace
@@ -627,9 +629,9 @@ TEST(SimdKernels, GemmMatchesScalarReferenceAtEveryLevel)
 {
     // Every block edge (1 x NR, MR x 1, 1 x 1) against every K up to
     // 130: two whole 64-byte VNNI steps plus every mask width, and
-    // every 32-, 16- and 8-byte madd step and tail, row-major and
-    // column-major. The incoming out is non-zero (matmul accumulates
-    // into it).
+    // every 32-, 16- and 8-byte madd step and tail, dense and as a
+    // block of a wider output. The incoming out is non-zero (matmul
+    // accumulates into it).
     for_each_runnable_level([](sim::SimdLevel level) {
         const std::string ctx = sim::simd_level_name(level);
         for (std::size_t k = 1; k <= 130; ++k) {
@@ -725,23 +727,9 @@ TEST(SimdKernels, PanelGemmMatchesScalarReferenceAtEveryLevel)
                     const std::string ctx = sim::simd_level_name(level);
                     std::vector<std::int32_t> got = out;
                     bce::simd::gemm_i8(a.data(), b.data(), got.data(), m, k,
-                                       n, rowSums.data(), 0, 1,
-                                       panel.data());
+                                       n, rowSums.data(), 0, panel.data());
                     ASSERT_EQ(want, got) << ctx << " row-major m " << m
                                          << " k " << k << " n " << n;
-                    std::vector<std::int32_t> colMajor(m * n);
-                    for (std::size_t i = 0; i < m; ++i)
-                        for (std::size_t j = 0; j < n; ++j)
-                            colMajor[j * m + i] = out[i * n + j];
-                    bce::simd::gemm_i8(a.data(), b.data(), colMajor.data(),
-                                       m, k, n, rowSums.data(), 1, m,
-                                       panel.data());
-                    for (std::size_t i = 0; i < m; ++i)
-                        for (std::size_t j = 0; j < n; ++j)
-                            ASSERT_EQ(want[i * n + j], colMajor[j * m + i])
-                                << ctx << " filter-major m " << m << " k "
-                                << k << " n " << n << " (" << i << ","
-                                << j << ")";
                 });
             }
         }
@@ -764,7 +752,7 @@ TEST(SimdKernels, PanelGemmMatchesScalarReferenceAtEveryLevel)
     for_each_runnable_level([&](sim::SimdLevel level) {
         std::vector<std::int32_t> got(m * n, 0);
         bce::simd::gemm_i8(a.data(), b.data(), got.data(), m, k, n, nullptr,
-                           0, 1, panel.data());
+                           0, panel.data());
         ASSERT_EQ(want, got) << sim::simd_level_name(level)
                              << " extreme sums";
     });
@@ -805,7 +793,7 @@ TEST(SimdKernels, EpilogueAndPwlKernelsRunAtEveryAvx512ClassLevel)
         any = true;
         EXPECT_TRUE(bce::simd::pwl_span(sigmoid, in.data(), out.data(),
                                         in.size()));
-        EXPECT_TRUE(bce::simd::max_pool_2x2_q8(plane.data(), 1, 4, 4,
+        EXPECT_TRUE(bce::simd::max_pool_2x2_q8(plane.data(), 2, 4, 1,
                                                pooled.data()));
     });
     if (!any)

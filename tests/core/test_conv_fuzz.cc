@@ -6,7 +6,13 @@
  * (disjoint windows) per axis; paddings up to kernel - 1; and outputs
  * shorter than the executor's thread count. Two conv chains in three
  * end in an FC, or an FC and a narrow head; a flat seed draws the same
- * FC tail from a flat input instead. Every layer may fold a ReLU. An
+ * FC tail from a flat input instead. A pooled seed draws the same conv
+ * chain, then a pool (2x2/s2 max, 3x3/s1/p1 max, or average over a
+ * padded or strided window), maybe an unfolded Relu or Sigmoid, and
+ * then a Softmax, a narrow FC or nothing: every boundary where the
+ * executor's channels-last activations meet a channel-plane reader, or
+ * the plan's output, transposes there. Every conv or FC may fold a
+ * ReLU. An
  * FC's width is drawn around the executor's matmul split: 1/2 to 9/2
  * blocks of minMatmulMacsPerBlock MACs, just below or just above each
  * multiple, so 2-4 threads run it unsplit, partly split and fully
@@ -57,22 +63,36 @@ constexpr std::uint64_t kSeeds[] = {1,  2,  3,  5,  8,  13, 21, 34,
 /** Seeds of the FC chains from a flat input. */
 constexpr std::uint64_t kFlatSeeds[] = {3, 7, 11, 18, 47, 123};
 
-/** One generated net: its seed, and whether it is a flat FC chain. */
+/** Seeds of the conv chains that end in a pool and its tail. */
+constexpr std::uint64_t kPoolSeeds[] = {4,   6,   9,   12,  17,  77, 300,
+                                        305, 308, 312, 314, 316, 320};
+
+/** What a seed generates. */
+enum class Family
+{
+    Conv,   ///< convs, then maybe FCs
+    Flat,   ///< FCs from a flat input
+    Pooled, ///< convs, a pool, maybe an activation, then a tail
+};
+
+/** One generated net: its seed and family. */
 struct FuzzCase
 {
     std::uint64_t seed;
-    bool flat;
+    Family family;
 };
 
-/** The conv seeds, then the flat seeds. */
+/** The conv seeds, then the flat and the pooled seeds. */
 std::vector<FuzzCase>
 fuzz_cases()
 {
     std::vector<FuzzCase> cases;
     for (const std::uint64_t seed : kSeeds)
-        cases.push_back({seed, false});
+        cases.push_back({seed, Family::Conv});
     for (const std::uint64_t seed : kFlatSeeds)
-        cases.push_back({seed, true});
+        cases.push_back({seed, Family::Flat});
+    for (const std::uint64_t seed : kPoolSeeds)
+        cases.push_back({seed, Family::Pooled});
     return cases;
 }
 
@@ -169,19 +189,104 @@ draw_flat_width(sim::Rng &rng)
     }
 }
 
+/**
+ * Draw a pool over @p in: a 2x2/s2 max pool (the vector path), a
+ * 3x3/s1/p1 max pool, or an average pool of kernel 2-3, stride 1-3 and
+ * pad below the kernel (clipped edge windows). A 2x2 window the input
+ * is too small for falls back to the 3x3/s1/p1 one, an average window
+ * to the widest pad, kernel - 1, which any input fits.
+ */
+Layer
+draw_pool(sim::Rng &rng, const std::string &name, const FeatureShape &in)
+{
+    const auto fits = [&](unsigned k, unsigned pad) {
+        return in.h + 2 * pad >= k && in.w + 2 * pad >= k;
+    };
+    switch (rng.uniformInt(0, 2)) {
+      case 0:
+        if (fits(2, 0))
+            return dnn::make_pool(name, LayerKind::MaxPool, in, 2, 2, 0);
+        break;
+      case 1:
+        break;
+      default: {
+        const auto k = static_cast<unsigned>(rng.uniformInt(2, 3));
+        const auto stride = static_cast<unsigned>(rng.uniformInt(1, 3));
+        const auto pad = static_cast<unsigned>(rng.uniformInt(0, k - 1));
+        return dnn::make_pool(name, LayerKind::AvgPool, in, k, stride,
+                              fits(k, pad) ? pad : k - 1);
+      }
+    }
+    return dnn::make_pool(name, LayerKind::MaxPool, in, 3, 1, 1);
+}
+
 std::string
 describe(const Layer &l)
 {
     std::ostringstream os;
-    if (l.kind == LayerKind::Fc) {
+    switch (l.kind) {
+      case LayerKind::Fc:
         os << l.name << " " << l.inFeatures << " -> " << l.outFeatures;
         return os.str();
+      case LayerKind::MaxPool:
+      case LayerKind::AvgPool:
+        os << l.name << " " << dnn::layer_kind_name(l.kind) << " "
+           << l.input.c << "x" << l.input.h << "x" << l.input.w << " k"
+           << l.kernelH << " s" << l.strideH << " p" << l.padH;
+        return os.str();
+      case LayerKind::Conv:
+        break;
+      default:
+        return l.name;
     }
     os << l.name << " " << l.input.c << "x" << l.input.h << "x"
        << l.input.w << " -> " << l.outChannels << " k" << l.kernelH
        << "x" << l.kernelW << " s" << l.strideH << "x" << l.strideW
        << " p" << l.padH << "x" << l.padW;
     return os.str();
+}
+
+/**
+ * Add a pooled seed's tail after its convs: the pool, then an unfolded
+ * Relu or Sigmoid one time in three each, then a Softmax, a narrow FC
+ * or nothing (a channels-last plan output), drawn from @p rng.
+ */
+void
+add_pool_tail(sim::Rng &rng, FuzzNet &f, FeatureShape shape)
+{
+    const Layer pool = draw_pool(rng, "pool", shape);
+    f.net.add(pool);
+    f.desc += describe(pool) + "; ";
+    shape = pool.outputShape();
+    switch (rng.uniformInt(0, 2)) {
+      case 1:
+        f.net.add(dnn::make_activation("pool/relu", LayerKind::Relu, shape));
+        f.desc += "relu; ";
+        break;
+      case 2:
+        f.net.add(dnn::make_activation("pool/sigmoid", LayerKind::Sigmoid,
+                                       shape));
+        f.desc += "sigmoid; ";
+        break;
+      default:
+        break;
+    }
+    switch (rng.uniformInt(0, 2)) {
+      case 0:
+        f.net.add(dnn::make_activation("prob", LayerKind::Softmax, shape));
+        f.desc += "softmax";
+        break;
+      case 1: {
+        const Layer fc = draw_fc(rng, "head",
+                                 static_cast<unsigned>(shape.elements()),
+                                 true);
+        f.net.add(fc);
+        f.desc += describe(fc);
+        break;
+      }
+      default:
+        break;
+    }
 }
 
 /** The input extent along one axis: an output of 1-3 rows (below the
@@ -207,10 +312,11 @@ make_fuzz_net(const FuzzCase &c)
     // seed is what it was before FCs joined the fuzzer.
     sim::Rng fcRng(seed * 104729 + 5);
     FuzzNet f;
+    const bool flat = c.family == Family::Flat;
     const unsigned convs =
-        c.flat ? 0 : static_cast<unsigned>(rng.uniformInt(1, 2));
+        flat ? 0 : static_cast<unsigned>(rng.uniformInt(1, 2));
     FeatureShape shape{static_cast<unsigned>(rng.uniformInt(1, 16)), 1, 1};
-    if (c.flat)
+    if (flat)
         shape = {draw_flat_width(fcRng), 1, 1};
 
     std::vector<Layer> layers;
@@ -236,17 +342,22 @@ make_fuzz_net(const FuzzCase &c)
         shape = l.outputShape();
     }
     // No FC after a conv one time in three; else one, or one and a
-    // narrow head. A flat chain has one, or one and a head.
-    const unsigned fcs = static_cast<unsigned>(
-        fcRng.uniformInt(c.flat ? 1 : 0, 2));
+    // narrow head. A flat chain has one, or one and a head. A pooled
+    // chain takes its tail after the pool instead.
+    const unsigned fcs =
+        c.family == Family::Pooled
+            ? 0
+            : static_cast<unsigned>(fcRng.uniformInt(flat ? 1 : 0, 2));
     for (unsigned i = 0; i < fcs; ++i) {
         layers.push_back(draw_fc(fcRng, "fc" + std::to_string(i),
                                  static_cast<unsigned>(shape.elements()),
                                  i == 1));
         shape = layers.back().outputShape();
     }
-    f.net = dnn::Network((c.flat ? "flat" : "fuzz") + std::to_string(seed),
-                         layers[0].input);
+    const char *family = flat                            ? "flat"
+                         : c.family == Family::Pooled ? "pooled"
+                                                      : "fuzz";
+    f.net = dnn::Network(family + std::to_string(seed), layers[0].input);
     for (const Layer &l : layers) {
         f.net.add(l);
         f.desc += describe(l) + "; ";
@@ -255,6 +366,11 @@ make_fuzz_net(const FuzzCase &c)
                                            l.outputShape()));
             f.desc += "relu; ";
         }
+    }
+    if (c.family == Family::Pooled) {
+        // Its own stream, like the FC draws.
+        sim::Rng poolRng(seed * 15485863 + 3);
+        add_pool_tail(poolRng, f, shape);
     }
     f.weights = core::random_weights(f.net, rng);
     const FeatureShape in = f.net.input();
@@ -325,24 +441,59 @@ peak(const std::vector<float> &v)
  *     mw * (sx / 2 + e) + mx * sw / 2
  *
  * (|w^| <= mw, |x^ - x'| <= sx / 2, |x' - x| <= e, |w^ - w| <= sw / 2),
- * and the layer's output by K times that. A folded ReLU adds its Q8
- * rounding, 1/512; float summation order adds a relative 1e-5.
+ * and the layer's output by K times that. A ReLU, folded or not, adds
+ * its Q8 rounding, 1/512, and so does a max pool (the max of inputs
+ * off by e is off by e). An average pool sums the Q8 taps (1/512) and
+ * divides through the LUT, whose relative error d is twice
+ * DivisionLut::errorBound(), so it adds 1/512 + d (mx + e + 1/512).
+ * A Sigmoid is 1/4-Lipschitz and its 32-segment table on [-8, 8] is
+ * off by at most h^2/8 max|f''| = 0.0031 inside (h = 1/2) and by
+ * 1 - sigmoid(8) < 3.4e-4 past it: e / 4 + 0.004. A Softmax output p
+ * moves by a factor within e^(+-2e) for inputs off by e; the exp
+ * table's chords (h = 1/2 on [-16, 0], convex) overshoot by a
+ * relative h^2/8 e^h < 0.052 at most, and the division by d, so it is
+ * off by p ((1.052)^2 e^(2e) (1 + d) - 1), plus 1.2e-7 per logit for
+ * the clamp at -16 (a Softmax only ends a chain). Float summation
+ * order adds a relative 1e-5.
  */
 std::pair<std::vector<float>, std::vector<double>>
 reference_bound(const FuzzNet &f, unsigned bits)
 {
     const double limit = (1 << (bits - 1)) - 1;
+    const double d = 2 * lut::DivisionLut(4).errorBound() + 1e-6;
     FloatTensor act = f.input;
     double e = 0.0;
+    // A Softmax bounds each output relative to its own value instead.
+    double softmaxFactor = 0.0;
     for (std::size_t i = 0; i < f.net.layers().size(); ++i) {
         const Layer &l = f.net.layers()[i];
-        if (l.kind == LayerKind::Relu) {
+        const std::vector<float> in(act.data(), act.data() + act.size());
+        const double mx = peak(in);
+        switch (l.kind) {
+          case LayerKind::Relu:
             act = dnn::reference_activation(LayerKind::Relu, act);
             e += 1.0 / 512;
             continue;
+          case LayerKind::Sigmoid:
+            act = dnn::reference_activation(LayerKind::Sigmoid, act);
+            e = e / 4 + 0.004;
+            continue;
+          case LayerKind::MaxPool:
+            act = dnn::reference_max_pool(l, act);
+            e += 1.0 / 512;
+            continue;
+          case LayerKind::AvgPool:
+            act = dnn::reference_avg_pool(l, act);
+            e += 1.0 / 512 + d * (mx + e + 1.0 / 512);
+            continue;
+          case LayerKind::Softmax:
+            act = dnn::reference_softmax(act);
+            softmaxFactor = 1.052 * 1.052 * std::exp(2 * e) * (1 + d) - 1;
+            e = 1.2e-7 * double(act.size());
+            continue;
+          default:
+            break;
         }
-        const std::vector<float> in(act.data(), act.data() + act.size());
-        const double mx = peak(in);
         const double mw = peak(f.weights[i].weights);
         const double sw = mw / limit;
         const double sx = (mx + e) / limit;
@@ -358,7 +509,8 @@ reference_bound(const FuzzNet &f, unsigned bits)
     std::vector<float> ref(act.data(), act.data() + act.size());
     std::vector<double> bound(ref.size());
     for (std::size_t j = 0; j < ref.size(); ++j)
-        bound[j] = e + 1e-5 * (1.0 + std::abs(ref[j]));
+        bound[j] = e + softmaxFactor * std::abs(ref[j])
+                   + 1e-5 * (1.0 + std::abs(ref[j]));
     return {std::move(ref), std::move(bound)};
 }
 
@@ -418,6 +570,11 @@ TEST(ConvFuzz, SeedsCoverTheEdges)
          wide = false, narrow = false, twoConvs = false;
     bool fcAfterConv = false, flatFc = false, twoFcs = false,
          fewRows = false, k64 = false, k16Not64 = false, kRagged = false;
+    // The pools and every layout boundary after them.
+    bool maxPool2x2 = false, maxPool3x3 = false, avgPool = false,
+         reluAfterPool = false, sigmoidAfterPool = false,
+         softmaxAfterPool = false, fcAfterPool = false,
+         spatialOutput = false;
     // Per thread count 2-4: an FC run unsplit, one split over fewer
     // blocks than threads and one split over all of them.
     constexpr std::size_t block = FunctionalExecutor::minMatmulMacsPerBlock;
@@ -425,7 +582,41 @@ TEST(ConvFuzz, SeedsCoverTheEdges)
     for (const FuzzCase &c : fuzz_cases()) {
         const FuzzNet f = make_fuzz_net(c);
         unsigned convs = 0, fcs = 0;
-        for (const Layer &l : f.net.layers()) {
+        const std::vector<Layer> &ls = f.net.layers();
+        for (std::size_t i = 0; i < ls.size(); ++i) {
+            const Layer &l = ls[i];
+            const LayerKind prev =
+                i > 0 ? ls[i - 1].kind : LayerKind::Relu;
+            const bool afterPool = prev == LayerKind::MaxPool
+                                   || prev == LayerKind::AvgPool;
+            switch (l.kind) {
+              case LayerKind::MaxPool:
+                maxPool2x2 |= l.kernelH == 2 && l.strideH == 2;
+                maxPool3x3 |= l.kernelH == 3 && l.strideH == 1
+                              && l.padH == 1;
+                break;
+              case LayerKind::AvgPool:
+                avgPool = true;
+                break;
+              case LayerKind::Relu:
+                reluAfterPool |= afterPool;
+                break;
+              case LayerKind::Sigmoid:
+                sigmoidAfterPool |= afterPool;
+                break;
+              case LayerKind::Softmax:
+                softmaxAfterPool |= afterPool;
+                break;
+              case LayerKind::Fc:
+                fcAfterPool |= afterPool;
+                break;
+              default:
+                break;
+            }
+            if (i + 1 == ls.size())
+                spatialOutput |= l.outputShape().c > 1
+                                 && l.outputShape().h * l.outputShape().w
+                                        > 1;
             if (l.kind == LayerKind::Fc) {
                 ++fcs;
                 fcAfterConv |= convs > 0;
@@ -472,6 +663,14 @@ TEST(ConvFuzz, SeedsCoverTheEdges)
     EXPECT_TRUE(k64);
     EXPECT_TRUE(k16Not64);
     EXPECT_TRUE(kRagged);
+    EXPECT_TRUE(maxPool2x2);
+    EXPECT_TRUE(maxPool3x3);
+    EXPECT_TRUE(avgPool);
+    EXPECT_TRUE(reluAfterPool);
+    EXPECT_TRUE(sigmoidAfterPool);
+    EXPECT_TRUE(softmaxAfterPool);
+    EXPECT_TRUE(fcAfterPool);
+    EXPECT_TRUE(spatialOutput);
     for (std::size_t t = 2; t <= 4; ++t) {
         EXPECT_TRUE(unsplit[t]) << t << " threads";
         EXPECT_TRUE(partly[t] || t == 2) << t << " threads";

@@ -16,6 +16,8 @@
 #include <cstring>
 #include <limits>
 #include <new>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bce/simd_kernels.hh"
@@ -581,22 +583,50 @@ make_vgg_block()
     return net;
 }
 
+/** conv -> relu -> 2x2 maxpool -> softmax: the softmax reads the
+ *  pool's channels-last output back in channel-plane order. */
+Network
+make_pool_softmax()
+{
+    Network net("pool-softmax", {3, 10, 12});
+    net.add(make_conv("c", {3, 10, 12}, 8, 3, 1, 1));
+    net.add(make_activation("r", LayerKind::Relu, {8, 10, 12}));
+    net.add(make_pool("p", LayerKind::MaxPool, {8, 10, 12}, 2, 2, 0));
+    net.add(make_activation("prob", LayerKind::Softmax, {8, 5, 6}));
+    return net;
+}
+
+/** conv -> relu -> conv reading the first conv's 4 x 4 x 6 output as
+ *  6 x 4 x 4: the executor goes through channel planes between them. */
+Network
+make_reshape()
+{
+    Network net("reshape", {2, 4, 6});
+    net.add(make_conv("c1", {2, 4, 6}, 4, 3, 1, 1));
+    net.add(make_activation("r", LayerKind::Relu, {4, 4, 6}));
+    net.add(make_conv("c2", {6, 4, 4}, 3, 3, 1, 1));
+    return net;
+}
+
 /**
  * @p net run whole, its Relus folded into their producers, against
  * the same layers run as a chain of one-layer plans, which never
- * fold, each on its own executor: outputs, BceStats and energy must be
- * bit-identical.
+ * fold, each on its own executor, all at @p threads executor threads:
+ * outputs, BceStats and energy must be bit-identical. The whole plan
+ * keeps its activations channels-last from conv to pool; each
+ * one-layer plan transposes its own input and output.
  */
 void
 expect_folding_invisible(const Network &net, const NetworkWeights &weights,
-                         const FloatTensor &input, unsigned bits)
+                         const FloatTensor &input, unsigned bits,
+                         unsigned threads)
 {
     const NetworkPlan whole = NetworkPlan::compile(net, weights, bits);
     EXPECT_GT(whole.stats().foldedRelus, 0u);
-    FunctionalExecutor we;
+    FunctionalExecutor we({}, {}, bfree::bce::ExecTier::Tiered, threads);
     const FunctionalResult wr = we.run(whole, input);
 
-    FunctionalExecutor ce;
+    FunctionalExecutor ce({}, {}, bfree::bce::ExecTier::Tiered, threads);
     std::vector<float> act(input.data(), input.data() + input.size());
     for (std::size_t i = 0; i < net.layers().size(); ++i) {
         const Layer &l = net.layers()[i];
@@ -613,7 +643,8 @@ expect_folding_invisible(const Network &net, const NetworkWeights &weights,
     ASSERT_EQ(act.size(), wr.output.size());
     EXPECT_EQ(0, std::memcmp(act.data(), wr.output.data(),
                              act.size() * sizeof(float)))
-        << net.name() << " at " << bits << " bits";
+        << net.name() << " at " << bits << " bits, " << threads
+        << " threads";
     expect_stats_eq(wr.stats, ce.stats());
     EXPECT_EQ(we.energy().total(), ce.energy().total());
 }
@@ -624,6 +655,7 @@ TEST(NetworkPlan, FoldedReluMatchesUnfoldedChain)
 {
     const Network vgg = make_vgg_block();
     const Network tiny = make_tiny_cnn();
+    const Network soft = make_pool_softmax();
     bfree::sim::Rng rng(41);
     const NetworkWeights vw = random_weights(vgg, rng);
     const NetworkWeights tw = random_weights(tiny, rng);
@@ -631,6 +663,13 @@ TEST(NetworkPlan, FoldedReluMatchesUnfoldedChain)
     vin.fillUniform(rng, -1.0, 1.0);
     FloatTensor tin({1, 8, 8});
     tin.fillUniform(rng, 0.0, 1.0);
+    const NetworkWeights sw = random_weights(soft, rng);
+    FloatTensor sin({3, 10, 12});
+    sin.fillUniform(rng, -1.0, 1.0);
+    const Network reshape = make_reshape();
+    const NetworkWeights rw = random_weights(reshape, rng);
+    FloatTensor rin({2, 4, 6});
+    rin.fillUniform(rng, -1.0, 1.0);
 
     // Biases past 2^31 / 256 in both directions: the store's ReLU
     // sends those lanes down lround's wrapping path.
@@ -648,16 +687,84 @@ TEST(NetworkPlan, FoldedReluMatchesUnfoldedChain)
     FloatTensor nanIn = vin;
     nanIn[11] = std::numeric_limits<float>::quiet_NaN();
 
+    // One executor thread, and four: the pools then split their
+    // output rows and the convs their row chunks over the pool.
     bfree::test::for_each_runnable_level([&](bfree::sim::SimdLevel) {
         for (unsigned bits : {4u, 8u, 16u}) {
-            SCOPED_TRACE(bits);
-            expect_folding_invisible(vgg, vw, vin, bits);
-            expect_folding_invisible(tiny, tw, tin, bits);
-            expect_folding_invisible(vgg, huge, vin, bits);
-            expect_folding_invisible(vgg, vw, infIn, bits);
-            expect_folding_invisible(vgg, vw, nanIn, bits);
+            for (unsigned t : {1u, 4u}) {
+                SCOPED_TRACE(bits);
+                expect_folding_invisible(vgg, vw, vin, bits, t);
+                expect_folding_invisible(tiny, tw, tin, bits, t);
+                expect_folding_invisible(soft, sw, sin, bits, t);
+                expect_folding_invisible(reshape, rw, rin, bits, t);
+                expect_folding_invisible(vgg, huge, vin, bits, t);
+                expect_folding_invisible(vgg, vw, infIn, bits, t);
+                expect_folding_invisible(vgg, vw, nanIn, bits, t);
+            }
         }
     });
+}
+
+TEST(NetworkPlan, LayoutsAndBoundaryTransposes)
+{
+    // Convs and pools read and write channels-last; the plan input is
+    // transposed into layer 0, the pool's output back to channel
+    // planes for the FC or the Softmax, a conv-only plan's output for
+    // the caller, and a reshape between two convs goes through
+    // channel planes. Elementwise layers keep what they get.
+    using bfree::core::ActLayout;
+    using bfree::core::Relayout;
+    const auto layouts = [](const NetworkPlan &p) {
+        std::string s;
+        for (const PlannedLayer &pl : p.layers()) {
+            for (const Relayout &r : pl.relayouts)
+                s += std::string(">") + act_layout_name(r.to) + " ";
+            s += std::string(act_layout_name(pl.layout)) + "; ";
+        }
+        return s + (p.outputRelayout() ? ">chw" : "");
+    };
+    bfree::sim::Rng rng(8);
+    const auto plan = [&](const Network &net) {
+        return NetworkPlan::compile(net, random_weights(net, rng), 8);
+    };
+    const NetworkPlan vgg = plan(make_vgg_block());
+    EXPECT_EQ(layouts(vgg), ">hwc hwc; hwc; hwc; hwc; "
+                            "hwc; >chw chw; chw; chw; ");
+    EXPECT_EQ(vgg.layers()[0].relayouts[0].shape, FeatureShape(3, 9, 10));
+    EXPECT_EQ(vgg.layers()[5].relayouts[0].shape, FeatureShape(8, 4, 5));
+    EXPECT_EQ(vgg.stats().relayouts, 2u);
+    EXPECT_EQ(layouts(plan(make_pool_softmax())),
+              ">hwc hwc; hwc; hwc; >chw chw; ");
+    const NetworkPlan reshape = plan(make_reshape());
+    EXPECT_EQ(layouts(reshape),
+              ">hwc hwc; hwc; >chw >hwc hwc; >chw");
+    EXPECT_EQ(reshape.layers()[2].relayouts[0].shape, FeatureShape(4, 4, 6));
+    EXPECT_EQ(reshape.layers()[2].relayouts[1].shape, FeatureShape(6, 4, 4));
+    EXPECT_EQ(reshape.outputRelayout()->shape, FeatureShape(3, 4, 4));
+    EXPECT_EQ(reshape.stats().relayouts, 4u);
+    // One channel, or one position, reads the same either way: the
+    // tiny CNN's one-channel input and 1 x 1 FC outputs take none.
+    EXPECT_EQ(layouts(plan(make_tiny_cnn())),
+              "hwc; hwc; hwc; hwc; hwc; hwc; "
+              ">chw chw; chw; ");
+
+    // A transpose run over split position ranges (as the executor's
+    // threads run it), there and back.
+    const FeatureShape s{5, 7, 9};
+    const std::size_t hw = 7 * 9;
+    std::vector<float> chw(s.elements()), hwc(s.elements(), -1.0f),
+        back(s.elements(), -1.0f);
+    for (std::size_t i = 0; i < chw.size(); ++i)
+        chw[i] = static_cast<float>(i);
+    for (const auto &[p0, p1] :
+         {std::pair<std::size_t, std::size_t>{0, 20}, {20, 21}, {21, hw}})
+        relayout({ActLayout::Hwc, s}, chw.data(), hwc.data(), p0, p1);
+    for (std::size_t ch = 0; ch < s.c; ++ch)
+        for (std::size_t p = 0; p < hw; ++p)
+            ASSERT_EQ(chw[ch * hw + p], hwc[p * s.c + ch]) << ch << " " << p;
+    relayout({ActLayout::Chw, s}, hwc.data(), back.data(), 0, 30);
+    relayout({ActLayout::Chw, s}, hwc.data(), back.data(), 30, hw);
+    EXPECT_EQ(chw, back);
 }
 
 TEST(NetworkPlan, FoldMarksEveryReluAfterConvOrFc)

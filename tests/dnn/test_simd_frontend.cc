@@ -22,6 +22,7 @@
 
 #include "bce/simd_kernels.hh"
 #include "core/conv_front.hh"
+#include "core/network_plan.hh"
 #include "dnn/im2col.hh"
 #include "dnn/layer.hh"
 #include "dnn/quantize.hh"
@@ -437,20 +438,22 @@ frontend_cases()
     return ls;
 }
 
-/** A channels-last plane of @p l staged from @p in through @p sq in
- *  @p chunks row ranges (as the executor's threads stage it), over
- *  bytes poisoned first so an unwritten byte shows. */
+/** A channels-last plane of @p l staged from the CHW input @p in,
+ *  transposed to the HWC activation the executor hands a conv, through
+ *  @p sq in @p chunks row ranges (as the executor's threads stage it),
+ *  over bytes poisoned first so an unwritten byte shows. */
 std::vector<std::int8_t>
 staged_plane(const Layer &l, const SymQuant &sq, const std::vector<float> &in,
              std::size_t chunks)
 {
+    std::vector<float> hwc(in.size());
+    bfree::core::relayout({bfree::core::ActLayout::Hwc, l.input}, in.data(),
+                          hwc.data(), 0, std::size_t(l.input.h) * l.input.w);
     const bfree::core::HwcPlane hp = bfree::core::hwc_plane(l);
     std::vector<std::int8_t> plane(hp.bytes(), 55);
-    std::vector<std::int8_t> scratch(bfree::core::hwc_stage_scratch_bytes(l));
     for (std::size_t c = 0; c < chunks; ++c)
-        bfree::core::stage_hwc_rows(l, sq, in.data(), c * hp.rows / chunks,
-                                    (c + 1) * hp.rows / chunks, plane.data(),
-                                    scratch.data());
+        bfree::core::stage_hwc_rows(l, sq, hwc.data(), c * hp.rows / chunks,
+                                    (c + 1) * hp.rows / chunks, plane.data());
     return plane;
 }
 
@@ -564,9 +567,14 @@ TEST(HwcFront, TapFeaturesMatchPatchFeaturesAtEveryLevel)
                         l, plane.data(), c * hp.rows / chunks,
                         (c + 1) * hp.rows / chunks, accs[c].data(),
                         scratch.data());
+                // Summed over word ranges, as the executor's threads
+                // sum them.
                 for (std::size_t c = 1; c < chunks; ++c)
-                    bfree::core::sum_tap_features(l, accs[0].data(),
-                                                  accs[c].data());
+                    for (std::size_t r = 0; r < chunks; ++r)
+                        bfree::core::sum_tap_features(
+                            accs[0].data(), accs[c].data(),
+                            r * accWords / chunks,
+                            (r + 1) * accWords / chunks);
                 std::vector<std::uint32_t> got(words);
                 bfree::core::tap_features(l, accs[0].data(), got.data());
                 for (std::size_t w = 0; w < words; ++w)

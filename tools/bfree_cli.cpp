@@ -242,19 +242,27 @@ main(int argc, char **argv)
 
         std::printf("execution plan: %s @ int%u\n", net.name().c_str(),
                     bits);
-        std::printf("%-22s %-9s %10s %10s %10s %9s\n", "layer", "kind",
-                    "in", "out", "frozen", "scratchB");
+        // layout: the activation layout the layer reads and writes,
+        // after the boundary transposes (">hwc", ">chw") the executor
+        // runs on its input first.
+        std::printf("%-22s %-9s %10s %10s %10s %9s  %s\n", "layer", "kind",
+                    "in", "out", "frozen", "scratchB", "layout");
         bool executable = true;
         for (const core::PlannedLayer &pl : plan.layers()) {
             std::uint64_t frozen = 0;
             for (const dnn::QuantizedWeights &f : pl.frozen)
                 frozen += f.count();
-            std::printf("%-22s %-9s %10zu %10zu %10llu %9zu\n",
+            std::string layout;
+            for (const core::Relayout &r : pl.relayouts)
+                layout += std::string(">") + core::act_layout_name(r.to)
+                          + " ";
+            layout += core::act_layout_name(pl.layout);
+            std::printf("%-22s %-9s %10zu %10zu %10llu %9zu  %s\n",
                         pl.layer.name.c_str(),
                         dnn::layer_kind_name(pl.layer.kind), pl.inElems,
                         pl.outElems,
                         static_cast<unsigned long long>(frozen),
-                        pl.scratchBytes);
+                        pl.scratchBytes, layout.c_str());
             switch (pl.layer.kind) {
               case dnn::LayerKind::Conv:
               case dnn::LayerKind::Fc:
@@ -284,6 +292,9 @@ main(int argc, char **argv)
                     sim::simd_level_name(sim::active_simd_level()));
         std::printf("workers: %u\n", sim::resolve_threads(0));
         std::printf("epilogues: %zu relu folded\n", ps.foldedRelus);
+        std::printf("relayouts: %zu boundary transpose(s)%s\n",
+                    ps.relayouts,
+                    plan.outputRelayout() ? ", output >chw" : "");
 
         // Amortization demo: run a batch through the plan so the reuse
         // counter is visible. Skipped when a layer only runs standalone
