@@ -218,9 +218,10 @@ struct StageRig
         core::stage_hwc_rows(l, sq, in.data(), 0, hp.rows, plane.data());
         const double quantize = seconds_since(t0);
         for (unsigned oh = 0; oh < out.h; ++oh)
-            core::copy_patch_row(l, plane.data(), oh,
-                                 patches.data()
-                                     + std::size_t(oh) * out.w * patch_len);
+            bce::simd::copy_patch_row(core::conv_rows(l), plane.data(), oh,
+                                      patches.data()
+                                          + std::size_t(oh) * out.w
+                                                * patch_len);
         return quantize;
     }
 

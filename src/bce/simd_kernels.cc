@@ -1443,16 +1443,19 @@ amx_tile_config()
 alignas(64) constexpr TileConfig amx_config = amx_tile_config();
 
 /**
- * One block of MR row tiles x NR panels over every K step: patch rows
- * [0, 16 MR) of @p a at stride @p k against the panel @p b (and the
- * next panel, @p panelStride bytes on), tiles stored to c[2 r + p].
- * Row bytes past k meet the panel's zero k-quads; rows past the
- * caller's m are computed and never stored.
+ * One block of MR row tiles x NR panels over every K step: the patch
+ * tiles of output positions [0, 16 MR) read at @p a + ky *
+ * @p groupStride + 64 j, tile row stride @p stride, for kernel rows
+ * ky < @p groups and steps j < @p groupSteps, against the panel @p b
+ * (and the next panel, @p panelStride bytes on); tiles stored to
+ * c[2 r + p]. Row bytes past a group's run meet the panel's zero
+ * k-quads; rows past the caller's m are computed and never stored.
  */
 template <int MR, int NR>
 __attribute__((target("amx-tile,amx-int8"))) inline void
-amx_block(const std::int8_t *a, std::size_t k, const std::int8_t *b,
-          std::size_t panelStride, std::size_t steps,
+amx_block(const std::int8_t *a, std::size_t stride, std::size_t groups,
+          std::size_t groupStride, std::size_t groupSteps,
+          const std::int8_t *b, std::size_t panelStride,
           std::int32_t (*c)[panel_width * panel_width])
 {
     _tile_zero(0);
@@ -1462,23 +1465,26 @@ amx_block(const std::int8_t *a, std::size_t k, const std::int8_t *b,
         _tile_zero(2);
     if constexpr (MR == 2 && NR == 2)
         _tile_zero(3);
-    const std::size_t a1 = panel_width * k;
-    for (std::size_t s = 0; s < steps; ++s) {
-        const std::int8_t *as = a + s * panel_k_step;
-        const std::int8_t *bs = b + s * panel_block_bytes;
-        _tile_loadd(4, as, k);
-        _tile_loadd(6, bs, panel_k_step);
-        _tile_dpbssd(0, 4, 6);
-        if constexpr (NR == 2) {
-            _tile_loadd(7, bs + panelStride, panel_k_step);
-            _tile_dpbssd(1, 4, 7);
+    const std::size_t a1 = panel_width * stride;
+    const std::int8_t *bs = b;
+    for (std::size_t y = 0; y < groups; ++y, a += groupStride) {
+        for (std::size_t j = 0; j < groupSteps;
+             ++j, bs += panel_block_bytes) {
+            const std::int8_t *as = a + j * panel_k_step;
+            _tile_loadd(4, as, stride);
+            _tile_loadd(6, bs, panel_k_step);
+            _tile_dpbssd(0, 4, 6);
+            if constexpr (NR == 2) {
+                _tile_loadd(7, bs + panelStride, panel_k_step);
+                _tile_dpbssd(1, 4, 7);
+            }
+            if constexpr (MR == 2) {
+                _tile_loadd(5, as + a1, stride);
+                _tile_dpbssd(2, 5, 6);
+            }
+            if constexpr (MR == 2 && NR == 2)
+                _tile_dpbssd(3, 5, 7);
         }
-        if constexpr (MR == 2) {
-            _tile_loadd(5, as + a1, k);
-            _tile_dpbssd(2, 5, 6);
-        }
-        if constexpr (MR == 2 && NR == 2)
-            _tile_dpbssd(3, 5, 7);
     }
     constexpr long cStride = panel_width * sizeof(std::int32_t);
     _tile_stored(0, c[0], cStride);
@@ -1510,20 +1516,25 @@ amx_add_tile(const std::int32_t *c, std::size_t rows, std::size_t cols,
 }
 
 /**
- * AMX-INT8 GEMM over a B panel (pack_panel): 2x2 blocks of 16 x 16
- * tiles, one tdpbssd per tile per 64-byte K step, the patch tiles
- * loaded straight from @p a at stride k. tdpbssd multiplies s8 by s8
- * into int32 lanes that wrap like the other cores, so no bias or row
- * sums are involved. The tile config is loaded and released on every
- * call: each pool thread owns its tile state only for the call.
+ * AMX-INT8 conv row over a B panel (pack_panel): 2x2 blocks of 16 x 16
+ * tiles, one tdpbssd per tile per 64-byte step of every kernel row,
+ * the patch tiles loaded straight from the plane row @p top (that of
+ * kernel row 0) at stride sW * C. tdpbssd multiplies s8 by s8 into
+ * int32 lanes that wrap like the other cores, so no bias or row sums
+ * are involved. The tile config is loaded and released on every call:
+ * each pool thread owns its tile state only for the call.
  */
 __attribute__((target("amx-tile,amx-int8,avx512f,avx512bw,avx512vl"))) void
-gemm_amx(const std::int8_t *a, const std::int8_t *panel, std::int32_t *out,
-         std::size_t m, std::size_t k, std::size_t n, std::size_t rs)
+conv_row_amx(const ConvRows &g, const std::int8_t *top,
+             const std::int8_t *panel, std::int32_t *out)
 {
-    const std::size_t steps = (k + panel_k_step - 1) / panel_k_step;
+    const std::size_t m = g.outW;
+    const std::size_t n = g.filters;
+    const std::size_t kh = g.kernelH, rb = g.rowBytes;
+    const std::size_t stride = g.strideW * g.channels;
+    const std::size_t steps = g.groupSteps();
     const std::size_t panels = (n + panel_width - 1) / panel_width;
-    const std::size_t panelStride = steps * panel_block_bytes;
+    const std::size_t panelStride = kh * steps * panel_block_bytes;
     alignas(64) std::int32_t c[4][panel_width * panel_width];
     // The tile loads are asm without memory operands: keep every store
     // to the operands ahead of them.
@@ -1534,23 +1545,23 @@ gemm_amx(const std::int8_t *a, const std::int8_t *panel, std::int32_t *out,
         const std::int8_t *b = panel + jp * panelStride;
         for (std::size_t i = 0; i < m; i += 2 * panel_width) {
             const bool twoRows = i + panel_width < m;
-            const std::int8_t *ai = a + i * k;
+            const std::int8_t *ai = top + i * stride;
             if (twoRows && twoPanels)
-                amx_block<2, 2>(ai, k, b, panelStride, steps, c);
+                amx_block<2, 2>(ai, stride, kh, rb, steps, b, panelStride, c);
             else if (twoRows)
-                amx_block<2, 1>(ai, k, b, panelStride, steps, c);
+                amx_block<2, 1>(ai, stride, kh, rb, steps, b, panelStride, c);
             else if (twoPanels)
-                amx_block<1, 2>(ai, k, b, panelStride, steps, c);
+                amx_block<1, 2>(ai, stride, kh, rb, steps, b, panelStride, c);
             else
-                amx_block<1, 1>(ai, k, b, panelStride, steps, c);
-            for (std::size_t rb = 0; rb < (twoRows ? 2u : 1u); ++rb) {
-                const std::size_t r0 = i + rb * panel_width;
+                amx_block<1, 1>(ai, stride, kh, rb, steps, b, panelStride, c);
+            for (std::size_t rt = 0; rt < (twoRows ? 2u : 1u); ++rt) {
+                const std::size_t r0 = i + rt * panel_width;
                 for (std::size_t pb = 0; pb < (twoPanels ? 2u : 1u); ++pb) {
                     const std::size_t j0 = (jp + pb) * panel_width;
-                    amx_add_tile(c[2 * rb + pb],
+                    amx_add_tile(c[2 * rt + pb],
                                  std::min(panel_width, m - r0),
                                  std::min(panel_width, n - j0),
-                                 out + r0 * rs + j0, rs);
+                                 out + r0 * n + j0, n);
                 }
             }
         }
@@ -1715,60 +1726,129 @@ weight_row_sums(const std::int8_t *tile, std::size_t rows, std::size_t k,
 }
 
 std::size_t
-panel_bytes(std::size_t n, std::size_t k)
+conv_row_reach(const ConvRows &g)
 {
-    return (n + panel_width - 1) / panel_width
-           * ((k + panel_k_step - 1) / panel_k_step) * panel_block_bytes;
+    if (g.outW == 0)
+        return 0;
+    const std::size_t tileRows =
+        (g.outW + panel_width - 1) / panel_width * panel_width;
+    return (g.kernelH - 1) * g.rowBytes
+           + (tileRows - 1) * g.strideW * g.channels
+           + g.groupSteps() * panel_k_step;
 }
 
 std::size_t
-panel_a_bytes(std::size_t m, std::size_t k)
+panel_bytes(std::size_t n, std::size_t groups, std::size_t run)
 {
-    if (m == 0)
-        return 0;
-    return ((m + panel_width - 1) / panel_width * panel_width - 1) * k
-           + (k + panel_k_step - 1) / panel_k_step * panel_k_step;
+    return (n + panel_width - 1) / panel_width * groups
+           * ((run + panel_k_step - 1) / panel_k_step) * panel_block_bytes;
 }
 
 void
-pack_panel(const std::int8_t *b, std::size_t n, std::size_t k,
-           std::int8_t *panel)
+pack_panel(const std::int8_t *b, std::size_t n, std::size_t groups,
+           std::size_t run, std::int8_t *panel)
 {
-    const std::size_t steps = (k + panel_k_step - 1) / panel_k_step;
-    std::memset(panel, 0, panel_bytes(n, k));
-    // Quad p / 4 of filter j: row (p % 64) / 4 of step p / 64's block.
+    const std::size_t groupBytes =
+        (run + panel_k_step - 1) / panel_k_step * panel_block_bytes;
+    std::memset(panel, 0, panel_bytes(n, groups, run));
+    // Quad P / 4 of a filter: row (P % 64) / 4 of step P / 64's block.
     const auto quad = [](std::size_t p) {
         return p / panel_k_step * panel_block_bytes
                + p % panel_k_step / 4 * panel_k_step;
     };
     for (std::size_t j = 0; j < n; ++j) {
-        std::int8_t *dst = panel
-                           + j / panel_width * steps * panel_block_bytes
+        std::int8_t *dst = panel + j / panel_width * groups * groupBytes
                            + j % panel_width * 4;
-        const std::int8_t *src = b + j * k;
-        std::size_t p = 0;
-        for (; p + 4 <= k; p += 4)
-            std::memcpy(dst + quad(p), src + p, 4);
-        for (; p < k; ++p)
-            dst[quad(p) + p % 4] = src[p];
+        for (std::size_t y = 0; y < groups; ++y) {
+            const std::int8_t *src = b + (j * groups + y) * run;
+            std::int8_t *grp = dst + y * groupBytes;
+            std::size_t p = 0;
+            for (; p + 4 <= run; p += 4)
+                std::memcpy(grp + quad(p), src + p, 4);
+            for (; p < run; ++p)
+                grp[quad(p) + p % 4] = src[p];
+        }
     }
+}
+
+namespace {
+
+/**
+ * Copy @p len bytes. Runs shorter than 16 bytes (a 3x3 kernel over
+ * three channels copies 9) take two overlapping fixed-width moves
+ * instead of a library call; nothing outside [dst, dst + len) is
+ * written or outside [src, src + len) read.
+ */
+inline void
+copy_run(std::int8_t *dst, const std::int8_t *src, std::size_t len)
+{
+    if (len >= 16) {
+        std::memcpy(dst, src, len);
+    } else if (len >= 8) {
+        std::memcpy(dst, src, 8);
+        std::memcpy(dst + len - 8, src + len - 8, 8);
+    } else if (len >= 4) {
+        std::memcpy(dst, src, 4);
+        std::memcpy(dst + len - 4, src + len - 4, 4);
+    } else {
+        for (std::size_t i = 0; i < len; ++i)
+            dst[i] = src[i];
+    }
+}
+
+} // namespace
+
+void
+copy_patch_row(const ConvRows &g, const std::int8_t *plane, std::size_t oh,
+               std::int8_t *patches)
+{
+    const std::size_t run = g.run();
+    const std::size_t step = g.strideW * g.channels;
+    const std::int8_t *top = plane + oh * g.strideH * g.rowBytes;
+    for (std::size_t x = 0; x < g.outW; ++x) {
+        const std::int8_t *src = top + x * step;
+        for (std::size_t ky = 0; ky < g.kernelH;
+             ++ky, src += g.rowBytes, patches += run)
+            copy_run(patches, src, run);
+    }
+}
+
+bool
+conv_rows_read_plane(const std::int8_t *bPanel)
+{
+#if defined(BFREE_X86_KERNELS) && defined(__x86_64__)
+    return bPanel != nullptr
+           && sim::active_simd_level() == sim::SimdLevel::AmxInt8;
+#else
+    (void)bPanel;
+    return false;
+#endif
+}
+
+void
+conv_row_gemm(const ConvRows &g, const std::int8_t *plane, std::size_t oh,
+              const std::int8_t *b, const std::int32_t *bRowSums,
+              const std::int8_t *bPanel, std::int8_t *patches,
+              std::int32_t *out)
+{
+#if defined(BFREE_X86_KERNELS) && defined(__x86_64__)
+    if (conv_rows_read_plane(bPanel))
+        return conv_row_amx(g, plane + oh * g.strideH * g.rowBytes, bPanel,
+                            out);
+#endif
+    copy_patch_row(g, plane, oh, patches);
+    gemm_i8(patches, b, out, g.outW, g.k(), g.filters, bRowSums);
 }
 
 void
 gemm_i8(const std::int8_t *a, const std::int8_t *b, std::int32_t *out,
         std::size_t m, std::size_t k, std::size_t n,
-        const std::int32_t *bRowSums, std::size_t rowStride,
-        const std::int8_t *bPanel)
+        const std::int32_t *bRowSums, std::size_t rowStride)
 {
     const std::size_t rs = rowStride == 0 ? n : rowStride;
     switch (sim::active_simd_level()) {
 #ifdef BFREE_X86_KERNELS
       case sim::SimdLevel::AmxInt8:
-#if defined(__x86_64__)
-        if (bPanel != nullptr)
-            return gemm_amx(a, bPanel, out, m, k, n, rs);
-#endif
-        [[fallthrough]];
       case sim::SimdLevel::Avx512Vnni: {
         // (a + 128) * w summed mod 2^32, minus 128 * rowsum(w) mod
         // 2^32, is dot(a, w) mod 2^32: the value gemm_scalar wraps to,

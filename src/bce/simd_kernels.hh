@@ -160,50 +160,17 @@ SpanSums fold_tile_features(const std::uint32_t *fx,
 void weight_row_sums(const std::int8_t *tile, std::size_t rows,
                      std::size_t k, std::int32_t *sums);
 
-/** Weight rows (filters) per B panel, and rows per AMX patch tile. */
-constexpr std::size_t panel_width = 16;
-/** K bytes per AMX step: one 64-byte patch-tile row. */
-constexpr std::size_t panel_k_step = 64;
-/** One panel step: 16 k-quads x 16 weight rows x 4 bytes. */
-constexpr std::size_t panel_block_bytes = panel_width * panel_k_step;
-
-/**
- * Bytes of the B panel of an n x k weight tile: ceil(n / 16) panels of
- * ceil(k / 64) blocks of panel_block_bytes.
- */
-std::size_t panel_bytes(std::size_t n, std::size_t k);
-
-/**
- * Pack the n x k row-major weight tile @p b into the B panel the AMX
- * core reads (panel_bytes(n, k) bytes at @p panel): panel j / 16, step
- * p / 64, row (p % 64) / 4, bytes 4 (j % 16) .. + 3 hold
- * b[j][p - p % 4 .. + 3]. Bytes past k and rows past n are zero.
- */
-void pack_panel(const std::int8_t *b, std::size_t n, std::size_t k,
-                std::int8_t *panel);
-
-/**
- * Bytes gemm_i8 may read from @p a when it runs the AMX core: patch
- * tiles load whole 16-row, 64-byte blocks at stride k, so the last
- * tile reads up to row ceil(m / 16) * 16 - 1 and up to ceil(k / 64) *
- * 64 bytes into it. The bytes past the m x k operand may hold
- * anything: past k they meet the panel's zeros, past m their outputs
- * are not stored.
- */
-std::size_t panel_a_bytes(std::size_t m, std::size_t k);
-
 /**
  * Register-blocked int8 GEMM over K-contiguous operands:
  * out[i * rowStride + j] += sum_p a[i * k + p] * b[j * k + p], wrapped
- * mod 2^32 exactly like the span kernels' accumulators. Ragged K is handled
- * with masked or zero-filled tails, never by reading past a row (the
- * AMX core excepted, below). One core per x86 level: AMX-INT8 runs
- * 2x2 blocks of 16 x 16 tdpbssd tiles (s8 x s8, no bias) when given a
- * panel; AVX512-VNNI, and AMX-INT8 without a panel, run a 4x4
+ * mod 2^32 exactly like the span kernels' accumulators. Ragged K is
+ * handled with masked or zero-filled tails, never by reading past a
+ * row. One core per x86 level: AVX512-VNNI and AMX-INT8 run a 4x4
  * vpdpbusd block over the activation side biased to u8 (a + 128) and
  * subtract 128 * rowsum(b_j) afterwards; AVX-512 (4x4), AVX2 and
  * SSE4.2 (2x4) widen both sides to int16 and sum with madd; a scalar
- * loop serves the rest, NEON included.
+ * loop serves the rest, NEON included. (The AMX tiles serve the conv
+ * rows of conv_row_gemm.)
  *
  * @p bRowSums, when not null, holds weight_row_sums of the n rows of
  * b (frozen at plan compile); null makes the VNNI core compute them
@@ -213,17 +180,117 @@ std::size_t panel_a_bytes(std::size_t m, std::size_t k);
  * output row. A block of columns [j0, j0 + n) of a wider row-major
  * output is gemm_i8(a, b + j0 * k, out + j0, m, k, n, sums + j0,
  * width).
- *
- * @p bPanel, when not null, is b packed by pack_panel (frozen at plan
- * compile). At the AmxInt8 level the call then runs the AMX core,
- * which reads panel_a_bytes(m, k) bytes from @p a; the caller sizes
- * the operand's buffer for it. Every other level ignores the panel.
  */
 void gemm_i8(const std::int8_t *a, const std::int8_t *b,
              std::int32_t *out, std::size_t m, std::size_t k,
              std::size_t n, const std::int32_t *bRowSums = nullptr,
-             std::size_t rowStride = 0,
-             const std::int8_t *bPanel = nullptr);
+             std::size_t rowStride = 0);
+
+// ---------------------------------------------------------------------
+// The conv row GEMM over a channels-last int8 plane
+// ---------------------------------------------------------------------
+//
+// A conv's input is staged as a zero-padded channels-last int8 plane
+// (core/conv_front.hh). Output row oh's patch at position ow is
+// kernelH runs of kernelW * C bytes, run ky at
+//
+//     plane + (oh sH + ky) rowBytes + ow sW C,
+//
+// so a 16-row AMX patch tile of kernel row ky and 64-byte step j is a
+// strided load straight from the plane: row i at
+// plane + (oh sH + ky) rowBytes + (ow0 + i) sW C + 64 j, stride sW C.
+// The B panel holds the filters in the same order, kernelH groups of
+// ceil(kernelW C / 64) zero-padded steps, so bytes past kernelW C in a
+// step meet zero weights whatever the plane holds there.
+
+/** Weight rows (filters) per B panel, and rows per AMX patch tile. */
+constexpr std::size_t panel_width = 16;
+/** K bytes per AMX step: one 64-byte patch-tile row. */
+constexpr std::size_t panel_k_step = 64;
+/** One panel step: 16 k-quads x 16 weight rows x 4 bytes. */
+constexpr std::size_t panel_block_bytes = panel_width * panel_k_step;
+
+/** The shape of one conv's output rows over its staged plane. */
+struct ConvRows
+{
+    std::size_t channels = 0; ///< C: bytes per plane column.
+    std::size_t rowBytes = 0; ///< Plane row stride.
+    std::size_t kernelH = 0, kernelW = 0;
+    std::size_t strideH = 0, strideW = 0;
+    std::size_t outW = 0;    ///< Positions per output row: the GEMM's m.
+    std::size_t filters = 0; ///< The GEMM's n.
+
+    /** Bytes of one kernel row of a patch: kernelW * C. */
+    std::size_t run() const { return kernelW * channels; }
+    /** Patch length: kernelH * run(). */
+    std::size_t k() const { return kernelH * run(); }
+    /** 64-byte steps of one kernel row's panel group. */
+    std::size_t
+    groupSteps() const
+    {
+        return (run() + panel_k_step - 1) / panel_k_step;
+    }
+};
+
+/**
+ * Bytes past the start of plane row oh * sH that conv_row_gemm may
+ * read for output row oh: the last patch tile's row, ceil(outW / 16) *
+ * 16 - 1, at kernel row kernelH - 1 and through its last 64-byte step.
+ * The plane buffer of a conv with o.h output rows spans at least
+ * (o.h - 1) * sH * rowBytes plus this. The bytes past the staged plane
+ * may hold anything: they meet zero panel bytes or feed tile rows past
+ * outW, whose outputs are not stored.
+ */
+std::size_t conv_row_reach(const ConvRows &g);
+
+/**
+ * Bytes of the B panel of n filters of @p groups runs of @p run bytes:
+ * ceil(n / 16) panels of groups * ceil(run / 64) steps of
+ * panel_block_bytes.
+ */
+std::size_t panel_bytes(std::size_t n, std::size_t groups, std::size_t run);
+
+/**
+ * Pack the n filters @p b, each groups * run contiguous bytes, into
+ * the B panel the AMX conv core reads (panel_bytes(n, groups, run)
+ * bytes at @p panel). Byte p of group y of filter j is panel K byte
+ * P = (y * ceil(run / 64)) * 64 + p, at panel j / 16, step P / 64, row
+ * (P % 64) / 4, byte 4 (j % 16) + P % 4. Bytes past run in a group's
+ * last step and rows past n are zero. Where run is a multiple of 64
+ * the layout is the filters' K order itself.
+ */
+void pack_panel(const std::int8_t *b, std::size_t n, std::size_t groups,
+                std::size_t run, std::int8_t *panel);
+
+/**
+ * The o.w patches of output row @p oh copied from @p plane: patch ow
+ * is k() bytes at patches + ow * k(), kernelH runs of run() bytes
+ * each, in (ky, kx, c) order. Reads only bytes of the plane's rows.
+ */
+void copy_patch_row(const ConvRows &g, const std::int8_t *plane,
+                    std::size_t oh, std::int8_t *patches);
+
+/**
+ * True when conv_row_gemm, called with @p bPanel, loads its patch
+ * tiles straight from the plane: the active level is AmxInt8 and the
+ * conv has a panel. Otherwise it copies patch rows.
+ */
+bool conv_rows_read_plane(const std::int8_t *bPanel);
+
+/**
+ * Output row @p oh of a conv as one GEMM: out[ow * filters + j] +=
+ * dot(patch ow, filter j), wrapped mod 2^32, for the g.outW patches of
+ * the row and the g.filters filters @p b (k() bytes each). Where
+ * conv_rows_read_plane(bPanel) holds, the AMX core runs 2x2 blocks of
+ * 16 x 16 tdpbssd tiles with its patch tiles loaded straight from
+ * @p plane (which must span conv_row_reach past row oh * sH). Every
+ * other level copies the row's patches into @p patches (outW * k()
+ * bytes) and runs gemm_i8 with @p bRowSums.
+ */
+void conv_row_gemm(const ConvRows &g, const std::int8_t *plane,
+                   std::size_t oh, const std::int8_t *b,
+                   const std::int32_t *bRowSums, const std::int8_t *bPanel,
+                   std::int8_t *patches, std::int32_t *out);
 
 // ---------------------------------------------------------------------
 // Q8 epilogue kernels: ReLU, the conv/FC dequantize store, 2x2 max pool

@@ -86,29 +86,6 @@ sub_words(std::uint32_t *__restrict dst, const std::uint32_t *__restrict src,
         dst[i] -= src[i];
 }
 
-/**
- * Copy @p len bytes. Runs shorter than 16 bytes (a 3x3 kernel over
- * three channels copies 9) take two overlapping fixed-width moves
- * instead of a library call; nothing outside [dst, dst + len) is
- * written or outside [src, src + len) read.
- */
-inline void
-copy_run(std::int8_t *dst, const std::int8_t *src, std::size_t len)
-{
-    if (len >= 16) {
-        std::memcpy(dst, src, len);
-    } else if (len >= 8) {
-        std::memcpy(dst, src, 8);
-        std::memcpy(dst + len - 8, src + len - 8, 8);
-    } else if (len >= 4) {
-        std::memcpy(dst, src, 4);
-        std::memcpy(dst + len - 4, src + len - 4, 4);
-    } else {
-        for (std::size_t i = 0; i < len; ++i)
-            dst[i] = src[i];
-    }
-}
-
 } // namespace
 
 HwcPlane
@@ -150,30 +127,37 @@ stage_hwc_rows(const dnn::Layer &layer, const dnn::SymQuant &q,
     }
 }
 
+bce::simd::ConvRows
+conv_rows(const dnn::Layer &layer)
+{
+    bce::simd::ConvRows g;
+    g.channels = layer.input.c;
+    g.rowBytes = hwc_plane(layer).rowBytes();
+    g.kernelH = layer.kernelH;
+    g.kernelW = layer.kernelW;
+    g.strideH = layer.strideH;
+    g.strideW = layer.strideW;
+    g.outW = layer.outputShape().w;
+    g.filters = layer.outChannels;
+    return g;
+}
+
+std::size_t
+plane_buffer_bytes(const dnn::Layer &layer)
+{
+    const HwcPlane p = hwc_plane(layer);
+    const std::size_t oh = layer.outputShape().h;
+    if (oh == 0)
+        return p.bytes();
+    const std::size_t reach = (oh - 1) * layer.strideH * p.rowBytes()
+                              + bce::simd::conv_row_reach(conv_rows(layer));
+    return std::max(p.bytes(), reach);
+}
+
 std::size_t
 patch_row_bytes(const dnn::Layer &layer)
 {
-    return bce::simd::panel_a_bytes(layer.outputShape().w,
-                                    std::size_t(layer.input.c)
-                                        * layer.kernelH * layer.kernelW);
-}
-
-void
-copy_patch_row(const dnn::Layer &layer, const std::int8_t *plane,
-               unsigned oh, std::int8_t *patches)
-{
-    const HwcPlane p = hwc_plane(layer);
-    const std::size_t run = std::size_t(layer.kernelW) * p.channels;
-    const std::size_t step = std::size_t(layer.strideW) * p.channels;
-    const std::size_t ow = layer.outputShape().w;
-    const std::int8_t *top =
-        plane + std::size_t(oh) * layer.strideH * p.rowBytes();
-    for (std::size_t x = 0; x < ow; ++x) {
-        const std::int8_t *src = top + x * step;
-        for (unsigned ky = 0; ky < layer.kernelH;
-             ++ky, src += p.rowBytes(), patches += run)
-            copy_run(patches, src, run);
-    }
+    return std::size_t(layer.outputShape().w) * conv_rows(layer).k();
 }
 
 std::size_t

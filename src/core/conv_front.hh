@@ -9,10 +9,15 @@
  * ActLayout), so a conv quantizes each input row with one contiguous
  * span into a zero-padded HWC int8 plane, and kernel row
  * ky of the patch at output column ow is one contiguous run of
- * kernelW * inC bytes and a patch is kernelH copies. The frozen
- * filters are stored in the same (ky, kx, c) order
- * (dnn::freeze_conv_weights), so patch and filter still meet as two
- * K-contiguous rows in the GEMM.
+ * kernelW * inC bytes. The frozen filters are stored in the same
+ * (ky, kx, c) order (dnn::freeze_conv_weights). Each output row is one
+ * bce::simd::conv_row_gemm: at the AMX level its patch tiles are
+ * strided loads straight from the plane, row i of kernel row ky's
+ * tile at plane + (oh sH + ky) rowBytes + (ow0 + i) sW inC, against
+ * a filter panel of kernelH zero-padded 64-byte groups (so the plane
+ * buffer carries the loads' read slack, plane_buffer_bytes); every
+ * other level copies the row's patches, kernelH runs each, and meets
+ * patch and filter as two K-contiguous rows.
  *
  * The activation side of the tile tally is computed once per layer
  * from the staged plane instead of once per copied patch row. The
@@ -41,6 +46,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "bce/simd_kernels.hh"
 #include "dnn/layer.hh"
 #include "dnn/quantize.hh"
 
@@ -77,20 +83,20 @@ void stage_hwc_rows(const dnn::Layer &layer, const dnn::SymQuant &q,
                     const float *in, std::size_t r0, std::size_t r1,
                     std::int8_t *plane);
 
-/**
- * Bytes of one output row's patch buffer: the o.w patches
- * copy_patch_row writes plus the slack the AMX GEMM core's 16-row,
- * 64-byte tile loads read past them (bce::simd::panel_a_bytes).
- */
-std::size_t patch_row_bytes(const dnn::Layer &layer);
+/** The GEMM shape of @p layer's output rows over its staged plane. */
+bce::simd::ConvRows conv_rows(const dnn::Layer &layer);
 
 /**
- * The o.w patches of output row @p oh, copied from the staged plane:
- * patch ow is K = kernelH * kernelW * inC bytes at patches + ow * K,
- * in (ky, kx, c) order, kernelH runs of kernelW * inC bytes each.
+ * Bytes of the plane buffer of @p layer: the staged plane and, past
+ * it, the read slack of the AMX core's patch tiles
+ * (bce::simd::conv_row_reach from the last output row's top plane
+ * row). The slack is never staged; what it holds reaches no output.
  */
-void copy_patch_row(const dnn::Layer &layer, const std::int8_t *plane,
-                    unsigned oh, std::int8_t *patches);
+std::size_t plane_buffer_bytes(const dnn::Layer &layer);
+
+/** Bytes of one output row's patch buffer: the o.w patches
+ *  bce::simd::copy_patch_row writes. */
+std::size_t patch_row_bytes(const dnn::Layer &layer);
 
 /** Words of one thread's tap-feature accumulator (classify_hwc_rows). */
 std::size_t tap_feature_words(const dnn::Layer &layer);

@@ -93,11 +93,14 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
         // compile through the same expressions: the pool quantizes the
         // HWC input into the zero-padded HWC plane, one span per input
         // row, classifying each staged row for the layer's activation
-        // features as it goes; then every output row is kernelH run
-        // copies per patch, one GEMM into a row-major [o.w][o.c] tile
+        // features as it goes; then every output row is one GEMM into a
+        // row-major [o.w][o.c] tile (its patch tiles loaded from the
+        // plane, or its patches copied first: bce::simd::conv_row_gemm)
         // and one contiguous store per output position.
         const HwcPlane hp = hwc_plane(layer);
-        std::int8_t *plane = arena_.alloc<std::int8_t>(hp.bytes());
+        const bce::simd::ConvRows rows = conv_rows(layer);
+        std::int8_t *plane =
+            arena_.alloc<std::int8_t>(plane_buffer_bytes(layer));
         const lut::DatapathTable *table =
             bce.tileTable(bits, patch_len, fw.featureSums(), qi.limit);
 
@@ -141,7 +144,7 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
             // the calling thread.
             RowSlot &rs = slots_[0];
             for (unsigned oh = 0; oh < o.h; ++oh) {
-                copy_patch_row(layer, plane, oh, rs.patch);
+                bce::simd::copy_patch_row(rows, plane, oh, rs.patch);
                 bce.convTile(rs.patch, fw.q8.data(), rs.accs, o.w,
                              patch_len, o.c, bits, fw.featureSums(),
                              fw.rowSumData());
@@ -179,11 +182,10 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
             const auto begin = static_cast<unsigned>(c * o.h / chunks);
             const auto end = static_cast<unsigned>((c + 1) * o.h / chunks);
             for (unsigned oh = begin; oh < end; ++oh) {
-                copy_patch_row(layer, plane, oh, rs.patch);
                 std::fill_n(rs.accs, outRow, 0);
-                bce::simd::gemm_i8(rs.patch, fw.q8.data(), rs.accs, o.w,
-                                   patch_len, o.c, fw.rowSumData(), 0,
-                                   fw.panelData());
+                bce::simd::conv_row_gemm(rows, plane, oh, fw.q8.data(),
+                                         fw.rowSumData(), fw.panelData(),
+                                         rs.patch, rs.accs);
                 storeRow(oh, rs.accs);
             }
         });

@@ -34,11 +34,11 @@
  * a layout transpose's positions in contiguous runs and an LSTM
  * step's hidden units in slices, each slice its gate rows'
  * GEMMs, stores, PWL spans and cell update. The workers run no booking
- * code: they stage, classify, fold and run simd::gemm_i8,
- * simd::max_pool_2x2_q8 and the PWL values; the statistics are booked
- * once on the calling thread from integer sums, so outputs,
- * statistics and energy are byte-identical at every executor thread
- * count. Everything else (other pools, Sigmoid and Tanh layers and
+ * code: they stage, classify, fold and run simd::conv_row_gemm,
+ * simd::gemm_i8, simd::max_pool_2x2_q8 and the PWL values; the
+ * statistics are booked once on the calling thread from integer sums,
+ * so outputs, statistics and energy are byte-identical at every
+ * executor thread count. Everything else (other pools, Sigmoid and Tanh layers and
  * the softmax, the per-span fallback, the Legacy tier's rows and
  * 16-bit layers) runs on the calling thread.
  */

@@ -153,21 +153,25 @@ freeze_features(dnn::QuantizedWeights &qw, std::size_t rows, std::size_t k)
 }
 
 /**
- * Pack the rows x k frozen conv filters @p qw into the AMX core's B
- * panel wherever the host can run the AmxInt8 level, whatever level is
- * active: a level forced after compile still finds the panel, and
- * every other level ignores it.
+ * Pack the frozen filters @p qw of conv @p layer into the AMX core's B
+ * panel, one group per kernel row (bce::simd::pack_panel), wherever
+ * the host can run the AmxInt8 level, whatever level is active: a
+ * level forced after compile still finds the panel, and every other
+ * level ignores it.
  */
 void
-freeze_panel(dnn::QuantizedWeights &qw, std::size_t rows, std::size_t k)
+freeze_panel(dnn::QuantizedWeights &qw, const dnn::Layer &layer)
 {
-    const std::size_t bytes = bce::simd::panel_bytes(rows, k);
+    const bce::simd::ConvRows g = conv_rows(layer);
+    const std::size_t bytes =
+        bce::simd::panel_bytes(g.filters, g.kernelH, g.run());
     if (!qw.narrow() || bytes == 0
         || !sim::simd_level_compiled(sim::SimdLevel::AmxInt8)
         || !sim::simd_level_supported(sim::SimdLevel::AmxInt8))
         return;
     qw.panel.resize(bytes / sizeof(dnn::QuantizedWeights::PanelLine));
-    bce::simd::pack_panel(qw.q8.data(), rows, k, qw.panel.front().bytes);
+    bce::simd::pack_panel(qw.q8.data(), g.filters, g.kernelH, g.run(),
+                          qw.panel.front().bytes);
 }
 
 /** Report a planning failure: fatal by default, or recorded in @p err
@@ -277,7 +281,7 @@ plan_shapes(const dnn::Network &net, unsigned bits,
             // (conv_row_scratch_bytes, rowScratchBytes).
             pl.scratchBytes =
                 TensorArena::paddedBytes<std::int8_t>(
-                    hwc_plane(layer).bytes())
+                    plane_buffer_bytes(layer))
                 + TensorArena::paddedBytes<std::uint32_t>(
                     bce::simd::feature_count * patch_len);
             ps.rowScratchBytes =
@@ -457,7 +461,7 @@ NetworkPlan::compile(const dnn::Network &net,
                 dnn::freeze_conv_weights(layer, w.weights.data(), bits));
             freeze_features(pl.frozen.back(), layer.outChannels,
                             patch_len);
-            freeze_panel(pl.frozen.back(), layer.outChannels, patch_len);
+            freeze_panel(pl.frozen.back(), layer);
             break;
           }
           case dnn::LayerKind::Fc: {

@@ -159,6 +159,26 @@ quantize_core_avx2(const SymQuant &sq, const float *src, std::size_t n,
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #pragma GCC diagnostic ignored "-Wuninitialized"
 
+/**
+ * The AVX-512 core: x = v * r with r = RN32(1 / scale), on 16 float
+ * lanes, kept wherever it provably rounds as the double quotient
+ * RN64(v / scale) that q() rounds. Two float roundings (of 1 / scale,
+ * then of the product) against one double rounding put them within
+ * |x| 2^-23 (1 + 2^-22) of each other, so |x - RN64(v / scale)| <=
+ * |x| 2^-22. A lane is in the guard band when
+ *
+ *     | |x| - floor(|x|) - 1/2 | <= 2^-20 |x| + 1e-30,
+ *
+ * when |x| >= 2^22 or when x is NaN. Outside it, below |x| = 2^8, x
+ * and the quotient lie strictly between the same two half-integers, so
+ * they round to the same integer; from 2^8 up both round past every
+ * limit (<= 127) and clamp alike. x outside the band is never a tie,
+ * so rounding it to nearest (even) is rounding it half away from zero.
+ * A product that underflows sits near 0, far from the band, as does
+ * the quotient. A vector with any lane in the band takes the double
+ * divide step for all 16 lanes, and a scale whose float reciprocal is
+ * not normal takes it throughout.
+ */
 __attribute__((target("avx512f,avx512bw,avx512vl"))) void
 quantize_core_avx512(const SymQuant &sq, const float *src, std::size_t n,
                      std::int8_t *dst)
@@ -170,6 +190,17 @@ quantize_core_avx512(const SymQuant &sq, const float *src, std::size_t n,
         static_cast<long long>(0x8000000000000000ull));
     const __m512d vmax = _mm512_set1_pd(static_cast<double>(sq.limit));
     const __m512d vmin = _mm512_set1_pd(-static_cast<double>(sq.limit));
+
+    const float recip = static_cast<float>(1.0 / sq.scale);
+    const bool fast = std::isnormal(recip);
+    const __m512 vrecip = _mm512_set1_ps(recip);
+    const __m512 vhalfs = _mm512_set1_ps(0.5f);
+    const __m512 vband = _mm512_set1_ps(0x1p-20f);
+    const __m512 vtiny = _mm512_set1_ps(1e-30f);
+    const __m512 vbig = _mm512_set1_ps(0x1p22f);
+    const __m512i vabs = _mm512_set1_epi32(0x7FFFFFFF);
+    const __m512i vlimit = _mm512_set1_epi32(sq.limit);
+    const __m512i vnlimit = _mm512_set1_epi32(-sq.limit);
 
     // The pd logical ops are AVX512DQ, which the dispatch trio does
     // not guarantee; do sign manipulation in the integer domain (F).
@@ -197,15 +228,36 @@ quantize_core_avx512(const SymQuant &sq, const float *src, std::size_t n,
     // registers too.
 #define BFREE_QSTEP_512(v, m)                                            \
     do {                                                                 \
-        __m256i r0, r1;                                                  \
-        BFREE_QROUND_PD_512(                                             \
-            _mm512_cvtps_pd(_mm512_castps512_ps256(v)), r0);             \
-        BFREE_QROUND_PD_512(                                             \
-            _mm512_cvtps_pd(_mm256_castsi256_ps(                         \
-                _mm512_extracti64x4_epi64(_mm512_castps_si512(v), 1))),  \
-            r1);                                                         \
-        const __m512i r32 = _mm512_inserti64x4(                          \
-            _mm512_zextsi256_si512(r0), r1, 1);                          \
+        __m512i r32;                                                     \
+        const __m512 x = _mm512_mul_ps(v, vrecip);                       \
+        const __m512 ax = _mm512_castsi512_ps(                           \
+            _mm512_and_si512(_mm512_castps_si512(x), vabs));             \
+        const __m512 g = _mm512_sub_ps(                                  \
+            ax, _mm512_roundscale_ps(                                    \
+                    ax, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC));     \
+        const __m512 d = _mm512_castsi512_ps(_mm512_and_si512(           \
+            _mm512_castps_si512(_mm512_sub_ps(g, vhalfs)), vabs));       \
+        const __mmask16 guard =                                          \
+            _mm512_cmp_ps_mask(                                          \
+                d, _mm512_add_ps(_mm512_mul_ps(ax, vband), vtiny),       \
+                _CMP_LE_OQ)                                              \
+            | _mm512_cmp_ps_mask(ax, vbig, _CMP_NLT_UQ);                 \
+        if (fast && guard == 0) {                                        \
+            r32 = _mm512_cvt_roundps_epi32(                              \
+                x, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);       \
+            r32 = _mm512_min_epi32(_mm512_max_epi32(r32, vnlimit),       \
+                                   vlimit);                              \
+        } else {                                                         \
+            __m256i r0, r1;                                              \
+            BFREE_QROUND_PD_512(                                         \
+                _mm512_cvtps_pd(_mm512_castps512_ps256(v)), r0);         \
+            BFREE_QROUND_PD_512(                                         \
+                _mm512_cvtps_pd(_mm256_castsi256_ps(                     \
+                    _mm512_extracti64x4_epi64(_mm512_castps_si512(v),    \
+                                              1))),                      \
+                r1);                                                     \
+            r32 = _mm512_inserti64x4(_mm512_zextsi256_si512(r0), r1, 1); \
+        }                                                                \
         _mm_mask_storeu_epi8(dst + i, m, _mm512_cvtsepi32_epi8(r32));    \
     } while (0)
 

@@ -37,13 +37,22 @@ struct SymQuant
     double scale = 1.0;
     std::int32_t limit = 127;
 
+    /**
+     * lround(v / scale) clamped to [-limit, limit], the division in
+     * double: ties round away from zero. Quotients at or past +-limit
+     * (infinities included) saturate without reaching lround, whose
+     * result past the long range is unspecified, and a NaN quotient
+     * gives -limit.
+     */
     std::int32_t
     q(float v) const
     {
-        const auto r = static_cast<std::int64_t>(
-            std::lround(v / scale));
-        return static_cast<std::int32_t>(
-            std::clamp<std::int64_t>(r, -limit, limit));
+        const double x = v / scale;
+        if (x >= limit)
+            return limit;
+        if (!(x > -limit))
+            return -limit;
+        return static_cast<std::int32_t>(std::lround(x));
     }
 };
 
@@ -69,9 +78,12 @@ SymQuant sym_for_peak(float peak, unsigned bits);
  * loop at every level: the SIMD variants reproduce lround's
  * round-half-away-from-zero in double precision exactly (truncate,
  * then step by the sign where |fraction| >= 0.5 — note that adding
- * 0.5 before truncating would double-round near ties). Source and
- * destination may be arbitrarily aligned. Requires limit <= 127 (the
- * int8 freeze domain).
+ * 0.5 before truncating would double-round near ties). The AVX-512
+ * levels first multiply in float by the reciprocal of the scale and
+ * keep that result wherever it provably rounds as the double quotient
+ * does (DESIGN.md, the conv front); a vector with any lane near a
+ * half-integer takes the double divide. Source and destination may be
+ * arbitrarily aligned. Requires limit <= 127 (the int8 freeze domain).
  */
 void quantize_span(const SymQuant &sq, const float *src, std::size_t n,
                    std::int8_t *dst);
@@ -111,9 +123,10 @@ struct QuantizedWeights
         std::int8_t bytes[64];
     };
     /**
-     * The same tile packed into the AMX GEMM core's B panel
-     * (bce::simd::pack_panel). Frozen for conv filters on hosts that
-     * can run the AmxInt8 level; empty otherwise.
+     * The same tile packed into the AMX conv core's B panel, one
+     * zero-padded group per kernel row (bce::simd::pack_panel).
+     * Frozen for conv filters on hosts that can run the AmxInt8
+     * level; empty otherwise.
      */
     std::vector<PanelLine> panel;
 

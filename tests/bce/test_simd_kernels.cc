@@ -12,18 +12,24 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bce/bce.hh"
 #include "bce/simd_kernels.hh"
+#include "core/conv_front.hh"
+#include "dnn/layer.hh"
 #include "lut/mult_lut.hh"
 #include "lut/pwl.hh"
 #include "sim/cpuid.hh"
@@ -677,103 +683,206 @@ TEST(SimdKernels, GemmExtremeSumsExactAtEveryLevel)
     });
 }
 
-TEST(SimdKernels, PanelGemmMatchesScalarReferenceAtEveryLevel)
+namespace {
+
+/**
+ * @p size bytes that end where a PROT_NONE page begins, so a read one
+ * byte past them faults whatever instruction makes it: an AMX tile
+ * load too, which no sanitizer instruments.
+ */
+class GuardedBytes
 {
-    // The conv GEMM's call shape: filters packed into a B panel and a
-    // patch buffer sized for the AMX tile loads, its slack past m x k
-    // holding junk. At AmxInt8 this runs tdpbssd over every row-tile
-    // and panel edge of the 2x2 block and every 64-byte K tail (K = 27
-    // is conv1_1's, 576 and 4608 VGG's); the other levels ignore the
-    // panel. Operands sit at -128 and 127 among other values, so the
-    // s8 x s8 sums reach their extremes, and the incoming out is
-    // non-zero.
-    const std::size_t ks[] = {1, 3, 4, 27, 63, 64, 65, 576, 4608};
-    const std::size_t ns[] = {1, 15, 16, 17, 33, 64};
-    std::vector<std::size_t> ms;
-    for (std::size_t m = 1; m <= 17; ++m)
-        ms.push_back(m);
-    for (const std::size_t m : {28u, 33u, 224u})
-        ms.push_back(m);
-    const auto extremes = [](std::size_t count, int seed) {
-        std::vector<std::int8_t> v = full_range(count, seed);
-        for (std::size_t i = 0; i < count; i += 3)
-            v[i] = (i / 3 + static_cast<std::size_t>(seed)) % 2 == 0
-                       ? std::int8_t{-128}
-                       : std::int8_t{127};
-        return v;
-    };
-    // The reference runs once per shape; every level is checked
-    // against it.
-    for (const std::size_t k : ks) {
-        for (const std::size_t n : ns) {
-            const auto b = extremes(n * k, int(k + 5 * n));
-            std::vector<std::int8_t> panel(bce::simd::panel_bytes(n, k));
-            bce::simd::pack_panel(b.data(), n, k, panel.data());
-            std::vector<std::int32_t> rowSums(n);
-            bce::simd::weight_row_sums(b.data(), n, k, rowSums.data());
-            for (const std::size_t m : ms) {
-                auto a = extremes(bce::simd::panel_a_bytes(m, k),
-                                  int(k + 3 * m));
-                ASSERT_GE(a.size(), m * k);
-                // Junk in the slack: it must not reach the output.
-                for (std::size_t i = m * k; i < a.size(); ++i)
-                    a[i] = static_cast<std::int8_t>(0x5A ^ i);
-                std::vector<std::int32_t> out(m * n);
-                for (std::size_t i = 0; i < out.size(); ++i)
-                    out[i] = static_cast<std::int32_t>(i * 7919) - 1000;
-                std::vector<std::int32_t> want = out;
-                gemm_reference(a, b, want, m, k, n);
-                for_each_runnable_level([&](sim::SimdLevel level) {
-                    const std::string ctx = sim::simd_level_name(level);
-                    std::vector<std::int32_t> got = out;
-                    bce::simd::gemm_i8(a.data(), b.data(), got.data(), m, k,
-                                       n, rowSums.data(), 0, panel.data());
-                    ASSERT_EQ(want, got) << ctx << " row-major m " << m
-                                         << " k " << k << " n " << n;
-                });
-            }
-        }
+  public:
+    explicit GuardedBytes(std::size_t size)
+        : page_(static_cast<std::size_t>(sysconf(_SC_PAGESIZE))),
+          span_((size + page_ - 1) / page_ * page_ + page_), size_(size)
+    {
+        void *p = mmap(nullptr, span_, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        base_ = static_cast<std::int8_t *>(p);
+        if (mprotect(base_ + span_ - page_, page_, PROT_NONE) != 0)
+            throw std::bad_alloc();
     }
+    ~GuardedBytes() { munmap(base_, span_); }
+    GuardedBytes(const GuardedBytes &) = delete;
+    GuardedBytes &operator=(const GuardedBytes &) = delete;
+
+    std::int8_t *data() { return base_ + span_ - page_ - size_; }
+    std::size_t size() const { return size_; }
+
+  private:
+    std::size_t page_, span_, size_;
+    std::int8_t *base_ = nullptr;
+};
+
+/** The frozen filters of @p g packed as the plan packs them. */
+std::vector<std::int8_t>
+conv_panel(const bce::simd::ConvRows &g, const std::vector<std::int8_t> &b)
+{
+    std::vector<std::int8_t> panel(
+        bce::simd::panel_bytes(g.filters, g.kernelH, g.run()));
+    bce::simd::pack_panel(b.data(), g.filters, g.kernelH, g.run(),
+                          panel.data());
+    return panel;
+}
+
+/**
+ * Every output row of conv @p l through conv_row_gemm at every level,
+ * over a plane of exactly plane_buffer_bytes holding @p fill(i) at byte
+ * i, against gemm_reference over the row's copied patches. The
+ * incoming outputs are non-zero, so the row must accumulate.
+ */
+template <typename Fill>
+void
+expect_conv_rows_match_reference(const dnn::Layer &l,
+                                 const std::vector<std::int8_t> &b,
+                                 Fill fill)
+{
+    const bce::simd::ConvRows g = core::conv_rows(l);
+    const std::size_t k = g.k(), m = g.outW, n = g.filters;
+    GuardedBytes plane(core::plane_buffer_bytes(l));
+    for (std::size_t i = 0; i < plane.size(); ++i)
+        plane.data()[i] = fill(i);
+    const std::vector<std::int8_t> panel = conv_panel(g, b);
+    std::vector<std::int32_t> rowSums(n);
+    bce::simd::weight_row_sums(b.data(), n, k, rowSums.data());
+    std::vector<std::int8_t> patches(core::patch_row_bytes(l));
+    std::vector<std::int32_t> init(m * n);
+    for (std::size_t i = 0; i < init.size(); ++i)
+        init[i] = static_cast<std::int32_t>(i * 7919) - 1000;
+    for (std::size_t oh = 0; oh < l.outputShape().h; ++oh) {
+        bce::simd::copy_patch_row(g, plane.data(), oh, patches.data());
+        std::vector<std::int32_t> want = init;
+        gemm_reference(patches, b, want, m, k, n);
+        for_each_runnable_level([&](sim::SimdLevel level) {
+            std::vector<std::int32_t> got = init;
+            bce::simd::conv_row_gemm(g, plane.data(), oh, b.data(),
+                                     rowSums.data(), panel.data(),
+                                     patches.data(), got.data());
+            ASSERT_EQ(want, got)
+                << sim::simd_level_name(level) << " C " << g.channels
+                << " kH " << g.kernelH << " kW " << g.kernelW << " s "
+                << g.strideW << " pad " << l.padW << " o.w " << m << " n "
+                << n << " row " << oh;
+        });
+    }
+}
+
+} // namespace
+
+TEST(SimdKernels, ConvRowGemmMatchesPatchReferenceAtEveryLevel)
+{
+    // The conv row GEMM's plane-fed AMX tiles (64-byte steps per kernel
+    // row, zero panel bytes past kW * C, tile rows past o.w) and the
+    // copied patch rows of every other level, against the scalar
+    // reference over the copied patches: channel counts around the
+    // 64-byte step, 1x1, 3x3 and 3x5 kernels, strides 1 and 2, pads 0
+    // and 1, and row widths around the 16-row tile and 32-row block.
+    // The plane holds bytes at -128 and 127 among others, so the s8 x s8
+    // sums reach their extremes, and its buffer ends at a guard page.
+    const unsigned cs[] = {1, 3, 16, 63, 64, 65, 128};
+    const unsigned kws[] = {1, 3, 5};
+    const unsigned ows[] = {1, 14, 15, 16, 17, 31, 33};
+    const unsigned ns[] = {5, 17, 33, 64};
+    std::size_t cases = 0;
+    for (const unsigned c : cs)
+        for (const unsigned kw : kws)
+            for (const unsigned s : {1u, 2u})
+                for (const unsigned pad : {0u, 1u})
+                    for (const unsigned ow : ows) {
+                        const unsigned kh = kw == 5 ? 3 : kw;
+                        const int inW = int((ow - 1) * s + kw) - int(2 * pad);
+                        if (inW < 1)
+                            continue;
+                        unsigned oh = 2;
+                        while (int((oh - 1) * s + kh) - int(2 * pad) < 1)
+                            ++oh;
+                        const unsigned inH = (oh - 1) * s + kh - 2 * pad;
+                        const unsigned n = ns[cases++ % std::size(ns)];
+                        dnn::Layer l = dnn::make_conv2(
+                            "rows", {c, inH, unsigned(inW)}, n, kh, kw, s,
+                            pad, pad);
+                        ASSERT_EQ(ow, l.outputShape().w);
+                        const std::size_t k = core::conv_rows(l).k();
+                        std::vector<std::int8_t> b =
+                            full_range(n * k, int(k + 5 * n));
+                        for (std::size_t i = 0; i < b.size(); i += 7)
+                            b[i] = i % 2 == 0 ? std::int8_t{-128}
+                                              : std::int8_t{127};
+                        expect_conv_rows_match_reference(
+                            l, b, [&](std::size_t i) {
+                                return i % 5 == 0
+                                           ? std::int8_t(i % 2 ? 127 : -128)
+                                           : std::int8_t((i * 37 + c) % 256);
+                            });
+                    }
+    EXPECT_GT(cases, 500u);
 
     // All -128 against all -128 and all 127: the largest sums a
     // VGG-16 conv (K = 4608) can reach, |sum| <= 4608 * 128 * 128.
-    const std::size_t m = 33, k = 4608, n = 33;
-    const std::vector<std::int8_t> a(bce::simd::panel_a_bytes(m, k),
-                                     std::int8_t{-128});
-    std::vector<std::int8_t> b(n * k, std::int8_t{-128});
-    for (std::size_t j = 1; j < n; j += 2)
-        std::fill(b.begin() + j * k, b.begin() + (j + 1) * k,
+    const dnn::Layer l =
+        dnn::make_conv2("extreme", {512, 4, 33}, 33, 3, 3, 1, 1, 1);
+    std::vector<std::int8_t> b(33 * 4608, std::int8_t{-128});
+    for (std::size_t j = 1; j < 33; j += 2)
+        std::fill(b.begin() + j * 4608, b.begin() + (j + 1) * 4608,
                   std::int8_t{127});
-    std::vector<std::int8_t> panel(bce::simd::panel_bytes(n, k));
-    bce::simd::pack_panel(b.data(), n, k, panel.data());
-    std::vector<std::int32_t> want(m * n, 0);
-    gemm_reference(a, b, want, m, k, n);
-    ASSERT_EQ(std::int32_t{4608 * 128 * 128}, want[0]);
-    for_each_runnable_level([&](sim::SimdLevel level) {
-        std::vector<std::int32_t> got(m * n, 0);
-        bce::simd::gemm_i8(a.data(), b.data(), got.data(), m, k, n, nullptr,
-                           0, panel.data());
-        ASSERT_EQ(want, got) << sim::simd_level_name(level)
-                             << " extreme sums";
-    });
+    expect_conv_rows_match_reference(
+        l, b, [](std::size_t) { return std::int8_t{-128}; });
+}
+
+TEST(SimdKernels, ConvRowReachCoversEveryTileLoad)
+{
+    // conv_row_reach against the tile addressing it bounds: row i of
+    // the tiles of kernel row ky, step j, reads 64 bytes at
+    // ky * rowBytes + i * sW * C + 64 j, for every i below the last
+    // whole 16-row tile.
+    for (const std::size_t c : {1u, 3u, 64u, 65u})
+        for (const std::size_t kw : {1u, 3u, 7u})
+            for (const std::size_t s : {1u, 2u, 3u})
+                for (const std::size_t ow : {1u, 15u, 16u, 17u, 33u}) {
+                    bce::simd::ConvRows g;
+                    g.channels = c;
+                    g.kernelH = 3;
+                    g.kernelW = kw;
+                    g.strideH = g.strideW = s;
+                    g.outW = ow;
+                    g.filters = 16;
+                    g.rowBytes = ((ow - 1) * s + kw + 2) * c;
+                    std::size_t end = 0;
+                    for (std::size_t i = 0; i < (ow + 15) / 16 * 16; ++i)
+                        for (std::size_t ky = 0; ky < g.kernelH; ++ky)
+                            for (std::size_t j = 0; j < g.groupSteps(); ++j)
+                                end = std::max(end, ky * g.rowBytes
+                                                        + i * s * c
+                                                        + 64 * j + 64);
+                    EXPECT_EQ(end, bce::simd::conv_row_reach(g))
+                        << c << " " << kw << " " << s << " " << ow;
+                }
 }
 
 TEST(SimdKernels, PanelZeroesPastKAndN)
 {
-    // 17 filters of K = 65: two panels, two 64-byte steps; every byte
-    // of the last step past k = 65 and every row past n = 17 is zero.
-    const std::size_t n = 17, k = 65;
-    const auto b = full_range(n * k, 3);
-    std::vector<std::int8_t> panel(bce::simd::panel_bytes(n, k), 9);
-    ASSERT_EQ(2u * 2u * bce::simd::panel_block_bytes, panel.size());
-    bce::simd::pack_panel(b.data(), n, k, panel.data());
+    // 17 filters of two kernel rows of 65 bytes: two panels, two groups
+    // of two 64-byte steps; every byte of a group's last step past 65
+    // and every row past n = 17 is zero.
+    const std::size_t n = 17, groups = 2, run = 65;
+    const auto b = full_range(n * groups * run, 3);
+    std::vector<std::int8_t> panel(bce::simd::panel_bytes(n, groups, run), 9);
+    ASSERT_EQ(2u * 2u * 2u * bce::simd::panel_block_bytes, panel.size());
+    bce::simd::pack_panel(b.data(), n, groups, run, panel.data());
     for (std::size_t j = 0; j < 32; ++j)
-        for (std::size_t p = 0; p < 128; ++p) {
-            const std::int8_t want = j < n && p < k ? b[j * k + p] : 0;
-            const std::size_t at = (j / 16 * 2 + p / 64) * 1024
-                                   + (p % 64) / 4 * 64 + j % 16 * 4 + p % 4;
-            ASSERT_EQ(want, panel[at]) << "filter " << j << " k " << p;
-        }
+        for (std::size_t y = 0; y < groups; ++y)
+            for (std::size_t p = 0; p < 128; ++p) {
+                const std::int8_t want =
+                    j < n && p < run ? b[(j * groups + y) * run + p] : 0;
+                const std::size_t at =
+                    (j / 16 * 4 + y * 2 + p / 64) * 1024
+                    + (p % 64) / 4 * 64 + j % 16 * 4 + p % 4;
+                ASSERT_EQ(want, panel[at])
+                    << "filter " << j << " group " << y << " k " << p;
+            }
 }
 
 TEST(SimdKernels, EpilogueAndPwlKernelsRunAtEveryAvx512ClassLevel)

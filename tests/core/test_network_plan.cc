@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bce/simd_kernels.hh"
+#include "core/conv_front.hh"
 #include "core/functional.hh"
 #include "dnn/im2col.hh"
 #include "dnn/model_zoo.hh"
@@ -153,9 +154,11 @@ TEST(NetworkPlan, FrozenBytesCountFeatureAndRowSums)
                     EXPECT_EQ(panel, !qw.panel.empty())
                         << pl.layer.name << " at " << bits << " bits";
                     if (panel) {
+                        // One panel group per kernel row.
+                        const bfree::bce::simd::ConvRows g =
+                            bfree::core::conv_rows(pl.layer);
                         EXPECT_EQ(bfree::bce::simd::panel_bytes(
-                                      qw.rowSums.size(),
-                                      qw.q8.size() / qw.rowSums.size()),
+                                      g.filters, g.kernelH, g.run()),
                                   qw.panel.size() * 64);
                     }
                     EXPECT_EQ(qw.frozenBytes(),

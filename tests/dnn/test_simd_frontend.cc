@@ -179,6 +179,102 @@ TEST(QuantizeSpan, MisalignedBuffersExactAtEveryLevel)
     });
 }
 
+TEST(QuantizeSpan, GuardBandNeighboursExactAtEveryLevel)
+{
+    // The AVX-512 core rounds v times the float reciprocal of the scale
+    // and keeps it outside a guard band around each half-integer; this
+    // pins the band at the scales sym_for_peak gives (peak / 127 and
+    // peak / 7, none a power of two): values within 3 ulp of
+    // (k + 1/2) * scale for every k through the clamp, each alone in
+    // every lane of a 16-lane vector among values far from any tie, and
+    // in ragged tails; plus NaN, infinities, subnormals and values far
+    // past the peak, which take the double divide.
+    const float peaks[] = {1e-9f, 0.37f, 1.0f, 2.718f, 123.456f, 6.1e4f};
+    for_each_runnable_level([&](sim::SimdLevel level) {
+        const std::string ctx = sim::simd_level_name(level);
+        for (const float peak : peaks) {
+            for (const unsigned bits : {8u, 4u}) {
+                const SymQuant sq = sym_for_peak(peak, bits);
+                std::vector<float> pool;
+                for (int k = -sq.limit - 2; k <= sq.limit + 1; ++k) {
+                    float v = static_cast<float>((k + 0.5) * sq.scale);
+                    for (int u = 0; u < 3; ++u)
+                        v = std::nextafter(v, -INFINITY);
+                    for (int u = -3; u <= 3; ++u) {
+                        pool.push_back(v);
+                        v = std::nextafter(v, INFINITY);
+                    }
+                }
+                const float inf = std::numeric_limits<float>::infinity();
+                for (const float v :
+                     {std::numeric_limits<float>::quiet_NaN(),
+                      -std::numeric_limits<float>::quiet_NaN(), inf, -inf,
+                      std::numeric_limits<float>::denorm_min(),
+                      -std::numeric_limits<float>::denorm_min(), 1e-40f,
+                      -1e-41f, std::numeric_limits<float>::min(),
+                      std::numeric_limits<float>::max(),
+                      -std::numeric_limits<float>::max(), peak * 1.01f,
+                      -peak * 2.0f, peak * 1e3f, -peak * 1e30f})
+                    pool.push_back(v);
+                // Whole multiples of the scale: a quarter from every
+                // half-integer, outside any band.
+                const auto calm = [&](std::size_t i) {
+                    return static_cast<float>(
+                        (static_cast<int>(i % 9) - 4) * sq.scale);
+                };
+                std::vector<float> in;
+                for (const float v : pool)
+                    for (std::size_t lane = 0; lane < 16; ++lane)
+                        for (std::size_t i = 0; i < 16; ++i)
+                            in.push_back(i == lane ? v : calm(i + lane));
+                const std::string where = ctx + " peak "
+                                          + std::to_string(peak) + " bits "
+                                          + std::to_string(bits);
+                expect_span_matches_scalar(sq, in, where);
+                // Ragged tails: one whole vector, then t < 16 pool values.
+                for (std::size_t t = 1; t < 16; ++t)
+                    for (std::size_t at = 0; at < pool.size(); at += t) {
+                        std::vector<float> span;
+                        for (std::size_t i = 0; i < 16; ++i)
+                            span.push_back(calm(i));
+                        for (std::size_t i = at;
+                             i < std::min(at + t, pool.size()); ++i)
+                            span.push_back(pool[i]);
+                        expect_span_matches_scalar(
+                            sq, span,
+                            where + " tail " + std::to_string(t) + " at "
+                                + std::to_string(at));
+                    }
+            }
+        }
+    });
+}
+
+TEST(QuantizeSpan, NonFiniteAndHugeSaturateAsTheScalarQuantizer)
+{
+    // SymQuant::q saturates quotients at or past the limit, infinities
+    // included, and sends NaN to -limit; every level agrees.
+    SymQuant sq;
+    sq.scale = 0.5;
+    const float inf = std::numeric_limits<float>::infinity();
+    EXPECT_EQ(127, sq.q(inf));
+    EXPECT_EQ(-127, sq.q(-inf));
+    EXPECT_EQ(127, sq.q(1e30f));
+    EXPECT_EQ(-127, sq.q(-1e30f));
+    EXPECT_EQ(-127, sq.q(std::numeric_limits<float>::quiet_NaN()));
+    EXPECT_EQ(127, sq.q(63.25f));
+    EXPECT_EQ(126, sq.q(62.99f));
+    EXPECT_EQ(-1, sq.q(-0.25f)); // -0.5 rounds away from zero
+    for_each_runnable_level([&](sim::SimdLevel level) {
+        expect_span_matches_scalar(
+            sq,
+            {inf, -inf, 1e30f, -1e30f,
+             std::numeric_limits<float>::quiet_NaN(), 63.25f, 62.99f,
+             -0.25f, 0.25f, 3e38f, -3e38f},
+            sim::simd_level_name(level));
+    });
+}
+
 TEST(ChooseSym, MaxAbsScanExactAtEveryLevel)
 {
     // The vector max-abs scan must pick the scale the scalar
@@ -476,8 +572,8 @@ hwc_patches(const Layer &l, const std::vector<std::int8_t> &plane)
     const std::size_t k = std::size_t(l.input.c) * l.kernelH * l.kernelW;
     std::vector<std::int8_t> all(std::size_t(o.h) * o.w * k);
     for (unsigned oh = 0; oh < o.h; ++oh)
-        bfree::core::copy_patch_row(l, plane.data(), oh,
-                                    all.data() + std::size_t(oh) * o.w * k);
+        bce::simd::copy_patch_row(bfree::core::conv_rows(l), plane.data(), oh,
+                                  all.data() + std::size_t(oh) * o.w * k);
     return all;
 }
 

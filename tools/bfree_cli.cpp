@@ -9,6 +9,7 @@
  *   bfree_cli --network lstm --stats
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -16,6 +17,7 @@
 
 #include <optional>
 
+#include "bce/simd_kernels.hh"
 #include "core/bfree.hh"
 #include "core/network_plan.hh"
 #include "core/report.hh"
@@ -56,8 +58,8 @@ usage(std::ostream &os)
           "  --plan-stats      compile a functional execution plan and\n"
           "                    print its footprint (arena bytes,\n"
           "                    per-layer scratch, frozen weights,\n"
-          "                    dispatched kernel level, amortization\n"
-          "                    counts), then exit\n"
+          "                    conv GEMM feeds, dispatched kernel\n"
+          "                    level, amortization counts), then exit\n"
           "  --describe        print the network's structure and exit\n"
           "  --layers          print the per-layer table\n"
           "  --csv             emit per-layer CSV instead of text\n"
@@ -244,9 +246,12 @@ main(int argc, char **argv)
                     bits);
         // layout: the activation layout the layer reads and writes,
         // after the boundary transposes (">hwc", ">chw") the executor
-        // runs on its input first.
-        std::printf("%-22s %-9s %10s %10s %10s %9s  %s\n", "layer", "kind",
-                    "in", "out", "frozen", "scratchB", "layout");
+        // runs on its input first. feed: where a <= 8-bit conv's GEMM
+        // reads its patches at the active level, tiles loaded from the
+        // staged plane or copied patch rows.
+        std::printf("%-22s %-9s %10s %10s %10s %9s  %-9s %s\n", "layer",
+                    "kind", "in", "out", "frozen", "scratchB", "layout",
+                    "feed");
         bool executable = true;
         for (const core::PlannedLayer &pl : plan.layers()) {
             std::uint64_t frozen = 0;
@@ -257,6 +262,13 @@ main(int argc, char **argv)
                 layout += std::string(">") + core::act_layout_name(r.to)
                           + " ";
             layout += core::act_layout_name(pl.layout);
+            if (pl.layer.kind == dnn::LayerKind::Conv && bits <= 8) {
+                layout.resize(std::max<std::size_t>(layout.size(), 9), ' ');
+                layout += bce::simd::conv_rows_read_plane(
+                              pl.frozen[0].panelData())
+                              ? " plane"
+                              : " patch-rows";
+            }
             std::printf("%-22s %-9s %10zu %10zu %10llu %9zu  %s\n",
                         pl.layer.name.c_str(),
                         dnn::layer_kind_name(pl.layer.kind), pl.inElems,
