@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "logging.hh"
 
@@ -18,12 +19,14 @@ constexpr unsigned long maxThreads = 4096;
 
 /**
  * How long an idle worker polls for the next batch, and the caller for
- * the join, before blocking; and how long an index waits for its owner
- * before any free thread may take it. The executor forks once per
- * layer or LSTM step, so batches come back to back; blocking at once
- * there cost 2-6% of vgg16-8b and lstm-8b throughput (DESIGN.md
- * section 17, "Polling before blocking"). A worker idle for longer
- * sleeps. An owner that is awake starts its index within a few
+ * the workers at a fork or join, before sleeping; and how long an
+ * index waits for its owner before any free thread may take it. The
+ * executor forks once per layer or LSTM step, so batches come back to
+ * back; blocking at once there cost 2-6% of vgg16-8b and lstm-8b
+ * throughput (DESIGN.md section 17, "Polling before blocking"). A
+ * polling worker joins a batch without the mutex; one idle for longer
+ * sleeps on a condition variable, and the caller wakes it through the
+ * mutex. An owner that is awake starts its index within a few
  * microseconds; one that is not (asleep, descheduled on a shared CPU,
  * busy with an earlier index) loses it after the window, so the join
  * waits for no late worker much longer than that.
@@ -110,8 +113,15 @@ ThreadPool::run(std::vector<std::function<void()>> tasks)
 void
 ThreadPool::runFor(std::size_t count, ForFn fn, const void *ctx)
 {
+    // A second submit would reset the claims under a running batch
+    // (or, inline, share slot 0 with it); the acquire/release pair
+    // also orders sequential submits from different threads.
+    if (submitting.exchange(true, std::memory_order_acquire))
+        bfree_panic("ThreadPool: a batch was submitted while another "
+                    "is in flight (a body calling parallelFor on its "
+                    "own pool, or two threads submitting at once)");
+    std::exception_ptr error;
     if (workers.empty() || count < 2) {
-        std::exception_ptr error;
         for (std::size_t i = 0; i < count; ++i) {
             try {
                 fn(ctx, i, 0);
@@ -120,49 +130,84 @@ ThreadPool::runFor(std::size_t count, ForFn fn, const void *ctx)
                     error = std::current_exception();
             }
         }
-        if (error)
-            std::rethrow_exception(error);
-        return;
+    } else {
+        ForJob batch{fn, ctx, count};
+        publish(batch);
+        drain(batch, 0);
+        // Every index is claimed; wait for the workers still running
+        // theirs (a worker registers before it claims). A worker's
+        // call stored any exception before it left, so firstError
+        // needs no lock here.
+        awaitWorkers();
+        error = std::exchange(firstError, nullptr);
     }
-    ForJob batch{fn, ctx, count};
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        // A worker that woke after the previous batch joined may still
-        // be inside its (empty) drain: let it leave before the claim
-        // counters restart.
-        done.wait(lock, [this] { return running.load() == 0; });
-        for (unsigned s = 0; s < numThreads; ++s)
-            claims[s].next.store(0, std::memory_order_relaxed);
-        batch.start = std::chrono::steady_clock::now();
-        job = batch;
-        ++generation;
-    }
-    wake.notify_all();
-    drain(batch, 0);
-
-    // Every index is claimed; wait for the workers still running
-    // theirs (a worker counts itself in before it claims). Their
-    // indices end about when the caller's do, so poll first.
-    const auto joinSince = std::chrono::steady_clock::now();
-    while (running.load(std::memory_order_acquire) != 0
-           && std::chrono::steady_clock::now() - joinSince < spinWindow)
-        cpuRelax();
-    std::exception_ptr error;
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        done.wait(lock, [this] { return running.load() == 0; });
-        error = firstError;
-        firstError = nullptr;
-    }
+    submitting.store(false, std::memory_order_release);
     if (error)
         std::rethrow_exception(error);
+}
+
+void
+ThreadPool::publish(ForJob &batch)
+{
+    // An odd generation tells polling workers a batch is being
+    // written. A worker registers in running before it re-reads the
+    // generation, and both sides are seq_cst: once running reads 0
+    // after the odd store, every worker that registered earlier has
+    // left, and every later one sees the odd (or a newer) generation
+    // and backs out without reading job or touching the claims.
+    const std::uint64_t g = generation.load(std::memory_order_relaxed);
+    generation.store(g + 1);
+    awaitWorkers();
+    for (unsigned s = 0; s < numThreads; ++s)
+        claims[s].next.store(0, std::memory_order_relaxed);
+    batch.start = std::chrono::steady_clock::now();
+    job = batch;
+    generation.store(g + 2);
+    // A worker counts itself in sleepers before it checks the
+    // generation under the mutex: either it sees the even store, or
+    // this sees it and wakes it.
+    if (sleepers.load() != 0) {
+        { std::lock_guard<std::mutex> lock(mutex); }
+        wake.notify_all();
+    }
+}
+
+void
+ThreadPool::awaitWorkers()
+{
+    // Workers' drains end about when the caller's does, so poll first.
+    const auto since = std::chrono::steady_clock::now();
+    while (running.load() != 0) {
+        if (std::chrono::steady_clock::now() - since >= spinWindow) {
+            std::unique_lock<std::mutex> lock(mutex);
+            callerWaits.store(true);
+            done.wait(lock, [this] { return running.load() == 0; });
+            callerWaits.store(false, std::memory_order_relaxed);
+            return;
+        }
+        cpuRelax();
+    }
+}
+
+void
+ThreadPool::leave()
+{
+    // Against awaitWorkers' store then load (all seq_cst): either the
+    // caller sees this decrement, or this sees it waiting and wakes it
+    // under the mutex it holds until it sleeps.
+    if (running.fetch_sub(1) == 1 && callerWaits.load()) {
+        std::lock_guard<std::mutex> lock(mutex);
+        done.notify_all();
+    }
 }
 
 bool
 ThreadPool::unclaimed(const ForJob &batch, unsigned owner) const
 {
+    // Acquire pairs with claim's release: a caller that sees every
+    // index claimed then sees each claimer registered in running.
     return owner
-               + claims[owner].next.load(std::memory_order_relaxed)
+               + claims[owner].next.load(std::memory_order_acquire)
                      * numThreads
            < batch.count;
 }
@@ -176,7 +221,7 @@ ThreadPool::claim(const ForJob &batch, unsigned owner, std::size_t &index)
     if (!unclaimed(batch, owner))
         return false;
     index = owner
-            + claims[owner].next.fetch_add(1, std::memory_order_relaxed)
+            + claims[owner].next.fetch_add(1, std::memory_order_acq_rel)
                   * numThreads;
     return index < batch.count;
 }
@@ -234,31 +279,48 @@ void
 ThreadPool::workerLoop(unsigned self)
 {
     std::uint64_t seen = 0;
+    // An odd generation is a publish under way: as idle as the one
+    // already seen. A worker that took it for new would register and
+    // back out in a loop, and starve the publisher's wait for running
+    // to reach 0.
+    const auto fresh = [&seen](std::uint64_t g) {
+        return g != seen && g % 2 == 0;
+    };
     for (;;) {
+        std::uint64_t g = generation.load(std::memory_order_acquire);
         const auto idleSince = std::chrono::steady_clock::now();
-        while (generation.load(std::memory_order_acquire) == seen
-               && !stopping.load(std::memory_order_relaxed)
+        while (!fresh(g) && !stopping.load(std::memory_order_relaxed)
                && std::chrono::steady_clock::now() - idleSince
-                      < spinWindow)
+                      < spinWindow) {
             cpuRelax();
-
-        std::unique_lock<std::mutex> lock(mutex);
-        wake.wait(lock, [this, seen] {
-            return stopping.load() || generation.load() != seen;
-        });
-        if (stopping.load())
-            return;
-        seen = generation.load();
-        const ForJob batch = job;
-        ++running;
-        lock.unlock();
-        drain(batch, self + 1);
-        // The caller polls running, or sleeps on done after reading it
-        // under the mutex: notify under the mutex.
-        if (running.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            lock.lock();
-            done.notify_all();
+            g = generation.load(std::memory_order_acquire);
         }
+        if (!fresh(g)) {
+            sleepers.fetch_add(1);
+            {
+                std::unique_lock<std::mutex> lock(mutex);
+                wake.wait(lock, [&] {
+                    g = generation.load();
+                    return stopping.load() || fresh(g);
+                });
+            }
+            sleepers.fetch_sub(1, std::memory_order_relaxed);
+        }
+        if (stopping.load(std::memory_order_relaxed))
+            return;
+
+        // Register, then check the generation still reads g: if the
+        // caller has begun another publish it waits for this worker to
+        // leave, so job and the claims are g's until then.
+        running.fetch_add(1);
+        if (generation.load() != g) {
+            leave();
+            continue;
+        }
+        seen = g;
+        const ForJob batch = job;
+        drain(batch, self + 1);
+        leave();
     }
 }
 

@@ -76,10 +76,20 @@ unsigned threads_from_args(int argc, char **argv, unsigned fallback = 0);
  * longer than that; lateSteals() counts those. An eager steal (any
  * free index at once) would drag a second slice through the thief's
  * cache. A pool of one thread runs everything inline on the calling
- * thread in index order, with no worker threads at all. Idle workers
- * poll for the next batch for the same window (batches often come
- * back to back, one per layer), then block on a condition variable.
- * One thread submits at a time.
+ * thread in index order, with no worker threads at all.
+ *
+ * Batches often come back to back (one per layer or LSTM step), so an
+ * idle worker polls for the next one for the spin window, and a
+ * polling worker joins a batch without a lock: the caller publishes a
+ * batch behind an odd generation, once no worker is registered in a
+ * drain, and a worker registers before it re-reads the generation
+ * (both sides sequentially consistent, so a late worker can neither
+ * read a batch being written nor claim from counters reset for a newer
+ * one). Only a thread that sleeps takes the mutex: a worker idle past
+ * the window, the caller whose join outlasts it, and whoever wakes
+ * them. One submit at a time: a submit while a batch is in flight (a
+ * body calling parallelFor on its own pool, or a second thread) is a
+ * bfree_panic; sequential submits from different threads are fine.
  */
 class ThreadPool
 {
@@ -156,6 +166,15 @@ class ThreadPool
     };
 
     void runFor(std::size_t count, ForFn fn, const void *ctx);
+    /** Stamp @p batch's start and publish it to the workers: the
+     *  odd/even handoff. */
+    void publish(ForJob &batch);
+    /** Return once no worker is registered in a drain: poll for the
+     *  spin window, then sleep on done. */
+    void awaitWorkers();
+    /** Deregister a worker from its drain, waking a sleeping caller
+     *  if it was the last one. */
+    void leave();
     /** Claim and run @p slot's own indices of @p batch, then steal
      *  late ones until no index is left unclaimed. */
     void drain(const ForJob &batch, unsigned slot);
@@ -168,22 +187,41 @@ class ThreadPool
     void workerLoop(unsigned self);
 
     unsigned numThreads;
-    std::vector<std::thread> workers;
 
-    std::mutex mutex;             ///< Guards the fields below.
-    std::condition_variable wake; ///< Workers sleep here when idle.
+    /** Set while a submit is in flight; the one-submit guard. */
+    std::atomic<bool> submitting{false};
+    /** Bumped twice per batch: odd while the caller writes job and
+     *  resets the claims, even once the batch is published. Written
+     *  by the submitting thread only. */
+    alignas(64) std::atomic<std::uint64_t> generation{0};
+    /** The batch of the current even generation; written only while
+     *  the generation is odd and no worker is registered. */
+    ForJob job;
+    /** Workers registered in a drain (or checking the generation
+     *  before one). */
+    alignas(64) std::atomic<unsigned> running{0};
+    /** Workers asleep on wake, or about to be. */
+    std::atomic<unsigned> sleepers{0};
+    /** The caller is asleep on done (or about to be). */
+    std::atomic<bool> callerWaits{false};
+    std::atomic<bool> stopping{false};
+
+    /** Only sleeping threads and their wakers take it; it also guards
+     *  firstError. The two waits' predicates read atomics written
+     *  without it: a sleeper first sets sleepers or callerWaits, and
+     *  its waker reads that after its own store (all seq_cst), so a
+     *  wake-up cannot be lost. */
+    std::mutex mutex;
+    std::condition_variable wake; ///< Idle workers sleep here.
     std::condition_variable done; ///< The caller sleeps here at join.
     std::exception_ptr firstError;
-    ForJob job;
-    /** Written under the mutex; idle workers and the join also poll
-     *  these three without it. */
-    std::atomic<bool> stopping{false};
-    std::atomic<std::uint64_t> generation{0}; ///< Bumped per batch.
-    std::atomic<unsigned> running{0};         ///< Workers in a drain.
     /** Per-slot claim counters, numThreads of them; claimed without
-     *  the mutex, reset under it while no worker drains. */
+     *  the mutex, reset while the generation is odd and no worker is
+     *  registered. */
     std::unique_ptr<Claim[]> claims;
     std::atomic<std::uint64_t> steals{0}; ///< lateSteals().
+    /** Declared last: its threads use every member above. */
+    std::vector<std::thread> workers;
 };
 
 /** What one sweep job sees while it runs. */

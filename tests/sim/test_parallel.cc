@@ -364,6 +364,101 @@ TEST(ThreadPool, ExceptionsFromOwnersAndThievesPropagate)
     EXPECT_EQ(count.load(), 9);
 }
 
+TEST(ThreadPool, NoWorkerRunsABatchAfterItsJoin)
+{
+    // Back-to-back batches of every size from 1 to 2 * threads + 1;
+    // every 50th waits three spin windows first, so the workers go to
+    // sleep and the batch goes through the condition-variable path.
+    // The caller bumps a plain epoch after each join: a worker that
+    // ran a batch's body after its join (or a newer batch's claims
+    // with an old body) reads a changed epoch, and a race on it trips
+    // TSan. Each index runs once, and overlapping calls share no slot.
+    ThreadPool pool(4);
+    const unsigned threads = pool.threads();
+    const std::size_t maxCount = 2 * threads + 1;
+    std::uint64_t epoch = 0;
+    std::vector<std::atomic<int>> hits(maxCount);
+    std::vector<std::atomic<int>> busy(threads);
+    std::atomic<int> stale{0};
+    std::atomic<int> shared{0};
+    int miscounted = 0;
+    for (int b = 0; b < 20000; ++b) {
+        if (b % 50 == 49)
+            std::this_thread::sleep_for(std::chrono::microseconds(300));
+        const std::size_t count = 1 + b % maxCount;
+        const std::uint64_t mine = epoch;
+        pool.parallelFor(count, [&, mine](std::size_t i, unsigned slot) {
+            if (busy[slot].fetch_add(1) != 0)
+                ++shared;
+            if (epoch != mine)
+                ++stale;
+            ++hits[i];
+            busy[slot].fetch_sub(1);
+        });
+        for (std::size_t i = 0; i < maxCount; ++i)
+            miscounted += hits[i].exchange(0) != (i < count ? 1 : 0);
+        ++epoch;
+    }
+    EXPECT_EQ(stale.load(), 0);
+    EXPECT_EQ(shared.load(), 0);
+    EXPECT_EQ(miscounted, 0);
+}
+
+TEST(ThreadPool, SequentialSubmitsFromDifferentThreadsAreFine)
+{
+    // One submit at a time, from whichever thread: two threads take
+    // turns on one pool under a lock of their own.
+    ThreadPool pool(4);
+    std::mutex turn;
+    std::atomic<int> count{0};
+    const auto submitter = [&] {
+        for (int b = 0; b < 500; ++b) {
+            std::lock_guard<std::mutex> lock(turn);
+            pool.parallelFor(7, [&](std::size_t, unsigned) { ++count; });
+        }
+    };
+    std::thread other(submitter);
+    submitter();
+    other.join();
+    EXPECT_EQ(count.load(), 2 * 500 * 7);
+}
+
+TEST(ThreadPoolDeathTest, SubmitWhileABatchIsInFlightPanics)
+{
+    // A body calling parallelFor on its own pool, and a second thread
+    // submitting during a batch: both would reset the claims under the
+    // running batch, so both stop with a message naming the pool. A
+    // one-thread pool keeps the same rule.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const auto noop = [](std::size_t, unsigned) {};
+    EXPECT_DEATH(
+        {
+            ThreadPool pool(4);
+            pool.parallelFor(4, [&](std::size_t i, unsigned) {
+                if (i == 1)
+                    pool.parallelFor(2, noop);
+            });
+        },
+        "ThreadPool");
+    EXPECT_DEATH(
+        {
+            ThreadPool pool(4);
+            pool.parallelFor(2, [&](std::size_t i, unsigned) {
+                if (i == 0)
+                    std::thread([&] { pool.parallelFor(2, noop); }).join();
+            });
+        },
+        "ThreadPool");
+    EXPECT_DEATH(
+        {
+            ThreadPool pool(1);
+            pool.parallelFor(2, [&](std::size_t, unsigned) {
+                pool.parallelFor(1, noop);
+            });
+        },
+        "ThreadPool");
+}
+
 namespace {
 
 /** A job mix with data-dependent cost, text output and both stat kinds. */
