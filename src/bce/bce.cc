@@ -562,33 +562,26 @@ Bce::poolQ8(const PoolShape &g, bool average, const lut::DivisionLut &div,
 {
     // Unpadded 2x2 / stride-2 max pooling (VGG's only pool) has a
     // vector form: four taps, so 3 adds and 3 cycles per window. The
-    // output rows are independent, so contiguous runs of them go to
-    // the pool's threads; the kernel declines on every thread or on
+    // output rows are independent, so contiguous blocks of them go to
+    // the pool's threads; the kernel declines on every block or on
     // none (it depends on the active level only).
     const std::size_t inRow = g.inW * g.channels;
     const std::size_t outRow = g.outW * g.channels;
     if (!average && g.kernelH == 2 && g.kernelW == 2 && g.strideH == 2
         && g.strideW == 2 && g.padH == 0 && g.padW == 0
         && g.outH == g.inH / 2 && g.outW == g.inW / 2) {
-        const auto run = [&](std::size_t oh0, std::size_t oh1) {
-            return simd::max_pool_2x2_q8(in + 2 * oh0 * inRow, oh1 - oh0,
-                                         g.inW, g.channels,
-                                         out + oh0 * outRow);
+        std::atomic<bool> vector{true};
+        const auto rows = [&](std::size_t oh0, std::size_t oh1, unsigned) {
+            if (!simd::max_pool_2x2_q8(in + 2 * oh0 * inRow, oh1 - oh0,
+                                       g.inW, g.channels,
+                                       out + oh0 * outRow))
+                vector.store(false, std::memory_order_relaxed);
         };
-        bool vector = true;
-        if (pool != nullptr && pool->threads() > 1 && g.outH > 1) {
-            const std::size_t chunks =
-                std::min<std::size_t>(pool->threads(), g.outH);
-            std::atomic<bool> ran{true};
-            pool->parallelFor(chunks, [&](std::size_t c, unsigned) {
-                if (!run(c * g.outH / chunks, (c + 1) * g.outH / chunks))
-                    ran.store(false, std::memory_order_relaxed);
-            });
-            vector = ran.load(std::memory_order_relaxed);
-        } else {
-            vector = run(0, g.outH);
-        }
-        if (vector) {
+        if (pool != nullptr)
+            pool->parallelForBlocks(g.outH, 1, rows);
+        else
+            rows(0, g.outH, 0);
+        if (vector.load(std::memory_order_relaxed)) {
             const std::uint64_t windows = g.channels * g.outH * g.outW;
             stats_.counts.adds += 3 * windows;
             chargeCycles(3 * windows);

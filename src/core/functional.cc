@@ -66,17 +66,15 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
     const dnn::QuantizedWeights &fw = pl.frozen[0];
 
     // The max-abs scan, split over the pool: max is order-free and
-    // NaN-skipping in every chunk, so the peak is the serial one.
-    const std::size_t n = pl.inElems;
-    const std::size_t scanChunks = std::max<std::size_t>(
-        1, std::min<std::size_t>(slots_.size(), n / minScanElemsPerChunk));
+    // NaN-skipping in every block, so the peak is the serial one.
     for (RowSlot &rs : slots_)
         rs.peak = 1e-9f;
-    pool_.parallelFor(scanChunks, [&](std::size_t c, unsigned slot) {
-        const std::size_t b = c * n / scanChunks;
-        const std::size_t e = (c + 1) * n / scanChunks;
-        slots_[slot].peak = dnn::peak_abs(in + b, e - b, slots_[slot].peak);
-    });
+    pool_.parallelForBlocks(
+        pl.inElems, minScanElemsPerBlock,
+        [&](std::size_t b, std::size_t e, unsigned slot) {
+            slots_[slot].peak =
+                dnn::peak_abs(in + b, e - b, slots_[slot].peak);
+        });
     float peak = 1e-9f;
     for (const RowSlot &rs : slots_)
         peak = std::max(peak, rs.peak);
@@ -115,17 +113,14 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
             if (table != nullptr)
                 std::fill_n(rs.taps, tap_feature_words(layer), 0u);
         }
-        const std::size_t stageChunks =
-            std::min<std::size_t>(slots_.size(), hp.rows);
-        pool_.parallelFor(stageChunks, [&](std::size_t c, unsigned slot) {
-            RowSlot &rs = slots_[slot];
-            const std::size_t r0 = c * hp.rows / stageChunks;
-            const std::size_t r1 = (c + 1) * hp.rows / stageChunks;
-            stage_hwc_rows(layer, qi, in, r0, r1, plane);
-            if (table != nullptr)
-                classify_hwc_rows(layer, plane, r0, r1, rs.taps,
-                                  rs.tapScratch);
-        });
+        pool_.parallelForBlocks(
+            hp.rows, 1, [&](std::size_t r0, std::size_t r1, unsigned slot) {
+                stage_hwc_rows(layer, qi, in, r0, r1, plane);
+                if (table != nullptr)
+                    classify_hwc_rows(layer, plane, r0, r1,
+                                      slots_[slot].taps,
+                                      slots_[slot].tapScratch);
+            });
 
         // Row oh's tile holds position ow's o.c filter outputs at
         // accs + ow * o.c, the layout of the HWC output row: each
@@ -156,39 +151,35 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
         // The whole layer's tally, from its activation features and
         // the frozen filter features, booked once. The threads'
         // accumulators are summed into slot 0's over disjoint word
-        // ranges, at most one per pool thread.
+        // ranges.
         std::uint32_t *fx = arena_.alloc<std::uint32_t>(
             bce::simd::feature_count * patch_len);
-        const std::size_t words = tap_feature_words(layer);
-        const std::size_t sumChunks = std::max<std::size_t>(
-            1, std::min(slots_.size(), words / minSumWordsPerChunk));
-        pool_.parallelFor(sumChunks, [&](std::size_t c, unsigned) {
-            const std::size_t w0 = c * words / sumChunks;
-            const std::size_t w1 = (c + 1) * words / sumChunks;
-            for (std::size_t s = 1; s < slots_.size(); ++s)
-                sum_tap_features(slots_[0].taps, slots_[s].taps, w0, w1);
-        });
+        pool_.parallelForBlocks(
+            tap_feature_words(layer), minSumWordsPerBlock,
+            [&](std::size_t w0, std::size_t w1, unsigned) {
+                for (std::size_t s = 1; s < slots_.size(); ++s)
+                    sum_tap_features(slots_[0].taps, slots_[s].taps, w0,
+                                     w1);
+            });
         tap_features(layer, slots_[0].taps, fx);
         bce.bookTile(bce::Bce::foldTile(*table, std::size_t(o.h) * o.w,
                                         patch_len, o.c, fx, fw.featureSums()),
                      patch_len, bits);
 
-        // Contiguous row chunks, one per pool thread at most; each runs
-        // its rows' GEMMs on its own slot.
-        const std::size_t chunks =
-            std::min<std::size_t>(slots_.size(), o.h);
-        pool_.parallelFor(chunks, [&](std::size_t c, unsigned slot) {
-            RowSlot &rs = slots_[slot];
-            const auto begin = static_cast<unsigned>(c * o.h / chunks);
-            const auto end = static_cast<unsigned>((c + 1) * o.h / chunks);
-            for (unsigned oh = begin; oh < end; ++oh) {
-                std::fill_n(rs.accs, outRow, 0);
-                bce::simd::conv_row_gemm(rows, plane, oh, fw.q8.data(),
-                                         fw.rowSumData(), fw.panelData(),
-                                         rs.patch, rs.accs);
-                storeRow(oh, rs.accs);
-            }
-        });
+        // Contiguous blocks of output rows; each runs its rows' GEMMs
+        // on its own slot.
+        pool_.parallelForBlocks(
+            o.h, 1, [&](std::size_t begin, std::size_t end, unsigned slot) {
+                RowSlot &rs = slots_[slot];
+                for (auto oh = static_cast<unsigned>(begin); oh < end;
+                     ++oh) {
+                    std::fill_n(rs.accs, outRow, 0);
+                    bce::simd::conv_row_gemm(
+                        rows, plane, oh, fw.q8.data(), fw.rowSumData(),
+                        fw.panelData(), rs.patch, rs.accs);
+                    storeRow(oh, rs.accs);
+                }
+            });
         return;
     }
 
@@ -287,26 +278,26 @@ FunctionalExecutor::matmulInto(const float *a, std::size_t m,
         } else {
             // The activation features and the tally fold are computed
             // once; the GEMM splits over contiguous blocks of weight
-            // rows, four-column aligned (the GEMM cores' register
-            // block), each worth minMatmulMacsPerBlock MACs or more.
+            // rows in quads (the GEMM cores' four-column register
+            // block), each of whole quads worth minMatmulMacsPerBlock
+            // MACs or more.
             bce::simd::class_feature_sums(qa8, m, k, aFeatures);
             const bce::Bce::TileTally tally =
                 bce::Bce::foldTile(*table, m, k, n, aFeatures, wFeatures);
             pad_operand_rows(qa8, m, k, ldb);
-            const std::size_t quads = (n + 3) / 4;
-            const std::size_t blocks = std::max<std::size_t>(
-                1, std::min({m * k * n / minMatmulMacsPerBlock,
-                             std::size_t{pool_.threads()}, quads}));
-            pool_.parallelFor(blocks, [&](std::size_t b, unsigned) {
-                const std::size_t j0 = b * quads / blocks * 4;
-                const std::size_t j1 =
-                    std::min(n, (b + 1) * quads / blocks * 4);
-                bce::simd::gemm_i8(qa8, w + j0 * ldb, accs + j0, m, ldb,
-                                   j1 - j0,
-                                   rowSums != nullptr ? rowSums + j0
-                                                      : nullptr,
-                                   n);
-            });
+            const std::size_t quadMacs = std::max<std::size_t>(4 * m * k, 1);
+            pool_.parallelForBlocks(
+                (n + 3) / 4,
+                (minMatmulMacsPerBlock + quadMacs - 1) / quadMacs,
+                [&](std::size_t q0, std::size_t q1, unsigned) {
+                    const std::size_t j0 = 4 * q0;
+                    const std::size_t j1 = std::min(n, 4 * q1);
+                    bce::simd::gemm_i8(qa8, w + j0 * ldb, accs + j0, m,
+                                       ldb, j1 - j0,
+                                       rowSums != nullptr ? rowSums + j0
+                                                          : nullptr,
+                                       n);
+                });
             bce.bookTile(tally, k, bits);
         }
         for (std::size_t i = 0; i < m; ++i)
@@ -413,20 +404,17 @@ FunctionalExecutor::runInto(const NetworkPlan &plan, const float *input,
 
     // A layer's transposes (PlannedLayer::relayouts) run between the
     // two activation buffers, split by positions over the pool at the
-    // scan's grain; layer 0's read the caller's input, in place of the
-    // copy into the first buffer, and the plan output's write the
-    // caller's output.
+    // scan's grain in floats; layer 0's read the caller's input, in
+    // place of the copy into the first buffer, and the plan output's
+    // write the caller's output.
     const auto transpose = [&](const Relayout &r, const float *from,
                                float *to) {
-        const std::size_t positions = std::size_t(r.shape.h) * r.shape.w;
-        const std::size_t chunks = std::max<std::size_t>(
-            1, std::min<std::size_t>(slots_.size(),
-                                     r.shape.elements()
-                                         / minScanElemsPerChunk));
-        pool_.parallelFor(chunks, [&](std::size_t c, unsigned) {
-            relayout(r, from, to, c * positions / chunks,
-                     (c + 1) * positions / chunks);
-        });
+        pool_.parallelForBlocks(
+            std::size_t(r.shape.h) * r.shape.w,
+            (minScanElemsPerBlock + r.shape.c - 1) / r.shape.c,
+            [&](std::size_t p0, std::size_t p1, unsigned) {
+                relayout(r, from, to, p0, p1);
+            });
     };
     const auto relayoutInto = [&](const std::vector<Relayout> &rs,
                                   const float *from) {

@@ -26,14 +26,16 @@
  *
  * Within one inference the executor splits the loops that hold the
  * MACs over its own worker pool, the way BFree's sub-arrays share a
- * layer: a conv's input scan and its channels-last staging in
- * contiguous row chunks (core/conv_front.hh), a <= 8-bit conv's output
- * rows in contiguous chunks (and the sum of its per-thread tap-feature
- * accumulators in word ranges), a matmul's weight rows (N) in
- * contiguous blocks, a 2x2 max pool's output rows in contiguous runs,
- * a layout transpose's positions in contiguous runs and an LSTM
- * step's hidden units in slices, each slice its gate rows'
- * GEMMs, stores, PWL spans and cell update. The workers run no booking
+ * layer. Every fork but the LSTM step's is one
+ * sim::ThreadPool::parallelForBlocks over contiguous blocks, several
+ * per thread, each thread owning one ascending run of them: a conv's
+ * input scan and its channels-last staging rows (core/conv_front.hh),
+ * the sum of its per-thread tap-feature accumulators by words, a
+ * <= 8-bit conv's output rows, a matmul's weight rows (N) by quads, a
+ * 2x2 max pool's output rows and a layout transpose's positions. An
+ * LSTM step forks its hidden units in one slice per thread, each
+ * slice its gate rows' GEMMs, stores, PWL spans and cell update, so
+ * its gate rows stay in one core's L2. The workers run no booking
  * code: they stage, classify, fold and run simd::conv_row_gemm,
  * simd::gemm_i8, simd::max_pool_2x2_q8 and the PWL values; the
  * statistics are booked once on the calling thread from integer sums,
@@ -90,16 +92,16 @@ class FunctionalExecutor
     static constexpr std::size_t minMatmulMacsPerBlock = 1u << 18;
 
     /** A conv's max-abs input scan, and a layout transpose, split over
-     *  the pool in chunks of at least this many floats: about 6 us of
+     *  the pool in blocks of at least this many floats: about 6 us of
      *  AVX-512 scan (0.2 ns a float on the host above), and more of a
      *  transpose, over the 2-4 us a fork/join costs. */
-    static constexpr std::size_t minScanElemsPerChunk = 1u << 15;
+    static constexpr std::size_t minScanElemsPerBlock = 1u << 15;
 
     /** A conv's per-thread tap-feature accumulators are summed over
-     *  the pool in word ranges of at least this many words: about 2 us
+     *  the pool in word blocks of at least this many words: about 2 us
      *  of vector adds against three other threads' accumulators
      *  (0.18 ns an add on the host above), the cost of a fork/join. */
-    static constexpr std::size_t minSumWordsPerChunk = 1u << 12;
+    static constexpr std::size_t minSumWordsPerBlock = 1u << 12;
 
     /**
      * @param tier    Execution tier of the underlying BCE. Tiered (the
@@ -216,11 +218,6 @@ class FunctionalExecutor
 
     /** Threads one inference uses, the caller included. */
     unsigned threads() const { return pool_.threads(); }
-
-    /** Forked indices run by another thread than their owner, whose
-     *  data then came through a second core's cache
-     *  (sim::ThreadPool::lateSteals). */
-    std::uint64_t lateSteals() const { return pool_.lateSteals(); }
 
   private:
     /** One pool thread's conv scratch (conv_row_scratch_bytes), or

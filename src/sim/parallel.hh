@@ -13,7 +13,9 @@
  *    it within a short window, when any free thread takes it. The same
  *    thread then meets the same slice of the data every fork, and a
  *    late thread cannot stall the join. Its parallelFor allocates
- *    nothing, so the functional executor splits each layer with it;
+ *    nothing, and parallelForBlocks, written on it, hands each thread
+ *    one contiguous run of blocks of a range: the functional executor
+ *    splits each layer with it;
  *
  *  - SweepRunner gives every job a private output stream and a private
  *    StatGroup, then merges both at join in STABLE JOB-INDEX ORDER.
@@ -29,6 +31,7 @@
 #ifndef BFREE_SIM_PARALLEL_HH
 #define BFREE_SIM_PARALLEL_HH
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -132,6 +135,63 @@ class ThreadPool
                    (*static_cast<const Body *>(ctx))(i, slot);
                },
                &body);
+    }
+
+    /**
+     * Blocks a parallelForBlocks batch gives each thread at most. With
+     * one block per thread a layer ends when its slowest core does;
+     * with several, a core slowed for a while (a shared host, a
+     * frequency dip) loses its last blocks to threads that are done,
+     * and the layer waits for one block of it, not a quarter of the
+     * layer. On a 4-vCPU Xeon, VGG-16 8-bit read 66.3 img/s at 8
+     * against 48.8 at 1 and 61.3 against 48.9 at 2 (medians of six
+     * alternating pairs, 8 higher in 6/6 and 5/6); 32 read 56.6
+     * against 8's 53.7 (8 higher in 3/6): no better, for four times
+     * the claims (DESIGN.md section 17, "Balanced layer forks").
+     */
+    static constexpr std::size_t blocksPerThread = 8;
+
+    /**
+     * Call body(begin, end, slot) over contiguous blocks that cover
+     * [0, n) exactly once, each at least @p grain long (one block of
+     * all n when n < 2 * grain), and return once all calls have;
+     * nothing runs for n = 0. There are min(n / grain,
+     * blocksPerThread * threads()) blocks, at least 1, rounded down to
+     * a multiple of threads() once there are that many, and their
+     * sizes differ by at most one.
+     * Slot s owns an equal run of them, in order, so its own indices
+     * form one ascending range: its p-th block is s * blocks /
+     * threads() + p. A thread out of blocks of its own takes a late
+     * owner's next block (a late steal, as in parallelFor). @p slot
+     * follows parallelFor's rules: per-slot scratch needs no lock, and
+     * a result that must not depend on the thread belongs to the
+     * indices. Allocates nothing.
+     */
+    template <typename Body>
+    void
+    parallelForBlocks(std::size_t n, std::size_t grain, const Body &body)
+    {
+        if (n == 0)
+            return;
+        std::size_t blocks =
+            std::clamp<std::size_t>(n / std::max<std::size_t>(grain, 1), 1,
+                                    blocksPerThread * numThreads);
+        if (blocks >= numThreads)
+            blocks -= blocks % numThreads;
+        const std::size_t perSlot =
+            std::max<std::size_t>(blocks / numThreads, 1);
+        const std::size_t size = n / blocks;
+        const std::size_t extra = n % blocks;
+        const auto start = [=](std::size_t b) {
+            return b * size + std::min(b, extra);
+        };
+        // parallelFor hands index j to slot j % threads as that slot's
+        // (j / threads)-th: map it to the slot's own run of blocks.
+        parallelFor(blocks, [&](std::size_t j, unsigned slot) {
+            const std::size_t b =
+                j % numThreads * perSlot + j / numThreads;
+            body(start(b), start(b + 1), slot);
+        });
     }
 
     /**

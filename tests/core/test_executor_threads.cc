@@ -1,16 +1,21 @@
 /**
  * @file
  * Executor thread invariance: one inference split over 1, 2, 3 or 4
- * executor threads (conv output rows in contiguous chunks, matmul
- * weight rows in contiguous blocks) must give byte-identical outputs,
- * BceStats and energy. The shapes are chosen so the splits are ragged,
- * leave some threads without rows, and cross the matmul split
+ * executor threads (8 for the blocked net) must give byte-identical
+ * outputs, BceStats and energy. Every layer fork but the LSTM step's
+ * cuts its range into contiguous blocks, up to
+ * sim::ThreadPool::blocksPerThread per thread (conv input scans,
+ * staged plane rows, tap-feature words, conv output rows, matmul
+ * weight-row quads, transposed positions, max-pool rows). The shapes
+ * are chosen so the splits are ragged, leave some threads without
+ * rows, give more blocks than threads, and cross the matmul split
  * threshold.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -98,25 +103,60 @@ ragged_net()
     return net;
 }
 
-/** Run @p net at @p bits on @p tier at every thread count (two
- *  inferences each, the second on warm tables) against one thread. */
+/**
+ * Every block split at more blocks than threads: a 264 960-float input
+ * (eight blocks of the scan's and the first transpose's grain), convs
+ * of 70 rows x 113 and 37 rows x 59, an unpadded 2x2 max pool over 71
+ * rows, and the transpose into an FC of 2183 x 1024 MACs, whose 256
+ * quads split into 8 blocks (6 at 3 threads).
+ */
+dnn::Network
+blocked_net()
+{
+    dnn::Network net("blocked", {8, 144, 230});
+    const dnn::Layer a = dnn::make_conv("conv_a", net.input(), 1, 2, 2, 0);
+    net.add(a);
+    const dnn::Layer b =
+        dnn::make_conv("conv_b", a.outputShape(), 2, 3, 1, 0);
+    net.add(b);
+    net.add(dnn::make_activation("relu_b", dnn::LayerKind::Relu,
+                                 b.outputShape()));
+    const dnn::Layer c =
+        dnn::make_conv("conv_c", b.outputShape(), 2, 2, 1, 1);
+    net.add(c);
+    const dnn::Layer p = dnn::make_pool("pool", dnn::LayerKind::MaxPool,
+                                        c.outputShape(), 2, 2);
+    net.add(p);
+    const dnn::Layer d =
+        dnn::make_conv("conv_d", p.outputShape(), 1, 3, 1, 2);
+    net.add(d);
+    const dnn::FeatureShape s = d.outputShape();
+    net.add(dnn::make_fc("fc_wide", s.c * s.h * s.w, 1024));
+    return net;
+}
+
+/** Run @p net at @p bits on @p tier at every thread count of
+ *  @p counts (@p runs inferences each, the second on warm tables)
+ *  against one thread. */
 void
 expect_plan_invariant(const dnn::Network &net, unsigned bits,
-                      ExecTier tier, std::uint64_t seed)
+                      ExecTier tier, std::uint64_t seed,
+                      std::span<const unsigned> counts = kThreads,
+                      int runs = 2)
 {
     sim::Rng rng(seed);
     const NetworkPlan plan =
         NetworkPlan::compile(net, core::random_weights(net, rng), bits);
     const dnn::FeatureShape in = net.input();
     std::vector<FloatTensor> inputs;
-    for (int i = 0; i < 2; ++i) {
+    for (int i = 0; i < runs; ++i) {
         FloatTensor t({in.c, in.h, in.w});
         t.fillUniform(rng, -1.0, 1.0);
         inputs.push_back(std::move(t));
     }
 
     Outcome one;
-    for (const unsigned threads : kThreads) {
+    for (const unsigned threads : counts) {
         FunctionalExecutor ex({}, {}, tier, threads);
         ASSERT_EQ(ex.threads(), threads);
         std::vector<float> out;
@@ -147,6 +187,31 @@ TEST(ExecutorThreads, RaggedSplitsMatchOneThread)
     for (const unsigned bits : {8u, 4u})
         for (const ExecTier tier : {ExecTier::Tiered, ExecTier::Legacy})
             expect_plan_invariant(ragged_net(), bits, tier, 11 + bits);
+}
+
+TEST(ExecutorThreads, BlockedSplitsMatchOneThread)
+{
+    const dnn::Network net = blocked_net();
+    const std::vector<dnn::Layer> &l = net.layers();
+    ASSERT_EQ(l[1].outputShape().h, 70u);
+    ASSERT_EQ(l[1].outputShape().w % 2, 1u);
+    ASSERT_EQ(l[4].input.h, 71u);
+    ASSERT_EQ(l[5].outputShape().h, 37u);
+    ASSERT_EQ(l[5].outputShape().w % 2, 1u);
+    ASSERT_GE(net.input().elements(),
+              8 * FunctionalExecutor::minScanElemsPerBlock);
+    // An eighth of the FC's weight rows is worth a block.
+    ASSERT_GE(std::size_t{l[6].inFeatures} * l[6].outFeatures / 8,
+              FunctionalExecutor::minMatmulMacsPerBlock);
+    // Legacy holds no memoized tables to warm: one inference is enough
+    // there, and its serial per-span MACs are most of the test's time.
+    constexpr unsigned counts[] = {1, 2, 3, 4, 8};
+    for (const unsigned bits : {8u, 4u}) {
+        expect_plan_invariant(net, bits, ExecTier::Tiered, 61 + bits,
+                              counts);
+        expect_plan_invariant(net, bits, ExecTier::Legacy, 61 + bits,
+                              counts, 1);
+    }
 }
 
 TEST(ExecutorThreads, TinyCnnMatchesOneThread)
@@ -198,6 +263,28 @@ TEST(ExecutorThreads, QMatmulFrozenMatchesOneThread)
                                     + (wt == &bare ? ", bare" : ""));
             }
         }
+    }
+}
+
+TEST(ExecutorThreads, QMatmulFrozenOfNoRowsIsEmpty)
+{
+    // m = 0 rows give a split with no MACs per weight-row quad.
+    constexpr std::size_t k = 64, n = 40;
+    sim::Rng rng(37);
+    std::vector<float> w(k * n);
+    for (float &v : w)
+        v = static_cast<float>(rng.uniformReal(-0.5, 0.5));
+    dnn::QuantizedWeights wt =
+        dnn::freeze_weights_transposed(w.data(), k, n, 8);
+    wt.features.resize(bce::Bce::tileScratchWords(k));
+    bce::simd::class_feature_sums(wt.q8.data(), n, k, wt.features.data());
+    wt.rowSums.resize(n);
+    bce::simd::weight_row_sums(wt.q8.data(), n, k, wt.rowSums.data());
+    for (const unsigned threads : kThreads) {
+        FunctionalExecutor ex({}, {}, ExecTier::Tiered, threads);
+        EXPECT_EQ(ex.qMatmulFrozen(FloatTensor({0, k}), wt, k, n).size(),
+                  0u)
+            << threads << " threads";
     }
 }
 

@@ -12,6 +12,7 @@
 
 #include <sched.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -421,6 +422,173 @@ TEST(ThreadPool, SequentialSubmitsFromDifferentThreadsAreFine)
     submitter();
     other.join();
     EXPECT_EQ(count.load(), 2 * 500 * 7);
+}
+
+namespace {
+
+/** The block count parallelForBlocks promises for @p n > 0 elements. */
+std::size_t
+expected_blocks(std::size_t n, std::size_t grain, unsigned threads)
+{
+    std::size_t blocks = std::min<std::size_t>(
+        n / grain, ThreadPool::blocksPerThread * threads);
+    blocks = std::max<std::size_t>(blocks, 1);
+    return blocks < threads ? blocks : blocks - blocks % threads;
+}
+
+} // namespace
+
+TEST(ThreadPool, ParallelForBlocksCoversEveryElementOnce)
+{
+    for (const unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+        ThreadPool pool(threads);
+        const std::size_t t = threads;
+        for (const std::size_t n :
+             {std::size_t{0}, std::size_t{1}, t - 1, t, 8 * t - 1, 8 * t,
+              8 * t + 1, std::size_t{100003}}) {
+            for (const std::size_t grain :
+                 {std::size_t{1}, std::size_t{7}, std::size_t{1} << 15}) {
+                const std::string what = std::to_string(threads)
+                                         + " threads, n " + std::to_string(n)
+                                         + ", grain " + std::to_string(grain);
+                std::vector<std::atomic<int>> hits(n);
+                // Each block's length at its first element: blocks start
+                // at distinct elements, so no two calls write one entry.
+                std::vector<std::size_t> lengthAt(n + 1, 0);
+                std::atomic<std::size_t> calls{0};
+                std::atomic<bool> slotInRange{true};
+                pool.parallelForBlocks(
+                    n, grain,
+                    [&](std::size_t begin, std::size_t end, unsigned slot) {
+                        ++calls;
+                        if (slot >= threads)
+                            slotInRange = false;
+                        lengthAt[begin] = end - begin;
+                        for (std::size_t i = begin; i < end; ++i)
+                            ++hits[i];
+                    });
+                for (std::size_t i = 0; i < n; ++i)
+                    ASSERT_EQ(hits[i].load(), 1) << i << ", " << what;
+                EXPECT_TRUE(slotInRange.load()) << what;
+                std::vector<std::size_t> lengths;
+                for (const std::size_t len : lengthAt)
+                    if (len != 0)
+                        lengths.push_back(len);
+                if (n == 0) {
+                    EXPECT_EQ(calls.load(), 0u) << what;
+                    continue;
+                }
+                EXPECT_EQ(calls.load(), expected_blocks(n, grain, threads))
+                    << what;
+                ASSERT_EQ(lengths.size(), calls.load()) << what;
+                const auto [shortest, longest] =
+                    std::minmax_element(lengths.begin(), lengths.end());
+                EXPECT_LE(*longest - *shortest, 1u) << what;
+                if (n >= grain) {
+                    EXPECT_GE(*shortest, grain) << what;
+                }
+            }
+        }
+    }
+}
+
+TEST(ThreadPool, ParallelForBlocksSlotsRunOneAscendingRun)
+{
+    // 32 blocks of 5 over 4 threads: slot s owns blocks 8s .. 8s + 7,
+    // elements [40s, 40s + 40). Only a late steal runs a block off its
+    // owner, so in every batch the blocks run outside their slot's range
+    // are as many as the steals, and each slot runs its own blocks in
+    // ascending order. In a batch with no late steal each slot ran
+    // exactly its range, one block after the next. A loaded host may
+    // give no such batch, so that case is checked when it comes.
+    ThreadPool pool(4);
+    constexpr std::size_t n = 160, span = 40;
+    ASSERT_EQ(expected_blocks(n, 1, 4), 32u);
+    for (int warm = 0; warm < 10; ++warm)
+        pool.parallelFor(4, [](std::size_t, unsigned) {});
+    for (int batch = 0; batch < 200; ++batch) {
+        // Written by one slot each: calls on a slot never overlap.
+        std::array<std::vector<std::pair<std::size_t, std::size_t>>, 4> ran;
+        const std::uint64_t stealsBefore = pool.lateSteals();
+        pool.parallelForBlocks(
+            n, 1, [&](std::size_t begin, std::size_t end, unsigned slot) {
+                ran[slot].emplace_back(begin, end);
+            });
+        const std::uint64_t steals = pool.lateSteals() - stealsBefore;
+        std::uint64_t offOwner = 0;
+        for (unsigned s = 0; s < 4; ++s) {
+            std::size_t last = 0;
+            bool first = true;
+            for (const auto &[begin, end] : ran[s]) {
+                if (begin / span != s) {
+                    ++offOwner;
+                    continue;
+                }
+                if (!first) {
+                    EXPECT_GT(begin, last) << "slot " << s;
+                }
+                last = begin;
+                first = false;
+            }
+        }
+        ASSERT_EQ(offOwner, steals) << "batch " << batch;
+        if (steals != 0)
+            continue;
+        for (unsigned s = 0; s < 4; ++s) {
+            ASSERT_FALSE(ran[s].empty()) << "slot " << s;
+            EXPECT_EQ(ran[s].front().first, span * s) << "slot " << s;
+            EXPECT_EQ(ran[s].back().second, span * s + span)
+                << "slot " << s;
+            for (std::size_t p = 1; p < ran[s].size(); ++p)
+                EXPECT_EQ(ran[s][p].first, ran[s][p - 1].second)
+                    << "slot " << s << ", block " << p;
+        }
+    }
+}
+
+TEST(ThreadPool, HeldUpSlotsBlocksAreStolen)
+{
+    // 32 one-element blocks over 4 threads; slot 1 owns blocks 8-15.
+    // The first block slot 1 runs sleeps 20 ms, and every other block
+    // of slot 1's takes 8 ms. Alone, slot 1 would need 20 + 7 * 8 ms;
+    // the other three slots, done with their own blocks at once, take
+    // its remaining seven as late steals, at most three each, within
+    // about 24 ms.
+    using namespace std::chrono;
+    ThreadPool pool(4);
+    constexpr std::size_t blocks = 32, per = 8;
+    constexpr milliseconds held{20}, each{8};
+    for (int warm = 0; warm < 10; ++warm)
+        pool.parallelFor(4, [](std::size_t, unsigned) {});
+    const std::uint64_t stealsBefore = pool.lateSteals();
+    std::vector<std::atomic<int>> hits(blocks);
+    std::array<std::atomic<unsigned>, blocks> ranOn{};
+    std::atomic<std::size_t> heldBlock{blocks};
+    const auto start = steady_clock::now();
+    pool.parallelForBlocks(
+        blocks, 1, [&](std::size_t b, std::size_t end, unsigned slot) {
+            ASSERT_EQ(end, b + 1);
+            ++hits[b];
+            ranOn[b] = slot;
+            std::size_t none = blocks;
+            if (slot == 1 && heldBlock.compare_exchange_strong(none, b))
+                std::this_thread::sleep_for(held);
+            else if (b / per == 1)
+                std::this_thread::sleep_for(each);
+        });
+    const auto took = steady_clock::now() - start;
+    for (std::size_t b = 0; b < blocks; ++b)
+        EXPECT_EQ(hits[b].load(), 1) << b;
+    const std::size_t h = heldBlock.load();
+    ASSERT_EQ(h / per, 1u) << "slot 1 first ran block " << h;
+    for (std::size_t b = per; b < 2 * per; ++b) {
+        if (b != h) {
+            EXPECT_NE(ranOn[b].load(), 1u) << "block " << b;
+        }
+    }
+    EXPECT_GE(pool.lateSteals(), stealsBefore + per - 1);
+    EXPECT_LT(took, held + (per - 1) * each / 2)
+        << duration_cast<milliseconds>(took).count() << " ms";
 }
 
 TEST(ThreadPoolDeathTest, SubmitWhileABatchIsInFlightPanics)
